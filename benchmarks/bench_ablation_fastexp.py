@@ -28,7 +28,7 @@ import numpy as np
 from benchmarks.conftest import series_table, write_report
 from benchmarks.harness import write_bench_json
 from repro.fe.feip import Feip
-from repro.matrix.parallel import SecureComputePool, _dot_column
+from repro.matrix.parallel import SecureComputePool, _dot_columns
 from repro.mathutils.fastexp import FixedBaseExp, multiexp
 from repro.mathutils.group import GroupParams, SchnorrGroup
 from repro.mathutils.modarith import mod_inverse
@@ -187,12 +187,13 @@ def test_fresh_vs_persistent_pool():
     calls = 5
 
     def fresh_pool_call():
-        # what the seed did on *every* secure_dot_parallel invocation
+        # a fresh executor and state pickle per parallel dot call, as
+        # the seed implementation did
         config = (0, "dot",
                   pickle.dumps((params, mpk, tuple(keys), bound)))
         with ProcessPoolExecutor(max_workers=1) as executor:
-            return dict(executor.map(partial(_dot_column, config),
-                                     enumerate(columns)))
+            return [values for (values,) in executor.map(
+                partial(_dot_columns, config), [(ct,) for ct in columns])]
 
     with Stopwatch() as sw_fresh:
         fresh = [fresh_pool_call() for _ in range(calls)]
@@ -203,7 +204,7 @@ def test_fresh_vs_persistent_pool():
                           for _ in range(calls)]
         assert pool.executors_created == 1
     for fresh_result, pooled in zip(fresh, persistent):
-        for j, values in fresh_result.items():
+        for j, values in enumerate(fresh_result):
             assert values == list(pooled[:, j])
 
     speedup = sw_fresh.elapsed / max(sw_persistent.elapsed, 1e-9)

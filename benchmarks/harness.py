@@ -20,10 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.matrix.parallel import (
-    secure_dot_parallel,
-    secure_elementwise_parallel,
-)
+from repro.matrix.parallel import get_compute_pool
 from repro.matrix.secure_matrix import (
     SecureMatrixScheme,
     matrix_bound_dot,
@@ -128,8 +125,9 @@ def measure_elementwise(params: GroupParams, op: str, count: int,
     with Stopwatch() as sw_serial:
         z = scheme.secure_elementwise(enc, keys, bound)
     with Stopwatch() as sw_parallel:
-        zp = secure_elementwise_parallel(params, scheme.febo_mpk, enc, keys,
-                                         bound, workers=workers)
+        cells = list(zip(keys[0], enc.require_febo()[0]))  # one row
+        zp = get_compute_pool(workers).secure_elementwise(
+            params, scheme.febo_mpk, cells, enc.shape, bound)
     assert (z == zp).all(), "parallel result diverged from serial"
     return ElementwisePoint(value_range, count, sw_enc.elapsed,
                             sw_key.elapsed, sw_serial.elapsed,
@@ -173,8 +171,8 @@ def measure_dot(params: GroupParams, vector_length: int, count: int,
     with Stopwatch() as sw_serial:
         z = scheme.secure_dot(enc, keys, bound)
     with Stopwatch() as sw_parallel:
-        zp = secure_dot_parallel(params, scheme.feip_mpk, enc, keys, bound,
-                                 workers=workers)
+        zp = get_compute_pool(workers).secure_dot(
+            params, scheme.feip_mpk, enc.require_feip(), keys, bound)
     assert (z == zp).all(), "parallel result diverged from serial"
     return DotPoint(vector_length, value_range, count, sw_enc.elapsed,
                     sw_key.elapsed, sw_serial.elapsed, sw_parallel.elapsed)

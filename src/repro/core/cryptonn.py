@@ -52,9 +52,10 @@ class _SecureTrainerBase:
 
     The trainer owns one persistent compute pool for the whole run:
     passed in explicitly (e.g. ``Server.compute_pool``), or resolved
-    from ``config.workers``, or None for fully serial execution.  All
-    secure layers route their decryption loops through it, so worker
-    processes and their dlog tables survive across batches and epochs.
+    from ``config.workers``, so worker processes and their dlog tables
+    survive across batches and epochs.  Without one, ``compute_pool``
+    is None and each secure layer dispatches the same decryption loop
+    to an inline executor that runs it in the calling thread.
     """
 
     def __init__(self, model: Sequential, authority: TrustedAuthority,

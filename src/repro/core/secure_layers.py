@@ -44,7 +44,11 @@ from repro.core.entities import TrustedAuthority
 from repro.nn.activations import log_softmax, softmax
 from repro.nn.conv import Conv2D, conv_out_dims, im2col
 from repro.nn.layers import Dense
-from repro.matrix.parallel import SecureComputePool, resolve_pool
+from repro.matrix.parallel import (
+    InlineExecutor,
+    SecureComputePool,
+    resolve_pool,
+)
 from repro.mathutils.dlog import GLOBAL_SOLVER_CACHE, SolverCache
 from repro.mathutils.encoding import FixedPointCodec
 from repro.obs.tracing import GLOBAL_TRACER
@@ -53,10 +57,12 @@ from repro.obs.tracing import GLOBAL_TRACER
 class _SecureBase:
     """Shared plumbing: codec, solver cache, counters, authority handle.
 
-    ``pool`` is the persistent compute pool shared by a training run;
-    when None and ``config.workers`` is set, the process-wide pool for
-    that worker count is used, so repeated batches never respawn worker
-    processes.
+    Every decryption grid is one dispatch on ``self._pool``: the
+    persistent compute pool shared by a training run (``pool``, or the
+    process-wide pool for ``config.workers``, so repeated batches never
+    respawn worker processes), else an :class:`InlineExecutor` that
+    runs the same dispatch in the calling thread against this layer's
+    solver cache.
     """
 
     def __init__(self, authority: TrustedAuthority, config: CryptoNNConfig,
@@ -70,25 +76,55 @@ class _SecureBase:
         self._cache = solver_cache or GLOBAL_SOLVER_CACHE
         self._feip = authority.feip
         self._febo = authority.febo
-        self._pool = resolve_pool(pool, config.workers)
+        self._pool = resolve_pool(pool, config.workers) \
+            or InlineExecutor(self._feip, self._febo, self._cache)
 
     def _solver(self, bound: int):
         return self._cache.get(self._feip.group, bound)
 
-    def _request_feip_keys(self, rows):
-        """Key request honoring ``config.batch_key_requests``.
+    def _feip_keys(self, rows, per_row: bool = False) -> list:
+        """Fetch FEIP keys under a ``key-fetch`` span and count them.
 
-        Batched requests coalesce all rows into one envelope message --
-        over the RPC transport this is one round trip instead of many.
+        With ``config.batch_key_requests`` all rows travel in one
+        envelope message -- over the RPC transport one round trip
+        instead of many.  Otherwise they travel as one request, or as
+        one request per row with ``per_row``.
         """
-        if self.config.batch_key_requests:
-            return self.authority.derive_feip_keys_batch(rows)
-        return self.authority.derive_feip_keys(rows)
+        with GLOBAL_TRACER.span("key-fetch", keys=len(rows)):
+            if self.config.batch_key_requests:
+                keys = self.authority.derive_feip_keys_batch(rows)
+            elif per_row:
+                keys = [self.authority.derive_feip_keys([row])[0]
+                        for row in rows]
+            else:
+                keys = self.authority.derive_feip_keys(rows)
+        self.counters.feip_keys_requested += len(keys)
+        return keys
 
-    def _request_febo_keys(self, requests):
-        if self.config.batch_key_requests:
-            return self.authority.derive_febo_keys_batch(requests)
-        return self.authority.derive_febo_keys(requests)
+    def _febo_keys(self, requests) -> list:
+        """Fetch FEBO keys under a ``key-fetch`` span and count them."""
+        with GLOBAL_TRACER.span("key-fetch", keys=len(requests)):
+            if self.config.batch_key_requests:
+                keys = self.authority.derive_febo_keys_batch(requests)
+            else:
+                keys = self.authority.derive_febo_keys(requests)
+        self.counters.febo_keys_requested += len(keys)
+        return keys
+
+    def _secure_dot(self, rows, columns, eta: int) -> np.ndarray:
+        """Integer ``<row, column>`` grid, shape (rows, columns).
+
+        One key fetch for the rows, then one dispatch decrypts every
+        FEIP column against every key.
+        """
+        keys = self._feip_keys(rows)
+        mpk = self.authority.feip_public_key(eta)
+        with GLOBAL_TRACER.span(self._pool.dispatch_span,
+                                n=len(keys) * len(columns)):
+            grid = self._pool.secure_dot(self.authority.params, mpk, columns,
+                                         keys, self.config.dot_bound(eta))
+        self.counters.feip_decrypts += grid.size
+        return grid
 
 
 class _FeatureReconstructor(_SecureBase):
@@ -105,10 +141,7 @@ class _FeatureReconstructor(_SecureBase):
         self._feature_cache: dict[int, np.ndarray] = {}
 
     def _decrypt_elements(self, ciphertexts: Sequence, bound: int) -> list[int]:
-        requests = [(ct.cmt, "*", 1) for ct in ciphertexts]
-        with GLOBAL_TRACER.span("key-fetch", keys=len(requests)):
-            keys = self._request_febo_keys(requests)
-        self.counters.febo_keys_requested += len(keys)
+        keys = self._febo_keys([(ct.cmt, "*", 1) for ct in ciphertexts])
         bpk = self.authority.febo_public_key()
         solver = self._cache.get(self._febo.group, bound)
         with GLOBAL_TRACER.span("decrypt-dlog", n=len(keys)):
@@ -166,36 +199,13 @@ class SecureLinearInput(_FeatureReconstructor):
                 indices: Sequence[int] | None = None,
                 training: bool = True) -> np.ndarray:
         """Return pre-activations ``Z1`` of shape (N, hidden)."""
-        rows = self._encoded_weight_rows()
-        with GLOBAL_TRACER.span("key-fetch", keys=len(rows)):
-            keys = self._request_feip_keys(rows)
-        self.counters.feip_keys_requested += len(keys)
-        eta = self.dense.in_features
-        mpk = self.authority.feip_public_key(eta)
-        bound = self.config.dot_bound(eta)
-        if self._pool is not None and batch:
-            # one pooled dispatch decrypts the whole (sample, unit) grid
-            with GLOBAL_TRACER.span("pool-dispatch",
-                                    n=len(batch) * len(keys)):
-                flat = self._pool.secure_dot(
-                    self.authority.params, mpk,
-                    [sample.features_ip for sample in batch], keys, bound,
-                )
-            self.counters.feip_decrypts += len(batch) * len(keys)
-            z = self.codec.decode_array(flat.T, power=2)
-        else:
-            # batched per sample: all hidden units share the sample's
-            # ciphertext bases, so decrypt_rows builds the window tables
-            # and walks the dlog stride once per sample, not per unit
-            solver = self._solver(bound)
-            z = np.empty((len(batch), len(keys)), dtype=np.float64)
-            with GLOBAL_TRACER.span("decrypt-dlog",
-                                    n=len(batch) * len(keys)):
-                for n, sample in enumerate(batch):
-                    values = self._feip.decrypt_rows(
-                        mpk, sample.features_ip, keys, bound, solver=solver)
-                    z[n] = [self.codec.decode(v, power=2) for v in values]
-                    self.counters.feip_decrypts += len(keys)
+        # one column per sample: all hidden units share the sample's
+        # ciphertext bases, so decrypt_rows builds the window tables and
+        # walks the dlog stride once per sample, not per unit
+        grid = self._secure_dot(self._encoded_weight_rows(),
+                                [sample.features_ip for sample in batch],
+                                self.dense.in_features)
+        z = self.codec.decode_array(grid.T, power=2)
         z += self.dense.params["b"]
         if training:
             self._last_batch = batch
@@ -232,7 +242,6 @@ class SecureConvInput(_FeatureReconstructor):
         self.conv = conv
         self._last_batch: Sequence[EncryptedImage] | None = None
         self._last_indices: Sequence[int] | None = None
-        self._last_out_dims: tuple[int, int] | None = None
 
     def _encoded_filter_rows(self) -> list[list[int]]:
         w = np.clip(self.conv.params["W"], -self.config.max_abs_weight,
@@ -246,59 +255,24 @@ class SecureConvInput(_FeatureReconstructor):
                 indices: Sequence[int] | None = None,
                 training: bool = True) -> np.ndarray:
         """Return pre-activations of shape (N, F, out_h, out_w)."""
-        rows = self._encoded_filter_rows()
-        keys = self._request_feip_keys(rows)
-        self.counters.feip_keys_requested += len(keys)
+        out_h, out_w = batch[0].windows.out_shape
         window_length = (self.conv.in_channels
                          * self.conv.filter_size * self.conv.filter_size)
-        mpk = self.authority.feip_public_key(window_length)
-        bound = self.config.dot_bound(window_length)
-        if self._pool is not None and batch:
-            out = self._forward_parallel(batch, keys, mpk, bound)
-        else:
-            out = self._forward_serial(batch, keys, mpk, bound)
+        # every window of every image is one column: the whole filter
+        # bank shares each window's base tables
+        grid = self._secure_dot(
+            self._encoded_filter_rows(),
+            [w for image in batch for w in image.windows.windows],
+            window_length)
+        out = self.codec.decode_array(
+            grid.reshape(-1, len(batch), out_h, out_w).transpose(1, 0, 2, 3),
+            power=2)
         out += self.conv.params["b"][np.newaxis, :, np.newaxis, np.newaxis]
         if training:
             self._last_batch = batch
             self._last_indices = list(indices) if indices is not None \
                 else list(range(len(batch)))
-            self._last_out_dims = out.shape[2:]
         return out
-
-    def _forward_serial(self, batch, keys, mpk, bound) -> np.ndarray:
-        solver = self._solver(bound)
-        outputs = []
-        for image in batch:
-            out_h, out_w = image.windows.out_shape
-            z = np.empty((len(keys), out_h, out_w), dtype=np.float64)
-            for pos, window_ct in enumerate(image.windows.windows):
-                # whole filter bank against one window ciphertext: the
-                # patch loop shares base tables across all filters
-                values = self._feip.decrypt_rows(mpk, window_ct, keys,
-                                                 bound, solver=solver)
-                z[:, pos // out_w, pos % out_w] = [
-                    self.codec.decode(v, power=2) for v in values
-                ]
-                self.counters.feip_decrypts += len(keys)
-            outputs.append(z)
-        return np.stack(outputs)
-
-    def _forward_parallel(self, batch, keys, mpk, bound) -> np.ndarray:
-        """Batch-wide pooled decryption (paper's 'P' curves).
-
-        All windows of all images go through the persistent worker pool,
-        so executor startup is paid once per training run rather than
-        per batch (let alone per image).
-        """
-        out_h, out_w = batch[0].windows.out_shape
-        all_windows = [w for image in batch for w in image.windows.windows]
-        flat = self._pool.secure_convolve(
-            self.authority.params, mpk, all_windows,
-            (len(batch) * out_h, out_w), keys, bound,
-        )
-        self.counters.feip_decrypts += len(all_windows) * len(keys)
-        flat_rows = flat.reshape(len(keys), len(batch), out_h, out_w)
-        return self.codec.decode_array(flat_rows, power=2).transpose(1, 0, 2, 3)
 
     def backward(self, grad_out: np.ndarray) -> None:
         """Fill the wrapped conv layer's W/b gradients from dL/dZ."""
@@ -325,43 +299,23 @@ def _decrypt_label_subtractions(layer: _SecureBase, values: np.ndarray,
     """Decrypt ``Y - values`` element-wise against encrypted one-hot labels.
 
     Shared by both secure losses (cross-entropy gradient ``P - Y`` and
-    the MSE residuals).  Keys are derived in one batched request, and
-    the decrypt loop routes through the layer's persistent pool when it
-    has one.
+    the MSE residuals): one batched key request, then one dispatch
+    decrypts the whole (sample, class) grid.
     """
     n, num_classes = values.shape
     bpk = layer.authority.febo_public_key()
-    bound = layer.config.label_sub_bound()
-    requests = [
-        (labels[i].onehot_bo[c].cmt, "-", layer.codec.encode(values[i, c]))
-        for i in range(n) for c in range(num_classes)
-    ]
-    with GLOBAL_TRACER.span("key-fetch", keys=len(requests)):
-        keys = layer._request_febo_keys(requests)
-    layer.counters.febo_keys_requested += len(keys)
+    cells = [labels[i].onehot_bo[c] for i in range(n)
+             for c in range(num_classes)]
+    keys = layer._febo_keys([
+        (ct.cmt, "-", layer.codec.encode(v))
+        for ct, v in zip(cells, values.ravel())
+    ])
     layer.counters.febo_decrypts += len(keys)
-    if layer._pool is not None and n:
-        tasks = [
-            (i, c, labels[i].onehot_bo[c], keys[i * num_classes + c])
-            for i in range(n) for c in range(num_classes)
-        ]
-        with GLOBAL_TRACER.span("pool-dispatch", n=len(tasks)):
-            grid = layer._pool.secure_elementwise(
-                layer.authority.params, bpk, tasks, (n, num_classes), bound)
-        return layer.codec.decode_array(grid)
-    solver = layer._cache.get(layer._febo.group, bound)
-    with GLOBAL_TRACER.span("decrypt-dlog", n=len(keys)):
-        values = layer._febo.decrypt_many(
-            bpk,
-            [(keys[i * num_classes + c], labels[i].onehot_bo[c])
-             for i in range(n) for c in range(num_classes)],
-            bound, solver=solver,
-        )
-    out = np.empty((n, num_classes), dtype=np.float64)
-    for i in range(n):
-        for c in range(num_classes):
-            out[i, c] = layer.codec.decode(values[i * num_classes + c])
-    return out
+    with GLOBAL_TRACER.span(layer._pool.dispatch_span, n=len(keys)):
+        grid = layer._pool.secure_elementwise(
+            layer.authority.params, bpk, list(zip(keys, cells)),
+            values.shape, layer.config.label_sub_bound())
+    return layer.codec.decode_array(grid)
 
 
 class SecureSoftmaxCrossEntropy(_SecureBase):
@@ -395,17 +349,9 @@ class SecureSoftmaxCrossEntropy(_SecureBase):
         solver = self._solver(bound)
         encoded_rows = [[self.codec.encode(v) for v in log_p[n]]
                         for n in range(logits.shape[0])]
-        with GLOBAL_TRACER.span("key-fetch", keys=len(encoded_rows)):
-            if self.config.batch_key_requests:
-                # all per-sample log-p keys in one envelope (one round
-                # trip)
-                keys = self._request_feip_keys(encoded_rows)
-            else:
-                # one request per sample, matching the unbatched
-                # accounting
-                keys = [self.authority.derive_feip_keys([row])[0]
-                        for row in encoded_rows]
-        self.counters.feip_keys_requested += len(keys)
+        # unbatched, one request per sample matches the paper's
+        # accounting
+        keys = self._feip_keys(encoded_rows, per_row=True)
         # bases differ per sample (each label has its own ciphertext), so
         # only the bounded dlogs batch: one shared giant-step walk
         with GLOBAL_TRACER.span("decrypt-dlog", n=len(keys)):

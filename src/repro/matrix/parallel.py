@@ -1,10 +1,32 @@
-"""Process-parallel secure computation.
+"""Secure computation dispatch: one decryption loop, two executors.
 
 The paper reports (Figures 3d, 4d, 5d) that parallelizing the decryption
 loop turns secure dot-products from ~90 minutes into ~8 seconds.  The
 expensive part -- modular exponentiation plus the discrete log -- is pure
 CPU work on Python ints, so we parallelize across *processes* (threads
 would serialize on the GIL).
+
+That loop is written once.  :meth:`SecureComputePool.secure_dot` and
+:meth:`SecureComputePool.secure_elementwise` cut a decryption grid into
+contiguous chunks (runs of FEIP columns, runs of FEBO cells), and
+``_map`` runs one chunk function per chunk on one of two executors:
+
+* **worker processes** -- a :class:`SecureComputePool` forks them once
+  and reuses them for every dispatch of a training run, instead of
+  paying executor startup plus key pickling on every call.
+  :meth:`~SecureComputePool.configure` stamps the group parameters,
+  public key, function keys and dlog bound with a sequence number and
+  ships them pickled with each chunk; workers install a stamp at most
+  once, and each worker's dlog-solver cache survives reconfiguration,
+  so iterating with fresh keys but a stable bound never rebuilds
+  baby-step tables.
+* **the calling thread** -- an :class:`InlineExecutor`, which serial
+  runs use.  Its ``_map`` runs the same chunk functions in the caller,
+  the loop a degraded pool already falls back to, with the state built
+  unpickled around the caller's solver cache.
+
+So serial and pooled runs decrypt through identical code and recover
+identical integers.
 
 The same pool also serves the *client* side: the ``encrypt``
 configuration kind lets idle workers produce offline encryption
@@ -14,16 +36,6 @@ run whole encryptions (:meth:`SecureComputePool.secure_encrypt_columns`
 nonces from their own OS-seeded RNGs -- each worker process constructs
 a fresh ``Feip``/``Febo`` on config install, so nonce streams are
 independent across workers and dispatches.
-
-Worker processes live in a persistent :class:`SecureComputePool`: they
-are forked once and reused across every ``secure_dot`` /
-``secure_elementwise`` / ``secure_convolve`` call for the lifetime of a
-training run, instead of paying executor startup plus key pickling on
-every call (every layer of every training step).  :meth:`configure`
-broadcasts the group parameters, public key, function keys and dlog
-bound; workers memoize the installed state by a sequence number, and
-each worker's dlog-solver cache survives reconfiguration, so iterating
-with fresh keys but a stable bound never rebuilds baby-step tables.
 
 All key/ciphertext containers are frozen dataclasses of ints, so the
 per-configuration pickling is cheap.
@@ -57,8 +69,7 @@ from repro.fe.keys import (
     FeipNonce,
     FeipPublicKey,
 )
-from repro.matrix.secure_matrix import EncryptedMatrix
-from repro.mathutils.dlog import GLOBAL_SOLVER_CACHE
+from repro.mathutils.dlog import GLOBAL_SOLVER_CACHE, SolverCache
 from repro.mathutils.group import GroupParams
 from repro.obs.metrics import GLOBAL_REGISTRY
 
@@ -76,10 +87,11 @@ def default_workers() -> int:
     return max(1, (os.cpu_count() or 2) - 1)
 
 
-#: Column chunks produced per worker by a ``secure_dot`` dispatch: enough
-#: slack for load balancing across uneven columns, few enough that the
-#: per-chunk state shipment (config blob + chunk pickle) stays marginal.
-DOT_CHUNKS_PER_WORKER = 2
+#: Chunks produced per worker by a ``secure_dot`` / ``secure_elementwise``
+#: dispatch: enough slack for load balancing across uneven chunks, few
+#: enough that the per-chunk state shipment (config blob + chunk pickle)
+#: stays marginal.
+CHUNKS_PER_WORKER = 2
 
 
 def chunk_tasks(tasks: Sequence, n_chunks: int) -> list[tuple]:
@@ -98,19 +110,50 @@ def chunk_tasks(tasks: Sequence, n_chunks: int) -> list[tuple]:
             for i in range(0, len(tasks), per_chunk)]
 
 
-# -- worker side -------------------------------------------------------------
+# -- chunk functions ----------------------------------------------------------
+
+def _build_state(kind: str, payload: tuple, solver_cache: SolverCache,
+                 feip: Feip | None = None, febo: Febo | None = None) -> dict:
+    """Crypto state a configuration payload describes.
+
+    Workers decrypt with fresh ``Feip``/``Febo`` instances; an
+    :class:`InlineExecutor` passes the caller's, whose group already
+    holds its fixed-base tables.  The dlog solver comes from
+    ``solver_cache``, so it outlives reconfigurations that keep the
+    same (group, bound) -- the per-iteration case in training.
+    """
+    if kind == "dot":
+        params, mpk, keys, bound = payload
+        feip = feip or Feip(params)
+        return dict(feip=feip, mpk=mpk, keys=keys,
+                    solver=solver_cache.get(feip.group, bound))
+    if kind == "elementwise":
+        params, mpk, bound = payload
+        febo = febo or Febo(params)
+        return dict(febo=febo, febo_mpk=mpk,
+                    solver=solver_cache.get(febo.group, bound))
+    if kind == "encrypt":
+        params, feip_mpk, febo_mpk = payload
+        # fresh Feip/Febo per worker => fresh OS-seeded RNG per worker,
+        # so nonce streams never collide across the pool
+        return dict(feip=Feip(params), febo=Febo(params),
+                    feip_mpk=feip_mpk, febo_mpk=febo_mpk)
+    raise ValueError(f"unknown pool configuration kind {kind!r}")
+
 
 def _install_config(config: tuple) -> dict:
-    """(Re)build per-process crypto state for a configuration broadcast.
+    """The crypto state a chunk function runs under.
 
-    ``config`` is ``(seq, kind, blob)`` with the payload pre-pickled on
-    the parent side, so shipping it with every task chunk costs one
-    bytes copy, not one traversal of the key material; a worker that
-    already holds ``seq`` skips the unpickling and rebuild entirely.
-    The dlog solver comes from the worker's process-wide cache, so it
-    outlives reconfigurations that keep the same (group, bound) -- the
-    per-iteration case in training.
+    ``config`` is ``(seq, kind, blob)``.  An :class:`InlineExecutor`
+    stamps the state it already built in the caller as ``blob``.  A
+    pool pre-pickles the payload instead, so shipping it with every
+    task chunk costs one bytes copy, not one traversal of the key
+    material; a worker that already holds ``seq`` skips the unpickling
+    and rebuild entirely.
     """
+    seq, kind, blob = config
+    if isinstance(blob, dict):
+        return blob
     if os.environ.get("REPRO_CHAOS_WORKER_KILL") \
             and multiprocessing.parent_process() is not None:
         # chaos hook for the degradation tests: every *forked worker*
@@ -118,69 +161,42 @@ def _install_config(config: tuple) -> dict:
         # thread), while the parent-process fallback path, which also
         # runs this function, computes normally
         os._exit(3)
-    seq, kind, blob = config
     state = _WORKER_CONFIGS.get(seq)
     if state is not None:
         return state
-    payload = pickle.loads(blob)
-    if kind == "dot":
-        params, mpk, keys, bound = payload
-        feip = Feip(params)
-        state = dict(feip=feip, mpk=mpk, keys=keys,
-                     solver=GLOBAL_SOLVER_CACHE.get(feip.group, bound))
-    elif kind == "elementwise":
-        params, mpk, bound = payload
-        febo = Febo(params)
-        state = dict(febo=febo, febo_mpk=mpk,
-                     solver=GLOBAL_SOLVER_CACHE.get(febo.group, bound))
-    elif kind == "encrypt":
-        params, feip_mpk, febo_mpk = payload
-        # fresh Feip/Febo per worker => fresh OS-seeded RNG per worker,
-        # so nonce streams never collide across the pool
-        state = dict(feip=Feip(params), febo=Febo(params),
-                     feip_mpk=feip_mpk, febo_mpk=febo_mpk)
-    else:  # pragma: no cover - defensive
-        raise ValueError(f"unknown pool configuration kind {kind!r}")
+    state = _build_state(kind, pickle.loads(blob), GLOBAL_SOLVER_CACHE)
     while len(_WORKER_CONFIGS) >= _WORKER_CONFIGS_MAX:
         _WORKER_CONFIGS.pop(next(iter(_WORKER_CONFIGS)))
     _WORKER_CONFIGS[seq] = state
     return state
 
 
-def _dot_column(config: tuple, task: tuple[int, FeipCiphertext]
-                ) -> tuple[int, list[int]]:
-    state = _install_config(config)
-    j, column_ct = task
-    feip: Feip = state["feip"]
-    solver = state["solver"]
-    values = feip.decrypt_rows(state["mpk"], column_ct, state["keys"],
-                               solver.bound, solver=solver)
-    return j, values
-
-
-def _dot_columns(config: tuple,
-                 chunk: tuple[tuple[int, FeipCiphertext], ...]
-                 ) -> list[tuple[int, list[int]]]:
-    """Decrypt a whole chunk of columns against every row key.
+def _dot_columns(config: tuple, chunk: tuple[FeipCiphertext, ...]
+                 ) -> list[list[int]]:
+    """Decrypt a run of columns against every row key.
 
     One task per chunk means the config blob and the bound function
     cross the process boundary once per chunk, and each column
     ciphertext crosses exactly once; inside, ``decrypt_rows`` shares
     the per-column window tables across all rows.
     """
-    return [_dot_column(config, task) for task in chunk]
-
-
-def _elementwise_cell(
-    config: tuple,
-    task: tuple[int, int, FeboCiphertext, FeboFunctionKey],
-) -> tuple[int, int, int]:
     state = _install_config(config)
-    i, j, ciphertext, key = task
-    febo: Febo = state["febo"]
     solver = state["solver"]
-    element = febo.decrypt_raw(state["febo_mpk"], key, ciphertext)
-    return i, j, solver.solve(element)
+    return [state["feip"].decrypt_rows(state["mpk"], column_ct,
+                                       state["keys"], solver.bound,
+                                       solver=solver)
+            for column_ct in chunk]
+
+
+def _elementwise_cells(
+    config: tuple,
+    chunk: tuple[tuple[FeboFunctionKey, FeboCiphertext], ...],
+) -> list[int]:
+    """Decrypt a run of ``(key, ciphertext)`` cells; one dlog walk per run."""
+    state = _install_config(config)
+    solver = state["solver"]
+    return state["febo"].decrypt_many(state["febo_mpk"], chunk,
+                                      solver.bound, solver=solver)
 
 
 def _feip_nonce_chunk(config: tuple, count: int) -> list[FeipNonce]:
@@ -211,6 +227,11 @@ def _encrypt_value(config: tuple, task: tuple[int, int]
     return j, state["febo"].encrypt(state["febo_mpk"], value)
 
 
+def _run_in_caller(fn, config: tuple, tasks: Sequence) -> list:
+    """Run every task in the calling thread, in order."""
+    return [fn(config, task) for task in tasks]
+
+
 # -- the persistent pool ------------------------------------------------------
 
 class SecureComputePool:
@@ -225,6 +246,8 @@ class SecureComputePool:
     """
 
     _seq = itertools.count(1)
+    #: tracer span the secure layers open around a dispatch
+    dispatch_span = "pool-dispatch"
 
     def __init__(self, workers: int | None = None, *,
                  crash_retries: int = 2, allow_degraded: bool = True):
@@ -335,12 +358,15 @@ class SecureComputePool:
             cached = self._configs.get(key)
             if cached is not None:
                 return cached
-            config = (next(self._seq), kind,
-                      pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+            config = (next(self._seq), kind, self._pack(kind, payload))
             while len(self._configs) >= _WORKER_CONFIGS_MAX:
                 self._configs.pop(next(iter(self._configs)))
             self._configs[key] = config
             return config
+
+    def _pack(self, kind: str, payload: tuple) -> bytes:
+        """The stamped form of ``payload``: pickled once, shipped per chunk."""
+        return pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
 
     def configure_dot(self, params: GroupParams, mpk: FeipPublicKey,
                       keys: Sequence[FeipFunctionKey], bound: int) -> tuple:
@@ -355,49 +381,34 @@ class SecureComputePool:
                           febo_mpk: FeboPublicKey | None = None) -> tuple:
         return self.configure("encrypt", (params, feip_mpk, febo_mpk))
 
-    def _map(self, fn, config: tuple, tasks, parallelism_hint: int,
-             n_tasks: int | None = None, chunksize: int | None = None) -> list:
-        """Dispatch ``tasks`` under ``config``, surviving worker crashes.
+    def _map(self, fn, config: tuple, tasks: Sequence, parallelism_hint: int,
+             chunksize: int | None = None) -> list:
+        """Run ``fn(config, task)`` for every task on the workers, in order.
 
-        ``tasks`` is either a sequence or a zero-argument callable
-        returning a fresh iterable.  The callable form *streams*:
-        ``executor.map`` pulls and pickles tasks chunk by chunk as
-        workers free up instead of the caller materializing the full
-        task list first (``n_tasks`` then sizes the chunks), and the
-        crash retry simply re-invokes the factory.
+        ``executor.map`` submits every chunk of ``tasks`` up front, so
+        the callers pre-chunk large grids themselves (``secure_dot``,
+        ``secure_elementwise``) and pass ``chunksize=1``.
 
         A crashed worker breaks the whole executor; unlike the old
         executor-per-call code that recovered for free, a persistent
-        pool must rebuild explicitly, so the dispatch is retried on a
-        fresh executor up to ``crash_retries`` times.  A pool that keeps
-        breaking (a machine swapping its workers to death, a chaos test)
-        then *degrades* instead of raising: with ``allow_degraded`` the
-        dispatch runs sequentially in this process -- the task functions
-        are plain picklable callables, so the numerics are identical,
-        just slower -- and the degradation is counted and latched in
+        pool must rebuild explicitly, so the dispatch is resubmitted on
+        a fresh executor up to ``crash_retries`` times.  A pool that
+        keeps breaking (a machine swapping its workers to death, a chaos
+        test) then *degrades* instead of raising: with
+        ``allow_degraded`` the dispatch runs in this thread, the loop an
+        :class:`InlineExecutor` always runs -- identical numerics, just
+        slower -- and the degradation is counted and latched in
         ``stats``.
         """
-        if callable(tasks):
-            factory = tasks
-        else:
-            # a bare iterator would be exhausted by the time the crash
-            # retry re-submits it, silently dropping results -- pin
-            # non-replayable iterables down first
-            if not isinstance(tasks, Sequence):
-                tasks = tuple(tasks)
-            factory = lambda: tasks  # noqa: E731
-        if n_tasks is None:
-            n_tasks = len(tasks)
         if chunksize is None:
-            chunksize = max(1, n_tasks // (self.workers * parallelism_hint))
+            chunksize = max(1, len(tasks) // (self.workers * parallelism_hint))
         with self._lock:
             self.dispatches += 1
-        bound_fn = partial(fn, config)
         last_exc: BrokenProcessPool | None = None
         for _ in range(self.crash_retries + 1):
             executor = self._ensure_executor()
             try:
-                return list(executor.map(bound_fn, factory(),
+                return list(executor.map(partial(fn, config), tasks,
                                          chunksize=chunksize))
             except BrokenProcessPool as exc:
                 last_exc = exc
@@ -415,7 +426,7 @@ class SecureComputePool:
         with self._lock:
             self.degraded_dispatches += 1
             self.degraded = True
-        return [bound_fn(task) for task in factory()]
+        return _run_in_caller(fn, config, tasks)
 
     # -- secure computations ---------------------------------------------------
     def secure_dot(self, params: GroupParams, mpk: FeipPublicKey,
@@ -423,51 +434,38 @@ class SecureComputePool:
                    keys: Sequence[FeipFunctionKey], bound: int) -> np.ndarray:
         """Decrypt every column against every row key; shape (keys, cols).
 
-        Columns are pre-chunked so each worker task carries a run of
-        columns: the stamped config and each column ciphertext cross the
-        process boundary once per chunk, and inside a chunk
+        Columns are pre-chunked so each task carries a run of columns:
+        the stamped config and each column ciphertext cross the process
+        boundary once per chunk, and inside a chunk
         ``Feip.decrypt_rows`` amortizes the shared-base window tables,
         the ``ct_0`` comb and the giant-step walk over all ``m`` rows.
         """
         keys = list(keys)
         config = self.configure_dot(params, mpk, keys, bound)
         z = np.empty((len(keys), len(columns)), dtype=object)
-        chunks = chunk_tasks(list(enumerate(columns)),
-                             self.workers * DOT_CHUNKS_PER_WORKER)
-        for chunk_result in self._map(_dot_columns, config, chunks, 1,
-                                      chunksize=1):
-            for j, values in chunk_result:
-                for i, value in enumerate(values):
-                    z[i, j] = value
+        chunks = chunk_tasks(columns, self.workers * CHUNKS_PER_WORKER)
+        results = self._map(_dot_columns, config, chunks, 1, chunksize=1)
+        for j, values in enumerate(itertools.chain.from_iterable(results)):
+            z[:, j] = values
         return z
 
-    def secure_elementwise(self, params: GroupParams, mpk: FeboPublicKey,
-                           tasks, shape: tuple[int, int],
-                           bound: int) -> np.ndarray:
-        """Decrypt ``(i, j, ciphertext, key)`` tasks into a (rows, cols) grid.
+    def secure_elementwise(
+        self, params: GroupParams, mpk: FeboPublicKey,
+        cells: Sequence[tuple[FeboFunctionKey, FeboCiphertext]],
+        shape: tuple[int, int], bound: int,
+    ) -> np.ndarray:
+        """Decrypt row-major ``(key, ciphertext)`` cells into a ``shape`` grid.
 
-        ``tasks`` may be a sequence or a zero-argument callable yielding
-        the tasks; the callable form streams tuples to the workers
-        instead of materializing ``rows * cols`` of them up front.
+        Cells are pre-chunked like ``secure_dot``'s columns; inside a
+        chunk ``Febo.decrypt_many`` shares one deduplicated giant-step
+        walk across all of its cells.
         """
         config = self.configure_elementwise(params, mpk, bound)
-        z = np.empty(shape, dtype=object)
-        n_tasks = shape[0] * shape[1]
-        for i, j, value in self._map(_elementwise_cell, config, tasks, 8,
-                                     n_tasks=n_tasks):
-            z[i, j] = value
-        return z
-
-    def secure_convolve(self, params: GroupParams, mpk: FeipPublicKey,
-                        windows: Sequence[FeipCiphertext],
-                        out_shape: tuple[int, int],
-                        keys: Sequence[FeipFunctionKey],
-                        bound: int) -> np.ndarray:
-        """Convolution as window-wise dot products; shape (keys, out_h, out_w)."""
-        out_h, out_w = out_shape
-        keys = list(keys)
-        return self.secure_dot(params, mpk, windows, keys, bound) \
-            .reshape(len(keys), out_h, out_w)
+        chunks = chunk_tasks(cells, self.workers * CHUNKS_PER_WORKER)
+        results = self._map(_elementwise_cells, config, chunks, 1,
+                            chunksize=1)
+        return np.array(list(itertools.chain.from_iterable(results)),
+                        dtype=object).reshape(shape)
 
     # -- client-side encryption dispatches -------------------------------------
     def _nonce_chunks(self, count: int) -> list[int]:
@@ -531,6 +529,44 @@ class SecureComputePool:
         return out
 
 
+class InlineExecutor(SecureComputePool):
+    """:class:`SecureComputePool`'s dispatch, run in the calling thread.
+
+    Serial runs decrypt through one of these: ``secure_dot`` and
+    ``secure_elementwise`` chunk and decode exactly as on a pool, but
+    :meth:`configure` builds the state in place (no pickling) around
+    the caller's ``feip``, ``febo`` and ``solver_cache``, and ``_map``
+    runs the chunk functions here -- the loop a degraded pool falls
+    back to.
+
+    It is not a worker pool: it forks nothing, so it keeps no fault
+    counters and registers no metrics collector, and nothing resolves
+    it as a run's ``compute_pool``.
+    """
+
+    #: sizes the chunking of ``secure_dot`` / ``secure_elementwise``
+    workers = 1
+    dispatch_span = "decrypt-dlog"
+    #: never started, so the inherited ``close`` and ``started`` hold
+    _executor = None
+
+    def __init__(self, feip: Feip, febo: Febo,
+                 solver_cache: SolverCache | None = None):
+        self._feip = feip
+        self._febo = febo
+        self._solver_cache = solver_cache or GLOBAL_SOLVER_CACHE
+        self._configs: dict[tuple, tuple] = {}
+        self._lock = threading.RLock()
+
+    def _pack(self, kind: str, payload: tuple) -> dict:
+        return _build_state(kind, payload, self._solver_cache,
+                            self._feip, self._febo)
+
+    def _map(self, fn, config: tuple, tasks: Sequence, parallelism_hint: int,
+             chunksize: int | None = None) -> list:
+        return _run_in_caller(fn, config, tasks)
+
+
 # -- process-wide default pools ----------------------------------------------
 
 _DEFAULT_POOLS: dict[int, SecureComputePool] = {}
@@ -557,7 +593,8 @@ def resolve_pool(pool: SecureComputePool | None,
     """Single policy for "which pool does this component use".
 
     An explicit pool wins; otherwise a configured worker count maps to
-    the shared process-wide pool; otherwise None (serial execution).
+    the shared process-wide pool; otherwise None, and the component
+    decrypts on an :class:`InlineExecutor`.
     """
     if pool is not None:
         return pool
@@ -574,52 +611,3 @@ def shutdown_compute_pools() -> None:
         _DEFAULT_POOLS.clear()
     for pool in pools:
         pool.close()
-
-
-# -- module-level conveniences ------------------------------------------------
-
-def secure_dot_parallel(params: GroupParams, mpk: FeipPublicKey,
-                        encrypted: EncryptedMatrix,
-                        keys: Sequence[FeipFunctionKey], bound: int,
-                        workers: int | None = None,
-                        pool: SecureComputePool | None = None) -> np.ndarray:
-    """Parallel version of :meth:`SecureMatrixScheme.secure_dot`.
-
-    Columns of the encrypted matrix are distributed over the persistent
-    worker pool; each worker decrypts the column against every row key.
-    """
-    pool = pool or get_compute_pool(workers)
-    return pool.secure_dot(params, mpk, encrypted.require_feip(), keys, bound)
-
-
-def secure_elementwise_parallel(params: GroupParams, mpk: FeboPublicKey,
-                                encrypted: EncryptedMatrix,
-                                keys: list[list[FeboFunctionKey]], bound: int,
-                                workers: int | None = None,
-                                pool: SecureComputePool | None = None
-                                ) -> np.ndarray:
-    """Parallel version of :meth:`SecureMatrixScheme.secure_elementwise`."""
-    elements = encrypted.require_febo()
-    rows, cols = encrypted.shape
-    tasks = lambda: (  # noqa: E731 - streamed, see SecureComputePool._map
-        (i, j, elements[i][j], keys[i][j])
-        for i in range(rows)
-        for j in range(cols)
-    )
-    pool = pool or get_compute_pool(workers)
-    return pool.secure_elementwise(params, mpk, tasks, (rows, cols), bound)
-
-
-def secure_convolve_parallel(params: GroupParams, mpk: FeipPublicKey,
-                             windows: Sequence[FeipCiphertext],
-                             out_shape: tuple[int, int],
-                             keys: Sequence[FeipFunctionKey], bound: int,
-                             workers: int | None = None,
-                             pool: SecureComputePool | None = None
-                             ) -> np.ndarray:
-    """Parallel secure convolution over a filter bank.
-
-    Returns shape ``(len(keys), out_h, out_w)``.
-    """
-    pool = pool or get_compute_pool(workers)
-    return pool.secure_convolve(params, mpk, windows, out_shape, keys, bound)

@@ -39,6 +39,7 @@ from repro.fe.keys import (
 )
 from repro.mathutils.dlog import SolverCache
 from repro.mathutils.group import GroupParams
+from repro.matrix.parallel import InlineExecutor
 
 
 def as_int_matrix(matrix: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
@@ -113,11 +114,13 @@ class SecureMatrixScheme:
     authority entity in :mod:`repro.core.entities`) and are passed
     explicitly to the key-derivation methods, mirroring the trust split.
 
-    When a persistent :class:`~repro.matrix.parallel.SecureComputePool`
-    is attached (constructor argument or :meth:`use_pool`), the
-    server-side computations route their decryption loops through it;
-    without one they run serially in-process.  Symmetrically, an
-    attached :class:`~repro.fe.engine.EncryptionEngine`
+    The server-side computations make one dispatch on ``pool``: a
+    persistent :class:`~repro.matrix.parallel.SecureComputePool` when
+    the constructor gets one, else an
+    :class:`~repro.matrix.parallel.InlineExecutor` that runs the same
+    chunked decryption in the calling thread with this scheme's
+    ``feip``/``febo`` and ``solver_cache``.
+    Symmetrically, an attached :class:`~repro.fe.engine.EncryptionEngine`
     (:meth:`use_engine`) routes the client-side
     :meth:`pre_process_encryption` through precomputed nonce material
     and pool-parallel bulk encryption.
@@ -134,13 +137,9 @@ class SecureMatrixScheme:
         self.febo = Febo(params, rng=rng, solver_cache=solver_cache)
         self.feip_mpk = feip_mpk
         self.febo_mpk = febo_mpk
-        self.pool = pool
+        self.pool = pool or InlineExecutor(self.feip, self.febo,
+                                           solver_cache)
         self.engine = engine
-
-    def use_pool(self, pool) -> "SecureMatrixScheme":
-        """Attach (or detach, with None) a persistent compute pool."""
-        self.pool = pool
-        return self
 
     def use_engine(self, engine) -> "SecureMatrixScheme":
         """Attach (or detach, with None) an offline/online encryption engine."""
@@ -235,18 +234,8 @@ class SecureMatrixScheme:
         """
         if self.feip_mpk is None:
             raise CiphertextError("no FEIP public key; run setup() first")
-        columns = encrypted.require_feip()
-        if self.pool is not None:
-            return self.pool.secure_dot(self.params, self.feip_mpk, columns,
-                                        keys, bound)
-        # batched per column: all rows share the ciphertext bases, so one
-        # decrypt_rows call amortizes the window tables and the dlog walk
-        solver = self.feip.solver_for(bound)
-        z = np.empty((len(keys), len(columns)), dtype=object)
-        for j, column_ct in enumerate(columns):
-            z[:, j] = self.feip.decrypt_rows(self.feip_mpk, column_ct, keys,
-                                             bound, solver=solver)
-        return z
+        return self.pool.secure_dot(self.params, self.feip_mpk,
+                                    encrypted.require_feip(), keys, bound)
 
     def secure_elementwise(self, encrypted: EncryptedMatrix,
                            keys: list[list[FeboFunctionKey]],
@@ -258,26 +247,7 @@ class SecureMatrixScheme:
         rows, cols = encrypted.shape
         if len(keys) != rows or any(len(r) != cols for r in keys):
             raise UnsupportedOperationError("key matrix shape mismatch")
-        if self.pool is not None:
-            # a factory, not a list: the pool streams task tuples to the
-            # workers chunk by chunk instead of materializing rows*cols
-            # pickled tuples before the first dispatch
-            tasks = lambda: (  # noqa: E731
-                (i, j, elements[i][j], keys[i][j])
-                for i in range(rows)
-                for j in range(cols)
-            )
-            return self.pool.secure_elementwise(self.params, self.febo_mpk,
-                                                tasks, (rows, cols), bound)
-        # independent bases, but the bounded dlogs still batch: one
-        # deduplicated giant-step walk covers the whole grid
-        values = self.febo.decrypt_many(
-            self.febo_mpk,
-            [(keys[i][j], elements[i][j])
-             for i in range(rows) for j in range(cols)],
-            bound,
-        )
-        z = np.empty((rows, cols), dtype=object)
-        if z.size:
-            z[...] = [values[i * cols:(i + 1) * cols] for i in range(rows)]
-        return z
+        cells = [(keys[i][j], elements[i][j])
+                 for i in range(rows) for j in range(cols)]
+        return self.pool.secure_elementwise(self.params, self.febo_mpk,
+                                            cells, (rows, cols), bound)

@@ -1,12 +1,11 @@
 """Unified retry/backoff policy for the distributed runtime.
 
 Every component that retries -- :class:`~repro.rpc.client.RpcEndpoint`
-requests and connects, :func:`~repro.rpc.runtime.wait_for_port`, client
-agent uploads, and the *simulated* channel in :mod:`repro.core.network`
--- speaks this one vocabulary, so "how often do we resend, how long do
-we back off, when do we give up" is configured in exactly one place and
-the fault counters from simulated what-if experiments and real-socket
-chaos runs compose into one report.
+requests and connects, :func:`~repro.rpc.runtime.wait_for_port` and
+client agent uploads -- speaks this one vocabulary, so "how often do we
+resend, how long do we back off, when do we give up" is configured in
+exactly one place and the fault counters of every participant and of
+real-socket chaos runs compose into one report.
 
 The policy is capped exponential backoff with full jitter (the AWS
 architecture-blog shape): attempt ``k`` sleeps ``uniform(0, min(max_
@@ -14,8 +13,8 @@ delay, base_delay * multiplier**(k-1)))``.  Full jitter decorrelates a
 thundering herd of clients hammering a restarting authority; passing a
 seeded ``random.Random`` makes the schedule reproducible for tests.
 
-This module is intentionally stdlib-only so lower layers (e.g.
-``repro.core.network``) can import it without a dependency cycle.
+This module is intentionally stdlib-only so any layer can import it
+without a dependency cycle.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 #: Counter names shared by every fault/retry report in the runtime --
-#: RpcEndpoint.stats, SimulatedChannel.stats, ChaosProxy summaries.
+#: RpcEndpoint.stats, ChaosProxy summaries.
 STAT_KEYS = ("attempts", "retries", "drops", "timeouts", "reconnects",
              "giveups")
 

@@ -10,9 +10,7 @@ from repro.matrix.parallel import (
     SecureComputePool,
     chunk_tasks,
     default_workers,
-    secure_convolve_parallel,
-    secure_dot_parallel,
-    secure_elementwise_parallel,
+    get_compute_pool,
 )
 from repro.matrix.secure_conv import SecureConvolution
 from repro.matrix.secure_matrix import (
@@ -109,8 +107,8 @@ class TestParallelMatchesSerial:
         keys = scheme.derive_dot_keys(msk_ip, y)
         bound = matrix_bound_dot(15, 15, 3)
         serial = scheme.secure_dot(enc, keys, bound)
-        parallel = secure_dot_parallel(params, scheme.feip_mpk, enc, keys,
-                                       bound, workers=2)
+        parallel = get_compute_pool(workers=2).secure_dot(
+            params, scheme.feip_mpk, enc.require_feip(), keys, bound)
         np.testing.assert_array_equal(parallel, serial)
 
     def test_elementwise(self, params, rng, solver_cache):
@@ -122,8 +120,10 @@ class TestParallelMatchesSerial:
         keys = scheme.derive_elementwise_keys(msk_bo, "*", y, enc.commitments())
         bound = matrix_bound_elementwise("*", 15, 15)
         serial = scheme.secure_elementwise(enc, keys, bound)
-        parallel = secure_elementwise_parallel(params, scheme.febo_mpk, enc,
-                                               keys, bound, workers=2)
+        cells = [(key, ct) for key_row, ct_row in zip(keys, enc.require_febo())
+                 for key, ct in zip(key_row, ct_row)]
+        parallel = get_compute_pool(workers=2).secure_elementwise(
+            params, scheme.febo_mpk, cells, enc.shape, bound)
         np.testing.assert_array_equal(parallel, serial)
 
     def test_convolution(self, params, rng, solver_cache):
@@ -139,10 +139,9 @@ class TestParallelMatchesSerial:
         keys = conv.derive_filter_bank_keys(msk, kernels)
         bound = 4 * 8 * 2 + 1
         serial = conv.secure_convolve_bank(enc, keys, bound)
-        parallel = secure_convolve_parallel(
-            params, conv.mpk, enc.windows, enc.out_shape, keys, bound,
-            workers=2,
-        )
+        parallel = get_compute_pool(workers=2).secure_dot(
+            params, conv.mpk, enc.windows, keys, bound,
+        ).reshape(len(keys), *enc.out_shape)
         np.testing.assert_array_equal(parallel, serial)
 
     def test_single_worker_works(self, params, rng, solver_cache):
@@ -153,8 +152,8 @@ class TestParallelMatchesSerial:
         enc = scheme.pre_process_encryption(x, with_febo=False)
         keys = scheme.derive_dot_keys(msk_ip, y)
         bound = matrix_bound_dot(15, 15, 2)
-        out = secure_dot_parallel(params, scheme.feip_mpk, enc, keys, bound,
-                                  workers=1)
+        out = get_compute_pool(workers=1).secure_dot(
+            params, scheme.feip_mpk, enc.require_feip(), keys, bound)
         np.testing.assert_array_equal(out, y @ x)
 
 

@@ -69,14 +69,15 @@ def test_persistent_pool_dot_under_timeout(params, dot_fixture):
 
 
 def test_module_wrappers_share_persistent_pool(params, dot_fixture):
-    """secure_dot_parallel must not build an executor per call."""
+    """The shared pool of get_compute_pool must not build an executor
+    per call."""
     scheme, enc, keys, bound, expected = dot_fixture
     parallel.shutdown_compute_pools()
     try:
         for _ in range(2):
             out = run_with_timeout(
-                lambda: parallel.secure_dot_parallel(
-                    params, scheme.feip_mpk, enc, keys, bound, workers=1
+                lambda: parallel.get_compute_pool(workers=1).secure_dot(
+                    params, scheme.feip_mpk, enc.require_feip(), keys, bound
                 )
             )
             np.testing.assert_array_equal(out, expected)
