@@ -41,7 +41,7 @@ from repro.fe.keys import (
     key_fingerprint,
 )
 from repro.mathutils.dlog import GLOBAL_SOLVER_CACHE, DlogSolver, SolverCache
-from repro.mathutils.fastexp import SharedBaseMultiExp
+from repro.mathutils.fastexp import RowPlan, SharedBaseMultiExp
 from repro.mathutils.group import GroupParams, SchnorrGroup
 
 
@@ -140,43 +140,56 @@ class Feip:
         solver = solver or self.solver_for(bound)
         return solver.solve(element)
 
+    def row_plan(self, keys: Sequence[FeipFunctionKey]) -> RowPlan:
+        """Recode a key set once for every :meth:`decrypt_rows` column.
+
+        The plan carries each row's weights ``y_i`` as sliding-window
+        digits and its ``sk_i`` as signed comb digits, so a column only
+        builds its own tables and walks the plan.
+        """
+        keys = list(keys)
+        if len({len(skf.y) for skf in keys}) > 1:
+            raise FunctionKeyError("function keys have different lengths")
+        group = self.group
+        return RowPlan([skf.y for skf in keys], group.p, order=group.q,
+                       fixed_exponents=[-skf.sk for skf in keys])
+
     def decrypt_rows(self, mpk: FeipPublicKey, ciphertext: FeipCiphertext,
                      keys: Sequence[FeipFunctionKey], bound: int,
-                     solver: DlogSolver | None = None) -> list[int]:
+                     solver: DlogSolver | None = None,
+                     plan: RowPlan | None = None) -> list[int]:
         """Recover ``[<x, y_i>]`` for every key against one ciphertext.
 
         The batched form of :meth:`decrypt`: all rows of a decryption
         matrix share the same ciphertext bases, so one
         :class:`~repro.mathutils.fastexp.SharedBaseMultiExp` context
-        builds the per-base window tables (and the amortized ``ct_0``
-        comb) once, evaluates every ``(y_i, -sk_i)`` row against them,
-        and hands the whole column of group elements to the solver's
-        shared giant-step walk.  Row *i* of the result equals
-        ``decrypt(mpk, ciphertext, keys[i], bound)`` exactly -- the
-        per-row path remains the reference implementation.
+        builds the per-base window tables and the ``ct_0`` comb once,
+        walks every row of ``plan`` (:meth:`row_plan` of ``keys``, built
+        here when not given) against them, and hands the whole column of
+        group elements to the solver's shared walk.  Row *i* of the
+        result equals ``decrypt(mpk, ciphertext, keys[i], bound)``
+        exactly -- the per-row path remains the reference
+        implementation.
 
         Raises:
             DiscreteLogError: when any inner product falls outside
                 ``[-bound, bound]``.
         """
-        keys = list(keys)
-        for skf in keys:
-            if ciphertext.eta != len(skf.y):
-                raise CiphertextError(
-                    f"ciphertext length {ciphertext.eta} != weight length "
-                    f"{len(skf.y)}"
-                )
         if not keys:
             return []
+        if plan is None:
+            plan = self.row_plan(keys)
+        elif plan.n_rows != len(keys):
+            raise FunctionKeyError("row plan was built for another key set")
+        if ciphertext.eta != plan.n_bases:
+            raise CiphertextError(
+                f"ciphertext length {ciphertext.eta} != weight length "
+                f"{plan.n_bases}"
+            )
         group = self.group
-        context = SharedBaseMultiExp(
-            ciphertext.ct, group.p, order=group.q,
-            fixed_base=ciphertext.ct0, rows_hint=len(keys),
-        )
-        elements = context.eval_many(
-            [skf.y for skf in keys],
-            fixed_exponents=[-skf.sk for skf in keys],
-        )
+        context = SharedBaseMultiExp(ciphertext.ct, group.p, order=group.q,
+                                     fixed_base=ciphertext.ct0)
+        elements = context.eval_plan(plan)
         solver = solver or self.solver_for(bound)
         return solver.solve_many(elements)
 

@@ -4,9 +4,10 @@ Decryption in both FEIP and FEBO yields ``g ** m mod p`` and must recover
 the exponent ``m``.  This is feasible exactly because the plaintext result
 of the permitted function is small and bounded -- the paper points at the
 baby-step giant-step (BSGS) algorithm [26].  We implement BSGS over a
-*signed* interval ``[-bound, bound]`` with a reusable baby-step table so
-that the (dominant) table construction is amortized across the thousands
-of decryptions a single training iteration performs.
+*signed* interval ``[-bound, bound]``, centred on zero, with a reusable
+baby-step table so that the (dominant) table construction is amortized
+across the thousands of decryptions a single training iteration
+performs.
 """
 
 from __future__ import annotations
@@ -40,12 +41,18 @@ DENSE_TABLE_CAP = 1 << 15
 class DlogSolver:
     """Baby-step giant-step solver for ``g ** m = h (mod p)``, ``|m| <= bound``.
 
-    The solver precomputes ``table_size`` baby steps ``g^j`` once and reuses
-    them for every query; a query then costs at most
-    ``ceil(window / table_size)`` giant-step multiplications plus hash
-    lookups.  ``table_size`` defaults to the full window when that fits
-    under :data:`DENSE_TABLE_CAP` (making queries O(1)), else to the
-    larger of the cap and the classic ``ceil(sqrt(window))`` balance.
+    The solver precomputes ``table_size`` (T) baby steps ``g^j`` once,
+    for ``j`` in ``[-T/2, T/2)``, and reuses them for every query.  A
+    query looks its target up directly -- ring 0, the exponents nearest
+    zero -- and then walks outward one ring at a time: ring ``k`` tries
+    ``h * g^{-kT}`` and ``h * g^{kT}``, i.e. the exponents ``kT + j`` and
+    ``-kT + j``.  Inner products of encoded features and weights cluster
+    around zero, so most queries end at ring 0 after one dict lookup; the
+    worst case, ``|m|`` near ``bound``, costs about ``2 * bound / T``
+    multiplications.  ``table_size`` defaults to the full window when
+    that fits under :data:`DENSE_TABLE_CAP` (every query is then one
+    lookup), else to the larger of the cap and the classic
+    ``ceil(sqrt(window))`` balance.
     """
 
     def __init__(self, group: SchnorrGroup, bound: int,
@@ -61,21 +68,64 @@ class DlogSolver:
             classic = math.isqrt(window - 1) + 1
             table_size = min(window, max(classic, DENSE_TABLE_CAP))
         self.table_size = max(1, table_size)
+        self._low = -(self.table_size // 2)
         self._baby_steps = self._build_table()
-        # giant step multiplies by g^{-table_size}
-        self._giant_step = group.exp(group.g, -self.table_size)
-        self._max_giant_steps = (window + self.table_size - 1) // self.table_size
-        # window-shift element g^bound, reused by every solve() query
-        self._shift = group.gexp(self.bound)
+        # ring k > 0 reaches h * g^{-kT} (exponents above the table) and
+        # h * g^{kT} (below it); enough rings to cover [-bound, bound]
+        self._step_up = group.gexp(-self.table_size)
+        self._step_down = group.gexp(self.table_size)
+        high = self._low + self.table_size - 1
+        self._rings = max(0, -(-(bound - high) // self.table_size))
 
     def _build_table(self) -> dict[int, int]:
         table: dict[int, int] = {}
-        element = 1
+        element = self.group.gexp(self._low)
         g, p = self.group.g, self.group.p
-        for j in range(self.table_size):
+        for j in range(self._low, self._low + self.table_size):
             table.setdefault(element, j)
             element = element * g % p
         return table
+
+    def _walk(self, targets: Sequence[int]) -> dict[int, int]:
+        """Exponents of the distinct ``targets`` that lie in the window.
+
+        Equal targets share one walk (a decryption column repeats values
+        whenever two rows agree), and all still-unsolved targets advance
+        ring by ring together.  Targets missing from the result have no
+        discrete log in ``[-bound, bound]``.
+        """
+        baby = self._baby_steps
+        bound, table_size, p = self.bound, self.table_size, self.group.p
+        solved: dict[int, int] = {}
+        pending: dict[int, tuple[int, int]] = {}
+        for h in targets:
+            if h in solved or h in pending:
+                continue
+            j = baby.get(h)
+            if j is not None and -bound <= j <= bound:
+                solved[h] = j
+            else:
+                pending[h] = (h, h)
+        step_up, step_down = self._step_up, self._step_down
+        for ring in range(1, self._rings + 1):
+            if not pending:
+                break
+            shift = ring * table_size
+            still: dict[int, tuple[int, int]] = {}
+            for h, (above, below) in pending.items():
+                above = above * step_up % p
+                j = baby.get(above)
+                if j is not None and j + shift <= bound:
+                    solved[h] = j + shift
+                    continue
+                below = below * step_down % p
+                j = baby.get(below)
+                if j is not None and j - shift >= -bound:
+                    solved[h] = j - shift
+                    continue
+                still[h] = (above, below)
+            pending = still
+        return solved
 
     def solve(self, h: int) -> int:
         """Return the signed exponent ``m`` with ``g^m == h``.
@@ -83,20 +133,13 @@ class DlogSolver:
         Raises:
             DiscreteLogError: when no exponent in ``[-bound, bound]`` works.
         """
-        # Shift the window to [0, 2*bound]: search m' with g^{m'} = h * g^{bound}.
-        gamma = self.group.mul(h, self._shift)
-        p = self.group.p
-        for i in range(self._max_giant_steps + 1):
-            j = self._baby_steps.get(gamma)
-            if j is not None:
-                shifted = i * self.table_size + j
-                candidate = shifted - self.bound
-                if -self.bound <= candidate <= self.bound:
-                    return candidate
-            gamma = gamma * self._giant_step % p
-        raise DiscreteLogError(
-            f"no discrete log within [-{self.bound}, {self.bound}]"
-        )
+        h = int(h) % self.group.p
+        solved = self._walk((h,))
+        if h not in solved:
+            raise DiscreteLogError(
+                f"no discrete log within [-{self.bound}, {self.bound}]"
+            )
+        return solved[h]
 
     def solve_nonneg(self, h: int) -> int:
         """Like :meth:`solve` but requires the result to be non-negative."""
@@ -106,56 +149,20 @@ class DlogSolver:
         return value
 
     def solve_many(self, elements: Sequence[int]) -> list[int]:
-        """Solve a whole batch of targets, sharing one giant-step walk.
-
-        Targets are deduplicated first (a decryption matrix repeats
-        values whenever two rows agree), then all still-unsolved gammas
-        advance through the giant-step stride together, dropping out as
-        they hit the baby-step table -- one shared walk loop for the m
-        dlogs of a column instead of m restarts.  Under the dense-table
-        fast path (the whole window fits in the table, so every query is
-        one lookup) batching buys nothing and each element goes through
-        :meth:`solve` directly.
+        """Solve a whole batch of targets, sharing one outward walk.
 
         Raises:
             DiscreteLogError: when any element has no exponent in
                 ``[-bound, bound]`` -- same contract as :meth:`solve`.
         """
-        elements = [int(h) for h in elements]
-        if not elements:
-            return []
-        window = 2 * self.bound + 1
-        if self.table_size >= window:
-            return [self.solve(h) for h in elements]
-        # dedup: equal targets share one walk and one result
-        solved: dict[int, int] = {}
         p = self.group.p
-        shift = self._shift
-        pending: dict[int, int] = {}  # target h -> current gamma
-        for h in elements:
-            if h not in pending:
-                pending[h] = h * shift % p
-        baby = self._baby_steps
-        giant = self._giant_step
-        table_size, bound = self.table_size, self.bound
-        for i in range(self._max_giant_steps + 1):
-            if not pending:
-                break
-            base_shift = i * table_size - bound
-            still: dict[int, int] = {}
-            for h, gamma in pending.items():
-                j = baby.get(gamma)
-                if j is not None:
-                    candidate = base_shift + j
-                    if -bound <= candidate <= bound:
-                        solved[h] = candidate
-                        continue
-                still[h] = gamma * giant % p
-            pending = still
-        if pending:
+        elements = [int(h) % p for h in elements]
+        solved = self._walk(elements)
+        missing = {h for h in elements if h not in solved}
+        if missing:
             raise DiscreteLogError(
-                f"{len(pending)} of {len(elements)} targets have no "
-                f"discrete log within [-{self.bound}, {self.bound}]"
+                f"{len(missing)} of {len(set(elements))} distinct targets "
+                f"have no discrete log within [-{self.bound}, {self.bound}]"
             )
         return [solved[h] for h in elements]
 

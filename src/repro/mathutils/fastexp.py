@@ -21,14 +21,13 @@ the reuse patterns of those exponentiations:
   when *many* exponent vectors hit the *same* base tuple, which is
   exactly the shape of FEIP matrix decryption: every row key of ``W x``
   evaluates against the one column ciphertext ``(ct_0, ct_1..ct_eta)``.
-  The context builds per-base odd-power window tables once (signed
-  digits, with inverse tables batch-inverted on first use) plus an
-  amortized fixed-base comb for ``ct_0``, then
-  :meth:`~SharedBaseMultiExp.eval_many` walks one recoding/squaring
-  chain per row against the shared tables -- m rows pay one table
-  build instead of m.
+  A :class:`RowPlan` reduces and recodes the rows once per key set;
+  per column the context builds positive odd-power tables for the
+  bases plus a signed comb for ``ct_0``, walks each row's numerator
+  and denominator against them and divides all m denominators out with
+  one batch inversion -- m rows pay one table build instead of m.
 
-Both are pure Python over ``int``; they beat CPython's C ``pow`` only
+All are pure Python over ``int``; they beat CPython's C ``pow`` only
 because they do asymptotically less work, so the window parameters are
 chosen from measured crossover points (see
 ``benchmarks/bench_ablation_fastexp.py``).
@@ -45,21 +44,21 @@ from repro.mathutils.modarith import batch_inverse, mod_inverse
 #: than the Python-level bookkeeping of a shared window walk).
 NAIVE_MULTIEXP_BITS = 16
 
-#: Below this modulus size C ``pow`` beats any Python-level table walk,
-#: so :class:`SharedBaseMultiExp` evaluates rows through per-row
-#: :func:`multiexp` instead of building shared tables (same policy as
+#: Below this modulus size C ``pow`` beats a Python-level comb, so
+#: :class:`SharedBaseMultiExp` raises its fixed base with one ``pow``
+#: per row instead of building the per-column comb (same policy as
 #: ``FIXED_BASE_MIN_BITS`` on :class:`SchnorrGroup`).
 SHARED_TABLE_MIN_BITS = 64
 
-#: Exponent bit-width at or below which the shared window walk stops
-#: paying for its recoding overhead and per-row :func:`multiexp` (which
-#: bottoms out in tiny C ``pow`` calls) wins.
-SHARED_NAIVE_BITS = 4
-
-#: Minimum row count before the per-context fixed-base comb (the
-#: ``ct_0`` table) amortizes its build cost over the batch; below it a
-#: plain full-width ``pow`` per row is cheaper.
-SHARED_FIXED_BASE_MIN_ROWS = 8
+#: Minimum row count before the per-column signed comb (the ``ct_0``
+#: table) amortizes its build cost over the batch; below it a plain
+#: full-width ``pow`` per row is cheaper.  Measured at 256 bits (comb
+#: build plus m comb walks against m C ``pow`` calls, one batch
+#: inversion on both sides; 2-core VM): 0.73x at 1 row, 1.05x at 2,
+#: 1.36x at 3, 1.64x at 4, 2.11x at 8, 3.35x at 32 -- so the comb covers
+#: the 4-filter columns of a small CNN, and 2 rows stay on ``pow``
+#: where the gain is within noise.
+SHARED_FIXED_BASE_MIN_ROWS = 3
 
 
 def _comb_window(bits: int) -> int:
@@ -199,6 +198,15 @@ def _multiexp_nonneg(pairs: list[tuple[int, int]], modulus: int) -> int:
     return acc
 
 
+def _balanced(e: int, order: int | None) -> int:
+    """``e`` reduced into ``(-order/2, order/2]`` (unchanged without order)."""
+    if order is not None:
+        e %= order
+        if e > order // 2:
+            e -= order
+    return e
+
+
 def multiexp(bases: Sequence[int], exponents: Sequence[int], modulus: int,
              order: int | None = None) -> int:
     """Return ``prod_i bases[i] ** exponents[i] mod modulus``.
@@ -217,11 +225,7 @@ def multiexp(bases: Sequence[int], exponents: Sequence[int], modulus: int,
     positive: list[tuple[int, int]] = []
     negative: list[tuple[int, int]] = []
     for base, e in zip(bases, exponents):
-        e = int(e)
-        if order is not None:
-            e %= order
-            if e > order // 2:
-                e -= order
+        e = _balanced(int(e), order)
         if e == 0 or base == 1:
             continue
         if e > 0:
@@ -236,17 +240,20 @@ def multiexp(bases: Sequence[int], exponents: Sequence[int], modulus: int,
 
 
 def amortized_comb_window(bits: int, uses: int) -> int:
-    """Comb window minimizing build + ``uses`` evaluations.
+    """Signed-comb window minimizing build + ``uses`` evaluations.
 
     :func:`_comb_window` optimizes for a base reused thousands of times
     (``g``, the ``h_i``); a per-column ``ct_0`` table is only reused by
     the m rows of one decryption batch, so the build cost must be
     weighed against the batch size -- small batches want narrow windows.
+    Cost model of the signed comb :class:`SharedBaseMultiExp` builds:
+    ``ceil((bits + 1) / w)`` windows, each ``2^(w-1)`` table entries to
+    build plus one multiplication per use.
     """
     best_w, best_cost = 1, None
     for w in range(1, 11):
-        num_windows = (bits + w - 1) // w
-        cost = num_windows * ((1 << w) - 1 + uses)
+        num_windows = (bits + w) // w
+        cost = num_windows * ((1 << (w - 1)) + uses)
         if best_cost is None or cost < best_cost:
             best_w, best_cost = w, cost
     return best_w
@@ -270,28 +277,154 @@ def _shared_window(max_bits: int, n_bases: int, rows: int) -> int:
     return best_w
 
 
+#: Op code of a :class:`RowPlan` walk: square the accumulator.  Every
+#: other op is an index into the per-column table to multiply in.
+_SQUARE = -1
+
+
+def _walk(ops: list[int], table: list[int], modulus: int) -> int:
+    acc = 1
+    for op in ops:
+        if op < 0:
+            acc = acc * acc % modulus
+        else:
+            acc = acc * table[op] % modulus
+    return acc
+
+
+class RowPlan:
+    """Signed exponent rows, reduced and recoded once for many base tuples.
+
+    The exponent half of :class:`SharedBaseMultiExp`: FEIP decrypts every
+    column of a secure dot against the same m weight keys, so the keys'
+    reduction and recoding is done once per key set, here, and each
+    column only builds its tables and walks the plan
+    (:meth:`SharedBaseMultiExp.eval_plan`).
+
+    Each row becomes two op lists over the column's table -- a numerator
+    for its positive terms and a denominator for its negative ones --
+    so the table needs positive powers only, and one batch inversion
+    per column divides them out.  Weights are recoded into sliding odd
+    digits of ``window`` bits, walked top-down with one squaring per bit.
+    A fixed exponent per row (FEIP's ``-sk``) is recoded into signed
+    digits of a comb over the fixed base when the batch is large enough
+    (:data:`SHARED_FIXED_BASE_MIN_ROWS`); its positive digits join the
+    numerator, its negative ones the denominator, after the last
+    squaring.  Smaller batches and toy groups raise the fixed base with
+    one ``pow`` per row instead (``fixed_pows``).
+    """
+
+    def __init__(self, rows: Sequence[Sequence[int]], modulus: int,
+                 order: int | None = None,
+                 fixed_exponents: Sequence[int] | None = None,
+                 rows_hint: int | None = None, window: int | None = None):
+        if window is not None and window < 1:
+            raise ValueError("window must be >= 1")
+        rows = [[_balanced(int(e), order) for e in row] for row in rows]
+        self.n_rows = len(rows)
+        self.n_bases = len(rows[0]) if rows else 0
+        if any(len(row) != self.n_bases for row in rows):
+            raise ValueError("exponent rows must have equal length")
+        self.has_fixed = fixed_exponents is not None
+        fixed = [_balanced(int(f), order) for f in fixed_exponents or ()]
+        if self.has_fixed and len(fixed) != self.n_rows:
+            raise ValueError("fixed_exponents must supply one exponent per row")
+        uses = rows_hint or self.n_rows
+        max_bits = max((abs(e).bit_length() for row in rows for e in row),
+                       default=0)
+        #: odd-power window width; None when every weight is zero
+        self.window = (window or _shared_window(max_bits, self.n_bases, uses)
+                       ) if max_bits else None
+        fixed_bits = max((abs(f).bit_length() for f in fixed), default=0)
+        #: signed-comb window and window count for the fixed base
+        self.comb_window: int | None = None
+        self.comb_windows = 0
+        #: per-row fixed exponents raised with plain ``pow`` instead
+        self.fixed_pows: list[int] | None = None
+        if fixed_bits and order is not None \
+                and modulus.bit_length() >= SHARED_TABLE_MIN_BITS \
+                and uses >= SHARED_FIXED_BASE_MIN_ROWS:
+            self.comb_window = amortized_comb_window(fixed_bits, uses)
+            self.comb_windows = (fixed_bits + self.comb_window) \
+                // self.comb_window
+        elif fixed_bits:
+            self.fixed_pows = fixed
+        self.ops = [self._row_ops(row, fixed[i] if self.comb_window else 0)
+                    for i, row in enumerate(rows)]
+
+    def _row_ops(self, row: list[int], fixed: int) -> tuple[list, list]:
+        """(numerator ops, denominator ops) of one row."""
+        num: dict[int, list[int]] = {}
+        den: dict[int, list[int]] = {}
+        if self.window:
+            w = self.window
+            mask, half = (1 << w) - 1, 1 << (w - 1)
+            for idx, e in enumerate(row):
+                events = num if e > 0 else den
+                e = abs(e)
+                pos = 0
+                while e:
+                    tz = (e & -e).bit_length() - 1
+                    e >>= tz
+                    pos += tz
+                    # odd digit d < 2^w reads table entry base^d
+                    events.setdefault(pos, []).append(
+                        idx * half + ((e & mask) >> 1))
+                    e >>= w
+                    pos += w
+        num_tail: list[int] = []
+        den_tail: list[int] = []
+        if fixed:
+            w = self.comb_window
+            mask, half = (1 << w) - 1, 1 << (w - 1)
+            offset = self.n_bases * (1 << (self.window - 1)) \
+                if self.window else 0
+            e = abs(fixed)
+            k = 0
+            while e:
+                d = e & mask
+                if d > half:
+                    d -= 1 << w
+                e = (e - d) >> w
+                if d:
+                    # the fixed base's sign flips a digit's side
+                    same_side = (d > 0) == (fixed > 0)
+                    (num_tail if same_side else den_tail).append(
+                        offset + k * half + abs(d) - 1)
+                k += 1
+        return _schedule(num, num_tail), _schedule(den, den_tail)
+
+
+def _schedule(events: dict[int, list[int]], tail: list[int]) -> list[int]:
+    """Top-down op list: the hits at each bit, one squaring between bits."""
+    ops: list[int] = []
+    if events:
+        for k in range(max(events), -1, -1):
+            ops.extend(events.get(k, ()))
+            if k:
+                ops.append(_SQUARE)
+    ops.extend(tail)
+    return ops
+
+
 class SharedBaseMultiExp:
     """Batched multi-exponentiation over one shared tuple of bases.
 
     Built for the decryption matrix of a secure dot product: a column
     ciphertext fixes the bases ``(ct_1..ct_eta)`` (plus ``ct_0``), and
-    every row key contributes one signed exponent vector.  Per base the
-    context stores the odd powers ``b, b^3, .., b^(2^w - 1)`` once;
-    :meth:`eval_many` then recodes each row into sliding odd-digit
-    windows and walks one squaring chain per row, so the per-base table
-    builds -- the part :func:`multiexp` repays on every call -- are paid
-    once per column instead of once per row.  Negative digits read from
-    inverse tables produced lazily by one Montgomery batch inversion.
+    every row key contributes one signed exponent vector.  A
+    :class:`RowPlan` holds the recoded rows; this context holds the
+    column's tables -- the odd powers ``b, b^3, .., b^(2^w - 1)`` of
+    each base and, for the optional ``fixed_base`` (FEIP's ``ct_0``,
+    whose exponents ``-sk_f`` are full-width scalars for which the
+    small-digit walk is wrong), a signed comb sized by
+    :func:`amortized_comb_window` for the batch.  :meth:`eval_plan` walks
+    every row against them and divides out all denominators with one
+    :func:`~repro.mathutils.modarith.batch_inverse`.
 
-    The optional ``fixed_base`` (FEIP's ``ct_0``) gets a
-    :class:`FixedBaseExp` comb sized by :func:`amortized_comb_window`
-    for the expected batch, because its exponents (``-sk_f``) are
-    full-width scalars for which the shared small-digit walk is wrong.
-
-    Toy moduli (< :data:`SHARED_TABLE_MIN_BITS` bits) and tiny exponent
-    batches fall back to per-row :func:`multiexp`, which bottoms out in
-    C ``pow`` -- the same crossover policy the rest of the engine uses.
-    Results are exact integers either way; only the schedule changes.
+    :meth:`eval_many` recodes its rows on every call; callers that
+    evaluate one key set against many columns build the plan once and
+    call :meth:`eval_plan`.  Results are exact integers either way.
     """
 
     def __init__(self, bases: Sequence[int], modulus: int,
@@ -308,114 +441,71 @@ class SharedBaseMultiExp:
         self.fixed_base = fixed_base % modulus if fixed_base is not None \
             else None
         self._forced_window = window
+        #: window of the odd-power tables last built (None before)
         self.window: int | None = None
-        self._tables: list[list[int]] | None = None
-        self._inv_tables: list[list[int]] | None = None
-        self._fixed_table: FixedBaseExp | None = None
-        self._fixed_decided = False
+        self._tables: list[int] = []
+        self._fixed_table: list[int] | None = None
+        self._fixed_shape: tuple[int, int] | None = None
 
-    # -- table management -----------------------------------------------------
-    def _use_tables(self, max_bits: int) -> bool:
-        if self._forced_window is not None:
-            return True
-        return (self.modulus.bit_length() >= SHARED_TABLE_MIN_BITS
-                and max_bits > SHARED_NAIVE_BITS
-                and bool(self.bases))
+    # -- tables ---------------------------------------------------------------
+    def _odd_powers(self, w: int) -> list[int]:
+        """``[b, b^3, .., b^(2^w - 1)]`` for every base, concatenated."""
+        if self.window != w:
+            modulus = self.modulus
+            tables: list[int] = []
+            for base in self.bases:
+                sq = base * base % modulus
+                acc = base
+                tables.append(acc)
+                for _ in range((1 << (w - 1)) - 1):
+                    acc = acc * sq % modulus
+                    tables.append(acc)
+            self.window, self._tables = w, tables
+        return self._tables
 
-    def _ensure_tables(self, max_bits: int, n_rows: int) -> None:
-        if self._tables is not None:
-            return
-        w = self._forced_window or _shared_window(
-            max_bits, len(self.bases), self.rows_hint or n_rows)
-        self.window = w
-        modulus = self.modulus
-        tables: list[list[int]] = []
-        for base in self.bases:
-            sq = base * base % modulus
-            row = [base]
-            acc = base
-            for _ in range((1 << (w - 1)) - 1):
-                acc = acc * sq % modulus
-                row.append(acc)
-            tables.append(row)  # row[k] == base ** (2k + 1)
-        self._tables = tables
-
-    def _ensure_inverse_tables(self) -> list[list[int]]:
-        if self._inv_tables is None:
-            # one gcd for every entry of every table (Montgomery trick)
-            flat = [entry for row in self._tables for entry in row]
-            inv_flat = batch_inverse(flat, self.modulus)
-            per = len(self._tables[0]) if self._tables else 0
-            self._inv_tables = [inv_flat[i * per:(i + 1) * per]
-                                for i in range(len(self._tables))]
-        return self._inv_tables
-
-    def _fixed_pow(self, exponent: int, n_rows: int) -> int:
-        if not self._fixed_decided:
-            self._fixed_decided = True
-            uses = self.rows_hint or n_rows
-            if (self.order is not None
-                    and self.modulus.bit_length() >= SHARED_TABLE_MIN_BITS
-                    and uses >= SHARED_FIXED_BASE_MIN_ROWS):
-                self._fixed_table = FixedBaseExp(
-                    self.fixed_base, self.modulus, self.order,
-                    window=amortized_comb_window(self.order.bit_length(),
-                                                 uses))
-        if self._fixed_table is not None:
-            return self._fixed_table.pow(exponent)
-        if self.order is not None:
-            exponent %= self.order
-        return pow(self.fixed_base, exponent, self.modulus)
+    def _comb(self, w: int, n_windows: int) -> list[int]:
+        """``fixed_base^(d * 2^(w*k))`` for ``d`` in ``1..2^(w-1)``, per window ``k``."""
+        if self._fixed_shape != (w, n_windows):
+            modulus = self.modulus
+            table: list[int] = []
+            step = self.fixed_base
+            for _ in range(n_windows):
+                acc = step
+                table.append(acc)
+                for _ in range((1 << (w - 1)) - 1):
+                    acc = acc * step % modulus
+                    table.append(acc)
+                step = acc * acc % modulus  # step ** 2^w
+            self._fixed_shape, self._fixed_table = (w, n_windows), table
+        return self._fixed_table
 
     # -- evaluation -----------------------------------------------------------
-    def _reduce(self, e: int) -> int:
-        e = int(e)
-        if self.order is not None:
-            e %= self.order
-            if e > self.order // 2:
-                e -= self.order
-        return e
-
-    def _eval_row(self, exponents: list[int]) -> int:
-        """One signed row against the shared tables (sliding odd digits)."""
-        w = self.window
-        mask = (1 << w) - 1
+    def eval_plan(self, plan: RowPlan) -> list[int]:
+        """Evaluate every row of ``plan`` against this context's bases."""
+        if not plan.n_rows:
+            return []
+        if plan.n_bases != len(self.bases):
+            raise ValueError(
+                f"row length {plan.n_bases} != base count {len(self.bases)}")
+        if plan.has_fixed and self.fixed_base is None:
+            raise ValueError("fixed_exponents given without a fixed_base")
         modulus = self.modulus
-        events: dict[int, list[int]] = {}
-        top = -1
-        inv_tables = None
-        for idx, e in enumerate(exponents):
-            if e == 0:
-                continue
-            if e > 0:
-                table = self._tables[idx]
-            else:
-                if inv_tables is None:
-                    inv_tables = self._ensure_inverse_tables()
-                table = inv_tables[idx]
-                e = -e
-            pos = 0
-            while e:
-                tz = (e & -e).bit_length() - 1
-                e >>= tz
-                pos += tz
-                digit = e & mask  # odd, < 2^w
-                events.setdefault(pos, []).append(table[digit >> 1])
-                e >>= w
-                pos += w
-            if pos - 1 > top:
-                top = pos - 1
-        if top < 0:
-            return 1
-        acc = 1
-        for k in range(top, -1, -1):
-            if k != top:
-                acc = acc * acc % modulus
-            hits = events.get(k)
-            if hits:
-                for element in hits:
-                    acc = acc * element % modulus
-        return acc
+        table = self._odd_powers(plan.window) if plan.window else []
+        if plan.comb_window:
+            table = table + self._comb(plan.comb_window, plan.comb_windows)
+        nums = [_walk(num_ops, table, modulus) for num_ops, _ in plan.ops]
+        dens = [_walk(den_ops, table, modulus) for _, den_ops in plan.ops]
+        for i, f in enumerate(plan.fixed_pows or ()):
+            if f > 0:
+                nums[i] = nums[i] * pow(self.fixed_base, f, modulus) % modulus
+            elif f < 0:
+                dens[i] = dens[i] * pow(self.fixed_base, -f, modulus) % modulus
+        divided = [i for i, d in enumerate(dens) if d != 1]
+        if divided:
+            inverses = batch_inverse([dens[i] for i in divided], modulus)
+            for i, inverse in zip(divided, inverses):
+                nums[i] = nums[i] * inverse % modulus
+        return nums
 
     def eval_many(self, rows: Sequence[Sequence[int]],
                   fixed_exponents: Sequence[int] | None = None) -> list[int]:
@@ -423,37 +513,13 @@ class SharedBaseMultiExp:
 
         With ``fixed_exponents`` given (one scalar per row), each result
         is additionally multiplied by ``fixed_base ** fixed_exponents[i]``
-        through the amortized comb -- the ``ct_0^{-sk}`` half of FEIP
-        decryption.  Exponents may be signed or exceed ``order`` exactly
-        as with :func:`multiexp`.
+        -- the ``ct_0^{-sk}`` half of FEIP decryption.  Exponents may be
+        signed or exceed ``order`` exactly as with :func:`multiexp`.
         """
-        rows = [list(row) for row in rows]
-        for row in rows:
-            if len(row) != len(self.bases):
-                raise ValueError(
-                    f"row length {len(row)} != base count {len(self.bases)}")
-        if fixed_exponents is not None:
-            if self.fixed_base is None:
-                raise ValueError("fixed_exponents given without a fixed_base")
-            if len(fixed_exponents) != len(rows):
-                raise ValueError(
-                    "fixed_exponents must supply one exponent per row")
-        reduced = [[self._reduce(e) for e in row] for row in rows]
-        max_bits = max((abs(e).bit_length() for row in reduced for e in row),
-                       default=0)
-        if max_bits and self._use_tables(max_bits):
-            self._ensure_tables(max_bits, len(rows))
-            results = [self._eval_row(row) for row in reduced]
-        else:
-            results = [multiexp(self.bases, row, self.modulus,
-                                order=self.order) for row in reduced]
-        if fixed_exponents is not None:
-            modulus = self.modulus
-            results = [
-                value * self._fixed_pow(int(fe), len(rows)) % modulus
-                for value, fe in zip(results, fixed_exponents)
-            ]
-        return results
+        return self.eval_plan(RowPlan(
+            rows, self.modulus, order=self.order,
+            fixed_exponents=fixed_exponents, rows_hint=self.rows_hint,
+            window=self._forced_window))
 
     def eval(self, exponents: Sequence[int],
              fixed_exponent: int | None = None) -> int:

@@ -3,39 +3,29 @@
 from __future__ import annotations
 
 
-def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return ``(g, x, y)`` such that ``a*x + b*y == g == gcd(a, b)``."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quotient = old_r // r
-        old_r, r = r, old_r - quotient * r
-        old_s, s = s, old_s - quotient * s
-        old_t, t = t, old_t - quotient * t
-    return old_r, old_s, old_t
-
-
 def mod_inverse(a: int, m: int) -> int:
     """Return the inverse of ``a`` modulo ``m``.
+
+    CPython's C ``pow(a, -1, m)`` (~10 us at 256 bits, half the cost of
+    a Python-level extended gcd).
 
     Raises:
         ValueError: if ``gcd(a, m) != 1`` (no inverse exists).
     """
-    g, x, _ = extended_gcd(a % m, m)
-    if g != 1:
-        raise ValueError(f"{a} has no inverse modulo {m} (gcd={g})")
-    return x % m
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise ValueError(f"{a} has no inverse modulo {m}") from None
 
 
 def batch_inverse(values: list[int], m: int) -> list[int]:
-    """Invert many residues modulo ``m`` with a single extended gcd.
+    """Invert many residues modulo ``m`` with a single modular inversion.
 
     Montgomery's trick: one :func:`mod_inverse` of the running product
-    plus three multiplications per element, instead of one gcd each --
-    the gcd is ~85x the cost of a multiplication at 256 bits, so this is
-    what makes signed-digit tables affordable in
-    :class:`repro.mathutils.fastexp.SharedBaseMultiExp`.
+    plus three multiplications per element, instead of one inversion
+    each -- an inversion is ~40x the cost of a multiplication at 256
+    bits, so :class:`repro.mathutils.fastexp.SharedBaseMultiExp` inverts
+    the denominators of a whole column this way.
 
     Raises:
         ValueError: if any value shares a factor with ``m``.

@@ -125,7 +125,8 @@ def _build_state(kind: str, payload: tuple, solver_cache: SolverCache,
     if kind == "dot":
         params, mpk, keys, bound = payload
         feip = feip or Feip(params)
-        return dict(feip=feip, mpk=mpk, keys=keys,
+        # the keys' recoding is shared by every column this state decrypts
+        return dict(feip=feip, mpk=mpk, keys=keys, plan=feip.row_plan(keys),
                     solver=solver_cache.get(feip.group, bound))
     if kind == "elementwise":
         params, mpk, bound = payload
@@ -177,14 +178,15 @@ def _dot_columns(config: tuple, chunk: tuple[FeipCiphertext, ...]
 
     One task per chunk means the config blob and the bound function
     cross the process boundary once per chunk, and each column
-    ciphertext crosses exactly once; inside, ``decrypt_rows`` shares
-    the per-column window tables across all rows.
+    ciphertext crosses exactly once; inside, ``decrypt_rows`` walks the
+    state's row plan, recoded once per configuration, against each
+    column's tables.
     """
     state = _install_config(config)
     solver = state["solver"]
     return [state["feip"].decrypt_rows(state["mpk"], column_ct,
                                        state["keys"], solver.bound,
-                                       solver=solver)
+                                       solver=solver, plan=state["plan"])
             for column_ct in chunk]
 
 

@@ -151,16 +151,18 @@ class SecureConvolution:
         The patch loop is batched across the filter dimension: every
         window ciphertext is decrypted against the whole bank in one
         ``decrypt_rows`` call, so the per-window base tables and the
-        giant-step walk are shared by all F filters instead of being
-        rebuilt filter by filter.
+        dlog walk are shared by all F filters instead of being rebuilt
+        filter by filter, and the filters are recoded once for all
+        windows.
         """
         if self.mpk is None:
             raise CiphertextError("no FEIP public key; run setup() first")
         keys = list(keys)
         out_h, out_w = encrypted.out_shape
         solver = self.feip.solver_for(bound)
+        plan = self.feip.row_plan(keys)
         z = np.empty((len(keys), out_h, out_w), dtype=object)
         for pos, window_ct in enumerate(encrypted.windows):
             z[:, pos // out_w, pos % out_w] = self.feip.decrypt_rows(
-                self.mpk, window_ct, keys, bound, solver=solver)
+                self.mpk, window_ct, keys, bound, solver=solver, plan=plan)
         return z

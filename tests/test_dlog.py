@@ -115,6 +115,81 @@ class TestSolveMany:
             [123] * 40 + [-7]
 
 
+class TestCentredWalk:
+    """Baby steps cover [-T/2, T/2); giant steps go outward by +-kT."""
+
+    BOUND = 60
+
+    @pytest.mark.parametrize("table_size", [1, 7, 8, 13, 64, None])
+    def test_edges_match_linear_scan(self, group, table_size):
+        bound = self.BOUND
+        solver = DlogSolver(group, bound=bound, table_size=table_size)
+        values = [0, 1, -1, bound, -bound, bound - 1, -(bound - 1)]
+        t = solver.table_size
+        values += [t // 2, -(t // 2), t // 2 - 1, t, -t, t + 1, -(t + 1)]
+        for m in (v for v in values if -bound <= v <= bound):
+            h = group.gexp(m)
+            assert solver.solve(h) == m
+            assert solver.solve_many([h]) == [m]
+            assert discrete_log_linear(group, h, bound) == m
+
+    @pytest.mark.parametrize("table_size", [1, 7, 8, 64, None])
+    def test_just_outside_the_bound_raises(self, group, table_size):
+        solver = DlogSolver(group, bound=self.BOUND, table_size=table_size)
+        for m in (self.BOUND + 1, -(self.BOUND + 1)):
+            with pytest.raises(DiscreteLogError):
+                solver.solve(group.gexp(m))
+            with pytest.raises(DiscreteLogError):
+                solver.solve_many([group.gexp(0), group.gexp(m)])
+
+    @pytest.mark.parametrize("table_size", [1, 7, 8])
+    def test_every_exponent_in_the_window(self, group, table_size):
+        solver = DlogSolver(group, bound=30, table_size=table_size)
+        values = list(range(-30, 31))
+        targets = [group.gexp(v) for v in values]
+        assert [solver.solve(h) for h in targets] == values
+        assert solver.solve_many(targets) == values
+
+    def test_dense_window_needs_no_giant_steps(self, group):
+        solver = DlogSolver(group, bound=self.BOUND)
+        assert solver.table_size == 2 * self.BOUND + 1
+        assert solver._rings == 0
+        for m in (0, self.BOUND, -self.BOUND):
+            assert solver.solve(group.gexp(m)) == m
+
+    @pytest.mark.parametrize("table_size", [7, 8, None])
+    def test_duplicate_targets(self, group, table_size):
+        solver = DlogSolver(group, bound=self.BOUND, table_size=table_size)
+        values = [self.BOUND, 0, -self.BOUND, 0, self.BOUND, 5, 5, -33]
+        assert solver.solve_many([group.gexp(v) for v in values]) == values
+
+    @pytest.mark.parametrize("table_size", [7, 8, None])
+    def test_solve_nonneg(self, group, table_size):
+        solver = DlogSolver(group, bound=self.BOUND, table_size=table_size)
+        assert solver.solve_nonneg(group.gexp(self.BOUND)) == self.BOUND
+        assert solver.solve_nonneg(1) == 0
+        with pytest.raises(DiscreteLogError):
+            solver.solve_nonneg(group.gexp(-self.BOUND))
+
+    def test_unreduced_targets(self, group):
+        solver = DlogSolver(group, bound=self.BOUND, table_size=7)
+        h = group.gexp(-41) + group.p
+        assert solver.solve(h) == -41
+        assert solver.solve_many([h, h - group.p]) == [-41, -41]
+
+    def test_solve_never_calls_solve_many(self, group, monkeypatch):
+        """A traced solve_many counts its targets; solve() routing
+        through it would count them twice."""
+        def forbidden(self, elements):
+            raise AssertionError("solve() went through solve_many")
+        monkeypatch.setattr(DlogSolver, "solve_many", forbidden)
+        solver = DlogSolver(group, bound=self.BOUND, table_size=7)
+        for m in (0, 3, -self.BOUND, self.BOUND):
+            assert solver.solve(group.gexp(m)) == m
+        with pytest.raises(DiscreteLogError):
+            solver.solve(group.gexp(self.BOUND + 1))
+
+
 class TestSolverCache:
     def test_reuses_solver(self, group):
         cache = SolverCache()

@@ -156,6 +156,85 @@ class TestDecryptRows:
             feip.decrypt_rows(mpk, ct, [bad], bound=100)
 
 
+class TestRowPlanDecryption:
+    """Plan-driven decrypt_rows against per-row decrypt, at 64 and 256 bits."""
+
+    @pytest.fixture(params=[64, 256], scope="class")
+    def big_feip(self, request):
+        return Feip(GroupParams.predefined(request.param),
+                    rng=random.Random(request.param))
+
+    BOUND = 1 << 17
+
+    def _check(self, feip, weights, x, columns=2):
+        mpk, msk = feip.setup(len(x))
+        keys = [feip.key_derive(msk, y) for y in weights]
+        plan = feip.row_plan(keys)
+        q = feip.group.q
+        balanced = [[(v % q) - q if v % q > q // 2 else v % q for v in y]
+                    for y in weights]
+        bound = self.BOUND
+        for _ in range(columns):
+            ct = feip.encrypt(mpk, x)
+            reference = [feip.decrypt(mpk, ct, key, bound) for key in keys]
+            assert reference == [sum(a * b for a, b in zip(x, y))
+                                 for y in balanced]
+            assert feip.decrypt_rows(mpk, ct, keys, bound, plan=plan) \
+                == reference
+            assert feip.decrypt_rows(mpk, ct, keys, bound) == reference
+
+    def test_zero_rows(self, big_feip):
+        self._check(big_feip, [[0, 0, 0], [0, 5, 0], [0, 0, 0]], [7, 8, 9])
+
+    def test_all_negative_rows(self, big_feip):
+        rng = random.Random(1)
+        weights = [[-rng.randrange(1, 200) for _ in range(6)]
+                   for _ in range(5)]
+        self._check(big_feip, weights, [rng.randrange(0, 101)
+                                        for _ in range(6)])
+
+    def test_oversized_exponents(self, big_feip):
+        """Weights >= q/2 act as their balanced residue, as in decrypt."""
+        q = big_feip.group.q
+        weights = [[q - 5, q + 7, -q + 2, 2 * q - 1],
+                   [q - 1, -(q - 3), 3, q],
+                   [1, 2, 3, 4], [-q - 9, 0, q - 1, 5]]
+        self._check(big_feip, weights, [3, -4, 5, 6])
+
+    def test_single_element_vectors(self, big_feip):
+        rng = random.Random(2)
+        for m in (1, 3, 9):
+            weights = [[rng.randrange(-100, 101)] for _ in range(m)]
+            self._check(big_feip, weights, [rng.randrange(-100, 101)])
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 17, 40])
+    def test_row_counts_across_comb_threshold(self, big_feip, m):
+        rng = random.Random(m)
+        weights = [[rng.randrange(-60, 61) for _ in range(3)]
+                   for _ in range(m)]
+        self._check(big_feip, weights, [rng.randrange(0, 101)
+                                        for _ in range(3)], columns=1)
+
+    def test_every_row_count_up_to_40(self, feip):
+        rng = random.Random(3)
+        for m in range(1, 41):
+            weights = [[rng.randrange(-60, 61) for _ in range(2)]
+                       for _ in range(m)]
+            self._check(feip, weights, [rng.randrange(0, 101)
+                                        for _ in range(2)], columns=1)
+
+    def test_plan_for_another_key_set_is_rejected(self, feip):
+        mpk, msk = feip.setup(2)
+        keys = [feip.key_derive(msk, [1, 2]), feip.key_derive(msk, [3, 4])]
+        ct = feip.encrypt(mpk, [1, 1])
+        with pytest.raises(FunctionKeyError):
+            feip.decrypt_rows(mpk, ct, keys, 100,
+                              plan=feip.row_plan(keys[:1]))
+        with pytest.raises(FunctionKeyError):
+            feip.row_plan([keys[0], feip.key_derive(feip.setup(3)[1],
+                                                    [1, 2, 3])])
+
+
 class TestSemanticBehaviour:
     def test_same_plaintext_fresh_randomness(self, feip):
         mpk, _ = feip.setup(2)

@@ -6,21 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mathutils.modarith import (
-    extended_gcd,
     int_to_signed,
     mod_inverse,
     mod_sub,
     signed_to_int,
 )
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=0, max_value=10**9),
-       st.integers(min_value=0, max_value=10**9))
-def test_extended_gcd_bezout(a, b):
-    g, x, y = extended_gcd(a, b)
-    assert g == math.gcd(a, b)
-    assert a * x + b * y == g
 
 
 @settings(max_examples=100, deadline=None)
