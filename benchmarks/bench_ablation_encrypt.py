@@ -14,7 +14,11 @@ element.  Three measurements:
   phase does asymptotically less work).
 * **offline production** -- what banking the same number of tuples
   costs (serial vs pool-parallel bulk), i.e. the work that moved off
-  the critical path.
+  the critical path.  At a client shard's shape (eta=64, 64 nonces) the
+  batched path (:func:`~repro.fe.engine.make_feip_nonces`: one signed
+  comb per base, sized for the batch) is gated at >= 1.5x over a
+  per-nonce loop through process-lifetime ``exp_cached`` tables, both
+  starting from a cold group as every client does.
 * **pool-parallel bulk throughput** -- end-to-end batch encryption
   through ``secure_encrypt_columns`` (workers own the nonces), the
   ``client-upload --workers N`` path.
@@ -29,10 +33,10 @@ import random
 
 from benchmarks.conftest import series_table, write_report
 from benchmarks.harness import write_bench_json
-from repro.fe.engine import EncryptionEngine
+from repro.fe.engine import EncryptionEngine, make_feip_nonces
 from repro.fe.feip import Feip
 from repro.matrix.parallel import SecureComputePool
-from repro.mathutils.group import GroupParams
+from repro.mathutils.group import GroupParams, SchnorrGroup
 from repro.utils.timer import Stopwatch
 
 #: The paper's security parameter; the acceptance criterion is stated
@@ -42,6 +46,13 @@ BITS = 256
 VECTOR_LENGTH = 10
 VALUE_RANGE = (1, 100)
 N_VECTORS = 30
+
+#: Offline production at a client shard's shape: a 64-feature key and
+#: one nonce per sample of a 64-sample shard.
+OFFLINE_ETA = 64
+OFFLINE_NONCES = 64
+OFFLINE_ROUNDS = 3
+OFFLINE_GATE = 1.5
 
 
 def _seed_encrypt(params: GroupParams, h: tuple, x: list[int],
@@ -54,9 +65,54 @@ def _seed_encrypt(params: GroupParams, h: tuple, x: list[int],
     return ct0, ct
 
 
+def _per_nonce_reference(group: SchnorrGroup, h: tuple, count: int):
+    """Offline FEIP tuples one nonce at a time, as before batching.
+
+    Every base goes through the group's process-lifetime fixed-base
+    tables (``exp_cached``), each sized for thousands of uses.
+    """
+    out = []
+    for _ in range(count):
+        r = group.random_exponent()
+        out.append((r, group.gexp(r),
+                    tuple(group.exp_cached(hi, r) for hi in h)))
+    return out
+
+
+def _offline_production(params: GroupParams) -> tuple[float, float]:
+    """Best-of-rounds seconds for (per-nonce reference, batched) production.
+
+    Each round starts from a fresh group, so both sides pay their table
+    builds exactly as a client encrypting one shard does.
+    """
+    mpk, _ = Feip(params, rng=random.Random(31)).setup(OFFLINE_ETA)
+    reference_s, batched_s = [], []
+    for k in range(OFFLINE_ROUNDS):
+        group = SchnorrGroup(params, rng=random.Random(40 + k))
+        with Stopwatch() as sw:
+            reference = _per_nonce_reference(group, mpk.h, OFFLINE_NONCES)
+        reference_s.append(sw.elapsed)
+        group = SchnorrGroup(params, rng=random.Random(40 + k))
+        with Stopwatch() as sw:
+            batched = make_feip_nonces(group, mpk, OFFLINE_NONCES)
+        batched_s.append(sw.elapsed)
+        # same rng stream, so both paths must agree nonce for nonce
+        assert [(n.r, n.ct0, n.masks) for n in batched] == reference
+    r, ct0, masks = reference[0]
+    assert ct0 == pow(params.g, r, params.p)
+    assert masks == tuple(pow(hi, r, params.p) for hi in mpk.h)
+    return min(reference_s), min(batched_s)
+
+
 def test_offline_online_encrypt_speedup(benchmark):
-    """Online-phase latency vs seed serial encrypt: the >= 3x gate."""
+    """Online-phase latency vs seed serial encrypt: the >= 3x gate.
+
+    Also gates batched offline production against the per-nonce
+    reference (>= 1.5x) at eta=64, 64 nonces.
+    """
     params = GroupParams.predefined(BITS)
+    reference_s, batched_s = _offline_production(params)
+    offline_speedup = reference_s / max(batched_s, 1e-9)
     rng = random.Random(11)
     feip = Feip(params, rng=random.Random(12))
     mpk, msk = feip.setup(VECTOR_LENGTH)
@@ -110,16 +166,29 @@ def test_offline_online_encrypt_speedup(benchmark):
         [["seed serial encrypt (pow, all online)", f"{sw_seed.elapsed:.3f}"],
          ["engine online phase (banked nonces)", f"{sw_online.elapsed:.4f}"],
          ["offline tuple production (serial)", f"{sw_offline.elapsed:.3f}"],
-         ["online speedup", f"{speedup:.1f}x"]]))
+         ["online speedup", f"{speedup:.1f}x"],
+         [f"offline, eta={OFFLINE_ETA}, {OFFLINE_NONCES} nonces: "
+          "per-nonce exp_cached", f"{reference_s:.3f}"],
+         [f"offline, eta={OFFLINE_ETA}, {OFFLINE_NONCES} nonces: batched",
+          f"{batched_s:.3f}"],
+         ["offline batched speedup", f"{offline_speedup:.2f}x"]]))
     write_bench_json(
         "ablation_encrypt",
         {"seed_serial_s": sw_seed.elapsed,
          "engine_online_s": sw_online.elapsed,
-         "offline_serial_s": sw_offline.elapsed},
-        speedups={"online_vs_seed": speedup},
+         "offline_serial_s": sw_offline.elapsed,
+         "offline_per_nonce_s": reference_s,
+         "offline_batched_s": batched_s},
+        speedups={"online_vs_seed": speedup,
+                  "offline_batched_vs_per_nonce": offline_speedup},
         meta={"bits": BITS, "rounds": rounds, "vectors": N_VECTORS,
-              "vector_length": VECTOR_LENGTH, "gate": 3.0})
+              "vector_length": VECTOR_LENGTH, "gate": 3.0,
+              "offline_eta": OFFLINE_ETA, "offline_nonces": OFFLINE_NONCES,
+              "offline_gate": OFFLINE_GATE})
     assert speedup >= 3.0, f"expected >= 3x, measured {speedup:.2f}x"
+    assert offline_speedup >= OFFLINE_GATE, (
+        f"expected batched offline production >= {OFFLINE_GATE}x, "
+        f"measured {offline_speedup:.2f}x")
 
 
 def test_pool_bulk_encrypt_throughput():

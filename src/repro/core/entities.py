@@ -41,7 +41,7 @@ from repro.fe.keys import (
     FeipMasterKey,
     FeipPublicKey,
 )
-from repro.fe.engine import resolve_engine
+from repro.fe.engine import EncryptionEngine
 from repro.matrix.parallel import resolve_pool
 from repro.matrix.secure_conv import (
     SecureConvolution,
@@ -235,12 +235,14 @@ class Client:
     training ("the training data should be encrypted using the same
     public key").
 
-    An :class:`~repro.fe.engine.EncryptionEngine` (passed explicitly or
-    resolved from ``workers``) switches encryption to the
-    offline/online split: before each dataset loop the client banks the
-    exact number of nonce tuples the loop will consume -- pool-parallel
-    when the engine has workers -- and the per-sample loops then run
-    online-only.  Without an engine the serial seed path is unchanged.
+    Encryption always runs through an
+    :class:`~repro.fe.engine.EncryptionEngine`: the one passed, or one
+    over the authority's ``Feip``/``Febo`` (sharing their ``g`` tables
+    and rng) on the pool ``workers`` resolves to, if any.  Before each
+    dataset loop the client banks the exact number of nonce tuples the
+    loop will consume -- pool-parallel when the engine has workers, one
+    batch per key otherwise -- and the per-sample loops then run
+    online-only.
     """
 
     def __init__(self, authority: TrustedAuthority,
@@ -252,30 +254,13 @@ class Client:
         self.codec = FixedPointCodec(self.config.scale)
         self.label_mapper = label_mapper
         self.name = name
-        self._feip = authority.feip
-        self._febo = authority.febo
-        self.engine = resolve_engine(engine, authority.params,
-                                     workers=workers)
-
-    # -- encryption routing ---------------------------------------------------
-    def _encrypt_feip(self, mpk, values):
-        if self.engine is not None:
-            return self.engine.encrypt_feip(mpk, values)
-        return self._feip.encrypt(mpk, values)
-
-    def _encrypt_febo(self, bpk, value):
-        if self.engine is not None:
-            return self.engine.encrypt_febo(bpk, value)
-        return self._febo.encrypt(bpk, value)
+        self.engine = engine or EncryptionEngine(
+            authority.params, pool=resolve_pool(None, workers),
+            feip=authority.feip, febo=authority.febo)
 
     def _bank_material(self, feip_counts: list[tuple[object, int]],
                        febo_mpk, febo_count: int) -> None:
-        """Offline phase: bank exactly what the coming loop consumes.
-
-        Only called when the engine can produce material in parallel; a
-        serial engine simply encrypts on demand (same total cost) or
-        consumes whatever the caller prefilled.
-        """
+        """Offline phase: bank exactly what the coming loop consumes."""
         for mpk, count in feip_counts:
             self.engine.prefill_feip(mpk, count)
         self.engine.prefill_febo(febo_mpk, febo_count)
@@ -295,8 +280,9 @@ class Client:
         mpk = self.authority.feip_public_key(num_classes)
         bpk = self.authority.febo_public_key()
         return EncryptedLabel(
-            onehot_ip=self._encrypt_feip(mpk, encoded),
-            onehot_bo=tuple(self._encrypt_febo(bpk, v) for v in encoded),
+            onehot_ip=self.engine.encrypt_feip(mpk, encoded),
+            onehot_bo=tuple(self.engine.encrypt_febo(bpk, v)
+                            for v in encoded),
         )
 
     # -- tabular data ------------------------------------------------------------
@@ -314,18 +300,16 @@ class Client:
         mapped = self._map_labels(labels)
         mpk = self.authority.feip_public_key(f)
         bpk = self.authority.febo_public_key()
-        if self.engine is not None and self.engine.pool is not None:
-            # offline phase: bank exactly what the loop below consumes
-            self._bank_material(
-                [(mpk, n), (self.authority.feip_public_key(num_classes), n)],
-                bpk, n * (f + num_classes))
+        self._bank_material(
+            [(mpk, n), (self.authority.feip_public_key(num_classes), n)],
+            bpk, n * (f + num_classes))
         samples: list[EncryptedSample] = []
         enc_labels: list[EncryptedLabel] = []
         for i in range(n):
             encoded = [self.codec.encode(v) for v in features[i]]
             samples.append(EncryptedSample(
-                features_ip=self._encrypt_feip(mpk, encoded),
-                features_bo=tuple(self._encrypt_febo(bpk, v)
+                features_ip=self.engine.encrypt_feip(mpk, encoded),
+                features_bo=tuple(self.engine.encrypt_febo(bpk, v)
                                   for v in encoded),
             ))
             enc_labels.append(self._encrypt_label(int(mapped[i]), num_classes))
@@ -360,14 +344,12 @@ class Client:
         window_length = c * filter_size * filter_size
         mpk = self.authority.feip_public_key(window_length)
         bpk = self.authority.febo_public_key()
-        if self.engine is not None and self.engine.pool is not None:
-            out_h, out_w = conv_output_shape(h, w, filter_size, stride,
-                                             padding)
-            self._bank_material(
-                [(mpk, n * out_h * out_w),
-                 (self.authority.feip_public_key(num_classes), n)],
-                bpk, n * (c * h * w + num_classes))
-        conv = SecureConvolution(self._feip, mpk, engine=self.engine)
+        out_h, out_w = conv_output_shape(h, w, filter_size, stride, padding)
+        self._bank_material(
+            [(mpk, n * out_h * out_w),
+             (self.authority.feip_public_key(num_classes), n)],
+            bpk, n * (c * h * w + num_classes))
+        conv = SecureConvolution(self.authority.feip, mpk, engine=self.engine)
         enc_images: list[EncryptedImage] = []
         enc_labels: list[EncryptedLabel] = []
         for i in range(n):
@@ -377,7 +359,7 @@ class Client:
             )
             pixels = np.empty((c, h, w), dtype=object)
             for idx, value in np.ndenumerate(encoded_img):
-                pixels[idx] = self._encrypt_febo(bpk, int(value))
+                pixels[idx] = self.engine.encrypt_febo(bpk, int(value))
             enc_images.append(EncryptedImage(
                 windows=enc_windows, pixels_bo=pixels, image_shape=(c, h, w),
             ))

@@ -14,7 +14,7 @@ schemes' ``encrypt`` accept precomputed single-use nonce tuples, and the
 :class:`~repro.fe.engine.EncryptionEngine` banks them.
 """
 
-from repro.fe.engine import EncryptionEngine, resolve_engine
+from repro.fe.engine import EncryptionEngine
 from repro.fe.errors import (
     CiphertextError,
     CryptoError,
@@ -57,5 +57,4 @@ __all__ = [
     "FunctionKeyError",
     "UnsupportedOperationError",
     "key_fingerprint",
-    "resolve_engine",
 ]

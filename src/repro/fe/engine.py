@@ -25,6 +25,12 @@ tuples and offers three ways to fill them:
   fresh tuple on demand (counted in :attr:`misses`), so the engine is
   always correct, just slower when cold.
 
+Tuples are produced in batches (:func:`make_feip_nonces` /
+:func:`make_febo_nonces`): a batch's nonces are recoded once as signed
+comb digits, and each public base gets a comb sized for that batch and
+dropped with it, instead of a process-lifetime table sized for
+thousands of uses.
+
 **Nonce hygiene is the safety property.**  Reusing ``r`` across two
 ciphertexts is an IND-CPA break (the ratio of the two ciphertexts
 reveals ``g^{x_i - x'_i}``), so the store hands every tuple out at most
@@ -54,31 +60,49 @@ from repro.fe.keys import (
     FeipPublicKey,
     key_fingerprint,
 )
+from repro.mathutils.fastexp import RowPlan, SharedBaseMultiExp
 from repro.mathutils.group import GroupParams, SchnorrGroup
 from repro.obs.metrics import GLOBAL_REGISTRY
 from repro.obs.tracing import GLOBAL_TRACER
 
 
-def make_feip_nonce(group: SchnorrGroup, mpk: FeipPublicKey) -> FeipNonce:
-    """Compute one offline FEIP tuple ``(r, g^r, h_i^r)`` (full cost)."""
-    r = group.random_exponent()
-    return FeipNonce(
-        r=r,
-        ct0=group.gexp(r),
-        masks=tuple(group.exp_cached(hi, r) for hi in mpk.h),
-        key_fp=key_fingerprint(mpk),
-    )
+def _nonce_powers(group: SchnorrGroup, bases: Sequence[int], count: int
+                  ) -> tuple[list[int], list[list[int]]]:
+    """Draw ``count`` nonces ``r`` and raise every base to each of them.
+
+    The nonces are recoded once as a :class:`RowPlan` of fixed exponents
+    only -- the signed comb recoding FEIP decryption uses for
+    ``ct_0^{-sk}`` -- and each base then builds one comb sized by
+    :func:`~repro.mathutils.fastexp.amortized_comb_window` for exactly
+    ``count`` uses, freed with the batch.  Batches too small for a comb
+    (and toy groups) raise each base with one ``pow`` per nonce inside
+    the plan.  Returns ``(rs, powers)`` with ``powers[b][k] ==
+    bases[b] ** rs[k]``.
+    """
+    rs = [group.random_exponent() for _ in range(count)]
+    plan = RowPlan([[] for _ in rs], group.p, order=group.q,
+                   fixed_exponents=rs)
+    powers = [SharedBaseMultiExp([], group.p, order=group.q, fixed_base=base)
+              .eval_plan(plan) for base in bases]
+    return rs, powers
 
 
-def make_febo_nonce(group: SchnorrGroup, mpk: FeboPublicKey) -> FeboNonce:
-    """Compute one offline FEBO tuple ``(r, g^r, h^r)`` (full cost)."""
-    r = group.random_exponent()
-    return FeboNonce(
-        r=r,
-        cmt=group.gexp(r),
-        mask=group.exp_cached(mpk.h, r),
-        key_fp=key_fingerprint(mpk),
-    )
+def make_feip_nonces(group: SchnorrGroup, mpk: FeipPublicKey,
+                     count: int) -> list[FeipNonce]:
+    """Compute ``count`` offline FEIP tuples ``(r, g^r, h_i^r)`` in one batch."""
+    rs, (ct0s, *masks) = _nonce_powers(group, (group.g, *mpk.h), count)
+    fp = key_fingerprint(mpk)
+    return [FeipNonce(r=r, ct0=ct0, masks=row, key_fp=fp)
+            for r, ct0, row in zip(rs, ct0s, zip(*masks))]
+
+
+def make_febo_nonces(group: SchnorrGroup, mpk: FeboPublicKey,
+                     count: int) -> list[FeboNonce]:
+    """Compute ``count`` offline FEBO tuples ``(r, g^r, h^r)`` in one batch."""
+    rs, (cmts, masks) = _nonce_powers(group, (group.g, mpk.h), count)
+    fp = key_fingerprint(mpk)
+    return [FeboNonce(r=r, cmt=cmt, mask=mask, key_fp=fp)
+            for r, cmt, mask in zip(rs, cmts, masks)]
 
 
 class _NonceStore:
@@ -118,20 +142,17 @@ class EncryptionEngine:
         pool: optional :class:`~repro.matrix.parallel.SecureComputePool`
             used to produce offline material and bulk encryptions in
             parallel.
-        workers: shortcut resolving the shared process-wide pool (same
-            policy as the server-side trainers); ignored when ``pool``
-            is given.
+        feip, febo: scheme instances to encrypt with (a client passes
+            its authority's, sharing their groups' ``g`` tables and
+            rng); fresh ones over ``params`` and ``rng`` otherwise.
     """
 
     def __init__(self, params: GroupParams, rng: random.Random | None = None,
-                 pool=None, workers: int | None = None):
+                 pool=None, *, feip: Feip | None = None,
+                 febo: Febo | None = None):
         self.params = params
-        self.feip = Feip(params, rng=rng)
-        self.febo = Febo(params, rng=rng)
-        if pool is None and workers:
-            # deferred import: matrix.parallel imports fe modules
-            from repro.matrix.parallel import resolve_pool
-            pool = resolve_pool(None, workers)
+        self.feip = feip or Feip(params, rng=rng)
+        self.febo = febo or Febo(params, rng=rng)
         self.pool = pool
         self._feip_stores: dict[int, _NonceStore] = {}
         self._febo_stores: dict[int, _NonceStore] = {}
@@ -202,7 +223,7 @@ class EncryptionEngine:
 
         Routed through the attached pool when one is present (workers
         generate independent nonces from their own OS-seeded RNGs),
-        serial otherwise.
+        one :func:`make_feip_nonces` batch otherwise.
         """
         if count <= 0:
             return 0
@@ -210,8 +231,7 @@ class EncryptionEngine:
             nonces, _ = self.pool.precompute_encryption(
                 self.params, feip_mpk=mpk, feip_count=count)
         else:
-            group = self.feip.group
-            nonces = [make_feip_nonce(group, mpk) for _ in range(count)]
+            nonces = make_feip_nonces(self.feip.group, mpk, count)
         self._store(self._feip_stores, mpk).push_many(nonces)
         self._count('precomputed', len(nonces))
         return len(nonces)
@@ -224,8 +244,7 @@ class EncryptionEngine:
             _, nonces = self.pool.precompute_encryption(
                 self.params, febo_mpk=mpk, febo_count=count)
         else:
-            group = self.febo.group
-            nonces = [make_febo_nonce(group, mpk) for _ in range(count)]
+            nonces = make_febo_nonces(self.febo.group, mpk, count)
         self._store(self._febo_stores, mpk).push_many(nonces)
         self._count('precomputed', len(nonces))
         return len(nonces)
@@ -257,7 +276,7 @@ class EncryptionEngine:
         nonce = self._store(self._feip_stores, mpk).pop()
         if nonce is None:
             self._count('misses')
-            nonce = make_feip_nonce(self.feip.group, mpk)
+            nonce, = make_feip_nonces(self.feip.group, mpk, 1)
         else:
             self._count('consumed')
         return self.feip.encrypt(mpk, x, nonce=nonce)
@@ -267,7 +286,7 @@ class EncryptionEngine:
         nonce = self._store(self._febo_stores, mpk).pop()
         if nonce is None:
             self._count('misses')
-            nonce = make_febo_nonce(self.febo.group, mpk)
+            nonce, = make_febo_nonces(self.febo.group, mpk, 1)
         else:
             self._count('consumed')
         return self.febo.encrypt(mpk, x, nonce=nonce)
@@ -279,9 +298,10 @@ class EncryptionEngine:
         """Encrypt many vectors under one key.
 
         Consumes banked tuples first; when the store cannot cover the
-        batch and a pool is attached, the uncovered remainder is
-        encrypted pool-parallel (workers generate their own nonces), so
-        bulk throughput scales with workers even without prefill.
+        batch, the uncovered remainder is encrypted pool-parallel when a
+        pool is attached (workers generate their own nonces), so bulk
+        throughput scales with workers even without prefill, and under
+        one nonce batch otherwise.
         """
         with GLOBAL_TRACER.span("encrypt", scheme="feip", n=len(columns)):
             return self._encrypt_feip_columns(mpk, columns)
@@ -300,20 +320,19 @@ class EncryptionEngine:
                 self._count('consumed')
                 out[j] = self.feip.encrypt(mpk, column, nonce=nonce)
         if remainder:
+            # not banked material, so still misses for anyone sizing a
+            # prefill -- just misses served in parallel or in one batch
+            self._count('misses', len(remainder))
             if self.pool is not None:
-                # not banked material, so still misses for anyone sizing
-                # a prefill -- just misses served in parallel
-                self._count('misses', len(remainder))
                 cts = self.pool.secure_encrypt_columns(
                     self.params, mpk, [list(col) for _, col in remainder])
-                for (j, _), ct in zip(remainder, cts):
-                    out[j] = ct
             else:
-                for j, column in remainder:
-                    self._count('misses')
-                    out[j] = self.feip.encrypt(
-                        mpk, column, nonce=make_feip_nonce(self.feip.group,
-                                                           mpk))
+                nonces = iter(make_feip_nonces(self.feip.group, mpk,
+                                               len(remainder)))
+                cts = [self.feip.encrypt(mpk, column, nonce=next(nonces))
+                       for _, column in remainder]
+            for (j, _), ct in zip(remainder, cts):
+                out[j] = ct
         return out
 
     def encrypt_febo_values(self, mpk: FeboPublicKey,
@@ -335,33 +354,15 @@ class EncryptionEngine:
                 self._count('consumed')
                 out[j] = self.febo.encrypt(mpk, value, nonce=nonce)
         if remainder:
+            self._count('misses', len(remainder))
             if self.pool is not None:
-                self._count('misses', len(remainder))
                 cts = self.pool.secure_encrypt_values(
                     self.params, mpk, [v for _, v in remainder])
-                for (j, _), ct in zip(remainder, cts):
-                    out[j] = ct
             else:
-                for j, value in remainder:
-                    self._count('misses')
-                    out[j] = self.febo.encrypt(
-                        mpk, value, nonce=make_febo_nonce(self.febo.group,
-                                                          mpk))
+                nonces = iter(make_febo_nonces(self.febo.group, mpk,
+                                               len(remainder)))
+                cts = [self.febo.encrypt(mpk, value, nonce=next(nonces))
+                       for _, value in remainder]
+            for (j, _), ct in zip(remainder, cts):
+                out[j] = ct
         return out
-
-
-def resolve_engine(engine: EncryptionEngine | None, params: GroupParams,
-                   workers: int | None = None,
-                   rng: random.Random | None = None
-                   ) -> EncryptionEngine | None:
-    """Single policy for "which engine does this component use".
-
-    An explicit engine wins; otherwise a configured worker count builds
-    one over the shared process-wide pool; otherwise None (the caller
-    keeps its serial path).
-    """
-    if engine is not None:
-        return engine
-    if workers:
-        return EncryptionEngine(params, rng=rng, workers=workers)
-    return None

@@ -71,15 +71,18 @@ class DlogSolver:
         self._low = -(self.table_size // 2)
         self._baby_steps = self._build_table()
         # ring k > 0 reaches h * g^{-kT} (exponents above the table) and
-        # h * g^{kT} (below it); enough rings to cover [-bound, bound]
-        self._step_up = group.gexp(-self.table_size)
-        self._step_down = group.gexp(self.table_size)
+        # h * g^{kT} (below it); enough rings to cover [-bound, bound].
+        # These and the table's first element are the solver's only
+        # powers of g, so plain pow: a process that only decrypts never
+        # builds the generator's fixed-base combs for three exponents.
+        self._step_up = group.exp(group.g, -self.table_size)
+        self._step_down = group.exp(group.g, self.table_size)
         high = self._low + self.table_size - 1
         self._rings = max(0, -(-(bound - high) // self.table_size))
 
     def _build_table(self) -> dict[int, int]:
         table: dict[int, int] = {}
-        element = self.group.gexp(self._low)
+        element = self.group.exp(self.group.g, self._low)
         g, p = self.group.g, self.group.p
         for j in range(self._low, self._low + self.table_size):
             table.setdefault(element, j)

@@ -121,6 +121,7 @@ class SchnorrGroup:
         self._rng = rng or random.Random()
         self._fixed_bases: dict[int, FixedBaseExp] = {}
         self._fixed_base_entries = 0
+        self._g_inverse: int | None = None
 
     # -- convenience accessors -------------------------------------------------
     @property
@@ -180,8 +181,21 @@ class SchnorrGroup:
         return table.pow(exponent)
 
     def gexp(self, exponent: int) -> int:
-        """Return ``g ** exponent mod p``."""
-        return self.exp_cached(self.params.g, exponent)
+        """Return ``g ** exponent mod p``.
+
+        The exponent is reduced to its balanced representative in
+        ``(-q/2, q/2]``: the positive half walks ``g``'s comb and the
+        negative half a comb over ``g^{-1}`` (built on first use), so a
+        small negative exponent -- a signed encoded plaintext -- walks
+        one window instead of every window of ``q - |x|``.
+        """
+        q = self.q
+        e = exponent % q
+        if e <= q // 2 or self.params.bits < FIXED_BASE_MIN_BITS:
+            return self.exp_cached(self.params.g, e)
+        if self._g_inverse is None:
+            self._g_inverse = mod_inverse(self.params.g, self.p)
+        return self.exp_cached(self._g_inverse, q - e)
 
     def multiexp(self, bases, exponents) -> int:
         """Return ``prod bases[i] ** exponents[i] mod p`` (signed-aware).

@@ -56,7 +56,7 @@ from functools import partial
 
 import numpy as np
 
-from repro.fe.engine import make_febo_nonce, make_feip_nonce
+from repro.fe.engine import make_febo_nonces, make_feip_nonces
 from repro.fe.febo import Febo
 from repro.fe.feip import Feip
 from repro.fe.keys import (
@@ -203,16 +203,12 @@ def _elementwise_cells(
 
 def _feip_nonce_chunk(config: tuple, count: int) -> list[FeipNonce]:
     state = _install_config(config)
-    feip: Feip = state["feip"]
-    mpk = state["feip_mpk"]
-    return [make_feip_nonce(feip.group, mpk) for _ in range(count)]
+    return make_feip_nonces(state["feip"].group, state["feip_mpk"], count)
 
 
 def _febo_nonce_chunk(config: tuple, count: int) -> list[FeboNonce]:
     state = _install_config(config)
-    febo: Febo = state["febo"]
-    mpk = state["febo_mpk"]
-    return [make_febo_nonce(febo.group, mpk) for _ in range(count)]
+    return make_febo_nonces(state["febo"].group, state["febo_mpk"], count)
 
 
 def _encrypt_column(config: tuple, task: tuple[int, list[int]]
@@ -471,8 +467,13 @@ class SecureComputePool:
 
     # -- client-side encryption dispatches -------------------------------------
     def _nonce_chunks(self, count: int) -> list[int]:
-        """Split ``count`` nonces into per-worker task chunks."""
-        per_chunk = max(1, -(-count // (self.workers * 2)))
+        """Split ``count`` nonces into one task chunk per worker.
+
+        Every chunk is one nonce batch that builds its own per-base
+        combs, so a second chunk on the same worker would build them
+        twice for half the uses each.
+        """
+        per_chunk = max(1, -(-count // self.workers))
         chunks = [per_chunk] * (count // per_chunk)
         if count % per_chunk:
             chunks.append(count % per_chunk)

@@ -142,8 +142,7 @@ def upload_shard(authority_address: tuple[str, int],
         dataset = client.encrypt_tabular(features, labels, num_classes)
         # the engine's hit/miss counters ride along with the upload so
         # the training server's metrics scrape covers the encrypt side
-        engine_stats = (client.engine.stats()
-                        if client.engine is not None else None)
+        engine_stats = client.engine.stats()
         with RpcEndpoint(*server_address, name=name, peer=protocol.SERVER,
                          timeout=timeout, policy=policy) as server:
             chunked = None

@@ -14,15 +14,20 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core.config import CryptoNNConfig
+from repro.core.entities import Client, TrustedAuthority
 from repro.fe.engine import (
     EncryptionEngine,
-    make_febo_nonce,
-    make_feip_nonce,
-    resolve_engine,
+    make_febo_nonces,
+    make_feip_nonces,
 )
 from repro.fe.errors import CiphertextError
+from repro.fe.febo import Febo
+from repro.fe.feip import Feip
+from repro.fe.keys import key_fingerprint
 from repro.matrix import parallel
 from repro.matrix.secure_matrix import SecureMatrixScheme, matrix_bound_dot
+from repro.mathutils.group import GroupParams
 from repro.security.indcpa import (
     EngineFeboAdapter,
     EngineFeipAdapter,
@@ -135,21 +140,21 @@ class TestNonceHygiene:
     def test_cross_key_nonce_rejected_feip(self, feip, group, feip_pair):
         mpk, _ = feip_pair
         other_mpk, _ = feip.setup(ETA)
-        nonce = make_feip_nonce(group, mpk)
+        nonce, = make_feip_nonces(group, mpk, 1)
         with pytest.raises(CiphertextError):
             feip.encrypt(other_mpk, [1, 2, 3, 4], nonce=nonce)
 
     def test_cross_key_nonce_rejected_febo(self, febo, group, febo_pair):
         bpk, _ = febo_pair
         other_bpk, _ = febo.setup()
-        nonce = make_febo_nonce(group, bpk)
+        nonce, = make_febo_nonces(group, bpk, 1)
         with pytest.raises(CiphertextError):
             febo.encrypt(other_bpk, 3, nonce=nonce)
 
     def test_wrong_length_nonce_rejected(self, feip, group):
         mpk3, _ = feip.setup(3)
         mpk4, _ = feip.setup(4)
-        nonce = make_feip_nonce(group, mpk3)
+        nonce, = make_feip_nonces(group, mpk3, 1)
         with pytest.raises(CiphertextError):
             feip.encrypt(mpk4, [1, 2, 3, 4], nonce=nonce)
 
@@ -162,6 +167,75 @@ class TestNonceHygiene:
         engine.encrypt_feip(mpk_b, [1, 2])
         assert engine.available_feip(mpk_a) == 3  # untouched
         assert engine.misses == 1
+
+
+class TestBatchedNonces:
+    """``make_*_nonces`` against plain ``pow``, across comb/pow regimes.
+
+    Counts 0-2 stay below ``SHARED_FIXED_BASE_MIN_ROWS`` (one ``pow``
+    per nonce), 3 and 64 build per-base combs; the 32-bit group always
+    takes ``pow``.
+    """
+
+    @pytest.mark.parametrize("bits", [32, 64, 256])
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 64])
+    def test_feip_nonces_match_pow(self, bits, count):
+        params = GroupParams.predefined(bits)
+        feip = Feip(params, rng=random.Random(bits + count))
+        mpk, _ = feip.setup(ETA)
+        nonces = make_feip_nonces(feip.group, mpk, count)
+        assert len(nonces) == count
+        for nonce in nonces:
+            assert nonce.ct0 == pow(params.g, nonce.r, params.p)
+            assert nonce.masks == tuple(pow(hi, nonce.r, params.p)
+                                        for hi in mpk.h)
+
+    @pytest.mark.parametrize("bits", [32, 64, 256])
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 64])
+    def test_febo_nonces_match_pow(self, bits, count):
+        params = GroupParams.predefined(bits)
+        febo = Febo(params, rng=random.Random(bits + count))
+        bpk, _ = febo.setup()
+        nonces = make_febo_nonces(febo.group, bpk, count)
+        assert len(nonces) == count
+        for nonce in nonces:
+            assert nonce.cmt == pow(params.g, nonce.r, params.p)
+            assert nonce.mask == pow(bpk.h, nonce.r, params.p)
+
+    @pytest.mark.parametrize("bits", [32, 64, 256])
+    def test_batch_nonces_distinct_and_fingerprinted(self, bits):
+        params = GroupParams.predefined(bits)
+        feip = Feip(params, rng=random.Random(bits))
+        mpk, _ = feip.setup(ETA)
+        bpk, _ = Febo(params, rng=random.Random(bits + 1)).setup()
+        feip_nonces = make_feip_nonces(feip.group, mpk, 64)
+        febo_nonces = make_febo_nonces(feip.group, bpk, 64)
+        rs = [n.r for n in feip_nonces + febo_nonces]
+        assert len(set(rs)) == len(rs)
+        assert {n.key_fp for n in feip_nonces} == {key_fingerprint(mpk)}
+        assert {n.key_fp for n in febo_nonces} == {key_fingerprint(bpk)}
+
+
+class TestClientBanking:
+    @pytest.mark.parametrize("bits", [32, 64])
+    def test_workerless_client_banks_exactly_what_it_consumes(self, bits):
+        authority = TrustedAuthority(CryptoNNConfig(security_bits=bits),
+                                     rng=random.Random(0))
+        client = Client(authority)
+        engine = client.engine
+        assert engine.pool is None
+        # the serial engine encrypts with the authority's schemes
+        assert engine.feip is authority.feip and engine.febo is authority.febo
+        data_rng = np.random.default_rng(0)
+        client.encrypt_tabular(data_rng.uniform(-1, 1, (5, 4)),
+                               np.array([0, 1, 2, 0, 1]), 3)
+        client.encrypt_images(data_rng.uniform(0, 1, (2, 1, 4, 4)),
+                              np.array([2, 0]), 3, filter_size=3)
+        assert engine.misses == 0
+        assert engine.consumed == engine.precomputed > 0
+        for eta in (4, 3, 9):
+            assert engine.available_feip(authority.feip_public_key(eta)) == 0
+        assert engine.available_febo(authority.febo_public_key()) == 0
 
 
 class TestPoolProduction:
@@ -246,21 +320,24 @@ class TestSchemeAndEntityIntegration:
         np.testing.assert_array_equal(out, y @ x)
         assert scheme.engine.misses > 0  # cold store still correct
 
-    def test_resolve_engine_policy(self, params):
+    def test_client_engine_policy(self, params):
+        """An explicit engine wins; otherwise one over the authority's
+        schemes, on the shared pool when ``workers`` is set."""
+        authority = TrustedAuthority(CryptoNNConfig(security_bits=32),
+                                     rng=random.Random(0))
         explicit = EncryptionEngine(params)
-        assert resolve_engine(explicit, params) is explicit
-        assert resolve_engine(None, params) is None
+        assert Client(authority, engine=explicit).engine is explicit
+        serial = Client(authority).engine
+        assert serial.pool is None and serial.feip is authority.feip
         try:
-            engine = resolve_engine(None, params, workers=1)
-            assert engine is not None and engine.pool is not None
+            pooled = Client(authority, workers=1).engine
+            assert pooled.pool is parallel.get_compute_pool(1)
+            assert pooled.febo is authority.febo
         finally:
             parallel.shutdown_compute_pools()
 
     def test_client_with_engine_dataset_trains_identically(self, params):
         """Engine-encrypted datasets decrypt to the same integers."""
-        from repro.core.config import CryptoNNConfig
-        from repro.core.entities import Client, TrustedAuthority
-
         features = np.array([[0.5, -0.25], [0.125, 0.75]])
         labels = np.array([0, 1])
         authority = TrustedAuthority(CryptoNNConfig(security_bits=32),

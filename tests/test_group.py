@@ -72,3 +72,20 @@ class TestSchnorrGroupOps:
 
     def test_homomorphism(self, group):
         assert group.mul(group.gexp(7), group.gexp(11)) == group.gexp(18)
+
+
+@pytest.mark.parametrize("bits", [32, 64, 256])
+def test_gexp_balanced_matches_pow(bits):
+    """Negative exponents take the g^{-1} comb, and agree with ``pow``."""
+    params = GroupParams.predefined(bits)
+    group = SchnorrGroup(params)
+    q, p, g = params.q, params.p, params.g
+    for e in (0, 1, -1, 100, -100, q // 2, -(q // 2), q - 1, -q):
+        assert group.gexp(e) == pow(g, e % q, p), e
+
+
+def test_gexp_builds_one_inverse_comb():
+    group = SchnorrGroup(GroupParams.predefined(64))
+    for e in (5, -5, -7, 9, -(group.q // 3)):
+        group.gexp(e)
+    assert len(group._fixed_bases) == 2  # g and g^{-1}, each built once
