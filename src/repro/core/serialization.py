@@ -2,7 +2,8 @@
 
 Three purposes:
 
-* persistence / transport of crypto objects as JSON-able dicts;
+* ciphertexts and group parameters as JSON-able dicts, for checkpoints
+  and the public-params handshake header;
 * **byte-accurate traffic accounting** for the communication-overhead
   experiment (paper Section IV-B2): group elements are serialized as
   fixed-width big-endian integers sized by the group modulus, exponents by
@@ -14,15 +15,13 @@ Three purposes:
   IV-B2 formula agree with what actually crosses the socket.
 
 Batched key-request/response *envelopes* coalesce the per-iteration
-k x n x |w| key requests into one framed message (an 8-byte count/eta
-header plus the concatenated per-request payloads).  The same envelopes
-are used by the in-process batching path, the RPC services, and any
-on-disk captures, so all three account identically.
+k x n x |w| key requests into one framed message: the 8-byte count/eta
+header of :func:`pack_batch_header` followed by the raw key codec's
+payload.  :mod:`repro.rpc.messages` composes the two.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Sequence
 
 from repro.fe.keys import (
@@ -86,38 +85,12 @@ def feip_ciphertext_from_dict(data: dict[str, Any]) -> FeipCiphertext:
                           ct=tuple(int(v) for v in data["ct"]))
 
 
-def feip_key_to_dict(key: FeipFunctionKey) -> dict[str, Any]:
-    # repro: allow[key-serialization] -- derived function key: sk here
-    # is the per-query key the authority hands out, not master material
-    return {"y": list(key.y), "sk": key.sk}
-
-
-def feip_key_from_dict(data: dict[str, Any]) -> FeipFunctionKey:
-    return FeipFunctionKey(y=tuple(int(v) for v in data["y"]),
-                           sk=int(data["sk"]))
-
-
 def febo_ciphertext_to_dict(ct: FeboCiphertext) -> dict[str, Any]:
     return {"cmt": ct.cmt, "ct": ct.ct}
 
 
 def febo_ciphertext_from_dict(data: dict[str, Any]) -> FeboCiphertext:
     return FeboCiphertext(cmt=int(data["cmt"]), ct=int(data["ct"]))
-
-
-def febo_key_to_dict(key: FeboFunctionKey) -> dict[str, Any]:
-    # repro: allow[key-serialization] -- derived function key payload
-    return {"op": key.op, "y": key.y, "sk": key.sk, "cmt": key.cmt}
-
-
-def febo_key_from_dict(data: dict[str, Any]) -> FeboFunctionKey:
-    return FeboFunctionKey(op=str(data["op"]), y=int(data["y"]),
-                           sk=int(data["sk"]), cmt=int(data.get("cmt", 0)))
-
-
-def to_json(obj: dict[str, Any]) -> str:
-    """Canonical JSON encoding (sorted keys, no whitespace)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 # -- wire-size accounting -------------------------------------------------------
@@ -217,24 +190,6 @@ def group_params_from_dict(data: dict[str, Any]) -> GroupParams:
     return GroupParams(p=int(data["p"]), q=int(data["q"]), g=int(data["g"]))
 
 
-def feip_public_key_to_dict(mpk: FeipPublicKey) -> dict[str, Any]:
-    return {"params": group_params_to_dict(mpk.params), "h": list(mpk.h)}
-
-
-def feip_public_key_from_dict(data: dict[str, Any]) -> FeipPublicKey:
-    return FeipPublicKey(params=group_params_from_dict(data["params"]),
-                         h=tuple(int(v) for v in data["h"]))
-
-
-def febo_public_key_to_dict(mpk: FeboPublicKey) -> dict[str, Any]:
-    return {"params": group_params_to_dict(mpk.params), "h": mpk.h}
-
-
-def febo_public_key_from_dict(data: dict[str, Any]) -> FeboPublicKey:
-    return FeboPublicKey(params=group_params_from_dict(data["params"]),
-                         h=int(data["h"]))
-
-
 # -- binary primitives ----------------------------------------------------------
 
 def pack_uint(value: int, width: int) -> bytes:
@@ -331,7 +286,11 @@ def unpack_febo_ciphertext(data: bytes, params: GroupParams, *,
     return FeboCiphertext(cmt=elements[0], ct=elements[1])
 
 
-# -- batched key-request/response envelopes -------------------------------------
+# -- key requests / responses ----------------------------------------------------
+#
+# The four key codecs share one signature -- ``pack(items, params,
+# weight_bytes)`` and ``unpack(data, count, eta, params, weight_bytes)``
+# -- so :mod:`repro.rpc.messages` frames any of them the same way.
 
 def pack_batch_header(count: int, vector_length: int = 0) -> bytes:
     return pack_uint(count, 4) + pack_uint(vector_length, 4)
@@ -343,33 +302,20 @@ def unpack_batch_header(data: bytes) -> tuple[int, int]:
     return unpack_uint(data[:4]), unpack_uint(data[4:8])
 
 
-def pack_feip_key_rows(rows: Sequence[Sequence[int]],
+def pack_feip_key_rows(rows: Sequence[Sequence[int]], params: GroupParams,
                        weight_bytes: int = 8) -> bytes:
     """Concatenated signed weight rows (``n_rows * eta * |w|`` bytes)."""
     return b"".join(pack_sint(v, weight_bytes) for row in rows for v in row)
 
 
 def unpack_feip_key_rows(data: bytes, count: int, eta: int,
+                         params: GroupParams,
                          weight_bytes: int = 8) -> list[list[int]]:
     values = [unpack_sint(c) for c in _chunks(data, weight_bytes)]
     if len(values) != count * eta:
         raise ValueError(
             f"expected {count}x{eta} weights, payload holds {len(values)}")
     return [values[i * eta:(i + 1) * eta] for i in range(count)]
-
-
-def pack_feip_key_batch_request(rows: Sequence[Sequence[int]],
-                                weight_bytes: int = 8) -> bytes:
-    eta = len(rows[0]) if rows else 0
-    return pack_batch_header(len(rows), eta) + pack_feip_key_rows(
-        rows, weight_bytes)
-
-
-def unpack_feip_key_batch_request(data: bytes,
-                                  weight_bytes: int = 8) -> list[list[int]]:
-    count, eta = unpack_batch_header(data)
-    return unpack_feip_key_rows(data[BATCH_HEADER_BYTES:], count, eta,
-                                weight_bytes)
 
 
 def pack_feip_keys(keys: Sequence[FeipFunctionKey], params: GroupParams,
@@ -399,22 +345,6 @@ def unpack_feip_keys(data: bytes, count: int, eta: int, params: GroupParams,
     return keys
 
 
-def pack_feip_key_batch_response(keys: Sequence[FeipFunctionKey],
-                                 params: GroupParams,
-                                 weight_bytes: int = 8) -> bytes:
-    eta = len(keys[0].y) if keys else 0
-    return pack_batch_header(len(keys), eta) + pack_feip_keys(
-        keys, params, weight_bytes)
-
-
-def unpack_feip_key_batch_response(data: bytes, params: GroupParams,
-                                   weight_bytes: int = 8
-                                   ) -> list[FeipFunctionKey]:
-    count, eta = unpack_batch_header(data)
-    return unpack_feip_keys(data[BATCH_HEADER_BYTES:], count, eta, params,
-                            weight_bytes)
-
-
 def _pack_op(op: str) -> bytes:
     encoded = op.encode("ascii")
     if len(encoded) != 1:
@@ -431,8 +361,9 @@ def pack_febo_requests(requests: Sequence[tuple[int, str, int]],
     )
 
 
-def unpack_febo_requests(data: bytes, count: int, params: GroupParams,
-                         weight_bytes: int = 8) -> list[tuple[int, str, int]]:
+def unpack_febo_requests(data: bytes, count: int, eta: int,
+                         params: GroupParams, weight_bytes: int = 8
+                         ) -> list[tuple[int, str, int]]:
     stride = febo_key_request_wire_size(params, weight_bytes)
     elem = element_size_bytes(params)
     requests = []
@@ -446,21 +377,6 @@ def unpack_febo_requests(data: bytes, count: int, params: GroupParams,
         raise ValueError(
             f"expected {count} FEBO requests, payload holds {len(requests)}")
     return requests
-
-
-def pack_febo_key_batch_request(requests: Sequence[tuple[int, str, int]],
-                                params: GroupParams,
-                                weight_bytes: int = 8) -> bytes:
-    return pack_batch_header(len(requests)) + pack_febo_requests(
-        requests, params, weight_bytes)
-
-
-def unpack_febo_key_batch_request(data: bytes, params: GroupParams,
-                                  weight_bytes: int = 8
-                                  ) -> list[tuple[int, str, int]]:
-    count, _ = unpack_batch_header(data)
-    return unpack_febo_requests(data[BATCH_HEADER_BYTES:], count, params,
-                                weight_bytes)
 
 
 def pack_febo_keys(keys: Sequence[FeboFunctionKey], params: GroupParams,
@@ -480,7 +396,7 @@ def pack_febo_keys(keys: Sequence[FeboFunctionKey], params: GroupParams,
     )
 
 
-def unpack_febo_keys(data: bytes, count: int, params: GroupParams,
+def unpack_febo_keys(data: bytes, count: int, eta: int, params: GroupParams,
                      weight_bytes: int = 8) -> list[FeboFunctionKey]:
     stride = febo_key_wire_size(params, weight_bytes)
     elem = element_size_bytes(params)
@@ -494,18 +410,3 @@ def unpack_febo_keys(data: bytes, count: int, params: GroupParams,
     if len(keys) != count:
         raise ValueError(f"expected {count} FEBO keys, payload holds {len(keys)}")
     return keys
-
-
-def pack_febo_key_batch_response(keys: Sequence[FeboFunctionKey],
-                                 params: GroupParams,
-                                 weight_bytes: int = 8) -> bytes:
-    return pack_batch_header(len(keys)) + pack_febo_keys(
-        keys, params, weight_bytes)
-
-
-def unpack_febo_key_batch_response(data: bytes, params: GroupParams,
-                                   weight_bytes: int = 8
-                                   ) -> list[FeboFunctionKey]:
-    count, _ = unpack_batch_header(data)
-    return unpack_febo_keys(data[BATCH_HEADER_BYTES:], count, params,
-                            weight_bytes)

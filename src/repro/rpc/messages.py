@@ -11,6 +11,12 @@ binary *body* packed by :mod:`repro.core.serialization`, so the body
 length of every key/data message equals the wire-size formulas used for
 traffic accounting -- what the :class:`~repro.core.protocol.TrafficLog`
 records is what crossed the socket.
+
+Most messages declare their header once, as :func:`wire` fields, and
+share one generic codec (:class:`_Message`); the four key messages add
+one body codec (:class:`_KeyMessage`).  Only the public-params response
+and the encrypted-data upload, whose headers are derived from their
+bodies, write their own.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Any, ClassVar
+import numbers
+from typing import Any, Callable, ClassVar
 
 import numpy as np
 
@@ -72,9 +79,15 @@ _REGISTRY: dict[str, type] = {}
 
 
 def _register(*kinds: str):
+    """Make the class the codec of ``kinds`` and set its ``kind``; a key
+    message registers its unbatched kind, then its batched one."""
     def deco(cls):
         for kind in kinds:
             _REGISTRY[kind] = cls
+        if len(kinds) == 1:
+            cls.kind = kinds[0]
+        else:
+            cls.KINDS = kinds
         return cls
     return deco
 
@@ -105,35 +118,167 @@ def _require_ctx(ctx: WireContext | None) -> WireContext:
     return ctx
 
 
+# -- header field coercers -------------------------------------------------------
+#
+# Each runs on encode and on decode, and raises TypeError / ValueError
+# on a value it does not accept, so a hostile header fails with a typed
+# MessageError instead of flowing into the services.
+
+#: Hard cap on chunks per shard: a hostile ``count`` must not reserve
+#: an unbounded assembly table.  1M chunks of even 1 KiB is already far
+#: past any legitimate upload.
+MAX_SHARD_CHUNKS = 1_048_576
+
+#: The client encryption-engine counters an upload may report.  The
+#: training server turns each into a ``repro_client_engine_*_total``
+#: counter, so any other key would let a client mint metric names.
+_ENGINE_STATS = frozenset({"precomputed", "consumed", "misses"})
+
+
+def _str(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def _bool(value) -> bool:
+    if not isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"expected a boolean, got {type(value).__name__}")
+    return bool(value)
+
+
+def _uint(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"expected an integer, got {type(value).__name__}")
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value}")
+    return int(value)
+
+
+def _float(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    return float(value)
+
+
+def _dict(value) -> dict[str, Any]:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    return dict(value)
+
+
+def _seq(value):
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
+def _uints(value) -> list[int]:
+    return [_uint(v) for v in _seq(value)]
+
+
+def _uint_tuple(value) -> tuple[int, ...]:
+    return tuple(_uints(value))
+
+
+def _float_rows(value) -> list[list[float]]:
+    return [[_float(v) for v in _seq(row)] for row in _seq(value)]
+
+
+def _chunk_count(value) -> int:
+    count = _uint(value)
+    if not 1 <= count <= MAX_SHARD_CHUNKS:
+        raise ValueError(
+            f"implausible chunk count {count} (limit {MAX_SHARD_CHUNKS})")
+    return count
+
+
+def _engine_stats(value) -> dict[str, int]:
+    stats = {key: _uint(v) for key, v in _dict(value).items()}
+    unknown = set(stats) - _ENGINE_STATS
+    if unknown:
+        raise ValueError(f"unknown engine counters {sorted(unknown)}")
+    return stats
+
+
+def _coerce(kind, key: str, coerce: Callable[[Any], Any], value):
+    try:
+        return coerce(value)
+    except (TypeError, ValueError) as exc:
+        raise MessageError(
+            f"{kind!r} header field {key!r}: {exc}") from exc
+
+
+# -- generic header codec --------------------------------------------------------
+
+def wire(key: str, coerce: Callable[[Any], Any],
+         default: Any = dataclasses.MISSING) -> Any:
+    """Declare a header field: its JSON ``key``, the ``coerce`` function
+    run on encode and on decode, and an optional ``default``.
+
+    A ``None`` value is left out of the header, and a key that is absent
+    or null decodes to the default; a field without one is required.  A
+    dict default is copied per instance.
+    """
+    metadata = {"wire": (key, coerce)}
+    if isinstance(default, dict):
+        return dataclasses.field(default_factory=lambda: dict(default),
+                                 metadata=metadata)
+    return dataclasses.field(default=default, metadata=metadata)
+
+
+class _Message:
+    """Base of the declared messages: the :func:`wire` fields are the
+    header, the body is empty."""
+
+    kind: ClassVar[str]
+
+    def header(self) -> dict[str, Any]:
+        header = {}
+        for field in dataclasses.fields(self):
+            spec = field.metadata.get("wire")
+            value = getattr(self, field.name)
+            if spec is not None and value is not None:
+                key, coerce = spec
+                header[key] = _coerce(self.kind, key, coerce, value)
+        return header
+
+    def body(self, ctx: WireContext | None = None) -> bytes:
+        return b""
+
+    @classmethod
+    def from_wire(cls, header, body, ctx, **fields):
+        """Decode the header fields; ``fields`` are the ones a subclass
+        read from the body."""
+        kind = header.get("kind")
+        for field in dataclasses.fields(cls):
+            spec = field.metadata.get("wire")
+            if spec is None:
+                continue
+            key, coerce = spec
+            value = header.get(key)
+            if value is not None:
+                fields[field.name] = _coerce(kind, key, coerce, value)
+            elif field.default is dataclasses.MISSING \
+                    and field.default_factory is dataclasses.MISSING:
+                raise MessageError(f"{kind!r} header lacks {key!r}")
+        return cls(**fields)
+
+
 # -- handshake -------------------------------------------------------------------
 
 @_register(protocol.KIND_PUBLIC_PARAMS)
 @dataclasses.dataclass
-class PublicParamsRequest:
+class PublicParamsRequest(_Message):
     """Ask the authority for group params, config, and public keys.
 
     ``etas`` lists the FEIP vector lengths whose master public keys the
     caller wants; ``include_febo`` additionally requests the FEBO key.
     """
 
-    etas: tuple[int, ...] = ()
-    include_febo: bool = True
-    requester: str = protocol.CLIENT
-
-    kind: ClassVar[str] = protocol.KIND_PUBLIC_PARAMS
-
-    def header(self) -> dict[str, Any]:
-        return {"etas": list(self.etas), "febo": self.include_febo,
-                "from": self.requester}
-
-    def body(self, ctx: WireContext | None = None) -> bytes:
-        return b""
-
-    @classmethod
-    def from_wire(cls, header, body, ctx):
-        return cls(etas=tuple(int(e) for e in header.get("etas", [])),
-                   include_febo=bool(header.get("febo", True)),
-                   requester=str(header.get("from", protocol.CLIENT)))
+    etas: tuple[int, ...] = wire("etas", _uint_tuple, ())
+    include_febo: bool = wire("febo", _bool, True)
+    requester: str = wire("from", _str, protocol.CLIENT)
 
 
 @_register(KIND_PUBLIC_PARAMS_RESPONSE)
@@ -145,8 +290,6 @@ class PublicParamsResponse:
     config: dict[str, Any]
     feip_keys: dict[int, FeipPublicKey] = dataclasses.field(default_factory=dict)
     febo_key: FeboPublicKey | None = None
-
-    kind: ClassVar[str] = KIND_PUBLIC_PARAMS_RESPONSE
 
     def header(self) -> dict[str, Any]:
         return {"group": ser.group_params_to_dict(self.group),
@@ -193,9 +336,63 @@ class PublicParamsResponse:
 
 # -- function keys ---------------------------------------------------------------
 
+class _KeyMessage(_Message):
+    """Base of the four key messages: the body is one raw codec's payload.
+
+    Unbatched, ``count`` (and the FEIP vector length ``eta``) ride in
+    the JSON header and the body is the bare payload of the paper's
+    formula.  ``batched=True`` records the message under its batch kind
+    and prefixes the payload with the 8-byte count/eta envelope of
+    :func:`~repro.core.serialization.pack_batch_header`, from which
+    decode then reads them.
+    """
+
+    #: (unbatched kind, batched kind)
+    KINDS: ClassVar[tuple[str, str]]
+    #: the dataclass field holding the rows, requests or keys
+    ITEMS: ClassVar[str]
+    #: its (pack, unpack) key codec from :mod:`repro.core.serialization`
+    CODEC: ClassVar[tuple]
+    #: FEIP messages override this with their vector length
+    eta: int | None = None
+
+    @property
+    def kind(self) -> str:
+        return self.KINDS[self.batched]
+
+    def header(self) -> dict[str, Any]:
+        header = {"count": len(getattr(self, self.ITEMS)), **super().header()}
+        if self.eta is not None:
+            header["eta"] = self.eta
+        return header
+
+    def body(self, ctx: WireContext | None = None) -> bytes:
+        ctx = _require_ctx(ctx)
+        items = getattr(self, self.ITEMS)
+        payload = self.CODEC[0](items, ctx.params, ctx.weight_bytes)
+        if not self.batched:
+            return payload
+        return ser.pack_batch_header(len(items), self.eta or 0) + payload
+
+    @classmethod
+    def from_wire(cls, header, body, ctx, **fields):
+        ctx = _require_ctx(ctx)
+        batched = header["kind"] == cls.KINDS[1]
+        if batched:
+            count, eta = ser.unpack_batch_header(body)
+            body = body[ser.BATCH_HEADER_BYTES:]
+        else:
+            count = _coerce(header["kind"], "count", _uint, header["count"])
+            eta = _coerce(header["kind"], "eta", _uint, header.get("eta", 0))
+        fields[cls.ITEMS] = cls.CODEC[1](body, count, eta, ctx.params,
+                                         ctx.weight_bytes)
+        return super().from_wire(header, body, ctx, batched=batched,
+                                 **fields)
+
+
 @_register(protocol.KIND_FEIP_KEY_REQUEST, protocol.KIND_FEIP_KEY_BATCH_REQUEST)
 @dataclasses.dataclass
-class FeipKeyRequest:
+class FeipKeyRequest(_KeyMessage):
     """Weight rows for inner-product key derivation.
 
     ``batched=True`` wires the rows inside one batch envelope and is
@@ -205,155 +402,56 @@ class FeipKeyRequest:
 
     rows: list[list[int]]
     batched: bool = True
-    requester: str = protocol.SERVER
+    requester: str = wire("from", _str, protocol.SERVER)
 
-    @property
-    def kind(self) -> str:
-        return (protocol.KIND_FEIP_KEY_BATCH_REQUEST if self.batched
-                else protocol.KIND_FEIP_KEY_REQUEST)
+    ITEMS: ClassVar[str] = "rows"
+    CODEC: ClassVar[tuple] = (ser.pack_feip_key_rows, ser.unpack_feip_key_rows)
 
     @property
     def eta(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def header(self) -> dict[str, Any]:
-        return {"count": len(self.rows), "eta": self.eta,
-                "from": self.requester}
-
-    def body(self, ctx: WireContext | None = None) -> bytes:
-        wb = _require_ctx(ctx).weight_bytes
-        if self.batched:
-            return ser.pack_feip_key_batch_request(self.rows, wb)
-        return ser.pack_feip_key_rows(self.rows, wb)
-
-    @classmethod
-    def from_wire(cls, header, body, ctx):
-        wb = _require_ctx(ctx).weight_bytes
-        batched = header["kind"] == protocol.KIND_FEIP_KEY_BATCH_REQUEST
-        if batched:
-            rows = ser.unpack_feip_key_batch_request(body, wb)
-        else:
-            rows = ser.unpack_feip_key_rows(
-                body, int(header["count"]), int(header["eta"]), wb)
-        return cls(rows=rows, batched=batched,
-                   requester=str(header.get("from", protocol.SERVER)))
-
 
 @_register(protocol.KIND_FEIP_KEY_RESPONSE, protocol.KIND_FEIP_KEY_BATCH_RESPONSE)
 @dataclasses.dataclass
-class FeipKeyResponse:
+class FeipKeyResponse(_KeyMessage):
     """Derived inner-product keys (sk + bound weight vector each)."""
 
     keys: list[FeipFunctionKey]
     batched: bool = True
 
-    @property
-    def kind(self) -> str:
-        return (protocol.KIND_FEIP_KEY_BATCH_RESPONSE if self.batched
-                else protocol.KIND_FEIP_KEY_RESPONSE)
+    ITEMS: ClassVar[str] = "keys"
+    CODEC: ClassVar[tuple] = (ser.pack_feip_keys, ser.unpack_feip_keys)
 
     @property
     def eta(self) -> int:
         return len(self.keys[0].y) if self.keys else 0
 
-    def header(self) -> dict[str, Any]:
-        return {"count": len(self.keys), "eta": self.eta}
-
-    def body(self, ctx: WireContext | None = None) -> bytes:
-        ctx = _require_ctx(ctx)
-        if self.batched:
-            return ser.pack_feip_key_batch_response(
-                self.keys, ctx.params, ctx.weight_bytes)
-        return ser.pack_feip_keys(self.keys, ctx.params, ctx.weight_bytes)
-
-    @classmethod
-    def from_wire(cls, header, body, ctx):
-        ctx = _require_ctx(ctx)
-        batched = header["kind"] == protocol.KIND_FEIP_KEY_BATCH_RESPONSE
-        if batched:
-            keys = ser.unpack_feip_key_batch_response(
-                body, ctx.params, ctx.weight_bytes)
-        else:
-            keys = ser.unpack_feip_keys(
-                body, int(header["count"]), int(header["eta"]), ctx.params,
-                ctx.weight_bytes)
-        return cls(keys=keys, batched=batched)
-
 
 @_register(protocol.KIND_FEBO_KEY_REQUEST, protocol.KIND_FEBO_KEY_BATCH_REQUEST)
 @dataclasses.dataclass
-class FeboKeyRequest:
+class FeboKeyRequest(_KeyMessage):
     """Per-ciphertext ``(commitment, op, operand)`` key requests."""
 
     requests: list[tuple[int, str, int]]
     batched: bool = True
-    requester: str = protocol.SERVER
+    requester: str = wire("from", _str, protocol.SERVER)
 
-    @property
-    def kind(self) -> str:
-        return (protocol.KIND_FEBO_KEY_BATCH_REQUEST if self.batched
-                else protocol.KIND_FEBO_KEY_REQUEST)
-
-    def header(self) -> dict[str, Any]:
-        return {"count": len(self.requests), "from": self.requester}
-
-    def body(self, ctx: WireContext | None = None) -> bytes:
-        ctx = _require_ctx(ctx)
-        if self.batched:
-            return ser.pack_febo_key_batch_request(
-                self.requests, ctx.params, ctx.weight_bytes)
-        return ser.pack_febo_requests(self.requests, ctx.params,
-                                      ctx.weight_bytes)
-
-    @classmethod
-    def from_wire(cls, header, body, ctx):
-        ctx = _require_ctx(ctx)
-        batched = header["kind"] == protocol.KIND_FEBO_KEY_BATCH_REQUEST
-        if batched:
-            requests = ser.unpack_febo_key_batch_request(
-                body, ctx.params, ctx.weight_bytes)
-        else:
-            requests = ser.unpack_febo_requests(
-                body, int(header["count"]), ctx.params, ctx.weight_bytes)
-        return cls(requests=requests, batched=batched,
-                   requester=str(header.get("from", protocol.SERVER)))
+    ITEMS: ClassVar[str] = "requests"
+    CODEC: ClassVar[tuple] = (ser.pack_febo_requests, ser.unpack_febo_requests)
 
 
 @_register(protocol.KIND_FEBO_KEY_RESPONSE, protocol.KIND_FEBO_KEY_BATCH_RESPONSE)
 @dataclasses.dataclass
-class FeboKeyResponse:
+class FeboKeyResponse(_KeyMessage):
     """Derived basic-operation keys, in request order (cmt re-attached
     client-side from the matching request)."""
 
     keys: list[FeboFunctionKey]
     batched: bool = True
 
-    @property
-    def kind(self) -> str:
-        return (protocol.KIND_FEBO_KEY_BATCH_RESPONSE if self.batched
-                else protocol.KIND_FEBO_KEY_RESPONSE)
-
-    def header(self) -> dict[str, Any]:
-        return {"count": len(self.keys)}
-
-    def body(self, ctx: WireContext | None = None) -> bytes:
-        ctx = _require_ctx(ctx)
-        if self.batched:
-            return ser.pack_febo_key_batch_response(
-                self.keys, ctx.params, ctx.weight_bytes)
-        return ser.pack_febo_keys(self.keys, ctx.params, ctx.weight_bytes)
-
-    @classmethod
-    def from_wire(cls, header, body, ctx):
-        ctx = _require_ctx(ctx)
-        batched = header["kind"] == protocol.KIND_FEBO_KEY_BATCH_RESPONSE
-        if batched:
-            keys = ser.unpack_febo_key_batch_response(
-                body, ctx.params, ctx.weight_bytes)
-        else:
-            keys = ser.unpack_febo_keys(
-                body, int(header["count"]), ctx.params, ctx.weight_bytes)
-        return cls(keys=keys, batched=batched)
+    ITEMS: ClassVar[str] = "keys"
+    CODEC: ClassVar[tuple] = (ser.pack_febo_keys, ser.unpack_febo_keys)
 
 
 # -- encrypted data upload -------------------------------------------------------
@@ -377,8 +475,6 @@ class EncryptedDataUpload:
     #: metrics registry so the ops surface covers the encrypt side too
     stats: dict[str, int] | None = None
 
-    kind: ClassVar[str] = protocol.KIND_ENCRYPTED_DATA
-
     def header(self) -> dict[str, Any]:
         d = self.dataset
         header = {
@@ -389,7 +485,8 @@ class EncryptedDataUpload:
                             if d.eval_labels is not None else None),
         }
         if self.stats:
-            header["stats"] = {k: int(v) for k, v in self.stats.items()}
+            header["stats"] = _coerce(self.kind, "stats", _engine_stats,
+                                      self.stats)
         return header
 
     def body(self, ctx: WireContext | None = None) -> bytes:
@@ -418,6 +515,21 @@ class EncryptedDataUpload:
             raise MessageError(
                 f"implausible upload shape: n={n} features={n_features} "
                 f"classes={num_classes} scale={scale}")
+        # merging shards concatenates their eval labels, so a wrong
+        # length shifts one shard's labels onto another's samples
+        eval_labels = header.get("eval_labels")
+        if eval_labels is not None:
+            eval_labels = _coerce(cls.kind, "eval_labels", _uints,
+                                  eval_labels)
+            if len(eval_labels) != n or any(
+                    v >= num_classes for v in eval_labels):
+                raise MessageError(
+                    f"eval_labels must be {n} class indices in "
+                    f"[0, {num_classes})")
+            eval_labels = np.asarray(eval_labels, dtype=np.int64)
+        stats = header.get("stats") or None
+        if stats is not None:
+            stats = _coerce(cls.kind, "stats", _engine_stats, stats)
         elem = ser.element_size_bytes(params)
         febo_size = ser.febo_ciphertext_wire_size(params)
         expected = ser.encrypted_tabular_wire_size(
@@ -454,27 +566,17 @@ class EncryptedDataUpload:
                                                   validate=True)
                        for _ in range(num_classes))
             labels.append(EncryptedLabel(onehot_ip=ip, onehot_bo=bo))
-        eval_labels = header.get("eval_labels")
         dataset = EncryptedTabularDataset(
             samples=samples, labels=labels, num_classes=num_classes,
             n_features=n_features, scale=int(header["scale"]),
-            eval_labels=(np.asarray(eval_labels, dtype=np.int64)
-                         if eval_labels is not None else None),
+            eval_labels=eval_labels,
         )
-        stats = header.get("stats")
         return cls(dataset=dataset,
                    client_name=str(header.get("from", protocol.CLIENT)),
-                   stats=({k: int(v) for k, v in stats.items()}
-                          if stats else None))
+                   stats=stats)
 
 
 # -- resumable chunked uploads ---------------------------------------------------
-
-#: Hard cap on chunks per shard: a hostile ``count`` must not reserve
-#: an unbounded assembly table.  1M chunks of even 1 KiB is already far
-#: past any legitimate upload.
-MAX_SHARD_CHUNKS = 1_048_576
-
 
 def shard_fingerprint(meta: dict[str, Any], body: bytes) -> str:
     """Content fingerprint of one encrypted shard (meta + body bytes).
@@ -496,7 +598,7 @@ def shard_fingerprint(meta: dict[str, Any], body: bytes) -> str:
 
 @_register(KIND_SHARD_CHUNK)
 @dataclasses.dataclass
-class ShardChunk:
+class ShardChunk(_Message):
     """One fingerprinted slice of an ``encrypted-data`` body.
 
     The chunk body is an opaque byte range of the full upload body, so
@@ -506,45 +608,28 @@ class ShardChunk:
     server already holds the meta from the first attempt.
     """
 
-    fingerprint: str
-    index: int
-    count: int
+    fingerprint: str = wire("fp", _str)
+    index: int = wire("index", _uint)
+    count: int = wire("count", _chunk_count)
     chunk: bytes = b""
-    meta: dict[str, Any] | None = None
-    client_name: str = protocol.CLIENT
-
-    kind: ClassVar[str] = KIND_SHARD_CHUNK
-
-    def header(self) -> dict[str, Any]:
-        header = {"fp": self.fingerprint, "index": self.index,
-                  "count": self.count, "from": self.client_name}
-        if self.meta is not None:
-            header["meta"] = self.meta
-        return header
+    meta: dict[str, Any] | None = wire("meta", _dict, None)
+    client_name: str = wire("from", _str, protocol.CLIENT)
 
     def body(self, ctx: WireContext | None = None) -> bytes:
         return self.chunk
 
     @classmethod
     def from_wire(cls, header, body, ctx):
-        index = int(header["index"])
-        count = int(header["count"])
-        if not 1 <= count <= MAX_SHARD_CHUNKS:
+        msg = super().from_wire(header, body, ctx, chunk=body)
+        if msg.index >= msg.count:
             raise MessageError(
-                f"implausible chunk count {count} (limit "
-                f"{MAX_SHARD_CHUNKS})")
-        if not 0 <= index < count:
-            raise MessageError(
-                f"chunk index {index} outside [0, {count})")
-        meta = header.get("meta")
-        return cls(fingerprint=str(header["fp"]), index=index, count=count,
-                   chunk=body, meta=dict(meta) if meta is not None else None,
-                   client_name=str(header.get("from", protocol.CLIENT)))
+                f"chunk index {msg.index} outside [0, {msg.count})")
+        return msg
 
 
 @_register(KIND_SHARD_RESUME)
 @dataclasses.dataclass
-class ShardResumeQuery:
+class ShardResumeQuery(_Message):
     """Where did my upload get to?  (client -> training server).
 
     Answered with an :class:`Ack` whose info carries ``next_index`` (the
@@ -553,97 +638,41 @@ class ShardResumeQuery:
     so nothing needs sending at all).
     """
 
-    fingerprint: str
-    count: int
-    client_name: str = protocol.CLIENT
-
-    kind: ClassVar[str] = KIND_SHARD_RESUME
-
-    def header(self) -> dict[str, Any]:
-        return {"fp": self.fingerprint, "count": self.count,
-                "from": self.client_name}
-
-    def body(self, ctx: WireContext | None = None) -> bytes:
-        return b""
-
-    @classmethod
-    def from_wire(cls, header, body, ctx):
-        count = int(header["count"])
-        if not 1 <= count <= MAX_SHARD_CHUNKS:
-            raise MessageError(
-                f"implausible chunk count {count} (limit "
-                f"{MAX_SHARD_CHUNKS})")
-        return cls(fingerprint=str(header["fp"]), count=count,
-                   client_name=str(header.get("from", protocol.CLIENT)))
+    fingerprint: str = wire("fp", _str)
+    count: int = wire("count", _chunk_count)
+    client_name: str = wire("from", _str, protocol.CLIENT)
 
 
 # -- control messages ------------------------------------------------------------
 
 @_register(KIND_ACK)
 @dataclasses.dataclass
-class Ack:
+class Ack(_Message):
     """Generic success acknowledgement with a small info payload."""
 
-    info: dict[str, Any] = dataclasses.field(default_factory=dict)
-
-    kind: ClassVar[str] = KIND_ACK
-
-    def header(self) -> dict[str, Any]:
-        return {"info": self.info}
-
-    def body(self, ctx: WireContext | None = None) -> bytes:
-        return b""
-
-    @classmethod
-    def from_wire(cls, header, body, ctx):
-        return cls(info=dict(header.get("info", {})))
+    info: dict[str, Any] = wire("info", _dict, {})
 
 
 @_register(KIND_ERROR)
 @dataclasses.dataclass
-class ErrorMessage:
+class ErrorMessage(_Message):
     """A remote failure; the client raises it as ``RpcRemoteError``."""
 
-    message: str
-    error_type: str = "RpcError"
-
-    kind: ClassVar[str] = KIND_ERROR
-
-    def header(self) -> dict[str, Any]:
-        return {"message": self.message, "type": self.error_type}
-
-    def body(self, ctx: WireContext | None = None) -> bytes:
-        return b""
-
-    @classmethod
-    def from_wire(cls, header, body, ctx):
-        return cls(message=str(header.get("message", "")),
-                   error_type=str(header.get("type", "RpcError")))
+    message: str = wire("message", _str)
+    error_type: str = wire("type", _str, "RpcError")
 
 
 @_register(KIND_TRAIN_START)
 @dataclasses.dataclass
-class TrainStart:
+class TrainStart(_Message):
     """Force the training server to start (before all expected uploads)."""
 
-    requester: str = protocol.SERVER
-
-    kind: ClassVar[str] = KIND_TRAIN_START
-
-    def header(self) -> dict[str, Any]:
-        return {"from": self.requester}
-
-    def body(self, ctx: WireContext | None = None) -> bytes:
-        return b""
-
-    @classmethod
-    def from_wire(cls, header, body, ctx):
-        return cls(requester=str(header.get("from", protocol.SERVER)))
+    requester: str = wire("from", _str, protocol.SERVER)
 
 
 @_register(KIND_TRAIN_CHECKPOINT)
 @dataclasses.dataclass
-class TrainCheckpointRequest:
+class TrainCheckpointRequest(_Message):
     """Ask the training server to write a durable checkpoint now.
 
     Answered with an :class:`Ack` whose ``info`` reports whether a
@@ -652,194 +681,75 @@ class TrainCheckpointRequest:
     Requires the server to have been started with a checkpoint path.
     """
 
-    requester: str = protocol.CLIENT
-
-    kind: ClassVar[str] = KIND_TRAIN_CHECKPOINT
-
-    def header(self) -> dict[str, Any]:
-        return {"from": self.requester}
-
-    def body(self, ctx: WireContext | None = None) -> bytes:
-        return b""
-
-    @classmethod
-    def from_wire(cls, header, body, ctx):
-        return cls(requester=str(header.get("from", protocol.CLIENT)))
+    requester: str = wire("from", _str, protocol.CLIENT)
 
 
 @_register(KIND_TRAIN_STATUS)
 @dataclasses.dataclass
-class TrainStatusRequest:
-    requester: str = protocol.CLIENT
-
-    kind: ClassVar[str] = KIND_TRAIN_STATUS
-
-    def header(self) -> dict[str, Any]:
-        return {"from": self.requester}
-
-    def body(self, ctx: WireContext | None = None) -> bytes:
-        return b""
-
-    @classmethod
-    def from_wire(cls, header, body, ctx):
-        return cls(requester=str(header.get("from", protocol.CLIENT)))
+class TrainStatusRequest(_Message):
+    requester: str = wire("from", _str, protocol.CLIENT)
 
 
 @_register(KIND_TRAIN_STATUS_RESPONSE)
 @dataclasses.dataclass
-class TrainStatus:
+class TrainStatus(_Message):
     """Training-server state: waiting / training / done / failed."""
 
-    state: str
-    accuracy: float | None = None
-    detail: dict[str, Any] = dataclasses.field(default_factory=dict)
-
-    kind: ClassVar[str] = KIND_TRAIN_STATUS_RESPONSE
-
-    def header(self) -> dict[str, Any]:
-        return {"state": self.state, "accuracy": self.accuracy,
-                "detail": self.detail}
-
-    def body(self, ctx: WireContext | None = None) -> bytes:
-        return b""
-
-    @classmethod
-    def from_wire(cls, header, body, ctx):
-        accuracy = header.get("accuracy")
-        return cls(state=str(header["state"]),
-                   accuracy=None if accuracy is None else float(accuracy),
-                   detail=dict(header.get("detail", {})))
+    state: str = wire("state", _str)
+    accuracy: float | None = wire("accuracy", _float, None)
+    detail: dict[str, Any] = wire("detail", _dict, {})
 
 
 @_register(KIND_PREDICT_REQUEST)
 @dataclasses.dataclass
-class PredictRequest:
+class PredictRequest(_Message):
     """FE-based prediction over already-uploaded encrypted samples."""
 
-    indices: list[int]
-    requester: str = protocol.CLIENT
-
-    kind: ClassVar[str] = KIND_PREDICT_REQUEST
-
-    def header(self) -> dict[str, Any]:
-        return {"indices": [int(i) for i in self.indices],
-                "from": self.requester}
-
-    def body(self, ctx: WireContext | None = None) -> bytes:
-        return b""
-
-    @classmethod
-    def from_wire(cls, header, body, ctx):
-        return cls(indices=[int(i) for i in header.get("indices", [])],
-                   requester=str(header.get("from", protocol.CLIENT)))
+    indices: list[int] = wire("indices", _uints)
+    requester: str = wire("from", _str, protocol.CLIENT)
 
 
 @_register(KIND_PREDICT_RESPONSE)
 @dataclasses.dataclass
-class PredictResponse:
+class PredictResponse(_Message):
     """Class scores for the requested samples (server learns them by
     design -- the paper's stated contrast with HE-based prediction)."""
 
-    scores: list[list[float]]
-
-    kind: ClassVar[str] = KIND_PREDICT_RESPONSE
-
-    def header(self) -> dict[str, Any]:
-        return {"scores": self.scores}
-
-    def body(self, ctx: WireContext | None = None) -> bytes:
-        return b""
-
-    @classmethod
-    def from_wire(cls, header, body, ctx):
-        return cls(scores=[[float(v) for v in row]
-                           for row in header.get("scores", [])])
+    scores: list[list[float]] = wire("scores", _float_rows)
 
 
 # -- observability (answered by FramedService itself; no handshake) --------------
 
 @_register(KIND_SERVICE_METRICS)
 @dataclasses.dataclass
-class MetricsRequest:
+class MetricsRequest(_Message):
     """Scrape a service's metrics registry snapshot."""
 
-    requester: str = protocol.CLIENT
-
-    kind: ClassVar[str] = KIND_SERVICE_METRICS
-
-    def header(self) -> dict[str, Any]:
-        return {"from": self.requester}
-
-    def body(self, ctx: WireContext | None = None) -> bytes:
-        return b""
-
-    @classmethod
-    def from_wire(cls, header, body, ctx):
-        return cls(requester=str(header.get("from", protocol.CLIENT)))
+    requester: str = wire("from", _str, protocol.CLIENT)
 
 
 @_register(KIND_SERVICE_METRICS_RESPONSE)
 @dataclasses.dataclass
-class MetricsResponse:
+class MetricsResponse(_Message):
     """One registry snapshot (counters / gauges / histograms), JSON-safe."""
 
-    service: str
-    metrics: dict[str, Any] = dataclasses.field(default_factory=dict)
-
-    kind: ClassVar[str] = KIND_SERVICE_METRICS_RESPONSE
-
-    def header(self) -> dict[str, Any]:
-        return {"service": self.service, "metrics": self.metrics}
-
-    def body(self, ctx: WireContext | None = None) -> bytes:
-        return b""
-
-    @classmethod
-    def from_wire(cls, header, body, ctx):
-        return cls(service=str(header.get("service", "service")),
-                   metrics=dict(header.get("metrics", {})))
+    service: str = wire("service", _str)
+    metrics: dict[str, Any] = wire("metrics", _dict, {})
 
 
 @_register(KIND_SERVICE_HEALTH)
 @dataclasses.dataclass
-class HealthRequest:
+class HealthRequest(_Message):
     """Readiness probe: is the service able to do useful work yet?"""
 
-    requester: str = protocol.CLIENT
-
-    kind: ClassVar[str] = KIND_SERVICE_HEALTH
-
-    def header(self) -> dict[str, Any]:
-        return {"from": self.requester}
-
-    def body(self, ctx: WireContext | None = None) -> bytes:
-        return b""
-
-    @classmethod
-    def from_wire(cls, header, body, ctx):
-        return cls(requester=str(header.get("from", protocol.CLIENT)))
+    requester: str = wire("from", _str, protocol.CLIENT)
 
 
 @_register(KIND_SERVICE_HEALTH_RESPONSE)
 @dataclasses.dataclass
-class HealthResponse:
+class HealthResponse(_Message):
     """Liveness is implied by answering; ``ready`` is the useful bit."""
 
-    ready: bool
-    state: str = "serving"
-    detail: dict[str, Any] = dataclasses.field(default_factory=dict)
-
-    kind: ClassVar[str] = KIND_SERVICE_HEALTH_RESPONSE
-
-    def header(self) -> dict[str, Any]:
-        return {"ready": self.ready, "state": self.state,
-                "detail": self.detail}
-
-    def body(self, ctx: WireContext | None = None) -> bytes:
-        return b""
-
-    @classmethod
-    def from_wire(cls, header, body, ctx):
-        return cls(ready=bool(header.get("ready", False)),
-                   state=str(header.get("state", "unknown")),
-                   detail=dict(header.get("detail", {})))
+    ready: bool = wire("ready", _bool)
+    state: str = wire("state", _str, "serving")
+    detail: dict[str, Any] = wire("detail", _dict, {})

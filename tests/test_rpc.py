@@ -24,6 +24,7 @@ from repro.core.entities import Client, TrustedAuthority
 from repro.data.preprocess import normalize_features, shared_feature_scale
 from repro.data.tabular import load_clinics
 from repro.fe.errors import UnsupportedOperationError
+from repro.fe.keys import FeboFunctionKey, FeipFunctionKey
 from repro.rpc import (
     AuthorityService,
     RemoteAuthority,
@@ -243,6 +244,135 @@ class TestMessages:
     def test_key_message_requires_ctx(self):
         with pytest.raises(msgs.MessageError):
             msgs.encode_message(msgs.FeipKeyRequest(rows=[[1]]), None)
+
+
+@pytest.fixture(scope="module")
+def sample_messages(params):
+    """One message per registered kind, both variants of each key kind."""
+    authority = TrustedAuthority(CryptoNNConfig(), rng=random.Random(5))
+    client = Client(authority, name="c0")
+    x = np.random.default_rng(0).uniform(-1, 1, size=(3, 2))
+    dataset = client.encrypt_tabular(x, np.array([0, 1, 0]), 2)
+    feip_keys = [FeipFunctionKey(y=(1, -2, 3), sk=7),
+                 FeipFunctionKey(y=(0, 4, -5), sk=params.q - 1)]
+    # commitments are not wired, so a decoded FEBO key carries cmt=0
+    febo_keys = [FeboFunctionKey(op="*", y=-3, sk=11, cmt=0)]
+    fingerprint = "ab" * 32
+    samples = [
+        msgs.PublicParamsRequest(etas=(3, 5), include_febo=False,
+                                 requester="c0"),
+        msgs.PublicParamsResponse(
+            group=params, config={"scale": 100},
+            feip_keys={3: authority.feip_public_key(3)},
+            febo_key=authority.febo_public_key()),
+        msgs.EncryptedDataUpload(
+            dataset=dataset, client_name="c0",
+            stats={"precomputed": 4, "consumed": 4, "misses": 0}),
+        msgs.ShardChunk(fingerprint=fingerprint, index=1, count=3,
+                        chunk=b"xyz", meta={"n": 3}, client_name="c0"),
+        msgs.ShardResumeQuery(fingerprint=fingerprint, count=3,
+                              client_name="c0"),
+        msgs.Ack(info={"received": 3}),
+        msgs.ErrorMessage(message="nope", error_type="Boom"),
+        msgs.TrainStart(requester="driver"),
+        msgs.TrainCheckpointRequest(requester="driver"),
+        msgs.TrainStatusRequest(requester="driver"),
+        msgs.TrainStatus(state="done", accuracy=0.75,
+                         detail={"clients": 2}),
+        msgs.PredictRequest(indices=[0, 2]),
+        msgs.PredictResponse(scores=[[0.25, 0.75]]),
+        msgs.MetricsRequest(requester="probe"),
+        msgs.MetricsResponse(service="server",
+                             metrics={"repro_x_total": 1}),
+        msgs.HealthRequest(requester="probe"),
+        msgs.HealthResponse(ready=True, state="training",
+                            detail={"clients": 1}),
+    ]
+    for batched in (False, True):
+        samples += [
+            msgs.FeipKeyRequest(rows=[[1, -2, 3], [4, 5, -6]],
+                                batched=batched),
+            msgs.FeipKeyResponse(keys=feip_keys, batched=batched),
+            msgs.FeboKeyRequest(requests=[(123, "*", 1), (456, "-", -700)],
+                                batched=batched),
+            msgs.FeboKeyResponse(keys=febo_keys, batched=batched),
+        ]
+    return {msg.kind: msg for msg in samples}
+
+
+def _tampered(msg, ctx, **fields):
+    header, body = msgs.encode_message(msg, ctx)
+    header.update(fields)
+    return header, body
+
+
+class TestMessageCodec:
+    """The one generic codec, checked over the whole message registry."""
+
+    @pytest.mark.parametrize("kind", sorted(msgs._REGISTRY))
+    def test_every_kind_roundtrips(self, kind, sample_messages, wire_ctx):
+        msg = sample_messages[kind]
+        header, body = msgs.encode_message(msg, wire_ctx)
+        got = msgs.decode_message(header, body, wire_ctx)
+        assert type(got) is type(msg) and got.kind == kind
+        assert msgs.encode_message(got, wire_ctx) == (header, body)
+        if kind != protocol.KIND_ENCRYPTED_DATA:
+            # the upload's dataset holds a numpy array, so it is
+            # compared through its re-encoding above
+            assert got == msg
+
+    @pytest.mark.parametrize("kind, field, value", [
+        (msgs.KIND_PREDICT_REQUEST, "indices", ["x"]),
+        (msgs.KIND_PREDICT_REQUEST, "indices", [-1]),
+        (msgs.KIND_PREDICT_REQUEST, "indices", None),
+        (protocol.KIND_PUBLIC_PARAMS, "etas", "3"),
+        (protocol.KIND_PUBLIC_PARAMS, "febo", "yes"),
+        (msgs.KIND_ERROR, "message", 5),
+        (msgs.KIND_TRAIN_STATUS_RESPONSE, "accuracy", "high"),
+        (msgs.KIND_PREDICT_RESPONSE, "scores", [[True]]),
+        (msgs.KIND_ACK, "info", ["received"]),
+        (msgs.KIND_SERVICE_HEALTH_RESPONSE, "ready", 1),
+        (msgs.KIND_SHARD_RESUME, "count", 0),
+        (msgs.KIND_SHARD_RESUME, "count", msgs.MAX_SHARD_CHUNKS + 1),
+        (msgs.KIND_SHARD_CHUNK, "index", 3),
+        (protocol.KIND_FEIP_KEY_REQUEST, "count", -1),
+        (protocol.KIND_FEIP_KEY_RESPONSE, "eta", "3"),
+    ])
+    def test_malformed_header_field_rejected(self, kind, field, value,
+                                             sample_messages, wire_ctx):
+        header, body = _tampered(sample_messages[kind], wire_ctx,
+                                 **{field: value})
+        with pytest.raises(msgs.MessageError):
+            msgs.decode_message(header, body, wire_ctx)
+
+    @pytest.mark.parametrize("eval_labels", [
+        [0], [0, 1, 0, 1, 1], [0, 7, 0], [0, -1, 0], [0, "1", 0]])
+    def test_upload_eval_labels_must_match_the_shard(
+            self, eval_labels, sample_messages, wire_ctx):
+        """Merged shards concatenate their eval labels: a wrong length
+        or class index would misreport accuracy or fail mid-evaluate."""
+        header, body = _tampered(
+            sample_messages[protocol.KIND_ENCRYPTED_DATA], wire_ctx,
+            eval_labels=eval_labels)
+        with pytest.raises(msgs.MessageError):
+            msgs.decode_message(header, body, wire_ctx)
+
+    @pytest.mark.parametrize("stats", [
+        {"precomputed": 4, "evil_name": 1}, {"misses": -1},
+        {"consumed": "4"}, ["misses"]])
+    def test_upload_stats_are_engine_counters_only(
+            self, stats, sample_messages, wire_ctx):
+        """Each stats key becomes a server metric name and its value a
+        counter increment, so only the engine's counters, never
+        negative, may decode."""
+        upload = sample_messages[protocol.KIND_ENCRYPTED_DATA]
+        header, body = _tampered(upload, wire_ctx, stats=stats)
+        with pytest.raises(msgs.MessageError):
+            msgs.decode_message(header, body, wire_ctx)
+        if isinstance(stats, dict):
+            with pytest.raises(msgs.MessageError):
+                msgs.EncryptedDataUpload(dataset=upload.dataset,
+                                         stats=stats).header()
 
 
 # ---------------------------------------------------------------------------

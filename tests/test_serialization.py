@@ -1,14 +1,16 @@
 """Tests for wire serialization and size accounting."""
 
-import json
 import random
 
 import pytest
 
+from repro.core import protocol
 from repro.core import serialization as ser
 from repro.fe.feip import Feip
 from repro.fe.febo import Febo
 from repro.mathutils.group import GroupParams
+from repro.rpc import messages as msgs
+from repro.rpc.messages import WireContext
 
 
 @pytest.fixture()
@@ -35,26 +37,10 @@ class TestRoundtrips:
         restored = ser.feip_ciphertext_from_dict(ser.feip_ciphertext_to_dict(ct))
         assert restored == ct
 
-    def test_feip_key(self, feip_objects):
-        _, key = feip_objects
-        restored = ser.feip_key_from_dict(ser.feip_key_to_dict(key))
-        assert restored == key
-
     def test_febo_ciphertext(self, febo_objects):
         ct, _ = febo_objects
         restored = ser.febo_ciphertext_from_dict(ser.febo_ciphertext_to_dict(ct))
         assert restored == ct
-
-    def test_febo_key(self, febo_objects):
-        _, key = febo_objects
-        restored = ser.febo_key_from_dict(ser.febo_key_to_dict(key))
-        assert restored == key
-
-    def test_json_canonical_and_parseable(self, feip_objects):
-        ct, _ = feip_objects
-        text = ser.to_json(ser.feip_ciphertext_to_dict(ct))
-        assert json.loads(text)["ct0"] == ct.ct0
-        assert " " not in text
 
 
 class TestWireSizes:
@@ -90,18 +76,6 @@ class TestGroupAndPublicKeyCodecs:
     def test_group_params_roundtrip(self, params):
         restored = ser.group_params_from_dict(ser.group_params_to_dict(params))
         assert restored == params
-
-    def test_feip_public_key_dict_roundtrip(self, params, rng):
-        feip = Feip(params, rng=rng)
-        mpk, _ = feip.setup(4)
-        restored = ser.feip_public_key_from_dict(ser.feip_public_key_to_dict(mpk))
-        assert restored == mpk
-
-    def test_febo_public_key_dict_roundtrip(self, params, rng):
-        febo = Febo(params, rng=rng)
-        mpk, _ = febo.setup()
-        restored = ser.febo_public_key_from_dict(ser.febo_public_key_to_dict(mpk))
-        assert restored == mpk
 
     def test_feip_public_key_binary_roundtrip_and_size(self, params, rng):
         feip = Feip(params, rng=rng)
@@ -155,7 +129,14 @@ class TestBinaryPrimitives:
 
 
 class TestBatchEnvelopes:
-    """Property-style round trips over random signed weight rows."""
+    """Property-style round trips over random signed weight rows, through
+    the batched key messages' codec (envelope header + raw key codec)."""
+
+    @staticmethod
+    def roundtrip(msg, params):
+        ctx = WireContext(params)
+        header, body = msgs.encode_message(msg, ctx)
+        return body, msgs.decode_message(header, body, ctx)
 
     def test_feip_request_roundtrip_random(self, params):
         rng = random.Random(99)
@@ -164,19 +145,20 @@ class TestBatchEnvelopes:
             eta = rng.randrange(1, 7)
             rows = [[rng.randrange(-10**6, 10**6) for _ in range(eta)]
                     for _ in range(count)]
-            packed = ser.pack_feip_key_batch_request(rows)
+            packed, got = self.roundtrip(msgs.FeipKeyRequest(rows=rows),
+                                         params)
             assert len(packed) == ser.feip_key_batch_request_wire_size(
                 count, eta if count else 0, params)
-            assert ser.unpack_feip_key_batch_request(packed) == rows
+            assert got.rows == rows
 
     def test_feip_request_edge_weights(self, params):
         # two's-complement extremes of the 8-byte weight field
         lo, hi = -(1 << 63), (1 << 63) - 1
         rows = [[lo, hi, 0, -1]]
-        packed = ser.pack_feip_key_batch_request(rows)
-        assert ser.unpack_feip_key_batch_request(packed) == rows
+        _, got = self.roundtrip(msgs.FeipKeyRequest(rows=rows), params)
+        assert got.rows == rows
         with pytest.raises(OverflowError):
-            ser.pack_feip_key_batch_request([[hi + 1]])
+            self.roundtrip(msgs.FeipKeyRequest(rows=[[hi + 1]]), params)
 
     def test_feip_response_roundtrip_edge_exponents(self, params, rng):
         feip = Feip(params, rng=rng)
@@ -186,10 +168,10 @@ class TestBatchEnvelopes:
         # force the exponent extremes the wire must carry
         keys.append(ser.FeipFunctionKey(y=(1, 2, 3), sk=0))
         keys.append(ser.FeipFunctionKey(y=(1, 2, 3), sk=params.q - 1))
-        packed = ser.pack_feip_key_batch_response(keys, params)
+        packed, got = self.roundtrip(msgs.FeipKeyResponse(keys=keys), params)
         assert len(packed) == ser.feip_key_batch_response_wire_size(
             len(keys), 3, params)
-        assert ser.unpack_feip_key_batch_response(packed, params) == keys
+        assert got.keys == keys
 
     def test_febo_request_roundtrip_random(self, params):
         rng = random.Random(7)
@@ -200,33 +182,37 @@ class TestBatchEnvelopes:
                  rng.randrange(-10**9, 10**9))
                 for _ in range(count)
             ]
-            packed = ser.pack_febo_key_batch_request(requests, params)
+            packed, got = self.roundtrip(
+                msgs.FeboKeyRequest(requests=requests), params)
             assert len(packed) == ser.febo_key_batch_request_wire_size(
                 count, params)
-            assert ser.unpack_febo_key_batch_request(packed, params) == requests
+            assert got.requests == requests
 
     def test_febo_response_roundtrip(self, params, febo_objects):
         _, key = febo_objects
         negative = ser.FeboFunctionKey(op="-", y=-12345, sk=key.sk, cmt=0)
-        packed = ser.pack_febo_key_batch_response([key, negative], params)
+        packed, got = self.roundtrip(
+            msgs.FeboKeyResponse(keys=[key, negative]), params)
         assert len(packed) == ser.febo_key_batch_response_wire_size(2, params)
-        restored = ser.unpack_febo_key_batch_response(packed, params)
         # commitments are not wired; the requester re-attaches them
-        assert [(k.op, k.y, k.sk) for k in restored] == \
+        assert [(k.op, k.y, k.sk) for k in got.keys] == \
             [(key.op, key.y, key.sk), ("-", -12345, key.sk)]
 
     def test_zero_count_with_trailing_bytes_rejected(self, params):
         stride = ser.exponent_size_bytes(params) + 2 * 8
         packed = ser.pack_batch_header(0, 2) + b"\x00" * stride
-        with pytest.raises(ValueError):
-            ser.unpack_feip_key_batch_response(packed, params)
+        with pytest.raises(msgs.MessageError):
+            msgs.decode_message(
+                {"kind": protocol.KIND_FEIP_KEY_BATCH_RESPONSE}, packed,
+                WireContext(params))
 
     def test_truncated_envelope_rejected(self, params):
-        packed = ser.pack_feip_key_batch_request([[1, 2], [3, 4]])
-        with pytest.raises(ValueError):
-            ser.unpack_feip_key_batch_request(packed[:-3])
-        with pytest.raises(ValueError):
-            ser.unpack_batch_header(b"\x00\x01")
+        header, packed = msgs.encode_message(
+            msgs.FeipKeyRequest(rows=[[1, 2], [3, 4]]), WireContext(params))
+        with pytest.raises(msgs.MessageError):
+            msgs.decode_message(header, packed[:-3], WireContext(params))
+        with pytest.raises(msgs.MessageError):
+            msgs.decode_message(header, b"\x00\x01", WireContext(params))
 
     def test_upload_size_composes_from_parts(self, params):
         total = ser.encrypted_tabular_wire_size(7, 5, 3, params)
