@@ -1,9 +1,9 @@
 """Ablation: cached baby-step table vs fresh-per-decrypt discrete logs.
 
-DESIGN.md calls out the solver cache as a key implementation choice: the
-baby-step table construction dominates a single bounded dlog, but
-training reuses the same bound thousands of times.  This bench measures
-both policies on a batch of decryptions.
+The solver cache is a key implementation choice: the baby-step table
+construction dominates a single bounded dlog, but training reuses the
+same bound thousands of times.  This bench measures both policies on a
+batch of decryptions.
 """
 
 from __future__ import annotations

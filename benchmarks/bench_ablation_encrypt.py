@@ -20,8 +20,9 @@ element.  Three measurements:
   per-nonce loop through process-lifetime ``exp_cached`` tables, both
   starting from a cold group as every client does.
 * **pool-parallel bulk throughput** -- end-to-end batch encryption
-  through ``secure_encrypt_columns`` (workers own the nonces), the
-  ``client-upload --workers N`` path.
+  on an engine with a pool: the workers make the nonce batch, the
+  caller runs the online phase (the ``client-upload --workers N``
+  path).
 
 Every number also lands in ``results/BENCH_ablation_encrypt.json`` via
 :func:`benchmarks.harness.write_bench_json`.

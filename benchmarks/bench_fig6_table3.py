@@ -4,7 +4,8 @@ Figure 6 plots average batch accuracy per iteration window for both
 pipelines; Table III reports per-epoch test accuracy and total training
 time.  Both come from one twin-training run (shared initial weights and
 batch order), reproduced here on the synthetic digit dataset at reduced
-scale (see DESIGN.md substitution notes; REPRO_FULL=1 enlarges).
+scale (the synthetic digits stand in for MNIST, which needs a download;
+REPRO_FULL=1 enlarges).
 
 Expected shapes relative to the paper:
 

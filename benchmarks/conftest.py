@@ -1,7 +1,7 @@
 """Shared benchmark infrastructure.
 
 Every figure/table of the paper's evaluation section has a bench module
-here (see DESIGN.md experiment index).  Default sizes are scaled down so
+here (``bench_<figure or table>_*.py``).  Default sizes are scaled down so
 ``pytest benchmarks/ --benchmark-only`` completes in minutes on a laptop;
 set ``REPRO_FULL=1`` to run at paper scale (element counts in the
 thousands, 2 full epochs -- expect hours, as the paper's own Table III

@@ -33,48 +33,16 @@ from repro.utils.timer import Stopwatch
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
-def summarize_trace(path) -> dict[str, dict[str, float]]:
-    """Fold a ``--trace-file`` JSONL span dump into per-phase totals.
-
-    Each line is one completed span (``repro.obs.tracing``); the
-    summary maps phase name to ``{"count": n, "total_s": seconds}``.
-    Malformed lines are skipped so a truncated trace (process killed
-    mid-write) still summarizes.
-    """
-    totals: dict[str, dict[str, float]] = {}
-    for line in pathlib.Path(path).read_text().splitlines():
-        try:
-            record = json.loads(line)
-            name, dur = record["name"], float(record["dur_s"])
-        except (ValueError, KeyError, TypeError):
-            continue
-        slot = totals.setdefault(name, {"count": 0, "total_s": 0.0})
-        slot["count"] += 1
-        slot["total_s"] += dur
-    return totals
-
-
 def write_bench_json(name: str, numbers: dict, *,
                      speedups: dict | None = None,
-                     meta: dict | None = None,
-                     trace: dict | None = None) -> pathlib.Path:
+                     meta: dict | None = None) -> pathlib.Path:
     """Persist one bench's results as ``results/BENCH_<name>.json``.
 
     ``numbers`` holds raw measurements (seconds, counts, bytes),
     ``speedups`` holds derived ratios, ``meta`` holds the configuration
     (group bits, sizes) needed to compare runs fairly.  Keys are flat
-    strings so downstream tooling can diff two PRs with ``jq``.
-
-    ``trace`` takes :func:`summarize_trace` output (or a live
-    ``SpanTracer.phase_totals()``) and folds each phase into
-    ``numbers`` as ``phase_<name>_s`` / ``phase_<name>_count``, so the
-    paper's cost decomposition rides in the same diffable file.
+    strings so downstream tooling can diff two runs with ``jq``.
     """
-    numbers = dict(numbers)
-    for phase, slot in (trace or {}).items():
-        key = phase.replace("-", "_")
-        numbers[f"phase_{key}_s"] = float(slot["total_s"])
-        numbers[f"phase_{key}_count"] = int(slot["count"])
     RESULTS_DIR.mkdir(exist_ok=True)
     payload = {
         "bench": name,

@@ -30,7 +30,7 @@ def main() -> None:
     train, test = load_synth_digits(n_train=N_TRAIN, n_test=max(N_TRAIN // 4, 40),
                                     canvas=8, seed=0)
     print(f"dataset: {len(train)} train / {len(test)} test synthetic digits "
-          f"(MNIST stand-in, see DESIGN.md)\n")
+          f"(procedurally rendered MNIST stand-in)\n")
 
     # twin models from identical weights
     plain_model = build_lenet_small(np.random.default_rng(0), image_size=8)

@@ -27,16 +27,13 @@ class CryptoNNConfig:
     Attributes:
         security_bits: Schnorr group size.  The paper's experiments use
             256; the default here is the toy size so tests and scaled
-            benches run quickly (identical code path, see DESIGN.md).
+            benches run quickly (smaller groups run the identical code
+            path).
         scale: fixed-point scale; the paper keeps two decimal places (100).
         max_abs_feature: clients promise features within this magnitude
             (inputs normalized to [0, 1] satisfy 1.0).
         max_abs_weight: server clips first-layer weights to this magnitude
             so the dot-product dlog bound stays valid and small.
-        cache_reconstructed_features: cache the FEBO-reconstructed scaled
-            features server-side after the first gradient step touching a
-            sample (a rational server would; disable to re-pay the FEBO
-            decryptions every iteration, matching a fully stateless server).
         key_weight_bytes: |w| in the communication formula.
         workers: process count for the parallel secure feed-forward
             (paper Figures 3d/4d/5d).  None runs serially -- the right
@@ -54,7 +51,6 @@ class CryptoNNConfig:
     scale: int = PAPER_SCALE
     max_abs_feature: float = 1.0
     max_abs_weight: float = 2.0
-    cache_reconstructed_features: bool = True
     key_weight_bytes: int = 8
     workers: int | None = None
     batch_key_requests: bool = False

@@ -1,7 +1,8 @@
 """The paper's Table I: comparison of privacy-preserving ML approaches.
 
 A static taxonomy, regenerated programmatically so the benchmark harness
-covers *every* table in the paper (see DESIGN.md experiment index).
+covers *every* table in the paper (``benchmarks/bench_table1_comparison.py``
+renders this one).
 """
 
 from __future__ import annotations

@@ -24,7 +24,8 @@ features once per sample, and combine them with the plaintext deltas.
 This stays inside F but *is* the direct-inference capability the paper
 concedes for authorized decryptors (Section III-B remark); CryptoNN's
 framework-level mitigation (random label mapping) protects the labels,
-not the features.  See DESIGN.md "Threat model".
+not the features, so a server holding these keys sees each sample's
+scaled features.
 """
 
 from __future__ import annotations
@@ -132,8 +133,8 @@ class _FeatureReconstructor(_SecureBase):
 
     Issues one multiplication key + decrypt per element (the identity
     multiplier keeps the op inside F while avoiding fixed-point loss on
-    tiny gradient entries).  Results are cached per sample index when the
-    config allows, because every epoch revisits every sample.
+    tiny gradient entries).  Results are cached per sample index, because
+    every epoch revisits every sample.
     """
 
     def __init__(self, *args, **kwargs):
@@ -153,18 +154,14 @@ class _FeatureReconstructor(_SecureBase):
     def reconstruct(self, index: int, ciphertexts: Sequence,
                     shape: tuple[int, ...]) -> np.ndarray:
         """Scaled-feature array for one sample, cached by dataset index."""
-        if self.config.cache_reconstructed_features and index in self._feature_cache:
+        if index in self._feature_cache:
             return self._feature_cache[index]
         bound = int(self.config.max_abs_feature * self.config.scale) + 1
         values = self._decrypt_elements(list(ciphertexts), bound)
         array = np.array([v / self.config.scale for v in values],
                          dtype=np.float64).reshape(shape)
-        if self.config.cache_reconstructed_features:
-            self._feature_cache[index] = array
+        self._feature_cache[index] = array
         return array
-
-    def clear_cache(self) -> None:
-        self._feature_cache.clear()
 
 
 class SecureLinearInput(_FeatureReconstructor):

@@ -2,8 +2,8 @@
 
 The paper evaluates on MNIST; this environment has no network access, so
 :mod:`repro.data.synth_digits` provides a procedurally-generated stand-in
-with the same task structure (10-class digit images), as documented in
-DESIGN.md.  :mod:`repro.data.tabular` generates the "federated clinics"
+with the same task structure (10-class digit images) and the same crypto
+code path.  :mod:`repro.data.tabular` generates the "federated clinics"
 binary-classification data motivating the paper's introduction.
 """
 

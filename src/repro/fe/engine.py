@@ -1,8 +1,8 @@
 """Offline/online encryption engine for the client-side hot path.
 
-The paper's cost profile (Figures 3-5) is modular exponentiation; PR 1
-attacked the server half (decryption).  This module is the client-side
-twin: the classic offline/online split for DDH-style schemes.  Every
+The paper's cost profile (Figures 3-5) is modular exponentiation, on
+the client as on the server.  This module applies the classic
+offline/online split for DDH-style schemes.  Every
 FEIP encryption spends ``1 + eta`` full-width exponentiations on values
 that do not depend on the plaintext -- the nonce commitment ``g^r`` and
 the masks ``h_i^r`` -- and only a *small-exponent* ``g^{x_i}`` on the
@@ -13,20 +13,21 @@ modular multiply per element.
 
 :class:`EncryptionEngine` owns per-public-key stores of precomputed
 :class:`~repro.fe.keys.FeipNonce` / :class:`~repro.fe.keys.FeboNonce`
-tuples and offers three ways to fill them:
+tuples.  Every tuple it hands out is made by :func:`make_feip_nonces` /
+:func:`make_febo_nonces`, in the caller or on a pool worker:
 
-* :meth:`prefill_feip` / :meth:`prefill_febo` -- synchronous, in-process
-  (routed through an attached
-  :class:`~repro.matrix.parallel.SecureComputePool` when one is
-  configured, so idle workers produce material in bulk);
-* :meth:`prefill_async` -- a background daemon thread tops the store up
-  while the caller does other work;
-* nothing at all -- :meth:`encrypt_feip` falls back to computing a
-  fresh tuple on demand (counted in :attr:`misses`), so the engine is
-  always correct, just slower when cold.
+* :meth:`~EncryptionEngine.prefill_feip` /
+  :meth:`~EncryptionEngine.prefill_febo` bank a batch ahead of use
+  (on an attached :class:`~repro.matrix.parallel.SecureComputePool`'s
+  workers when one is configured, one batch in the caller otherwise);
+* the bulk calls make the part of a batch the store cannot cover the
+  same way, as one batch;
+* a single encryption that finds its store empty makes a batch of one
+  in the caller.  Both kinds of on-demand tuple are counted in
+  :attr:`~EncryptionEngine.misses`, so the engine is always correct,
+  just slower when cold.
 
-Tuples are produced in batches (:func:`make_feip_nonces` /
-:func:`make_febo_nonces`): a batch's nonces are recoded once as signed
+Batching matters because a batch's nonces are recoded once as signed
 comb digits, and each public base gets a comb sized for that batch and
 dropped with it, instead of a process-lifetime table sized for
 thousands of uses.
@@ -34,11 +35,10 @@ thousands of uses.
 **Nonce hygiene is the safety property.**  Reusing ``r`` across two
 ciphertexts is an IND-CPA break (the ratio of the two ciphertexts
 reveals ``g^{x_i - x'_i}``), so the store hands every tuple out at most
-once: consumption is a single ``deque.popleft`` under a lock, atomic
-under both thread and pool concurrency, and each nonce carries the
-fingerprint of the public key it was built for so cross-key use raises
-instead of corrupting data.  ``tests/test_engine.py`` pins both
-properties.
+once: consumption is a ``deque.popleft`` under a lock, atomic under
+thread concurrency, and each nonce carries the fingerprint of the
+public key it was built for so cross-key use raises instead of
+corrupting data.  ``tests/test_engine.py`` pins both properties.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ import threading
 from collections import deque
 from collections.abc import Sequence
 
-from repro.fe.errors import CiphertextError
 from repro.fe.febo import Febo
 from repro.fe.feip import Feip
 from repro.fe.keys import (
@@ -108,8 +107,8 @@ def make_febo_nonces(group: SchnorrGroup, mpk: FeboPublicKey,
 class _NonceStore:
     """Thread-safe FIFO of single-use nonces.
 
-    ``pop`` is the atomic consumption point: a tuple leaves the store
-    exactly once, whichever thread wins the lock.
+    ``pop`` and ``pop_many`` are the atomic consumption points: a tuple
+    leaves the store exactly once, whichever thread wins the lock.
     """
 
     def __init__(self):
@@ -123,6 +122,12 @@ class _NonceStore:
     def pop(self):
         with self._lock:
             return self._items.popleft() if self._items else None
+
+    def pop_many(self, count: int) -> list:
+        """Up to ``count`` tuples, oldest first."""
+        with self._lock:
+            return [self._items.popleft()
+                    for _ in range(min(count, len(self._items)))]
 
     def __len__(self) -> int:
         return len(self._items)
@@ -140,8 +145,8 @@ class EncryptionEngine:
         params: the Schnorr group both schemes operate in.
         rng: nonce randomness (defaults to a fresh OS-seeded Random).
         pool: optional :class:`~repro.matrix.parallel.SecureComputePool`
-            used to produce offline material and bulk encryptions in
-            parallel.
+            whose workers make the nonce batches (prefills and bulk
+            remainders).
         feip, febo: scheme instances to encrypt with (a client passes
             its authority's, sharing their groups' ``g`` tables and
             rng); fresh ones over ``params`` and ``rng`` otherwise.
@@ -154,10 +159,8 @@ class EncryptionEngine:
         self.feip = feip or Feip(params, rng=rng)
         self.febo = febo or Febo(params, rng=rng)
         self.pool = pool
-        self._feip_stores: dict[int, _NonceStore] = {}
-        self._febo_stores: dict[int, _NonceStore] = {}
+        self._stores: dict[int, _NonceStore] = {}
         self._stores_lock = threading.Lock()
-        self._fill_threads: list[threading.Thread] = []
         # counters race without their own lock: += is a non-atomic
         # read-modify-write even under the GIL
         self._stats_lock = threading.Lock()
@@ -176,7 +179,7 @@ class EncryptionEngine:
         """One consistent snapshot of the hit/miss counters.
 
         Reading the three attributes individually can interleave with a
-        concurrent ``_count`` (a filler thread or pooled bulk encrypt)
+        concurrent ``_count`` (another thread prefilling or encrypting)
         and report e.g. a consumption without its production; copying
         under the same lock the writers take closes that gap.
         """
@@ -191,8 +194,7 @@ class EncryptionEngine:
         """Registry collector: counters plus current nonce-store depth."""
         stats = self.stats()
         with self._stores_lock:
-            depth = sum(len(s) for s in self._feip_stores.values()) \
-                + sum(len(s) for s in self._febo_stores.values())
+            depth = sum(len(s) for s in self._stores.values())
         return {
             "repro_engine_precomputed_total": stats["precomputed"],
             "repro_engine_consumed_total": stats["consumed"],
@@ -200,80 +202,61 @@ class EncryptionEngine:
             "repro_engine_nonce_store_depth": depth,
         }
 
-    # -- stores ---------------------------------------------------------------
-    def _store(self, stores: dict[int, _NonceStore], mpk) -> _NonceStore:
+    # -- offline phase --------------------------------------------------------
+    def _store(self, mpk) -> _NonceStore:
         fp = key_fingerprint(mpk)
         with self._stores_lock:
-            store = stores.get(fp)
+            store = self._stores.get(fp)
             if store is None:
-                store = stores[fp] = _NonceStore()
+                store = self._stores[fp] = _NonceStore()
             return store
 
-    def available_feip(self, mpk: FeipPublicKey) -> int:
-        """Precomputed FEIP tuples currently banked for ``mpk``."""
-        return len(self._store(self._feip_stores, mpk))
+    def _nonces(self, mpk, count: int) -> list:
+        """``count`` fresh tuples for ``mpk`` (a FEIP or FEBO key).
 
-    def available_febo(self, mpk: FeboPublicKey) -> int:
-        """Precomputed FEBO tuples currently banked for ``mpk``."""
-        return len(self._store(self._febo_stores, mpk))
+        Workers of the attached pool make them (each from its own
+        OS-seeded RNG); without a pool they are one batch in the caller.
+        """
+        if isinstance(mpk, FeipPublicKey):
+            if self.pool is None:
+                return make_feip_nonces(self.feip.group, mpk, count)
+            return self.pool.precompute_encryption(
+                self.params, feip_mpk=mpk, feip_count=count)[0]
+        if self.pool is None:
+            return make_febo_nonces(self.febo.group, mpk, count)
+        return self.pool.precompute_encryption(
+            self.params, febo_mpk=mpk, febo_count=count)[1]
 
-    # -- offline phase --------------------------------------------------------
-    def prefill_feip(self, mpk: FeipPublicKey, count: int) -> int:
-        """Bank ``count`` offline FEIP tuples for ``mpk``; returns count.
+    def available_feip(self, mpk) -> int:
+        """Precomputed tuples currently banked for ``mpk``.
 
-        Routed through the attached pool when one is present (workers
-        generate independent nonces from their own OS-seeded RNGs),
-        one :func:`make_feip_nonces` batch otherwise.
+        ``available_febo`` is the same method; either takes a FEIP or a
+        FEBO key.
+        """
+        return len(self._store(mpk))
+
+    available_febo = available_feip
+
+    def prefill_feip(self, mpk, count: int) -> int:
+        """Bank ``count`` offline tuples for ``mpk``; returns the count.
+
+        ``prefill_febo`` is the same method: the key's type picks the
+        scheme.
         """
         if count <= 0:
             return 0
-        if self.pool is not None:
-            nonces, _ = self.pool.precompute_encryption(
-                self.params, feip_mpk=mpk, feip_count=count)
-        else:
-            nonces = make_feip_nonces(self.feip.group, mpk, count)
-        self._store(self._feip_stores, mpk).push_many(nonces)
+        nonces = self._nonces(mpk, count)
+        self._store(mpk).push_many(nonces)
         self._count('precomputed', len(nonces))
         return len(nonces)
 
-    def prefill_febo(self, mpk: FeboPublicKey, count: int) -> int:
-        """Bank ``count`` offline FEBO tuples for ``mpk``; returns count."""
-        if count <= 0:
-            return 0
-        if self.pool is not None:
-            _, nonces = self.pool.precompute_encryption(
-                self.params, febo_mpk=mpk, febo_count=count)
-        else:
-            nonces = make_febo_nonces(self.febo.group, mpk, count)
-        self._store(self._febo_stores, mpk).push_many(nonces)
-        self._count('precomputed', len(nonces))
-        return len(nonces)
-
-    def prefill_async(self, mpk, count: int) -> threading.Thread:
-        """Fill a store from a background daemon thread.
-
-        Dispatches on the key type; :meth:`drain_async` joins every
-        filler started this way.  The store's lock makes concurrent
-        fill-while-consume safe.
-        """
-        fill = (self.prefill_feip if isinstance(mpk, FeipPublicKey)
-                else self.prefill_febo)
-        thread = threading.Thread(target=fill, args=(mpk, count), daemon=True)
-        thread.start()
-        self._fill_threads.append(thread)
-        return thread
-
-    def drain_async(self, timeout: float | None = None) -> None:
-        """Join background fillers started by :meth:`prefill_async`."""
-        threads, self._fill_threads = self._fill_threads, []
-        for thread in threads:
-            thread.join(timeout)
+    prefill_febo = prefill_feip
 
     # -- online phase ---------------------------------------------------------
     def encrypt_feip(self, mpk: FeipPublicKey,
                      x: Sequence[int]) -> FeipCiphertext:
         """Encrypt ``x`` consuming one banked tuple (or compute on miss)."""
-        nonce = self._store(self._feip_stores, mpk).pop()
+        nonce = self._store(mpk).pop()
         if nonce is None:
             self._count('misses')
             nonce, = make_feip_nonces(self.feip.group, mpk, 1)
@@ -283,7 +266,7 @@ class EncryptionEngine:
 
     def encrypt_febo(self, mpk: FeboPublicKey, x: int) -> FeboCiphertext:
         """Encrypt ``x`` consuming one banked tuple (or compute on miss)."""
-        nonce = self._store(self._febo_stores, mpk).pop()
+        nonce = self._store(mpk).pop()
         if nonce is None:
             self._count('misses')
             nonce, = make_febo_nonces(self.febo.group, mpk, 1)
@@ -291,78 +274,26 @@ class EncryptionEngine:
             self._count('consumed')
         return self.febo.encrypt(mpk, x, nonce=nonce)
 
-    # -- bulk helpers ---------------------------------------------------------
-    def encrypt_feip_columns(self, mpk: FeipPublicKey,
-                             columns: Sequence[Sequence[int]]
-                             ) -> list[FeipCiphertext]:
-        """Encrypt many vectors under one key.
+    def encrypt_feip_columns(self, mpk, items: Sequence) -> list:
+        """Encrypt many FEIP vectors or FEBO scalars under one key.
 
-        Consumes banked tuples first; when the store cannot cover the
-        batch, the uncovered remainder is encrypted pool-parallel when a
-        pool is attached (workers generate their own nonces), so bulk
-        throughput scales with workers even without prefill, and under
-        one nonce batch otherwise.
+        ``encrypt_febo_values`` is the same method.  Banked tuples are
+        consumed first; the remainder the store cannot cover is made as
+        one :meth:`_nonces` batch (on the pool's workers when one is
+        attached) and counted as misses, since it was not banked.
         """
-        with GLOBAL_TRACER.span("encrypt", scheme="feip", n=len(columns)):
-            return self._encrypt_feip_columns(mpk, columns)
+        if isinstance(mpk, FeipPublicKey):
+            scheme, encrypt = "feip", self.feip.encrypt
+        else:
+            scheme, encrypt = "febo", self.febo.encrypt
+        with GLOBAL_TRACER.span("encrypt", scheme=scheme, n=len(items)):
+            nonces = self._store(mpk).pop_many(len(items))
+            self._count('consumed', len(nonces))
+            missing = len(items) - len(nonces)
+            if missing:
+                self._count('misses', missing)
+                nonces += self._nonces(mpk, missing)
+            fresh = iter(nonces)
+            return [encrypt(mpk, item, nonce=next(fresh)) for item in items]
 
-    def _encrypt_feip_columns(self, mpk: FeipPublicKey,
-                              columns: Sequence[Sequence[int]]
-                              ) -> list[FeipCiphertext]:
-        store = self._store(self._feip_stores, mpk)
-        out: list[FeipCiphertext | None] = [None] * len(columns)
-        remainder: list[tuple[int, Sequence[int]]] = []
-        for j, column in enumerate(columns):
-            nonce = store.pop()
-            if nonce is None:
-                remainder.append((j, column))
-            else:
-                self._count('consumed')
-                out[j] = self.feip.encrypt(mpk, column, nonce=nonce)
-        if remainder:
-            # not banked material, so still misses for anyone sizing a
-            # prefill -- just misses served in parallel or in one batch
-            self._count('misses', len(remainder))
-            if self.pool is not None:
-                cts = self.pool.secure_encrypt_columns(
-                    self.params, mpk, [list(col) for _, col in remainder])
-            else:
-                nonces = iter(make_feip_nonces(self.feip.group, mpk,
-                                               len(remainder)))
-                cts = [self.feip.encrypt(mpk, column, nonce=next(nonces))
-                       for _, column in remainder]
-            for (j, _), ct in zip(remainder, cts):
-                out[j] = ct
-        return out
-
-    def encrypt_febo_values(self, mpk: FeboPublicKey,
-                            values: Sequence[int]) -> list[FeboCiphertext]:
-        """Encrypt many scalars under one key (pool-parallel remainder)."""
-        with GLOBAL_TRACER.span("encrypt", scheme="febo", n=len(values)):
-            return self._encrypt_febo_values(mpk, values)
-
-    def _encrypt_febo_values(self, mpk: FeboPublicKey,
-                             values: Sequence[int]) -> list[FeboCiphertext]:
-        store = self._store(self._febo_stores, mpk)
-        out: list[FeboCiphertext | None] = [None] * len(values)
-        remainder: list[tuple[int, int]] = []
-        for j, value in enumerate(values):
-            nonce = store.pop()
-            if nonce is None:
-                remainder.append((j, int(value)))
-            else:
-                self._count('consumed')
-                out[j] = self.febo.encrypt(mpk, value, nonce=nonce)
-        if remainder:
-            self._count('misses', len(remainder))
-            if self.pool is not None:
-                cts = self.pool.secure_encrypt_values(
-                    self.params, mpk, [v for _, v in remainder])
-            else:
-                nonces = iter(make_febo_nonces(self.febo.group, mpk,
-                                               len(remainder)))
-                cts = [self.febo.encrypt(mpk, value, nonce=next(nonces))
-                       for _, value in remainder]
-            for (j, _), ct in zip(remainder, cts):
-                out[j] = ct
-        return out
+    encrypt_febo_values = encrypt_feip_columns

@@ -28,14 +28,13 @@ contiguous chunks (runs of FEIP columns, runs of FEBO cells), and
 So serial and pooled runs decrypt through identical code and recover
 identical integers.
 
-The same pool also serves the *client* side: the ``encrypt``
-configuration kind lets idle workers produce offline encryption
-material in bulk (:meth:`SecureComputePool.precompute_encryption`) or
-run whole encryptions (:meth:`SecureComputePool.secure_encrypt_columns`
-/ :meth:`SecureComputePool.secure_encrypt_values`).  Workers draw
-nonces from their own OS-seeded RNGs -- each worker process constructs
-a fresh ``Feip``/``Febo`` on config install, so nonce streams are
-independent across workers and dispatches.
+The same pool also serves the *client* side: under the ``encrypt``
+configuration kind idle workers make nonce batches
+(:meth:`SecureComputePool.precompute_encryption`) that the caller's
+:class:`~repro.fe.engine.EncryptionEngine` banks and encrypts with.
+Workers draw nonces from their own OS-seeded RNGs -- each worker
+process constructs a fresh ``Feip``/``Febo`` on config install, so
+nonce streams are independent across workers and dispatches.
 
 All key/ciphertext containers are frozen dataclasses of ints, so the
 per-configuration pickling is cheap.
@@ -209,20 +208,6 @@ def _feip_nonce_chunk(config: tuple, count: int) -> list[FeipNonce]:
 def _febo_nonce_chunk(config: tuple, count: int) -> list[FeboNonce]:
     state = _install_config(config)
     return make_febo_nonces(state["febo"].group, state["febo_mpk"], count)
-
-
-def _encrypt_column(config: tuple, task: tuple[int, list[int]]
-                    ) -> tuple[int, FeipCiphertext]:
-    state = _install_config(config)
-    j, values = task
-    return j, state["feip"].encrypt(state["feip_mpk"], values)
-
-
-def _encrypt_value(config: tuple, task: tuple[int, int]
-                   ) -> tuple[int, FeboCiphertext]:
-    state = _install_config(config)
-    j, value = task
-    return j, state["febo"].encrypt(state["febo_mpk"], value)
 
 
 def _run_in_caller(fn, config: tuple, tasks: Sequence) -> list:
@@ -465,7 +450,7 @@ class SecureComputePool:
         return np.array(list(itertools.chain.from_iterable(results)),
                         dtype=object).reshape(shape)
 
-    # -- client-side encryption dispatches -------------------------------------
+    # -- client-side nonce production ------------------------------------------
     def _nonce_chunks(self, count: int) -> list[int]:
         """Split ``count`` nonces into one task chunk per worker.
 
@@ -507,29 +492,6 @@ class SecureComputePool:
                                    self._nonce_chunks(febo_count), 2):
                 febo_nonces.extend(batch)
         return feip_nonces, febo_nonces
-
-    def secure_encrypt_columns(self, params: GroupParams,
-                               mpk: FeipPublicKey,
-                               columns: Sequence[Sequence[int]]
-                               ) -> list[FeipCiphertext]:
-        """FEIP-encrypt integer vectors in parallel (workers own the nonces)."""
-        config = self.configure_encrypt(params, feip_mpk=mpk)
-        out: list[FeipCiphertext | None] = [None] * len(columns)
-        tasks = [(j, [int(v) for v in col]) for j, col in enumerate(columns)]
-        for j, ct in self._map(_encrypt_column, config, tasks, 4):
-            out[j] = ct
-        return out
-
-    def secure_encrypt_values(self, params: GroupParams,
-                              mpk: FeboPublicKey,
-                              values: Sequence[int]) -> list[FeboCiphertext]:
-        """FEBO-encrypt integer scalars in parallel (workers own the nonces)."""
-        config = self.configure_encrypt(params, febo_mpk=mpk)
-        out: list[FeboCiphertext | None] = [None] * len(values)
-        tasks = [(j, int(v)) for j, v in enumerate(values)]
-        for j, ct in self._map(_encrypt_value, config, tasks, 8):
-            out[j] = ct
-        return out
 
 
 class InlineExecutor(SecureComputePool):

@@ -92,10 +92,6 @@ class Gauge:
         with self._lock:
             self._value += amount
 
-    def dec(self, amount: int | float = 1) -> None:
-        with self._lock:
-            self._value -= amount
-
     @property
     def value(self) -> int | float:
         with self._lock:
@@ -219,10 +215,6 @@ class MetricsRegistry:
             ref = fn
         with self._lock:
             self._collectors[key] = ref
-
-    def unregister_collector(self, key: str) -> None:
-        with self._lock:
-            self._collectors.pop(key, None)
 
     # -- scraping ----------------------------------------------------------
 

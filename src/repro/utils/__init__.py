@@ -1,4 +1,4 @@
-"""Cross-cutting utilities: logging, timing, deterministic RNG helpers."""
+"""Cross-cutting utilities: timing and deterministic RNG helpers."""
 
 from repro.utils.rng import make_rng, spawn_rngs
 from repro.utils.timer import Stopwatch, time_call

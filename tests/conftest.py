@@ -1,7 +1,7 @@
 """Shared fixtures.
 
 Crypto tests run on the 32-bit toy group: the code path is identical to
-the paper's 256-bit setting (see DESIGN.md substitution notes) and the
+the paper's 256-bit setting (only the group size is substituted) and the
 suite stays fast.  A handful of tests exercise larger groups explicitly.
 
 The ``timeout_guard`` marker arms a SIGALRM watchdog around a test so

@@ -8,6 +8,7 @@ under pool-parallel production -- and (c) the IND-CPA game harness
 passes unchanged over the engine path.
 """
 
+import contextlib
 import random
 import threading
 
@@ -27,7 +28,7 @@ from repro.fe.feip import Feip
 from repro.fe.keys import key_fingerprint
 from repro.matrix import parallel
 from repro.matrix.secure_matrix import SecureMatrixScheme, matrix_bound_dot
-from repro.mathutils.group import GroupParams
+from repro.mathutils.group import GroupParams, SchnorrGroup
 from repro.security.indcpa import (
     EngineFeboAdapter,
     EngineFeipAdapter,
@@ -288,21 +289,52 @@ class TestPoolProduction:
             assert febo.decrypt(bpk, skf, ct, bound=100) == x + 10
 
 
-class TestBackgroundPrefill:
-    def test_async_prefill_fills_store(self, engine, feip_pair):
-        mpk, _ = feip_pair
-        engine.prefill_async(mpk, 8)
-        engine.drain_async()
-        assert engine.available_feip(mpk) == 8
-        cts = [engine.encrypt_feip(mpk, [1, 0, 0, 0]) for _ in range(8)]
-        assert engine.misses == 0
-        assert len({ct.ct0 for ct in cts}) == 8
+class TestPartlyBankedBulk:
+    """A bulk call the store covers only in part."""
 
-    def test_async_prefill_febo(self, engine, febo_pair):
-        bpk, _ = febo_pair
-        engine.prefill_async(bpk, 5)
-        engine.drain_async()
-        assert engine.available_febo(bpk) == 5
+    BANKED, TOTAL = 3, 7
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize("kind", ["feip", "febo"])
+    def test_remainder_is_one_fresh_batch(self, params, kind, workers):
+        if kind == "feip":
+            scheme, make = Feip(params, rng=random.Random(3)), make_feip_nonces
+            mpk, msk = scheme.setup(ETA)
+            items = [[i, -i, 2, 1] for i in range(self.TOTAL)]
+        else:
+            scheme, make = Febo(params, rng=random.Random(3)), make_febo_nonces
+            mpk, msk = scheme.setup()
+            items = list(range(-3, self.TOTAL - 3))
+        pool = parallel.SecureComputePool(workers=workers) if workers else None
+        with pool or contextlib.nullcontext():
+            engine = EncryptionEngine(params, rng=random.Random(21), pool=pool)
+            if kind == "feip":
+                engine.prefill_feip(mpk, self.BANKED)
+                cts = engine.encrypt_feip_columns(mpk, items)
+            else:
+                engine.prefill_febo(mpk, self.BANKED)
+                cts = engine.encrypt_febo_values(mpk, items)
+        assert engine.stats() == {"precomputed": self.BANKED,
+                                  "consumed": self.BANKED,
+                                  "misses": self.TOTAL - self.BANKED}
+        commitments = [ct.ct0 if kind == "feip" else ct.cmt for ct in cts]
+        assert len(set(commitments)) == self.TOTAL
+        if kind == "feip":
+            key = scheme.key_derive(msk, [1, 2, 3, 4])
+            assert [scheme.decrypt(mpk, ct, key, bound=1000) for ct in cts] \
+                == [sum(a * b for a, b in zip(x, [1, 2, 3, 4])) for x in items]
+        else:
+            assert [scheme.decrypt(mpk, scheme.key_derive(msk, ct.cmt, "+", 1),
+                                   ct, bound=100) for ct in cts] \
+                == [x + 1 for x in items]
+        if workers:
+            return
+        # same seed: the banked tuples, then the remainder as one batch
+        group = SchnorrGroup(params, rng=random.Random(21))
+        fresh = iter(make(group, mpk, self.BANKED)
+                     + make(group, mpk, self.TOTAL - self.BANKED))
+        assert cts == [scheme.encrypt(mpk, x, nonce=next(fresh))
+                       for x in items]
 
 
 class TestSchemeAndEntityIntegration:

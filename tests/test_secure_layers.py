@@ -83,21 +83,6 @@ class TestSecureLinearInput:
         secure.backward(np.ones((3, 2)))
         assert secure.counters.febo_decrypts == decrypts_after_first
 
-    def test_cache_disabled_repays_cost(self, np_rng):
-        authority = TrustedAuthority(
-            CryptoNNConfig(cache_reconstructed_features=False),
-            rng=random.Random(0),
-        )
-        client = Client(authority)
-        x = np_rng.uniform(-1, 1, size=(2, 2))
-        enc = client.encrypt_tabular(x, np.zeros(2, dtype=int), num_classes=2)
-        dense = Dense(2, 2, rng=np_rng)
-        secure = SecureLinearInput(dense, authority, authority.config)
-        for _ in range(2):
-            secure.forward(enc.samples, np.arange(2))
-            secure.backward(np.ones((2, 2)))
-        assert secure.counters.febo_decrypts == 2 * 4
-
     def test_weight_clipping_keeps_bound_valid(self, authority, client, np_rng):
         x = np_rng.uniform(-1, 1, size=(2, 2))
         enc = client.encrypt_tabular(x, np.zeros(2, dtype=int), num_classes=2)

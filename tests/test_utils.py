@@ -1,11 +1,9 @@
 """Tests for the utility modules."""
 
-import logging
 import time
 
 import pytest
 
-from repro.utils.logging import enable_console_logging, get_logger
 from repro.utils.rng import make_np_rng, make_rng, spawn_rngs
 from repro.utils.timer import Stopwatch, time_call
 
@@ -55,17 +53,3 @@ class TestRng:
         assert len(a) == 3
         assert [r.random() for r in a] == [r.random() for r in b]
         assert a[0].random() != a[1].random()
-
-
-class TestLogging:
-    def test_get_logger_namespaced(self):
-        logger = get_logger("fe")
-        assert logger.name == "repro.fe"
-        already = get_logger("repro.matrix")
-        assert already.name == "repro.matrix"
-
-    def test_enable_console_logging_idempotent(self):
-        enable_console_logging(logging.DEBUG)
-        handlers_before = len(logging.getLogger("repro").handlers)
-        enable_console_logging(logging.INFO)
-        assert len(logging.getLogger("repro").handlers) == handlers_before
