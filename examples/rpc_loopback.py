@@ -75,7 +75,7 @@ def parse_args(argv=None) -> argparse.Namespace:
         "--chunk-bytes", type=int, default=512,
         help="deliver each upload as resumable fingerprinted chunks of "
              "this size (a dropped client resumes at the last acked "
-             "chunk); 0 sends the legacy single-frame upload")
+             "chunk); 0 sends the whole shard as one chunk")
     return parser.parse_args(argv)
 
 

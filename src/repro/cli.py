@@ -4,10 +4,10 @@ Exposes the three-entity workflow as file-based commands so each role
 can be run from a separate shell (or machine, with the files shipped):
 
     python -m repro keygen    --out authority.json
-    python -m repro encrypt   --authority authority.json --out data.json
-    python -m repro train     --authority authority.json --data data.json \
+    python -m repro encrypt   --authority authority.json --out data.enc
+    python -m repro train     --authority authority.json --data data.enc \
                               --model-out model.npz
-    python -m repro evaluate  --authority authority.json --data data.json \
+    python -m repro evaluate  --authority authority.json --data data.enc \
                               --model model.npz
     python -m repro demo
     python -m repro info
@@ -57,17 +57,10 @@ from repro.core.entities import Client, TrustedAuthority
 from repro.data.preprocess import normalize_features, shared_feature_scale
 from repro.data.tabular import load_clinics, merge_shards
 from repro.mathutils.group import _PREDEFINED
-from repro.nn.model import Sequential
 from repro.nn.optimizers import SGD
-
-
-def _build_model(n_features: int, hidden: int, num_classes: int,
-                 seed: int) -> Sequential:
-    # the one model builder shared with the networked training server,
-    # so "same seed => same model" holds across every entry point
-    from repro.rpc.training_service import build_mlp
-
-    return build_mlp(n_features, hidden, num_classes, seed)
+# the one model builder shared with the networked training server, so
+# "same seed => same model" holds across every entry point
+from repro.rpc.training_service import build_mlp
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -118,8 +111,8 @@ def cmd_train(args: argparse.Namespace) -> int:
                              registry=GLOBAL_REGISTRY)
     authority = load_authority(args.authority, rng=random.Random(args.seed))
     dataset = load_encrypted_tabular(args.data)
-    model = _build_model(dataset.n_features, args.hidden,
-                         dataset.num_classes, args.seed)
+    model = build_mlp(dataset.n_features, args.hidden,
+                      dataset.num_classes, args.seed)
     trainer = CryptoNNTrainer(model, authority)
     history = trainer.fit(
         dataset, SGD(args.learning_rate), epochs=args.epochs,
@@ -150,8 +143,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     authority = load_authority(args.authority, rng=random.Random(args.seed))
     dataset = load_encrypted_tabular(args.data)
-    model = _build_model(dataset.n_features, args.hidden,
-                         dataset.num_classes, args.seed)
+    model = build_mlp(dataset.n_features, args.hidden,
+                      dataset.num_classes, args.seed)
     load_model_weights(model, args.model)
     trainer = CryptoNNTrainer(model, authority)
     print(f"accuracy over encrypted data: {trainer.evaluate(dataset):.2%}")
@@ -264,10 +257,9 @@ def cmd_client_upload(args: argparse.Namespace) -> int:
     )
     print(f"{name}: uploaded {result['n_samples']} encrypted samples "
           f"({result['upload_bytes']:,} bytes); server ack {result['ack']}")
-    if "chunks" in result:
-        chunks = result["chunks"]
-        print(f"  chunked upload: {chunks['sent']}/{chunks['count']} "
-              f"chunks sent (resumed from chunk {chunks['resumed_from']})")
+    chunks = result["chunks"]
+    print(f"  chunked upload: {chunks['sent']}/{chunks['count']} "
+          f"chunks sent (resumed from chunk {chunks['resumed_from']})")
     retry = result["retry"]
     if retry.get("retries") or retry.get("reconnects"):
         print(f"  transport weather: {retry['retries']} retries, "
@@ -493,7 +485,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
                          n_features=6, seed=0)[0]
     x = normalize_features(shard.x, shared_feature_scale([shard.x]))
     dataset = Client(authority).encrypt_tabular(x, shard.y, num_classes=2)
-    model = _build_model(6, 8, 2, seed=0)
+    model = build_mlp(6, 8, 2, seed=0)
     trainer = CryptoNNTrainer(model, authority)
     trainer.fit(dataset, SGD(0.5), epochs=3, batch_size=20,
                 rng=np.random.default_rng(1))
@@ -600,8 +592,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep serving predictions after training")
     p.add_argument("--checkpoint",
                    help="durable job state: trainer checkpoint (.npz) "
-                        "plus a .dataset.json sidecar with the merged "
-                        "encrypted uploads; no key material in either")
+                        "plus a <checkpoint>.dataset sidecar holding the "
+                        "merged encrypted uploads in the encrypt --out "
+                        "file format; no key material in either")
     p.add_argument("--checkpoint-every", type=int,
                    help="write a trainer checkpoint every N batches")
     p.add_argument("--resume", action="store_true",
@@ -655,11 +648,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="total tries per request (default 4) under the "
                         "jittered exponential-backoff retry policy")
     p.add_argument("--chunk-bytes", type=int,
-                   help="resumable chunked upload: split the encrypted "
-                        "shard into chunks of this many bytes with "
-                        "per-chunk acks, so a dropped connection "
-                        "resumes at the last acked chunk; omit for the "
-                        "single-frame upload")
+                   help="split the encrypted shard into resumable "
+                        "chunks of this many bytes with per-chunk acks, "
+                        "so a dropped connection resumes at the last "
+                        "acked chunk; omit to send one chunk holding "
+                        "the whole shard")
     p.set_defaults(func=cmd_client_upload)
 
     p = sub.add_parser(

@@ -1,10 +1,11 @@
 """Persistence for models, encrypted datasets and full trainer state.
 
 Clients encrypt once and may ship the ciphertexts to the server through
-any channel -- including disk.  This module round-trips the encrypted
-containers (JSON, via :mod:`repro.core.serialization`), bare model
-weights (``.npz``), and -- for exact resume -- the complete trainer
-state as a :class:`TrainerCheckpoint`.
+any channel -- including disk.  This module round-trips encrypted
+tabular datasets (a JSON header line plus the binary body of the shard
+codec in :mod:`repro.core.serialization`, the same bytes an upload
+sends), bare model weights (``.npz``), and -- for exact resume -- the
+complete trainer state as a :class:`TrainerCheckpoint`.
 
 A trainer checkpoint is a single ``.npz`` archive holding the model
 parameters, the optimizer's ``state_dict()`` (velocity / Adam moments /
@@ -33,11 +34,7 @@ import numpy as np
 
 from repro.core import serialization as ser
 from repro.core.config import CryptoNNConfig
-from repro.core.encdata import (
-    EncryptedLabel,
-    EncryptedSample,
-    EncryptedTabularDataset,
-)
+from repro.core.encdata import EncryptedTabularDataset
 from repro.core.entities import TrustedAuthority
 from repro.fe.keys import FeboMasterKey, FeboPublicKey, FeipMasterKey, FeipPublicKey
 from repro.nn.model import Sequential, TrainingHistory
@@ -128,72 +125,42 @@ def load_model_weights(model: Sequential, path: str | pathlib.Path) -> None:
 
 # -- encrypted tabular datasets ------------------------------------------------
 
-def _sample_to_dict(sample: EncryptedSample) -> dict:
-    return {
-        "ip": ser.feip_ciphertext_to_dict(sample.features_ip),
-        "bo": [ser.febo_ciphertext_to_dict(c) for c in sample.features_bo],
-    }
-
-
-def _sample_from_dict(data: dict) -> EncryptedSample:
-    return EncryptedSample(
-        features_ip=ser.feip_ciphertext_from_dict(data["ip"]),
-        features_bo=tuple(ser.febo_ciphertext_from_dict(c)
-                          for c in data["bo"]),
-    )
-
-
-def _label_to_dict(label: EncryptedLabel) -> dict:
-    return {
-        "ip": ser.feip_ciphertext_to_dict(label.onehot_ip),
-        "bo": [ser.febo_ciphertext_to_dict(c) for c in label.onehot_bo],
-    }
-
-
-def _label_from_dict(data: dict) -> EncryptedLabel:
-    return EncryptedLabel(
-        onehot_ip=ser.feip_ciphertext_from_dict(data["ip"]),
-        onehot_bo=tuple(ser.febo_ciphertext_from_dict(c)
-                        for c in data["bo"]),
-    )
+ENCRYPTED_TABULAR_FORMAT = "repro.encrypted-tabular.v2"
 
 
 def save_encrypted_tabular(dataset: EncryptedTabularDataset,
                            path: str | pathlib.Path) -> None:
-    """Serialize an encrypted tabular dataset to a JSON file.
+    """Write an encrypted tabular dataset to a file.
 
-    ``eval_labels`` (the harness-only ground truth) is included when
-    present; a real client shipping data to an untrusted server would
-    strip it first.
+    The file is one JSON header line (format tag, group parameters and
+    the shard codec's meta) followed by the packed ciphertext body: the
+    same bytes an RPC upload sends.  ``eval_labels`` (the harness-only
+    ground truth) is included when present; a real client shipping data
+    to an untrusted server would strip it first.
     """
-    payload = {
-        "format": "repro.encrypted-tabular.v1",
-        "num_classes": dataset.num_classes,
-        "n_features": dataset.n_features,
-        "scale": dataset.scale,
-        "samples": [_sample_to_dict(s) for s in dataset.samples],
-        "labels": [_label_to_dict(l) for l in dataset.labels],
-        "eval_labels": (dataset.eval_labels.tolist()
-                        if dataset.eval_labels is not None else None),
-    }
-    _atomic_write_bytes(path, json.dumps(payload).encode("utf-8"))
+    if dataset.params is None:
+        raise ValueError("dataset does not record its group parameters")
+    meta, body = ser.pack_encrypted_tabular(dataset, dataset.params)
+    header = {"format": ENCRYPTED_TABULAR_FORMAT,
+              "group": ser.group_params_to_dict(dataset.params),
+              "meta": meta}
+    _atomic_write_bytes(
+        path, json.dumps(header).encode("utf-8") + b"\n" + body)
 
 
 def load_encrypted_tabular(path: str | pathlib.Path) -> EncryptedTabularDataset:
-    """Inverse of :func:`save_encrypted_tabular`."""
-    payload = json.loads(pathlib.Path(path).read_text())
-    if payload.get("format") != "repro.encrypted-tabular.v1":
-        raise ValueError(f"not an encrypted-tabular checkpoint: {path}")
-    eval_labels = payload["eval_labels"]
-    return EncryptedTabularDataset(
-        samples=[_sample_from_dict(s) for s in payload["samples"]],
-        labels=[_label_from_dict(l) for l in payload["labels"]],
-        num_classes=int(payload["num_classes"]),
-        n_features=int(payload["n_features"]),
-        scale=int(payload["scale"]),
-        eval_labels=(np.asarray(eval_labels, dtype=np.int64)
-                     if eval_labels is not None else None),
-    )
+    """Inverse of :func:`save_encrypted_tabular`.
+
+    Runs the same validating unpack as an upload, so a tampered file
+    fails with ``ValueError`` instead of reaching the trainer.
+    """
+    head, _, body = pathlib.Path(path).read_bytes().partition(b"\n")
+    header = json.loads(head)
+    if not isinstance(header, dict) \
+            or header.get("format") != ENCRYPTED_TABULAR_FORMAT:
+        raise ValueError(f"not an encrypted-tabular file: {path}")
+    return ser.unpack_encrypted_tabular(
+        header["meta"], body, ser.group_params_from_dict(header["group"]))
 
 
 # -- authority state -------------------------------------------------------------

@@ -69,15 +69,6 @@ class CryptoNNConfig:
         ) + 1
         return pow2_round_up(raw)
 
-    def product_bound(self) -> int:
-        """Dlog bound for feature x delta FEBO products."""
-        # deltas are gradient entries; they are far below max_abs_weight in
-        # practice, so the weight cap is a safe envelope.
-        raw = int(
-            self.max_abs_feature * self.scale * self.max_abs_weight * self.scale
-        ) + 1
-        return pow2_round_up(raw)
-
     def label_sub_bound(self) -> int:
         """Dlog bound for (encrypted label) - (probability) subtraction."""
         return pow2_round_up(2 * self.scale + 1)

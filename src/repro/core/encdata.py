@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.fe.keys import FeboCiphertext, FeipCiphertext
+from repro.mathutils.group import GroupParams
 from repro.matrix.secure_conv import EncryptedWindows
 
 
@@ -75,6 +76,9 @@ class EncryptedTabularDataset:
     scale: int
     #: ground truth for harness-side evaluation only (never used to train)
     eval_labels: np.ndarray | None = None
+    #: the group the ciphertexts live in, which fixes their packed width;
+    #: set by the encrypting client and by the shard codec
+    params: GroupParams | None = None
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -108,9 +112,11 @@ def merge_encrypted_tabular(parts: list[EncryptedTabularDataset]
         raise ValueError("cannot merge zero encrypted shards")
     first = parts[0]
     for p in parts[1:]:
-        if (p.n_features, p.num_classes, p.scale) != \
-                (first.n_features, first.num_classes, first.scale):
-            raise ValueError("encrypted shards disagree on shape or scale")
+        if (p.n_features, p.num_classes, p.scale, p.params) != \
+                (first.n_features, first.num_classes, first.scale,
+                 first.params):
+            raise ValueError(
+                "encrypted shards disagree on shape, scale or group")
     eval_labels = None
     if all(p.eval_labels is not None for p in parts):
         eval_labels = np.concatenate([p.eval_labels for p in parts])
@@ -121,6 +127,7 @@ def merge_encrypted_tabular(parts: list[EncryptedTabularDataset]
         n_features=first.n_features,
         scale=first.scale,
         eval_labels=eval_labels,
+        params=first.params,
     )
 
 
@@ -138,14 +145,6 @@ def shuffled_order(n: int, rng: np.random.Generator | None = None,
             rng = np.random.default_rng()
         rng.shuffle(order)
     return order
-
-
-def batch_indices(n: int, batch_size: int,
-                  rng: np.random.Generator | None = None,
-                  shuffle: bool = True) -> list[np.ndarray]:
-    """Index batches over an encrypted dataset (server picks the order)."""
-    order = shuffled_order(n, rng, shuffle)
-    return [order[s:s + batch_size] for s in range(0, n, batch_size)]
 
 
 @dataclass

@@ -319,7 +319,7 @@ class Client:
             samples=samples, labels=enc_labels, num_classes=num_classes,
             n_features=f, scale=self.config.scale,
             # wire-label space so harness accuracy matches server outputs
-            eval_labels=mapped,
+            eval_labels=mapped, params=self.authority.params,
         )
 
     # -- image data ------------------------------------------------------------

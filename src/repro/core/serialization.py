@@ -2,17 +2,24 @@
 
 Three purposes:
 
-* ciphertexts and group parameters as JSON-able dicts, for checkpoints
-  and the public-params handshake header;
+* group parameters as a JSON-able dict, for the public-params handshake
+  header and the encrypted-dataset file header;
 * **byte-accurate traffic accounting** for the communication-overhead
   experiment (paper Section IV-B2): group elements are serialized as
   fixed-width big-endian integers sized by the group modulus, exponents by
   the subgroup order, so message sizes match what a real deployment would
   send;
-* **binary packing** for the networked runtime (:mod:`repro.rpc`): the
-  ``pack_* / unpack_*`` codecs produce exactly the bytes the wire-size
-  functions account for, so per-connection traffic logs and the Section
-  IV-B2 formula agree with what actually crosses the socket.
+* **binary packing** for the networked runtime (:mod:`repro.rpc`) and the
+  dataset files of :mod:`repro.core.checkpoint`: the ``pack_* /
+  unpack_*`` codecs produce exactly the bytes the wire-size functions
+  account for, so per-connection traffic logs and the Section IV-B2
+  formula agree with what actually crosses the socket.
+
+An encrypted shard has one encoding, :func:`pack_encrypted_tabular`: a
+JSON-able meta dict plus the packed ciphertext body.  The RPC upload
+sends the body in ``encrypted-data`` chunks and a dataset file stores
+it behind a JSON header; both read it back through the validating
+:func:`unpack_encrypted_tabular`.
 
 Batched key-request/response *envelopes* coalesce the per-iteration
 k x n x |w| key requests into one framed message: the 8-byte count/eta
@@ -22,8 +29,16 @@ payload.  :mod:`repro.rpc.messages` composes the two.
 
 from __future__ import annotations
 
+import numbers
 from typing import Any, Sequence
 
+import numpy as np
+
+from repro.core.encdata import (
+    EncryptedLabel,
+    EncryptedSample,
+    EncryptedTabularDataset,
+)
 from repro.fe.keys import (
     FeboCiphertext,
     FeboFunctionKey,
@@ -72,25 +87,6 @@ def element_size_bytes(params: GroupParams) -> int:
 def exponent_size_bytes(params: GroupParams) -> int:
     """Bytes needed for one exponent (member of Z_q)."""
     return (params.q.bit_length() + 7) // 8
-
-
-# -- structural (de)serialization ------------------------------------------------
-
-def feip_ciphertext_to_dict(ct: FeipCiphertext) -> dict[str, Any]:
-    return {"ct0": ct.ct0, "ct": list(ct.ct)}
-
-
-def feip_ciphertext_from_dict(data: dict[str, Any]) -> FeipCiphertext:
-    return FeipCiphertext(ct0=int(data["ct0"]),
-                          ct=tuple(int(v) for v in data["ct"]))
-
-
-def febo_ciphertext_to_dict(ct: FeboCiphertext) -> dict[str, Any]:
-    return {"cmt": ct.cmt, "ct": ct.ct}
-
-
-def febo_ciphertext_from_dict(data: dict[str, Any]) -> FeboCiphertext:
-    return FeboCiphertext(cmt=int(data["cmt"]), ct=int(data["ct"]))
 
 
 # -- wire-size accounting -------------------------------------------------------
@@ -284,6 +280,102 @@ def unpack_febo_ciphertext(data: bytes, params: GroupParams, *,
         for element in elements:
             validate_subgroup_element(element, params)
     return FeboCiphertext(cmt=elements[0], ct=elements[1])
+
+
+# -- encrypted tabular shards ---------------------------------------------------
+
+def pack_encrypted_tabular(dataset: EncryptedTabularDataset,
+                           params: GroupParams
+                           ) -> tuple[dict[str, Any], bytes]:
+    """One shard as ``(meta, body)``.
+
+    The body packs every sample then every label, each as its FEIP
+    vector ciphertext followed by its FEBO element ciphertexts, so its
+    length equals :func:`encrypted_tabular_wire_size`.  ``eval_labels``
+    (harness-only ground truth) rides in the meta; a real deployment
+    would strip it.
+    """
+    def vector(ip: FeipCiphertext, bo: Sequence[FeboCiphertext]) -> bytes:
+        return pack_feip_ciphertext(ip, params) + b"".join(
+            pack_febo_ciphertext(c, params) for c in bo)
+
+    meta = {
+        "n": len(dataset), "n_features": int(dataset.n_features),
+        "num_classes": int(dataset.num_classes), "scale": int(dataset.scale),
+        "eval_labels": (dataset.eval_labels.tolist()
+                        if dataset.eval_labels is not None else None),
+    }
+    body = b"".join(
+        [vector(s.features_ip, s.features_bo) for s in dataset.samples]
+        + [vector(l.onehot_ip, l.onehot_bo) for l in dataset.labels])
+    return meta, body
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def unpack_encrypted_tabular(meta: dict[str, Any], body: bytes,
+                             params: GroupParams) -> EncryptedTabularDataset:
+    """Inverse of :func:`pack_encrypted_tabular`, for untrusted input.
+
+    The shape is checked before any size arithmetic, so a hostile meta
+    fails with a clear reason instead of an overflow or a giant
+    allocation.  Merging shards concatenates their ``eval_labels``, so a
+    wrong length would shift one shard's labels onto another's samples.
+    Every element of the body is checked for range and subgroup
+    membership (a cheap Jacobi test), so garbage ciphertexts are
+    rejected here instead of poisoning the training loop.
+
+    Raises:
+        ValueError: on any of those checks.
+    """
+    shape = [meta.get(key) for key in ("n", "n_features", "num_classes",
+                                       "scale")]
+    if not all(_is_int(v) for v in shape) or shape[0] < 0 \
+            or min(shape[1:]) < 1:
+        raise ValueError(
+            "implausible shard shape: n={} features={} classes={} "
+            "scale={}".format(*shape))
+    n, n_features, num_classes, scale = (int(v) for v in shape)
+    eval_labels = meta.get("eval_labels")
+    if eval_labels is not None:
+        if not isinstance(eval_labels, list) or len(eval_labels) != n \
+                or not all(_is_int(v) and 0 <= v < num_classes
+                           for v in eval_labels):
+            raise ValueError(
+                f"eval_labels must be {n} class indices in "
+                f"[0, {num_classes})")
+        eval_labels = np.asarray(eval_labels, dtype=np.int64)
+    expected = encrypted_tabular_wire_size(n, n_features, num_classes,
+                                           params)
+    if len(body) != expected:
+        raise ValueError(
+            f"encrypted shard body holds {len(body)} bytes, "
+            f"expected {expected}")
+    elem = element_size_bytes(params)
+    febo = febo_ciphertext_wire_size(params)
+
+    def vector(offset: int, length: int):
+        start = offset + (1 + length) * elem
+        return (unpack_feip_ciphertext(body[offset:start], params,
+                                       validate=True),
+                tuple(unpack_febo_ciphertext(body[i:i + febo], params,
+                                             validate=True)
+                      for i in range(start, start + length * febo, febo)))
+
+    sample_size = encrypted_sample_wire_size(n_features, params)
+    label_size = encrypted_label_wire_size(num_classes, params)
+    labels_at = n * sample_size
+    return EncryptedTabularDataset(
+        samples=[EncryptedSample(*vector(i * sample_size, n_features))
+                 for i in range(n)],
+        labels=[EncryptedLabel(*vector(labels_at + i * label_size,
+                                       num_classes))
+                for i in range(n)],
+        num_classes=num_classes, n_features=n_features, scale=scale,
+        eval_labels=eval_labels, params=params,
+    )
 
 
 # -- key requests / responses ----------------------------------------------------

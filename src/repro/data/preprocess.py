@@ -77,11 +77,6 @@ class LabelMapper:
         mapped = np.asarray(mapped, dtype=np.int64)
         return self._inverse[mapped]
 
-    def unmap_probabilities(self, probabilities: np.ndarray) -> np.ndarray:
-        """Reorder an (N, num_classes) probability matrix back to logical
-        class order (used when the client interprets predictions)."""
-        return probabilities[:, self._forward]
-
     @property
     def permutation(self) -> np.ndarray:
         return self._forward.copy()

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.mathutils.modarith import int_to_signed, signed_to_int
-
 #: Scale matching the paper's "two decimal places".
 PAPER_SCALE = 100
 
@@ -72,20 +70,3 @@ class FixedPointCodec:
         divisor = float(self.scale ** power)
         flat = [int(v) / divisor for v in np.asarray(values, dtype=object).ravel()]
         return np.array(flat, dtype=np.float64).reshape(np.shape(values))
-
-    # -- residue mapping ----------------------------------------------------------
-    def to_residue(self, value: float, modulus: int) -> int:
-        """Encode and map into Z_modulus (balanced representation)."""
-        return signed_to_int(self.encode(value), modulus)
-
-    def from_residue(self, residue: int, modulus: int, power: int = 1) -> float:
-        """Map a residue back to a signed integer and decode it."""
-        return self.decode(int_to_signed(residue, modulus), power=power)
-
-    # -- bound bookkeeping ----------------------------------------------------------
-    def bound_for(self, max_abs_value: float, power: int = 1) -> int:
-        """Smallest dlog search bound covering ``|value| <= max_abs_value``.
-
-        ``power`` follows the same convention as :meth:`decode`.
-        """
-        return int(abs(max_abs_value) * (self.scale ** power)) + 1

@@ -75,11 +75,6 @@ def jacobi_symbol(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def mod_sub(a: int, b: int, m: int) -> int:
-    """Return ``(a - b) mod m`` with a non-negative result."""
-    return (a - b) % m
-
-
 def int_to_signed(value: int, modulus: int) -> int:
     """Map a residue in ``[0, modulus)`` to the signed window.
 

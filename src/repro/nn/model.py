@@ -26,15 +26,6 @@ class TrainingHistory:
     epoch_loss: list[float] = field(default_factory=list)
     epoch_accuracy: list[float] = field(default_factory=list)
 
-    def averaged_batch_accuracy(self, window: int) -> list[float]:
-        """Mean batch accuracy per consecutive window (paper Fig. 6 plots
-        windows of 50 batches)."""
-        series = self.batch_accuracy
-        return [
-            float(np.mean(series[i:i + window]))
-            for i in range(0, len(series), window)
-        ]
-
     def to_dict(self) -> dict[str, list[float]]:
         """Copy of all series (floats round-trip exactly through JSON)."""
         return {

@@ -16,7 +16,8 @@ bytes between actual processes:
   :class:`~repro.core.cryptonn.CryptoNNTrainer` over the wire;
 * :mod:`repro.rpc.client` -- sync endpoint facade and the
   :class:`RemoteAuthority` drop-in for trainers and clients;
-* :mod:`repro.rpc.client_agent` -- encrypt-and-upload for data owners;
+* :mod:`repro.rpc.client_agent` -- encrypt-and-upload for data owners
+  (every upload is resumable, fingerprinted ``encrypted-data`` chunks);
 * :mod:`repro.rpc.runtime` -- service-hosting helpers for tests,
   examples and the CLI.
 

@@ -5,8 +5,10 @@ A data owner's whole interaction with the networked runtime:
 1. handshake with the authority key service (public params + keys),
 2. encrypt its shard locally with :class:`~repro.core.entities.Client`
    (plaintext never leaves the process),
-3. ship the encrypted dataset to the training server in one
-   ``encrypted-data`` frame and wait for the acknowledgement.
+3. ship the encrypted dataset to the training server as fingerprinted
+   ``encrypted-data`` chunks (one chunk unless ``chunk_bytes`` is
+   given), each acknowledged, resuming past whatever the server already
+   holds.
 """
 
 from __future__ import annotations
@@ -16,13 +18,13 @@ import random
 import numpy as np
 
 from repro.core import protocol
+from repro.core import serialization as ser
 from repro.core.entities import Client
 from repro.data.preprocess import LabelMapper
+from repro.mathutils.group import GroupParams
 from repro.rpc.client import RemoteAuthority, RpcEndpoint
 from repro.rpc.messages import (
-    KIND_SHARD_CHUNK,
     Ack,
-    EncryptedDataUpload,
     ShardChunk,
     ShardResumeQuery,
     TrainCheckpointRequest,
@@ -32,26 +34,28 @@ from repro.rpc.messages import (
 from repro.rpc.retry import DEFAULT_POLICY, RetryPolicy, merge_stats
 
 
-def plan_shard_chunks(dataset, name: str, ctx, chunk_bytes: int,
+def plan_shard_chunks(dataset, params: GroupParams,
+                      chunk_bytes: int | None = None,
                       stats: dict | None = None
                       ) -> tuple[dict, str, list[bytes]]:
     """Split one encrypted shard into a resumable chunk plan.
 
-    Serializes the upload exactly as the single-frame path would (same
-    header, same body bytes), fingerprints it, and slices the body into
-    ``chunk_bytes``-sized pieces.  The returned ``(meta, fingerprint,
-    chunks)`` triple is everything :func:`upload_planned_chunks` needs;
-    keeping the plan lets a test (or a crashed-and-restarted client)
-    resume the very same upload instead of re-encrypting.
+    Packs the shard with the shard codec, adds the client's engine
+    ``stats`` to its meta, fingerprints meta and body, and slices the
+    body into ``chunk_bytes``-sized pieces (``None``: one chunk holding
+    the whole body).  The returned ``(meta, fingerprint, chunks)``
+    triple is everything :func:`upload_planned_chunks` needs; keeping
+    the plan lets a test (or a crashed-and-restarted client) resume the
+    very same upload instead of re-encrypting.
     """
-    if chunk_bytes < 1:
+    if chunk_bytes is not None and chunk_bytes < 1:
         raise ValueError("chunk_bytes must be >= 1")
-    msg = EncryptedDataUpload(dataset=dataset, client_name=name, stats=stats)
-    meta = msg.header()
-    body = msg.body(ctx)
+    meta, body = ser.pack_encrypted_tabular(dataset, params)
+    if stats:
+        meta["stats"] = stats
     fingerprint = shard_fingerprint(meta, body)
-    chunks = [body[i:i + chunk_bytes]
-              for i in range(0, len(body), chunk_bytes)] or [b""]
+    step = chunk_bytes or len(body) or 1
+    chunks = [body[i:i + step] for i in range(0, len(body), step)] or [b""]
     return meta, fingerprint, chunks
 
 
@@ -123,11 +127,10 @@ def upload_shard(authority_address: tuple[str, int],
     Re-uploading after a transport failure is safe -- the server keys
     shards by client name, so a resent upload overwrites, not appends.
 
-    ``chunk_bytes`` switches the delivery to the resumable chunked
-    protocol: the serialized upload body is split into fingerprinted
-    chunks with per-chunk acks, and a dropped connection resumes at the
-    last acked chunk instead of re-sending the whole shard.  ``None``
-    keeps the legacy single-frame upload.
+    The shard travels as fingerprinted ``encrypted-data`` chunks of
+    ``chunk_bytes`` bytes (``None``: one chunk), each acknowledged, so a
+    dropped connection resumes at the last acked chunk instead of
+    re-sending the whole shard.
 
     Returns a summary with the server's acknowledgement, the byte count
     that crossed each connection, and the merged fault/retry counters
@@ -143,34 +146,21 @@ def upload_shard(authority_address: tuple[str, int],
         # the engine's hit/miss counters ride along with the upload so
         # the training server's metrics scrape covers the encrypt side
         engine_stats = client.engine.stats()
+        meta, fingerprint, chunks = plan_shard_chunks(
+            dataset, authority.params, chunk_bytes, stats=engine_stats)
         with RpcEndpoint(*server_address, name=name, peer=protocol.SERVER,
                          timeout=timeout, policy=policy) as server:
-            chunked = None
-            if chunk_bytes is not None:
-                meta, fingerprint, chunks = plan_shard_chunks(
-                    dataset, name, authority.wire_ctx, chunk_bytes,
-                    stats=engine_stats)
-                chunked = upload_planned_chunks(
-                    server, name=name, meta=meta, fingerprint=fingerprint,
-                    chunks=chunks)
-                ack = Ack(info=chunked["ack"])
-                upload_bytes = server.traffic.total_bytes(
-                    sender=name, kind=KIND_SHARD_CHUNK)
-            else:
-                ack = server.request(
-                    EncryptedDataUpload(dataset=dataset, client_name=name,
-                                        stats=engine_stats),
-                    authority.wire_ctx)
-                if not isinstance(ack, Ack):
-                    raise TypeError(f"expected an ack, got {ack.kind!r}")
-                upload_bytes = server.traffic.total_bytes(
-                    sender=name, kind=protocol.KIND_ENCRYPTED_DATA)
+            chunked = upload_planned_chunks(
+                server, name=name, meta=meta, fingerprint=fingerprint,
+                chunks=chunks)
+            upload_bytes = server.traffic.total_bytes(
+                sender=name, kind=protocol.KIND_ENCRYPTED_DATA)
             retry_report = merge_stats(authority.endpoint.stats.snapshot(),
                                        server.stats.snapshot())
-        summary = {
+        return {
             "name": name,
             "n_samples": len(dataset),
-            "ack": ack.info,
+            "ack": chunked["ack"],
             "upload_bytes": upload_bytes,
             # only what actually crossed the authority socket --
             # Client.encrypt_tabular also logs the logical
@@ -178,12 +168,10 @@ def upload_shard(authority_address: tuple[str, int],
             # belongs to the server connection, not this one
             "authority_bytes": authority.traffic.total_bytes(
                 sender=name, receiver=protocol.AUTHORITY),
+            "chunks": {key: chunked[key] for key in
+                       ("count", "sent", "resumed_from")},
             "retry": retry_report,
         }
-        if chunked is not None:
-            summary["chunks"] = {key: chunked[key] for key in
-                                 ("count", "sent", "resumed_from")}
-        return summary
 
 
 def request_checkpoint(server_address: tuple[str, int], *,

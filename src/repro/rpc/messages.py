@@ -8,15 +8,18 @@ onto one of the small control kinds the services add (``ack``,
 
 A message serializes to a JSON *header* (kind + counts + metadata) and a
 binary *body* packed by :mod:`repro.core.serialization`, so the body
-length of every key/data message equals the wire-size formulas used for
-traffic accounting -- what the :class:`~repro.core.protocol.TrafficLog`
-records is what crossed the socket.
+length of every key message, and the summed chunk bodies of an upload,
+equal the wire-size formulas used for traffic accounting -- what the
+:class:`~repro.core.protocol.TrafficLog` records is what crossed the
+socket.
 
 Most messages declare their header once, as :func:`wire` fields, and
 share one generic codec (:class:`_Message`); the four key messages add
-one body codec (:class:`_KeyMessage`).  Only the public-params response
-and the encrypted-data upload, whose headers are derived from their
-bodies, write their own.
+one body codec (:class:`_KeyMessage`).  Only the public-params
+response, whose header is derived from its body, writes its own.  An
+encrypted-data upload is a run of :class:`ShardChunk` frames; the shard
+codec itself lives in :mod:`repro.core.serialization`, shared with the
+dataset files.
 """
 
 from __future__ import annotations
@@ -32,11 +35,6 @@ import numpy as np
 from repro.core import protocol
 from repro.core import serialization as ser
 from repro.core.config import CryptoNNConfig
-from repro.core.encdata import (
-    EncryptedLabel,
-    EncryptedSample,
-    EncryptedTabularDataset,
-)
 from repro.fe.keys import (
     FeboFunctionKey,
     FeboPublicKey,
@@ -47,7 +45,6 @@ from repro.mathutils.group import GroupParams
 
 # Control kinds (not part of the paper's protocol accounting).
 KIND_PUBLIC_PARAMS_RESPONSE = "public-params-response"
-KIND_SHARD_CHUNK = "shard-chunk"
 KIND_SHARD_RESUME = "shard-resume"
 KIND_ACK = "ack"
 KIND_ERROR = "error"
@@ -199,6 +196,15 @@ def _engine_stats(value) -> dict[str, int]:
     if unknown:
         raise ValueError(f"unknown engine counters {sorted(unknown)}")
     return stats
+
+
+def _upload_meta(value) -> dict[str, Any]:
+    """The shard codec's meta plus the optional engine ``stats``; the
+    codec checks its own fields when the assembled shard is unpacked."""
+    meta = _dict(value)
+    if meta.get("stats") is not None:
+        meta["stats"] = _engine_stats(meta["stats"])
+    return meta
 
 
 def _coerce(kind, key: str, coerce: Callable[[Any], Any], value):
@@ -454,129 +460,7 @@ class FeboKeyResponse(_KeyMessage):
     CODEC: ClassVar[tuple] = (ser.pack_febo_keys, ser.unpack_febo_keys)
 
 
-# -- encrypted data upload -------------------------------------------------------
-
-@_register(protocol.KIND_ENCRYPTED_DATA)
-@dataclasses.dataclass
-class EncryptedDataUpload:
-    """A client's one-time encrypted shard (client -> training server).
-
-    The body packs every sample then every label with the fixed-width
-    element codecs, so its length equals
-    :func:`repro.core.serialization.encrypted_tabular_wire_size`.
-    ``eval_labels`` (harness-only ground truth) rides in the header; a
-    real deployment would strip it.
-    """
-
-    dataset: EncryptedTabularDataset
-    client_name: str = protocol.CLIENT
-    #: optional client-side encryption-engine counters (precomputed /
-    #: consumed / misses); the training server folds them into its
-    #: metrics registry so the ops surface covers the encrypt side too
-    stats: dict[str, int] | None = None
-
-    def header(self) -> dict[str, Any]:
-        d = self.dataset
-        header = {
-            "n": len(d), "n_features": d.n_features,
-            "num_classes": d.num_classes, "scale": d.scale,
-            "from": self.client_name,
-            "eval_labels": (d.eval_labels.tolist()
-                            if d.eval_labels is not None else None),
-        }
-        if self.stats:
-            header["stats"] = _coerce(self.kind, "stats", _engine_stats,
-                                      self.stats)
-        return header
-
-    def body(self, ctx: WireContext | None = None) -> bytes:
-        params = _require_ctx(ctx).params
-        parts = []
-        for sample in self.dataset.samples:
-            parts.append(ser.pack_feip_ciphertext(sample.features_ip, params))
-            parts.extend(ser.pack_febo_ciphertext(c, params)
-                         for c in sample.features_bo)
-        for label in self.dataset.labels:
-            parts.append(ser.pack_feip_ciphertext(label.onehot_ip, params))
-            parts.extend(ser.pack_febo_ciphertext(c, params)
-                         for c in label.onehot_bo)
-        return b"".join(parts)
-
-    @classmethod
-    def from_wire(cls, header, body, ctx):
-        params = _require_ctx(ctx).params
-        n = int(header["n"])
-        n_features = int(header["n_features"])
-        num_classes = int(header["num_classes"])
-        scale = int(header["scale"])
-        # shape sanity BEFORE any size arithmetic: a hostile header must
-        # fail with a clear reason, not an overflow or a giant allocation
-        if n < 0 or n_features < 1 or num_classes < 1 or scale < 1:
-            raise MessageError(
-                f"implausible upload shape: n={n} features={n_features} "
-                f"classes={num_classes} scale={scale}")
-        # merging shards concatenates their eval labels, so a wrong
-        # length shifts one shard's labels onto another's samples
-        eval_labels = header.get("eval_labels")
-        if eval_labels is not None:
-            eval_labels = _coerce(cls.kind, "eval_labels", _uints,
-                                  eval_labels)
-            if len(eval_labels) != n or any(
-                    v >= num_classes for v in eval_labels):
-                raise MessageError(
-                    f"eval_labels must be {n} class indices in "
-                    f"[0, {num_classes})")
-            eval_labels = np.asarray(eval_labels, dtype=np.int64)
-        stats = header.get("stats") or None
-        if stats is not None:
-            stats = _coerce(cls.kind, "stats", _engine_stats, stats)
-        elem = ser.element_size_bytes(params)
-        febo_size = ser.febo_ciphertext_wire_size(params)
-        expected = ser.encrypted_tabular_wire_size(
-            n, n_features, num_classes, params)
-        if len(body) != expected:
-            raise MessageError(
-                f"encrypted-data body holds {len(body)} bytes, "
-                f"expected {expected}")
-        offset = 0
-
-        def take(size: int) -> bytes:
-            nonlocal offset
-            chunk = body[offset:offset + size]
-            offset += size
-            return chunk
-
-        # validate=True: every element of an untrusted upload is checked
-        # for subgroup membership (cheap Jacobi test) so garbage
-        # ciphertexts are rejected at the decode boundary instead of
-        # poisoning the training loop
-        samples = []
-        for _ in range(n):
-            ip = ser.unpack_feip_ciphertext(
-                take((1 + n_features) * elem), params, validate=True)
-            bo = tuple(ser.unpack_febo_ciphertext(take(febo_size), params,
-                                                  validate=True)
-                       for _ in range(n_features))
-            samples.append(EncryptedSample(features_ip=ip, features_bo=bo))
-        labels = []
-        for _ in range(n):
-            ip = ser.unpack_feip_ciphertext(
-                take((1 + num_classes) * elem), params, validate=True)
-            bo = tuple(ser.unpack_febo_ciphertext(take(febo_size), params,
-                                                  validate=True)
-                       for _ in range(num_classes))
-            labels.append(EncryptedLabel(onehot_ip=ip, onehot_bo=bo))
-        dataset = EncryptedTabularDataset(
-            samples=samples, labels=labels, num_classes=num_classes,
-            n_features=n_features, scale=int(header["scale"]),
-            eval_labels=eval_labels,
-        )
-        return cls(dataset=dataset,
-                   client_name=str(header.get("from", protocol.CLIENT)),
-                   stats=stats)
-
-
-# -- resumable chunked uploads ---------------------------------------------------
+# -- encrypted-data upload: resumable chunks --------------------------------------
 
 def shard_fingerprint(meta: dict[str, Any], body: bytes) -> str:
     """Content fingerprint of one encrypted shard (meta + body bytes).
@@ -596,23 +480,27 @@ def shard_fingerprint(meta: dict[str, Any], body: bytes) -> str:
     return digest.hexdigest()
 
 
-@_register(KIND_SHARD_CHUNK)
+@_register(protocol.KIND_ENCRYPTED_DATA)
 @dataclasses.dataclass
 class ShardChunk(_Message):
-    """One fingerprinted slice of an ``encrypted-data`` body.
+    """One fingerprinted slice of a client's encrypted shard (client ->
+    training server): the paper's one-time encrypted-data transfer.
 
-    The chunk body is an opaque byte range of the full upload body, so
-    no decode context is needed until the final chunk completes the
-    assembly.  ``meta`` (the upload's ``encrypted-data`` header fields)
-    rides only on chunk 0; a resumed upload starts past it and the
-    server already holds the meta from the first attempt.
+    The chunk body is an opaque byte range of the body of
+    :func:`~repro.core.serialization.pack_encrypted_tabular`, so no
+    decode context is needed until the final chunk completes the
+    assembly, and the chunk bodies of one upload sum to
+    :func:`~repro.core.serialization.encrypted_tabular_wire_size`.
+    ``meta`` (the codec's meta plus optional client encryption-engine
+    ``stats``) rides only on chunk 0; a resumed upload starts past it
+    and the server already holds the meta from the first attempt.
     """
 
     fingerprint: str = wire("fp", _str)
     index: int = wire("index", _uint)
     count: int = wire("count", _chunk_count)
     chunk: bytes = b""
-    meta: dict[str, Any] | None = wire("meta", _dict, None)
+    meta: dict[str, Any] | None = wire("meta", _upload_meta, None)
     client_name: str = wire("from", _str, protocol.CLIENT)
 
     def body(self, ctx: WireContext | None = None) -> bytes:

@@ -1,6 +1,11 @@
 """The training server: accepts encrypted uploads, trains over the wire.
 
-The service listens for ``encrypted-data`` uploads from client agents.
+The service listens for ``encrypted-data`` uploads from client agents:
+fingerprinted chunks of one shard each, acknowledged one by one,
+reassembled and checked against the fingerprint, then unpacked by the
+validating shard codec of :mod:`repro.core.serialization`.  A client
+that drops mid-upload resumes past the chunks the server holds, and a
+resend of a shard that already landed gets a duplicate-ack.
 Once the expected number of clients have delivered their shards (or a
 ``train-start`` message forces it), it merges the shards in client-name
 order (deterministic regardless of upload timing), connects to the
@@ -14,7 +19,8 @@ The blocking training loop runs in a worker thread
 and, after completion, ``predict-request`` messages.
 
 Durable jobs: started with a ``checkpoint_path``, the server persists
-the merged encrypted dataset once (a ``<path>.dataset.json`` sidecar)
+the merged encrypted dataset once (a ``<path>.dataset`` sidecar in the
+dataset-file format of :mod:`repro.core.checkpoint`)
 and a :class:`~repro.core.checkpoint.TrainerCheckpoint` every
 ``checkpoint_every`` batches, both atomically.  A server restarted with
 ``resume=True`` (CLI ``serve-train --resume``) picks the job back up
@@ -37,6 +43,7 @@ import threading
 import numpy as np
 
 from repro.core import protocol
+from repro.core import serialization as ser
 from repro.core.checkpoint import (
     TrainerCheckpoint,
     load_encrypted_tabular,
@@ -55,7 +62,6 @@ from repro.rpc.framing import MAX_FRAME_BYTES
 from repro.rpc import messages as messages_mod
 from repro.rpc.messages import (
     Ack,
-    EncryptedDataUpload,
     ErrorMessage,
     HealthResponse,
     PredictRequest,
@@ -76,14 +82,14 @@ from repro.obs.tracing import GLOBAL_TRACER
 
 
 #: Message kinds a training server answers without group parameters.
-#: Shard chunks are here too: their bodies are opaque byte ranges, so
+#: Upload chunks are here too: their bodies are opaque byte ranges, so
 #: decoding them needs no group widths -- only the final assembly does.
 _CTX_FREE_KINDS = frozenset({
+    protocol.KIND_ENCRYPTED_DATA,
     messages_mod.KIND_TRAIN_START,
     messages_mod.KIND_TRAIN_STATUS,
     messages_mod.KIND_TRAIN_CHECKPOINT,
     messages_mod.KIND_PREDICT_REQUEST,
-    messages_mod.KIND_SHARD_CHUNK,
     messages_mod.KIND_SHARD_RESUME,
 })
 
@@ -218,7 +224,7 @@ class TrainingService(FramedService):
         self.resume = resume
         #: the merged encrypted dataset persisted next to the checkpoint
         #: so a restarted server can resume without re-uploads
-        self.dataset_path = (f"{self.checkpoint_path}.dataset.json"
+        self.dataset_path = (f"{self.checkpoint_path}.dataset"
                              if checkpoint_path is not None else None)
         if resume and checkpoint_path is None:
             raise ValueError("resume=True requires checkpoint_path")
@@ -364,22 +370,31 @@ class TrainingService(FramedService):
         return await self._wire_context()
 
     # -- uploads -------------------------------------------------------------
-    def _late_upload(self, client_name: str, received: int) -> Ack:
-        """Answer an upload arriving after ``waiting`` ended: duplicate
-        resends are acknowledged, genuine stragglers get a clear
-        rejection naming the policy that left them behind."""
-        if (self._resuming
-                or any(name == client_name for name, _ in self._shards)):
-            # the client's earlier upload was accepted but its ack got
-            # lost; training may already be running -- acknowledge the
-            # resend instead of failing it.  A --resume restart has no
-            # in-memory shard list (the merged dataset came off disk),
-            # so every resend against a resumed job is by definition a
-            # duplicate
-            return Ack(info={"received": received,
-                             "clients": len(self._shards),
-                             "expected": self.expected_clients,
-                             "duplicate": True})
+    def _settled_upload(self, msg) -> Ack | None:
+        """Answer an upload frame that must not touch an assembly, or
+        return None to let it through.
+
+        A resend of a shard this run already holds gets a duplicate-ack:
+        the fingerprint the client last completed (its final ack was
+        lost), and -- once ``waiting`` ended -- any shard from a client
+        whose shard is in the run.  A ``--resume`` restart has no
+        in-memory shard list (the merged dataset came off disk), so
+        every resend against a resumed job is by definition a
+        duplicate.  Any other upload after ``waiting`` ended is refused,
+        naming the policy that left a genuine straggler behind.
+        """
+        waiting = self.state == "waiting"
+        if self._accepted_fps.get(msg.client_name) == msg.fingerprint \
+                or not waiting and (
+                    self._resuming
+                    or any(name == msg.client_name
+                           for name, _ in self._shards)):
+            return Ack(info={"accepted": True, "duplicate": True,
+                             "complete": True, "next_index": msg.count,
+                             "received": msg.count,
+                             "clients": len(self._shards)})
+        if waiting:
+            return None
         if self._deadline_passed:
             GLOBAL_REGISTRY.counter("repro_upload_stragglers_total").inc()
             raise RuntimeError(
@@ -391,17 +406,16 @@ class TrainingService(FramedService):
             f"cannot accept uploads in state {self.state!r}")
 
     def _accept_shard(self, client_name: str,
-                      dataset: EncryptedTabularDataset, stats: dict,
-                      fingerprint: str | None = None) -> Ack:
-        """Record one complete shard (single-frame or assembled)."""
-        # last write per client name wins, so a client resending after
-        # a lost ack (transport retry) stays idempotent
+                      dataset: EncryptedTabularDataset,
+                      stats: dict | None, fingerprint: str) -> Ack:
+        """Record one complete, verified shard."""
+        # last write per client name wins, so a client re-uploading
+        # different data before training starts replaces its shard
         self._shards = [(name, shard) for name, shard in self._shards
                         if name != client_name]
         self._shards.append((client_name, dataset))
         self._uploads.pop(client_name, None)
-        if fingerprint is not None:
-            self._accepted_fps[client_name] = fingerprint
+        self._accepted_fps[client_name] = fingerprint
         if stats:
             # client-side encryption-engine counters ride along with
             # the upload; folding them here puts the encrypt half of
@@ -466,19 +480,9 @@ class TrainingService(FramedService):
         return asm
 
     async def _handle_chunk(self, msg: ShardChunk):
-        if self.state != "waiting":
-            if self._accepted_fps.get(msg.client_name) == msg.fingerprint \
-                    or self._resuming \
-                    or any(name == msg.client_name
-                           for name, _ in self._shards):
-                return Ack(info={"received": msg.count,
-                                 "next_index": msg.count,
-                                 "complete": True, "duplicate": True})
-            return self._late_upload(msg.client_name, msg.count)
-        if self._accepted_fps.get(msg.client_name) == msg.fingerprint:
-            # full shard already landed; the final ack was lost
-            return Ack(info={"received": msg.count, "next_index": msg.count,
-                             "complete": True, "duplicate": True})
+        settled = self._settled_upload(msg)
+        if settled is not None:
+            return settled
         asm = self._chunk_assembly_for(msg)
         if msg.index not in asm.chunks:
             if asm.total_bytes + len(msg.chunk) > self.max_frame_bytes:
@@ -500,33 +504,25 @@ class TrainingService(FramedService):
                 "assembled shard does not match its fingerprint; "
                 "restart the upload from chunk 0")
         ctx = await self._wire_context()
-        header = {"kind": protocol.KIND_ENCRYPTED_DATA, **asm.meta,
-                  "from": msg.client_name}
         try:
-            upload = await asyncio.to_thread(
-                EncryptedDataUpload.from_wire, header, body, ctx)
+            # off-loop: a paper-scale shard unpacks (and subgroup-checks)
+            # hundreds of thousands of elements
+            dataset = await asyncio.to_thread(
+                ser.unpack_encrypted_tabular, asm.meta, body, ctx.params)
         except Exception:
             # hardened ingestion rejected the assembled payload; drop
             # the assembly so the client's restart starts clean
             self._uploads.pop(msg.client_name, None)
             raise
-        ack = self._accept_shard(msg.client_name, upload.dataset,
-                                 upload.stats, fingerprint=asm.fingerprint)
+        ack = self._accept_shard(msg.client_name, dataset,
+                                 asm.meta.get("stats"), asm.fingerprint)
         ack.info.update({"next_index": asm.count, "complete": True})
         return ack
 
     def _handle_resume(self, msg: ShardResumeQuery):
-        if self._accepted_fps.get(msg.client_name) == msg.fingerprint:
-            return Ack(info={"accepted": True, "duplicate": True,
-                             "next_index": msg.count,
-                             "received": msg.count})
-        if self.state != "waiting":
-            if self._resuming or any(name == msg.client_name
-                                     for name, _ in self._shards):
-                return Ack(info={"accepted": True, "duplicate": True,
-                                 "next_index": msg.count,
-                                 "received": msg.count})
-            return self._late_upload(msg.client_name, msg.count)
+        settled = self._settled_upload(msg)
+        if settled is not None:
+            return settled
         asm = self._uploads.get(msg.client_name)
         if asm is None or asm.fingerprint != msg.fingerprint \
                 or asm.count != msg.count:
@@ -540,11 +536,6 @@ class TrainingService(FramedService):
 
     # -- dispatch ------------------------------------------------------------
     async def _dispatch(self, msg, sender: str):
-        if isinstance(msg, EncryptedDataUpload):
-            if self.state != "waiting":
-                return self._late_upload(msg.client_name, len(msg.dataset))
-            return self._accept_shard(msg.client_name, msg.dataset,
-                                      msg.stats)
         if isinstance(msg, ShardChunk):
             return await self._handle_chunk(msg)
         if isinstance(msg, ShardResumeQuery):

@@ -11,17 +11,10 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
-
 
 def make_rng(seed: int | None) -> random.Random:
     """Return a seeded :class:`random.Random` (fresh entropy when None)."""
     return random.Random(seed)
-
-
-def make_np_rng(seed: int | None) -> np.random.Generator:
-    """Return a seeded numpy Generator."""
-    return np.random.default_rng(seed)
 
 
 def spawn_rngs(seed: int, count: int) -> list[random.Random]:

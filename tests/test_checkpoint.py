@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.core import serialization as ser
 from repro.core.checkpoint import (
     TrainerCheckpoint,
     load_encrypted_tabular,
@@ -242,6 +243,23 @@ class TestEncryptedDataset:
         path = tmp_path / "garbage.json"
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError):
+            load_encrypted_tabular(path)
+
+    def test_non_subgroup_element_rejected_on_load(self, tmp_path,
+                                                   authority, np_rng):
+        """A dataset file goes through the same validating unpack as an
+        upload: p - 1 (a quadratic non-residue) must not load."""
+        x = np_rng.uniform(-1, 1, size=(2, 2))
+        dataset = Client(authority).encrypt_tabular(x, np.array([0, 1]), 2)
+        path = tmp_path / "dataset.enc"
+        save_encrypted_tabular(dataset, path)
+        params = authority.params
+        width = ser.element_size_bytes(params)
+        head, _, body = path.read_bytes().partition(b"\n")
+        # the first element of the body is sample 0's ct0
+        body = (params.p - 1).to_bytes(width, "big") + body[width:]
+        path.write_bytes(head + b"\n" + body)
+        with pytest.raises(ValueError, match="subgroup"):
             load_encrypted_tabular(path)
 
     def test_none_eval_labels_roundtrip(self, tmp_path, authority, np_rng):

@@ -32,12 +32,6 @@ class TestConfig:
         bound = CryptoNNConfig().dot_bound(17)
         assert bound & (bound - 1) == 0
 
-    def test_product_bound_covers_feature_times_weight(self):
-        config = CryptoNNConfig()
-        worst = int(config.max_abs_feature * config.scale
-                    * config.max_abs_weight * config.scale)
-        assert config.product_bound() >= worst
-
     def test_label_sub_bound(self):
         config = CryptoNNConfig(scale=100)
         assert config.label_sub_bound() >= 201

@@ -131,16 +131,6 @@ class TestPreprocess:
         mapper = LabelMapper(10, np_rng)
         assert sorted(mapper.permutation.tolist()) == list(range(10))
 
-    def test_unmap_probabilities(self, np_rng):
-        mapper = LabelMapper(4, np_rng)
-        probs = np.eye(4)
-        unmapped = mapper.unmap_probabilities(probs)
-        # row i should now have its mass on logical class i
-        labels = np.arange(4)
-        wire = mapper.map_labels(labels)
-        np.testing.assert_array_equal(unmapped[labels, labels],
-                                      probs[labels, wire])
-
     def test_mapper_needs_two_classes(self):
         with pytest.raises(ValueError):
             LabelMapper(1)

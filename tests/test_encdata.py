@@ -3,31 +3,23 @@
 import numpy as np
 import pytest
 
-from repro.core.encdata import DecryptionCounters, batch_indices
+from repro.core.encdata import DecryptionCounters, shuffled_order
 
 
 class TestBatchIndices:
+    """The index order ``fit()`` slices an epoch's batches from: the one
+    permutation :func:`shuffled_order` draws."""
+
     def test_partition_covers_everything(self, np_rng):
-        batches = batch_indices(23, 5, np_rng)
-        flat = np.concatenate(batches)
-        assert sorted(flat.tolist()) == list(range(23))
-        assert [len(b) for b in batches] == [5, 5, 5, 5, 3]
+        assert sorted(shuffled_order(23, np_rng).tolist()) == list(range(23))
 
     def test_no_shuffle_is_ordered(self):
-        batches = batch_indices(6, 4, shuffle=False)
-        assert batches[0].tolist() == [0, 1, 2, 3]
-        assert batches[1].tolist() == [4, 5]
+        assert shuffled_order(6, shuffle=False).tolist() == list(range(6))
 
     def test_shuffle_respects_rng(self):
-        a = batch_indices(10, 3, np.random.default_rng(1))
-        b = batch_indices(10, 3, np.random.default_rng(1))
-        for x, y in zip(a, b):
-            assert x.tolist() == y.tolist()
-
-    def test_batch_larger_than_dataset(self):
-        batches = batch_indices(3, 10, shuffle=False)
-        assert len(batches) == 1
-        assert len(batches[0]) == 3
+        a = shuffled_order(10, np.random.default_rng(1))
+        b = shuffled_order(10, np.random.default_rng(1))
+        assert a.tolist() == b.tolist()
 
 
 class TestDecryptionCounters:

@@ -61,16 +61,3 @@ class TestArray:
         arr = codec.encode_array(np.array([1e5]))
         assert arr[0] == 10 ** 20  # would overflow int64
 
-
-class TestResidues:
-    def test_residue_roundtrip(self, params):
-        codec = FixedPointCodec(100)
-        for value in (0.0, 1.23, -4.56):
-            residue = codec.to_residue(value, params.q)
-            assert 0 <= residue < params.q
-            assert codec.from_residue(residue, params.q) == pytest.approx(value)
-
-    def test_bound_for(self):
-        codec = FixedPointCodec(100)
-        assert codec.bound_for(1.0) == 101
-        assert codec.bound_for(1.0, power=2) == 10001

@@ -52,7 +52,7 @@ from repro.rpc import (
     upload_shard,
 )
 from repro.rpc.framing import MAX_FRAME_BYTES, MAX_HEADER_BYTES
-from repro.rpc.messages import Ack, EncryptedDataUpload, PublicParamsRequest
+from repro.rpc.messages import Ack, PublicParamsRequest, shard_fingerprint
 
 HIDDEN, EPOCHS, BATCH_SIZE, LR, SEED = 6, 2, 10, 0.5, 0
 
@@ -127,6 +127,19 @@ def _encrypt_one(auth_addr, shard, name="clinic-0", seed=100):
     return remote, dataset
 
 
+def _send_shard(train_addr, dataset, params, **meta_overrides):
+    """Upload ``dataset`` as one chunk whose meta carries the overrides;
+    the fingerprint is recomputed over them, as a forger would."""
+    meta, _, chunks = plan_shard_chunks(dataset, params)
+    meta.update(meta_overrides)
+    with RpcEndpoint(*train_addr, name="clinic-0", peer="server",
+                     policy=FAST_POLICY) as server:
+        return upload_planned_chunks(
+            server, name="clinic-0", meta=meta,
+            fingerprint=shard_fingerprint(meta, b"".join(chunks)),
+            chunks=chunks)
+
+
 # ---------------------------------------------------------------------------
 # hardened ingestion: garbage ciphertexts
 # ---------------------------------------------------------------------------
@@ -143,13 +156,8 @@ class TestCiphertextValidation:
             bad = dataset.samples[0].features_ip
             dataset.samples[0].features_ip = dataclasses.replace(
                 bad, ct0=authority.params.p - 1)
-            with RpcEndpoint(*train_addr, name="clinic-0", peer="server",
-                             policy=FAST_POLICY) as server:
-                with pytest.raises(RpcRemoteError) as err:
-                    server.request(
-                        EncryptedDataUpload(dataset=dataset,
-                                            client_name="clinic-0"),
-                        remote.wire_ctx)
+            with pytest.raises(RpcRemoteError) as err:
+                _send_shard(train_addr, dataset, remote.params)
             assert "subgroup" in str(err.value)
         # the service survived the poison attempt and still answers
         assert service.state == "waiting"
@@ -163,13 +171,9 @@ class TestCiphertextValidation:
             bad_bo = list(label.onehot_bo)
             bad_bo[0] = dataclasses.replace(bad_bo[0], cmt=0)
             label.onehot_bo = tuple(bad_bo)
-            with RpcEndpoint(*train_addr, name="clinic-0", peer="server",
-                             policy=FAST_POLICY) as server:
-                with pytest.raises(RpcRemoteError):
-                    server.request(
-                        EncryptedDataUpload(dataset=dataset,
-                                            client_name="clinic-0"),
-                        remote.wire_ctx)
+            with pytest.raises(RpcRemoteError) as err:
+                _send_shard(train_addr, dataset, remote.params)
+            assert "outside (0, p)" in str(err.value)
         assert service.state == "waiting"
 
     def test_implausible_shape_is_rejected(self, stack):
@@ -177,30 +181,10 @@ class TestCiphertextValidation:
         sanity check, not drive a giant allocation loop."""
         _, service, auth_addr, train_addr, _ = stack
         remote, dataset = _encrypt_one(auth_addr, _make_shards()[0])
-
-        class _ForgedUpload:
-            kind = EncryptedDataUpload.kind
-
-            def __init__(self, msg, ctx, **overrides):
-                self._header = msg.header()
-                self._header.update(overrides)
-                self._body = msg.body(ctx)
-
-            def header(self):
-                return self._header
-
-            def body(self, ctx=None):
-                return self._body
-
         with remote:
-            msg = EncryptedDataUpload(dataset=dataset,
-                                      client_name="clinic-0")
-            with RpcEndpoint(*train_addr, name="clinic-0", peer="server",
-                             policy=FAST_POLICY) as server:
-                with pytest.raises(RpcRemoteError) as err:
-                    server.request(
-                        _ForgedUpload(msg, remote.wire_ctx, n_features=0),
-                        remote.wire_ctx)
+            with pytest.raises(RpcRemoteError) as err:
+                _send_shard(train_addr, dataset, remote.params,
+                            n_features=0)
         assert "implausible" in str(err.value)
         assert service.state == "waiting"
 
@@ -211,6 +195,9 @@ class TestCiphertextValidation:
         result = upload_shard(auth_addr, train_addr, x, y, 2,
                               name="clinic-0", rng=random.Random(100))
         assert result["ack"]["received"] == len(x)
+        # without chunk_bytes the whole shard travels as one chunk
+        assert result["chunks"] == {"count": 1, "sent": 1,
+                                    "resumed_from": 0}
         train_thread.call(lambda: service.wait_done(timeout=120),
                           timeout=150)
         assert service.state == "done", service.error
@@ -396,8 +383,8 @@ class TestClientFramingBounds:
 @pytest.mark.timeout_guard(180)
 class TestChunkedUpload:
     def test_chunked_upload_trains_byte_exact(self, stack):
-        """A fully chunked upload is indistinguishable from the
-        single-frame path: same merged dataset, same final weights."""
+        """A many-chunk upload is indistinguishable from the one-chunk
+        default: same merged dataset, same final weights."""
         shards = _make_shards(n_clients=1)
         ref_weights, ref_history, ref_accuracy = _clean_reference(shards)
         _, service, auth_addr, train_addr, train_thread = stack
@@ -419,7 +406,7 @@ class TestChunkedUpload:
         remote, dataset = _encrypt_one(auth_addr, _make_shards()[0])
         with remote:
             meta, fingerprint, chunks = plan_shard_chunks(
-                dataset, "clinic-0", remote.wire_ctx, 128)
+                dataset, remote.params, 128)
         count = len(chunks)
         assert count >= 4
         sent_before_drop = count // 2
@@ -454,7 +441,7 @@ class TestChunkedUpload:
         remote, dataset = _encrypt_one(auth_addr, _make_shards()[0])
         with remote:
             meta, fingerprint, chunks = plan_shard_chunks(
-                dataset, "clinic-0", remote.wire_ctx, 256)
+                dataset, remote.params, 256)
         with RpcEndpoint(*train_addr, name="clinic-0",
                          peer="server") as server:
             first = upload_planned_chunks(
@@ -478,7 +465,7 @@ class TestChunkedUpload:
         remote, dataset = _encrypt_one(auth_addr, _make_shards()[0])
         with remote:
             meta, fingerprint, chunks = plan_shard_chunks(
-                dataset, "clinic-0", remote.wire_ctx, 1 << 20)
+                dataset, remote.params, 1 << 20)
         forged = "0" * len(fingerprint)
         with RpcEndpoint(*train_addr, name="clinic-0", peer="server",
                          policy=RetryPolicy(max_attempts=1)) as server:

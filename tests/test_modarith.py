@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from repro.mathutils.modarith import (
     int_to_signed,
     mod_inverse,
-    mod_sub,
     signed_to_int,
 )
 
@@ -28,11 +27,6 @@ def test_mod_inverse_property(a, m):
 
 def test_mod_inverse_of_negative():
     assert (-3) * mod_inverse(-3, 7) % 7 == 1
-
-
-def test_mod_sub_non_negative():
-    assert mod_sub(3, 10, 7) == 0
-    assert mod_sub(2, 5, 11) == 8
 
 
 @settings(max_examples=100, deadline=None)

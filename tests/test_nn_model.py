@@ -7,7 +7,7 @@ from repro.data.preprocess import one_hot
 from repro.nn.layers import Dense, ReLU, Sigmoid
 from repro.nn.losses import MSELoss, SoftmaxCrossEntropyLoss
 from repro.nn.metrics import accuracy, confusion_matrix
-from repro.nn.model import Sequential, TrainingHistory, iterate_batches
+from repro.nn.model import Sequential, iterate_batches
 from repro.nn.optimizers import SGD
 
 
@@ -103,12 +103,6 @@ class TestSequential:
         model.predict(x)
         with pytest.raises(RuntimeError):
             model.backward(np.ones((4, 2)))
-
-
-class TestTrainingHistory:
-    def test_averaged_batch_accuracy_windows(self):
-        history = TrainingHistory(batch_accuracy=[0.0, 1.0, 0.5, 0.5, 1.0])
-        assert history.averaged_batch_accuracy(2) == [0.5, 0.5, 1.0]
 
 
 class TestMetrics:

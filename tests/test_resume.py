@@ -352,7 +352,7 @@ class TestKilledAndRestartedService:
                 time.sleep(0.02)
             first_proc.kill()
             first_proc.join(timeout=10)
-            assert os.path.exists(checkpoint + ".dataset.json")
+            assert os.path.exists(checkpoint + ".dataset")
 
             # restart with --resume: no re-uploads, training continues
             second_port = free_port()

@@ -9,6 +9,7 @@ transport bug can never hang the suite.
 """
 
 import asyncio
+import dataclasses
 import multiprocessing
 import random
 import time
@@ -35,7 +36,9 @@ from repro.rpc import (
     WireContext,
     fetch_status,
     free_port,
+    plan_shard_chunks,
     run_training,
+    upload_planned_chunks,
     upload_shard,
     wait_for_port,
 )
@@ -214,16 +217,20 @@ class TestMessages:
         client = Client(authority, name="c0")
         x = np.random.default_rng(0).uniform(-1, 1, size=(3, 2))
         dataset = client.encrypt_tabular(x, np.array([0, 1, 0]), 2)
-        msg = msgs.EncryptedDataUpload(dataset=dataset, client_name="c0")
-        _, body = msgs.encode_message(msg, wire_ctx)
-        assert len(body) == ser.encrypted_tabular_wire_size(
+        meta, body = ser.pack_encrypted_tabular(dataset, wire_ctx.params)
+        msg = msgs.ShardChunk(fingerprint=msgs.shard_fingerprint(meta, body),
+                              index=0, count=1, chunk=body, meta=meta,
+                              client_name="c0")
+        _, wired = msgs.encode_message(msg, wire_ctx)
+        assert len(wired) == ser.encrypted_tabular_wire_size(
             3, 2, 2, wire_ctx.params)
         got = roundtrip(msg, wire_ctx)
         assert got.client_name == "c0"
-        assert got.dataset.samples[1].features_ip == \
-            dataset.samples[1].features_ip
-        assert got.dataset.labels[2].onehot_bo == dataset.labels[2].onehot_bo
-        assert got.dataset.eval_labels.tolist() == [0, 1, 0]
+        shard = ser.unpack_encrypted_tabular(got.meta, got.chunk,
+                                             wire_ctx.params)
+        assert shard.samples[1].features_ip == dataset.samples[1].features_ip
+        assert shard.labels[2].onehot_bo == dataset.labels[2].onehot_bo
+        assert shard.eval_labels.tolist() == [0, 1, 0]
 
     def test_control_messages_roundtrip(self):
         status = roundtrip(msgs.TrainStatus(state="training", accuracy=None,
@@ -247,12 +254,20 @@ class TestMessages:
 
 
 @pytest.fixture(scope="module")
-def sample_messages(params):
-    """One message per registered kind, both variants of each key kind."""
+def packed_shard(params):
+    """One encrypted three-sample shard as the codec's ``(meta, body)``."""
     authority = TrustedAuthority(CryptoNNConfig(), rng=random.Random(5))
     client = Client(authority, name="c0")
     x = np.random.default_rng(0).uniform(-1, 1, size=(3, 2))
     dataset = client.encrypt_tabular(x, np.array([0, 1, 0]), 2)
+    return ser.pack_encrypted_tabular(dataset, params)
+
+
+@pytest.fixture(scope="module")
+def sample_messages(params, packed_shard):
+    """One message per registered kind, both variants of each key kind."""
+    authority = TrustedAuthority(CryptoNNConfig(), rng=random.Random(5))
+    meta, body = packed_shard
     feip_keys = [FeipFunctionKey(y=(1, -2, 3), sk=7),
                  FeipFunctionKey(y=(0, 4, -5), sk=params.q - 1)]
     # commitments are not wired, so a decoded FEBO key carries cmt=0
@@ -265,11 +280,11 @@ def sample_messages(params):
             group=params, config={"scale": 100},
             feip_keys={3: authority.feip_public_key(3)},
             febo_key=authority.febo_public_key()),
-        msgs.EncryptedDataUpload(
-            dataset=dataset, client_name="c0",
-            stats={"precomputed": 4, "consumed": 4, "misses": 0}),
-        msgs.ShardChunk(fingerprint=fingerprint, index=1, count=3,
-                        chunk=b"xyz", meta={"n": 3}, client_name="c0"),
+        msgs.ShardChunk(
+            fingerprint=fingerprint, index=0, count=2, chunk=body[:7],
+            meta={**meta,
+                  "stats": {"precomputed": 4, "consumed": 4, "misses": 0}},
+            client_name="c0"),
         msgs.ShardResumeQuery(fingerprint=fingerprint, count=3,
                               client_name="c0"),
         msgs.Ack(info={"received": 3}),
@@ -316,10 +331,7 @@ class TestMessageCodec:
         got = msgs.decode_message(header, body, wire_ctx)
         assert type(got) is type(msg) and got.kind == kind
         assert msgs.encode_message(got, wire_ctx) == (header, body)
-        if kind != protocol.KIND_ENCRYPTED_DATA:
-            # the upload's dataset holds a numpy array, so it is
-            # compared through its re-encoding above
-            assert got == msg
+        assert got == msg
 
     @pytest.mark.parametrize("kind, field, value", [
         (msgs.KIND_PREDICT_REQUEST, "indices", ["x"]),
@@ -334,7 +346,7 @@ class TestMessageCodec:
         (msgs.KIND_SERVICE_HEALTH_RESPONSE, "ready", 1),
         (msgs.KIND_SHARD_RESUME, "count", 0),
         (msgs.KIND_SHARD_RESUME, "count", msgs.MAX_SHARD_CHUNKS + 1),
-        (msgs.KIND_SHARD_CHUNK, "index", 3),
+        (protocol.KIND_ENCRYPTED_DATA, "index", 3),
         (protocol.KIND_FEIP_KEY_REQUEST, "count", -1),
         (protocol.KIND_FEIP_KEY_RESPONSE, "eta", "3"),
     ])
@@ -348,14 +360,15 @@ class TestMessageCodec:
     @pytest.mark.parametrize("eval_labels", [
         [0], [0, 1, 0, 1, 1], [0, 7, 0], [0, -1, 0], [0, "1", 0]])
     def test_upload_eval_labels_must_match_the_shard(
-            self, eval_labels, sample_messages, wire_ctx):
+            self, eval_labels, packed_shard, wire_ctx):
         """Merged shards concatenate their eval labels: a wrong length
-        or class index would misreport accuracy or fail mid-evaluate."""
-        header, body = _tampered(
-            sample_messages[protocol.KIND_ENCRYPTED_DATA], wire_ctx,
-            eval_labels=eval_labels)
-        with pytest.raises(msgs.MessageError):
-            msgs.decode_message(header, body, wire_ctx)
+        or class index would misreport accuracy or fail mid-evaluate,
+        so the shard codec every upload and dataset file goes through
+        rejects them."""
+        meta, body = packed_shard
+        with pytest.raises(ValueError, match="eval_labels"):
+            ser.unpack_encrypted_tabular(
+                {**meta, "eval_labels": eval_labels}, body, wire_ctx.params)
 
     @pytest.mark.parametrize("stats", [
         {"precomputed": 4, "evil_name": 1}, {"misses": -1},
@@ -366,13 +379,12 @@ class TestMessageCodec:
         counter increment, so only the engine's counters, never
         negative, may decode."""
         upload = sample_messages[protocol.KIND_ENCRYPTED_DATA]
-        header, body = _tampered(upload, wire_ctx, stats=stats)
+        meta = {**upload.meta, "stats": stats}
+        header, body = _tampered(upload, wire_ctx, meta=meta)
         with pytest.raises(msgs.MessageError):
             msgs.decode_message(header, body, wire_ctx)
-        if isinstance(stats, dict):
-            with pytest.raises(msgs.MessageError):
-                msgs.EncryptedDataUpload(dataset=upload.dataset,
-                                         stats=stats).header()
+        with pytest.raises(msgs.MessageError):
+            dataclasses.replace(upload, meta=meta).header()
 
 
 # ---------------------------------------------------------------------------
@@ -575,15 +587,17 @@ class TestEndToEndLoopback:
                                  rng=random.Random(2)) as remote:
                 dataset = Client(remote, name="tiny").encrypt_tabular(
                     x, y, 2)
+                meta, fingerprint, chunks = plan_shard_chunks(
+                    dataset, remote.params)
                 with RpcEndpoint(*train_addr, name="tiny",
                                  peer=protocol.SERVER,
                                  max_frame_bytes=64) as endpoint:
                     with pytest.raises(framing.FrameError,
                                        match="exceeds limit"):
-                        endpoint.request(
-                            msgs.EncryptedDataUpload(dataset=dataset,
-                                                     client_name="tiny"),
-                            remote.wire_ctx)
+                        upload_planned_chunks(
+                            endpoint, name="tiny", meta=meta,
+                            fingerprint=fingerprint, chunks=chunks,
+                            start_probe=False)
         finally:
             train_thread.stop()
             auth_thread.stop()

@@ -32,15 +32,18 @@ def febo_objects(params, rng):
 
 
 class TestRoundtrips:
-    def test_feip_ciphertext(self, feip_objects):
-        ct, _ = feip_objects
-        restored = ser.feip_ciphertext_from_dict(ser.feip_ciphertext_to_dict(ct))
-        assert restored == ct
+    """Honest ciphertexts pass the validating unpack every upload and
+    dataset file goes through."""
 
-    def test_febo_ciphertext(self, febo_objects):
+    def test_feip_ciphertext(self, params, feip_objects):
+        ct, _ = feip_objects
+        packed = ser.pack_feip_ciphertext(ct, params)
+        assert ser.unpack_feip_ciphertext(packed, params, validate=True) == ct
+
+    def test_febo_ciphertext(self, params, febo_objects):
         ct, _ = febo_objects
-        restored = ser.febo_ciphertext_from_dict(ser.febo_ciphertext_to_dict(ct))
-        assert restored == ct
+        packed = ser.pack_febo_ciphertext(ct, params)
+        assert ser.unpack_febo_ciphertext(packed, params, validate=True) == ct
 
 
 class TestWireSizes:

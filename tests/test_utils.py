@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repro.utils.rng import make_np_rng, make_rng, spawn_rngs
+from repro.utils.rng import make_rng, spawn_rngs
 from repro.utils.timer import Stopwatch, time_call
 
 
@@ -43,9 +43,6 @@ class TestStopwatch:
 class TestRng:
     def test_make_rng_deterministic(self):
         assert make_rng(5).random() == make_rng(5).random()
-
-    def test_make_np_rng(self):
-        assert make_np_rng(5).random() == make_np_rng(5).random()
 
     def test_spawn_rngs_independent_and_reproducible(self):
         a = spawn_rngs(1, 3)
