@@ -25,6 +25,7 @@ and stays separate on purpose.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import os
 import pathlib
@@ -73,13 +74,9 @@ def npz_path(path: str | pathlib.Path) -> pathlib.Path:
 
 def _atomic_write_npz(path: str | pathlib.Path,
                       arrays: dict[str, np.ndarray]) -> None:
-    path = npz_path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        np.savez_compressed(fh, **arrays)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **arrays)
+    _atomic_write_bytes(npz_path(path), buffer.getvalue())
 
 
 # -- model weights -----------------------------------------------------------

@@ -10,35 +10,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.config import CryptoNNConfig
 from repro.core.cryptonn import _SecureTrainerBase
 from repro.core.encdata import EncryptedImageDataset
-from repro.core.entities import TrustedAuthority
 from repro.core.secure_layers import SecureConvInput
-from repro.matrix.parallel import SecureComputePool
 from repro.nn.conv import Conv2D
-from repro.nn.model import Sequential
 
 
 class CryptoCNNTrainer(_SecureTrainerBase):
     """Secure training for CNNs whose first layer is a convolution."""
 
-    def __init__(self, model: Sequential, authority: TrustedAuthority,
-                 config: CryptoNNConfig | None = None,
-                 loss: str = "cross_entropy",
-                 pool: SecureComputePool | None = None):
-        super().__init__(model, authority, config, loss, pool)
-        first = model.layers[0]
-        if not isinstance(first, Conv2D):
-            raise TypeError(
-                f"CryptoCNNTrainer needs a Conv2D first layer, got {first.name}"
-            )
-        self.secure_input = SecureConvInput(
-            first, authority, self.config, self.counters,
-            pool=self.compute_pool,
-        )
+    first_layer = Conv2D
+    secure_input_class = SecureConvInput
+    dataset_field = "images"
 
-    def _check_geometry(self, dataset: EncryptedImageDataset) -> None:
+    def _secure_forward(self, dataset: EncryptedImageDataset,
+                        indices: np.ndarray, training: bool) -> np.ndarray:
         conv = self.secure_input.conv
         if (dataset.filter_size, dataset.stride, dataset.padding) != (
             conv.filter_size, conv.stride, conv.padding
@@ -49,12 +35,4 @@ class CryptoCNNTrainer(_SecureTrainerBase):
                 f"p={dataset.padding}) but the model's first layer uses "
                 f"(f={conv.filter_size}, s={conv.stride}, p={conv.padding})"
             )
-
-    def _secure_forward(self, dataset: EncryptedImageDataset,
-                        indices: np.ndarray, training: bool) -> np.ndarray:
-        self._check_geometry(dataset)
-        batch = [dataset.images[i] for i in indices]
-        return self.secure_input.forward(batch, indices, training=training)
-
-    def _secure_backward(self, grad: np.ndarray) -> None:
-        self.secure_input.backward(grad)
+        return super()._secure_forward(dataset, indices, training)

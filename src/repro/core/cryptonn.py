@@ -27,11 +27,7 @@ import numpy as np
 
 from repro.core.checkpoint import TrainerCheckpoint, npz_path
 from repro.core.config import CryptoNNConfig
-from repro.core.encdata import (
-    DecryptionCounters,
-    EncryptedTabularDataset,
-    shuffled_order,
-)
+from repro.core.encdata import DecryptionCounters, shuffled_order
 from repro.core.entities import TrustedAuthority
 from repro.core.secure_layers import (
     SecureLinearInput,
@@ -56,7 +52,14 @@ class _SecureTrainerBase:
     survive across batches and epochs.  Without one, ``compute_pool``
     is None and each secure layer dispatches the same decryption loop
     to an inline executor that runs it in the calling thread.
+
+    A subclass names its first layer's type, the secure input layer
+    that wraps it, and the dataset field holding the encrypted inputs.
     """
+
+    first_layer: type
+    secure_input_class: type
+    dataset_field: str
 
     def __init__(self, model: Sequential, authority: TrustedAuthority,
                  config: CryptoNNConfig | None = None,
@@ -78,14 +81,25 @@ class _SecureTrainerBase:
         else:
             raise ValueError(f"unknown loss {loss!r}")
         self.loss_name = loss
+        first = model.layers[0]
+        if not isinstance(first, self.first_layer):
+            raise TypeError(
+                f"{type(self).__name__} needs a "
+                f"{self.first_layer.__name__} first layer, got {first.name}"
+            )
+        self.secure_input = self.secure_input_class(
+            first, authority, self.config, self.counters,
+            pool=self.compute_pool,
+        )
 
-    # subclasses provide these two hooks -----------------------------------
+    # -- secure first layer --------------------------------------------------
     def _secure_forward(self, dataset, indices: np.ndarray,
                         training: bool) -> np.ndarray:
-        raise NotImplementedError
+        batch = [getattr(dataset, self.dataset_field)[i] for i in indices]
+        return self.secure_input.forward(batch, indices, training=training)
 
     def _secure_backward(self, grad: np.ndarray) -> None:
-        raise NotImplementedError
+        self.secure_input.backward(grad)
 
     # -- shared loop ---------------------------------------------------------
     def _plain_tail_forward(self, z: np.ndarray, training: bool) -> np.ndarray:
@@ -354,25 +368,6 @@ class CryptoNNTrainer(_SecureTrainerBase):
     input dimension must match the encrypted feature length.
     """
 
-    def __init__(self, model: Sequential, authority: TrustedAuthority,
-                 config: CryptoNNConfig | None = None,
-                 loss: str = "cross_entropy",
-                 pool: SecureComputePool | None = None):
-        super().__init__(model, authority, config, loss, pool)
-        first = model.layers[0]
-        if not isinstance(first, Dense):
-            raise TypeError(
-                f"CryptoNNTrainer needs a Dense first layer, got {first.name}"
-            )
-        self.secure_input = SecureLinearInput(
-            first, authority, self.config, self.counters,
-            pool=self.compute_pool,
-        )
-
-    def _secure_forward(self, dataset: EncryptedTabularDataset,
-                        indices: np.ndarray, training: bool) -> np.ndarray:
-        batch = [dataset.samples[i] for i in indices]
-        return self.secure_input.forward(batch, indices, training=training)
-
-    def _secure_backward(self, grad: np.ndarray) -> None:
-        self.secure_input.backward(grad)
+    first_layer = Dense
+    secure_input_class = SecureLinearInput
+    dataset_field = "samples"

@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.fe.keys import FeboCiphertext, FeipCiphertext
 from repro.mathutils.group import GroupParams
-from repro.matrix.secure_conv import EncryptedWindows
 
 
 @dataclass
@@ -49,6 +48,15 @@ class EncryptedLabel:
     @property
     def num_classes(self) -> int:
         return len(self.onehot_bo)
+
+
+@dataclass
+class EncryptedWindows:
+    """One FEIP ciphertext per sliding-window position of one image
+    (Algorithm 3, lines 9-16), row-major over the ``out_shape`` grid."""
+
+    out_shape: tuple[int, int]
+    windows: list[FeipCiphertext]
 
 
 @dataclass

@@ -27,6 +27,7 @@ from repro.core.encdata import (
     EncryptedLabel,
     EncryptedSample,
     EncryptedTabularDataset,
+    EncryptedWindows,
 )
 from repro.core.protocol import TrafficLog
 from repro.data.preprocess import LabelMapper, one_hot
@@ -43,13 +44,9 @@ from repro.fe.keys import (
 )
 from repro.fe.engine import EncryptionEngine
 from repro.matrix.parallel import resolve_pool
-from repro.matrix.secure_conv import (
-    SecureConvolution,
-    conv_output_shape,
-    extract_windows,
-)
 from repro.mathutils.encoding import FixedPointCodec
 from repro.mathutils.group import GroupParams
+from repro.nn.conv import conv_out_dims, im2col
 
 
 class TrustedAuthority:
@@ -344,19 +341,22 @@ class Client:
         window_length = c * filter_size * filter_size
         mpk = self.authority.feip_public_key(window_length)
         bpk = self.authority.febo_public_key()
-        out_h, out_w = conv_output_shape(h, w, filter_size, stride, padding)
+        out_h, out_w = conv_out_dims(h, w, filter_size, stride, padding)
         self._bank_material(
             [(mpk, n * out_h * out_w),
              (self.authority.feip_public_key(num_classes), n)],
             bpk, n * (c * h * w + num_classes))
-        conv = SecureConvolution(self.authority.feip, mpk, engine=self.engine)
         enc_images: list[EncryptedImage] = []
         enc_labels: list[EncryptedLabel] = []
         for i in range(n):
             encoded_img = self.codec.encode_array(images[i])
-            enc_windows = conv.pre_process_encryption(
-                encoded_img, filter_size, stride, padding
-            )
+            # Algorithm 3 lines 9-16: pad, slide, flatten channel-major,
+            # encrypt -- the same window rows the plaintext Conv2D uses
+            windows, out_shape = im2col(encoded_img[np.newaxis],
+                                        filter_size, stride, padding)
+            enc_windows = EncryptedWindows(
+                out_shape=out_shape,
+                windows=self.engine.encrypt_feip_columns(mpk, windows))
             pixels = np.empty((c, h, w), dtype=object)
             for idx, value in np.ndenumerate(encoded_img):
                 pixels[idx] = self.engine.encrypt_febo(bpk, int(value))

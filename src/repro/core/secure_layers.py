@@ -4,9 +4,11 @@ These classes implement the two insertions Algorithm 2 makes into normal
 neural-network training (paper Fig. 1):
 
 * **secure feed-forward** -- the computation between the encrypted input
-  and the first hidden layer: :class:`SecureLinearInput` (dot product via
-  FEIP, Section III-D) and :class:`SecureConvInput` (secure convolution
-  via Algorithm 3, Section III-E1);
+  and the first hidden layer, one implementation for both first-layer
+  kinds: :class:`SecureLinearInput` (dot product via FEIP, Section
+  III-D) and :class:`SecureConvInput` (secure convolution via Algorithm
+  3, Section III-E1, which the paper describes as CryptoNN's
+  feed-forward step with windows in place of samples);
 * **secure back-propagation / evaluation** -- the computation between the
   last hidden layer and the encrypted label:
   :class:`SecureSoftmaxCrossEntropy` (loss as the inner product
@@ -20,7 +22,10 @@ Gradient of the first layer's weights
 every label/input-adjacent computation reduces to the permitted function
 set; the element-wise product is the member that applies here.  We request
 FEBO multiplication keys for the feature ciphertexts, decrypt the scaled
-features once per sample, and combine them with the plaintext deltas.
+features once per sample, and hand them with the plaintext deltas to the
+wrapped :class:`~repro.nn.layers.Dense` / :class:`~repro.nn.conv.Conv2D`,
+whose own ``backward`` computes the gradients -- the secure layer holds
+no gradient formula of its own.
 This stays inside F but *is* the direct-inference capability the paper
 concedes for authorized decryptors (Section III-B remark); CryptoNN's
 framework-level mitigation (random label mapping) protects the labels,
@@ -43,8 +48,7 @@ from repro.core.encdata import (
 )
 from repro.core.entities import TrustedAuthority
 from repro.nn.activations import log_softmax, softmax
-from repro.nn.conv import Conv2D, conv_out_dims, im2col
-from repro.nn.layers import Dense
+from repro.nn.conv import Conv2D
 from repro.matrix.parallel import (
     InlineExecutor,
     SecureComputePool,
@@ -112,44 +116,87 @@ class _SecureBase:
         self.counters.febo_keys_requested += len(keys)
         return keys
 
-    def _secure_dot(self, rows, columns, eta: int) -> np.ndarray:
-        """Integer ``<row, column>`` grid, shape (rows, columns).
 
-        One key fetch for the rows, then one dispatch decrypts every
-        FEIP column against every key.
-        """
+class _SecureInput(_SecureBase):
+    """Secure feed-forward + gradient for the model's first layer.
+
+    Forward decrypts one FEIP inner product per (key row, ciphertext
+    column) pair: one key per output unit, derived for that unit's
+    clipped, fixed-point encoded weights, and every column decrypted
+    against all of them in one dispatch.  Backward recovers each
+    sample's scaled input from its FEBO ciphertexts (one
+    multiplication-by-1 key and decrypt per element, keeping the op
+    inside F without fixed-point loss), cached per dataset index
+    because every epoch revisits every sample.  It then replays the
+    wrapped plaintext layer's forward on those inputs and lets the
+    layer's own ``backward`` fill its W/b gradients.
+
+    A subclass says only what differs between a dense and a
+    convolutional first layer: the weight rows, the ciphertext
+    columns, the output layout and the FEBO ciphertexts of one input.
+    """
+
+    def __init__(self, layer, authority: TrustedAuthority,
+                 config: CryptoNNConfig,
+                 counters: DecryptionCounters | None = None,
+                 solver_cache: SolverCache | None = None,
+                 pool: SecureComputePool | None = None):
+        super().__init__(authority, config, counters, solver_cache, pool)
+        self.layer = layer
+        self._feature_cache: dict[int, np.ndarray] = {}
+        self._last_batch: Sequence | None = None
+        self._last_indices: Sequence[int] | None = None
+
+    def _weight_rows(self) -> np.ndarray:
+        """The layer's weights, one row per output unit (key)."""
+        raise NotImplementedError
+
+    def _columns(self, batch: Sequence) -> list:
+        """The FEIP ciphertexts every key row is decrypted against."""
+        raise NotImplementedError
+
+    def _output_grid(self, grid: np.ndarray, batch: Sequence) -> np.ndarray:
+        """The (rows, columns) grid laid out as the layer's output."""
+        raise NotImplementedError
+
+    def _input_ciphertexts(self, item) -> tuple[Sequence, tuple[int, ...]]:
+        """One input's FEBO ciphertexts and the shape they fill."""
+        raise NotImplementedError
+
+    def forward(self, batch: Sequence, indices: Sequence[int] | None = None,
+                training: bool = True) -> np.ndarray:
+        """Return the layer's pre-activations for an encrypted batch."""
+        w = np.clip(self._weight_rows(), -self.config.max_abs_weight,
+                    self.config.max_abs_weight)
+        rows = [[self.codec.encode(v) for v in row] for row in w]
+        columns = self._columns(batch)
         keys = self._feip_keys(rows)
+        eta = len(rows[0])
         mpk = self.authority.feip_public_key(eta)
         with GLOBAL_TRACER.span(self._pool.dispatch_span,
                                 n=len(keys) * len(columns)):
             grid = self._pool.secure_dot(self.authority.params, mpk, columns,
                                          keys, self.config.dot_bound(eta))
         self.counters.feip_decrypts += grid.size
-        return grid
+        z = self.codec.decode_array(self._output_grid(grid, batch), power=2)
+        bias = self.layer.params["b"]
+        z += bias.reshape(bias.shape + (1,) * (z.ndim - 2))
+        if training:
+            self._last_batch = batch
+            self._last_indices = list(indices) if indices is not None \
+                else list(range(len(batch)))
+        return z
 
-
-class _FeatureReconstructor(_SecureBase):
-    """Recovers scaled features from FEBO ciphertexts for gradient steps.
-
-    Issues one multiplication key + decrypt per element (the identity
-    multiplier keeps the op inside F while avoiding fixed-point loss on
-    tiny gradient entries).  Results are cached per sample index, because
-    every epoch revisits every sample.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._feature_cache: dict[int, np.ndarray] = {}
-
-    def _decrypt_elements(self, ciphertexts: Sequence, bound: int) -> list[int]:
-        keys = self._febo_keys([(ct.cmt, "*", 1) for ct in ciphertexts])
-        bpk = self.authority.febo_public_key()
-        solver = self._cache.get(self._febo.group, bound)
-        with GLOBAL_TRACER.span("decrypt-dlog", n=len(keys)):
-            values = self._febo.decrypt_many(
-                bpk, list(zip(keys, ciphertexts)), bound, solver=solver)
-        self.counters.febo_decrypts += len(values)
-        return values
+    def backward(self, grad: np.ndarray) -> None:
+        """Fill the wrapped layer's W/b gradients from ``dL/dZ``."""
+        if self._last_batch is None or self._last_indices is None:
+            raise RuntimeError("backward called before forward")
+        x = np.stack([
+            self.reconstruct(idx, *self._input_ciphertexts(item))
+            for idx, item in zip(self._last_indices, self._last_batch)
+        ])
+        self.layer.forward(x)
+        self.layer.backward(grad)
 
     def reconstruct(self, index: int, ciphertexts: Sequence,
                     shape: tuple[int, ...]) -> np.ndarray:
@@ -157,137 +204,68 @@ class _FeatureReconstructor(_SecureBase):
         if index in self._feature_cache:
             return self._feature_cache[index]
         bound = int(self.config.max_abs_feature * self.config.scale) + 1
-        values = self._decrypt_elements(list(ciphertexts), bound)
+        ciphertexts = list(ciphertexts)
+        keys = self._febo_keys([(ct.cmt, "*", 1) for ct in ciphertexts])
+        bpk = self.authority.febo_public_key()
+        solver = self._cache.get(self._febo.group, bound)
+        with GLOBAL_TRACER.span("decrypt-dlog", n=len(keys)):
+            values = self._febo.decrypt_many(
+                bpk, list(zip(keys, ciphertexts)), bound, solver=solver)
+        self.counters.febo_decrypts += len(values)
         array = np.array([v / self.config.scale for v in values],
                          dtype=np.float64).reshape(shape)
         self._feature_cache[index] = array
         return array
 
 
-class SecureLinearInput(_FeatureReconstructor):
-    """Secure feed-forward + gradient for a first :class:`Dense` layer.
+class SecureLinearInput(_SecureInput):
+    """Secure input for a first :class:`Dense` layer (Section III-D).
 
-    Forward computes ``Z1 = X @ W + b`` where ``X`` is encrypted: one FEIP
-    key per hidden unit (a column of ``W``), one decrypt per (sample,
-    unit) pair -- the transfer ``a = g(skf(W) . enc(X) + b)`` of Section
-    III-A.
+    One key per hidden unit (a column of ``W``) and one FEIP column per
+    sample: the transfer ``a = g(skf(W) . enc(X) + b)`` of Section
+    III-A.  All hidden units share the sample's ciphertext bases, so
+    ``decrypt_rows`` builds the window tables and walks the dlog stride
+    once per sample, not per unit.
     """
 
-    def __init__(self, dense: Dense, authority: TrustedAuthority,
-                 config: CryptoNNConfig,
-                 counters: DecryptionCounters | None = None,
-                 solver_cache: SolverCache | None = None,
-                 pool: SecureComputePool | None = None):
-        super().__init__(authority, config, counters, solver_cache, pool)
-        self.dense = dense
-        self._last_batch: Sequence[EncryptedSample] | None = None
-        self._last_indices: Sequence[int] | None = None
+    def _weight_rows(self) -> np.ndarray:
+        return self.layer.params["W"].T
 
-    def _encoded_weight_rows(self) -> list[list[int]]:
-        """Columns of W, clipped and fixed-point encoded (one per unit)."""
-        w = np.clip(self.dense.params["W"], -self.config.max_abs_weight,
-                    self.config.max_abs_weight)
-        return [
-            [self.codec.encode(v) for v in w[:, unit]]
-            for unit in range(w.shape[1])
-        ]
+    def _columns(self, batch: Sequence[EncryptedSample]) -> list:
+        return [sample.features_ip for sample in batch]
 
-    def forward(self, batch: Sequence[EncryptedSample],
-                indices: Sequence[int] | None = None,
-                training: bool = True) -> np.ndarray:
-        """Return pre-activations ``Z1`` of shape (N, hidden)."""
-        # one column per sample: all hidden units share the sample's
-        # ciphertext bases, so decrypt_rows builds the window tables and
-        # walks the dlog stride once per sample, not per unit
-        grid = self._secure_dot(self._encoded_weight_rows(),
-                                [sample.features_ip for sample in batch],
-                                self.dense.in_features)
-        z = self.codec.decode_array(grid.T, power=2)
-        z += self.dense.params["b"]
-        if training:
-            self._last_batch = batch
-            self._last_indices = list(indices) if indices is not None \
-                else list(range(len(batch)))
-        return z
+    def _output_grid(self, grid: np.ndarray, batch: Sequence) -> np.ndarray:
+        return grid.T
 
-    def backward(self, grad_z: np.ndarray) -> None:
-        """Fill the wrapped layer's W/b gradients from ``dL/dZ1``."""
-        if self._last_batch is None or self._last_indices is None:
-            raise RuntimeError("backward called before forward")
-        x = np.stack([
-            self.reconstruct(idx, sample.features_bo, (sample.n_features,))
-            for idx, sample in zip(self._last_indices, self._last_batch)
-        ])
-        self.dense.grads["W"] = x.T @ grad_z
-        self.dense.grads["b"] = grad_z.sum(axis=0)
+    def _input_ciphertexts(self, sample: EncryptedSample):
+        return sample.features_bo, (sample.n_features,)
 
 
-class SecureConvInput(_FeatureReconstructor):
-    """Secure feed-forward + gradient for a first :class:`Conv2D` layer.
+class SecureConvInput(_SecureInput):
+    """Secure input for a first :class:`Conv2D` layer (Algorithm 3).
 
-    Forward is Algorithm 3: one FEIP key per filter, one decrypt per
-    (window, filter) pair.  Backward reconstructs the scaled image via
-    FEBO (cached) and reuses the plaintext im2col gradient math.
+    One key per flattened filter and one FEIP column per window of
+    every image in the batch, so the whole filter bank shares each
+    window's base tables.
     """
 
-    def __init__(self, conv: Conv2D, authority: TrustedAuthority,
-                 config: CryptoNNConfig,
-                 counters: DecryptionCounters | None = None,
-                 solver_cache: SolverCache | None = None,
-                 pool: SecureComputePool | None = None):
-        super().__init__(authority, config, counters, solver_cache, pool)
-        self.conv = conv
-        self._last_batch: Sequence[EncryptedImage] | None = None
-        self._last_indices: Sequence[int] | None = None
+    @property
+    def conv(self) -> Conv2D:
+        return self.layer
 
-    def _encoded_filter_rows(self) -> list[list[int]]:
-        w = np.clip(self.conv.params["W"], -self.config.max_abs_weight,
-                    self.config.max_abs_weight)
-        return [
-            [self.codec.encode(v) for v in w[f].ravel()]
-            for f in range(w.shape[0])
-        ]
+    def _weight_rows(self) -> np.ndarray:
+        w = self.layer.params["W"]
+        return w.reshape(w.shape[0], -1)
 
-    def forward(self, batch: Sequence[EncryptedImage],
-                indices: Sequence[int] | None = None,
-                training: bool = True) -> np.ndarray:
-        """Return pre-activations of shape (N, F, out_h, out_w)."""
+    def _columns(self, batch: Sequence[EncryptedImage]) -> list:
+        return [w for image in batch for w in image.windows.windows]
+
+    def _output_grid(self, grid: np.ndarray, batch: Sequence) -> np.ndarray:
         out_h, out_w = batch[0].windows.out_shape
-        window_length = (self.conv.in_channels
-                         * self.conv.filter_size * self.conv.filter_size)
-        # every window of every image is one column: the whole filter
-        # bank shares each window's base tables
-        grid = self._secure_dot(
-            self._encoded_filter_rows(),
-            [w for image in batch for w in image.windows.windows],
-            window_length)
-        out = self.codec.decode_array(
-            grid.reshape(-1, len(batch), out_h, out_w).transpose(1, 0, 2, 3),
-            power=2)
-        out += self.conv.params["b"][np.newaxis, :, np.newaxis, np.newaxis]
-        if training:
-            self._last_batch = batch
-            self._last_indices = list(indices) if indices is not None \
-                else list(range(len(batch)))
-        return out
+        return grid.reshape(-1, len(batch), out_h, out_w).transpose(1, 0, 2, 3)
 
-    def backward(self, grad_out: np.ndarray) -> None:
-        """Fill the wrapped conv layer's W/b gradients from dL/dZ."""
-        if self._last_batch is None or self._last_indices is None:
-            raise RuntimeError("backward called before forward")
-        images = np.stack([
-            self.reconstruct(idx, image.pixels_bo.ravel(), image.image_shape)
-            for idx, image in zip(self._last_indices, self._last_batch)
-        ])
-        cols, _ = im2col(images, self.conv.filter_size, self.conv.stride,
-                         self.conv.padding)
-        grad_flat = grad_out.transpose(0, 2, 3, 1).reshape(
-            -1, self.conv.out_channels
-        )
-        self.conv.grads["W"] = (grad_flat.T @ cols).reshape(
-            self.conv.params["W"].shape
-        )
-        self.conv.grads["b"] = grad_flat.sum(axis=0)
+    def _input_ciphertexts(self, image: EncryptedImage):
+        return image.pixels_bo.ravel(), image.image_shape
 
 
 def _decrypt_label_subtractions(layer: _SecureBase, values: np.ndarray,

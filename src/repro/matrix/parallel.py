@@ -364,13 +364,12 @@ class SecureComputePool:
                           febo_mpk: FeboPublicKey | None = None) -> tuple:
         return self.configure("encrypt", (params, feip_mpk, febo_mpk))
 
-    def _map(self, fn, config: tuple, tasks: Sequence, parallelism_hint: int,
-             chunksize: int | None = None) -> list:
+    def _map(self, fn, config: tuple, tasks: Sequence) -> list:
         """Run ``fn(config, task)`` for every task on the workers, in order.
 
-        ``executor.map`` submits every chunk of ``tasks`` up front, so
-        the callers pre-chunk large grids themselves (``secure_dot``,
-        ``secure_elementwise``) and pass ``chunksize=1``.
+        ``executor.map`` submits every task up front, so every caller
+        hands over pre-chunked tasks (column runs, cell runs, one nonce
+        batch per worker) and each task travels alone (``chunksize=1``).
 
         A crashed worker breaks the whole executor; unlike the old
         executor-per-call code that recovered for free, a persistent
@@ -383,8 +382,6 @@ class SecureComputePool:
         slower -- and the degradation is counted and latched in
         ``stats``.
         """
-        if chunksize is None:
-            chunksize = max(1, len(tasks) // (self.workers * parallelism_hint))
         with self._lock:
             self.dispatches += 1
         last_exc: BrokenProcessPool | None = None
@@ -392,7 +389,7 @@ class SecureComputePool:
             executor = self._ensure_executor()
             try:
                 return list(executor.map(partial(fn, config), tasks,
-                                         chunksize=chunksize))
+                                         chunksize=1))
             except BrokenProcessPool as exc:
                 last_exc = exc
                 with self._lock:
@@ -427,7 +424,7 @@ class SecureComputePool:
         config = self.configure_dot(params, mpk, keys, bound)
         z = np.empty((len(keys), len(columns)), dtype=object)
         chunks = chunk_tasks(columns, self.workers * CHUNKS_PER_WORKER)
-        results = self._map(_dot_columns, config, chunks, 1, chunksize=1)
+        results = self._map(_dot_columns, config, chunks)
         for j, values in enumerate(itertools.chain.from_iterable(results)):
             z[:, j] = values
         return z
@@ -445,8 +442,7 @@ class SecureComputePool:
         """
         config = self.configure_elementwise(params, mpk, bound)
         chunks = chunk_tasks(cells, self.workers * CHUNKS_PER_WORKER)
-        results = self._map(_elementwise_cells, config, chunks, 1,
-                            chunksize=1)
+        results = self._map(_elementwise_cells, config, chunks)
         return np.array(list(itertools.chain.from_iterable(results)),
                         dtype=object).reshape(shape)
 
@@ -483,13 +479,13 @@ class SecureComputePool:
             if feip_mpk is None:
                 raise ValueError("feip_count > 0 requires feip_mpk")
             for batch in self._map(_feip_nonce_chunk, config,
-                                   self._nonce_chunks(feip_count), 2):
+                                   self._nonce_chunks(feip_count)):
                 feip_nonces.extend(batch)
         if febo_count > 0:
             if febo_mpk is None:
                 raise ValueError("febo_count > 0 requires febo_mpk")
             for batch in self._map(_febo_nonce_chunk, config,
-                                   self._nonce_chunks(febo_count), 2):
+                                   self._nonce_chunks(febo_count)):
                 febo_nonces.extend(batch)
         return feip_nonces, febo_nonces
 
@@ -527,8 +523,7 @@ class InlineExecutor(SecureComputePool):
         return _build_state(kind, payload, self._solver_cache,
                             self._feip, self._febo)
 
-    def _map(self, fn, config: tuple, tasks: Sequence, parallelism_hint: int,
-             chunksize: int | None = None) -> list:
+    def _map(self, fn, config: tuple, tasks: Sequence) -> list:
         return _run_in_caller(fn, config, tasks)
 
 

@@ -27,9 +27,11 @@ def im2col(x: np.ndarray, filter_size: int, stride: int,
            padding: int) -> tuple[np.ndarray, tuple[int, int]]:
     """Unfold ``(N, C, H, W)`` into ``(N * out_h * out_w, C * f * f)``.
 
-    Column order matches the window flattening of
-    :func:`repro.matrix.secure_conv.extract_windows` (channel-major), so
-    plaintext and secure paths produce byte-identical orderings.
+    Rows run row-major over output positions, image by image; each row
+    is one zero-padded window flattened channel-major.  This is also how
+    the client cuts an encoded (object-dtype) image into the windows it
+    FEIP-encrypts (Algorithm 3), so the secure and plaintext
+    convolutions share one window layout by construction.
     """
     n, c, h, w = x.shape
     out_h, out_w = conv_out_dims(h, w, filter_size, stride, padding)

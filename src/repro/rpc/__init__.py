@@ -67,7 +67,6 @@ from repro.rpc.retry import (
     STAT_KEYS,
     RetryPolicy,
     RetryStats,
-    call_with_retry,
     merge_stats,
 )
 from repro.rpc.runtime import ServiceThread, free_port, wait_for_port
@@ -89,7 +88,6 @@ __all__ = [
     "STAT_KEYS",
     "RetryPolicy",
     "RetryStats",
-    "call_with_retry",
     "merge_stats",
     "FrameError",
     "HealthRequest",

@@ -70,7 +70,7 @@ class RpcEndpoint:
     Requests are serialized per endpoint (one in flight at a time, which
     is all the strict request/response protocol allows per connection).
     Transport failures trigger a reconnect and one resend per remaining
-    retry; remote error frames raise immediately.
+    attempt of ``policy``; remote error frames raise immediately.
 
     Every exchanged message is recorded in ``traffic`` with its body
     length -- identical to the serialization wire sizes by construction.
@@ -78,7 +78,7 @@ class RpcEndpoint:
 
     def __init__(self, host: str, port: int, *, name: str = protocol.CLIENT,
                  peer: str = "service", timeout: float = 60.0,
-                 connect_timeout: float = 10.0, retries: int | None = None,
+                 connect_timeout: float = 10.0,
                  policy: RetryPolicy | None = None,
                  traffic: TrafficLog | None = None,
                  max_frame_bytes: int = MAX_FRAME_BYTES):
@@ -88,16 +88,9 @@ class RpcEndpoint:
         self.peer = peer
         self.timeout = timeout
         self.connect_timeout = connect_timeout
-        if policy is None:
-            # legacy knob: ``retries`` resends with backoff under the
-            # default policy shape (base 50ms, full jitter, 1s cap)
-            attempts = (retries + 1) if retries is not None else 2
-            policy = RetryPolicy(max_attempts=attempts, base_delay=0.05,
-                                 max_delay=1.0)
-        elif retries is not None:
-            raise ValueError("pass either retries or policy, not both")
-        self.policy = policy
-        self.retries = policy.max_attempts - 1
+        #: default: one resend, backing off 50 ms (full jitter, 1 s cap)
+        self.policy = policy or RetryPolicy(max_attempts=2, base_delay=0.05,
+                                            max_delay=1.0)
         #: fault/retry counters in the runtime-wide shared vocabulary
         self.stats = RetryStats()
         self.traffic = traffic if traffic is not None else TrafficLog()
@@ -361,13 +354,11 @@ class RemoteAuthority:
 
     def __init__(self, host: str, port: int, *, name: str = protocol.SERVER,
                  rng: random.Random | None = None, timeout: float = 120.0,
-                 connect_timeout: float = 10.0, retries: int | None = None,
+                 connect_timeout: float = 10.0,
                  policy: RetryPolicy | None = None):
-        if policy is None and retries is None:
-            retries = 1
         self.endpoint = RpcEndpoint(
             host, port, name=name, peer=protocol.AUTHORITY, timeout=timeout,
-            connect_timeout=connect_timeout, retries=retries, policy=policy)
+            connect_timeout=connect_timeout, policy=policy)
         self.name = name
         try:
             resp = self.endpoint.request(PublicParamsRequest(

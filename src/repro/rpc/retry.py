@@ -164,26 +164,3 @@ def merge_stats(*snapshots: dict[str, int]) -> dict[str, int]:
         for key, value in snap.items():
             merged[key] = merged.get(key, 0) + int(value)
     return merged
-
-
-def call_with_retry(policy: RetryPolicy, fn: Callable[[], object], *,
-                    retry_on: tuple[type[BaseException], ...] = (Exception,),
-                    stats: RetryStats | None = None,
-                    rng: random.Random | None = None,
-                    sleep: Callable[[float], None] = time.sleep):
-    """Run ``fn`` under ``policy``; re-raise the last error on giveup."""
-    last_exc: BaseException | None = None
-    for attempt in policy.attempts(rng=rng, sleep=sleep):
-        if stats is not None:
-            stats.attempts += 1
-            if attempt > 1:
-                stats.retries += 1
-        try:
-            return fn()
-        except retry_on as exc:
-            last_exc = exc
-            if stats is not None:
-                stats.drops += 1
-    if stats is not None:
-        stats.giveups += 1
-    raise last_exc

@@ -334,20 +334,28 @@ class TrainingService(FramedService):
         await super().stop()
 
     # -- wire context --------------------------------------------------------
+    def _connect_authority(self) -> RemoteAuthority:
+        """Blocking: the authority link, handshaking on first use.
+
+        ``stop()`` sets ``_stopping`` before it closes
+        ``self.authority``, so under the GIL a link opened concurrently
+        is either closed by ``stop()`` or caught by the re-check here.
+        """
+        if self.authority is None:
+            if self._stopping:
+                raise RuntimeError("training server is stopping")
+            self.authority = RemoteAuthority(
+                *self.authority_address, name=protocol.SERVER,
+                timeout=self.authority_timeout, policy=self.retry_policy)
+            if self._stopping:
+                self.authority.close()
+                raise RuntimeError("training server is stopping")
+        return self.authority
+
     def _handshake_ctx(self) -> WireContext:
         """Blocking: first call performs the authority handshake."""
         if self._cached_ctx is None:
-            if self.authority is None:
-                if self._stopping:
-                    raise RuntimeError("training server is stopping")
-                self.authority = RemoteAuthority(
-                    *self.authority_address, name=protocol.SERVER,
-                    timeout=self.authority_timeout,
-                    policy=self.retry_policy)
-                if self._stopping:
-                    self.authority.close()
-                    raise RuntimeError("training server is stopping")
-            self._cached_ctx = self.authority.wire_ctx
+            self._cached_ctx = self._connect_authority().wire_ctx
         return self._cached_ctx
 
     async def _wire_context(self) -> WireContext:
@@ -695,17 +703,7 @@ class TrainingService(FramedService):
                 # server can resume without re-uploads; ciphertexts
                 # only -- no key material
                 save_encrypted_tabular(self.dataset, self.dataset_path)
-        authority = self.authority
-        if authority is None:
-            authority = RemoteAuthority(
-                *self.authority_address, name=protocol.SERVER,
-                timeout=self.authority_timeout, policy=self.retry_policy)
-            self.authority = authority
-            if self._stopping:
-                # stop() may have missed the fresh connection; under the
-                # GIL either it closed self.authority or we see the flag
-                authority.close()
-                raise RuntimeError("training server is stopping")
+        authority = self._connect_authority()
         config = dataclasses.replace(
             authority.config, batch_key_requests=self.batch_key_requests)
         if self.workers is not None:

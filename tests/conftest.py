@@ -86,3 +86,29 @@ def feip(params, rng, solver_cache) -> Feip:
 @pytest.fixture()
 def febo(params, rng, solver_cache) -> Febo:
     return Febo(params, rng=rng, solver_cache=solver_cache)
+
+
+def _plain_convolve(image, kernel, stride, padding):
+    """Reference convolution of a (C, H, W) or (H, W) object image."""
+    if image.ndim == 2:
+        image = image[np.newaxis]
+    c, h, w = image.shape
+    f = kernel.shape[-1]
+    out_h = (h + 2 * padding - f) // stride + 1
+    out_w = (w + 2 * padding - f) // stride + 1
+    padded = np.zeros((c, h + 2 * padding, w + 2 * padding), dtype=object)
+    padded[:, padding:padding + h, padding:padding + w] = image
+    out = np.empty((out_h, out_w), dtype=object)
+    kernel3 = kernel if kernel.ndim == 3 else kernel[np.newaxis]
+    for i in range(out_h):
+        for j in range(out_w):
+            window = padded[:, i * stride:i * stride + f,
+                            j * stride:j * stride + f]
+            out[i, j] = int((window * kernel3).sum())
+    return out
+
+
+@pytest.fixture(scope="session")
+def plain_convolve():
+    """The loop-by-loop integer convolution secure results must equal."""
+    return _plain_convolve

@@ -21,17 +21,6 @@ class TestIm2Col:
         cols, _ = im2col(x, 1, 1, 0)
         np.testing.assert_array_equal(cols.ravel(), np.arange(16))
 
-    def test_matches_secure_window_ordering(self, np_rng):
-        """The plaintext im2col and the secure extract_windows must agree
-        on flattening order -- CryptoCNN depends on it."""
-        from repro.matrix.secure_conv import extract_windows
-        img = np.arange(2 * 4 * 4, dtype=np.float64).reshape(2, 4, 4)
-        windows, _ = extract_windows(img.astype(object), 3, 1, 1)
-        cols, _ = im2col(img[np.newaxis], 3, 1, 1)
-        np.testing.assert_array_equal(
-            np.array(windows, dtype=np.float64), cols
-        )
-
     def test_col2im_inverts_counts(self):
         """col2im of ones counts how many windows cover each pixel."""
         x_shape = (1, 1, 4, 4)

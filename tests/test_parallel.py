@@ -5,14 +5,14 @@ import random
 import numpy as np
 import pytest
 
-from repro.fe.feip import Feip
+from repro.core.config import CryptoNNConfig
+from repro.core.entities import Client, TrustedAuthority
 from repro.matrix.parallel import (
     SecureComputePool,
     chunk_tasks,
     default_workers,
     get_compute_pool,
 )
-from repro.matrix.secure_conv import SecureConvolution
 from repro.matrix.secure_matrix import (
     SecureMatrixScheme,
     matrix_bound_dot,
@@ -56,15 +56,15 @@ class TestChunking:
         assert sum(chunks) == count
         assert all(c >= 1 for c in chunks)
 
-    @pytest.mark.parametrize("n_tasks,parallelism_hint",
+    @pytest.mark.parametrize("n_tasks,workers",
                              [(0, 4), (1, 4), (3, 8), (5, 2), (17, 4)])
-    def test_map_chunksize_always_positive(self, n_tasks, parallelism_hint,
+    def test_map_chunksize_always_positive(self, n_tasks, workers,
                                            monkeypatch):
-        """The simplified heuristic must never hand chunksize=0 to
-        executor.map (n_tasks below workers*hint used to need the
-        double guard).  A fake executor captures what _map actually
+        """Callers pre-chunk, so _map must hand every task to
+        executor.map on its own (chunksize 1, never 0) for any task
+        and worker count.  A fake executor captures what _map actually
         passes, without forking workers."""
-        pool = SecureComputePool(workers=4)
+        pool = SecureComputePool(workers=workers)
         seen = {}
 
         class FakeExecutor:
@@ -75,9 +75,9 @@ class TestChunking:
         monkeypatch.setattr(pool, "_ensure_executor",
                             lambda: FakeExecutor())
         tasks = list(range(n_tasks))
-        out = pool._map(_echo_task, ("config",), tasks, parallelism_hint)
+        out = pool._map(_echo_task, ("config",), tasks)
         assert out == tasks
-        assert seen["chunksize"] >= 1
+        assert seen["chunksize"] == 1
 
     def test_pooled_dot_awkward_column_counts(self, params, rng,
                                               solver_cache):
@@ -126,23 +126,29 @@ class TestParallelMatchesSerial:
             params, scheme.febo_mpk, cells, enc.shape, bound)
         np.testing.assert_array_equal(parallel, serial)
 
-    def test_convolution(self, params, rng, solver_cache):
-        feip = Feip(params, rng=rng, solver_cache=solver_cache)
-        conv = SecureConvolution(feip)
-        msk = conv.setup(window_length=4)
-        img = np.array([[rng.randrange(0, 8) for _ in range(4)]
-                        for _ in range(4)], dtype=object)
+    def test_convolution(self, rng, plain_convolve):
+        # scale 1: the client encrypts the integer pixels unchanged
+        authority = TrustedAuthority(
+            CryptoNNConfig(scale=1, max_abs_feature=8.0),
+            rng=random.Random(0))
+        img = np.array([[[rng.randrange(0, 8) for _ in range(4)]
+                         for _ in range(4)]], dtype=object)
         kernels = [np.array([[rng.randrange(-2, 3) for _ in range(2)]
                              for _ in range(2)], dtype=object)
                    for _ in range(2)]
-        enc = conv.pre_process_encryption(img, 2, 2, 0)
-        keys = conv.derive_filter_bank_keys(msk, kernels)
-        bound = 4 * 8 * 2 + 1
-        serial = conv.secure_convolve_bank(enc, keys, bound)
+        enc = Client(authority).encrypt_images(
+            img[np.newaxis].astype(np.float64), np.zeros(1, dtype=int),
+            num_classes=2, filter_size=2, stride=2, padding=0)
+        windows = enc.images[0].windows
+        keys = authority.derive_feip_keys(
+            [[int(v) for v in k.ravel()] for k in kernels])
         parallel = get_compute_pool(workers=2).secure_dot(
-            params, conv.mpk, enc.windows, keys, bound,
-        ).reshape(len(keys), *enc.out_shape)
-        np.testing.assert_array_equal(parallel, serial)
+            authority.params, authority.feip_public_key(4), windows.windows,
+            keys, 4 * 8 * 2 + 1,
+        ).reshape(len(keys), *windows.out_shape)
+        for f, kernel in enumerate(kernels):
+            np.testing.assert_array_equal(parallel[f],
+                                          plain_convolve(img, kernel, 2, 0))
 
     def test_single_worker_works(self, params, rng, solver_cache):
         scheme = SecureMatrixScheme(params, rng=rng, solver_cache=solver_cache)

@@ -19,7 +19,6 @@ from repro.rpc.retry import (
     STAT_KEYS,
     RetryPolicy,
     RetryStats,
-    call_with_retry,
     merge_stats,
 )
 from repro.rpc.runtime import free_port, wait_for_port
@@ -104,51 +103,6 @@ class TestRetryStats:
         assert merged["drops"] == 1
         assert merged["timeouts"] == 0
         assert merged["injected_stall"] == 4
-
-
-class TestCallWithRetry:
-    def test_succeeds_after_transient_failures(self):
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise ConnectionError("weather")
-            return "ok"
-
-        stats = RetryStats()
-        policy = RetryPolicy(max_attempts=5, base_delay=0.0, jitter=False)
-        assert call_with_retry(policy, flaky, stats=stats,
-                               sleep=lambda s: None) == "ok"
-        assert stats.attempts == 3
-        assert stats.retries == 2
-        assert stats.drops == 2
-        assert stats.giveups == 0
-
-    def test_giveup_reraises_last_error_and_counts(self):
-        stats = RetryStats()
-        policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=False)
-
-        def always_fails():
-            raise ConnectionError("down")
-
-        with pytest.raises(ConnectionError):
-            call_with_retry(policy, always_fails, stats=stats,
-                            sleep=lambda s: None)
-        assert stats.attempts == 2
-        assert stats.giveups == 1
-
-    def test_non_retryable_error_escapes_immediately(self):
-        calls = {"n": 0}
-
-        def boom():
-            calls["n"] += 1
-            raise ValueError("logic bug, not weather")
-
-        with pytest.raises(ValueError):
-            call_with_retry(RetryPolicy(max_attempts=5, base_delay=0.0),
-                            boom, retry_on=(ConnectionError,))
-        assert calls["n"] == 1
 
 
 @pytest.mark.timeout_guard(30)

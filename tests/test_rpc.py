@@ -29,6 +29,7 @@ from repro.fe.keys import FeboFunctionKey, FeipFunctionKey
 from repro.rpc import (
     AuthorityService,
     RemoteAuthority,
+    RetryPolicy,
     RpcEndpoint,
     RpcRemoteError,
     ServiceThread,
@@ -457,7 +458,8 @@ class TestAuthorityServiceLoopback:
     def test_unknown_port_fails_fast(self):
         with pytest.raises(Exception):
             RemoteAuthority("127.0.0.1", free_port(), name="server",
-                            connect_timeout=0.3, retries=0)
+                            connect_timeout=0.3,
+                            policy=RetryPolicy(max_attempts=1))
 
 
 # ---------------------------------------------------------------------------

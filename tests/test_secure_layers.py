@@ -62,8 +62,8 @@ class TestSecureLinearInput:
         grad_z = np_rng.normal(size=(4, 2))
         secure.backward(grad_z)
         expected_w = quantize(x).T @ grad_z
-        np.testing.assert_allclose(dense.grads["W"], expected_w, atol=1e-9)
-        np.testing.assert_allclose(dense.grads["b"], grad_z.sum(axis=0))
+        assert np.array_equal(dense.grads["W"], expected_w)
+        assert np.array_equal(dense.grads["b"], grad_z.sum(axis=0))
 
     def test_backward_before_forward(self, authority, np_rng):
         dense = Dense(3, 2, rng=np_rng)
@@ -127,8 +127,8 @@ class TestSecureConvInput:
         twin.params["b"][...] = conv.params["b"]
         twin.forward(quantize(imgs))
         twin.backward(grad_out)
-        np.testing.assert_allclose(conv.grads["W"], twin.grads["W"], atol=1e-9)
-        np.testing.assert_allclose(conv.grads["b"], twin.grads["b"], atol=1e-9)
+        assert np.array_equal(conv.grads["W"], twin.grads["W"])
+        assert np.array_equal(conv.grads["b"], twin.grads["b"])
 
 
 class TestSecureSoftmaxCrossEntropy:
