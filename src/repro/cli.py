@@ -24,8 +24,8 @@ each role becomes a long-running process:
 SECURITY: the authority file holds master secret keys -- in a real
 deployment it never leaves the authority.  The CLI keeps everything in
 files purely to make the roles tangible; the serve-* commands keep the
-master keys inside the authority process, as the paper's architecture
-requires.
+master keys inside the authority's process tree, as the paper's
+architecture requires.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from repro.core.encdata import (
 from repro.core.protocol import TrafficLog
 from repro.data.preprocess import LabelMapper, one_hot
 from repro.fe.errors import UnsupportedOperationError
-from repro.fe.febo import Febo, FeboOp
+from repro.fe.febo import Febo
 from repro.fe.feip import Feip
 from repro.fe.keys import (
     FeboFunctionKey,
@@ -43,7 +43,11 @@ from repro.fe.keys import (
     FeipPublicKey,
 )
 from repro.fe.engine import EncryptionEngine
-from repro.matrix.parallel import resolve_pool
+from repro.matrix.parallel import (
+    InlineExecutor,
+    SecureComputePool,
+    resolve_pool,
+)
 from repro.mathutils.encoding import FixedPointCodec
 from repro.mathutils.group import GroupParams
 from repro.nn.conv import conv_out_dims, im2col
@@ -55,6 +59,12 @@ class TrustedAuthority:
     FEIP master keys are per vector length (a key pair supports one
     ``eta``); FEBO uses a single key pair.  The ``permitted_ops``
     whitelist models the paper's "permitted function set F".
+
+    FEBO keys -- one full-width ``cmt^s`` each -- are derived through
+    ``pool``: an :class:`~repro.matrix.parallel.InlineExecutor` in the
+    calling thread, or a :class:`~repro.matrix.parallel.SecureComputePool`
+    of the authority's own, which ``serve-authority`` installs.  The
+    master key reaches no process outside the authority's.
     """
 
     def __init__(self, config: CryptoNNConfig | None = None,
@@ -71,6 +81,8 @@ class TrustedAuthority:
         self._rng = rng or random.Random()
         self.feip = Feip(self.params, rng=self._rng)
         self.febo = Febo(self.params, rng=self._rng)
+        #: where FEBO keys are derived (see the class docstring)
+        self.pool: SecureComputePool = InlineExecutor(self.feip, self.febo)
         self._feip_pairs: dict[int, tuple[FeipPublicKey, FeipMasterKey]] = {}
         self._febo_pair: tuple[FeboPublicKey, FeboMasterKey] = self.febo.setup()
         self.feip_keys_issued = 0
@@ -176,11 +188,8 @@ class TrustedAuthority:
                 )
             if self.policy is not None:
                 self.policy.check_febo_request(op, requester)
-        _, msk = self._febo_pair
-        keys = [
-            self.febo.key_derive(msk, cmt, FeboOp.coerce(op), y)
-            for cmt, op, y in requests
-        ]
+        keys = self.pool.derive_febo_keys(self.params, self._febo_pair[1],
+                                          requests)
         self.febo_keys_issued += len(keys)
         return keys
 
@@ -192,6 +201,8 @@ class TrustedAuthority:
         Args:
             requests: list of ``(commitment, op_symbol, operand)``.
         """
+        if not requests:
+            return []
         keys = self._derive_febo(requests, requester)
         wb = self.config.key_weight_bytes
         self._record_exchange(

@@ -52,9 +52,10 @@ def jacobi_symbol(a: int, n: int) -> int:
     For prime ``n`` this is the Legendre symbol: 1 when ``a`` is a
     quadratic residue mod ``n``, -1 when it is not, 0 when ``n``
     divides ``a``.  Binary quadratic-reciprocity algorithm -- O(log^2)
-    bit operations, two orders of magnitude cheaper than the
-    ``pow(a, q, p)`` subgroup test at 256 bits, which is what makes
-    per-element ciphertext validation affordable on the ingestion path.
+    bit operations.  At 256 bits that is about 3-4x faster than the
+    ``pow(a, q, p)`` subgroup test (~40-60 us against ~155-230 us on a
+    2-core VM), which is what the ingestion path's per-element
+    ciphertext validation runs on.
 
     Raises:
         ValueError: if ``n`` is even or not positive.

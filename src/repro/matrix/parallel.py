@@ -36,6 +36,20 @@ Workers draw nonces from their own OS-seeded RNGs -- each worker
 process constructs a fresh ``Feip``/``Febo`` on config install, so
 nonce streams are independent across workers and dispatches.
 
+And it serves the *authority*: under the ``febo-keys`` kind
+(:meth:`SecureComputePool.derive_febo_keys`) workers derive
+per-ciphertext FEBO keys, one full-width ``cmt^s`` each.  Its payload
+carries the FEBO master key, so only the authority's own pool -- the
+one ``serve-authority`` forks -- is ever configured with it; the
+caller keeps the permitted-op and policy checks.
+
+Every worker starts with the default stop signals, whatever handlers
+its parent had installed when it forked, and exits on its own once the
+process that forked it is gone (:func:`_init_worker`), so a SIGKILLed
+pool holder -- a supervised service being restarted -- leaves no
+orphans behind.  A pool built with ``pin_workers`` (the authority's)
+also pins each worker to one usable CPU, round robin.
+
 All key/ciphertext containers are frozen dataclasses of ints, so the
 per-configuration pickling is cheap.
 """
@@ -43,11 +57,14 @@ per-configuration pickling is cheap.
 from __future__ import annotations
 
 import atexit
+import contextlib
 import itertools
 import multiprocessing
 import os
 import pickle
+import signal
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from collections.abc import Sequence
@@ -61,6 +78,7 @@ from repro.fe.feip import Feip
 from repro.fe.keys import (
     FeboCiphertext,
     FeboFunctionKey,
+    FeboMasterKey,
     FeboNonce,
     FeboPublicKey,
     FeipCiphertext,
@@ -132,6 +150,9 @@ def _build_state(kind: str, payload: tuple, solver_cache: SolverCache,
         febo = febo or Febo(params)
         return dict(febo=febo, febo_mpk=mpk,
                     solver=solver_cache.get(febo.group, bound))
+    if kind == "febo-keys":
+        params, msk = payload
+        return dict(febo=febo or Febo(params), febo_msk=msk)
     if kind == "encrypt":
         params, feip_mpk, febo_mpk = payload
         # fresh Feip/Febo per worker => fresh OS-seeded RNG per worker,
@@ -200,6 +221,14 @@ def _elementwise_cells(
                                       solver.bound, solver=solver)
 
 
+def _febo_key_chunk(config: tuple, chunk: tuple[tuple[int, str, int], ...]
+                    ) -> list[FeboFunctionKey]:
+    """Derive the FEBO key of each ``(cmt, op, y)`` request in a run."""
+    state = _install_config(config)
+    febo, msk = state["febo"], state["febo_msk"]
+    return [febo.key_derive(msk, cmt, op, y) for cmt, op, y in chunk]
+
+
 def _feip_nonce_chunk(config: tuple, count: int) -> list[FeipNonce]:
     state = _install_config(config)
     return make_feip_nonces(state["feip"].group, state["feip_mpk"], count)
@@ -208,6 +237,55 @@ def _feip_nonce_chunk(config: tuple, count: int) -> list[FeipNonce]:
 def _febo_nonce_chunk(config: tuple, count: int) -> list[FeboNonce]:
     state = _install_config(config)
     return make_febo_nonces(state["febo"].group, state["febo_mpk"], count)
+
+
+#: seconds between a worker's checks that its parent is still alive
+PARENT_POLL_S = 0.2
+
+
+def _init_worker(pin_counter) -> None:
+    """Worker initializer: default stop signals, optional CPU pin,
+    exit when the parent is gone.
+
+    A worker forked after its parent took over SIGINT and SIGTERM
+    (``serve-authority`` starts its pool on the first key request)
+    would inherit the parent's handlers -- and, under an asyncio
+    ``add_signal_handler``, the parent's wakeup fd: it would survive
+    the SIGTERM a broken executor sends its survivors, and its signals
+    could reach the parent's event loop as the parent's own.  So
+    SIGTERM kills a worker again, and SIGINT -- which a terminal sends
+    to the whole process group -- is left to the parent, which stops
+    the pool itself.
+
+    ``pin_counter`` (None: no pinning) counts the executor's workers;
+    worker ``i`` takes the ``i``-th usable CPU, round robin.  Left to
+    the kernel, workers woken together by one dispatch may queue on the
+    same CPU, so a burst of short chunks runs no faster than on one
+    worker.
+
+    A parent killed by SIGKILL never shuts its executor down, and its
+    idle workers would wait on the call queue forever, reparented to
+    init.  A daemon thread notices the reparenting instead.
+    """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if pin_counter is not None and hasattr(os, "sched_setaffinity"):
+        with pin_counter.get_lock():
+            index = pin_counter.value
+            pin_counter.value += 1
+        cpus = sorted(os.sched_getaffinity(0))
+        # a sandbox may forbid pinning; an unpinned worker still works
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, {cpus[index % len(cpus)]})
+    parent_pid = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(PARENT_POLL_S)
+        os._exit(0)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
 
 
 def _run_in_caller(fn, config: tuple, tasks: Sequence) -> list:
@@ -233,7 +311,8 @@ class SecureComputePool:
     dispatch_span = "pool-dispatch"
 
     def __init__(self, workers: int | None = None, *,
-                 crash_retries: int = 2, allow_degraded: bool = True):
+                 crash_retries: int = 2, allow_degraded: bool = True,
+                 pin_workers: bool = False):
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
         if crash_retries < 0:
@@ -246,6 +325,8 @@ class SecureComputePool:
         #: sequentially in-process instead of raising -- training slows
         #: down but completes (graceful degradation)
         self.allow_degraded = allow_degraded
+        #: pin each worker to its own CPU (see :func:`_init_worker`)
+        self.pin_workers = pin_workers
         self._executor: ProcessPoolExecutor | None = None
         # (kind, payload) -> stamped config -- training alternates dot,
         # elementwise and encrypt dispatches (and a client may juggle
@@ -306,7 +387,10 @@ class SecureComputePool:
     def _ensure_executor(self) -> ProcessPoolExecutor:
         with self._lock:
             if self._executor is None:
-                self._executor = ProcessPoolExecutor(max_workers=self.workers)
+                self._executor = ProcessPoolExecutor(
+                    max_workers=self.workers, initializer=_init_worker,
+                    initargs=(multiprocessing.Value("i", 0)
+                              if self.pin_workers else None,))
                 self.executors_created += 1
             return self._executor
 
@@ -446,6 +530,22 @@ class SecureComputePool:
         return np.array(list(itertools.chain.from_iterable(results)),
                         dtype=object).reshape(shape)
 
+    # -- authority-side key derivation -----------------------------------------
+    def derive_febo_keys(self, params: GroupParams, msk: FeboMasterKey,
+                         requests: Sequence[tuple[int, str, int]]
+                         ) -> list[FeboFunctionKey]:
+        """Derive one FEBO function key per ``(cmt, op, y)``, in order.
+
+        One run of requests per worker: every request costs one
+        full-width exponentiation, so equal runs balance.  The caller
+        has already vetted every op; derivation is deterministic, so
+        pooled and inline keys are identical.
+        """
+        config = self.configure("febo-keys", (params, msk))
+        chunks = chunk_tasks(requests, self.workers)
+        return list(itertools.chain.from_iterable(
+            self._map(_febo_key_chunk, config, chunks)))
+
     # -- client-side nonce production ------------------------------------------
     def _nonce_chunks(self, count: int) -> list[int]:
         """Split ``count`` nonces into one task chunk per worker.
@@ -498,7 +598,8 @@ class InlineExecutor(SecureComputePool):
     :meth:`configure` builds the state in place (no pickling) around
     the caller's ``feip``, ``febo`` and ``solver_cache``, and ``_map``
     runs the chunk functions here -- the loop a degraded pool falls
-    back to.
+    back to.  An authority without a pool of its own derives its FEBO
+    keys through one the same way.
 
     It is not a worker pool: it forks nothing, so it keeps no fault
     counters and registers no metrics collector, and nothing resolves

@@ -17,15 +17,24 @@ rejected request comes back as an ``error`` frame carrying the original
 exception type.  Each connection gets its own
 :class:`~repro.core.protocol.TrafficLog` whose byte counts equal the
 :mod:`repro.core.serialization` wire sizes by construction.
+
+:func:`run_authority_service` (``serve-authority``) gives the authority
+a worker pool of its own for FEBO key derivation, one process per CPU
+it may use, so the master key never leaves the authority's process
+tree.  It stops the same way on SIGINT and SIGTERM: the service closes,
+then the pool.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
+import os
+import signal
 
 from repro.core import protocol
 from repro.core.entities import TrustedAuthority
+from repro.matrix.parallel import SecureComputePool
 from repro.rpc.framing import MAX_FRAME_BYTES
 from repro.rpc.messages import (
     ErrorMessage,
@@ -100,24 +109,81 @@ class AuthorityService(FramedService):
             error_type="UnsupportedMessage")
 
 
+#: smallest group ``serve-authority`` derives FEBO keys on workers for:
+#: the measured crossover of a 64-key request.  On a 2-core VM the
+#: pooled ``mlp-rpc`` key fetch lost at 64 and 80 bits, tied at 96 and
+#: won from 128 bits up (-7% at 128, -24% at 256); below that a key's
+#: ``cmt^s`` costs less than its share of a worker round trip
+POOL_MIN_BITS = 128
+
+
+def authority_pool(authority: TrustedAuthority) -> SecureComputePool | None:
+    """The worker pool ``serve-authority`` derives FEBO keys on, if any.
+
+    One worker per CPU this process may run on, each pinned to its own:
+    the service thread only waits while they derive.  None below
+    ``POOL_MIN_BITS`` and on a single CPU.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    if authority.params.bits < POOL_MIN_BITS or cpus < 2:
+        return None
+    return SecureComputePool(workers=cpus, pin_workers=True)
+
+
+#: the signals that stop ``serve-authority``
+STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM)
+
+
 def run_authority_service(authority: TrustedAuthority, host: str = "127.0.0.1",
                           port: int = 0, *, announce=print) -> None:
-    """Blocking entry point: serve until interrupted (CLI helper)."""
+    """Blocking entry point: serve until SIGINT or SIGTERM (CLI helper).
+
+    Must run in the main thread, which owns signal handling.
+    """
     service = AuthorityService(authority, host, port)
+    previous = {sig: signal.getsignal(sig) for sig in STOP_SIGNALS}
 
     async def _run() -> None:
-        bound_host, bound_port = await service.start()
-        if announce is not None:
-            announce(f"authority key service listening on "
-                     f"{bound_host}:{bound_port}")
+        # both stop signals cancel this task, so either takes the one
+        # clean path below: close the listener, drain the connections,
+        # then close the pool.  Later stop signals are ignored until
+        # this function returns, so they cannot cut that short.  (The
+        # loop's own add_signal_handler would not do: closing the loop
+        # puts back the default action, which kills the process while
+        # its pool is still closing.)
+        loop = asyncio.get_running_loop()
+        task = asyncio.current_task()
+
+        def stop(signum, frame) -> None:
+            for sig in STOP_SIGNALS:
+                signal.signal(sig, signal.SIG_IGN)
+            loop.call_soon_threadsafe(task.cancel)
+
+        for sig in STOP_SIGNALS:
+            signal.signal(sig, stop)
         try:
+            bound_host, bound_port = await service.start()
+            if announce is not None:
+                announce(f"authority key service listening on "
+                         f"{bound_host}:{bound_port}")
             await service.serve_forever()
         except asyncio.CancelledError:
             pass
         finally:
             await service.stop()
 
+    pool = authority_pool(authority)
+    if pool is not None:
+        authority.pool = pool
     try:
         asyncio.run(_run())
     except KeyboardInterrupt:
         pass
+    finally:
+        if pool is not None:
+            pool.close()
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)

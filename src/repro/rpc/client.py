@@ -12,7 +12,7 @@ request after a transport failure is idempotent.
 point of view: same ``params`` / ``config`` / ``feip`` / ``febo`` /
 ``traffic`` attributes, same public-key accessors, same
 ``derive_*_keys`` methods -- but every key request crosses a real
-socket.  Master secrets never leave the authority process.
+socket.  Master secrets never leave the authority's process tree.
 """
 
 from __future__ import annotations

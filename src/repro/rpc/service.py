@@ -176,15 +176,19 @@ class FramedService:
         await self._server.serve_forever()
 
     async def stop(self) -> None:
+        # connections close before the listener is awaited: since
+        # Python 3.12.1 ``wait_closed`` waits for every open connection,
+        # so an idle connected client would hang the stop
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-            self._server = None
         for task in list(self._conn_tasks):
             task.cancel()
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
         self._conn_tasks.clear()
+        if self._server is not None:
+            await self._server.wait_closed()
+            self._server = None
 
     # -- connection handling -------------------------------------------------
     async def _handle_connection(self, reader: asyncio.StreamReader,

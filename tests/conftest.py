@@ -11,12 +11,15 @@ the test fails with a TimeoutError instead of blocking forever.
 
 from __future__ import annotations
 
+import os
+import pathlib
 import random
 import signal
 
 import numpy as np
 import pytest
 
+import repro
 from repro.fe.febo import Febo
 from repro.fe.feip import Feip
 from repro.mathutils.dlog import SolverCache
@@ -112,3 +115,37 @@ def _plain_convolve(image, kernel, stride, padding):
 def plain_convolve():
     """The loop-by-loop integer convolution secure results must equal."""
     return _plain_convolve
+
+
+@pytest.fixture(scope="session")
+def repro_env() -> dict[str, str]:
+    """Environment under which a child ``python`` imports this ``repro``."""
+    env = dict(os.environ)
+    root = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [root, env.get("PYTHONPATH")]))
+    return env
+
+
+def _live_processes() -> dict[int, int]:
+    """pid -> parent pid of every live (not zombie) process."""
+    table = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = pathlib.Path("/proc", entry, "stat").read_text()
+        except OSError:
+            continue  # exited while we looked
+        state, ppid = stat.rsplit(")", 1)[1].split()[:2]
+        if state != "Z":
+            table[int(entry)] = int(ppid)
+    return table
+
+
+@pytest.fixture()
+def live_processes():
+    """``live_processes()`` maps each live pid to its parent (from /proc)."""
+    if not os.path.isdir("/proc/self"):
+        pytest.skip("needs a /proc filesystem")
+    return _live_processes

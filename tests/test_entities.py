@@ -8,8 +8,10 @@ import pytest
 from repro.core import protocol
 from repro.core.config import CryptoNNConfig
 from repro.core.entities import Client, Server, TrustedAuthority
+from repro.core.policy import KeyReleasePolicy, PolicyViolation
 from repro.data.preprocess import LabelMapper
 from repro.fe.errors import UnsupportedOperationError
+from repro.matrix.parallel import SecureComputePool
 
 
 @pytest.fixture()
@@ -51,6 +53,27 @@ class TestAuthority:
         ct = authority.febo.encrypt(authority.febo_public_key(), 5)
         with pytest.raises(UnsupportedOperationError):
             authority.derive_febo_keys([(ct.cmt, "*", 2)])
+
+    @pytest.mark.parametrize("permitted_ops, policy, error", [
+        (frozenset("+-"), None, UnsupportedOperationError),
+        (frozenset("+-*/"), KeyReleasePolicy(allowed_febo_ops=frozenset("+")),
+         PolicyViolation),
+    ])
+    def test_refused_febo_request_is_never_dispatched(
+            self, permitted_ops, policy, error):
+        authority = TrustedAuthority(
+            CryptoNNConfig(), rng=random.Random(0),
+            permitted_ops=permitted_ops, policy=policy)
+        authority.pool = pool = SecureComputePool(workers=2)
+        cmt = authority.febo.encrypt(authority.febo_public_key(), 5).cmt
+        with pytest.raises(error):
+            authority.derive_febo_keys([(cmt, "+", 2), (cmt, "*", 3)])
+        assert pool.stats["dispatches"] == 0 and not pool.started
+        assert authority.febo_keys_issued == 0
+
+    def test_derive_febo_keys_empty_records_no_traffic(self, authority):
+        assert authority.derive_febo_keys([]) == []
+        assert authority.traffic.message_count() == 0
 
     def test_derive_febo_keys_work(self, authority):
         bpk = authority.febo_public_key()

@@ -1,13 +1,22 @@
 """Tests for the process-parallel secure computation path."""
 
+import os
 import random
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
 from repro.core.config import CryptoNNConfig
 from repro.core.entities import Client, TrustedAuthority
+from repro.fe.febo import Febo
+from repro.fe.feip import Feip
+from repro.mathutils.group import GroupParams
 from repro.matrix.parallel import (
+    InlineExecutor,
     SecureComputePool,
     chunk_tasks,
     default_workers,
@@ -150,6 +159,22 @@ class TestParallelMatchesSerial:
             np.testing.assert_array_equal(parallel[f],
                                           plain_convolve(img, kernel, 2, 0))
 
+    def test_febo_keys(self):
+        params = GroupParams.predefined(64)
+        febo = Febo(params, rng=random.Random(3))
+        _, msk = febo.setup()
+        requests = [(febo.group.gexp(r), op, y)
+                    for r in (5, 11, 2**40 + 7)
+                    for op, y in (("+", 7), ("-", -3), ("*", 5), ("/", 9))]
+        inline = InlineExecutor(Feip(params), febo).derive_febo_keys(
+            params, msk, requests)
+        with SecureComputePool(workers=2) as pool:
+            pooled = pool.derive_febo_keys(params, msk, requests)
+            assert pool.stats["dispatches"] == 1
+        assert pooled == inline
+        assert inline == [febo.key_derive(msk, *request)
+                          for request in requests]
+
     def test_single_worker_works(self, params, rng, solver_cache):
         scheme = SecureMatrixScheme(params, rng=rng, solver_cache=solver_cache)
         msk_ip, _ = scheme.setup(column_length=2)
@@ -239,3 +264,56 @@ class TestPoolDegradation:
     def test_crash_retries_validation(self):
         with pytest.raises(ValueError):
             SecureComputePool(workers=1, crash_retries=-1)
+
+
+# a process that starts a pinned pool, reports it is ready, then idles
+_POOL_HOLDER = """
+import time
+from repro.fe.febo import Febo
+from repro.mathutils.group import GroupParams
+from repro.matrix.parallel import SecureComputePool
+
+params = GroupParams.predefined(32)
+febo = Febo(params)
+_, msk = febo.setup()
+pool = SecureComputePool(workers=2, pin_workers=True)
+pool.derive_febo_keys(params, msk, [(febo.group.gexp(5), "+", 1)] * 4)
+print("ready", flush=True)
+time.sleep(60)
+"""
+
+
+@pytest.mark.timeout_guard(60)
+def test_workers_pin_apart_and_exit_when_pool_holder_is_killed(
+        repro_env, live_processes):
+    holder = subprocess.Popen([sys.executable, "-c", _POOL_HOLDER],
+                              env=repro_env, stdout=subprocess.PIPE,
+                              text=True)
+    try:
+        assert holder.stdout.readline().strip() == "ready"
+        workers = {pid for pid, ppid in live_processes().items()
+                   if ppid == holder.pid}
+        assert len(workers) == 2
+        cpus = os.sched_getaffinity(0)
+        pinned = [os.sched_getaffinity(pid) for pid in workers]
+        assert all(len(cpu) == 1 and cpu <= cpus for cpu in pinned)
+        assert len(set().union(*pinned)) == min(2, len(cpus))
+    finally:
+        os.kill(holder.pid, signal.SIGKILL)
+        holder.wait()
+        holder.stdout.close()
+    deadline = time.monotonic() + 5
+    while workers & live_processes().keys() and time.monotonic() < deadline:
+        time.sleep(0.1)
+    assert not workers & live_processes().keys()
+
+
+def test_workers_are_unpinned_by_default():
+    params = GroupParams.predefined(32)
+    _, msk = Febo(params).setup()
+    with SecureComputePool(workers=2) as pool:
+        pool.derive_febo_keys(params, msk, [(params.g, "+", 1)] * 2)
+        workers = list(pool._executor._processes)
+        assert workers and all(
+            os.sched_getaffinity(pid) == os.sched_getaffinity(0)
+            for pid in workers)

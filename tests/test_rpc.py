@@ -11,7 +11,10 @@ transport bug can never hang the suite.
 import asyncio
 import dataclasses
 import multiprocessing
+import os
 import random
+import signal
+import subprocess
 import time
 
 import numpy as np
@@ -45,6 +48,8 @@ from repro.rpc import (
 )
 from repro.rpc import framing
 from repro.rpc import messages as msgs
+from repro.rpc.authority_service import POOL_MIN_BITS
+from repro.rpc.supervisor import repro_argv
 
 
 # ---------------------------------------------------------------------------
@@ -715,6 +720,82 @@ class TestEndToEndLoopback:
 # ---------------------------------------------------------------------------
 # separate OS processes (the deployment shape)
 # ---------------------------------------------------------------------------
+
+@pytest.mark.timeout_guard(60)
+@pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM])
+def test_authority_stops_cleanly_on_signal(sig, repro_env, live_processes):
+    """``serve-authority`` with a started key pool and a connected client
+    stops alike on SIGINT and SIGTERM: exit 0 within 5 s, no pool
+    worker left, and the pooled keys equal in-process derivation.  The
+    second stop sends the signal twice: a repeat must not break the
+    shutdown under way."""
+    cpus = len(os.sched_getaffinity(0))
+    reference = TrustedAuthority(
+        CryptoNNConfig(security_bits=POOL_MIN_BITS), rng=random.Random(0))
+    for repeats in (1, 2):
+        port = free_port()
+        proc = subprocess.Popen(
+            repro_argv("serve-authority", "--bits", str(POOL_MIN_BITS),
+                       "--port", str(port)),
+            env=repro_env, stdout=subprocess.DEVNULL)
+        try:
+            wait_for_port("127.0.0.1", port, timeout=20)
+            with RemoteAuthority("127.0.0.1", port) as remote:
+                requests = [(remote.params.g, op, 3) for op in "+-*/"]
+                keys = remote.derive_febo_keys_batch(requests)
+                workers = {pid for pid, ppid in live_processes().items()
+                           if ppid == proc.pid}
+                assert len(workers) == (cpus if cpus > 1 else 0)
+                for _ in range(repeats):
+                    proc.send_signal(sig)
+                assert proc.wait(timeout=5) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert not workers & live_processes().keys()
+        assert keys == reference.derive_febo_keys_batch(requests)
+
+
+@pytest.mark.timeout_guard(60)
+def test_authority_survives_a_killed_pool_worker(repro_env, live_processes):
+    """A pool worker killed under ``serve-authority`` costs one executor
+    rebuild: the service keeps answering, later stops on SIGTERM within
+    5 s, and leaves no worker behind -- old or rebuilt."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("serve-authority builds no pool on one CPU")
+    port = free_port()
+    proc = subprocess.Popen(
+        repro_argv("serve-authority", "--bits", str(POOL_MIN_BITS),
+                       "--port", str(port)),
+        env=repro_env, stdout=subprocess.DEVNULL)
+
+    def workers() -> set[int]:
+        return {pid for pid, ppid in live_processes().items()
+                if ppid == proc.pid}
+
+    try:
+        wait_for_port("127.0.0.1", port, timeout=20)
+        with RemoteAuthority("127.0.0.1", port) as remote:
+            requests = [(remote.params.g, op, 3) for op in "+-*/"]
+            keys = remote.derive_febo_keys_batch(requests)
+            first = workers()
+            os.kill(min(first), signal.SIGKILL)
+            # the executor stops the survivors; the next request rebuilds
+            time.sleep(1)
+            for _ in range(2):
+                assert remote.derive_febo_keys_batch(requests) == keys
+            assert proc.poll() is None
+            rebuilt = workers()
+            assert rebuilt and not rebuilt & first
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=5) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert not (first | rebuilt) & live_processes().keys()
+
 
 def _serve_authority_proc(port: int) -> None:
     from repro.cli import main
