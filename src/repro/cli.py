@@ -57,10 +57,11 @@ from repro.core.entities import Client, TrustedAuthority
 from repro.data.preprocess import normalize_features, shared_feature_scale
 from repro.data.tabular import load_clinics, merge_shards
 from repro.mathutils.group import _PREDEFINED
+from repro.matrix.parallel import shutdown_compute_pools
 from repro.nn.optimizers import SGD
 # the one model builder shared with the networked training server, so
 # "same seed => same model" holds across every entry point
-from repro.rpc.training_service import build_mlp
+from repro.rpc.training_service import TRAIN_POOL_MIN_BITS, build_mlp
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -169,7 +170,7 @@ def cmd_serve_authority(args: argparse.Namespace) -> int:
 
 def cmd_serve_train(args: argparse.Namespace) -> int:
     """Run the training server; exits once training completes."""
-    from repro.rpc import TrainingService
+    from repro.rpc import TrainingService, run_until_stopped
 
     if (args.resume or args.checkpoint_every) and not args.checkpoint:
         raise SystemExit("--resume/--checkpoint-every require --checkpoint")
@@ -191,7 +192,7 @@ def cmd_serve_train(args: argparse.Namespace) -> int:
         model_out=args.model_out,
     )
 
-    async def _run() -> int:
+    async def serve() -> int:
         try:
             host, port = await service.start()
             print(f"training server listening on {host}:{port} "
@@ -219,10 +220,9 @@ def cmd_serve_train(args: argparse.Namespace) -> int:
             # training thread fails fast instead of blocking exit
             await service.stop()
 
-    try:
-        return asyncio.run(_run())
-    except KeyboardInterrupt:
-        return 0
+    # SIGINT and SIGTERM both stop the service, then its worker pool
+    code = run_until_stopped(serve, finish=shutdown_compute_pools)
+    return 0 if code is None else code
 
 
 def cmd_client_upload(args: argparse.Namespace) -> int:
@@ -606,9 +606,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "lower it on flaky networks so stalls convert "
                         "into retried timeouts quickly")
     p.add_argument("--workers", type=int,
-                   help="parallelize the decryption loops over this "
-                        "many worker processes (numerically identical "
-                        "to serial, just faster); omit for serial")
+                   help="worker processes that subgroup-check uploads "
+                        "and decrypt during training (numerically "
+                        "identical to inline, just faster); default: "
+                        "one per usable CPU on groups of "
+                        f"{TRAIN_POOL_MIN_BITS} bits or more, none below "
+                        "that or on one CPU")
     p.add_argument("--trace-file",
                    help="emit one JSONL span per training phase to "
                         "this file (phase histograms are scrapeable "
@@ -719,7 +722,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="group size when creating a fresh authority "
                         "file; 256 = paper")
     p.add_argument("--scale", type=int, default=100)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int,
+                   help="see serve-train --workers")
     p.add_argument("--quorum", type=int,
                    help="see serve-train --quorum")
     p.add_argument("--upload-deadline", type=float, metavar="SECONDS",
@@ -767,8 +771,6 @@ def main(argv: list[str] | None = None) -> int:
         # live non-daemon children *before* atexit handlers run -- so
         # leaving executor workers for the atexit hook would deadlock
         # the child's exit.
-        from repro.matrix.parallel import shutdown_compute_pools
-
         shutdown_compute_pools()
 
 

@@ -38,6 +38,7 @@ from repro.core.config import CryptoNNConfig
 from repro.core.encdata import EncryptedTabularDataset
 from repro.core.entities import TrustedAuthority
 from repro.fe.keys import FeboMasterKey, FeboPublicKey, FeipMasterKey, FeipPublicKey
+from repro.matrix.parallel import SecureComputePool
 from repro.nn.model import Sequential, TrainingHistory
 from repro.nn.optimizers import Optimizer
 
@@ -145,11 +146,14 @@ def save_encrypted_tabular(dataset: EncryptedTabularDataset,
         path, json.dumps(header).encode("utf-8") + b"\n" + body)
 
 
-def load_encrypted_tabular(path: str | pathlib.Path) -> EncryptedTabularDataset:
+def load_encrypted_tabular(path: str | pathlib.Path,
+                           pool: SecureComputePool | None = None
+                           ) -> EncryptedTabularDataset:
     """Inverse of :func:`save_encrypted_tabular`.
 
-    Runs the same validating unpack as an upload, so a tampered file
-    fails with ``ValueError`` instead of reaching the trainer.
+    Runs the same validating unpack as an upload -- on ``pool``'s
+    workers, if given -- so a tampered file fails with ``ValueError``
+    instead of reaching the trainer.
     """
     head, _, body = pathlib.Path(path).read_bytes().partition(b"\n")
     header = json.loads(head)
@@ -157,7 +161,8 @@ def load_encrypted_tabular(path: str | pathlib.Path) -> EncryptedTabularDataset:
             or header.get("format") != ENCRYPTED_TABULAR_FORMAT:
         raise ValueError(f"not an encrypted-tabular file: {path}")
     return ser.unpack_encrypted_tabular(
-        header["meta"], body, ser.group_params_from_dict(header["group"]))
+        header["meta"], body, ser.group_params_from_dict(header["group"]),
+        pool)
 
 
 # -- authority state -------------------------------------------------------------

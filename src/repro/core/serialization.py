@@ -29,6 +29,7 @@ payload.  :mod:`repro.rpc.messages` composes the two.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from typing import Any, Sequence
 
@@ -47,37 +48,16 @@ from repro.fe.keys import (
     FeipFunctionKey,
     FeipPublicKey,
 )
-from repro.mathutils.group import GroupParams
-from repro.mathutils.modarith import jacobi_symbol
+from repro.mathutils.group import (
+    GroupParams,
+    first_invalid_element,
+    validate_subgroup_element,
+)
+from repro.matrix.parallel import SecureComputePool
 
 #: Fixed overhead of a batched key-request/response envelope: a 4-byte
 #: item count plus a 4-byte vector-length / flags field.
 BATCH_HEADER_BYTES = 8
-
-
-def validate_subgroup_element(value: int, params: GroupParams) -> None:
-    """Reject a wire integer that is not a member of the QR subgroup.
-
-    For a safe prime ``p = 2q + 1`` the order-``q`` subgroup is exactly
-    the set of quadratic residues, so membership reduces to a Jacobi
-    symbol -- O(log^2) instead of the O(log^3) ``pow(x, q, p)`` test,
-    about 3-4x faster at 256 bits.  An element outside the subgroup
-    would make discrete-log recovery fail (or, worse, silently decode
-    garbage into the training loop), so ingestion rejects it at the
-    unpack boundary -- on every element of an untrusted upload, which
-    at 256 bits costs more than encrypting the upload did.
-
-    Raises:
-        ValueError: when ``value`` is out of range or a non-residue.
-    """
-    if not 0 < value < params.p:
-        raise ValueError(
-            f"group element {value} outside (0, p) for modulus of "
-            f"{params.p.bit_length()} bits")
-    if jacobi_symbol(value, params.p) != 1:
-        raise ValueError(
-            "group element is not in the prime-order subgroup "
-            "(quadratic non-residue)")
 
 
 def element_size_bytes(params: GroupParams) -> int:
@@ -317,7 +297,9 @@ def _is_int(value) -> bool:
 
 
 def unpack_encrypted_tabular(meta: dict[str, Any], body: bytes,
-                             params: GroupParams) -> EncryptedTabularDataset:
+                             params: GroupParams,
+                             pool: SecureComputePool | None = None
+                             ) -> EncryptedTabularDataset:
     """Inverse of :func:`pack_encrypted_tabular`, for untrusted input.
 
     The shape is checked before any size arithmetic, so a hostile meta
@@ -325,8 +307,12 @@ def unpack_encrypted_tabular(meta: dict[str, Any], body: bytes,
     allocation.  Merging shards concatenates their ``eval_labels``, so a
     wrong length would shift one shard's labels onto another's samples.
     Every element of the body is checked for range and subgroup
-    membership (a cheap Jacobi test), so garbage ciphertexts are
-    rejected here instead of poisoning the training loop.
+    membership (a Jacobi test), so garbage ciphertexts are rejected here
+    instead of poisoning the training loop.  Given a compute ``pool``,
+    its workers check one run of the elements each; without one,
+    :func:`~repro.mathutils.group.first_invalid_element` checks them all
+    here.  Either way the lowest bad element raises, with the error
+    :func:`validate_subgroup_element` gives for it.
 
     Raises:
         ValueError: on any of those checks.
@@ -354,26 +340,27 @@ def unpack_encrypted_tabular(meta: dict[str, Any], body: bytes,
         raise ValueError(
             f"encrypted shard body holds {len(body)} bytes, "
             f"expected {expected}")
-    elem = element_size_bytes(params)
-    febo = febo_ciphertext_wire_size(params)
+    elements = [unpack_uint(c)
+                for c in _chunks(body, element_size_bytes(params))]
+    bad = (pool.first_invalid_element(params, elements) if pool is not None
+           else first_invalid_element(params, elements))
+    if bad is not None:
+        validate_subgroup_element(elements[bad], params)
 
-    def vector(offset: int, length: int):
-        start = offset + (1 + length) * elem
-        return (unpack_feip_ciphertext(body[offset:start], params,
-                                       validate=True),
-                tuple(unpack_febo_ciphertext(body[i:i + febo], params,
-                                             validate=True)
-                      for i in range(start, start + length * febo, febo)))
+    # the body packs each vector as its FEIP ciphertext (ct0, then one
+    # element per slot) followed by one (cmt, ct) pair per slot
+    stream = iter(elements)
 
-    sample_size = encrypted_sample_wire_size(n_features, params)
-    label_size = encrypted_label_wire_size(num_classes, params)
-    labels_at = n * sample_size
+    def vector(length: int):
+        ip = FeipCiphertext(ct0=next(stream),
+                            ct=tuple(itertools.islice(stream, length)))
+        return ip, tuple(FeboCiphertext(cmt=next(stream), ct=next(stream))
+                         for _ in range(length))
+
+    samples = [EncryptedSample(*vector(n_features)) for _ in range(n)]
+    labels = [EncryptedLabel(*vector(num_classes)) for _ in range(n)]
     return EncryptedTabularDataset(
-        samples=[EncryptedSample(*vector(i * sample_size, n_features))
-                 for i in range(n)],
-        labels=[EncryptedLabel(*vector(labels_at + i * label_size,
-                                       num_classes))
-                for i in range(n)],
+        samples=samples, labels=labels,
         num_classes=num_classes, n_features=n_features, scale=scale,
         eval_labels=eval_labels, params=params,
     )

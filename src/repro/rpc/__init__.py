@@ -69,7 +69,12 @@ from repro.rpc.retry import (
     RetryStats,
     merge_stats,
 )
-from repro.rpc.runtime import ServiceThread, free_port, wait_for_port
+from repro.rpc.runtime import (
+    ServiceThread,
+    free_port,
+    run_until_stopped,
+    wait_for_port,
+)
 from repro.rpc.supervisor import ChildSpec, Supervisor, repro_argv
 from repro.rpc.training_service import (
     TrainingService,
@@ -115,6 +120,7 @@ __all__ = [
     "request_checkpoint",
     "run_authority_service",
     "run_training",
+    "run_until_stopped",
     "shard_fingerprint",
     "upload_planned_chunks",
     "upload_shard",

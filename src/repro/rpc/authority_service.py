@@ -29,12 +29,10 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import os
-import signal
 
 from repro.core import protocol
 from repro.core.entities import TrustedAuthority
-from repro.matrix.parallel import SecureComputePool
+from repro.matrix.parallel import SecureComputePool, service_workers
 from repro.rpc.framing import MAX_FRAME_BYTES
 from repro.rpc.messages import (
     ErrorMessage,
@@ -46,6 +44,7 @@ from repro.rpc.messages import (
     PublicParamsResponse,
     WireContext,
 )
+from repro.rpc.runtime import run_until_stopped
 from repro.rpc.service import FramedService
 
 
@@ -120,21 +119,15 @@ POOL_MIN_BITS = 128
 def authority_pool(authority: TrustedAuthority) -> SecureComputePool | None:
     """The worker pool ``serve-authority`` derives FEBO keys on, if any.
 
-    One worker per CPU this process may run on, each pinned to its own:
-    the service thread only waits while they derive.  None below
-    ``POOL_MIN_BITS`` and on a single CPU.
+    :func:`~repro.matrix.parallel.service_workers` sizes it -- one
+    worker per usable CPU, none below ``POOL_MIN_BITS`` or on a single
+    CPU -- and each worker is pinned to its own CPU: the service thread
+    only waits while they derive.
     """
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    if authority.params.bits < POOL_MIN_BITS or cpus < 2:
+    workers = service_workers(authority.params.bits, POOL_MIN_BITS)
+    if workers is None:
         return None
-    return SecureComputePool(workers=cpus, pin_workers=True)
-
-
-#: the signals that stop ``serve-authority``
-STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM)
+    return SecureComputePool(workers=workers, pin_workers=True)
 
 
 def run_authority_service(authority: TrustedAuthority, host: str = "127.0.0.1",
@@ -144,46 +137,18 @@ def run_authority_service(authority: TrustedAuthority, host: str = "127.0.0.1",
     Must run in the main thread, which owns signal handling.
     """
     service = AuthorityService(authority, host, port)
-    previous = {sig: signal.getsignal(sig) for sig in STOP_SIGNALS}
 
-    async def _run() -> None:
-        # both stop signals cancel this task, so either takes the one
-        # clean path below: close the listener, drain the connections,
-        # then close the pool.  Later stop signals are ignored until
-        # this function returns, so they cannot cut that short.  (The
-        # loop's own add_signal_handler would not do: closing the loop
-        # puts back the default action, which kills the process while
-        # its pool is still closing.)
-        loop = asyncio.get_running_loop()
-        task = asyncio.current_task()
-
-        def stop(signum, frame) -> None:
-            for sig in STOP_SIGNALS:
-                signal.signal(sig, signal.SIG_IGN)
-            loop.call_soon_threadsafe(task.cancel)
-
-        for sig in STOP_SIGNALS:
-            signal.signal(sig, stop)
+    async def serve() -> None:
         try:
             bound_host, bound_port = await service.start()
             if announce is not None:
                 announce(f"authority key service listening on "
                          f"{bound_host}:{bound_port}")
             await service.serve_forever()
-        except asyncio.CancelledError:
-            pass
         finally:
             await service.stop()
 
     pool = authority_pool(authority)
     if pool is not None:
         authority.pool = pool
-    try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:
-        pass
-    finally:
-        if pool is not None:
-            pool.close()
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
+    run_until_stopped(serve, finish=pool.close if pool is not None else None)

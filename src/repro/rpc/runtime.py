@@ -7,16 +7,28 @@ service, talk to it, and tear it down deterministically.  Separate
 *processes* work exactly the same way (see ``examples/rpc_loopback.py``);
 the thread variant simply keeps single-process demos and the test suite
 self-contained.
+
+:func:`run_until_stopped` is the other way round: the blocking entry
+point of the ``serve-*`` commands, which own their process and stop on
+SIGINT or SIGTERM.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
+import signal
 import socket
 import threading
+from collections.abc import Awaitable, Callable
+from typing import TypeVar
 
 from repro.rpc.retry import RetryPolicy
+
+T = TypeVar("T")
+
+#: the signals that stop a ``serve-*`` command
+STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM)
 
 
 def free_port(host: str = "127.0.0.1") -> int:
@@ -49,6 +61,57 @@ def wait_for_port(host: str, port: int, timeout: float = 10.0, *,
     raise TimeoutError(
         f"nothing listening on {host}:{port} after {timeout}s"
     ) from last_exc
+
+
+def run_until_stopped(main: Callable[[], Awaitable[T]], *,
+                      finish: Callable[[], None] | None = None) -> T | None:
+    """Run ``main()`` on a fresh event loop until it returns or a stop
+    signal arrives, then ``finish()``.
+
+    SIGINT and SIGTERM both cancel ``main``, so either takes its one
+    clean path out (its ``finally``: close the listener, drain the
+    connections), and ``finish`` then closes the worker pools.  Stop
+    signals are ignored from the first one (or from ``main``'s return)
+    until ``finish`` is done, so a repeat cannot cut that short.  (The
+    loop's own ``add_signal_handler`` would not do: closing the loop
+    puts back the default action, which kills the process while its
+    pool is still closing.)  Returns what ``main`` returned, or None
+    when a signal stopped it.
+
+    Must run in the main thread, which owns signal handling.
+    """
+    previous = {sig: signal.getsignal(sig) for sig in STOP_SIGNALS}
+
+    def ignore_stop_signals() -> None:
+        for sig in STOP_SIGNALS:
+            signal.signal(sig, signal.SIG_IGN)
+
+    async def run() -> T | None:
+        loop = asyncio.get_running_loop()
+        task = asyncio.current_task()
+
+        def stop(signum, frame) -> None:
+            ignore_stop_signals()
+            loop.call_soon_threadsafe(task.cancel)
+
+        for sig in STOP_SIGNALS:
+            signal.signal(sig, stop)
+        try:
+            return await main()
+        except asyncio.CancelledError:
+            return None
+        finally:
+            ignore_stop_signals()
+
+    try:
+        return asyncio.run(run())
+    except KeyboardInterrupt:
+        return None
+    finally:
+        if finish is not None:
+            finish()
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
 
 
 class ServiceThread:

@@ -14,6 +14,12 @@ and drives a :class:`~repro.core.cryptonn.CryptoNNTrainer` -- every
 per-iteration function-key request now crosses a real socket, batched
 into one envelope per step by default.
 
+The authority handshake fixes the group size, and with it the
+server's compute pool (:func:`~repro.matrix.parallel.service_workers`:
+one worker per usable CPU from ``TRAIN_POOL_MIN_BITS`` up, unless
+``workers`` says otherwise): its workers subgroup-check every completed
+upload, and the trainer decrypts on the same workers.
+
 The blocking training loop runs in a worker thread
 (``asyncio.to_thread``) so the server keeps answering ``train-status``
 and, after completion, ``predict-request`` messages.
@@ -54,6 +60,12 @@ from repro.core.checkpoint import (
 from repro.core.config import CryptoNNConfig
 from repro.core.cryptonn import CryptoNNTrainer
 from repro.core.encdata import EncryptedTabularDataset, merge_encrypted_tabular
+from repro.mathutils.group import GroupParams
+from repro.matrix.parallel import (
+    SecureComputePool,
+    resolve_pool,
+    service_workers,
+)
 from repro.nn.layers import Dense, ReLU
 from repro.nn.model import Sequential, TrainingHistory
 from repro.nn.optimizers import SGD
@@ -92,6 +104,17 @@ _CTX_FREE_KINDS = frozenset({
     messages_mod.KIND_PREDICT_REQUEST,
     messages_mod.KIND_SHARD_RESUME,
 })
+
+#: smallest group ``serve-train`` forks a compute pool for by default.
+#: Its work -- decryption, whose dlog cost follows the bound, and one
+#: Jacobi symbol per uploaded element -- is not the authority's
+#: ``cmt^s``, so it has its own measured crossover.  On a 2-core VM the
+#: ``mlp-rpc`` job (group size edited, 4 inline/pooled pairs per size)
+#: reached its model 5-13% sooner on a 2-worker pool at every size from
+#: 32 to 128 bits, but a toy job (16 samples, 2 epochs) at 32 bits lost
+#: 6%.  Groups below 64 bits are toy groups, the CLI default among
+#: them, so they stay inline
+TRAIN_POOL_MIN_BITS = 64
 
 
 @dataclasses.dataclass
@@ -248,9 +271,11 @@ class TrainingService(FramedService):
         #: (atomic .npz; lets out-of-process drivers compare weights)
         self.model_out = model_out
 
-        #: pooled decryption during training (None = serial); pooled
-        #: and serial paths are numerically identical, so this only
-        #: changes speed, never the trajectory
+        #: size of the compute pool that subgroup-checks uploads and
+        #: decrypts during training; None picks the default for the
+        #: authority's group (:meth:`_pool`).  Pooled and inline runs
+        #: are numerically identical, so this only changes speed, never
+        #: the trajectory
         self.workers = workers
         #: JSONL span output for the per-iteration cost decomposition
         self.trace_file = trace_file
@@ -357,6 +382,15 @@ class TrainingService(FramedService):
         if self._cached_ctx is None:
             self._cached_ctx = self._connect_authority().wire_ctx
         return self._cached_ctx
+
+    def _pool(self, params: GroupParams) -> SecureComputePool | None:
+        """The compute pool for the authority's ``params`` group, if any:
+        ``workers`` when set, else
+        :func:`~repro.matrix.parallel.service_workers`' default."""
+        workers = self.workers
+        if workers is None:
+            workers = service_workers(params.bits, TRAIN_POOL_MIN_BITS)
+        return resolve_pool(None, workers)
 
     async def _wire_context(self) -> WireContext:
         if self._cached_ctx is None:
@@ -513,15 +547,21 @@ class TrainingService(FramedService):
                 "restart the upload from chunk 0")
         ctx = await self._wire_context()
         try:
-            # off-loop: a paper-scale shard unpacks (and subgroup-checks)
-            # hundreds of thousands of elements
+            # off-loop: a paper-scale shard unpacks (and subgroup-checks,
+            # on the pool's workers when there is a pool) hundreds of
+            # thousands of elements
             dataset = await asyncio.to_thread(
-                ser.unpack_encrypted_tabular, asm.meta, body, ctx.params)
+                ser.unpack_encrypted_tabular, asm.meta, body, ctx.params,
+                self._pool(ctx.params))
         except Exception:
             # hardened ingestion rejected the assembled payload; drop
             # the assembly so the client's restart starts clean
             self._uploads.pop(msg.client_name, None)
             raise
+        # the training tracer is off while uploads arrive, so this
+        # counter is what shows the ingestion work on a metrics scrape
+        GLOBAL_REGISTRY.counter("repro_upload_validated_elements_total").inc(
+            len(body) // ser.element_size_bytes(ctx.params))
         ack = self._accept_shard(msg.client_name, dataset,
                                  asm.meta.get("stats"), asm.fingerprint)
         ack.info.update({"next_index": asm.count, "complete": True})
@@ -688,8 +728,10 @@ class TrainingService(FramedService):
             self._done.set()
 
     def _train_sync(self) -> None:
+        authority = self._connect_authority()
+        pool = self._pool(authority.params)
         if self._resuming:
-            self.dataset = load_encrypted_tabular(self.dataset_path)
+            self.dataset = load_encrypted_tabular(self.dataset_path, pool=pool)
         else:
             # merge in natural client-name order: deterministic under
             # upload races, and equal to the 0..N-1 enumerate order of
@@ -703,11 +745,12 @@ class TrainingService(FramedService):
                 # server can resume without re-uploads; ciphertexts
                 # only -- no key material
                 save_encrypted_tabular(self.dataset, self.dataset_path)
-        authority = self._connect_authority()
         config = dataclasses.replace(
             authority.config, batch_key_requests=self.batch_key_requests)
-        if self.workers is not None:
-            config = dataclasses.replace(config, workers=self.workers)
+        if pool is not None:
+            # the trainer resolves the same process-wide pool, so it
+            # decrypts on the workers ingestion already started
+            config = dataclasses.replace(config, workers=pool.workers)
         # phase timings are part of the service's ops surface: spans
         # land in repro_phase_seconds histograms (and the trace file
         # when configured), scrapeable via service-metrics; disabled

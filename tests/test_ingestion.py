@@ -26,11 +26,13 @@ import time
 import numpy as np
 import pytest
 
+from repro.core import serialization as ser
 from repro.core.config import CryptoNNConfig
 from repro.core.encdata import merge_encrypted_tabular
 from repro.core.entities import Client, TrustedAuthority
 from repro.data.preprocess import normalize_features, shared_feature_scale
 from repro.data.tabular import load_clinics
+from repro.matrix.parallel import SecureComputePool
 from repro.obs.metrics import GLOBAL_REGISTRY
 from repro.rpc import (
     AuthorityService,
@@ -201,6 +203,104 @@ class TestCiphertextValidation:
         train_thread.call(lambda: service.wait_done(timeout=120),
                           timeout=150)
         assert service.state == "done", service.error
+
+
+@pytest.fixture(scope="module")
+def packed_shard():
+    """``(meta, body, params)`` of one honest shard on the toy group."""
+    authority = TrustedAuthority(CryptoNNConfig(), rng=random.Random(SEED))
+    x, y = _make_shards(n_clients=1, samples=5, features=3)[0]
+    dataset = Client(authority).encrypt_tabular(x, y, 2)
+    meta, body = ser.pack_encrypted_tabular(dataset, authority.params)
+    return meta, body, authority.params
+
+
+@pytest.fixture(scope="module")
+def two_workers():
+    with SecureComputePool(workers=2) as pool:
+        yield pool
+
+
+def _tampered(body, params, values: dict[int, int]) -> bytes:
+    """``body`` with element ``index`` set to ``value`` for each item."""
+    width = ser.element_size_bytes(params)
+    data = bytearray(body)
+    for index, value in values.items():
+        at = index * width
+        data[at:at + width] = value.to_bytes(width, "big")
+    return bytes(data)
+
+
+def _unpack_error(meta, body, params, pool=None) -> str:
+    with pytest.raises(ValueError) as err:
+        ser.unpack_encrypted_tabular(meta, body, params, pool)
+    return str(err.value)
+
+
+@pytest.mark.timeout_guard(60)
+class TestPooledValidation:
+    """Uploads are subgroup-checked on a compute pool, one run of
+    elements per worker; the outcome must not depend on the pool."""
+
+    def test_pooled_unpack_equals_inline(self, packed_shard, two_workers):
+        meta, body, params = packed_shard
+        dispatches = two_workers.dispatches
+        inline = ser.unpack_encrypted_tabular(meta, body, params)
+        pooled = ser.unpack_encrypted_tabular(meta, body, params,
+                                              two_workers)
+        assert two_workers.dispatches == dispatches + 1
+        assert pooled.samples == inline.samples
+        assert pooled.labels == inline.labels
+        assert np.array_equal(pooled.eval_labels, inline.eval_labels)
+        assert (pooled.n_features, pooled.num_classes, pooled.scale,
+                pooled.params) == (inline.n_features, inline.num_classes,
+                                   inline.scale, inline.params)
+        assert ser.pack_encrypted_tabular(pooled, params) == (meta, body)
+
+    @pytest.mark.parametrize("value", ["zero", "p", "p-1"])
+    @pytest.mark.parametrize("where", ["first", "run-end", "run-start",
+                                       "last"])
+    def test_tampered_element_raises_the_inline_error(
+            self, packed_shard, two_workers, value, where):
+        meta, body, params = packed_shard
+        count = len(body) // ser.element_size_bytes(params)
+        per_run = -(-count // two_workers.workers)
+        index = {"first": 0, "run-end": per_run - 1, "run-start": per_run,
+                 "last": count - 1}[where]
+        element = {"zero": 0, "p": params.p, "p-1": params.p - 1}[value]
+        bad = _tampered(body, params, {index: element})
+        message = _unpack_error(meta, bad, params)
+        assert message == _unpack_error(meta, bad, params, two_workers)
+        assert ("subgroup" if value == "p-1" else "outside (0, p)") \
+            in message
+
+    def test_lowest_bad_element_wins(self, packed_shard, two_workers):
+        """A non-residue in the first run and an out-of-range element
+        in the second: the error names the first, as a serial scan's
+        would."""
+        meta, body, params = packed_shard
+        count = len(body) // ser.element_size_bytes(params)
+        bad = _tampered(body, params, {3: params.p - 1, count - 2: 0})
+        message = _unpack_error(meta, bad, params, two_workers)
+        assert "quadratic non-residue" in message
+        assert message == _unpack_error(meta, bad, params)
+
+    def test_service_counts_the_elements_it_validated(self, stack):
+        """Uploads arrive outside the training tracer's window, so a
+        counter shows the ingestion work on a metrics scrape."""
+        authority, _, auth_addr, train_addr, _ = stack
+
+        def validated() -> int:
+            return GLOBAL_REGISTRY.snapshot()["counters"].get(
+                "repro_upload_validated_elements_total", 0)
+
+        before = validated()
+        x, y = _make_shards()[0]
+        upload_shard(auth_addr, train_addr, x, y, 2, name="clinic-0",
+                     rng=random.Random(100))
+        params = authority.params
+        assert validated() - before == ser.encrypted_tabular_wire_size(
+            len(x), x.shape[1], 2, params) // ser.element_size_bytes(params)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,10 @@ from repro.rpc import (
 )
 from repro.rpc import framing
 from repro.rpc import messages as msgs
+from repro.mathutils.group import GroupParams
+from repro.matrix.parallel import service_workers
 from repro.rpc.authority_service import POOL_MIN_BITS
+from repro.rpc.training_service import TRAIN_POOL_MIN_BITS
 from repro.rpc.supervisor import repro_argv
 
 
@@ -795,6 +798,103 @@ def test_authority_survives_a_killed_pool_worker(repro_env, live_processes):
             proc.kill()
             proc.wait()
     assert not (first | rebuilt) & live_processes().keys()
+
+
+class TestServicePoolRule:
+    """``serve-authority`` and ``serve-train`` size their pools by one
+    rule, each from its own cutoff: one worker per usable CPU from
+    ``min_bits`` up."""
+
+    def test_one_worker_per_cpu_from_the_cutoff(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert service_workers(POOL_MIN_BITS - 1, POOL_MIN_BITS) is None
+        assert service_workers(POOL_MIN_BITS, POOL_MIN_BITS) == 3
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert service_workers(POOL_MIN_BITS, POOL_MIN_BITS) is None
+
+    @pytest.mark.parametrize("bits, workers, expected", [
+        (32, None, None), (TRAIN_POOL_MIN_BITS, None, 3),
+        (TRAIN_POOL_MIN_BITS, 1, 1), (32, 2, 2)])
+    def test_training_service_pool_follows_the_group(
+            self, monkeypatch, bits, workers, expected):
+        # pools fork their workers on first use, so asking costs nothing
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        service = TrainingService("127.0.0.1", free_port(), workers=workers)
+        pool = service._pool(GroupParams.predefined(bits))
+        assert (None if pool is None else pool.workers) == expected
+        assert service.workers == workers
+
+
+@pytest.mark.timeout_guard(120)
+@pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM])
+def test_serve_train_pool_trains_byte_exact_and_stops_cleanly(
+        sig, tmp_path, repro_env, live_processes):
+    """``serve-train`` at ``TRAIN_POOL_MIN_BITS`` checks the upload and
+    trains on a pool of its own children, one per usable CPU, and its
+    model equals an in-process run's byte for byte.  SIGINT and SIGTERM
+    both stop it: exit 0 within 5 s, with no pool worker left."""
+    cpus = len(os.sched_getaffinity(0))
+    (x, y), = _make_shards(n_clients=1, samples=10)
+    auth_port, train_port = free_port(), free_port()
+    weights_path = tmp_path / "model.npz"
+    authority = subprocess.Popen(
+        repro_argv("serve-authority", "--bits", str(TRAIN_POOL_MIN_BITS),
+                   "--port", str(auth_port)),
+        env=repro_env, stdout=subprocess.DEVNULL)
+    trainer = subprocess.Popen(
+        repro_argv("serve-train", "--port", str(train_port),
+                   "--authority-port", str(auth_port),
+                   "--hidden", str(HIDDEN), "--epochs", "1",
+                   "--batch-size", str(BATCH_SIZE),
+                   "--learning-rate", str(LR), "--seed", str(SEED),
+                   "--model-out", str(weights_path), "--stay"),
+        env=repro_env, stdout=subprocess.DEVNULL)
+    try:
+        for port in (auth_port, train_port):
+            wait_for_port("127.0.0.1", port, timeout=20)
+        upload_shard(("127.0.0.1", auth_port), ("127.0.0.1", train_port),
+                     x, y, 2, name="clinic-0", rng=random.Random(1))
+        deadline = time.monotonic() + 60
+        with RpcEndpoint("127.0.0.1", train_port, name="poller",
+                         peer=protocol.SERVER) as endpoint:
+            while True:
+                status = endpoint.request(msgs.TrainStatusRequest())
+                if status.state in ("done", "failed") \
+                        or time.monotonic() > deadline:
+                    break
+                time.sleep(0.1)
+        assert status.state == "done", status.detail
+        workers = {pid for pid, ppid in live_processes().items()
+                   if ppid == trainer.pid}
+        assert len(workers) == (cpus if cpus > 1 else 0)
+        trainer.send_signal(sig)
+        assert trainer.wait(timeout=5) == 0
+    finally:
+        for proc in (trainer, authority):
+            if proc.poll() is None:
+                proc.send_signal(signal.SIGTERM)
+                try:
+                    proc.wait(timeout=5)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+                    proc.wait()
+    assert not workers & live_processes().keys()
+
+    reference = TrustedAuthority(
+        CryptoNNConfig(security_bits=TRAIN_POOL_MIN_BITS),
+        rng=random.Random(0))
+    in_process, _, accuracy = run_training(
+        Client(reference).encrypt_tabular(x, y, 2), reference,
+        hidden=HIDDEN, epochs=1, batch_size=BATCH_SIZE, learning_rate=LR,
+        seed=SEED)
+    assert status.accuracy == accuracy
+    with np.load(weights_path) as archive:
+        expected = {f"layer{i}.{name}": value
+                    for i, layer in enumerate(in_process.model.layers)
+                    for name, value in layer.params.items()}
+        assert set(archive.files) == set(expected)
+        for name, value in expected.items():
+            assert np.array_equal(archive[name], value)
 
 
 def _serve_authority_proc(port: int) -> None:
