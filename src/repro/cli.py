@@ -606,9 +606,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "lower it on flaky networks so stalls convert "
                         "into retried timeouts quickly")
     p.add_argument("--workers", type=int,
-                   help="worker processes that subgroup-check uploads "
-                        "and decrypt during training (numerically "
-                        "identical to inline, just faster); default: "
+                   help="worker processes that decrypt during training "
+                        "(numerically identical to inline, just "
+                        "faster); default: "
                         "one per usable CPU on groups of "
                         f"{TRAIN_POOL_MIN_BITS} bits or more, none below "
                         "that or on one CPU")

@@ -38,7 +38,6 @@ from repro.core.config import CryptoNNConfig
 from repro.core.encdata import EncryptedTabularDataset
 from repro.core.entities import TrustedAuthority
 from repro.fe.keys import FeboMasterKey, FeboPublicKey, FeipMasterKey, FeipPublicKey
-from repro.matrix.parallel import SecureComputePool
 from repro.nn.model import Sequential, TrainingHistory
 from repro.nn.optimizers import Optimizer
 
@@ -123,7 +122,10 @@ def load_model_weights(model: Sequential, path: str | pathlib.Path) -> None:
 
 # -- encrypted tabular datasets ------------------------------------------------
 
-ENCRYPTED_TABULAR_FORMAT = "repro.encrypted-tabular.v2"
+#: v3 stores every element in signed (canonical) form; a v2 file holds
+#: raw residues, about half of them above q, which the v3 load would
+#: report as tampered, so it is refused as a different format instead
+ENCRYPTED_TABULAR_FORMAT = "repro.encrypted-tabular.v3"
 
 
 def save_encrypted_tabular(dataset: EncryptedTabularDataset,
@@ -146,14 +148,12 @@ def save_encrypted_tabular(dataset: EncryptedTabularDataset,
         path, json.dumps(header).encode("utf-8") + b"\n" + body)
 
 
-def load_encrypted_tabular(path: str | pathlib.Path,
-                           pool: SecureComputePool | None = None
+def load_encrypted_tabular(path: str | pathlib.Path
                            ) -> EncryptedTabularDataset:
     """Inverse of :func:`save_encrypted_tabular`.
 
-    Runs the same validating unpack as an upload -- on ``pool``'s
-    workers, if given -- so a tampered file fails with ``ValueError``
-    instead of reaching the trainer.
+    Runs the same validating unpack as an upload, so a tampered file
+    fails with ``ValueError`` instead of reaching the trainer.
     """
     head, _, body = pathlib.Path(path).read_bytes().partition(b"\n")
     header = json.loads(head)
@@ -161,8 +161,7 @@ def load_encrypted_tabular(path: str | pathlib.Path,
             or header.get("format") != ENCRYPTED_TABULAR_FORMAT:
         raise ValueError(f"not an encrypted-tabular file: {path}")
     return ser.unpack_encrypted_tabular(
-        header["meta"], body, ser.group_params_from_dict(header["group"]),
-        pool)
+        header["meta"], body, ser.group_params_from_dict(header["group"]))
 
 
 # -- authority state -------------------------------------------------------------

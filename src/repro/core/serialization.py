@@ -48,12 +48,7 @@ from repro.fe.keys import (
     FeipFunctionKey,
     FeipPublicKey,
 )
-from repro.mathutils.group import (
-    GroupParams,
-    first_invalid_element,
-    validate_subgroup_element,
-)
-from repro.matrix.parallel import SecureComputePool
+from repro.mathutils.group import GroupParams, validate_subgroup_element
 
 #: Fixed overhead of a batched key-request/response envelope: a 4-byte
 #: item count plus a 4-byte vector-length / flags field.
@@ -236,31 +231,9 @@ def pack_feip_ciphertext(ct: FeipCiphertext, params: GroupParams) -> bytes:
         pack_element(c, params) for c in ct.ct)
 
 
-def unpack_feip_ciphertext(data: bytes, params: GroupParams, *,
-                           validate: bool = False) -> FeipCiphertext:
-    elements = [unpack_uint(c) for c in _chunks(data, element_size_bytes(params))]
-    if not elements:
-        raise ValueError("empty FEIP ciphertext payload")
-    if validate:
-        for element in elements:
-            validate_subgroup_element(element, params)
-    return FeipCiphertext(ct0=elements[0], ct=tuple(elements[1:]))
-
-
 def pack_febo_ciphertext(ct: FeboCiphertext, params: GroupParams) -> bytes:
     """Exactly :func:`febo_ciphertext_wire_size` bytes."""
     return pack_element(ct.cmt, params) + pack_element(ct.ct, params)
-
-
-def unpack_febo_ciphertext(data: bytes, params: GroupParams, *,
-                           validate: bool = False) -> FeboCiphertext:
-    elements = [unpack_uint(c) for c in _chunks(data, element_size_bytes(params))]
-    if len(elements) != 2:
-        raise ValueError("FEBO ciphertext payload must hold exactly 2 elements")
-    if validate:
-        for element in elements:
-            validate_subgroup_element(element, params)
-    return FeboCiphertext(cmt=elements[0], ct=elements[1])
 
 
 # -- encrypted tabular shards ---------------------------------------------------
@@ -297,8 +270,7 @@ def _is_int(value) -> bool:
 
 
 def unpack_encrypted_tabular(meta: dict[str, Any], body: bytes,
-                             params: GroupParams,
-                             pool: SecureComputePool | None = None
+                             params: GroupParams
                              ) -> EncryptedTabularDataset:
     """Inverse of :func:`pack_encrypted_tabular`, for untrusted input.
 
@@ -306,13 +278,11 @@ def unpack_encrypted_tabular(meta: dict[str, Any], body: bytes,
     fails with a clear reason instead of an overflow or a giant
     allocation.  Merging shards concatenates their ``eval_labels``, so a
     wrong length would shift one shard's labels onto another's samples.
-    Every element of the body is checked for range and subgroup
-    membership (a Jacobi test), so garbage ciphertexts are rejected here
-    instead of poisoning the training loop.  Given a compute ``pool``,
-    its workers check one run of the elements each; without one,
-    :func:`~repro.mathutils.group.first_invalid_element` checks them all
-    here.  Either way the lowest bad element raises, with the error
-    :func:`validate_subgroup_element` gives for it.
+    Every element of the body is checked for subgroup membership, which
+    for canonical elements is the range check ``0 < v <= q``
+    (:func:`validate_subgroup_element`), so garbage ciphertexts are
+    rejected here instead of poisoning the training loop.  The first
+    bad element raises.
 
     Raises:
         ValueError: on any of those checks.
@@ -340,21 +310,25 @@ def unpack_encrypted_tabular(meta: dict[str, Any], body: bytes,
         raise ValueError(
             f"encrypted shard body holds {len(body)} bytes, "
             f"expected {expected}")
-    elements = [unpack_uint(c)
-                for c in _chunks(body, element_size_bytes(params))]
-    bad = (pool.first_invalid_element(params, elements) if pool is not None
-           else first_invalid_element(params, elements))
-    if bad is not None:
-        validate_subgroup_element(elements[bad], params)
+    # numpy cuts the body into fixed-width records in C, and the range
+    # check needs no call per element, so most of an unpack is building
+    # the ciphertext objects
+    width = element_size_bytes(params)
+    elements = list(map(int.from_bytes,
+                        np.frombuffer(body, dtype=f"V{width}").tolist(),
+                        itertools.repeat("big")))
+    if elements and not 0 < min(elements) <= max(elements) <= params.q:
+        for element in elements:  # the first bad element raises
+            validate_subgroup_element(element, params)
 
     # the body packs each vector as its FEIP ciphertext (ct0, then one
     # element per slot) followed by one (cmt, ct) pair per slot
     stream = iter(elements)
 
     def vector(length: int):
-        ip = FeipCiphertext(ct0=next(stream),
-                            ct=tuple(itertools.islice(stream, length)))
-        return ip, tuple(FeboCiphertext(cmt=next(stream), ct=next(stream))
+        ip = FeipCiphertext(next(stream),
+                            tuple(itertools.islice(stream, length)))
+        return ip, tuple(FeboCiphertext(next(stream), next(stream))
                          for _ in range(length))
 
     samples = [EncryptedSample(*vector(n_features)) for _ in range(n)]

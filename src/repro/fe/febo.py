@@ -47,7 +47,7 @@ from repro.fe.keys import (
     key_fingerprint,
 )
 from repro.mathutils.dlog import GLOBAL_SOLVER_CACHE, DlogSolver, SolverCache
-from repro.mathutils.group import GroupParams, SchnorrGroup
+from repro.mathutils.group import GroupParams, SchnorrGroup, canonical
 
 
 class FeboOp(str, enum.Enum):
@@ -93,7 +93,7 @@ class Febo:
 
         With a precomputed ``nonce`` (commitment + mask) only the
         online half runs: one small-exponent ``g^x`` and one multiply.
-        Single-use and key-fingerprint rules as in
+        Single-use, key-fingerprint and canonical-form rules as in
         :meth:`repro.fe.feip.Feip.encrypt`.
         """
         group = self.group
@@ -102,20 +102,25 @@ class Febo:
                 raise CiphertextError(
                     "nonce was precomputed for a different public key"
                 )
-            return FeboCiphertext(
-                cmt=nonce.cmt,
-                ct=group.mul(nonce.mask, group.gexp(int(x))),
-            )
-        r = group.random_exponent()
-        # g and h are reused across every encryption under this key, so
-        # the full-width exponentiations go through fixed-base tables.
-        cmt = group.gexp(r)
-        ct = group.mul(group.exp_cached(mpk.h, r), group.gexp(int(x)))
-        return FeboCiphertext(cmt=cmt, ct=ct)
+            cmt = nonce.cmt
+            ct = group.mul(nonce.mask, group.gexp(int(x)))
+        else:
+            r = group.random_exponent()
+            # g and h are reused across every encryption under this key,
+            # so the full-width exponentiations go through fixed-base
+            # tables.
+            cmt = group.gexp(r)
+            ct = group.mul(group.exp_cached(mpk.h, r), group.gexp(int(x)))
+        p = group.p
+        return FeboCiphertext(cmt=canonical(cmt, p), ct=canonical(ct, p))
 
     def key_derive(self, msk: FeboMasterKey, cmt: int, op: FeboOp | str,
                    y: int) -> FeboFunctionKey:
-        """Derive the per-ciphertext function key for ``x op y``."""
+        """Derive the per-ciphertext function key for ``x op y``.
+
+        ``sk`` is handed out in :func:`~repro.mathutils.group.canonical`
+        form, like the ciphertext elements.
+        """
         op = FeboOp.coerce(op)
         group = self.group
         y = int(y)
@@ -130,11 +135,12 @@ class Febo:
             if y % group.q == 0:
                 raise FunctionKeyError("division by zero operand")
             sk = group.exp(cmt_s, group.exp_inverse(y))
-        return FeboFunctionKey(op=op.value, y=y, sk=sk, cmt=cmt)
+        return FeboFunctionKey(op=op.value, y=y, sk=canonical(sk, group.p),
+                               cmt=cmt)
 
     def decrypt_raw(self, mpk: FeboPublicKey, skf: FeboFunctionKey,
                     ciphertext: FeboCiphertext) -> int:
-        """Return the group element ``g^{f_delta(x, y)}``."""
+        """Return ``g^{f_delta(x, y)}`` up to sign."""
         if skf.cmt and skf.cmt != ciphertext.cmt:
             raise FunctionKeyError(
                 "function key was derived for a different ciphertext"

@@ -42,7 +42,7 @@ from repro.fe.keys import (
 )
 from repro.mathutils.dlog import GLOBAL_SOLVER_CACHE, DlogSolver, SolverCache
 from repro.mathutils.fastexp import RowPlan, SharedBaseMultiExp
-from repro.mathutils.group import GroupParams, SchnorrGroup
+from repro.mathutils.group import GroupParams, SchnorrGroup, canonical
 
 
 class Feip:
@@ -86,6 +86,10 @@ class Feip:
         nonce must have been built for this ``mpk`` (fingerprint
         checked) and must never be passed twice -- single-use is the
         caller's contract (the engine's store enforces it).
+
+        Every element is handed out in
+        :func:`~repro.mathutils.group.canonical` form, so decryption
+        recovers ``g^{<x, y>}`` up to sign.
         """
         if len(x) != mpk.eta:
             raise CiphertextError(
@@ -98,24 +102,23 @@ class Feip:
                     "nonce was precomputed for a different public key"
                 )
             ct0 = nonce.ct0
-            ct = tuple(
-                group.mul(mask, group.gexp(int(xi)))
-                for mask, xi in zip(nonce.masks, x)
-            )
-            return FeipCiphertext(ct0=ct0, ct=ct)
-        r = group.random_exponent()
-        # g and the h_i are reused across every encryption under this key,
-        # so all full-width exponentiations go through fixed-base tables.
-        ct0 = group.gexp(r)
-        ct = tuple(
-            group.mul(group.exp_cached(hi, r), group.gexp(int(xi)))
-            for hi, xi in zip(mpk.h, x)
-        )
-        return FeipCiphertext(ct0=ct0, ct=ct)
+            ct = (group.mul(mask, group.gexp(int(xi)))
+                  for mask, xi in zip(nonce.masks, x))
+        else:
+            r = group.random_exponent()
+            # g and the h_i are reused across every encryption under this
+            # key, so all full-width exponentiations go through fixed-base
+            # tables.
+            ct0 = group.gexp(r)
+            ct = (group.mul(group.exp_cached(hi, r), group.gexp(int(xi)))
+                  for hi, xi in zip(mpk.h, x))
+        p = group.p
+        return FeipCiphertext(ct0=canonical(ct0, p),
+                              ct=tuple(canonical(c, p) for c in ct))
 
     def decrypt_raw(self, mpk: FeipPublicKey, ciphertext: FeipCiphertext,
                     skf: FeipFunctionKey) -> int:
-        """Return the group element ``g^{<x, y>}`` (no discrete log)."""
+        """Return ``g^{<x, y>}`` up to sign (no discrete log)."""
         if ciphertext.eta != len(skf.y):
             raise CiphertextError(
                 f"ciphertext length {ciphertext.eta} != weight length {len(skf.y)}"

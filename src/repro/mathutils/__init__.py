@@ -7,7 +7,9 @@ with pure-Python implementations:
   (safe-)prime generation.
 * :mod:`repro.mathutils.modarith` -- modular arithmetic helpers.
 * :mod:`repro.mathutils.group` -- prime-order Schnorr groups where the
-  DDH assumption is believed to hold, with precomputed parameters.
+  DDH assumption is believed to hold, with precomputed parameters and
+  the signed (``min(x, p - x)``) encoding of the elements schemes hand
+  out.
 * :mod:`repro.mathutils.dlog` -- bounded discrete-logarithm recovery via
   baby-step giant-step, the decryption workhorse of both FE schemes.
 * :mod:`repro.mathutils.fastexp` -- fixed-base comb tables and

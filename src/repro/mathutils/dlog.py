@@ -53,6 +53,13 @@ class DlogSolver:
     that fits under :data:`DENSE_TABLE_CAP` (every query is then one
     lookup), else to the larger of the cap and the classic
     ``ceil(sqrt(window))`` balance.
+
+    Decryption results are right only up to sign (ciphertexts travel in
+    :func:`~repro.mathutils.group.canonical` form), so the table is keyed
+    by canonical value, and each target and each giant step is looked up
+    by its canonical value: ``h`` and ``p - h`` solve to the same ``m``.
+    The table is shorter than ``q``, so its steps are distinct subgroup
+    elements, and -1 is outside the subgroup, so no two share a key.
     """
 
     def __init__(self, group: SchnorrGroup, bound: int,
@@ -84,13 +91,23 @@ class DlogSolver:
         table: dict[int, int] = {}
         element = self.group.exp(self.group.g, self._low)
         g, p = self.group.g, self.group.p
+        half = p >> 1
+        # the keys are distinct (class docstring), so no assignment
+        # overwrites a step
         for j in range(self._low, self._low + self.table_size):
-            table.setdefault(element, j)
+            table[element if element <= half else p - element] = j
             element = element * g % p
         return table
 
+    def _canonical_targets(self, targets: Sequence[int]) -> list[int]:
+        p = self.group.p
+        half = p >> 1
+        residues = (int(t) % p for t in targets)
+        return [h if h <= half else p - h for h in residues]
+
     def _walk(self, targets: Sequence[int]) -> dict[int, int]:
-        """Exponents of the distinct ``targets`` that lie in the window.
+        """Exponents of the distinct canonical ``targets`` that lie in
+        the window.
 
         Equal targets share one walk (a decryption column repeats values
         whenever two rows agree), and all still-unsolved targets advance
@@ -99,6 +116,7 @@ class DlogSolver:
         """
         baby = self._baby_steps
         bound, table_size, p = self.bound, self.table_size, self.group.p
+        half = p >> 1
         solved: dict[int, int] = {}
         pending: dict[int, tuple[int, int]] = {}
         for h in targets:
@@ -117,12 +135,12 @@ class DlogSolver:
             still: dict[int, tuple[int, int]] = {}
             for h, (above, below) in pending.items():
                 above = above * step_up % p
-                j = baby.get(above)
+                j = baby.get(above if above <= half else p - above)
                 if j is not None and j + shift <= bound:
                     solved[h] = j + shift
                     continue
                 below = below * step_down % p
-                j = baby.get(below)
+                j = baby.get(below if below <= half else p - below)
                 if j is not None and j - shift >= -bound:
                     solved[h] = j - shift
                     continue
@@ -131,12 +149,13 @@ class DlogSolver:
         return solved
 
     def solve(self, h: int) -> int:
-        """Return the signed exponent ``m`` with ``g^m == h``.
+        """Return the signed exponent ``m`` with ``g^m`` equal to ``h``
+        or ``p - h``.
 
         Raises:
             DiscreteLogError: when no exponent in ``[-bound, bound]`` works.
         """
-        h = int(h) % self.group.p
+        (h,) = self._canonical_targets((h,))
         solved = self._walk((h,))
         if h not in solved:
             raise DiscreteLogError(
@@ -158,8 +177,7 @@ class DlogSolver:
             DiscreteLogError: when any element has no exponent in
                 ``[-bound, bound]`` -- same contract as :meth:`solve`.
         """
-        p = self.group.p
-        elements = [int(h) % p for h in elements]
+        elements = self._canonical_targets(elements)
         solved = self._walk(elements)
         missing = {h for h in elements if h not in solved}
         if missing:

@@ -215,10 +215,12 @@ def multiexp(bases: Sequence[int], exponents: Sequence[int], modulus: int,
     given they are first reduced to the *balanced* representation in
     ``(-order/2, order/2]``, which is only valid when every base lies in
     a subgroup whose order divides ``order`` (always true for Schnorr
-    subgroup elements).  The negative-exponent part is accumulated as a
-    positive product and folded in with one modular inversion, so small
-    signed exponents -- the typical encoded-weight case -- never pay
-    full-width exponentiations.
+    subgroup elements).  A :func:`~repro.mathutils.group.canonical`
+    base may be the negation of a subgroup element, so for ciphertext
+    bases the result is exact only up to sign.  The negative-exponent
+    part is accumulated as a positive product and folded in with one
+    modular inversion, so small signed exponents -- the typical
+    encoded-weight case -- never pay full-width exponentiations.
     """
     if len(bases) != len(exponents):
         raise ValueError("bases and exponents must have equal length")
@@ -424,7 +426,10 @@ class SharedBaseMultiExp:
 
     :meth:`eval_many` recodes its rows on every call; callers that
     evaluate one key set against many columns build the plan once and
-    call :meth:`eval_plan`.  Results are exact integers either way.
+    call :meth:`eval_plan`.  Results are exact integers either way, but
+    exponents are reduced mod ``order`` as in :func:`multiexp`, so for
+    :func:`~repro.mathutils.group.canonical` bases (ciphertext elements)
+    they are exact only up to sign.
     """
 
     def __init__(self, bases: Sequence[int], modulus: int,

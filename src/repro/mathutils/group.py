@@ -6,6 +6,25 @@ hard.  We use the classic Schnorr construction: a safe prime ``p = 2q+1``
 and the order-``q`` subgroup of quadratic residues of Z_p^*, generated by
 ``g``.  Exponents live in Z_q, elements in Z_p.
 
+**Element encoding.**  Every shipped ``p`` is a safe prime, so ``p = 3
+(mod 4)`` and -1 is a quadratic non-residue: exactly one of ``x`` and
+``p - x`` lies in the subgroup.  Following Hofheinz and Kiltz ("The
+Group of Signed Quadratic Residues and Applications", CRYPTO 2009), a
+scheme hands out each ciphertext element and FEBO function key as its
+:func:`canonical` form ``|x| = min(x, p - x)``, which maps the subgroup
+one-to-one onto ``[1, q]``.  The map commutes, up to sign, with
+products, signed powers and inverses, so a decryption computed from
+canonical elements is right up to sign, and
+:class:`~repro.mathutils.dlog.DlogSolver` compares canonical forms.  It
+is efficient both ways, so the "signed" group is isomorphic to the
+subgroup as a DDH group: DDH, and with it the IND-CPA arguments for FEIP
+and FEBO, carry over unchanged.  What changes is the membership test of
+an untrusted element: ``0 < v <= q`` (:func:`validate_subgroup_element`)
+instead of a Legendre symbol.  Public keys, nonces and everything
+:class:`SchnorrGroup` and :mod:`~repro.mathutils.fastexp` compute stay
+raw residues, because their exponent reductions mod ``q`` are exact
+only for subgroup bases.
+
 ``GroupParams.predefined(bits)`` returns fixed, pre-generated parameters
 (deterministically produced once with seed 20190419) so that tests and
 benchmarks do not pay the safe-prime search on every run -- the same role
@@ -16,11 +35,10 @@ performs a fresh search when fresh parameters are wanted.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.mathutils.fastexp import FixedBaseExp, multiexp
-from repro.mathutils.modarith import jacobi_symbol, mod_inverse
+from repro.mathutils.modarith import mod_inverse
 from repro.mathutils.primes import gen_safe_prime, is_probable_prime
 from repro.obs.metrics import GLOBAL_REGISTRY
 
@@ -237,45 +255,35 @@ class SchnorrGroup:
         return f"SchnorrGroup(bits={self.params.bits})"
 
 
-def validate_subgroup_element(value: int, params: GroupParams) -> None:
-    """Reject an integer that is not a member of the QR subgroup.
+def canonical(x: int, p: int) -> int:
+    """The signed representative ``|x| = min(x, p - x)`` of a residue
+    ``x`` in ``[0, p)``.
 
-    For a safe prime ``p = 2q + 1`` the order-``q`` subgroup is exactly
-    the set of quadratic residues, so membership reduces to a Jacobi
-    symbol -- O(log^2) instead of the O(log^3) ``pow(x, q, p)`` test,
-    about 3-4x faster at 256 bits.  An element outside the subgroup
-    would make discrete-log recovery fail (or, worse, silently decode
-    garbage into the training loop), so ingestion rejects it at the
-    unpack boundary -- on every element of an untrusted upload.  At 256
-    bits that costs ~57 us an element: unpacking a 64x64 shard's 12,800
-    took 0.49-0.73 s on a loaded 2-core VM, more than encrypting the
-    shard (0.35-0.59 s), and 0.34-0.38 s with a compute pool's two
-    workers checking one run each (:func:`first_invalid_element`).
+    On a subgroup element it is the element's encoding in the group of
+    signed quadratic residues (module docstring), a value in ``[1, q]``.
+    """
+    return x if x <= p >> 1 else p - x
+
+
+def validate_subgroup_element(value: int, params: GroupParams) -> None:
+    """Reject an integer that does not encode a subgroup element.
+
+    Ciphertext elements travel in :func:`canonical` form, and that form
+    maps the order-``q`` subgroup one-to-one onto ``[1, q]``, so
+    membership is the range check ``0 < value <= q``.  An element
+    outside it would make discrete-log recovery fail (or, worse,
+    silently decode garbage into the training loop), so ingestion
+    rejects it at the unpack boundary -- on every element of an
+    untrusted upload.
 
     Raises:
-        ValueError: when ``value`` is out of range or a non-residue.
+        ValueError: when ``value`` is outside ``(0, p)``, or above ``q``.
     """
     if not 0 < value < params.p:
         raise ValueError(
             f"group element {value} outside (0, p) for modulus of "
             f"{params.p.bit_length()} bits")
-    if jacobi_symbol(value, params.p) != 1:
+    if value > params.q:
         raise ValueError(
-            "group element is not in the prime-order subgroup "
-            "(quadratic non-residue)")
-
-
-def first_invalid_element(params: GroupParams, elements: Iterable[int],
-                          first: int = 0) -> int | None:
-    """Index of the first of ``elements`` that fails
-    :func:`validate_subgroup_element`, or None if all pass.
-
-    Indices count from ``first``, so a compute pool can hand each worker
-    one run of a longer sequence and take the lowest index it gets back.
-    """
-    for index, value in enumerate(elements, first):
-        try:
-            validate_subgroup_element(value, params)
-        except ValueError:
-            return index
-    return None
+            "group element is above q, so it encodes no element of the "
+            "signed prime-order subgroup")

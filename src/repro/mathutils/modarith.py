@@ -46,36 +46,6 @@ def batch_inverse(values: list[int], m: int) -> list[int]:
     return out
 
 
-def jacobi_symbol(a: int, n: int) -> int:
-    """Return the Jacobi symbol ``(a/n)`` for odd ``n > 0``.
-
-    For prime ``n`` this is the Legendre symbol: 1 when ``a`` is a
-    quadratic residue mod ``n``, -1 when it is not, 0 when ``n``
-    divides ``a``.  Binary quadratic-reciprocity algorithm -- O(log^2)
-    bit operations.  At 256 bits that is about 3-4x faster than the
-    ``pow(a, q, p)`` subgroup test (~40-60 us against ~155-230 us on a
-    2-core VM), which is what the ingestion path's per-element
-    ciphertext validation runs on.
-
-    Raises:
-        ValueError: if ``n`` is even or not positive.
-    """
-    if n <= 0 or n % 2 == 0:
-        raise ValueError("Jacobi symbol requires an odd positive modulus")
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
 def int_to_signed(value: int, modulus: int) -> int:
     """Map a residue in ``[0, modulus)`` to the signed window.
 

@@ -43,11 +43,7 @@ carries the FEBO master key, so only the authority's own pool -- the
 one ``serve-authority`` forks -- is ever configured with it; the
 caller keeps the permitted-op and policy checks.
 
-And it serves the *training server's ingestion*: under the
-``subgroup`` kind (:meth:`SecureComputePool.first_invalid_element`)
-each worker subgroup-checks one run of an upload's elements, and the
-lowest failing index wins, as in a serial scan.  ``serve-authority``
-and ``serve-train`` size their pools by one rule,
+``serve-authority`` and ``serve-train`` size their pools by one rule,
 :func:`service_workers`, each from its own measured cutoff.
 
 Every worker starts with the default stop signals, whatever handlers
@@ -94,7 +90,7 @@ from repro.fe.keys import (
     FeipPublicKey,
 )
 from repro.mathutils.dlog import GLOBAL_SOLVER_CACHE, SolverCache
-from repro.mathutils.group import GroupParams, first_invalid_element
+from repro.mathutils.group import GroupParams
 from repro.obs.metrics import GLOBAL_REGISTRY
 
 # Per-process state installed by the configuration broadcast, keyed by
@@ -176,9 +172,6 @@ def _build_state(kind: str, payload: tuple, solver_cache: SolverCache,
     if kind == "febo-keys":
         params, msk = payload
         return dict(febo=febo or Febo(params), febo_msk=msk)
-    if kind == "subgroup":
-        (params,) = payload
-        return dict(params=params)
     if kind == "encrypt":
         params, feip_mpk, febo_mpk = payload
         # fresh Feip/Febo per worker => fresh OS-seeded RNG per worker,
@@ -253,15 +246,6 @@ def _febo_key_chunk(config: tuple, chunk: tuple[tuple[int, str, int], ...]
     state = _install_config(config)
     febo, msk = state["febo"], state["febo_msk"]
     return [febo.key_derive(msk, cmt, op, y) for cmt, op, y in chunk]
-
-
-def _subgroup_run(config: tuple, chunk: tuple[int, tuple[int, ...]]
-                  ) -> int | None:
-    """Index of the first element of a run ``(first, elements)`` that
-    is not in the group's prime-order subgroup, or None."""
-    state = _install_config(config)
-    first, elements = chunk
-    return first_invalid_element(state["params"], elements, first)
 
 
 def _feip_nonce_chunk(config: tuple, count: int) -> list[FeipNonce]:
@@ -580,22 +564,6 @@ class SecureComputePool:
         chunks = chunk_tasks(requests, self.workers)
         return list(itertools.chain.from_iterable(
             self._map(_febo_key_chunk, config, chunks)))
-
-    # -- server-side ingestion -------------------------------------------------
-    def first_invalid_element(self, params: GroupParams,
-                              elements: Sequence[int]) -> int | None:
-        """Index of the first of ``elements`` outside the subgroup, or None.
-
-        One run per worker: every element costs one Jacobi symbol, so
-        equal runs balance.  The lowest index any run reports wins, so
-        the answer equals a serial scan's.
-        """
-        config = self.configure("subgroup", (params,))
-        per_run = max(1, -(-len(elements) // self.workers))
-        runs = [(first, tuple(elements[first:first + per_run]))
-                for first in range(0, len(elements), per_run)]
-        return next((index for index in self._map(_subgroup_run, config, runs)
-                     if index is not None), None)
 
     # -- client-side nonce production ------------------------------------------
     def _nonce_chunks(self, count: int) -> list[int]:

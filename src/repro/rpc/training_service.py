@@ -17,8 +17,9 @@ into one envelope per step by default.
 The authority handshake fixes the group size, and with it the
 server's compute pool (:func:`~repro.matrix.parallel.service_workers`:
 one worker per usable CPU from ``TRAIN_POOL_MIN_BITS`` up, unless
-``workers`` says otherwise): its workers subgroup-check every completed
-upload, and the trainer decrypts on the same workers.
+``workers`` says otherwise), on which the trainer decrypts.  It forks
+at the first training dispatch; uploads are checked inline, where
+checking an element is a range test.
 
 The blocking training loop runs in a worker thread
 (``asyncio.to_thread``) so the server keeps answering ``train-status``
@@ -106,14 +107,15 @@ _CTX_FREE_KINDS = frozenset({
 })
 
 #: smallest group ``serve-train`` forks a compute pool for by default.
-#: Its work -- decryption, whose dlog cost follows the bound, and one
-#: Jacobi symbol per uploaded element -- is not the authority's
-#: ``cmt^s``, so it has its own measured crossover.  On a 2-core VM the
-#: ``mlp-rpc`` job (group size edited, 4 inline/pooled pairs per size)
-#: reached its model 5-13% sooner on a 2-worker pool at every size from
-#: 32 to 128 bits, but a toy job (16 samples, 2 epochs) at 32 bits lost
-#: 6%.  Groups below 64 bits are toy groups, the CLI default among
-#: them, so they stay inline
+#: Its work -- decryption, whose dlog cost follows the bound -- is not
+#: the authority's ``cmt^s``, so it has its own measured crossover.  On
+#: a 2-core VM the ``mlp-rpc`` job (group size edited, 4 inline/pooled
+#: pairs per size) reached its model 5-13% sooner on a 2-worker pool at
+#: every size from 32 to 128 bits, but a toy job (16 samples, 2 epochs)
+#: at 32 bits lost 6%.  The pool then also subgroup-checked each
+#: upload, with a per-element test far costlier than the range check
+#: that replaced it.  Groups below 64 bits are toy groups, the CLI
+#: default among them, so they stay inline
 TRAIN_POOL_MIN_BITS = 64
 
 
@@ -271,11 +273,10 @@ class TrainingService(FramedService):
         #: (atomic .npz; lets out-of-process drivers compare weights)
         self.model_out = model_out
 
-        #: size of the compute pool that subgroup-checks uploads and
-        #: decrypts during training; None picks the default for the
-        #: authority's group (:meth:`_pool`).  Pooled and inline runs
-        #: are numerically identical, so this only changes speed, never
-        #: the trajectory
+        #: size of the compute pool that decrypts during training; None
+        #: picks the default for the authority's group (:meth:`_pool`).
+        #: Pooled and inline runs are numerically identical, so this
+        #: only changes speed, never the trajectory
         self.workers = workers
         #: JSONL span output for the per-iteration cost decomposition
         self.trace_file = trace_file
@@ -547,12 +548,10 @@ class TrainingService(FramedService):
                 "restart the upload from chunk 0")
         ctx = await self._wire_context()
         try:
-            # off-loop: a paper-scale shard unpacks (and subgroup-checks,
-            # on the pool's workers when there is a pool) hundreds of
-            # thousands of elements
+            # off-loop: a paper-scale shard unpacks (and range-checks)
+            # hundreds of thousands of elements
             dataset = await asyncio.to_thread(
-                ser.unpack_encrypted_tabular, asm.meta, body, ctx.params,
-                self._pool(ctx.params))
+                ser.unpack_encrypted_tabular, asm.meta, body, ctx.params)
         except Exception:
             # hardened ingestion rejected the assembled payload; drop
             # the assembly so the client's restart starts clean
@@ -729,9 +728,8 @@ class TrainingService(FramedService):
 
     def _train_sync(self) -> None:
         authority = self._connect_authority()
-        pool = self._pool(authority.params)
         if self._resuming:
-            self.dataset = load_encrypted_tabular(self.dataset_path, pool=pool)
+            self.dataset = load_encrypted_tabular(self.dataset_path)
         else:
             # merge in natural client-name order: deterministic under
             # upload races, and equal to the 0..N-1 enumerate order of
@@ -747,9 +745,9 @@ class TrainingService(FramedService):
                 save_encrypted_tabular(self.dataset, self.dataset_path)
         config = dataclasses.replace(
             authority.config, batch_key_requests=self.batch_key_requests)
+        pool = self._pool(authority.params)
         if pool is not None:
-            # the trainer resolves the same process-wide pool, so it
-            # decrypts on the workers ingestion already started
+            # the trainer resolves this same process-wide pool
             config = dataclasses.replace(config, workers=pool.workers)
         # phase timings are part of the service's ops surface: spans
         # land in repro_phase_seconds histograms (and the trace file

@@ -1,5 +1,6 @@
 """Tests for model / encrypted-dataset persistence."""
 
+import json
 import random
 
 import numpy as np
@@ -243,6 +244,21 @@ class TestEncryptedDataset:
         path = tmp_path / "garbage.json"
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError):
+            load_encrypted_tabular(path)
+
+    def test_v2_file_rejected(self, tmp_path, authority, np_rng):
+        """v2 files stored raw residues, about half of them above q; the
+        v3 loader refuses the format instead of calling them tampered."""
+        x = np_rng.uniform(-1, 1, size=(2, 2))
+        dataset = Client(authority).encrypt_tabular(x, np.array([0, 1]), 2)
+        path = tmp_path / "dataset.enc"
+        save_encrypted_tabular(dataset, path)
+        head, _, body = path.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        assert header["format"] == "repro.encrypted-tabular.v3"
+        header["format"] = "repro.encrypted-tabular.v2"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        with pytest.raises(ValueError, match="not an encrypted-tabular file"):
             load_encrypted_tabular(path)
 
     def test_non_subgroup_element_rejected_on_load(self, tmp_path,

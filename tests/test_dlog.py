@@ -28,6 +28,21 @@ class TestDlogSolver:
         with pytest.raises(DiscreteLogError):
             solver.solve(group.gexp(-51))
 
+    def test_solves_both_signs_of_a_target(self, group):
+        """Decryptions from canonical ciphertexts are right up to sign:
+        ``h`` and ``p - h`` have the same discrete log, in ring 0 and
+        past the baby-step table."""
+        solver = DlogSolver(group, bound=2 ** 21)
+        assert solver.table_size < solver.bound
+        p = group.p
+        for m in (0, 1, -1, 1000, -(2 ** 14), 2 ** 21, -(2 ** 21),
+                  2 ** 20 + 12345, -(2 ** 20) - 777):
+            h = group.gexp(m)
+            assert solver.solve(h) == solver.solve(p - h) == m
+        ms = [5, -(2 ** 21), 2 ** 19 + 3]
+        targets = [group.gexp(m) for m in ms]
+        assert solver.solve_many([p - h for h in targets]) == ms
+
     def test_solve_nonneg(self, group):
         solver = DlogSolver(group, bound=50)
         assert solver.solve_nonneg(group.gexp(7)) == 7

@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from repro.mathutils.group import GroupParams, SchnorrGroup, _PREDEFINED
+from repro.mathutils.group import (
+    GroupParams,
+    SchnorrGroup,
+    _PREDEFINED,
+    canonical,
+    validate_subgroup_element,
+)
 
 
 @pytest.mark.parametrize("bits", sorted(_PREDEFINED))
@@ -89,3 +95,60 @@ def test_gexp_builds_one_inverse_comb():
     for e in (5, -5, -7, 9, -(group.q // 3)):
         group.gexp(e)
     assert len(group._fixed_bases) == 2  # g and g^{-1}, each built once
+
+
+class TestSignedEncoding:
+    """``canonical`` maps the subgroup one-to-one onto ``[1, q]`` and
+    commutes, up to sign, with the group operations decryption uses."""
+
+    PAIRS = 2_000
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        params = GroupParams.predefined(256)
+        rng = random.Random(7)
+        # a square of a unit is a uniform subgroup element
+        return params, [(pow(rng.randrange(1, params.p), 2, params.p),
+                         pow(rng.randrange(1, params.p), 2, params.p),
+                         rng.randint(-(1 << 20), 1 << 20))
+                        for _ in range(self.PAIRS)]
+
+    def test_canonical_lands_in_one_to_q(self, group):
+        for _ in range(50):
+            x = group.random_element()
+            assert 0 < canonical(x, group.p) <= group.q
+            assert canonical(x, group.p) == canonical(group.p - x, group.p)
+            # -1 is a non-residue: exactly one of x, p - x is a member
+            assert not group.contains(group.p - x)
+
+    def test_commutes_with_products(self, pairs):
+        params, items = pairs
+        p = params.p
+        for a, b, _ in items:
+            assert canonical(a * b % p, p) == \
+                canonical(canonical(a, p) * canonical(b, p) % p, p)
+
+    def test_commutes_with_signed_powers(self, pairs):
+        params, items = pairs
+        p = params.p
+        for a, _, e in items:
+            assert canonical(pow(a, e, p), p) == \
+                canonical(pow(canonical(a, p), e, p), p)
+
+    def test_commutes_with_inverses(self, pairs):
+        params, items = pairs
+        p = params.p
+        for a, _, _ in items:
+            assert canonical(pow(a, -1, p), p) == \
+                canonical(pow(canonical(a, p), -1, p), p)
+
+    def test_validation_is_the_range_check(self, params):
+        validate_subgroup_element(1, params)
+        validate_subgroup_element(params.q, params)
+        for value in (params.q + 1, params.p - 1):
+            with pytest.raises(ValueError, match="subgroup") as err:
+                validate_subgroup_element(value, params)
+            assert "above q" in str(err.value)
+        for value in (0, params.p, -1):
+            with pytest.raises(ValueError, match=r"outside \(0, p\)"):
+                validate_subgroup_element(value, params)

@@ -32,7 +32,7 @@ from repro.core.encdata import merge_encrypted_tabular
 from repro.core.entities import Client, TrustedAuthority
 from repro.data.preprocess import normalize_features, shared_feature_scale
 from repro.data.tabular import load_clinics
-from repro.matrix.parallel import SecureComputePool
+from repro.mathutils.group import SchnorrGroup
 from repro.obs.metrics import GLOBAL_REGISTRY
 from repro.rpc import (
     AuthorityService,
@@ -165,6 +165,27 @@ class TestCiphertextValidation:
         assert service.state == "waiting"
         assert not service._shards
 
+    def test_residue_above_q_is_rejected(self, stack):
+        """Elements travel in signed form, ``min(x, p - x)``.  The
+        negation ``p - v`` of an honest element ``v`` that is not itself
+        a residue is a genuine subgroup element, but it lies above q, so
+        it is not a canonical encoding: rejected too."""
+        authority, service, auth_addr, train_addr, _ = stack
+        group = SchnorrGroup(authority.params)
+        remote, dataset = _encrypt_one(auth_addr, _make_shards()[0])
+        with remote:
+            sample = next(s for s in dataset.samples
+                          if not group.contains(s.features_ip.ct0))
+            residue = group.p - sample.features_ip.ct0
+            assert residue > group.q and group.contains(residue)
+            sample.features_ip = dataclasses.replace(
+                sample.features_ip, ct0=residue)
+            with pytest.raises(RpcRemoteError) as err:
+                _send_shard(train_addr, dataset, remote.params)
+            assert "subgroup" in str(err.value)
+        assert service.state == "waiting"
+        assert not service._shards
+
     def test_out_of_range_element_is_rejected(self, stack):
         authority, service, auth_addr, train_addr, _ = stack
         remote, dataset = _encrypt_one(auth_addr, _make_shards()[0])
@@ -215,12 +236,6 @@ def packed_shard():
     return meta, body, authority.params
 
 
-@pytest.fixture(scope="module")
-def two_workers():
-    with SecureComputePool(workers=2) as pool:
-        yield pool
-
-
 def _tampered(body, params, values: dict[int, int]) -> bytes:
     """``body`` with element ``index`` set to ``value`` for each item."""
     width = ser.element_size_bytes(params)
@@ -231,59 +246,40 @@ def _tampered(body, params, values: dict[int, int]) -> bytes:
     return bytes(data)
 
 
-def _unpack_error(meta, body, params, pool=None) -> str:
+def _unpack_error(meta, body, params) -> str:
     with pytest.raises(ValueError) as err:
-        ser.unpack_encrypted_tabular(meta, body, params, pool)
+        ser.unpack_encrypted_tabular(meta, body, params)
     return str(err.value)
 
 
 @pytest.mark.timeout_guard(60)
 class TestPooledValidation:
-    """Uploads are subgroup-checked on a compute pool, one run of
-    elements per worker; the outcome must not depend on the pool."""
-
-    def test_pooled_unpack_equals_inline(self, packed_shard, two_workers):
-        meta, body, params = packed_shard
-        dispatches = two_workers.dispatches
-        inline = ser.unpack_encrypted_tabular(meta, body, params)
-        pooled = ser.unpack_encrypted_tabular(meta, body, params,
-                                              two_workers)
-        assert two_workers.dispatches == dispatches + 1
-        assert pooled.samples == inline.samples
-        assert pooled.labels == inline.labels
-        assert np.array_equal(pooled.eval_labels, inline.eval_labels)
-        assert (pooled.n_features, pooled.num_classes, pooled.scale,
-                pooled.params) == (inline.n_features, inline.num_classes,
-                                   inline.scale, inline.params)
-        assert ser.pack_encrypted_tabular(pooled, params) == (meta, body)
+    """Every element of an upload is range-checked inline, wherever in
+    the body it sits: the ends and both sides of the middle."""
 
     @pytest.mark.parametrize("value", ["zero", "p", "p-1"])
     @pytest.mark.parametrize("where", ["first", "run-end", "run-start",
                                        "last"])
     def test_tampered_element_raises_the_inline_error(
-            self, packed_shard, two_workers, value, where):
+            self, packed_shard, value, where):
         meta, body, params = packed_shard
         count = len(body) // ser.element_size_bytes(params)
-        per_run = -(-count // two_workers.workers)
-        index = {"first": 0, "run-end": per_run - 1, "run-start": per_run,
+        half = -(-count // 2)
+        index = {"first": 0, "run-end": half - 1, "run-start": half,
                  "last": count - 1}[where]
         element = {"zero": 0, "p": params.p, "p-1": params.p - 1}[value]
-        bad = _tampered(body, params, {index: element})
-        message = _unpack_error(meta, bad, params)
-        assert message == _unpack_error(meta, bad, params, two_workers)
+        message = _unpack_error(
+            meta, _tampered(body, params, {index: element}), params)
         assert ("subgroup" if value == "p-1" else "outside (0, p)") \
             in message
 
-    def test_lowest_bad_element_wins(self, packed_shard, two_workers):
-        """A non-residue in the first run and an out-of-range element
-        in the second: the error names the first, as a serial scan's
-        would."""
+    def test_lowest_bad_element_wins(self, packed_shard):
+        """An element above q early in the body and an out-of-range one
+        late in it: the error names the first."""
         meta, body, params = packed_shard
         count = len(body) // ser.element_size_bytes(params)
         bad = _tampered(body, params, {3: params.p - 1, count - 2: 0})
-        message = _unpack_error(meta, bad, params, two_workers)
-        assert "quadratic non-residue" in message
-        assert message == _unpack_error(meta, bad, params)
+        assert "above q" in _unpack_error(meta, bad, params)
 
     def test_service_counts_the_elements_it_validated(self, stack):
         """Uploads arrive outside the training tracer's window, so a

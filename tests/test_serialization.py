@@ -1,11 +1,17 @@
 """Tests for wire serialization and size accounting."""
 
 import random
+import re
 
 import pytest
 
 from repro.core import protocol
 from repro.core import serialization as ser
+from repro.core.encdata import (
+    EncryptedLabel,
+    EncryptedSample,
+    EncryptedTabularDataset,
+)
 from repro.fe.feip import Feip
 from repro.fe.febo import Febo
 from repro.mathutils.group import GroupParams
@@ -31,19 +37,57 @@ def febo_objects(params, rng):
     return ct, key
 
 
+def one_sample_shard(params, ip, bo) -> tuple[dict, bytes]:
+    """``(meta, body)`` of a shard whose one sample and one label are
+    the FEIP ciphertext ``ip`` and ``ip.eta`` copies of the FEBO
+    ciphertext ``bo``."""
+    n = ip.eta
+    dataset = EncryptedTabularDataset(
+        samples=[EncryptedSample(ip, (bo,) * n)],
+        labels=[EncryptedLabel(ip, (bo,) * n)],
+        num_classes=n, n_features=n, scale=100, params=params)
+    return ser.pack_encrypted_tabular(dataset, params)
+
+
 class TestRoundtrips:
     """Honest ciphertexts pass the validating unpack every upload and
     dataset file goes through."""
 
-    def test_feip_ciphertext(self, params, feip_objects):
+    def test_feip_ciphertext(self, params, feip_objects, febo_objects):
         ct, _ = feip_objects
-        packed = ser.pack_feip_ciphertext(ct, params)
-        assert ser.unpack_feip_ciphertext(packed, params, validate=True) == ct
+        meta, body = one_sample_shard(params, ct, febo_objects[0])
+        restored = ser.unpack_encrypted_tabular(meta, body, params)
+        assert restored.samples[0].features_ip == ct
+        assert restored.labels[0].onehot_ip == ct
 
-    def test_febo_ciphertext(self, params, febo_objects):
+    def test_febo_ciphertext(self, params, feip_objects, febo_objects):
         ct, _ = febo_objects
-        packed = ser.pack_febo_ciphertext(ct, params)
-        assert ser.unpack_febo_ciphertext(packed, params, validate=True) == ct
+        meta, body = one_sample_shard(params, feip_objects[0], ct)
+        restored = ser.unpack_encrypted_tabular(meta, body, params)
+        assert restored.samples[0].features_bo == (ct,) * 3
+        assert restored.labels[0].onehot_bo == (ct,) * 3
+
+    @pytest.mark.parametrize("index", [0, 1, 4, 5, 15])
+    @pytest.mark.parametrize("value, error", [
+        ("zero", "outside (0, p)"), ("p", "outside (0, p)"),
+        ("p-1", "subgroup"), ("negated", "subgroup")])
+    def test_tampered_element_is_rejected(self, params, feip_objects,
+                                          febo_objects, index, value,
+                                          error):
+        """Every element slot -- FEIP ``ct0`` and ``ct_i``, FEBO ``cmt``
+        and ``ct``, label elements -- is checked: 0 and p are out of
+        range, p - 1 and the negation ``p - v`` of an honest element are
+        above q."""
+        meta, body = one_sample_shard(params, feip_objects[0],
+                                      febo_objects[0])
+        width = ser.element_size_bytes(params)
+        at = index * width
+        honest = ser.unpack_uint(body[at:at + width])
+        element = {"zero": 0, "p": params.p, "p-1": params.p - 1,
+                   "negated": params.p - honest}[value]
+        bad = body[:at] + element.to_bytes(width, "big") + body[at + width:]
+        with pytest.raises(ValueError, match=re.escape(error)):
+            ser.unpack_encrypted_tabular(meta, bad, params)
 
 
 class TestWireSizes:
@@ -124,11 +168,15 @@ class TestBinaryPrimitives:
         ct, _ = feip_objects
         packed = ser.pack_feip_ciphertext(ct, params)
         assert len(packed) == ser.feip_ciphertext_wire_size(ct, params)
-        assert ser.unpack_feip_ciphertext(packed, params) == ct
         bct, _ = febo_objects
         packed = ser.pack_febo_ciphertext(bct, params)
         assert len(packed) == ser.febo_ciphertext_wire_size(params)
-        assert ser.unpack_febo_ciphertext(packed, params) == bct
+        meta, body = one_sample_shard(params, ct, bct)
+        assert len(body) == 2 * (ser.feip_ciphertext_wire_size(ct, params)
+                                 + 3 * ser.febo_ciphertext_wire_size(params))
+        restored = ser.unpack_encrypted_tabular(meta, body, params)
+        assert restored.samples[0] == EncryptedSample(ct, (bct,) * 3)
+        assert ser.pack_encrypted_tabular(restored, params) == (meta, body)
 
 
 class TestBatchEnvelopes:

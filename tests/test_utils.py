@@ -4,7 +4,6 @@ import time
 
 import pytest
 
-from repro.utils.rng import make_rng, spawn_rngs
 from repro.utils.timer import Stopwatch, time_call
 
 
@@ -39,14 +38,3 @@ class TestStopwatch:
         assert result == 5
         assert seconds >= 0.0
 
-
-class TestRng:
-    def test_make_rng_deterministic(self):
-        assert make_rng(5).random() == make_rng(5).random()
-
-    def test_spawn_rngs_independent_and_reproducible(self):
-        a = spawn_rngs(1, 3)
-        b = spawn_rngs(1, 3)
-        assert len(a) == 3
-        assert [r.random() for r in a] == [r.random() for r in b]
-        assert a[0].random() != a[1].random()
