@@ -16,6 +16,8 @@ shared :class:`~repro.core.protocol.TrafficLog` with byte-accurate sizes.
 from __future__ import annotations
 
 import random
+import threading
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -65,6 +67,13 @@ class TrustedAuthority:
     calling thread, or a :class:`~repro.matrix.parallel.SecureComputePool`
     of the authority's own, which ``serve-authority`` installs.  The
     master key reaches no process outside the authority's.
+
+    Requests may arrive from several threads at once (the authority
+    service derives concurrent requests in parallel).  One lock guards
+    the bookkeeping: the op whitelist and policy checks (the policy's
+    audit log and distinct-vector budget mutate), on-demand FEIP setup
+    and the issued-key counters.  The FEBO ``cmt^s`` work on ``pool``
+    runs outside it.
     """
 
     def __init__(self, config: CryptoNNConfig | None = None,
@@ -87,13 +96,13 @@ class TrustedAuthority:
         self._febo_pair: tuple[FeboPublicKey, FeboMasterKey] = self.febo.setup()
         self.feip_keys_issued = 0
         self.febo_keys_issued = 0
+        self._lock = threading.Lock()
 
     # -- public keys -----------------------------------------------------------
     def feip_public_key(self, eta: int) -> FeipPublicKey:
         """Public key for vectors of length ``eta`` (setup on demand)."""
-        if eta not in self._feip_pairs:
-            self._feip_pairs[eta] = self.feip.setup(eta)
-        mpk = self._feip_pairs[eta][0]
+        with self._lock:
+            mpk = self._feip_pair(eta)[0]
         self.traffic.record(
             protocol.AUTHORITY, "broadcast", protocol.KIND_PUBLIC_PARAMS,
             (1 + eta) * serialization.element_size_bytes(self.params),
@@ -106,6 +115,13 @@ class TrustedAuthority:
             2 * serialization.element_size_bytes(self.params),
         )
         return self._febo_pair[0]
+
+    def _feip_pair(self, eta: int) -> tuple[FeipPublicKey, FeipMasterKey]:
+        """The FEIP key pair for length ``eta``, set up on first use
+        (the caller holds ``_lock``)."""
+        if eta not in self._feip_pairs:
+            self._feip_pairs[eta] = self.feip.setup(eta)
+        return self._feip_pairs[eta]
 
     # -- function keys -----------------------------------------------------------
     def _record_exchange(self, requester: str, request_kind: str,
@@ -123,13 +139,12 @@ class TrustedAuthority:
         eta = len(rows[0])
         if any(len(r) != eta for r in rows):
             raise ValueError("all requested weight rows must share a length")
-        if self.policy is not None:
-            self.policy.check_feip_request(rows, requester)
-        if eta not in self._feip_pairs:
-            self._feip_pairs[eta] = self.feip.setup(eta)
-        _, msk = self._feip_pairs[eta]
-        keys = [self.feip.key_derive(msk, row) for row in rows]
-        self.feip_keys_issued += len(keys)
+        with self._lock:
+            if self.policy is not None:
+                self.policy.check_feip_request(rows, requester)
+            _, msk = self._feip_pair(eta)
+            keys = [self.feip.key_derive(msk, row) for row in rows]
+            self.feip_keys_issued += len(keys)
         return keys
 
     def derive_feip_keys(self, rows: list[list[int]],
@@ -181,16 +196,18 @@ class TrustedAuthority:
 
     def _derive_febo(self, requests: list[tuple[int, str, int]],
                      requester: str) -> list[FeboFunctionKey]:
-        for _, op, _ in requests:
-            if op not in self.permitted_ops:
-                raise UnsupportedOperationError(
-                    f"operation {op!r} is outside the permitted set"
-                )
-            if self.policy is not None:
-                self.policy.check_febo_request(op, requester)
+        with self._lock:
+            for _, op, _ in requests:
+                if op not in self.permitted_ops:
+                    raise UnsupportedOperationError(
+                        f"operation {op!r} is outside the permitted set"
+                    )
+                if self.policy is not None:
+                    self.policy.check_febo_request(op, requester)
         keys = self.pool.derive_febo_keys(self.params, self._febo_pair[1],
                                           requests)
-        self.febo_keys_issued += len(keys)
+        with self._lock:
+            self.febo_keys_issued += len(keys)
         return keys
 
     def derive_febo_keys(self, requests: list[tuple[int, str, int]],
@@ -233,6 +250,22 @@ class TrustedAuthority:
                 len(keys), self.params, wb),
         )
         return keys
+
+    def derive_febo_key_sets(self, request_lists: Sequence[list],
+                             batched: bool,
+                             requester: str = protocol.SERVER
+                             ) -> Iterator[list[FeboFunctionKey]]:
+        """One key list per request list, in order, derived lazily.
+
+        Each ``next()`` runs :meth:`derive_febo_keys_batch` (or
+        :meth:`derive_febo_keys` unbatched) for the next list, so the
+        derivation order, traffic records and spans are those of one
+        call per list.  A :class:`~repro.rpc.client.RemoteAuthority`
+        sends every list at once instead.
+        """
+        derive = self.derive_febo_keys_batch if batched \
+            else self.derive_febo_keys
+        return (derive(requests, requester) for requests in request_lists)
 
 
 class Client:

@@ -52,8 +52,11 @@ class KeyReleasePolicy:
         unit_mass_threshold: fraction of total L1 mass one coordinate may
             carry before the vector counts as "unit-like".  1.0 disables.
         max_distinct_vectors: cap on distinct FEIP vectors per vector
-            length; None disables.  Set to ``eta - 1`` to provably keep
-            the plaintext under-determined.
+            length; None disables.  At ``eta - 1`` it refuses the
+            eta-th distinct vector of a length.  Every weight update
+            hands out new first-layer rows, so that also refuses
+            ordinary training: after ``eta - 1`` weight updates with a
+            single key row, sooner with one row per hidden unit.
         allowed_febo_ops: permitted FEBO operation symbols.
     """
 

@@ -17,6 +17,7 @@ formula of Section IV-B2.
 
 from __future__ import annotations
 
+import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -44,6 +45,12 @@ class TrafficLog:
     ``message_count`` / ``by_kind`` keep reporting exact lifetime
     aggregates -- the accounting the Section IV-B2 checks compare
     against is preserved to the byte.
+
+    Thread-safe: one log may be written from several threads (the
+    authority service derives concurrent requests in parallel, and a
+    :class:`~repro.rpc.client.RemoteAuthority` shares one log across
+    its connections), so appends, rotation and the aggregate queries
+    all run under one lock.
     """
 
     records: list[TrafficRecord] = field(default_factory=list)
@@ -54,69 +61,74 @@ class TrafficLog:
     rotated: dict[tuple[str, str, str], list[int]] = field(
         default_factory=dict)
 
+    def __post_init__(self) -> None:
+        self._lock = threading.Lock()
+
     def record(self, sender: str, receiver: str, kind: str, n_bytes: int) -> None:
+        """Append one message; past ``max_records``, fold the oldest
+        half of ``records`` into the running totals (amortized O(1)
+        per message instead of shifting the whole list every append).
+        """
         if n_bytes < 0:
             raise ValueError("message size cannot be negative")
-        self.records.append(TrafficRecord(sender, receiver, kind, n_bytes))
-        if self.max_records is not None and len(self.records) > self.max_records:
-            self._rotate()
+        with self._lock:
+            self.records.append(TrafficRecord(sender, receiver, kind,
+                                              n_bytes))
+            if self.max_records is None \
+                    or len(self.records) <= self.max_records:
+                return
+            keep = max(1, self.max_records // 2)
+            overflow, self.records = \
+                self.records[:-keep], self.records[-keep:]
+            for r in overflow:
+                entry = self.rotated.setdefault(
+                    (r.sender, r.receiver, r.kind), [0, 0])
+                entry[0] += 1
+                entry[1] += r.n_bytes
 
-    def _rotate(self) -> None:
-        """Fold the oldest half of ``records`` into the running totals.
-
-        Rotating half (rather than one) keeps rotation amortized O(1)
-        per message instead of shifting the whole list every append.
-        """
-        keep = max(1, self.max_records // 2)
-        overflow, self.records = self.records[:-keep], self.records[-keep:]
-        for r in overflow:
-            entry = self.rotated.setdefault((r.sender, r.receiver, r.kind),
-                                            [0, 0])
-            entry[0] += 1
-            entry[1] += r.n_bytes
-
-    def _rotated_matching(self, sender: str | None, receiver: str | None,
-                          kind: str | None):
-        for (s, rcv, k), (count, n_bytes) in self.rotated.items():
-            if (sender is None or s == sender) \
-                    and (receiver is None or rcv == receiver) \
-                    and (kind is None or k == kind):
-                yield count, n_bytes
+    def _matching(self, sender: str | None, receiver: str | None,
+                  kind: str | None) -> tuple[int, int]:
+        """(message count, byte total) of every record, live or
+        rotated, matching the filters; one consistent snapshot."""
+        def match(s: str, rcv: str, k: str) -> bool:
+            return (sender is None or s == sender) \
+                and (receiver is None or rcv == receiver) \
+                and (kind is None or k == kind)
+        count = n_bytes = 0
+        with self._lock:
+            for r in self.records:
+                if match(r.sender, r.receiver, r.kind):
+                    count += 1
+                    n_bytes += r.n_bytes
+            for key, (rotated_count, rotated_bytes) in self.rotated.items():
+                if match(*key):
+                    count += rotated_count
+                    n_bytes += rotated_bytes
+        return count, n_bytes
 
     def total_bytes(self, sender: str | None = None,
                     receiver: str | None = None,
                     kind: str | None = None) -> int:
         """Sum of message sizes, optionally filtered on any field."""
-        live = sum(
-            r.n_bytes
-            for r in self.records
-            if (sender is None or r.sender == sender)
-            and (receiver is None or r.receiver == receiver)
-            and (kind is None or r.kind == kind)
-        )
-        return live + sum(n_bytes for _, n_bytes in
-                          self._rotated_matching(sender, receiver, kind))
+        return self._matching(sender, receiver, kind)[1]
 
     def message_count(self, kind: str | None = None) -> int:
-        if kind is None:
-            return len(self.records) + \
-                sum(count for count, _ in self.rotated.values())
-        return sum(1 for r in self.records if r.kind == kind) + \
-            sum(count for count, _ in
-                self._rotated_matching(None, None, kind))
+        return self._matching(None, None, kind)[0]
 
     def by_kind(self) -> dict[str, int]:
         """Total bytes per message kind."""
         totals: dict[str, int] = defaultdict(int)
-        for r in self.records:
-            totals[r.kind] += r.n_bytes
-        for (_, _, kind), (_, n_bytes) in self.rotated.items():
-            totals[kind] += n_bytes
+        with self._lock:
+            for r in self.records:
+                totals[r.kind] += r.n_bytes
+            for (_, _, kind), (_, n_bytes) in self.rotated.items():
+                totals[kind] += n_bytes
         return dict(totals)
 
     def clear(self) -> None:
-        self.records.clear()
-        self.rotated.clear()
+        with self._lock:
+            self.records.clear()
+            self.rotated.clear()
 
 
 # Canonical entity names used in records.

@@ -26,6 +26,18 @@ features once per sample, and hand them with the plaintext deltas to the
 wrapped :class:`~repro.nn.layers.Dense` / :class:`~repro.nn.conv.Conv2D`,
 whose own ``backward`` computes the gradients -- the secure layer holds
 no gradient formula of its own.
+
+The keys are one FEBO request per uncached sample, exactly as a lone
+``derive_febo_keys(_batch)`` call would send it, but ``backward`` asks
+for a whole batch's requests at once through the authority's
+``derive_febo_key_sets``.  An in-process
+:class:`~repro.core.entities.TrustedAuthority` derives them lazily, one
+request per :meth:`_SecureInput.reconstruct`, in the same order as
+before; a :class:`~repro.rpc.client.RemoteAuthority` sends them all and
+keeps several in flight, so the first epoch stops paying one round trip
+after another.  Each ``reconstruct`` that misses the cache takes its
+sample's keys under its own ``key-fetch`` span.
+
 This stays inside F but *is* the direct-inference capability the paper
 concedes for authorized decryptors (Section III-B remark); CryptoNN's
 framework-level mitigation (random label mapping) protects the labels,
@@ -35,7 +47,7 @@ scaled features.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -106,10 +118,17 @@ class _SecureBase:
         self.counters.feip_keys_requested += len(keys)
         return keys
 
-    def _febo_keys(self, requests) -> list:
-        """Fetch FEBO keys under a ``key-fetch`` span and count them."""
+    def _febo_keys(self, requests, fetched: Iterator[list] | None = None
+                   ) -> list:
+        """Fetch FEBO keys under a ``key-fetch`` span and count them.
+
+        With ``fetched`` (an authority's ``derive_febo_key_sets``) the
+        keys are its next list, requested for exactly ``requests``.
+        """
         with GLOBAL_TRACER.span("key-fetch", keys=len(requests)):
-            if self.config.batch_key_requests:
+            if fetched is not None:
+                keys = next(fetched)
+            elif self.config.batch_key_requests:
                 keys = self.authority.derive_febo_keys_batch(requests)
             else:
                 keys = self.authority.derive_febo_keys(requests)
@@ -146,6 +165,8 @@ class _SecureInput(_SecureBase):
         self._feature_cache: dict[int, np.ndarray] = {}
         self._last_batch: Sequence | None = None
         self._last_indices: Sequence[int] | None = None
+        #: key lists of the samples ``backward`` is reconstructing
+        self._fetched: Iterator[list] | None = None
 
     def _weight_rows(self) -> np.ndarray:
         """The layer's weights, one row per output unit (key)."""
@@ -191,21 +212,42 @@ class _SecureInput(_SecureBase):
         """Fill the wrapped layer's W/b gradients from ``dL/dZ``."""
         if self._last_batch is None or self._last_indices is None:
             raise RuntimeError("backward called before forward")
-        x = np.stack([
-            self.reconstruct(idx, *self._input_ciphertexts(item))
-            for idx, item in zip(self._last_indices, self._last_batch)
-        ])
+        inputs = [(idx, *self._input_ciphertexts(item))
+                  for idx, item in zip(self._last_indices, self._last_batch)]
+        misses: dict[int, list] = {}
+        for idx, ciphertexts, _ in inputs:
+            if idx not in self._feature_cache and idx not in misses:
+                misses[idx] = self._recovery_requests(ciphertexts)
+        # every uncached sample's keys are asked for at once; each
+        # reconstruct below takes its own list, in this order
+        self._fetched = self.authority.derive_febo_key_sets(
+            list(misses.values()), self.config.batch_key_requests)
+        try:
+            x = np.stack([self.reconstruct(*args) for args in inputs])
+        finally:
+            self._fetched.close()
+            self._fetched = None
         self.layer.forward(x)
         self.layer.backward(grad)
 
+    @staticmethod
+    def _recovery_requests(ciphertexts: Sequence) -> list:
+        """One multiplication-by-1 key request per FEBO ciphertext."""
+        return [(ct.cmt, "*", 1) for ct in ciphertexts]
+
     def reconstruct(self, index: int, ciphertexts: Sequence,
                     shape: tuple[int, ...]) -> np.ndarray:
-        """Scaled-feature array for one sample, cached by dataset index."""
+        """Scaled-feature array for one sample, cached by dataset index.
+
+        Inside :meth:`backward` a miss takes its keys from the batch's
+        ``derive_febo_key_sets``; called alone it requests them itself.
+        """
         if index in self._feature_cache:
             return self._feature_cache[index]
         bound = int(self.config.max_abs_feature * self.config.scale) + 1
         ciphertexts = list(ciphertexts)
-        keys = self._febo_keys([(ct.cmt, "*", 1) for ct in ciphertexts])
+        keys = self._febo_keys(self._recovery_requests(ciphertexts),
+                               self._fetched)
         bpk = self.authority.febo_public_key()
         solver = self._cache.get(self._febo.group, bound)
         with GLOBAL_TRACER.span("decrypt-dlog", n=len(keys)):

@@ -48,6 +48,7 @@ from repro.fe.keys import (
 )
 from repro.mathutils.dlog import GLOBAL_SOLVER_CACHE, DlogSolver, SolverCache
 from repro.mathutils.group import GroupParams, SchnorrGroup, canonical
+from repro.mathutils.modarith import batch_inverse
 
 
 class FeboOp(str, enum.Enum):
@@ -138,9 +139,9 @@ class Febo:
         return FeboFunctionKey(op=op.value, y=y, sk=canonical(sk, group.p),
                                cmt=cmt)
 
-    def decrypt_raw(self, mpk: FeboPublicKey, skf: FeboFunctionKey,
-                    ciphertext: FeboCiphertext) -> int:
-        """Return ``g^{f_delta(x, y)}`` up to sign."""
+    def _numerator(self, skf: FeboFunctionKey,
+                   ciphertext: FeboCiphertext) -> int:
+        """The element ``decrypt_raw`` divides ``skf.sk`` out of."""
         if skf.cmt and skf.cmt != ciphertext.cmt:
             raise FunctionKeyError(
                 "function key was derived for a different ciphertext"
@@ -148,12 +149,16 @@ class Febo:
         op = FeboOp.coerce(skf.op)
         group = self.group
         if op in (FeboOp.ADD, FeboOp.SUB):
-            return group.div(ciphertext.ct, skf.sk)
+            return ciphertext.ct
         if op is FeboOp.MUL:
-            return group.div(group.exp(ciphertext.ct, skf.y), skf.sk)
+            return group.exp(ciphertext.ct, skf.y)
         # DIV
-        inv_y = group.exp_inverse(skf.y)
-        return group.div(group.exp(ciphertext.ct, inv_y), skf.sk)
+        return group.exp(ciphertext.ct, group.exp_inverse(skf.y))
+
+    def decrypt_raw(self, mpk: FeboPublicKey, skf: FeboFunctionKey,
+                    ciphertext: FeboCiphertext) -> int:
+        """Return ``g^{f_delta(x, y)}`` up to sign."""
+        return self.group.div(self._numerator(skf, ciphertext), skf.sk)
 
     def decrypt(self, mpk: FeboPublicKey, skf: FeboFunctionKey,
                 ciphertext: FeboCiphertext, bound: int,
@@ -176,13 +181,20 @@ class Febo:
         """Batched :meth:`decrypt` over ``(key, ciphertext)`` pairs.
 
         FEBO keys are per-ciphertext, so unlike FEIP there are no shared
-        bases to amortize -- what *is* shared is the bounded discrete
-        log: all raw elements go through the solver's batched
+        bases to amortize.  Two steps are shared instead: every key's
+        ``sk`` is divided out with one Montgomery
+        :func:`~repro.mathutils.modarith.batch_inverse` (one modular
+        inversion for the grid, not one per cell), and all raw elements
+        go through the solver's batched
         :meth:`~repro.mathutils.dlog.DlogSolver.solve_many`, one
-        deduplicated giant-step walk for the whole grid of element-wise
-        results instead of one walk per cell.
+        deduplicated giant-step walk for the whole grid.  The elements
+        equal :meth:`decrypt_raw`'s, which stays the per-cell reference.
         """
-        elements = [self.decrypt_raw(mpk, skf, ct) for skf, ct in items]
+        items = list(items)
+        p = self.group.p
+        numerators = [self._numerator(skf, ct) for skf, ct in items]
+        inverses = batch_inverse([skf.sk for skf, _ in items], p)
+        elements = [n * inv % p for n, inv in zip(numerators, inverses)]
         solver = solver or self.solver_for(bound)
         return solver.solve_many(elements)
 

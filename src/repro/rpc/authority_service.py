@@ -16,7 +16,10 @@ Policy and permitted-op checks run inside the wrapped authority, so a
 rejected request comes back as an ``error`` frame carrying the original
 exception type.  Each connection gets its own
 :class:`~repro.core.protocol.TrafficLog` whose byte counts equal the
-:mod:`repro.core.serialization` wire sizes by construction.
+:mod:`repro.core.serialization` wire sizes by construction.  Requests
+on different connections derive in parallel (a training server keeps
+several feature-key requests in flight); the wrapped authority locks
+its own bookkeeping, and ``max_inflight`` is the only bound.
 
 :func:`run_authority_service` (``serve-authority``) gives the authority
 a worker pool of its own for FEBO key derivation, one process per CPU
@@ -68,18 +71,17 @@ class AuthorityService(FramedService):
         # socket-side per-connection logs are bounded by the base class
         if authority.traffic.max_records is None:
             authority.traffic.max_records = self.MAX_RECORDS_PER_LOG
-        # derivations run off-loop (paper-scale groups take real CPU
-        # time) but strictly one at a time: TrustedAuthority mutates
-        # shared state (key pairs, counters, traffic) un-locked
-        self._derive_lock = asyncio.Lock()
 
     async def _wire_context(self) -> WireContext:
         return WireContext(self.authority.params,
                            self.authority.config.key_weight_bytes)
 
     async def _dispatch(self, msg, sender: str):
-        async with self._derive_lock:
-            return await asyncio.to_thread(self._dispatch_sync, msg, sender)
+        # off-loop, so paper-scale derivations never stall the other
+        # connections; concurrent requests derive in parallel (the
+        # authority locks its own bookkeeping), bounded only by
+        # ``max_inflight``
+        return await asyncio.to_thread(self._dispatch_sync, msg, sender)
 
     def _dispatch_sync(self, msg, sender: str):
         if isinstance(msg, PublicParamsRequest):

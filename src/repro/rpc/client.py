@@ -18,10 +18,13 @@ socket.  Master secrets never leave the authority's process tree.
 from __future__ import annotations
 
 import asyncio
+import collections
 import concurrent.futures
+import queue
 import random
 import threading
 import time
+from collections.abc import Sequence
 
 from repro.core import protocol
 from repro.core.protocol import TrafficLog
@@ -43,7 +46,7 @@ from repro.rpc.messages import (
     decode_message,
     encode_message,
 )
-from repro.rpc.retry import RetryPolicy, RetryStats
+from repro.rpc.retry import RetryPolicy, RetryStats, merge_stats
 from repro.obs.metrics import GLOBAL_REGISTRY
 
 
@@ -342,6 +345,41 @@ class RpcEndpoint:
                 f"{attempts_made} attempts: {last_exc}") from last_exc
 
 
+#: FEBO key requests a :class:`RemoteAuthority` keeps in flight at once
+#: (:meth:`RemoteAuthority.derive_febo_key_sets`), one connection each.
+#: On ``mlp-rpc`` (2-core VM, 256-bit serve-authority on its 2-worker
+#: pool) 4 in flight was no faster than 2, and 2 uses fewer threads,
+#: connections and memory; see ROADMAP "Distributed runtime"
+KEY_FETCHES_IN_FLIGHT = 2
+
+
+class _InFlight:
+    """Key lists of requests already sent, yielded in request order.
+
+    ``close()`` cancels the requests that have not started; a
+    cancelled one surfaces as an :class:`RpcError` from ``next()``.
+    """
+
+    def __init__(self, futures: list[concurrent.futures.Future]):
+        self._futures = collections.deque(futures)
+
+    def __iter__(self) -> "_InFlight":
+        return self
+
+    def __next__(self) -> list[FeboFunctionKey]:
+        if not self._futures:
+            raise StopIteration
+        try:
+            return self._futures.popleft().result()
+        except concurrent.futures.CancelledError:
+            raise RpcError("key fetch cancelled: the authority link "
+                           "was closed") from None
+
+    def close(self) -> None:
+        while self._futures:
+            self._futures.popleft().cancel()
+
+
 class RemoteAuthority:
     """Networked stand-in for :class:`~repro.core.entities.TrustedAuthority`.
 
@@ -350,6 +388,14 @@ class RemoteAuthority:
     :class:`Feip` / :class:`Febo` instances are built for the public
     operations (encrypt / decrypt_raw need no secrets), and public keys
     are fetched lazily per vector length and cached.
+
+    Every request travels on the handshake ``endpoint`` except those of
+    :meth:`derive_febo_key_sets`, which keeps up to
+    :data:`KEY_FETCHES_IN_FLIGHT` requests in flight from as many fetch
+    threads, each on a connection of its own: the handshake endpoint
+    plus endpoints opened on first use with the same retry policy and
+    timeouts.  All of them record into the one ``traffic`` log.
+    :meth:`close` closes every endpoint and stops the fetch threads.
     """
 
     def __init__(self, host: str, port: int, *, name: str = protocol.SERVER,
@@ -374,6 +420,13 @@ class RemoteAuthority:
         self.febo = Febo(self.params, rng=rng)
         self._feip_mpks: dict[int, FeipPublicKey] = dict(resp.feip_keys)
         self._febo_mpk: FeboPublicKey | None = resp.febo_key
+        # the fetch threads and their connections, made on first use
+        self._lock = threading.Lock()
+        self._closed = False
+        self._endpoints = [self.endpoint]
+        self._idle: queue.SimpleQueue[RpcEndpoint] = queue.SimpleQueue()
+        self._idle.put(self.endpoint)
+        self._fetcher: concurrent.futures.ThreadPoolExecutor | None = None
 
     @property
     def traffic(self) -> TrafficLog:
@@ -419,11 +472,12 @@ class RemoteAuthority:
     def derive_feip_keys_batch(self, rows, requester: str | None = None):
         return self._feip_request(rows, batched=True)
 
-    def _febo_request(self, requests, batched: bool):
+    def _febo_request(self, requests, batched: bool,
+                      endpoint: RpcEndpoint | None = None):
         if not requests:
             return []
         requests = [(int(cmt), str(op), int(y)) for cmt, op, y in requests]
-        resp = self.endpoint.request(
+        resp = (endpoint or self.endpoint).request(
             FeboKeyRequest(requests=requests, batched=batched,
                            requester=self.name),
             self._ctx)
@@ -440,8 +494,70 @@ class RemoteAuthority:
     def derive_febo_keys_batch(self, requests, requester: str | None = None):
         return self._febo_request(requests, batched=True)
 
+    def derive_febo_key_sets(self, request_lists: Sequence[list],
+                             batched: bool, requester: str | None = None
+                             ) -> _InFlight:
+        """Send every request list now; yield their key lists in order.
+
+        Each list is one ``FeboKeyRequest``, exactly as
+        :meth:`derive_febo_keys(_batch)` sends it, so the wire bytes and
+        round trips equal one call per list; only up to
+        :data:`KEY_FETCHES_IN_FLIGHT` of them wait on the authority at
+        once instead of one.
+        """
+        with self._lock:
+            if self._closed:
+                raise RpcError("the authority link is closed")
+            if self._fetcher is None:
+                self._fetcher = concurrent.futures.ThreadPoolExecutor(
+                    KEY_FETCHES_IN_FLIGHT,
+                    thread_name_prefix=f"febo-fetch-{self.name}")
+            return _InFlight([
+                self._fetcher.submit(self._fetch, requests, batched)
+                for requests in request_lists])
+
+    def _fetch(self, requests, batched: bool):
+        """One fetch thread's request, on an idle connection."""
+        try:
+            endpoint = self._idle.get_nowait()
+        except queue.Empty:
+            # every connection is busy: at most KEY_FETCHES_IN_FLIGHT
+            # fetches run at once, so at most that many ever exist
+            with self._lock:
+                if self._closed:
+                    raise RpcError("the authority link is closed") from None
+                first = self.endpoint
+                endpoint = RpcEndpoint(
+                    first.host, first.port, name=first.name,
+                    peer=first.peer, timeout=first.timeout,
+                    connect_timeout=first.connect_timeout,
+                    policy=first.policy, traffic=first.traffic,
+                    max_frame_bytes=first.max_frame_bytes)
+                self._endpoints.append(endpoint)
+        try:
+            return self._febo_request(requests, batched, endpoint)
+        finally:
+            self._idle.put(endpoint)
+
+    def fetch_stats(self) -> dict[str, int]:
+        """Retry counters of the connections opened for
+        :meth:`derive_febo_key_sets` beside ``endpoint``, summed."""
+        with self._lock:
+            extra = self._endpoints[1:]
+        return merge_stats(*(e.stats.snapshot() for e in extra))
+
     def close(self) -> None:
-        self.endpoint.close()
+        """Close every connection, then stop the fetch threads: a fetch
+        in flight fails fast on its closed endpoint."""
+        with self._lock:
+            self._closed = True
+            endpoints, fetcher = list(self._endpoints), self._fetcher
+        if fetcher is not None:
+            fetcher.shutdown(wait=False, cancel_futures=True)
+        for endpoint in endpoints:
+            endpoint.close()
+        if fetcher is not None:
+            fetcher.shutdown(wait=True)
 
     def __enter__(self) -> "RemoteAuthority":
         return self

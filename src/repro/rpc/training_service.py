@@ -646,15 +646,17 @@ class TrainingService(FramedService):
 
     def _fault_report(self) -> dict:
         """Fault/retry counters for the ops surface: the authority
-        link's endpoint stats plus the compute pool's degradation
-        state, in the shared :data:`~repro.rpc.retry.STAT_KEYS`
-        vocabulary.  A service-hosted chaos proxy's fault summary is
+        link's endpoint stats (the handshake connection, and the extra
+        feature-key connections summed) plus the compute pool's
+        degradation state, in the shared
+        :data:`~repro.rpc.retry.STAT_KEYS` vocabulary.  A service-hosted chaos proxy's fault summary is
         merged in too, so ``train-status`` reports injected weather
         next to the retries it caused."""
         report: dict = {"degraded": False}
         authority = self.authority
         if authority is not None:
             report["authority_endpoint"] = authority.endpoint.stats.snapshot()
+            report["key_fetch_endpoints"] = authority.fetch_stats()
         trainer = self.trainer
         if trainer is not None and trainer.compute_pool is not None:
             pool_stats = trainer.compute_pool.stats

@@ -178,3 +178,30 @@ class TestDecryptMany:
         ]
         with pytest.raises(DiscreteLogError):
             febo.decrypt_many(mpk, items, bound=100)
+
+    def test_batch_inverse_path_equals_per_cell_decrypt_for_all_ops(
+            self, febo, rng):
+        """One Montgomery inverse for the grid gives the same elements
+        as ``decrypt_raw``'s per-cell inverse, division included."""
+        mpk, msk = febo.setup()
+        items = []
+        for op in "+-*/":
+            for _ in range(6):
+                y = rng.choice([v for v in range(-9, 10) if v])
+                x = y * rng.randrange(-20, 21) if op == "/" \
+                    else rng.randrange(-50, 51)
+                ct = febo.encrypt(mpk, x)
+                items.append((febo.key_derive(msk, ct.cmt, op, y), ct))
+        rng.shuffle(items)
+        bound = 50 * 9 + 60
+        assert febo.decrypt_many(mpk, items, bound) == [
+            febo.decrypt(mpk, key, ct, bound) for key, ct in items
+        ]
+
+    def test_key_for_another_commitment_raises(self, febo):
+        mpk, msk = febo.setup()
+        a, b = febo.encrypt(mpk, 3), febo.encrypt(mpk, 4)
+        items = [(febo.key_derive(msk, a.cmt, "*", 1), a),
+                 (febo.key_derive(msk, a.cmt, "*", 1), b)]
+        with pytest.raises(FunctionKeyError, match="different ciphertext"):
+            febo.decrypt_many(mpk, items, bound=10)

@@ -1,9 +1,16 @@
 """Every ``repro`` module is used by shipped code, not only by tests.
 
 Parses every non-test ``.py`` file under ``src/``, ``benchmarks/`` and
-``examples/`` and collects the ``repro`` modules they import (a package
-``__init__`` re-export counts).  A module no such file imports exists
-only for its tests: delete it, or wire it into the program.
+``examples/`` and collects the ``repro`` modules they import.  A module
+no such file imports exists only for its tests: delete it, or wire it
+into the program.
+
+A package's ``__init__`` re-exporting a module of its own does not
+count as an importer; a file outside the package that imports the
+re-exported name does.  ``from pkg import name`` is followed through
+the ``__init__`` files to the module that defines ``name``, and
+``import pkg`` uses every module ``pkg/__init__.py`` imports (a rule
+registry, say).
 """
 
 from __future__ import annotations
@@ -20,6 +27,10 @@ ALLOWED_UNIMPORTED = {
     "repro.core.policy": "wired by ROADMAP item 5",
     # finite-difference gradient checker shared by four nn test files
     "repro.nn.gradcheck": "test helper shared by the nn tests",
+    # the executable IND-CPA game behind Theorem 1 (FEBO is IND-CPA
+    # under DDH); its experiments are tests/test_indcpa.py and the
+    # engine-backed games in tests/test_engine.py
+    "repro.security.indcpa": "the runnable IND-CPA game of Theorem 1",
 }
 
 
@@ -28,24 +39,24 @@ def _module_name(path: Path) -> str:
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
-def _imported_modules(path: Path, package: str) -> set[str]:
-    """Every module ``path`` imports.
+def _imports(path: Path, package: str) -> list[tuple[str, str | None]]:
+    """``(module, name)`` for every name ``path`` imports.
 
-    ``from a import b`` names both ``a`` and ``a.b``, since ``b`` may be
-    a submodule; relative imports resolve against ``package``.
+    ``import a`` gives ``(a, None)``, ``from a import b`` gives
+    ``(a, b)`` (``b`` may be a submodule); relative imports resolve
+    against ``package``.
     """
-    out: set[str] = set()
+    out: list[tuple[str, str | None]] = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
-            out.update(alias.name for alias in node.names)
+            out.extend((alias.name, None) for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             base = node.module or ""
             if node.level:
                 anchor = package.split(".")
                 anchor = anchor[:len(anchor) - node.level + 1]
                 base = ".".join(anchor + ([base] if base else []))
-            out.add(base)
-            out.update(f"{base}.{alias.name}" for alias in node.names)
+            out.extend((base, alias.name) for alias in node.names)
     return out
 
 
@@ -57,9 +68,36 @@ def _shipped_files() -> list[Path]:
     return files
 
 
+def _package_exports() -> dict[str, dict[str, str]]:
+    """package -> {name its ``__init__`` imports: module it comes from}."""
+    exports = {}
+    for init in (SRC / "repro").rglob("__init__.py"):
+        package = _module_name(init)
+        exports[package] = {name: base for base, name in
+                            _imports(init, package) if name is not None}
+    return exports
+
+
+def _modules_used(base: str, name: str | None,
+                  exports: dict[str, dict[str, str]]) -> set[str]:
+    """The modules one imported ``(module, name)`` pair uses."""
+    if name is None:
+        # importing a package runs its __init__, and with it every
+        # import there
+        return {base}.union(*(_modules_used(base, exported, exports)
+                              for exported in exports.get(base, {})))
+    used = {base, f"{base}.{name}"}
+    while exports.get(base, {}).get(name, base) not in used:
+        # a re-export: follow it to the module that defines the name
+        base = exports[base][name]
+        used |= {base, f"{base}.{name}"}
+    return used
+
+
 def test_every_repro_module_has_a_non_test_importer():
     modules = {_module_name(p) for p in (SRC / "repro").rglob("*.py")
                if p.stem not in ("__init__", "__main__")}
+    exports = _package_exports()
     importers: dict[str, set[Path]] = {m: set() for m in modules}
     for path in _shipped_files():
         if path.is_relative_to(SRC):
@@ -68,9 +106,12 @@ def test_every_repro_module_has_a_non_test_importer():
                 else name.rpartition(".")[0]
         else:
             name = package = ""
-        for module in _imported_modules(path, package) & modules:
-            if module != name:
-                importers[module].add(path)
+        for base, imported in _imports(path, package):
+            for module in _modules_used(base, imported, exports) & modules:
+                own = path.stem == "__init__" \
+                    and module.startswith(name + ".")
+                if module != name and not own:
+                    importers[module].add(path)
     unimported = {m for m, paths in importers.items() if not paths}
     test_only = sorted(unimported - set(ALLOWED_UNIMPORTED))
     assert not test_only, f"only tests import {test_only}"

@@ -1,5 +1,8 @@
 """Tests for the traffic log."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.core import protocol
@@ -117,3 +120,34 @@ class TestBoundedTrafficLog:
         assert authority.traffic.max_records is None
         service = AuthorityService(authority)
         assert authority.traffic.max_records == service.MAX_RECORDS_PER_LOG
+
+    def test_concurrent_writers_keep_exact_totals(self):
+        """Eight threads rotating one small log: no record is lost or
+        counted twice, so the lifetime aggregates stay exact."""
+        log = TrafficLog(max_records=16)
+        per_thread = 2000
+        start = threading.Barrier(8)
+
+        def write(t: int) -> None:
+            start.wait()
+            for i in range(per_thread):
+                log.record(f"s{t}", "authority", "x" if i % 2 else "y", t + 1)
+
+        threads = [threading.Thread(target=write, args=(t,))
+                   for t in range(8)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the writers finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert log.message_count() == 8 * per_thread
+        assert log.message_count("x") == 8 * per_thread // 2
+        assert log.total_bytes() == per_thread * sum(range(1, 9))
+        for t in range(8):
+            assert log.total_bytes(sender=f"s{t}") == per_thread * (t + 1)
+        assert len(log.records) <= 16
