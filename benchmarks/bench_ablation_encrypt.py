@@ -15,7 +15,7 @@ element.  Three measurements:
 * **offline production** -- what banking the same number of tuples
   costs (serial vs pool-parallel bulk), i.e. the work that moved off
   the critical path.  At a client shard's shape (eta=64, 64 nonces) the
-  batched path (:func:`~repro.fe.engine.make_feip_nonces`: one signed
+  batched path (:func:`~repro.fe.engine.make_nonces`: one signed
   comb per base, sized for the batch) is gated at >= 1.5x over a
   per-nonce loop through process-lifetime ``exp_cached`` tables, both
   starting from a cold group as every client does.
@@ -34,7 +34,7 @@ import random
 
 from benchmarks.conftest import series_table, write_report
 from benchmarks.harness import write_bench_json
-from repro.fe.engine import EncryptionEngine, make_feip_nonces
+from repro.fe.engine import EncryptionEngine, make_nonces
 from repro.fe.feip import Feip
 from repro.matrix.parallel import SecureComputePool
 from repro.mathutils.group import GroupParams, SchnorrGroup
@@ -95,7 +95,7 @@ def _offline_production(params: GroupParams) -> tuple[float, float]:
         reference_s.append(sw.elapsed)
         group = SchnorrGroup(params, rng=random.Random(40 + k))
         with Stopwatch() as sw:
-            batched = make_feip_nonces(group, mpk, OFFLINE_NONCES)
+            batched = make_nonces(group, mpk, OFFLINE_NONCES)
         batched_s.append(sw.elapsed)
         # same rng stream, so both paths must agree nonce for nonce
         assert [(n.r, n.ct0, n.masks) for n in batched] == reference

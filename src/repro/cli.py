@@ -59,6 +59,7 @@ from repro.data.tabular import load_clinics, merge_shards
 from repro.mathutils.group import _PREDEFINED
 from repro.matrix.parallel import shutdown_compute_pools
 from repro.nn.optimizers import SGD
+from repro.rpc.client_agent import CLIENT_POOL_MIN_BITS
 # the one model builder shared with the networked training server, so
 # "same seed => same model" holds across every entry point
 from repro.rpc.training_service import TRAIN_POOL_MIN_BITS, build_mlp
@@ -251,8 +252,7 @@ def cmd_client_upload(args: argparse.Namespace) -> int:
         (args.authority_host, args.authority_port),
         (args.server_host, args.server_port),
         normalize_features(shard.x, scale), shard.y, args.classes,
-        name=name, rng=random.Random(args.seed + args.clinic),
-        workers=args.workers, policy=policy,
+        name=name, workers=args.workers, policy=policy,
         chunk_bytes=args.chunk_bytes,
     )
     print(f"{name}: uploaded {result['n_samples']} encrypted samples "
@@ -641,12 +641,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=60)
     p.add_argument("--features", type=int, default=8)
     p.add_argument("--classes", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="chooses the synthetic shards; the encryption "
+                        "nonces never derive from it")
     p.add_argument("--name", help="client name (default client-<clinic>)")
     p.add_argument("--workers", type=int,
-                   help="parallelize local encryption over this many "
-                        "worker processes (offline/online nonce split); "
-                        "omit for serial encryption")
+                   help="worker processes that make the offline nonce "
+                        "material of the local encryption; default: one "
+                        "per usable CPU on groups of "
+                        f"{CLIENT_POOL_MIN_BITS} bits or more, none "
+                        "(inline encryption) below that or on one CPU")
     p.add_argument("--retry-attempts", type=int,
                    help="total tries per request (default 4) under the "
                         "jittered exponential-backoff retry policy")

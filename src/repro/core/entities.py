@@ -279,7 +279,8 @@ class Client:
     Encryption always runs through an
     :class:`~repro.fe.engine.EncryptionEngine`: the one passed, or one
     over the authority's ``Feip``/``Febo`` (sharing their ``g`` tables
-    and rng) on the pool ``workers`` resolves to, if any.  Before each
+    and rng) on ``pool``, or else on the shared pool ``workers``
+    resolves to, if any.  Before each
     dataset loop the client banks the exact number of nonce tuples the
     loop will consume -- pool-parallel when the engine has workers, one
     batch per key otherwise -- and the per-sample loops then run
@@ -289,14 +290,15 @@ class Client:
     def __init__(self, authority: TrustedAuthority,
                  label_mapper: LabelMapper | None = None,
                  name: str = protocol.CLIENT,
-                 engine=None, workers: int | None = None):
+                 engine=None, workers: int | None = None,
+                 pool: SecureComputePool | None = None):
         self.authority = authority
         self.config = authority.config
         self.codec = FixedPointCodec(self.config.scale)
         self.label_mapper = label_mapper
         self.name = name
         self.engine = engine or EncryptionEngine(
-            authority.params, pool=resolve_pool(None, workers),
+            authority.params, pool=resolve_pool(pool, workers),
             feip=authority.feip, febo=authority.febo)
 
     def _bank_material(self, feip_counts: list[tuple[object, int]],

@@ -13,8 +13,9 @@ modular multiply per element.
 
 :class:`EncryptionEngine` owns per-public-key stores of precomputed
 :class:`~repro.fe.keys.FeipNonce` / :class:`~repro.fe.keys.FeboNonce`
-tuples.  Every tuple it hands out is made by :func:`make_feip_nonces` /
-:func:`make_febo_nonces`, in the caller or on a pool worker:
+tuples.  Every tuple it hands out is assembled by :func:`assemble_nonces`
+from the powers :func:`nonce_powers` raises, in the caller or on the
+workers of a pool:
 
 * :meth:`~EncryptionEngine.prefill_feip` /
   :meth:`~EncryptionEngine.prefill_febo` bank a batch ahead of use
@@ -65,43 +66,56 @@ from repro.obs.metrics import GLOBAL_REGISTRY
 from repro.obs.tracing import GLOBAL_TRACER
 
 
-def _nonce_powers(group: SchnorrGroup, bases: Sequence[int], count: int
-                  ) -> tuple[list[int], list[list[int]]]:
-    """Draw ``count`` nonces ``r`` and raise every base to each of them.
+def public_bases(group: SchnorrGroup, mpk) -> tuple[int, ...]:
+    """The bases a nonce for ``mpk`` raises: ``g`` and the key's ``h_i``
+    (FEIP) or ``h`` (FEBO), in the order :func:`assemble_nonces` reads."""
+    if isinstance(mpk, FeipPublicKey):
+        return (group.g, *mpk.h)
+    return (group.g, mpk.h)
+
+
+def nonce_powers(params: GroupParams, bases: Sequence[int],
+                 rs: Sequence[int]) -> list[list[int]]:
+    """Raise every base to every nonce: ``powers[b][k] == bases[b] ** rs[k]``.
 
     The nonces are recoded once as a :class:`RowPlan` of fixed exponents
     only -- the signed comb recoding FEIP decryption uses for
     ``ct_0^{-sk}`` -- and each base then builds one comb sized by
     :func:`~repro.mathutils.fastexp.amortized_comb_window` for exactly
-    ``count`` uses, freed with the batch.  Batches too small for a comb
+    ``len(rs)`` uses, freed with the batch.  Batches too small for a comb
     (and toy groups) raise each base with one ``pow`` per nonce inside
-    the plan.  Returns ``(rs, powers)`` with ``powers[b][k] ==
-    bases[b] ** rs[k]``.
+    the plan.  A pool worker runs this on its share of a batch's bases
+    or nonces.
+    """
+    plan = RowPlan([[] for _ in rs], params.p, order=params.q,
+                   fixed_exponents=rs)
+    return [SharedBaseMultiExp([], params.p, order=params.q, fixed_base=base)
+            .eval_plan(plan) for base in bases]
+
+
+def assemble_nonces(mpk, rs: Sequence[int], powers: Sequence[Sequence[int]]
+                    ) -> list:
+    """The nonce tuples of one batch, from ``nonce_powers`` over
+    ``public_bases(group, mpk)``: :class:`FeipNonce` for a FEIP key,
+    :class:`FeboNonce` for a FEBO key."""
+    fp = key_fingerprint(mpk)
+    g_powers, *masks = powers
+    if isinstance(mpk, FeipPublicKey):
+        return [FeipNonce(r=r, ct0=ct0, masks=row, key_fp=fp)
+                for r, ct0, row in zip(rs, g_powers, zip(*masks))]
+    h_powers, = masks
+    return [FeboNonce(r=r, cmt=cmt, mask=mask, key_fp=fp)
+            for r, cmt, mask in zip(rs, g_powers, h_powers)]
+
+
+def make_nonces(group: SchnorrGroup, mpk, count: int) -> list:
+    """Compute ``count`` offline tuples for ``mpk`` in one batch in the
+    caller, drawing the nonces from ``group``'s rng: ``(r, g^r, h_i^r)``
+    for a FEIP key, ``(r, g^r, h^r)`` for a FEBO key.
     """
     rs = [group.random_exponent() for _ in range(count)]
-    plan = RowPlan([[] for _ in rs], group.p, order=group.q,
-                   fixed_exponents=rs)
-    powers = [SharedBaseMultiExp([], group.p, order=group.q, fixed_base=base)
-              .eval_plan(plan) for base in bases]
-    return rs, powers
-
-
-def make_feip_nonces(group: SchnorrGroup, mpk: FeipPublicKey,
-                     count: int) -> list[FeipNonce]:
-    """Compute ``count`` offline FEIP tuples ``(r, g^r, h_i^r)`` in one batch."""
-    rs, (ct0s, *masks) = _nonce_powers(group, (group.g, *mpk.h), count)
-    fp = key_fingerprint(mpk)
-    return [FeipNonce(r=r, ct0=ct0, masks=row, key_fp=fp)
-            for r, ct0, row in zip(rs, ct0s, zip(*masks))]
-
-
-def make_febo_nonces(group: SchnorrGroup, mpk: FeboPublicKey,
-                     count: int) -> list[FeboNonce]:
-    """Compute ``count`` offline FEBO tuples ``(r, g^r, h^r)`` in one batch."""
-    rs, (cmts, masks) = _nonce_powers(group, (group.g, mpk.h), count)
-    fp = key_fingerprint(mpk)
-    return [FeboNonce(r=r, cmt=cmt, mask=mask, key_fp=fp)
-            for r, cmt, mask in zip(rs, cmts, masks)]
+    return assemble_nonces(
+        mpk, rs, nonce_powers(group.params, public_bases(group, mpk), rs))
 
 
 class _NonceStore:
@@ -214,16 +228,17 @@ class EncryptionEngine:
     def _nonces(self, mpk, count: int) -> list:
         """``count`` fresh tuples for ``mpk`` (a FEIP or FEBO key).
 
-        Workers of the attached pool make them (each from its own
-        OS-seeded RNG); without a pool they are one batch in the caller.
+        Workers of the attached pool raise the bases (to nonces the
+        pool draws from an OS-seeded generator); without a pool they
+        are one batch in the caller, from the scheme's rng.
         """
         if isinstance(mpk, FeipPublicKey):
             if self.pool is None:
-                return make_feip_nonces(self.feip.group, mpk, count)
+                return make_nonces(self.feip.group, mpk, count)
             return self.pool.precompute_encryption(
                 self.params, feip_mpk=mpk, feip_count=count)[0]
         if self.pool is None:
-            return make_febo_nonces(self.febo.group, mpk, count)
+            return make_nonces(self.febo.group, mpk, count)
         return self.pool.precompute_encryption(
             self.params, febo_mpk=mpk, febo_count=count)[1]
 
@@ -259,7 +274,7 @@ class EncryptionEngine:
         nonce = self._store(mpk).pop()
         if nonce is None:
             self._count('misses')
-            nonce, = make_feip_nonces(self.feip.group, mpk, 1)
+            nonce, = make_nonces(self.feip.group, mpk, 1)
         else:
             self._count('consumed')
         return self.feip.encrypt(mpk, x, nonce=nonce)
@@ -269,7 +284,7 @@ class EncryptionEngine:
         nonce = self._store(mpk).pop()
         if nonce is None:
             self._count('misses')
-            nonce, = make_febo_nonces(self.febo.group, mpk, 1)
+            nonce, = make_nonces(self.febo.group, mpk, 1)
         else:
             self._count('consumed')
         return self.febo.encrypt(mpk, x, nonce=nonce)

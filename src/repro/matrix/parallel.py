@@ -29,12 +29,13 @@ So serial and pooled runs decrypt through identical code and recover
 identical integers.
 
 The same pool also serves the *client* side: under the ``encrypt``
-configuration kind idle workers make nonce batches
+configuration kind idle workers raise public bases for nonce batches
 (:meth:`SecureComputePool.precompute_encryption`) that the caller's
 :class:`~repro.fe.engine.EncryptionEngine` banks and encrypts with.
-Workers draw nonces from their own OS-seeded RNGs -- each worker
-process constructs a fresh ``Feip``/``Febo`` on config install, so
-nonce streams are independent across workers and dispatches.
+The caller draws each batch's nonces from a generator seeded from the
+OS on every call, and :func:`nonce_blocks` hands every worker a block
+of the (base, nonce) grid: a share of the bases for a FEIP key, a share
+of the nonces for a FEBO key.  The workers hold no randomness.
 
 And it serves the *authority*: under the ``febo-keys`` kind
 (:meth:`SecureComputePool.derive_febo_keys`) workers derive
@@ -75,7 +76,7 @@ from functools import partial
 
 import numpy as np
 
-from repro.fe.engine import make_febo_nonces, make_feip_nonces
+from repro.fe.engine import assemble_nonces, nonce_powers, public_bases
 from repro.fe.febo import Febo
 from repro.fe.feip import Feip
 from repro.fe.keys import (
@@ -90,7 +91,7 @@ from repro.fe.keys import (
     FeipPublicKey,
 )
 from repro.mathutils.dlog import GLOBAL_SOLVER_CACHE, SolverCache
-from repro.mathutils.group import GroupParams
+from repro.mathutils.group import GroupParams, SchnorrGroup
 from repro.obs.metrics import GLOBAL_REGISTRY
 
 # Per-process state installed by the configuration broadcast, keyed by
@@ -146,6 +147,31 @@ def chunk_tasks(tasks: Sequence, n_chunks: int) -> list[tuple]:
             for i in range(0, len(tasks), per_chunk)]
 
 
+def nonce_blocks(n_bases: int, n_nonces: int, workers: int
+                 ) -> list[tuple[slice, slice]]:
+    """Cut a nonce batch's (base, nonce) grid into one block per worker.
+
+    Each block is ``(bases, nonces)`` and its worker raises each of its
+    bases to each of its nonces, on one comb per base sized for its
+    nonces.  Once every worker gets at least two bases -- FEIP's ``g,
+    h_1..h_eta`` -- the bases are split and every block holds the whole
+    batch, so each base's comb is built once, for every nonce.  Fewer
+    bases than that -- FEBO's ``g, h`` -- would leave the workers
+    unevenly loaded, so the nonces are split instead and every worker
+    builds every base's comb for its share.  Blocks come back in base
+    order, then nonce order; every cell lies in exactly one of them.
+    """
+    def runs(n: int) -> list[slice]:
+        return [slice(run[0], run[-1] + 1)
+                for run in chunk_tasks(range(n), workers)]
+
+    if not n_bases or not n_nonces:
+        return []
+    if n_bases >= 2 * workers:
+        return [(bases, slice(0, n_nonces)) for bases in runs(n_bases)]
+    return [(slice(0, n_bases), nonces) for nonces in runs(n_nonces)]
+
+
 # -- chunk functions ----------------------------------------------------------
 
 def _build_state(kind: str, payload: tuple, solver_cache: SolverCache,
@@ -173,11 +199,8 @@ def _build_state(kind: str, payload: tuple, solver_cache: SolverCache,
         params, msk = payload
         return dict(febo=febo or Febo(params), febo_msk=msk)
     if kind == "encrypt":
-        params, feip_mpk, febo_mpk = payload
-        # fresh Feip/Febo per worker => fresh OS-seeded RNG per worker,
-        # so nonce streams never collide across the pool
-        return dict(feip=Feip(params), febo=Febo(params),
-                    feip_mpk=feip_mpk, febo_mpk=febo_mpk)
+        params, = payload
+        return dict(params=params)
     raise ValueError(f"unknown pool configuration kind {kind!r}")
 
 
@@ -248,14 +271,12 @@ def _febo_key_chunk(config: tuple, chunk: tuple[tuple[int, str, int], ...]
     return [febo.key_derive(msk, cmt, op, y) for cmt, op, y in chunk]
 
 
-def _feip_nonce_chunk(config: tuple, count: int) -> list[FeipNonce]:
-    state = _install_config(config)
-    return make_feip_nonces(state["feip"].group, state["feip_mpk"], count)
-
-
-def _febo_nonce_chunk(config: tuple, count: int) -> list[FeboNonce]:
-    state = _install_config(config)
-    return make_febo_nonces(state["febo"].group, state["febo_mpk"], count)
+def _nonce_power_chunk(config: tuple,
+                       chunk: tuple[Sequence[int], Sequence[int]]
+                       ) -> list[list[int]]:
+    """Raise a block of a nonce batch's bases to a block of its nonces."""
+    bases, rs = chunk
+    return nonce_powers(_install_config(config)["params"], bases, rs)
 
 
 #: seconds between a worker's checks that its parent is still alive
@@ -462,11 +483,6 @@ class SecureComputePool:
                               bound: int) -> tuple:
         return self.configure("elementwise", (params, mpk, bound))
 
-    def configure_encrypt(self, params: GroupParams,
-                          feip_mpk: FeipPublicKey | None = None,
-                          febo_mpk: FeboPublicKey | None = None) -> tuple:
-        return self.configure("encrypt", (params, feip_mpk, febo_mpk))
-
     def _map(self, fn, config: tuple, tasks: Sequence) -> list:
         """Run ``fn(config, task)`` for every task on the workers, in order.
 
@@ -566,18 +582,24 @@ class SecureComputePool:
             self._map(_febo_key_chunk, config, chunks)))
 
     # -- client-side nonce production ------------------------------------------
-    def _nonce_chunks(self, count: int) -> list[int]:
-        """Split ``count`` nonces into one task chunk per worker.
+    def _nonce_batch(self, config: tuple, group: SchnorrGroup, mpk,
+                     count: int) -> list:
+        """``count`` tuples for ``mpk`` from one dispatch.
 
-        Every chunk is one nonce batch that builds its own per-base
-        combs, so a second chunk on the same worker would build them
-        twice for half the uses each.
+        The nonces are drawn here, then :func:`nonce_blocks` cuts the
+        (base, nonce) grid into one block per worker.
         """
-        per_chunk = max(1, -(-count // self.workers))
-        chunks = [per_chunk] * (count // per_chunk)
-        if count % per_chunk:
-            chunks.append(count % per_chunk)
-        return chunks
+        bases = public_bases(group, mpk)
+        rs = [group.random_exponent() for _ in range(count)]
+        grid = nonce_blocks(len(bases), count, self.workers)
+        blocks = self._map(_nonce_power_chunk, config,
+                           [(bases[b], rs[n]) for b, n in grid])
+        # blocks come back in grid order: nonce ranges ascend per base
+        powers: list[list[int]] = [[] for _ in bases]
+        for (b, _), block in zip(grid, blocks):
+            for row, block_row in zip(powers[b], block):
+                row.extend(block_row)
+        return assemble_nonces(mpk, rs, powers)
 
     def precompute_encryption(self, params: GroupParams,
                               feip_mpk: FeipPublicKey | None = None,
@@ -587,25 +609,26 @@ class SecureComputePool:
         """Produce offline encryption material on the worker pool.
 
         Returns ``(feip_nonces, febo_nonces)`` with the requested
-        counts.  Workers draw from independent OS-seeded RNGs, so the
-        returned nonces are distinct with overwhelming probability (the
-        engine's nonce-hygiene test pins this).
+        counts, each kind from one dispatch.  The nonces come from a
+        generator seeded from the OS on every call, drawn in the caller
+        once per batch, so they are distinct with overwhelming
+        probability across workers and calls (the engine's
+        nonce-hygiene test pins this); the workers only exponentiate.
         """
-        config = self.configure_encrypt(params, feip_mpk, febo_mpk)
+        config = self.configure("encrypt", (params,))
+        group = SchnorrGroup(params)
         feip_nonces: list[FeipNonce] = []
         febo_nonces: list[FeboNonce] = []
         if feip_count > 0:
             if feip_mpk is None:
                 raise ValueError("feip_count > 0 requires feip_mpk")
-            for batch in self._map(_feip_nonce_chunk, config,
-                                   self._nonce_chunks(feip_count)):
-                feip_nonces.extend(batch)
+            feip_nonces = self._nonce_batch(config, group, feip_mpk,
+                                            feip_count)
         if febo_count > 0:
             if febo_mpk is None:
                 raise ValueError("febo_count > 0 requires febo_mpk")
-            for batch in self._map(_febo_nonce_chunk, config,
-                                   self._nonce_chunks(febo_count)):
-                febo_nonces.extend(batch)
+            febo_nonces = self._nonce_batch(config, group, febo_mpk,
+                                            febo_count)
         return feip_nonces, febo_nonces
 
 

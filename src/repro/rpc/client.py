@@ -131,6 +131,9 @@ class RpcEndpoint:
                 f"endpoint to {self.peer} at {self.host}:{self.port} "
                 f"is closed")
         if self._loop is None or not self._thread or not self._thread.is_alive():
+            if self._loop is not None and not self._loop.is_running():
+                # a dead thread's loop: close it before replacing it
+                self._loop.close()
             loop = asyncio.new_event_loop()
             thread = threading.Thread(
                 target=loop.run_forever,
@@ -232,7 +235,9 @@ class RpcEndpoint:
 
         In-flight requests (e.g. a training thread blocked on a key
         request from another thread) are cancelled so their callers fail
-        fast rather than waiting out their full timeout.
+        fast rather than waiting out their full timeout.  The stopped
+        loop is closed with its selector; one whose thread outlives the
+        join is left to it.
         """
         self._closed = True
         self._drop_connection()
@@ -246,6 +251,8 @@ class RpcEndpoint:
             loop.call_soon_threadsafe(_shutdown)
         if thread is not None:
             thread.join(timeout=5)
+        if loop is not None and not loop.is_running():
+            loop.close()
 
     def __enter__(self) -> "RpcEndpoint":
         return self

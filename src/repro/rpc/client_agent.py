@@ -13,6 +13,7 @@ A data owner's whole interaction with the networked runtime:
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.core import serialization as ser
 from repro.core.entities import Client
 from repro.data.preprocess import LabelMapper
 from repro.mathutils.group import GroupParams
+from repro.matrix.parallel import SecureComputePool, service_workers
 from repro.rpc.client import RemoteAuthority, RpcEndpoint
 from repro.rpc.messages import (
     Ack,
@@ -32,6 +34,12 @@ from repro.rpc.messages import (
     shard_fingerprint,
 )
 from repro.rpc.retry import DEFAULT_POLICY, RetryPolicy, merge_stats
+
+#: Smallest group (bits) at which :func:`upload_shard` encrypts on a
+#: worker pool by default.  Measured on a 64x64 shard on a 2-CPU VM:
+#: from 96 bits the pool saves more than its ~25 ms fork and stop,
+#: below that about as much or less (ROADMAP, "Inline vs pooled").
+CLIENT_POOL_MIN_BITS = 96
 
 
 def plan_shard_chunks(dataset, params: GroupParams,
@@ -115,12 +123,19 @@ def upload_shard(authority_address: tuple[str, int],
                  chunk_bytes: int | None = None) -> dict:
     """Encrypt one shard and deliver it to the training server.
 
-    ``workers`` parallelizes the local encryption the same way the
-    server parallelizes decryption: the client's
-    :class:`~repro.fe.engine.EncryptionEngine` banks offline nonce
-    material on a :class:`~repro.matrix.parallel.SecureComputePool`
-    before the encryption loop runs online-only.  Plaintext still never
+    The local encryption runs on a
+    :class:`~repro.matrix.parallel.SecureComputePool` of ``workers``
+    processes, forked for this call and stopped before the shard is
+    sent: the client's :class:`~repro.fe.engine.EncryptionEngine` banks
+    offline nonce material on it before the encryption loop runs
+    online-only.  Without ``workers`` the pool is sized by the services'
+    rule, :func:`~repro.matrix.parallel.service_workers`: one worker per
+    usable CPU from :data:`CLIENT_POOL_MIN_BITS` up, none -- inline
+    encryption -- on smaller groups or a single CPU.  Plaintext never
     leaves the process; worker processes never touch sockets.
+
+    ``rng`` seeds the nonces of inline encryption only; a pool draws
+    its nonces from a generator seeded from the OS.
 
     ``policy`` governs retry/backoff on both connections (authority and
     server); it defaults to :data:`~repro.rpc.retry.DEFAULT_POLICY`.
@@ -140,9 +155,14 @@ def upload_shard(authority_address: tuple[str, int],
         policy = DEFAULT_POLICY
     with RemoteAuthority(*authority_address, name=name, rng=rng,
                          timeout=timeout, policy=policy) as authority:
-        client = Client(authority, label_mapper=label_mapper, name=name,
-                        workers=workers)
-        dataset = client.encrypt_tabular(features, labels, num_classes)
+        if workers is None:
+            workers = service_workers(authority.params.bits,
+                                      CLIENT_POOL_MIN_BITS)
+        with (SecureComputePool(workers) if workers
+              else contextlib.nullcontext()) as pool:
+            client = Client(authority, label_mapper=label_mapper,
+                            name=name, pool=pool)
+            dataset = client.encrypt_tabular(features, labels, num_classes)
         # the engine's hit/miss counters ride along with the upload so
         # the training server's metrics scrape covers the encrypt side
         engine_stats = client.engine.stats()

@@ -30,6 +30,26 @@ class TestParser:
             main(["client-upload", "--authority-port", "1",
                   "--server-port", "2", "--workers", "0"])
 
+    def test_client_upload_draws_no_nonces_from_seed(self, monkeypatch):
+        """``--seed`` picks the synthetic shard only: the CLI hands
+        ``upload_shard`` no seeded generator, so a known seed does not
+        reveal the masks of the uploaded ciphertexts."""
+        import repro.rpc
+
+        calls = []
+
+        def fake_upload(*args, **kwargs):
+            calls.append(kwargs)
+            return {"n_samples": 20, "upload_bytes": 1, "ack": {},
+                    "chunks": {"sent": 1, "count": 1, "resumed_from": 0},
+                    "retry": {}}
+
+        monkeypatch.setattr(repro.rpc, "upload_shard", fake_upload)
+        assert main(["client-upload", "--authority-port", "1",
+                     "--server-port", "2", "--seed", "5"]) == 0
+        kwargs, = calls
+        assert kwargs.get("rng") is None
+
 
 class TestInfoAndDemo:
     def test_info(self, capsys):

@@ -19,8 +19,7 @@ from repro.core.config import CryptoNNConfig
 from repro.core.entities import Client, TrustedAuthority
 from repro.fe.engine import (
     EncryptionEngine,
-    make_febo_nonces,
-    make_feip_nonces,
+    make_nonces,
 )
 from repro.fe.errors import CiphertextError
 from repro.fe.febo import Febo
@@ -141,21 +140,21 @@ class TestNonceHygiene:
     def test_cross_key_nonce_rejected_feip(self, feip, group, feip_pair):
         mpk, _ = feip_pair
         other_mpk, _ = feip.setup(ETA)
-        nonce, = make_feip_nonces(group, mpk, 1)
+        nonce, = make_nonces(group, mpk, 1)
         with pytest.raises(CiphertextError):
             feip.encrypt(other_mpk, [1, 2, 3, 4], nonce=nonce)
 
     def test_cross_key_nonce_rejected_febo(self, febo, group, febo_pair):
         bpk, _ = febo_pair
         other_bpk, _ = febo.setup()
-        nonce, = make_febo_nonces(group, bpk, 1)
+        nonce, = make_nonces(group, bpk, 1)
         with pytest.raises(CiphertextError):
             febo.encrypt(other_bpk, 3, nonce=nonce)
 
     def test_wrong_length_nonce_rejected(self, feip, group):
         mpk3, _ = feip.setup(3)
         mpk4, _ = feip.setup(4)
-        nonce, = make_feip_nonces(group, mpk3, 1)
+        nonce, = make_nonces(group, mpk3, 1)
         with pytest.raises(CiphertextError):
             feip.encrypt(mpk4, [1, 2, 3, 4], nonce=nonce)
 
@@ -184,7 +183,7 @@ class TestBatchedNonces:
         params = GroupParams.predefined(bits)
         feip = Feip(params, rng=random.Random(bits + count))
         mpk, _ = feip.setup(ETA)
-        nonces = make_feip_nonces(feip.group, mpk, count)
+        nonces = make_nonces(feip.group, mpk, count)
         assert len(nonces) == count
         for nonce in nonces:
             assert nonce.ct0 == pow(params.g, nonce.r, params.p)
@@ -197,7 +196,7 @@ class TestBatchedNonces:
         params = GroupParams.predefined(bits)
         febo = Febo(params, rng=random.Random(bits + count))
         bpk, _ = febo.setup()
-        nonces = make_febo_nonces(febo.group, bpk, count)
+        nonces = make_nonces(febo.group, bpk, count)
         assert len(nonces) == count
         for nonce in nonces:
             assert nonce.cmt == pow(params.g, nonce.r, params.p)
@@ -209,8 +208,8 @@ class TestBatchedNonces:
         feip = Feip(params, rng=random.Random(bits))
         mpk, _ = feip.setup(ETA)
         bpk, _ = Febo(params, rng=random.Random(bits + 1)).setup()
-        feip_nonces = make_feip_nonces(feip.group, mpk, 64)
-        febo_nonces = make_febo_nonces(feip.group, bpk, 64)
+        feip_nonces = make_nonces(feip.group, mpk, 64)
+        febo_nonces = make_nonces(feip.group, bpk, 64)
         rs = [n.r for n in feip_nonces + febo_nonces]
         assert len(set(rs)) == len(rs)
         assert {n.key_fp for n in feip_nonces} == {key_fingerprint(mpk)}
@@ -253,6 +252,31 @@ class TestPoolProduction:
         assert len(feip_nonces) == 20 and len(febo_nonces) == 20
         rs = [n.r for n in feip_nonces + more] + [n.r for n in febo_nonces]
         assert len(set(rs)) == len(rs), "nonce collision across pool workers"
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("eta", [1, 2, 5, 8])
+    def test_pool_nonces_match_pow(self, workers, eta):
+        """Split by base (eta + 1 >= 2 * workers) or by nonce, every
+        pooled tuple holds ``g^r`` and each ``h_i^r`` of its own ``r``,
+        on combs (64 bits, 7 nonces)."""
+        params = GroupParams.predefined(64)
+        mpk, _ = Feip(params, rng=random.Random(eta)).setup(eta)
+        bpk, _ = Febo(params, rng=random.Random(eta + 1)).setup()
+        with parallel.SecureComputePool(workers=workers) as pool:
+            feip_nonces, febo_nonces = pool.precompute_encryption(
+                params, feip_mpk=mpk, febo_mpk=bpk,
+                feip_count=7, febo_count=7)
+            assert pool.dispatches == 2
+        assert len(feip_nonces) == len(febo_nonces) == 7
+        for nonce in feip_nonces:
+            assert nonce.ct0 == pow(params.g, nonce.r, params.p)
+            assert nonce.masks == tuple(pow(hi, nonce.r, params.p)
+                                        for hi in mpk.h)
+            assert nonce.key_fp == key_fingerprint(mpk)
+        for nonce in febo_nonces:
+            assert nonce.cmt == pow(params.g, nonce.r, params.p)
+            assert nonce.mask == pow(bpk.h, nonce.r, params.p)
+            assert nonce.key_fp == key_fingerprint(bpk)
 
     def test_pool_filled_engine_consumes_each_once(self, params, feip):
         mpk, msk = feip.setup(3)
@@ -298,11 +322,11 @@ class TestPartlyBankedBulk:
     @pytest.mark.parametrize("kind", ["feip", "febo"])
     def test_remainder_is_one_fresh_batch(self, params, kind, workers):
         if kind == "feip":
-            scheme, make = Feip(params, rng=random.Random(3)), make_feip_nonces
+            scheme = Feip(params, rng=random.Random(3))
             mpk, msk = scheme.setup(ETA)
             items = [[i, -i, 2, 1] for i in range(self.TOTAL)]
         else:
-            scheme, make = Febo(params, rng=random.Random(3)), make_febo_nonces
+            scheme = Febo(params, rng=random.Random(3))
             mpk, msk = scheme.setup()
             items = list(range(-3, self.TOTAL - 3))
         pool = parallel.SecureComputePool(workers=workers) if workers else None
@@ -331,8 +355,8 @@ class TestPartlyBankedBulk:
             return
         # same seed: the banked tuples, then the remainder as one batch
         group = SchnorrGroup(params, rng=random.Random(21))
-        fresh = iter(make(group, mpk, self.BANKED)
-                     + make(group, mpk, self.TOTAL - self.BANKED))
+        fresh = iter(make_nonces(group, mpk, self.BANKED)
+                     + make_nonces(group, mpk, self.TOTAL - self.BANKED))
         assert cts == [scheme.encrypt(mpk, x, nonce=next(fresh))
                        for x in items]
 

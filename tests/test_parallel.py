@@ -21,6 +21,7 @@ from repro.matrix.parallel import (
     chunk_tasks,
     default_workers,
     get_compute_pool,
+    nonce_blocks,
 )
 from repro.matrix.secure_matrix import (
     SecureMatrixScheme,
@@ -59,11 +60,26 @@ class TestChunking:
     @pytest.mark.parametrize("count", [1, 2, 3, 7, 8, 9, 16, 31])
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_nonce_chunks_cover_count(self, count, workers):
-        """The remainder path must account for every requested nonce."""
-        pool = SecureComputePool(workers=workers)
-        chunks = pool._nonce_chunks(count)
-        assert sum(chunks) == count
-        assert all(c >= 1 for c in chunks)
+        """Fewer, as many and more bases than workers: every (base,
+        nonce) cell of a ``count``-nonce batch lands in exactly one
+        block, blocks are non-empty, and there is at most one per
+        worker."""
+        for n_bases in sorted({1, 2, workers, 2 * workers - 1,
+                               2 * workers, 65}):
+            blocks = nonce_blocks(n_bases, count, workers)
+            cells = [(b, n) for bases, nonces in blocks
+                     for b in range(n_bases)[bases]
+                     for n in range(count)[nonces]]
+            assert sorted(cells) == [(b, n) for b in range(n_bases)
+                                     for n in range(count)]
+            assert len(cells) == len(set(cells))
+            assert 1 <= len(blocks) <= workers
+            # one axis is split, so each block's combs serve its whole run
+            base_runs = {bases.indices(n_bases) for bases, _ in blocks}
+            nonce_runs = {nonces.indices(count) for _, nonces in blocks}
+            assert len(base_runs) == 1 or len(nonce_runs) == 1
+            if n_bases >= 2 * workers:
+                assert nonce_runs == {(0, count, 1)}
 
     @pytest.mark.parametrize("n_tasks,workers",
                              [(0, 4), (1, 4), (3, 8), (5, 2), (17, 4)])

@@ -10,12 +10,14 @@ transport bug can never hang the suite.
 
 import asyncio
 import dataclasses
+import gc
 import multiprocessing
 import os
 import random
 import signal
 import subprocess
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -49,8 +51,10 @@ from repro.rpc import (
 from repro.rpc import framing
 from repro.rpc import messages as msgs
 from repro.mathutils.group import GroupParams
-from repro.matrix.parallel import service_workers
+from repro.matrix.parallel import SecureComputePool, service_workers
+from repro.rpc import client_agent
 from repro.rpc.authority_service import POOL_MIN_BITS
+from repro.rpc.client_agent import CLIENT_POOL_MIN_BITS
 from repro.rpc.training_service import TRAIN_POOL_MIN_BITS
 from repro.rpc.supervisor import repro_argv
 
@@ -433,6 +437,23 @@ class TestAuthorityServiceLoopback:
             bkeys = remote.derive_febo_keys_batch([(bct.cmt, "-", 10)])
             assert bkeys[0].cmt == bct.cmt  # re-attached client-side
             assert remote.febo.decrypt(bpk, bkeys[0], bct, bound=100) == 32
+
+    def test_closed_authority_leaves_no_event_loop(self, live_authority):
+        """Closing a RemoteAuthority closes the event loop of every
+        endpoint it opened (the handshake one and any key-fetch one),
+        so collecting them warns of no unclosed loop."""
+        _, _, addr = live_authority
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with RemoteAuthority(*addr, name="server") as remote:
+                g = remote.params.g
+                assert len(list(remote.derive_febo_key_sets(
+                    [[(g, "+", i)] for i in range(4)], batched=True))) == 4
+            del remote
+            gc.collect()
+        unclosed = [str(w.message) for w in caught
+                    if issubclass(w.category, ResourceWarning)]
+        assert not unclosed
 
     def test_connection_traffic_matches_wire_sizes(self, live_authority):
         authority, thread, addr = live_authority
@@ -823,6 +844,65 @@ class TestServicePoolRule:
         pool = service._pool(GroupParams.predefined(bits))
         assert (None if pool is None else pool.workers) == expected
         assert service.workers == workers
+
+
+@pytest.mark.timeout_guard(120)
+class TestClientUploadPool:
+    """``upload_shard`` sizes the client's encryption pool by the
+    services' rule from ``CLIENT_POOL_MIN_BITS``, unless ``workers`` is
+    given, and stops the pool before it sends the shard."""
+
+    @pytest.mark.parametrize("bits, cpus, workers, expected", [
+        (64, 2, None, None),
+        (CLIENT_POOL_MIN_BITS, 2, None, 2),
+        (CLIENT_POOL_MIN_BITS, 1, None, None),
+        (CLIENT_POOL_MIN_BITS, 2, 1, 1),
+        (32, 1, 2, 2)])
+    def test_default_pool_follows_group_and_cpus(
+            self, monkeypatch, live_processes, bits, cpus, workers,
+            expected):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        pools, forked = [], set()
+
+        class SpyPool(SecureComputePool):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+            def close(self):
+                if self._executor is not None:
+                    forked.update(self._executor._processes)
+                super().close()
+
+        monkeypatch.setattr(client_agent, "SecureComputePool", SpyPool)
+        authority = TrustedAuthority(CryptoNNConfig(security_bits=bits),
+                                     rng=random.Random(SEED))
+        auth_thread = ServiceThread(AuthorityService(authority))
+        auth_addr = auth_thread.start()
+        # a second client never comes, so the trainer never trains
+        train_thread = ServiceThread(TrainingService(
+            *auth_addr, expected_clients=2, hidden=4, epochs=1,
+            batch_size=10, learning_rate=LR, seed=SEED))
+        train_addr = train_thread.start()
+        try:
+            (x, y), = _make_shards(n_clients=1)
+            result = upload_shard(auth_addr, train_addr, x, y, 2,
+                                  name="clinic-0", workers=workers)
+        finally:
+            train_thread.stop()
+            auth_thread.stop()
+        assert result["ack"]["received"] == 15
+        assert result["upload_bytes"] == ser.encrypted_tabular_wire_size(
+            15, 4, 2, authority.params)
+        assert [pool.workers for pool in pools] == \
+            ([] if expected is None else [expected])
+        for pool in pools:
+            # features, labels and FEBO: one dispatch per nonce batch
+            assert pool.dispatches == 3 and not pool.started
+        # every forked worker is gone once the upload returns
+        assert len(forked) == (expected or 0)
+        assert not forked & live_processes().keys()
 
 
 @pytest.mark.timeout_guard(120)
