@@ -222,8 +222,7 @@ def test_pool_bulk_encrypt_throughput():
         with Stopwatch() as sw_pool:
             pool_cts = pool_engine.encrypt_feip_columns(mpk, columns)
         with Stopwatch() as sw_offline_pool:
-            nonces, _ = pool.precompute_encryption(
-                params, feip_mpk=mpk, feip_count=N_VECTORS)
+            nonces = pool.precompute_nonces(params, mpk, N_VECTORS)
 
     for cts in (serial_cts, pool_cts):
         assert [solver.solve(feip.decrypt_raw(mpk, ct, key))

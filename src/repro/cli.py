@@ -181,7 +181,6 @@ def cmd_serve_train(args: argparse.Namespace) -> int:
         expected_clients=args.expected_clients, hidden=args.hidden,
         epochs=args.epochs, batch_size=args.batch_size,
         learning_rate=args.learning_rate, seed=args.seed,
-        batch_key_requests=not args.no_batch_keys,
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
         resume=args.resume,
@@ -585,9 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=20)
     p.add_argument("--learning-rate", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-batch-keys", action="store_true",
-                   help="per-request key messages instead of one "
-                        "batched envelope per iteration step")
     p.add_argument("--stay", action="store_true",
                    help="keep serving predictions after training")
     p.add_argument("--checkpoint",

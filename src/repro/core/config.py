@@ -35,9 +35,6 @@ class CryptoNNConfig:
         max_abs_weight: server clips first-layer weights to this magnitude
             so the dot-product dlog bound stays valid and small.
         key_weight_bytes: |w| in the communication formula.
-        workers: process count for the parallel secure feed-forward
-            (paper Figures 3d/4d/5d).  None runs serially -- the right
-            choice for small batches, where pool startup dominates.
         batch_key_requests: coalesce every per-iteration key request
             (first-layer rows, per-sample loss keys, label subtractions)
             into one batched envelope per step, recorded under the
@@ -52,7 +49,6 @@ class CryptoNNConfig:
     max_abs_feature: float = 1.0
     max_abs_weight: float = 2.0
     key_weight_bytes: int = 8
-    workers: int | None = None
     batch_key_requests: bool = False
 
     @classmethod

@@ -34,7 +34,7 @@ from repro.core.secure_layers import (
     SecureMSE,
     SecureSoftmaxCrossEntropy,
 )
-from repro.matrix.parallel import SecureComputePool, resolve_pool
+from repro.matrix.parallel import SecureComputePool
 from repro.obs.tracing import GLOBAL_TRACER
 from repro.nn.activations import softmax
 from repro.nn.layers import Dense
@@ -46,12 +46,12 @@ from repro.nn.optimizers import Optimizer
 class _SecureTrainerBase:
     """Shared fit/evaluate loop for CryptoNN and CryptoCNN.
 
-    The trainer owns one persistent compute pool for the whole run:
-    passed in explicitly (e.g. ``Server.compute_pool``), or resolved
-    from ``config.workers``, so worker processes and their dlog tables
-    survive across batches and epochs.  Without one, ``compute_pool``
-    is None and each secure layer dispatches the same decryption loop
-    to an inline executor that runs it in the calling thread.
+    The trainer decrypts on the persistent compute pool it is handed
+    for the whole run (e.g. ``Server.compute_pool``), so worker
+    processes and their dlog tables survive across batches and epochs.
+    Without one, ``compute_pool`` is None and each secure layer
+    dispatches the same decryption loop to an inline executor that runs
+    it in the calling thread.
 
     A subclass names its first layer's type, the secure input layer
     that wraps it, and the dataset field holding the encrypted inputs.
@@ -69,7 +69,7 @@ class _SecureTrainerBase:
         self.authority = authority
         self.config = config or authority.config
         self.counters = DecryptionCounters()
-        self.compute_pool = resolve_pool(pool, self.config.workers)
+        self.compute_pool = pool
         if loss == "cross_entropy":
             self.secure_loss = SecureSoftmaxCrossEntropy(
                 authority, self.config, self.counters, pool=self.compute_pool

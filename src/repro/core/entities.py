@@ -48,7 +48,7 @@ from repro.fe.engine import EncryptionEngine
 from repro.matrix.parallel import (
     InlineExecutor,
     SecureComputePool,
-    resolve_pool,
+    get_compute_pool,
 )
 from repro.mathutils.encoding import FixedPointCodec
 from repro.mathutils.group import GroupParams
@@ -279,8 +279,9 @@ class Client:
     Encryption always runs through an
     :class:`~repro.fe.engine.EncryptionEngine`: the one passed, or one
     over the authority's ``Feip``/``Febo`` (sharing their ``g`` tables
-    and rng) on ``pool``, or else on the shared pool ``workers``
-    resolves to, if any.  Before each
+    and rng) on ``pool``, or else on the process-wide pool for
+    ``workers`` (:func:`~repro.matrix.parallel.get_compute_pool`), if
+    either is given.  Before each
     dataset loop the client banks the exact number of nonce tuples the
     loop will consume -- pool-parallel when the engine has workers, one
     batch per key otherwise -- and the per-sample loops then run
@@ -297,8 +298,10 @@ class Client:
         self.codec = FixedPointCodec(self.config.scale)
         self.label_mapper = label_mapper
         self.name = name
+        if pool is None and workers:
+            pool = get_compute_pool(workers)
         self.engine = engine or EncryptionEngine(
-            authority.params, pool=resolve_pool(pool, workers),
+            authority.params, pool=pool,
             feip=authority.feip, febo=authority.febo)
 
     def _bank_material(self, feip_counts: list[tuple[object, int]],
@@ -388,8 +391,9 @@ class Client:
         mpk = self.authority.feip_public_key(window_length)
         bpk = self.authority.febo_public_key()
         out_h, out_w = conv_out_dims(h, w, filter_size, stride, padding)
+        n_windows = out_h * out_w
         self._bank_material(
-            [(mpk, n * out_h * out_w),
+            [(mpk, n * n_windows),
              (self.authority.feip_public_key(num_classes), n)],
             bpk, n * (c * h * w + num_classes))
         enc_images: list[EncryptedImage] = []
@@ -410,12 +414,9 @@ class Client:
                 windows=enc_windows, pixels_bo=pixels, image_shape=(c, h, w),
             ))
             enc_labels.append(self._encrypt_label(int(mapped[i]), num_classes))
-        per_image = (
-            len(enc_images[0].windows.windows)
-            * (1 + window_length) * serialization.element_size_bytes(self.authority.params)
-            + c * h * w * serialization.febo_ciphertext_wire_size(self.authority.params)
-        ) if enc_images else 0
-        self._record_upload(n * per_image)
+        self._record_upload(serialization.encrypted_image_wire_size(
+            n, n_windows, window_length, c * h * w, num_classes,
+            self.authority.params))
         return EncryptedImageDataset(
             images=enc_images, labels=enc_labels, num_classes=num_classes,
             filter_size=filter_size, stride=stride, padding=padding,
@@ -434,16 +435,14 @@ class Server:
 
     The trainers do the actual work; this object groups the model, the
     authority handle and the operation counters for examples and benches.
-    It also holds the persistent compute pool for the run.  When the
-    worker count comes from ``config.workers`` (the default), this is
-    the *same* process-wide pool trainers resolve on their own, so a
-    trainer constructed without an explicit ``pool`` argument shares
-    these workers and :meth:`close` tears down what the run actually
-    used.  An explicit ``workers`` override that differs from
-    ``config.workers`` selects a different pool, which trainers only
-    use if handed ``pool=server.compute_pool``.  Closing is safe at any
-    time: a shared pool transparently restarts (paying worker spawn and
-    dlog-table warmup again) if something else still uses it.
+    It also holds the persistent compute pool for the run: the
+    process-wide pool for ``workers``
+    (:func:`~repro.matrix.parallel.get_compute_pool`), or None without
+    it.  Trainers decrypt on it when handed ``pool=server.compute_pool``,
+    and a :class:`Client` with the same ``workers`` encrypts on the same
+    pool.  Closing is safe at any time: a shared pool transparently
+    restarts (paying worker spawn and dlog-table warmup again) if
+    something else still uses it.
     """
 
     def __init__(self, authority: TrustedAuthority,
@@ -451,8 +450,7 @@ class Server:
         self.authority = authority
         self.config = authority.config
         self.trainer = None  # attached by the trainers
-        workers = workers if workers is not None else self.config.workers
-        self.compute_pool = resolve_pool(None, workers)
+        self.compute_pool = get_compute_pool(workers) if workers else None
 
     def attach(self, trainer) -> None:
         self.trainer = trainer

@@ -61,11 +61,7 @@ from repro.core.encdata import (
 from repro.core.entities import TrustedAuthority
 from repro.nn.activations import log_softmax, softmax
 from repro.nn.conv import Conv2D
-from repro.matrix.parallel import (
-    InlineExecutor,
-    SecureComputePool,
-    resolve_pool,
-)
+from repro.matrix.parallel import InlineExecutor, SecureComputePool
 from repro.mathutils.dlog import GLOBAL_SOLVER_CACHE, SolverCache
 from repro.mathutils.encoding import FixedPointCodec
 from repro.obs.tracing import GLOBAL_TRACER
@@ -75,11 +71,10 @@ class _SecureBase:
     """Shared plumbing: codec, solver cache, counters, authority handle.
 
     Every decryption grid is one dispatch on ``self._pool``: the
-    persistent compute pool shared by a training run (``pool``, or the
-    process-wide pool for ``config.workers``, so repeated batches never
-    respawn worker processes), else an :class:`InlineExecutor` that
-    runs the same dispatch in the calling thread against this layer's
-    solver cache.
+    persistent compute pool ``pool`` a training run shares, so repeated
+    batches never respawn worker processes, else an
+    :class:`InlineExecutor` that runs the same dispatch in the calling
+    thread against this layer's solver cache.
     """
 
     def __init__(self, authority: TrustedAuthority, config: CryptoNNConfig,
@@ -93,8 +88,8 @@ class _SecureBase:
         self._cache = solver_cache or GLOBAL_SOLVER_CACHE
         self._feip = authority.feip
         self._febo = authority.febo
-        self._pool = resolve_pool(pool, config.workers) \
-            or InlineExecutor(self._feip, self._febo, self._cache)
+        self._pool = pool or InlineExecutor(self._feip, self._febo,
+                                            self._cache)
 
     def _solver(self, bound: int):
         return self._cache.get(self._feip.group, bound)

@@ -152,6 +152,17 @@ def encrypted_tabular_wire_size(n_samples: int, n_features: int,
                         + encrypted_label_wire_size(num_classes, params))
 
 
+def encrypted_image_wire_size(n_images: int, n_windows: int,
+                              window_length: int, n_pixels: int,
+                              num_classes: int, params: GroupParams) -> int:
+    """Full image upload: per image a FEIP ct per convolution window, a
+    FEBO ct per pixel and the encrypted one-hot label."""
+    per_image = (n_windows * (1 + window_length) * element_size_bytes(params)
+                 + n_pixels * febo_ciphertext_wire_size(params))
+    return n_images * (per_image
+                       + encrypted_label_wire_size(num_classes, params))
+
+
 # -- group params / public keys -------------------------------------------------
 
 def group_params_to_dict(params: GroupParams) -> dict[str, Any]:

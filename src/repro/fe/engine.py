@@ -232,15 +232,10 @@ class EncryptionEngine:
         pool draws from an OS-seeded generator); without a pool they
         are one batch in the caller, from the scheme's rng.
         """
-        if isinstance(mpk, FeipPublicKey):
-            if self.pool is None:
-                return make_nonces(self.feip.group, mpk, count)
-            return self.pool.precompute_encryption(
-                self.params, feip_mpk=mpk, feip_count=count)[0]
-        if self.pool is None:
-            return make_nonces(self.febo.group, mpk, count)
-        return self.pool.precompute_encryption(
-            self.params, febo_mpk=mpk, febo_count=count)[1]
+        if self.pool is not None:
+            return self.pool.precompute_nonces(self.params, mpk, count)
+        scheme = self.feip if isinstance(mpk, FeipPublicKey) else self.febo
+        return make_nonces(scheme.group, mpk, count)
 
     def available_feip(self, mpk) -> int:
         """Precomputed tuples currently banked for ``mpk``.

@@ -20,8 +20,8 @@ offline half -- sample ``r``, compute ``ct_0 = g^r`` and the masks
 one *small-exponent* ``g^{x_i}`` plus one modular multiply per element.
 :meth:`Feip.encrypt` accepts a precomputed
 :class:`~repro.fe.keys.FeipNonce` carrying the offline half;
-:class:`~repro.fe.engine.EncryptionEngine` banks such tuples (serially,
-from a background thread, or pool-parallel) and guarantees each is
+:class:`~repro.fe.engine.EncryptionEngine` banks such tuples (one batch
+in the caller, or pool-parallel) and guarantees each is
 consumed exactly once -- nonce reuse breaks IND-CPA, and a nonce built
 for a different public key is rejected by fingerprint.
 """

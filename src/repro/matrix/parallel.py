@@ -30,7 +30,7 @@ identical integers.
 
 The same pool also serves the *client* side: under the ``encrypt``
 configuration kind idle workers raise public bases for nonce batches
-(:meth:`SecureComputePool.precompute_encryption`) that the caller's
+(:meth:`SecureComputePool.precompute_nonces`) that the caller's
 :class:`~repro.fe.engine.EncryptionEngine` banks and encrypts with.
 The caller draws each batch's nonces from a generator seeded from the
 OS on every call, and :func:`nonce_blocks` hands every worker a block
@@ -44,8 +44,9 @@ carries the FEBO master key, so only the authority's own pool -- the
 one ``serve-authority`` forks -- is ever configured with it; the
 caller keeps the permitted-op and policy checks.
 
-``serve-authority`` and ``serve-train`` size their pools by one rule,
-:func:`service_workers`, each from its own measured cutoff.
+``serve-authority``, ``serve-train`` and ``client-upload`` size their
+pools by one rule, :func:`service_workers`, each from its own measured
+cutoff.
 
 Every worker starts with the default stop signals, whatever handlers
 its parent had installed when it forked, and exits on its own once the
@@ -282,6 +283,10 @@ def _nonce_power_chunk(config: tuple,
 #: seconds between a worker's checks that its parent is still alive
 PARENT_POLL_S = 0.2
 
+#: per-dispatch budget of executor rebuilds after worker crashes before
+#: the dispatch degrades to the calling thread
+CRASH_RETRIES = 2
+
 
 def _init_worker(pin_counter) -> None:
     """Worker initializer: default stop signals, optional CPU pin,
@@ -351,20 +356,10 @@ class SecureComputePool:
     dispatch_span = "pool-dispatch"
 
     def __init__(self, workers: int | None = None, *,
-                 crash_retries: int = 2, allow_degraded: bool = True,
                  pin_workers: bool = False):
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
-        if crash_retries < 0:
-            raise ValueError("crash_retries must be >= 0")
         self.workers = workers or default_workers()
-        #: per-dispatch budget of executor rebuilds after worker crashes
-        #: before the dispatch falls back (or raises)
-        self.crash_retries = crash_retries
-        #: when True, a dispatch that exhausts its crash budget runs
-        #: sequentially in-process instead of raising -- training slows
-        #: down but completes (graceful degradation)
-        self.allow_degraded = allow_degraded
         #: pin each worker to its own CPU (see :func:`_init_worker`)
         self.pin_workers = pin_workers
         self._executor: ProcessPoolExecutor | None = None
@@ -493,24 +488,21 @@ class SecureComputePool:
         A crashed worker breaks the whole executor; unlike the old
         executor-per-call code that recovered for free, a persistent
         pool must rebuild explicitly, so the dispatch is resubmitted on
-        a fresh executor up to ``crash_retries`` times.  A pool that
+        a fresh executor up to :data:`CRASH_RETRIES` times.  A pool that
         keeps breaking (a machine swapping its workers to death, a chaos
-        test) then *degrades* instead of raising: with
-        ``allow_degraded`` the dispatch runs in this thread, the loop an
-        :class:`InlineExecutor` always runs -- identical numerics, just
-        slower -- and the degradation is counted and latched in
-        ``stats``.
+        test) then *degrades* instead of raising: the dispatch runs in
+        this thread, the loop an :class:`InlineExecutor` always runs --
+        identical numerics, just slower -- and the degradation is
+        counted and latched in ``stats``.
         """
         with self._lock:
             self.dispatches += 1
-        last_exc: BrokenProcessPool | None = None
-        for _ in range(self.crash_retries + 1):
+        for _ in range(CRASH_RETRIES + 1):
             executor = self._ensure_executor()
             try:
                 return list(executor.map(partial(fn, config), tasks,
                                          chunksize=1))
-            except BrokenProcessPool as exc:
-                last_exc = exc
+            except BrokenProcessPool:
                 with self._lock:
                     # replace only the executor that failed: a
                     # concurrent dispatch may already have rebuilt it,
@@ -520,8 +512,6 @@ class SecureComputePool:
                         executor.shutdown(wait=False)
                         self._executor = None
                         self.worker_restarts += 1
-        if not self.allow_degraded:
-            raise last_exc
         with self._lock:
             self.degraded_dispatches += 1
             self.degraded = True
@@ -582,13 +572,21 @@ class SecureComputePool:
             self._map(_febo_key_chunk, config, chunks)))
 
     # -- client-side nonce production ------------------------------------------
-    def _nonce_batch(self, config: tuple, group: SchnorrGroup, mpk,
-                     count: int) -> list:
-        """``count`` tuples for ``mpk`` from one dispatch.
+    def precompute_nonces(self, params: GroupParams, mpk, count: int
+                          ) -> list[FeipNonce] | list[FeboNonce]:
+        """``count`` offline tuples for ``mpk`` (a FEIP or FEBO key) from
+        one dispatch: the pooled twin of
+        :func:`~repro.fe.engine.make_nonces`.
 
-        The nonces are drawn here, then :func:`nonce_blocks` cuts the
-        (base, nonce) grid into one block per worker.
+        The nonces are drawn here, from a generator seeded from the OS
+        on every call, so they are distinct with overwhelming
+        probability across workers and calls (the engine's nonce-hygiene
+        test pins this); :func:`nonce_blocks` then cuts the (base,
+        nonce) grid into one block per worker, and the workers only
+        exponentiate.
         """
+        config = self.configure("encrypt", (params,))
+        group = SchnorrGroup(params)
         bases = public_bases(group, mpk)
         rs = [group.random_exponent() for _ in range(count)]
         grid = nonce_blocks(len(bases), count, self.workers)
@@ -600,36 +598,6 @@ class SecureComputePool:
             for row, block_row in zip(powers[b], block):
                 row.extend(block_row)
         return assemble_nonces(mpk, rs, powers)
-
-    def precompute_encryption(self, params: GroupParams,
-                              feip_mpk: FeipPublicKey | None = None,
-                              febo_mpk: FeboPublicKey | None = None,
-                              feip_count: int = 0, febo_count: int = 0
-                              ) -> tuple[list[FeipNonce], list[FeboNonce]]:
-        """Produce offline encryption material on the worker pool.
-
-        Returns ``(feip_nonces, febo_nonces)`` with the requested
-        counts, each kind from one dispatch.  The nonces come from a
-        generator seeded from the OS on every call, drawn in the caller
-        once per batch, so they are distinct with overwhelming
-        probability across workers and calls (the engine's
-        nonce-hygiene test pins this); the workers only exponentiate.
-        """
-        config = self.configure("encrypt", (params,))
-        group = SchnorrGroup(params)
-        feip_nonces: list[FeipNonce] = []
-        febo_nonces: list[FeboNonce] = []
-        if feip_count > 0:
-            if feip_mpk is None:
-                raise ValueError("feip_count > 0 requires feip_mpk")
-            feip_nonces = self._nonce_batch(config, group, feip_mpk,
-                                            feip_count)
-        if febo_count > 0:
-            if febo_mpk is None:
-                raise ValueError("febo_count > 0 requires febo_mpk")
-            febo_nonces = self._nonce_batch(config, group, febo_mpk,
-                                            febo_count)
-        return feip_nonces, febo_nonces
 
 
 class InlineExecutor(SecureComputePool):
@@ -644,8 +612,9 @@ class InlineExecutor(SecureComputePool):
     keys through one the same way.
 
     It is not a worker pool: it forks nothing, so it keeps no fault
-    counters and registers no metrics collector, and nothing resolves
-    it as a run's ``compute_pool``.
+    counters and registers no metrics collector, and a trainer without
+    a pool keeps ``compute_pool`` None: only its secure layers build
+    one of these.
     """
 
     #: sizes the chunking of ``secure_dot`` / ``secure_elementwise``
@@ -689,21 +658,6 @@ def get_compute_pool(workers: int | None = None) -> SecureComputePool:
             pool = SecureComputePool(workers=count)
             _DEFAULT_POOLS[count] = pool
         return pool
-
-
-def resolve_pool(pool: SecureComputePool | None,
-                 workers: int | None) -> SecureComputePool | None:
-    """Single policy for "which pool does this component use".
-
-    An explicit pool wins; otherwise a configured worker count maps to
-    the shared process-wide pool; otherwise None, and the component
-    decrypts on an :class:`InlineExecutor`.
-    """
-    if pool is not None:
-        return pool
-    if workers:
-        return get_compute_pool(workers)
-    return None
 
 
 @atexit.register

@@ -21,8 +21,8 @@ bytes between actual processes:
 * :mod:`repro.rpc.runtime` -- service-hosting helpers for tests,
   examples and the CLI.
 
-Per-iteration key requests are batched into one framed envelope by
-default (``CryptoNNConfig.batch_key_requests``), collapsing the
+The training server batches per-iteration key requests into one framed
+envelope (``CryptoNNConfig.batch_key_requests``), collapsing the
 k x n x |w| request fan-out into a single round trip.
 
 Fault tolerance lives in three sibling modules: :mod:`repro.rpc.retry`

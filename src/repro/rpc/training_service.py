@@ -12,7 +12,7 @@ order (deterministic regardless of upload timing), connects to the
 authority key service as a :class:`~repro.rpc.client.RemoteAuthority`,
 and drives a :class:`~repro.core.cryptonn.CryptoNNTrainer` -- every
 per-iteration function-key request now crosses a real socket, batched
-into one envelope per step by default.
+into one envelope per step.
 
 The authority handshake fixes the group size, and with it the
 server's compute pool (:func:`~repro.matrix.parallel.service_workers`:
@@ -64,7 +64,7 @@ from repro.core.encdata import EncryptedTabularDataset, merge_encrypted_tabular
 from repro.mathutils.group import GroupParams
 from repro.matrix.parallel import (
     SecureComputePool,
-    resolve_pool,
+    get_compute_pool,
     service_workers,
 )
 from repro.nn.layers import Dense, ReLU
@@ -173,6 +173,7 @@ def run_training(dataset: EncryptedTabularDataset, authority, *,
                  checkpoint_path=None, checkpoint_every: int | None = None,
                  resume: bool = False, checkpoint_trigger=None,
                  on_checkpoint=None,
+                 pool: SecureComputePool | None = None,
                  ) -> tuple[CryptoNNTrainer, TrainingHistory, float]:
     """One deterministic training run over an encrypted dataset.
 
@@ -183,9 +184,11 @@ def run_training(dataset: EncryptedTabularDataset, authority, *,
     checkpoint arguments pass straight through to ``fit()`` -- with
     ``resume=True`` the run continues bit-exactly from the checkpoint
     at ``checkpoint_path`` (or starts fresh if none was written yet).
+    The trainer decrypts on ``pool``, or inline without one.
     """
     model = build_mlp(dataset.n_features, hidden, dataset.num_classes, seed)
-    trainer = CryptoNNTrainer(model, authority, config=config, loss=loss)
+    trainer = CryptoNNTrainer(model, authority, config=config, loss=loss,
+                              pool=pool)
     history = trainer.fit(
         dataset, SGD(learning_rate), epochs=epochs, batch_size=batch_size,
         rng=np.random.default_rng(seed),
@@ -206,7 +209,6 @@ class TrainingService(FramedService):
                  expected_clients: int = 1, hidden: int = 8, epochs: int = 1,
                  batch_size: int = 20, learning_rate: float = 0.5,
                  seed: int = 0, loss: str = "cross_entropy",
-                 batch_key_requests: bool = True,
                  checkpoint_path: str | None = None,
                  checkpoint_every: int | None = None,
                  resume: bool = False,
@@ -242,7 +244,6 @@ class TrainingService(FramedService):
         self.learning_rate = learning_rate
         self.seed = seed
         self.loss = loss
-        self.batch_key_requests = batch_key_requests
         self.checkpoint_path = (str(npz_path(checkpoint_path))
                                 if checkpoint_path is not None else None)
         self.checkpoint_every = checkpoint_every
@@ -386,12 +387,14 @@ class TrainingService(FramedService):
 
     def _pool(self, params: GroupParams) -> SecureComputePool | None:
         """The compute pool for the authority's ``params`` group, if any:
-        ``workers`` when set, else
-        :func:`~repro.matrix.parallel.service_workers`' default."""
+        the process-wide pool for ``workers`` when set, else for
+        :func:`~repro.matrix.parallel.service_workers`' default.  It
+        stays in that registry, so ``serve-train`` closes it through
+        :func:`~repro.matrix.parallel.shutdown_compute_pools`."""
         workers = self.workers
         if workers is None:
             workers = service_workers(params.bits, TRAIN_POOL_MIN_BITS)
-        return resolve_pool(None, workers)
+        return get_compute_pool(workers) if workers else None
 
     async def _wire_context(self) -> WireContext:
         if self._cached_ctx is None:
@@ -745,12 +748,8 @@ class TrainingService(FramedService):
                 # server can resume without re-uploads; ciphertexts
                 # only -- no key material
                 save_encrypted_tabular(self.dataset, self.dataset_path)
-        config = dataclasses.replace(
-            authority.config, batch_key_requests=self.batch_key_requests)
-        pool = self._pool(authority.params)
-        if pool is not None:
-            # the trainer resolves this same process-wide pool
-            config = dataclasses.replace(config, workers=pool.workers)
+        config = dataclasses.replace(authority.config,
+                                     batch_key_requests=True)
         # phase timings are part of the service's ops surface: spans
         # land in repro_phase_seconds histograms (and the trace file
         # when configured), scrapeable via service-metrics; disabled
@@ -765,6 +764,7 @@ class TrainingService(FramedService):
                 batch_size=self.batch_size,
                 learning_rate=self.learning_rate,
                 seed=self.seed, loss=self.loss, config=config,
+                pool=self._pool(authority.params),
                 checkpoint_path=self.checkpoint_path,
                 checkpoint_every=self.checkpoint_every,
                 resume=self._resuming,

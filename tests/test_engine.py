@@ -243,12 +243,10 @@ class TestPoolProduction:
         mpk, _ = feip.setup(3)
         bpk, _ = febo.setup()
         with parallel.SecureComputePool(workers=2) as pool:
-            feip_nonces, febo_nonces = pool.precompute_encryption(
-                params, feip_mpk=mpk, febo_mpk=bpk,
-                feip_count=20, febo_count=20)
+            feip_nonces = pool.precompute_nonces(params, mpk, 20)
+            febo_nonces = pool.precompute_nonces(params, bpk, 20)
             # a second dispatch must not replay the first one's nonces
-            more, _ = pool.precompute_encryption(
-                params, feip_mpk=mpk, febo_mpk=bpk, feip_count=20)
+            more = pool.precompute_nonces(params, mpk, 20)
         assert len(feip_nonces) == 20 and len(febo_nonces) == 20
         rs = [n.r for n in feip_nonces + more] + [n.r for n in febo_nonces]
         assert len(set(rs)) == len(rs), "nonce collision across pool workers"
@@ -263,9 +261,8 @@ class TestPoolProduction:
         mpk, _ = Feip(params, rng=random.Random(eta)).setup(eta)
         bpk, _ = Febo(params, rng=random.Random(eta + 1)).setup()
         with parallel.SecureComputePool(workers=workers) as pool:
-            feip_nonces, febo_nonces = pool.precompute_encryption(
-                params, feip_mpk=mpk, febo_mpk=bpk,
-                feip_count=7, febo_count=7)
+            feip_nonces = pool.precompute_nonces(params, mpk, 7)
+            febo_nonces = pool.precompute_nonces(params, bpk, 7)
             assert pool.dispatches == 2
         assert len(feip_nonces) == len(febo_nonces) == 7
         for nonce in feip_nonces:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import protocol
+from repro.core import serialization as ser
 from repro.core.config import CryptoNNConfig
 from repro.core.entities import Client, Server, TrustedAuthority
 from repro.core.policy import KeyReleasePolicy, PolicyViolation
@@ -137,6 +138,28 @@ class TestClient:
         client.encrypt_tabular(x, np.array([0, 1, 0]), 2)
         assert authority.traffic.total_bytes(
             kind=protocol.KIND_ENCRYPTED_DATA) > 0
+
+    def test_image_upload_bytes_match_the_ciphertexts(self):
+        """The recorded image upload counts every ciphertext the client
+        made: each window, each pixel and each image's one-hot label."""
+        authority = TrustedAuthority(CryptoNNConfig(security_bits=32),
+                                     rng=random.Random(0))
+        imgs = np.random.default_rng(2).uniform(0, 1, size=(2, 1, 4, 4))
+        enc = Client(authority).encrypt_images(
+            imgs, np.array([2, 0]), num_classes=3, filter_size=3,
+            padding=1)
+        params = authority.params
+        febo = ser.febo_ciphertext_wire_size(params)
+        expected = sum(
+            sum(ser.feip_ciphertext_wire_size(ct, params)
+                for ct in image.windows.windows)
+            + image.pixels_bo.size * febo
+            + ser.feip_ciphertext_wire_size(label.onehot_ip, params)
+            + len(label.onehot_bo) * febo
+            for image, label in zip(enc.images, enc.labels))
+        assert expected == 1616
+        assert authority.traffic.total_bytes(
+            kind=protocol.KIND_ENCRYPTED_DATA) == expected
 
 
 class TestServer:

@@ -16,6 +16,7 @@ from repro.fe.febo import Febo
 from repro.fe.feip import Feip
 from repro.mathutils.group import GroupParams
 from repro.matrix.parallel import (
+    CRASH_RETRIES,
     InlineExecutor,
     SecureComputePool,
     chunk_tasks,
@@ -231,13 +232,14 @@ class TestPoolDegradation:
         monkeypatch.setenv("REPRO_CHAOS_WORKER_KILL", "1")
         scheme, enc, keys, bound, expected = self._dot_setup(
             params, rng, solver_cache)
-        with SecureComputePool(workers=2, crash_retries=1) as pool:
+        with SecureComputePool(workers=2) as pool:
             out = pool.secure_dot(params, scheme.feip_mpk,
                                   enc.require_feip(), keys, bound)
             np.testing.assert_array_equal(out, expected)
             stats = pool.stats
-        # every executor (initial + one retry) broke and was replaced
-        assert stats["worker_restarts"] >= 1
+        # every executor (initial + CRASH_RETRIES rebuilds) broke and
+        # was replaced
+        assert stats["worker_restarts"] == CRASH_RETRIES + 1
         assert stats["degraded_dispatches"] == 1
         assert stats["degraded"] is True
         assert stats["dispatches"] == 1
@@ -250,7 +252,7 @@ class TestPoolDegradation:
         monkeypatch.setenv("REPRO_CHAOS_WORKER_KILL", "1")
         scheme, enc, keys, bound, expected = self._dot_setup(
             params, rng, solver_cache)
-        with SecureComputePool(workers=2, crash_retries=0) as pool:
+        with SecureComputePool(workers=2) as pool:
             first = pool.secure_dot(params, scheme.feip_mpk,
                                     enc.require_feip(), keys, bound)
             second = pool.secure_dot(params, scheme.feip_mpk,
@@ -261,25 +263,6 @@ class TestPoolDegradation:
         assert stats["degraded_dispatches"] == 2
         assert stats["degraded"] is True
         assert stats["dispatches"] == 2
-
-    def test_allow_degraded_false_raises_broken_pool(
-            self, params, rng, solver_cache, monkeypatch):
-        from concurrent.futures.process import BrokenProcessPool
-
-        monkeypatch.setenv("REPRO_CHAOS_WORKER_KILL", "1")
-        scheme, enc, keys, bound, _ = self._dot_setup(
-            params, rng, solver_cache)
-        with SecureComputePool(workers=2, crash_retries=0,
-                               allow_degraded=False) as pool:
-            with pytest.raises(BrokenProcessPool):
-                pool.secure_dot(params, scheme.feip_mpk,
-                                enc.require_feip(), keys, bound)
-            assert pool.stats["degraded"] is False
-            assert pool.stats["degraded_dispatches"] == 0
-
-    def test_crash_retries_validation(self):
-        with pytest.raises(ValueError):
-            SecureComputePool(workers=1, crash_retries=-1)
 
 
 # a process that starts a pinned pool, reports it is ready, then idles

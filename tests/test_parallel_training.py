@@ -11,7 +11,7 @@ from repro.core.cryptonn import CryptoNNTrainer
 from repro.core.entities import Client, Server, TrustedAuthority
 from repro.data.synth_digits import load_synth_digits
 from repro.data.tabular import load_clinics
-from repro.matrix.parallel import SecureComputePool
+from repro.matrix.parallel import SecureComputePool, get_compute_pool
 from repro.nn.layers import Dense, Sigmoid
 from repro.nn.lenet import build_lenet_small
 from repro.nn.model import Sequential
@@ -26,23 +26,23 @@ def digits():
     return train
 
 
-def build_setup(workers):
-    config = CryptoNNConfig(workers=workers)
-    authority = TrustedAuthority(config, rng=random.Random(0))
+def build_setup():
+    authority = TrustedAuthority(CryptoNNConfig(), rng=random.Random(0))
     return authority, Client(authority)
 
 
 class TestParallelForward:
     def test_parallel_matches_serial_forward(self, digits):
-        auth_serial, client_serial = build_setup(workers=None)
-        auth_parallel, client_parallel = build_setup(workers=2)
+        auth_serial, client_serial = build_setup()
+        auth_parallel, client_parallel = build_setup()
         # same authority RNG seed -> same keys; same client encryption RNG
         enc_s = client_serial.encrypt_images(digits.x, digits.y, 10, 3, 1, 1)
         enc_p = client_parallel.encrypt_images(digits.x, digits.y, 10, 3, 1, 1)
         model_s = build_lenet_small(np.random.default_rng(0), image_size=8)
         model_p = build_lenet_small(np.random.default_rng(0), image_size=8)
         trainer_s = CryptoCNNTrainer(model_s, auth_serial)
-        trainer_p = CryptoCNNTrainer(model_p, auth_parallel)
+        trainer_p = CryptoCNNTrainer(model_p, auth_parallel,
+                                     pool=get_compute_pool(2))
         z_s = trainer_s.secure_input.forward(enc_s.images[:4], np.arange(4),
                                              training=False)
         z_p = trainer_p.secure_input.forward(enc_p.images[:4], np.arange(4),
@@ -50,28 +50,30 @@ class TestParallelForward:
         np.testing.assert_array_equal(z_s, z_p)
 
     def test_parallel_training_step_runs(self, digits):
-        authority, client = build_setup(workers=2)
+        authority, client = build_setup()
         enc = client.encrypt_images(digits.x, digits.y, 10, 3, 1, 1)
         model = build_lenet_small(np.random.default_rng(1), image_size=8)
-        trainer = CryptoCNNTrainer(model, authority)
+        trainer = CryptoCNNTrainer(model, authority,
+                                   pool=get_compute_pool(2))
         hist = trainer.fit(enc, SGD(0.3), epochs=1, batch_size=6,
                            rng=np.random.default_rng(2))
         assert len(hist.batch_loss) == 2
         assert all(np.isfinite(l) for l in hist.batch_loss)
 
     def test_counters_count_parallel_decrypts(self, digits):
-        authority, client = build_setup(workers=2)
+        authority, client = build_setup()
         enc = client.encrypt_images(digits.x[:3], digits.y[:3], 10, 3, 1, 1)
         model = build_lenet_small(np.random.default_rng(1), image_size=8,
                                   conv_channels=4)
-        trainer = CryptoCNNTrainer(model, authority)
+        trainer = CryptoCNNTrainer(model, authority,
+                                   pool=get_compute_pool(2))
         trainer.secure_input.forward(enc.images, np.arange(3), training=False)
         assert trainer.counters.feip_decrypts == 3 * 64 * 4
 
     def test_conv_forward_opens_key_fetch_and_dispatch_spans(self, digits):
         """SecureConvInput traces like SecureLinearInput: one key-fetch
         span, then one span around the decryption dispatch."""
-        authority, client = build_setup(workers=None)
+        authority, client = build_setup()
         enc = client.encrypt_images(digits.x[:2], digits.y[:2], 10, 3, 1, 1)
         trainer = CryptoCNNTrainer(
             build_lenet_small(np.random.default_rng(0), image_size=8),
@@ -137,7 +139,7 @@ class TestPooledMlpTraining:
             return GLOBAL_REGISTRY.snapshot()["counters"].get(
                 "repro_pool_dispatches_total", 0)
 
-        authority, client = build_setup(workers=None)
+        authority, client = build_setup()
         shard = load_clinics(n_clinics=1, samples_per_clinic=8,
                              n_features=4, seed=7)[0]
         x = np.clip(shard.x / (np.abs(shard.x).max() + 1e-9), -1, 1)

@@ -51,7 +51,12 @@ from repro.rpc import (
 from repro.rpc import framing
 from repro.rpc import messages as msgs
 from repro.mathutils.group import GroupParams
-from repro.matrix.parallel import SecureComputePool, service_workers
+from repro.matrix.parallel import (
+    SecureComputePool,
+    get_compute_pool,
+    service_workers,
+    shutdown_compute_pools,
+)
 from repro.rpc import client_agent
 from repro.rpc.authority_service import POOL_MIN_BITS
 from repro.rpc.client_agent import CLIENT_POOL_MIN_BITS
@@ -645,8 +650,6 @@ class TestEndToEndLoopback:
         """`--workers N` parallel encryption changes neither the bytes
         on the wire nor the training trajectory: decryption recovers
         exact integers, so nonce provenance cannot leak into floats."""
-        from repro.matrix.parallel import shutdown_compute_pools
-
         shards = _make_shards()
         expected_accuracy = _in_process_accuracy(shards)
         authority = TrustedAuthority(CryptoNNConfig(),
@@ -822,9 +825,9 @@ def test_authority_survives_a_killed_pool_worker(repro_env, live_processes):
 
 
 class TestServicePoolRule:
-    """``serve-authority`` and ``serve-train`` size their pools by one
-    rule, each from its own cutoff: one worker per usable CPU from
-    ``min_bits`` up."""
+    """``serve-authority``, ``serve-train`` and ``client-upload`` size
+    their pools by one rule, each from its own cutoff: one worker per
+    usable CPU from ``min_bits`` up."""
 
     def test_one_worker_per_cpu_from_the_cutoff(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
@@ -844,6 +847,35 @@ class TestServicePoolRule:
         pool = service._pool(GroupParams.predefined(bits))
         assert (None if pool is None else pool.workers) == expected
         assert service.workers == workers
+
+    @pytest.mark.timeout_guard(120)
+    def test_serve_train_hands_its_pool_to_the_trainer(self):
+        """The pool ``serve-train`` picks is the one its trainer
+        decrypts on, also on a toy group and a single CPU, where a
+        dropped handoff would train inline without a trace."""
+        authority = TrustedAuthority(CryptoNNConfig(security_bits=32),
+                                     rng=random.Random(SEED))
+        auth_thread = ServiceThread(AuthorityService(authority))
+        auth_addr = auth_thread.start()
+        service = TrainingService(
+            *auth_addr, expected_clients=1, hidden=4, epochs=1,
+            batch_size=10, learning_rate=LR, seed=SEED, workers=2)
+        train_thread = ServiceThread(service)
+        train_addr = train_thread.start()
+        try:
+            before = get_compute_pool(2).dispatches
+            (x, y), = _make_shards(n_clients=1, samples=10)
+            upload_shard(auth_addr, train_addr, x, y, 2, name="clinic-0",
+                         rng=random.Random(1))
+            train_thread.call(lambda: service.wait_done(timeout=100),
+                              timeout=110)
+            assert service.state == "done", service.error
+            assert service.trainer.compute_pool is get_compute_pool(2)
+            assert service.trainer.compute_pool.dispatches > before
+        finally:
+            train_thread.stop()
+            auth_thread.stop()
+            shutdown_compute_pools()
 
 
 @pytest.mark.timeout_guard(120)
