@@ -12,9 +12,10 @@ batched engine amortizes everything shareable:
 * per column, :class:`~repro.mathutils.fastexp.SharedBaseMultiExp`
   builds positive odd-power tables for the bases and a signed comb for
   ``ct_0`` sized for the batch
-  (:func:`~repro.mathutils.fastexp.amortized_comb_window`), walks each
-  row's numerator and denominator against them, and divides all m
-  denominators out with one batch inversion;
+  (:func:`~repro.mathutils.fastexp.amortized_comb_window`) -- or, under
+  ``CHAIN_MAX_ROWS`` rows, walks ``ct_0``'s cached squaring chain --
+  walks each row's numerator and denominator against them, and divides
+  all m denominators out with one batch inversion;
 * :meth:`~repro.mathutils.dlog.DlogSolver.solve_many` dedups the m
   targets and walks outward from zero, where encoded inner products
   cluster.
@@ -25,7 +26,9 @@ per-row path (which stays available as ``Feip.decrypt``, the reference
 implementation both pipelines are checked against).  The same test
 times the two column shapes the end-to-end benchmark decrypts (the MLP
 input layer and the small CNN's filter bank) and reports milliseconds
-per column.
+per column.  The CNN's 4-row columns are also timed on a cold and a warm
+chain cache -- the second epoch of training decrypts the same
+ciphertexts -- and the warm pass must be >= 1.25x faster.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from benchmarks.conftest import series_table, write_report
 from benchmarks.harness import write_bench_json
 from repro.fe.feip import Feip
 from repro.mathutils.dlog import DlogSolver
+from repro.mathutils.fastexp import GLOBAL_CHAIN_CACHE
 from repro.utils.timer import Stopwatch
 from repro.mathutils.group import GroupParams
 
@@ -60,6 +64,12 @@ E2E_SHAPES = [("e2e_mlp_eta64_m32", 64, 32, 60),
               ("e2e_cnn_eta9_m4", 9, 4, 60)]
 E2E_COLUMNS = 8
 
+#: The few-row shape whose ``ct_0`` chains the cache keeps, the columns
+#: each cold / warm pass decrypts, and the warm-over-cold gate.
+CHAIN_SHAPE = ("e2e_cnn_eta9_m4", 9, 4, 60)
+CHAIN_COLUMNS = 32
+CHAIN_GATE = 1.25
+
 
 def _column_ms(feip: Feip, eta: int, m: int, magnitude: int
                ) -> tuple[float, float]:
@@ -83,6 +93,39 @@ def _column_ms(feip: Feip, eta: int, m: int, magnitude: int
     assert batched[:2] == reference
     return (sw_per_row.elapsed / 2 * 1e3,
             sw_batched.elapsed / len(cts) * 1e3)
+
+
+def _chain_ms(feip: Feip, eta: int, m: int, magnitude: int
+              ) -> tuple[float, float]:
+    """(cold, warm) chain-cache ms per column, best of ``ROUNDS``.
+
+    Each round clears the cache, decrypts every column once (each
+    ``ct_0`` builds its chain) and then again (each walks its cached
+    chain); both passes must equal the per-row reference.
+    """
+    rng = random.Random(eta * 1000 + m + 1)
+    mpk, msk = feip.setup(eta)
+    keys = [feip.key_derive(msk, [rng.randint(-magnitude, magnitude)
+                                  for _ in range(eta)])
+            for _ in range(m)]
+    cts = [feip.encrypt(mpk, [rng.randint(0, 100) for _ in range(eta)])
+           for _ in range(CHAIN_COLUMNS)]
+    bound = eta * 100 * magnitude + 1
+    solver = feip.solver_for(bound)
+    plan = feip.row_plan(keys)
+    assert plan.chain_ops is not None, "shape no longer takes the chain"
+    reference = [[feip.decrypt(mpk, ct, key, bound, solver=solver)
+                  for key in keys] for ct in cts[:2]]
+    cold, warm = [], []
+    for _ in range(ROUNDS):
+        GLOBAL_CHAIN_CACHE.clear()
+        for times in (cold, warm):
+            with Stopwatch() as sw:
+                got = [feip.decrypt_rows(mpk, ct, keys, bound, solver=solver,
+                                         plan=plan) for ct in cts]
+            times.append(sw.elapsed)
+            assert got[:2] == reference
+    return (min(cold) / len(cts) * 1e3, min(warm) / len(cts) * 1e3)
 
 
 def test_batched_vs_per_row_secure_dot(benchmark):
@@ -131,6 +174,9 @@ def test_batched_vs_per_row_secure_dot(benchmark):
     speedup = sw_per_row.elapsed / max(sw_batched.elapsed, 1e-9)
     shapes = {name: _column_ms(feip, eta, m, magnitude)
               for name, eta, m, magnitude in E2E_SHAPES}
+    chain_name, *chain_shape = CHAIN_SHAPE
+    cold_ms, warm_ms = _chain_ms(feip, *chain_shape)
+    chain_speedup = cold_ms / max(warm_ms, 1e-9)
     write_report("ablation_batchdot", series_table(
         ["pipeline",
          f"time for {ROUNDS} x ({M_ROWS}x{VECTOR_LENGTH} @ "
@@ -140,20 +186,29 @@ def test_batched_vs_per_row_secure_dot(benchmark):
          ["speedup", f"{speedup:.2f}x"]]
         + [[f"{name}: per-row / batched (ms per column)",
             f"{per_row:.2f} / {batched:.2f}"]
-           for name, (per_row, batched) in shapes.items()]))
+           for name, (per_row, batched) in shapes.items()]
+        + [[f"{chain_name}: cold / warm chain cache (ms per column)",
+            f"{cold_ms:.2f} / {warm_ms:.2f} ({chain_speedup:.2f}x)"]]))
     numbers = {"per_row_s": sw_per_row.elapsed,
                "batched_s": sw_batched.elapsed}
     for name, (per_row, batched) in shapes.items():
         numbers[f"{name}_per_row_ms_per_column"] = per_row
         numbers[f"{name}_batched_ms_per_column"] = batched
+    numbers[f"{chain_name}_cold_chain_ms_per_column"] = cold_ms
+    numbers[f"{chain_name}_warm_chain_ms_per_column"] = warm_ms
     write_bench_json(
         "ablation_batchdot", numbers,
-        speedups={"batched_vs_per_row": speedup},
+        speedups={"batched_vs_per_row": speedup,
+                  "warm_vs_cold_chain": chain_speedup},
         meta={"bits": BITS, "rounds": ROUNDS, "m_rows": M_ROWS,
               "vector_length": VECTOR_LENGTH, "columns": N_COLUMNS,
               "gate": GATE, "e2e_columns": E2E_COLUMNS,
-              "e2e_shapes": [list(shape) for shape in E2E_SHAPES]})
+              "e2e_shapes": [list(shape) for shape in E2E_SHAPES],
+              "chain_gate": CHAIN_GATE, "chain_columns": CHAIN_COLUMNS})
     assert speedup >= GATE, f"expected >= {GATE}x, measured {speedup:.2f}x"
+    assert chain_speedup >= CHAIN_GATE, (
+        f"expected a warm chain cache >= {CHAIN_GATE}x over a cold one, "
+        f"measured {chain_speedup:.2f}x")
 
 
 def test_solve_many_shares_the_stride_walk():

@@ -79,13 +79,14 @@ def nonce_powers(params: GroupParams, bases: Sequence[int],
     """Raise every base to every nonce: ``powers[b][k] == bases[b] ** rs[k]``.
 
     The nonces are recoded once as a :class:`RowPlan` of fixed exponents
-    only -- the signed comb recoding FEIP decryption uses for
-    ``ct_0^{-sk}`` -- and each base then builds one comb sized by
+    only -- the recoding FEIP decryption uses for ``ct_0^{-sk}`` -- and
+    each base then builds one comb sized by
     :func:`~repro.mathutils.fastexp.amortized_comb_window` for exactly
-    ``len(rs)`` uses, freed with the batch.  Batches too small for a comb
-    (and toy groups) raise each base with one ``pow`` per nonce inside
-    the plan.  A pool worker runs this on its share of a batch's bases
-    or nonces.
+    ``len(rs)`` uses, freed with the batch.  Batches of fewer than
+    :data:`~repro.mathutils.fastexp.CHAIN_MAX_ROWS` nonces walk each
+    base's cached squaring chain instead, and toy groups raise each base
+    with one ``pow`` per nonce inside the plan.  A pool worker runs this
+    on its share of a batch's bases or nonces.
     """
     plan = RowPlan([[] for _ in rs], params.p, order=params.q,
                    fixed_exponents=rs)

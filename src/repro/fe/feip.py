@@ -147,15 +147,17 @@ class Feip:
         """Recode a key set once for every :meth:`decrypt_rows` column.
 
         The plan carries each row's weights ``y_i`` as sliding-window
-        digits and its ``sk_i`` as signed comb digits, so a column only
-        builds its own tables and walks the plan.
+        digits and its ``sk_i`` as signed comb or chain digits, so a
+        column only builds its own tables and walks the plan.  It
+        records the keys' ``sk``, which :meth:`decrypt_rows` checks.
         """
         keys = list(keys)
         if len({len(skf.y) for skf in keys}) > 1:
             raise FunctionKeyError("function keys have different lengths")
         group = self.group
         return RowPlan([skf.y for skf in keys], group.p, order=group.q,
-                       fixed_exponents=[-skf.sk for skf in keys])
+                       fixed_exponents=[-skf.sk for skf in keys],
+                       source=tuple(skf.sk for skf in keys))
 
     def decrypt_rows(self, mpk: FeipPublicKey, ciphertext: FeipCiphertext,
                      keys: Sequence[FeipFunctionKey], bound: int,
@@ -166,9 +168,12 @@ class Feip:
         The batched form of :meth:`decrypt`: all rows of a decryption
         matrix share the same ciphertext bases, so one
         :class:`~repro.mathutils.fastexp.SharedBaseMultiExp` context
-        builds the per-base window tables and the ``ct_0`` comb once,
-        walks every row of ``plan`` (:meth:`row_plan` of ``keys``, built
-        here when not given) against them, and hands the whole column of
+        builds the per-base window tables once, raises ``ct_0`` on a comb
+        built for the column or, for fewer than
+        :data:`~repro.mathutils.fastexp.CHAIN_MAX_ROWS` keys, on its
+        cached squaring chain, walks every row of ``plan``
+        (:meth:`row_plan` of ``keys``, built here when not given)
+        against them, and hands the whole column of
         group elements to the solver's shared walk.  Row *i* of the
         result equals ``decrypt(mpk, ciphertext, keys[i], bound)``
         exactly -- the per-row path remains the reference
@@ -177,12 +182,13 @@ class Feip:
         Raises:
             DiscreteLogError: when any inner product falls outside
                 ``[-bound, bound]``.
+            FunctionKeyError: when ``plan`` was built for other keys.
         """
         if not keys:
             return []
         if plan is None:
             plan = self.row_plan(keys)
-        elif plan.n_rows != len(keys):
+        elif plan.source != tuple(skf.sk for skf in keys):
             raise FunctionKeyError("row plan was built for another key set")
         if ciphertext.eta != plan.n_bases:
             raise CiphertextError(

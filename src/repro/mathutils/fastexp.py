@@ -23,9 +23,17 @@ the reuse patterns of those exponentiations:
   evaluates against the one column ciphertext ``(ct_0, ct_1..ct_eta)``.
   A :class:`RowPlan` reduces and recodes the rows once per key set;
   per column the context builds positive odd-power tables for the
-  bases plus a signed comb for ``ct_0``, walks each row's numerator
-  and denominator against them and divides all m denominators out with
-  one batch inversion -- m rows pay one table build instead of m.
+  bases, walks each row's numerator and denominator against them and
+  divides all m denominators out with one batch inversion -- m rows
+  pay one table build instead of m.  The full-width exponents of the
+  fixed base ``ct_0`` (FEIP's ``-sk``) take one of two modes, picked by
+  the row count alone (:data:`CHAIN_MAX_ROWS`): a batch of many rows
+  builds a signed comb over ``ct_0`` for the column, a batch of few
+  rows walks the base's squaring chain ``b^(16^k)`` by Yao's method.
+* :class:`ChainCache` -- those squaring chains, packed into one
+  ``bytes`` object per ``(modulus, base)`` and kept process-wide under
+  a byte budget, so a ciphertext decrypted again in a later epoch pays
+  only its rows' digit walks.
 
 All are pure Python over ``int``; they beat CPython's C ``pow`` only
 because they do asymptotically less work, so the window parameters are
@@ -35,9 +43,12 @@ chosen from measured crossover points (see
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from collections.abc import Sequence
 
 from repro.mathutils.modarith import batch_inverse, mod_inverse
+from repro.obs.metrics import GLOBAL_REGISTRY
 
 #: Exponent bit-width at or below which a plain ``pow`` loop beats the
 #: interleaved multi-exponentiation (C pow on a tiny exponent costs less
@@ -50,15 +61,27 @@ NAIVE_MULTIEXP_BITS = 16
 #: ``FIXED_BASE_MIN_BITS`` on :class:`SchnorrGroup`).
 SHARED_TABLE_MIN_BITS = 64
 
-#: Minimum row count before the per-column signed comb (the ``ct_0``
-#: table) amortizes its build cost over the batch; below it a plain
-#: full-width ``pow`` per row is cheaper.  Measured at 256 bits (comb
-#: build plus m comb walks against m C ``pow`` calls, one batch
-#: inversion on both sides; 2-core VM): 0.73x at 1 row, 1.05x at 2,
-#: 1.36x at 3, 1.64x at 4, 2.11x at 8, 3.35x at 32 -- so the comb covers
-#: the 4-filter columns of a small CNN, and 2 rows stay on ``pow``
-#: where the gain is within noise.
-SHARED_FIXED_BASE_MIN_ROWS = 3
+#: Row count from which a fixed base's per-column signed comb (the
+#: ``ct_0`` table) amortizes its build; smaller batches walk the base's
+#: cached squaring chain (:class:`ChainCache`) by Yao's method instead,
+#: one multiplication per base-16 digit plus up to 16 folds per row.
+#: Measured at 256 bits (chain time / comb time per column, eta=9
+#: weights, 2-core VM), cold cache / warm cache: 0.88x / 0.62x at 4
+#: rows, 0.92x / 0.74x at 8, 0.95x / 0.84x at 12, 0.99x / 0.94x at 16,
+#: 1.09x / 1.03x at 32 -- 16 is where the cold chain stops winning, so
+#: the 4-filter columns of a small CNN walk chains and the MLP's 32-row
+#: columns keep the comb.  One row reads 0.88x / 0.44x, where the C
+#: ``pow`` this replaces read 0.65x.
+CHAIN_MAX_ROWS = 16
+
+#: Digit width of a chain walk: the chain holds ``b^(2^(4k))`` and each
+#: exponent is recoded into signed digits ``-7..8``.
+CHAIN_DIGIT_BITS = 4
+
+#: Byte budget of :data:`GLOBAL_CHAIN_CACHE`: about 4,000 packed chains
+#: at 256 bits (65 entries of 32 bytes each), four times a
+#: ``cnn-serial`` job's 1,024 window ciphertexts.
+CHAIN_CACHE_BYTES = 8 << 20
 
 
 def _comb_window(bits: int) -> int:
@@ -279,6 +302,164 @@ def _shared_window(max_bits: int, n_bases: int, rows: int) -> int:
     return best_w
 
 
+def _signed_digits(e: int, w: int):
+    """``(k, d)`` for the non-zero signed base-``2^w`` digits of ``e >= 0``.
+
+    ``e == sum(d * 2^(w*k))`` with every ``d`` in ``(-2^(w-1), 2^(w-1)]``.
+    """
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    k = 0
+    while e:
+        d = e & mask
+        if d > half:
+            d -= 1 << w
+        e = (e - d) >> w
+        if d:
+            yield k, d
+        k += 1
+
+
+def chain_length(order: int) -> int:
+    """Entries ``b^(16^k)``, ``k = 0..ceil(bits/4)``, a chain walk reads
+    for any exponent balanced mod ``order``."""
+    return -(-order.bit_length() // CHAIN_DIGIT_BITS) + 1
+
+
+class ChainCache:
+    """Process-wide squaring chains ``b^(16^k) mod modulus`` of fixed bases.
+
+    A chain is what the few-row mode of :class:`SharedBaseMultiExp`
+    walks for a ciphertext's ``ct_0``; training decrypts the same
+    ciphertexts every epoch and again in evaluation, so each chain is
+    built once per base and reused.  Entries are keyed by ``(modulus,
+    base)`` -- the same integer under another modulus is another chain
+    -- and packed into one ``bytes`` object of fixed-width little-endian
+    elements (about 2 KB at 256 bits; unpacked ints would take more than
+    twice that).  ``max_bytes`` bounds the packed bytes held, with
+    least-recently-used eviction: an evicted chain is rebuilt, never
+    wrong.  A chain larger than the whole budget is built and not kept.
+
+    One lock guards the map and the ``hits``/``builds``/``evictions``
+    counters, as in :class:`~repro.mathutils.dlog.SolverCache`; chains
+    are built under it too.  Each pool worker fills its own copy of
+    :data:`GLOBAL_CHAIN_CACHE`.
+    """
+
+    def __init__(self, max_bytes: int = CHAIN_CACHE_BYTES) -> None:
+        if max_bytes < 0:
+            raise ValueError("max_bytes must be >= 0")
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self.hits = 0
+        self.builds = 0
+        self.evictions = 0
+        self._lock = threading.Lock()
+        self._chains: OrderedDict[tuple[int, int], bytes] = OrderedDict()
+
+    def get(self, base: int, modulus: int, length: int) -> list[int]:
+        """``[base^(16^k) mod modulus for k in range(length)]``."""
+        width = (modulus.bit_length() + 7) // 8
+        key = (modulus, base)
+        with self._lock:
+            packed = self._chains.get(key)
+            if packed is not None and len(packed) >= length * width:
+                self.hits += 1
+                self._chains.move_to_end(key)
+            else:
+                self.builds += 1
+                chain = [base]
+                for _ in range(length - 1):
+                    chain.append(pow(chain[-1], 1 << CHAIN_DIGIT_BITS,
+                                     modulus))
+                if packed is not None:
+                    del self._chains[key]
+                    self.nbytes -= len(packed)
+                if length * width <= self.max_bytes:
+                    self._chains[key] = b"".join(
+                        v.to_bytes(width, "little") for v in chain)
+                    self.nbytes += length * width
+                    while self.nbytes > self.max_bytes:
+                        _, old = self._chains.popitem(last=False)
+                        self.nbytes -= len(old)
+                        self.evictions += 1
+                return chain
+        return [int.from_bytes(packed[i:i + width], "little")
+                for i in range(0, length * width, width)]
+
+    def clear(self) -> None:
+        with self._lock:
+            self._chains.clear()
+            self.nbytes = 0
+
+    def stats(self) -> dict[str, int]:
+        """Consistent counter snapshot (one lock acquisition)."""
+        with self._lock:
+            return {
+                "entries": len(self._chains),
+                "bytes": self.nbytes,
+                "hits": self.hits,
+                "builds": self.builds,
+                "evictions": self.evictions,
+            }
+
+
+#: The cache :class:`SharedBaseMultiExp` walks chains from by default.
+GLOBAL_CHAIN_CACHE = ChainCache()
+
+
+def _collect_global_chain_cache() -> dict[str, int]:
+    """Scrape-time view of this process's :data:`GLOBAL_CHAIN_CACHE`.
+
+    Pool workers fill their own caches, which this collector cannot
+    see: a pooled run's chain counts stay invisible until workers
+    report their metrics back to the parent.
+    """
+    stats = GLOBAL_CHAIN_CACHE.stats()
+    return {
+        "repro_fastexp_chain_cache_hits_total": stats["hits"],
+        "repro_fastexp_chain_cache_builds_total": stats["builds"],
+        "repro_fastexp_chain_cache_evictions_total": stats["evictions"],
+        "repro_fastexp_chain_cache_bytes": stats["bytes"],
+    }
+
+
+GLOBAL_REGISTRY.register_collector(
+    "fastexp.global_chain_cache", _collect_global_chain_cache)
+
+
+def _yao(groups: list[tuple[int, ...]], chain: list[int], modulus: int,
+         acc: int) -> int:
+    """``acc * prod_k chain[k]^|d_k|`` by Yao's two accumulators.
+
+    ``groups`` lists the chain indices of each digit magnitude, the
+    largest first: the running product ``run`` gains a magnitude's
+    entries, then ``acc`` multiplies in ``run``, so an entry of
+    magnitude j enters ``acc`` exactly j times.
+    """
+    run = 1
+    for ks in groups:
+        for k in ks:
+            run = run * chain[k] % modulus
+        acc = acc * run % modulus
+    return acc
+
+
+def _chain_groups(fixed: int) -> tuple[list, list]:
+    """(numerator, denominator) Yao groups of ``fixed``'s chain digits."""
+    half = 1 << (CHAIN_DIGIT_BITS - 1)
+    sides: tuple[list, list] = ([[] for _ in range(half)],
+                                [[] for _ in range(half)])
+    sign = 1 if fixed > 0 else -1
+    for k, d in _signed_digits(abs(fixed), CHAIN_DIGIT_BITS):
+        d *= sign
+        sides[d < 0][abs(d) - 1].append(k)
+    groups = []
+    for magnitudes in sides:
+        top = max((j for j, ks in enumerate(magnitudes) if ks), default=-1)
+        groups.append([tuple(magnitudes[j]) for j in range(top, -1, -1)])
+    return groups[0], groups[1]
+
+
 #: Op code of a :class:`RowPlan` walk: square the accumulator.  Every
 #: other op is an index into the per-column table to multiply in.
 _SQUARE = -1
@@ -308,18 +489,26 @@ class RowPlan:
     so the table needs positive powers only, and one batch inversion
     per column divides them out.  Weights are recoded into sliding odd
     digits of ``window`` bits, walked top-down with one squaring per bit.
-    A fixed exponent per row (FEIP's ``-sk``) is recoded into signed
-    digits of a comb over the fixed base when the batch is large enough
-    (:data:`SHARED_FIXED_BASE_MIN_ROWS`); its positive digits join the
+    A fixed exponent per row (FEIP's ``-sk``, or a nonce) takes one of
+    two modes on groups of :data:`SHARED_TABLE_MIN_BITS` or more.  A
+    batch of :data:`CHAIN_MAX_ROWS` rows or more recodes it into signed
+    digits of a comb over the fixed base; its positive digits join the
     numerator, its negative ones the denominator, after the last
-    squaring.  Smaller batches and toy groups raise the fixed base with
-    one ``pow`` per row instead (``fixed_pows``).
+    squaring.  A smaller batch recodes it into signed base-16 digits
+    grouped by magnitude (``chain_ops``), which the column walks against
+    the base's cached squaring chain by Yao's method.  Toy groups raise
+    the fixed base with one ``pow`` per row instead (``fixed_pows``).
+
+    ``source`` is an opaque tag of what the rows were recoded from
+    (FEIP: the keys' ``sk``), kept so a caller can check that a plan
+    belongs to the keys it is handed with.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]], modulus: int,
                  order: int | None = None,
                  fixed_exponents: Sequence[int] | None = None,
-                 rows_hint: int | None = None, window: int | None = None):
+                 rows_hint: int | None = None, window: int | None = None,
+                 source: object = None):
         if window is not None and window < 1:
             raise ValueError("window must be >= 1")
         rows = [[_balanced(int(e), order) for e in row] for row in rows]
@@ -327,6 +516,7 @@ class RowPlan:
         self.n_bases = len(rows[0]) if rows else 0
         if any(len(row) != self.n_bases for row in rows):
             raise ValueError("exponent rows must have equal length")
+        self.source = source
         self.has_fixed = fixed_exponents is not None
         fixed = [_balanced(int(f), order) for f in fixed_exponents or ()]
         if self.has_fixed and len(fixed) != self.n_rows:
@@ -338,17 +528,24 @@ class RowPlan:
         self.window = (window or _shared_window(max_bits, self.n_bases, uses)
                        ) if max_bits else None
         fixed_bits = max((abs(f).bit_length() for f in fixed), default=0)
+        tables = fixed_bits and order is not None \
+            and modulus.bit_length() >= SHARED_TABLE_MIN_BITS
         #: signed-comb window and window count for the fixed base
         self.comb_window: int | None = None
         self.comb_windows = 0
+        #: per row, the (numerator, denominator) Yao groups of its fixed
+        #: exponent over a chain of ``chain_len`` entries
+        self.chain_ops: list[tuple[list, list]] | None = None
+        self.chain_len = 0
         #: per-row fixed exponents raised with plain ``pow`` instead
         self.fixed_pows: list[int] | None = None
-        if fixed_bits and order is not None \
-                and modulus.bit_length() >= SHARED_TABLE_MIN_BITS \
-                and uses >= SHARED_FIXED_BASE_MIN_ROWS:
+        if tables and uses >= CHAIN_MAX_ROWS:
             self.comb_window = amortized_comb_window(fixed_bits, uses)
             self.comb_windows = (fixed_bits + self.comb_window) \
                 // self.comb_window
+        elif tables:
+            self.chain_len = chain_length(order)
+            self.chain_ops = [_chain_groups(f) for f in fixed]
         elif fixed_bits:
             self.fixed_pows = fixed
         self.ops = [self._row_ops(row, fixed[i] if self.comb_window else 0)
@@ -378,22 +575,14 @@ class RowPlan:
         den_tail: list[int] = []
         if fixed:
             w = self.comb_window
-            mask, half = (1 << w) - 1, 1 << (w - 1)
+            half = 1 << (w - 1)
             offset = self.n_bases * (1 << (self.window - 1)) \
                 if self.window else 0
-            e = abs(fixed)
-            k = 0
-            while e:
-                d = e & mask
-                if d > half:
-                    d -= 1 << w
-                e = (e - d) >> w
-                if d:
-                    # the fixed base's sign flips a digit's side
-                    same_side = (d > 0) == (fixed > 0)
-                    (num_tail if same_side else den_tail).append(
-                        offset + k * half + abs(d) - 1)
-                k += 1
+            for k, d in _signed_digits(abs(fixed), w):
+                # the fixed base's sign flips a digit's side
+                same_side = (d > 0) == (fixed > 0)
+                (num_tail if same_side else den_tail).append(
+                    offset + k * half + abs(d) - 1)
         return _schedule(num, num_tail), _schedule(den, den_tail)
 
 
@@ -419,10 +608,12 @@ class SharedBaseMultiExp:
     column's tables -- the odd powers ``b, b^3, .., b^(2^w - 1)`` of
     each base and, for the optional ``fixed_base`` (FEIP's ``ct_0``,
     whose exponents ``-sk_f`` are full-width scalars for which the
-    small-digit walk is wrong), a signed comb sized by
-    :func:`amortized_comb_window` for the batch.  :meth:`eval_plan` walks
-    every row against them and divides out all denominators with one
-    :func:`~repro.mathutils.modarith.batch_inverse`.
+    small-digit walk is wrong), either a signed comb sized by
+    :func:`amortized_comb_window` for the batch or, for a batch under
+    :data:`CHAIN_MAX_ROWS` rows, the base's squaring chain from
+    :data:`GLOBAL_CHAIN_CACHE`.
+    :meth:`eval_plan` walks every row against them and divides out all
+    denominators with one :func:`~repro.mathutils.modarith.batch_inverse`.
 
     :meth:`eval_many` recodes its rows on every call; callers that
     evaluate one key set against many columns build the plan once and
@@ -500,6 +691,12 @@ class SharedBaseMultiExp:
             table = table + self._comb(plan.comb_window, plan.comb_windows)
         nums = [_walk(num_ops, table, modulus) for num_ops, _ in plan.ops]
         dens = [_walk(den_ops, table, modulus) for _, den_ops in plan.ops]
+        if plan.chain_ops is not None:
+            chain = GLOBAL_CHAIN_CACHE.get(self.fixed_base, modulus,
+                                           plan.chain_len)
+            for i, (num_groups, den_groups) in enumerate(plan.chain_ops):
+                nums[i] = _yao(num_groups, chain, modulus, nums[i])
+                dens[i] = _yao(den_groups, chain, modulus, dens[i])
         for i, f in enumerate(plan.fixed_pows or ()):
             if f > 0:
                 nums[i] = nums[i] * pow(self.fixed_base, f, modulus) % modulus

@@ -166,7 +166,10 @@ class SchnorrGroup:
         Tables are built once per ``(base, modulus)`` and reused for the
         lifetime of the group; callers should only request them for
         bases that are exponentiated repeatedly (``g``, public-key
-        components), never for per-ciphertext elements.
+        components), never for per-ciphertext elements: a ciphertext's
+        ``ct_0`` is raised on a comb built per column or on its squaring
+        chain in :class:`~repro.mathutils.fastexp.ChainCache`, which
+        holds about 2 KB per base instead of a comb's tables.
         """
         table = self._fixed_bases.get(base)
         if table is None:

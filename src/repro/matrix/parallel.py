@@ -104,9 +104,18 @@ _WORKER_CONFIGS: dict[int, dict] = {}
 _WORKER_CONFIGS_MAX = 8
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def default_workers() -> int:
-    """Number of worker processes used when the caller does not choose."""
-    return max(1, (os.cpu_count() or 2) - 1)
+    """Number of worker processes used when the caller does not choose:
+    one per usable CPU but one."""
+    return max(1, usable_cpus() - 1)
 
 
 def service_workers(bits: int, min_bits: int) -> int | None:
@@ -116,10 +125,7 @@ def service_workers(bits: int, min_bits: int) -> int | None:
     below ``min_bits``, the service's own measured crossover, and on a
     single CPU.
     """
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
+    cpus = usable_cpus()
     if bits < min_bits or cpus < 2:
         return None
     return cpus

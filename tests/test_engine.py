@@ -172,8 +172,8 @@ class TestNonceHygiene:
 class TestBatchedNonces:
     """``make_*_nonces`` against plain ``pow``, across comb/pow regimes.
 
-    Counts 0-2 stay below ``SHARED_FIXED_BASE_MIN_ROWS`` (one ``pow``
-    per nonce), 3 and 64 build per-base combs; the 32-bit group always
+    Counts 1-3 stay below ``CHAIN_MAX_ROWS`` (each base's cached
+    squaring chain), 64 builds per-base combs; the 32-bit group always
     takes ``pow``.
     """
 

@@ -20,7 +20,7 @@ from repro.matrix.secure_matrix import (
     matrix_bound_elementwise,
 )
 from repro.mathutils.fastexp import (
-    SHARED_FIXED_BASE_MIN_ROWS,
+    CHAIN_MAX_ROWS,
     FixedBaseExp,
     SharedBaseMultiExp,
     amortized_comb_window,
@@ -203,7 +203,7 @@ class TestSharedBaseMultiExp:
 
     def test_fixed_base_combines_per_row(self, params, group, rng):
         """ct0-style fixed base: full-width exponent folded per row."""
-        eta, m = 3, SHARED_FIXED_BASE_MIN_ROWS + 2
+        eta, m = 3, CHAIN_MAX_ROWS + 2
         bases = [group.random_element() for _ in range(eta)]
         fixed = group.random_element()
         rows = [[rng.randrange(-200, 201) for _ in range(eta)]
@@ -219,12 +219,13 @@ class TestSharedBaseMultiExp:
             assert got == expected
 
     def test_fixed_base_comb_engages_above_threshold(self, rng):
-        """>= SHARED_FIXED_BASE_MIN_ROWS rows on a big group build the
-        amortized comb; results must not depend on which path ran."""
+        """>= CHAIN_MAX_ROWS rows on a big group build the amortized
+        comb, fewer walk the chain; results must not depend on which
+        path ran."""
         params = GroupParams.predefined(FIXED_BASE_MIN_BITS)
         group = SchnorrGroup(params, rng=rng)
         fixed = group.random_element()
-        few, many = 2, SHARED_FIXED_BASE_MIN_ROWS
+        few, many = 2, CHAIN_MAX_ROWS
         for m in (few, many):
             context = SharedBaseMultiExp([], params.p, order=params.q,
                                          fixed_base=fixed, rows_hint=m)
@@ -233,7 +234,7 @@ class TestSharedBaseMultiExp:
                                     fixed_exponents=exps)
             assert got == [pow(fixed, e, params.p) for e in exps]
             engaged = context._fixed_table is not None
-            assert engaged == (m >= SHARED_FIXED_BASE_MIN_ROWS)
+            assert engaged == (m >= CHAIN_MAX_ROWS)
 
     def test_errors(self, params, group):
         bases = [group.random_element() for _ in range(2)]

@@ -234,6 +234,19 @@ class TestRowPlanDecryption:
             feip.row_plan([keys[0], feip.key_derive(feip.setup(3)[1],
                                                     [1, 2, 3])])
 
+    def test_plan_for_other_keys_of_the_same_count_is_rejected(self, feip):
+        """A plan only fits the keys it recoded, not any key set of its
+        size: decrypting with another's plan would return the other
+        keys' inner products."""
+        mpk, msk = feip.setup(3)
+        ct = feip.encrypt(mpk, [1, 2, 3])
+        a = [feip.key_derive(msk, y) for y in ([1, 0, 0], [0, 1, 0])]
+        b = [feip.key_derive(msk, y) for y in ([0, 0, 1], [1, 1, 1])]
+        assert feip.decrypt_rows(mpk, ct, b, 100,
+                                 plan=feip.row_plan(b)) == [3, 6]
+        with pytest.raises(FunctionKeyError):
+            feip.decrypt_rows(mpk, ct, b, 100, plan=feip.row_plan(a))
+
 
 class TestSemanticBehaviour:
     def test_same_plaintext_fresh_randomness(self, feip):

@@ -42,6 +42,18 @@ def test_default_workers_positive():
     assert default_workers() >= 1
 
 
+def test_default_workers_count_only_usable_cpus(monkeypatch):
+    """Pools sized by default fork one worker per CPU in the affinity
+    mask but one, whatever the host's CPU count; pools fork on first
+    use, so building them here starts no process."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert default_workers() == 2
+    assert SecureComputePool().workers == 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
+    assert default_workers() == 1
+
+
 def _echo_task(config, task):
     return task
 
