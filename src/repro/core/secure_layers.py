@@ -85,7 +85,8 @@ class _SecureBase:
         self.config = config
         self.codec = FixedPointCodec(config.scale)
         self.counters = counters or DecryptionCounters()
-        self._cache = solver_cache or GLOBAL_SOLVER_CACHE
+        self._cache = GLOBAL_SOLVER_CACHE if solver_cache is None \
+            else solver_cache
         self._feip = authority.feip
         self._febo = authority.febo
         self._pool = pool or InlineExecutor(self._feip, self._febo,

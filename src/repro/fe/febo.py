@@ -78,7 +78,8 @@ class Febo:
     def __init__(self, params: GroupParams, rng: random.Random | None = None,
                  solver_cache: SolverCache | None = None):
         self.group = SchnorrGroup(params, rng=rng)
-        self._solver_cache = solver_cache or GLOBAL_SOLVER_CACHE
+        self._solver_cache = GLOBAL_SOLVER_CACHE if solver_cache is None \
+            else solver_cache
 
     # -- algorithms ---------------------------------------------------------
     def setup(self) -> tuple[FeboPublicKey, FeboMasterKey]:

@@ -41,7 +41,11 @@ from repro.fe.keys import (
     key_fingerprint,
 )
 from repro.mathutils.dlog import GLOBAL_SOLVER_CACHE, DlogSolver, SolverCache
-from repro.mathutils.fastexp import RowPlan, SharedBaseMultiExp
+from repro.mathutils.fastexp import (
+    GLOBAL_COLUMN_CACHE,
+    RowPlan,
+    SharedBaseMultiExp,
+)
 from repro.mathutils.group import GroupParams, SchnorrGroup, canonical
 
 
@@ -56,7 +60,8 @@ class Feip:
     def __init__(self, params: GroupParams, rng: random.Random | None = None,
                  solver_cache: SolverCache | None = None):
         self.group = SchnorrGroup(params, rng=rng)
-        self._solver_cache = solver_cache or GLOBAL_SOLVER_CACHE
+        self._solver_cache = GLOBAL_SOLVER_CACHE if solver_cache is None \
+            else solver_cache
 
     # -- algorithms ---------------------------------------------------------
     def setup(self, eta: int) -> tuple[FeipPublicKey, FeipMasterKey]:
@@ -174,7 +179,13 @@ class Feip:
         cached squaring chain, walks every row of ``plan``
         (:meth:`row_plan` of ``keys``, built here when not given)
         against them, and hands the whole column of
-        group elements to the solver's shared walk.  Row *i* of the
+        group elements to the solver's shared walk.  A comb-mode
+        column's odd powers and comb come from
+        :data:`~repro.mathutils.fastexp.GLOBAL_COLUMN_CACHE`, keyed by
+        the modulus and the whole ciphertext, so a ciphertext decrypted
+        again in a later epoch or in evaluation only walks its rows;
+        the first decryption builds them at the plan's windows, and a
+        plan with other windows rebuilds them.  Row *i* of the
         result equals ``decrypt(mpk, ciphertext, keys[i], bound)``
         exactly -- the per-row path remains the reference
         implementation.
@@ -197,7 +208,8 @@ class Feip:
             )
         group = self.group
         context = SharedBaseMultiExp(ciphertext.ct, group.p, order=group.q,
-                                     fixed_base=ciphertext.ct0)
+                                     fixed_base=ciphertext.ct0,
+                                     column_cache=GLOBAL_COLUMN_CACHE)
         elements = context.eval_plan(plan)
         solver = solver or self.solver_for(bound)
         return solver.solve_many(elements)

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import math
 import threading
+import weakref
 from collections import OrderedDict
 from collections.abc import Sequence
 
 from repro.mathutils.group import SchnorrGroup
 from repro.obs.metrics import GLOBAL_REGISTRY
+from repro.utils.forksafe import renew_lock_after_fork
 
 
 class DiscreteLogError(ValueError):
@@ -38,6 +40,26 @@ class DiscreteLogError(ValueError):
 DENSE_TABLE_CAP = 1 << 15
 
 
+def table_size_for(bound: int) -> int:
+    """Baby steps a :class:`DlogSolver` for ``[-bound, bound]`` keeps by
+    default: the whole window when it fits under
+    :data:`DENSE_TABLE_CAP`, else the larger of the cap and the classic
+    ``ceil(sqrt(window))`` balance."""
+    window = 2 * bound + 1
+    classic = math.isqrt(window - 1) + 1
+    return min(window, max(classic, DENSE_TABLE_CAP))
+
+
+class BabySteps(dict):
+    """A solver's baby-step table, canonical ``g^j`` -> ``j``.
+
+    A ``dict`` subclass only so that :class:`SolverCache` can hold it
+    weakly: it lives exactly as long as some solver uses it.
+    """
+
+    __slots__ = ("__weakref__",)
+
+
 class DlogSolver:
     """Baby-step giant-step solver for ``g ** m = h (mod p)``, ``|m| <= bound``.
 
@@ -52,7 +74,13 @@ class DlogSolver:
     multiplications.  ``table_size`` defaults to the full window when
     that fits under :data:`DENSE_TABLE_CAP` (every query is then one
     lookup), else to the larger of the cap and the classic
-    ``ceil(sqrt(window))`` balance.
+    ``ceil(sqrt(window))`` balance (:func:`table_size_for`).
+
+    The table depends only on ``p``, ``g`` and T -- the bound sets only
+    the rings walked and the exponents accepted -- so solvers of one
+    group and one table size may share it: pass another solver's
+    ``baby_steps`` (as :class:`SolverCache` does).  Each solver still
+    rejects every exponent outside its own bound.
 
     Decryption results are right only up to sign (ciphertexts travel in
     :func:`~repro.mathutils.group.canonical` form), so the table is keyed
@@ -63,20 +91,24 @@ class DlogSolver:
     """
 
     def __init__(self, group: SchnorrGroup, bound: int,
-                 table_size: int | None = None):
+                 table_size: int | None = None,
+                 baby_steps: BabySteps | None = None):
         if bound < 0:
             raise ValueError("bound must be non-negative")
         if 2 * bound + 1 >= group.q:
             raise ValueError("search window exceeds the group order")
         self.group = group
         self.bound = bound
-        window = 2 * bound + 1
         if table_size is None:
-            classic = math.isqrt(window - 1) + 1
-            table_size = min(window, max(classic, DENSE_TABLE_CAP))
+            table_size = table_size_for(bound)
         self.table_size = max(1, table_size)
         self._low = -(self.table_size // 2)
-        self._baby_steps = self._build_table()
+        if baby_steps is not None and len(baby_steps) != self.table_size:
+            raise ValueError(f"baby-step table holds {len(baby_steps)} "
+                             f"steps, not {self.table_size}")
+        #: the table of ``g^j``, ``j`` in ``[-T/2, T/2)``; shareable
+        self.baby_steps = baby_steps if baby_steps is not None \
+            else self._build_table()
         # ring k > 0 reaches h * g^{-kT} (exponents above the table) and
         # h * g^{kT} (below it); enough rings to cover [-bound, bound].
         # These and the table's first element are the solver's only
@@ -87,8 +119,8 @@ class DlogSolver:
         high = self._low + self.table_size - 1
         self._rings = max(0, -(-(bound - high) // self.table_size))
 
-    def _build_table(self) -> dict[int, int]:
-        table: dict[int, int] = {}
+    def _build_table(self) -> BabySteps:
+        table = BabySteps()
         element = self.group.exp(self.group.g, self._low)
         g, p = self.group.g, self.group.p
         half = p >> 1
@@ -114,7 +146,7 @@ class DlogSolver:
         ring by ring together.  Targets missing from the result have no
         discrete log in ``[-bound, bound]``.
         """
-        baby = self._baby_steps
+        baby = self.baby_steps
         bound, table_size, p = self.bound, self.table_size, self.group.p
         half = p >> 1
         solved: dict[int, int] = {}
@@ -224,6 +256,10 @@ class SolverCache:
     Building the baby-step table is the expensive part of decryption;
     training touches the same handful of bounds over and over, so the
     secure-computation layer routes all dlog queries through one of these.
+    Solvers of one group and one table size share one table (a training
+    job's dot and loss bounds all take :data:`DENSE_TABLE_CAP` steps),
+    which the cache holds only weakly: a table lives while one of its
+    solvers does, so evicting the last of them frees it.
 
     ``max_entries`` bounds the cache with least-recently-used eviction;
     the default (None) keeps it unbounded, which is what in-process
@@ -236,7 +272,10 @@ class SolverCache:
     both the LRU bookkeeping and the scrape need a consistent view --
     the same treatment ``pool.stats`` and the engine stats got in PR 7.
     Table *construction* happens under the lock too, which also stops
-    two threads racing to build the same expensive baby-step table.
+    two threads racing to build the same expensive baby-step table.  A
+    forked child starts with a fresh lock
+    (:func:`~repro.utils.forksafe.renew_lock_after_fork`): a pool
+    worker takes it to build its solvers.
     """
 
     def __init__(self, max_entries: int | None = None) -> None:
@@ -249,6 +288,10 @@ class SolverCache:
         self._lock = threading.Lock()
         self._solvers: OrderedDict[tuple[int, int, int], DlogSolver] = \
             OrderedDict()
+        #: (p, g, table size) -> the baby steps its solvers share
+        self._tables: weakref.WeakValueDictionary = \
+            weakref.WeakValueDictionary()
+        renew_lock_after_fork(self)
 
     def get(self, group: SchnorrGroup, bound: int) -> DlogSolver:
         key = (group.p, group.g, bound)
@@ -256,7 +299,10 @@ class SolverCache:
             solver = self._solvers.get(key)
             if solver is None:
                 self.builds += 1
-                solver = DlogSolver(group, bound)
+                shared = (group.p, group.g, table_size_for(bound))
+                solver = DlogSolver(group, bound,
+                                    baby_steps=self._tables.get(shared))
+                self._tables[shared] = solver.baby_steps
                 self._solvers[key] = solver
                 if self.max_entries is not None:
                     while len(self._solvers) > self.max_entries:

@@ -30,10 +30,15 @@ the reuse patterns of those exponentiations:
   the row count alone (:data:`CHAIN_MAX_ROWS`): a batch of many rows
   builds a signed comb over ``ct_0`` for the column, a batch of few
   rows walks the base's squaring chain ``b^(16^k)`` by Yao's method.
-* :class:`ChainCache` -- those squaring chains, packed into one
-  ``bytes`` object per ``(modulus, base)`` and kept process-wide under
-  a byte budget, so a ciphertext decrypted again in a later epoch pays
-  only its rows' digit walks.
+* :class:`ChainCache` and :class:`ColumnCache` -- training decrypts
+  the same ciphertexts every epoch and again in evaluation, so both
+  modes keep what a ciphertext's column builds, process-wide under a
+  byte budget with least-recently-used eviction (:class:`TableCache`).
+  The chain cache packs each ``ct_0``'s squaring chain into one
+  ``bytes`` object per ``(modulus, base)``; the column cache keeps a
+  comb-mode column's odd powers and ``ct_0`` comb as Python ints, per
+  modulus and whole ciphertext.  A ciphertext decrypted again pays only
+  its rows' walks.
 
 All are pure Python over ``int``; they beat CPython's C ``pow`` only
 because they do asymptotically less work, so the window parameters are
@@ -43,12 +48,14 @@ chosen from measured crossover points (see
 
 from __future__ import annotations
 
+import sys
 import threading
 from collections import OrderedDict
 from collections.abc import Sequence
 
 from repro.mathutils.modarith import batch_inverse, mod_inverse
 from repro.obs.metrics import GLOBAL_REGISTRY
+from repro.utils.forksafe import renew_lock_after_fork
 
 #: Exponent bit-width at or below which a plain ``pow`` loop beats the
 #: interleaved multi-exponentiation (C pow on a tiny exponent costs less
@@ -82,6 +89,12 @@ CHAIN_DIGIT_BITS = 4
 #: at 256 bits (65 entries of 32 bytes each), four times a
 #: ``cnn-serial`` job's 1,024 window ciphertexts.
 CHAIN_CACHE_BYTES = 8 << 20
+
+#: Byte budget of :data:`GLOBAL_COLUMN_CACHE`, in estimated resident
+#: bytes: 88 ciphertexts of eta=64 at 256 bits (about 95 KB each), so
+#: one ``mlp-serial`` job's 64 training ciphertexts stay without
+#: eviction.
+COLUMN_CACHE_BYTES = 8 << 20
 
 
 def _comb_window(bits: int) -> int:
@@ -325,27 +338,27 @@ def chain_length(order: int) -> int:
     return -(-order.bit_length() // CHAIN_DIGIT_BITS) + 1
 
 
-class ChainCache:
-    """Process-wide squaring chains ``b^(16^k) mod modulus`` of fixed bases.
+class TableCache:
+    """Process-wide tables of fixed bases, evicted least recently used
+    under a byte budget.
 
-    A chain is what the few-row mode of :class:`SharedBaseMultiExp`
-    walks for a ciphertext's ``ct_0``; training decrypts the same
-    ciphertexts every epoch and again in evaluation, so each chain is
-    built once per base and reused.  Entries are keyed by ``(modulus,
-    base)`` -- the same integer under another modulus is another chain
-    -- and packed into one ``bytes`` object of fixed-width little-endian
-    elements (about 2 KB at 256 bits; unpacked ints would take more than
-    twice that).  ``max_bytes`` bounds the packed bytes held, with
-    least-recently-used eviction: an evicted chain is rebuilt, never
-    wrong.  A chain larger than the whole budget is built and not kept.
+    The shared half of :class:`ChainCache` and :class:`ColumnCache`:
+    training decrypts the same ciphertexts every epoch and again in
+    evaluation, so the tables a ciphertext's decryption builds are worth
+    keeping.  Subclasses pick the key -- always including the modulus,
+    since the same integer under another modulus is another table --
+    the stored form and its byte cost; ``max_bytes`` bounds the bytes
+    held.  An evicted table is rebuilt, never wrong, and a table larger
+    than the whole budget is built and not kept.
 
     One lock guards the map and the ``hits``/``builds``/``evictions``
-    counters, as in :class:`~repro.mathutils.dlog.SolverCache`; chains
-    are built under it too.  Each pool worker fills its own copy of
-    :data:`GLOBAL_CHAIN_CACHE`.
+    counters, as in :class:`~repro.mathutils.dlog.SolverCache`; tables
+    are built under it too.  A forked child starts with a fresh lock
+    (:func:`~repro.utils.forksafe.renew_lock_after_fork`), and each pool
+    worker fills its own copy of a ``GLOBAL_*`` cache.
     """
 
-    def __init__(self, max_bytes: int = CHAIN_CACHE_BYTES) -> None:
+    def __init__(self, max_bytes: int) -> None:
         if max_bytes < 0:
             raise ValueError("max_bytes must be >= 0")
         self.max_bytes = max_bytes
@@ -354,48 +367,44 @@ class ChainCache:
         self.builds = 0
         self.evictions = 0
         self._lock = threading.Lock()
-        self._chains: OrderedDict[tuple[int, int], bytes] = OrderedDict()
+        self._entries: OrderedDict[tuple, tuple[object, int]] = OrderedDict()
+        renew_lock_after_fork(self)
 
-    def get(self, base: int, modulus: int, length: int) -> list[int]:
-        """``[base^(16^k) mod modulus for k in range(length)]``."""
-        width = (modulus.bit_length() + 7) // 8
-        key = (modulus, base)
+    def _fetch(self, key: tuple, usable, build) -> tuple[object, bool]:
+        """``(value, True)`` when the value held under ``key`` passes
+        ``usable``; else ``(result, False)`` from ``build()``, which
+        returns ``(value, nbytes, result)``, keeping ``value`` in place
+        of any held one."""
         with self._lock:
-            packed = self._chains.get(key)
-            if packed is not None and len(packed) >= length * width:
+            entry = self._entries.get(key)
+            if entry is not None and usable(entry[0]):
                 self.hits += 1
-                self._chains.move_to_end(key)
-            else:
-                self.builds += 1
-                chain = [base]
-                for _ in range(length - 1):
-                    chain.append(pow(chain[-1], 1 << CHAIN_DIGIT_BITS,
-                                     modulus))
-                if packed is not None:
-                    del self._chains[key]
-                    self.nbytes -= len(packed)
-                if length * width <= self.max_bytes:
-                    self._chains[key] = b"".join(
-                        v.to_bytes(width, "little") for v in chain)
-                    self.nbytes += length * width
-                    while self.nbytes > self.max_bytes:
-                        _, old = self._chains.popitem(last=False)
-                        self.nbytes -= len(old)
-                        self.evictions += 1
-                return chain
-        return [int.from_bytes(packed[i:i + width], "little")
-                for i in range(0, length * width, width)]
+                self._entries.move_to_end(key)
+                return entry[0], True
+            value, nbytes, result = build()
+            self.builds += 1
+            if entry is not None:
+                del self._entries[key]
+                self.nbytes -= entry[1]
+            if nbytes <= self.max_bytes:
+                self._entries[key] = (value, nbytes)
+                self.nbytes += nbytes
+                while self.nbytes > self.max_bytes:
+                    _, (_, size) = self._entries.popitem(last=False)
+                    self.nbytes -= size
+                    self.evictions += 1
+            return result, False
 
     def clear(self) -> None:
         with self._lock:
-            self._chains.clear()
+            self._entries.clear()
             self.nbytes = 0
 
     def stats(self) -> dict[str, int]:
         """Consistent counter snapshot (one lock acquisition)."""
         with self._lock:
             return {
-                "entries": len(self._chains),
+                "entries": len(self._entries),
                 "bytes": self.nbytes,
                 "hits": self.hits,
                 "builds": self.builds,
@@ -403,28 +412,144 @@ class ChainCache:
             }
 
 
-#: The cache :class:`SharedBaseMultiExp` walks chains from by default.
+class ChainCache(TableCache):
+    """Squaring chains ``b^(16^k) mod modulus`` of fixed bases.
+
+    A chain is what the few-row mode of :class:`SharedBaseMultiExp`
+    walks for a ciphertext's ``ct_0``.  Entries are keyed by ``(modulus,
+    base)`` and packed into one ``bytes`` object of fixed-width
+    little-endian elements (about 2 KB at 256 bits; unpacked ints would
+    take more than twice that); ``nbytes`` counts the packed bytes.
+    """
+
+    def __init__(self, max_bytes: int = CHAIN_CACHE_BYTES) -> None:
+        super().__init__(max_bytes)
+
+    def get(self, base: int, modulus: int, length: int) -> list[int]:
+        """``[base^(16^k) mod modulus for k in range(length)]``."""
+        width = (modulus.bit_length() + 7) // 8
+
+        def build():
+            chain = [base]
+            for _ in range(length - 1):
+                chain.append(pow(chain[-1], 1 << CHAIN_DIGIT_BITS, modulus))
+            packed = b"".join(v.to_bytes(width, "little") for v in chain)
+            return packed, length * width, chain
+
+        value, hit = self._fetch(
+            (modulus, base), lambda packed: len(packed) >= length * width,
+            build)
+        if not hit:
+            return value
+        return [int.from_bytes(value[i:i + width], "little")
+                for i in range(0, length * width, width)]
+
+
+def _odd_power_table(bases: Sequence[int], w: int, modulus: int
+                     ) -> list[int]:
+    """``[b, b^3, .., b^(2^w - 1)]`` for every base, concatenated."""
+    table: list[int] = []
+    for base in bases:
+        sq = base * base % modulus
+        acc = base
+        table.append(acc)
+        for _ in range((1 << (w - 1)) - 1):
+            acc = acc * sq % modulus
+            table.append(acc)
+    return table
+
+
+def _comb_table(base: int, w: int, n_windows: int, modulus: int
+                ) -> list[int]:
+    """``base^(d * 2^(w*k))`` for ``d`` in ``1..2^(w-1)``, per window ``k``."""
+    table: list[int] = []
+    step = base
+    for _ in range(n_windows):
+        acc = step
+        table.append(acc)
+        for _ in range((1 << (w - 1)) - 1):
+            acc = acc * step % modulus
+            table.append(acc)
+        step = acc * acc % modulus  # step ** 2^w
+    return table
+
+
+class ColumnCache(TableCache):
+    """Comb-mode decryption columns' tables, kept across epochs.
+
+    A column of :data:`CHAIN_MAX_ROWS` rows or more walks the odd powers
+    of its bases ``ct_1..ct_eta`` and a signed comb over its fixed base
+    ``ct_0`` (:meth:`SharedBaseMultiExp.eval_plan`); both depend on the
+    ciphertext and the plan's windows only, so a ciphertext decrypted
+    again under any key set reuses them.  Entries are keyed by the
+    modulus and the *whole* ciphertext -- never by ``ct_0`` alone: a
+    reused or forged nonce gives two ciphertexts one ``ct_0`` and
+    different bases.  Each holds one list of Python ints, the odd powers
+    then the comb, which is never mutated: a plan with another odd-power
+    window, another comb window or more comb windows rebuilds both and
+    replaces the entry.  Ints, not packed bytes as in
+    :class:`ChainCache`: unpacking a 32-row column's 1,328 entries at
+    256 bits costs two thirds of rebuilding them.  ``nbytes`` estimates
+    the resident size, table and key, at ``sys.getsizeof(modulus) + 8``
+    bytes per int (68 at 256 bits: about 95 KB for an eta=64 ciphertext
+    at windows 4 and 5).
+    """
+
+    def __init__(self, max_bytes: int = COLUMN_CACHE_BYTES) -> None:
+        super().__init__(max_bytes)
+
+    def tables(self, bases: tuple[int, ...], fixed_base: int, modulus: int,
+               window: int | None, comb_window: int, comb_windows: int
+               ) -> list[int]:
+        """Odd powers of ``bases`` at ``window`` (none for None), then
+        the comb over ``fixed_base`` of at least ``comb_windows``
+        windows of ``comb_window`` bits."""
+        def usable(held) -> bool:
+            held_window, held_comb, held_windows, _ = held
+            return held_window == window and held_comb == comb_window \
+                and held_windows >= comb_windows
+
+        def build():
+            table = (_odd_power_table(bases, window, modulus) if window
+                     else []) + _comb_table(fixed_base, comb_window,
+                                            comb_windows, modulus)
+            per_int = sys.getsizeof(modulus) + 8
+            return ((window, comb_window, comb_windows, table),
+                    (len(table) + len(bases) + 1) * per_int, table)
+
+        value, hit = self._fetch((modulus, fixed_base, bases), usable, build)
+        return value[3] if hit else value
+
+
+#: The caches :class:`SharedBaseMultiExp` takes chains from by default
+#: and :meth:`~repro.fe.feip.Feip.decrypt_rows` takes column tables from.
 GLOBAL_CHAIN_CACHE = ChainCache()
+GLOBAL_COLUMN_CACHE = ColumnCache()
 
 
-def _collect_global_chain_cache() -> dict[str, int]:
-    """Scrape-time view of this process's :data:`GLOBAL_CHAIN_CACHE`.
+def _collect_global_table_caches() -> dict[str, int]:
+    """Scrape-time view of this process's chain and column caches.
 
     Pool workers fill their own caches, which this collector cannot
-    see: a pooled run's chain counts stay invisible until workers
-    report their metrics back to the parent.
+    see: a pooled run's cache counts stay invisible until workers
+    report their metrics back to the parent (ROADMAP item 8).
     """
-    stats = GLOBAL_CHAIN_CACHE.stats()
+    chain = GLOBAL_CHAIN_CACHE.stats()
+    column = GLOBAL_COLUMN_CACHE.stats()
     return {
-        "repro_fastexp_chain_cache_hits_total": stats["hits"],
-        "repro_fastexp_chain_cache_builds_total": stats["builds"],
-        "repro_fastexp_chain_cache_evictions_total": stats["evictions"],
-        "repro_fastexp_chain_cache_bytes": stats["bytes"],
+        "repro_fastexp_chain_cache_hits_total": chain["hits"],
+        "repro_fastexp_chain_cache_builds_total": chain["builds"],
+        "repro_fastexp_chain_cache_evictions_total": chain["evictions"],
+        "repro_fastexp_chain_cache_bytes": chain["bytes"],
+        "repro_fastexp_column_cache_hits_total": column["hits"],
+        "repro_fastexp_column_cache_builds_total": column["builds"],
+        "repro_fastexp_column_cache_evictions_total": column["evictions"],
+        "repro_fastexp_column_cache_bytes": column["bytes"],
     }
 
 
 GLOBAL_REGISTRY.register_collector(
-    "fastexp.global_chain_cache", _collect_global_chain_cache)
+    "fastexp.global_table_caches", _collect_global_table_caches)
 
 
 def _yao(groups: list[tuple[int, ...]], chain: list[int], modulus: int,
@@ -611,7 +736,9 @@ class SharedBaseMultiExp:
     small-digit walk is wrong), either a signed comb sized by
     :func:`amortized_comb_window` for the batch or, for a batch under
     :data:`CHAIN_MAX_ROWS` rows, the base's squaring chain from
-    :data:`GLOBAL_CHAIN_CACHE`.
+    :data:`GLOBAL_CHAIN_CACHE`.  With a ``column_cache`` the odd powers
+    and comb of a comb-mode plan come from that cache instead, keyed by
+    the whole base tuple; otherwise they live and die with the context.
     :meth:`eval_plan` walks every row against them and divides out all
     denominators with one :func:`~repro.mathutils.modarith.batch_inverse`.
 
@@ -625,18 +752,21 @@ class SharedBaseMultiExp:
 
     def __init__(self, bases: Sequence[int], modulus: int,
                  order: int | None = None, fixed_base: int | None = None,
-                 rows_hint: int | None = None, window: int | None = None):
+                 rows_hint: int | None = None, window: int | None = None,
+                 column_cache: ColumnCache | None = None):
         if modulus <= 1:
             raise ValueError("modulus must be > 1")
         if window is not None and window < 1:
             raise ValueError("window must be >= 1")
-        self.bases = [b % modulus for b in bases]
+        self.bases = tuple(b % modulus for b in bases)
         self.modulus = modulus
         self.order = order
         self.rows_hint = rows_hint
         self.fixed_base = fixed_base % modulus if fixed_base is not None \
             else None
         self._forced_window = window
+        #: where comb-mode plans take their tables (None: built here)
+        self.column_cache = column_cache
         #: window of the odd-power tables last built (None before)
         self.window: int | None = None
         self._tables: list[int] = []
@@ -647,33 +777,28 @@ class SharedBaseMultiExp:
     def _odd_powers(self, w: int) -> list[int]:
         """``[b, b^3, .., b^(2^w - 1)]`` for every base, concatenated."""
         if self.window != w:
-            modulus = self.modulus
-            tables: list[int] = []
-            for base in self.bases:
-                sq = base * base % modulus
-                acc = base
-                tables.append(acc)
-                for _ in range((1 << (w - 1)) - 1):
-                    acc = acc * sq % modulus
-                    tables.append(acc)
-            self.window, self._tables = w, tables
+            self.window = w
+            self._tables = _odd_power_table(self.bases, w, self.modulus)
         return self._tables
 
     def _comb(self, w: int, n_windows: int) -> list[int]:
         """``fixed_base^(d * 2^(w*k))`` for ``d`` in ``1..2^(w-1)``, per window ``k``."""
         if self._fixed_shape != (w, n_windows):
-            modulus = self.modulus
-            table: list[int] = []
-            step = self.fixed_base
-            for _ in range(n_windows):
-                acc = step
-                table.append(acc)
-                for _ in range((1 << (w - 1)) - 1):
-                    acc = acc * step % modulus
-                    table.append(acc)
-                step = acc * acc % modulus  # step ** 2^w
-            self._fixed_shape, self._fixed_table = (w, n_windows), table
+            self._fixed_shape = (w, n_windows)
+            self._fixed_table = _comb_table(self.fixed_base, w, n_windows,
+                                            self.modulus)
         return self._fixed_table
+
+    def _plan_table(self, plan: RowPlan) -> list[int]:
+        """The odd powers at ``plan.window``, then any comb it walks."""
+        if plan.comb_window and self.column_cache is not None:
+            return self.column_cache.tables(
+                self.bases, self.fixed_base, self.modulus, plan.window,
+                plan.comb_window, plan.comb_windows)
+        table = self._odd_powers(plan.window) if plan.window else []
+        if plan.comb_window:
+            table = table + self._comb(plan.comb_window, plan.comb_windows)
+        return table
 
     # -- evaluation -----------------------------------------------------------
     def eval_plan(self, plan: RowPlan) -> list[int]:
@@ -686,9 +811,7 @@ class SharedBaseMultiExp:
         if plan.has_fixed and self.fixed_base is None:
             raise ValueError("fixed_exponents given without a fixed_base")
         modulus = self.modulus
-        table = self._odd_powers(plan.window) if plan.window else []
-        if plan.comb_window:
-            table = table + self._comb(plan.comb_window, plan.comb_windows)
+        table = self._plan_table(plan)
         nums = [_walk(num_ops, table, modulus) for num_ops, _ in plan.ops]
         dens = [_walk(den_ops, table, modulus) for _, den_ops in plan.ops]
         if plan.chain_ops is not None:

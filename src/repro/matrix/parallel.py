@@ -633,7 +633,8 @@ class InlineExecutor(SecureComputePool):
                  solver_cache: SolverCache | None = None):
         self._feip = feip
         self._febo = febo
-        self._solver_cache = solver_cache or GLOBAL_SOLVER_CACHE
+        self._solver_cache = GLOBAL_SOLVER_CACHE if solver_cache is None \
+            else solver_cache
         self._configs: dict[tuple, tuple] = {}
         self._lock = threading.RLock()
 

@@ -1,9 +1,13 @@
 """Unit tests for the bounded discrete-log solver."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.mathutils.dlog import (
+    DENSE_TABLE_CAP,
     DiscreteLogError,
     DlogSolver,
     SolverCache,
@@ -257,3 +261,76 @@ class TestSolverCache:
             GLOBAL_SOLVER_CACHE_ENTRIES,
         )
         assert GLOBAL_SOLVER_CACHE.max_entries == GLOBAL_SOLVER_CACHE_ENTRIES
+
+
+class TestSharedBabySteps:
+    """Solvers of one group and one table size share one table."""
+
+    def test_two_bounds_share_one_table_and_keep_their_own_range(self, group):
+        cache = SolverCache()
+        narrow, wide = cache.get(group, 1 << 19), cache.get(group, 1 << 21)
+        assert narrow is not wide
+        assert narrow.table_size == wide.table_size == DENSE_TABLE_CAP
+        assert narrow.baby_steps is wide.baby_steps
+        for m in (0, -5, DENSE_TABLE_CAP, (1 << 19), -(1 << 19)):
+            assert narrow.solve(group.gexp(m)) == m
+            assert wide.solve(group.gexp(m)) == m
+        outside = group.gexp((1 << 19) + 1)
+        with pytest.raises(DiscreteLogError):
+            narrow.solve(outside)
+        with pytest.raises(DiscreteLogError):
+            narrow.solve_many([group.gexp(3), outside])
+        assert wide.solve(outside) == (1 << 19) + 1
+        with pytest.raises(DiscreteLogError):
+            wide.solve(group.gexp(-(1 << 21) - 1))
+
+    def test_other_table_sizes_build_their_own(self, group):
+        cache = SolverCache()
+        small, large = cache.get(group, 100), cache.get(group, 1 << 19)
+        assert small.table_size == 201
+        assert small.baby_steps is not large.baby_steps
+
+    def test_evicting_the_last_solver_frees_the_table(self, group):
+        cache = SolverCache(max_entries=2)
+        table = weakref.ref(cache.get(group, 1 << 19).baby_steps)
+        cache.get(group, 1 << 20)
+        cache.get(group, 10)  # evicts 2^19; 2^20 still holds the table
+        gc.collect()
+        assert table() is not None
+        cache.get(group, 20)  # evicts 2^20, the table's last solver
+        gc.collect()
+        assert table() is None
+        assert cache.get(group, 1 << 19).solve(group.gexp(-7)) == -7
+
+    def test_a_table_of_another_size_is_rejected(self, group):
+        table = DlogSolver(group, 100).baby_steps
+        with pytest.raises(ValueError):
+            DlogSolver(group, 1 << 19, baby_steps=table)
+
+
+def test_an_explicit_empty_solver_cache_is_used(params):
+    """A fresh ``SolverCache`` is empty, hence falsy; every site that
+    takes one must still use it, not the process-wide cache."""
+    from repro.core.config import CryptoNNConfig
+    from repro.core.entities import TrustedAuthority
+    from repro.core.secure_layers import SecureLinearInput
+    from repro.fe.febo import Febo
+    from repro.fe.feip import Feip
+    from repro.matrix.parallel import InlineExecutor
+    from repro.nn.layers import Dense
+
+    cache = SolverCache()
+    assert not cache
+    feip, febo = Feip(params, solver_cache=cache), Febo(params,
+                                                        solver_cache=cache)
+    assert feip._solver_cache is cache
+    assert febo._solver_cache is cache
+    assert InlineExecutor(feip, febo, solver_cache=cache)._solver_cache \
+        is cache
+    authority = TrustedAuthority(CryptoNNConfig(security_bits=32))
+    layer = SecureLinearInput(Dense(2, 2), authority, authority.config,
+                              solver_cache=cache)
+    assert layer._cache is cache
+    assert layer._pool._solver_cache is cache
+    feip.solver_for(50)
+    assert len(cache) == 1

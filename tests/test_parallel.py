@@ -5,6 +5,7 @@ import random
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -14,6 +15,8 @@ from repro.core.config import CryptoNNConfig
 from repro.core.entities import Client, TrustedAuthority
 from repro.fe.febo import Febo
 from repro.fe.feip import Feip
+from repro.mathutils.dlog import GLOBAL_SOLVER_CACHE
+from repro.mathutils.fastexp import GLOBAL_CHAIN_CACHE, GLOBAL_COLUMN_CACHE
 from repro.mathutils.group import GroupParams
 from repro.matrix.parallel import (
     CRASH_RETRIES,
@@ -328,3 +331,71 @@ def test_workers_are_unpinned_by_default():
         assert workers and all(
             os.sched_getaffinity(pid) == os.sched_getaffinity(0)
             for pid in workers)
+
+
+#: seconds a dispatch forked under a held lock may take before the
+#: test calls its worker wedged
+FORK_DISPATCH_DEADLINE_S = 10
+
+
+@pytest.mark.timeout_guard(90)
+@pytest.mark.parametrize("cache, bits, rows", [
+    (GLOBAL_SOLVER_CACHE, 32, 3),   # every dot dispatch builds a solver
+    (GLOBAL_CHAIN_CACHE, 64, 4),    # few-row columns walk chains
+    (GLOBAL_COLUMN_CACHE, 64, 16),  # comb-mode columns keep tables
+], ids=["solver-cache", "chain-cache", "column-cache"])
+def test_a_cache_lock_held_at_fork_time_does_not_wedge_a_worker(
+        cache, bits, rows):
+    """A thread holds a process-wide cache lock while the pool forks its
+    worker (a scrape's collector does, for a moment), then lets go.  The
+    child inherits the lock as it was at the fork; unless it starts with
+    a fresh one, the worker's first decryption waits on it forever."""
+    feip = Feip(GroupParams.predefined(bits), rng=random.Random(bits))
+    mpk, msk = feip.setup(4)
+    rng = random.Random(rows)
+    keys = [feip.key_derive(msk, [rng.randint(-9, 9) for _ in range(4)])
+            for _ in range(rows)]
+    xs = [[rng.randint(0, 9) for _ in range(4)] for _ in range(2)]
+    cts = [feip.encrypt(mpk, x) for x in xs]
+    expected = np.array([[sum(a * b for a, b in zip(x, key.y)) for x in xs]
+                         for key in keys], dtype=object)
+    pool = SecureComputePool(1)
+    held, forked = threading.Event(), threading.Event()
+
+    def hold():
+        with cache._lock:
+            held.set()
+            forked.wait(FORK_DISPATCH_DEADLINE_S)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    held.wait()
+    result = {}
+
+    def dispatch():
+        result["z"] = pool.secure_dot(feip.group.params, mpk, cts, keys, 1000)
+
+    runner = threading.Thread(target=dispatch, daemon=True)
+    runner.start()
+    deadline = time.monotonic() + FORK_DISPATCH_DEADLINE_S
+    while time.monotonic() < deadline and not (
+            pool._executor is not None and pool._executor._processes):
+        time.sleep(0.01)
+    forked.set()
+    holder.join()
+    runner.join(FORK_DISPATCH_DEADLINE_S)
+    wedged = runner.is_alive()
+    try:
+        if wedged:
+            # kill the wedged worker: the dispatch rebuilds the pool and
+            # finishes, so close() below cannot hang
+            for process in list(pool._executor._processes.values()):
+                process.kill()
+            runner.join(60)
+    finally:
+        pool.close()
+    assert not wedged, (
+        f"a worker forked while another thread held {type(cache).__name__}"
+        f"'s lock had not finished its dispatch after "
+        f"{FORK_DISPATCH_DEADLINE_S} s")
+    assert np.array_equal(result["z"], expected)
