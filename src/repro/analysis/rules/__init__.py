@@ -7,6 +7,7 @@ To add a rule, drop a module here with a ``@register``-decorated
 from repro.analysis.rules import (  # noqa: F401
     crypto_random,
     determinism,
+    global_fallback,
     hotpath,
     key_serialization,
     lock_discipline,

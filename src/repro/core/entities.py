@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 import threading
+from collections import OrderedDict
 from collections.abc import Iterator, Sequence
 
 import numpy as np
@@ -33,7 +34,7 @@ from repro.core.encdata import (
 )
 from repro.core.protocol import TrafficLog
 from repro.data.preprocess import LabelMapper, one_hot
-from repro.fe.errors import UnsupportedOperationError
+from repro.fe.errors import CommitmentError, UnsupportedOperationError
 from repro.fe.febo import Febo
 from repro.fe.feip import Feip
 from repro.fe.keys import (
@@ -53,6 +54,7 @@ from repro.matrix.parallel import (
 from repro.mathutils.encoding import FixedPointCodec
 from repro.mathutils.group import GroupParams
 from repro.nn.conv import conv_out_dims, im2col
+from repro.obs.metrics import GLOBAL_REGISTRY
 
 
 class TrustedAuthority:
@@ -62,19 +64,35 @@ class TrustedAuthority:
     ``eta``); FEBO uses a single key pair.  The ``permitted_ops``
     whitelist models the paper's "permitted function set F".
 
-    FEBO keys -- one full-width ``cmt^s`` each -- are derived through
-    ``pool``: an :class:`~repro.matrix.parallel.InlineExecutor` in the
-    calling thread, or a :class:`~repro.matrix.parallel.SecureComputePool`
-    of the authority's own, which ``serve-authority`` installs.  The
-    master key reaches no process outside the authority's.
+    A FEBO key costs one full-width ``cmt^s`` -- the commitment's
+    *mask* -- and a small-exponent step that folds in the operand
+    (:meth:`~repro.fe.febo.Febo.key_from_mask`).  The mask depends only
+    on ``s`` and the commitment, and training asks again every epoch
+    for keys of the same label ciphertexts with new operands, so the
+    authority keeps an LRU memo from commitment to mask, bounded at
+    :attr:`MAX_FEBO_MASKS` entries.  Masks it lacks
+    are raised through ``pool``: an
+    :class:`~repro.matrix.parallel.InlineExecutor` in the calling
+    thread, or a :class:`~repro.matrix.parallel.SecureComputePool` of
+    the authority's own, which ``serve-authority`` installs; a request
+    whose commitments all hit never reaches the pool.  The keys are
+    composed here, byte-identical to :meth:`Febo.key_derive`.  Masks
+    never leave the authority's process tree: the master key goes to
+    its own workers, the masks come back, no key file or metric holds
+    one (only counts are exported), and they reveal nothing the holder
+    of ``s`` could not recompute at will.
 
     Requests may arrive from several threads at once (the authority
     service derives concurrent requests in parallel).  One lock guards
     the bookkeeping: the op whitelist and policy checks (the policy's
-    audit log and distinct-vector budget mutate), on-demand FEIP setup
-    and the issued-key counters.  The FEBO ``cmt^s`` work on ``pool``
-    runs outside it.
+    audit log and distinct-vector budget mutate), on-demand FEIP setup,
+    the mask memo and the counters.  Masks are raised outside it.
     """
+
+    #: commitments whose FEBO mask the memo keeps: about 3.3 MB at 256
+    #: bits (~204 B per entry), and more than one MLP job's 4,224
+    #: distinct commitments (4,096 feature and 128 label cells)
+    MAX_FEBO_MASKS = 16_384
 
     def __init__(self, config: CryptoNNConfig | None = None,
                  rng: random.Random | None = None,
@@ -90,13 +108,39 @@ class TrustedAuthority:
         self._rng = rng or random.Random()
         self.feip = Feip(self.params, rng=self._rng)
         self.febo = Febo(self.params, rng=self._rng)
-        #: where FEBO keys are derived (see the class docstring)
+        #: where FEBO masks are raised (see the class docstring)
         self.pool: SecureComputePool = InlineExecutor(self.feip, self.febo)
         self._feip_pairs: dict[int, tuple[FeipPublicKey, FeipMasterKey]] = {}
         self._febo_pair: tuple[FeboPublicKey, FeboMasterKey] = self.febo.setup()
         self.feip_keys_issued = 0
         self.febo_keys_issued = 0
+        #: commitment -> ``cmt^s``, least recently used first
+        self._febo_masks: OrderedDict[int, int] = OrderedDict()
+        #: distinct commitments per request found in / added to the
+        #: memo, and masks dropped to keep it within ``MAX_FEBO_MASKS``
+        self.mask_hits = 0
+        self.mask_misses = 0
+        self.mask_evictions = 0
         self._lock = threading.Lock()
+        GLOBAL_REGISTRY.register_collector(
+            f"authority.{id(self)}", self._obs_collect)
+
+    def mask_stats(self) -> dict[str, int]:
+        """Counters of the FEBO mask memo (one lock acquisition)."""
+        with self._lock:
+            return {"entries": len(self._febo_masks),
+                    "hits": self.mask_hits, "misses": self.mask_misses,
+                    "evictions": self.mask_evictions}
+
+    def _obs_collect(self) -> dict[str, int]:
+        """Registry collector; several authorities sum into one family."""
+        stats = self.mask_stats()
+        return {
+            "repro_authority_febo_mask_hits_total": stats["hits"],
+            "repro_authority_febo_mask_misses_total": stats["misses"],
+            "repro_authority_febo_mask_evictions_total": stats["evictions"],
+            "repro_authority_febo_masks": stats["entries"],
+        }
 
     # -- public keys -----------------------------------------------------------
     def feip_public_key(self, eta: int) -> FeipPublicKey:
@@ -196,6 +240,17 @@ class TrustedAuthority:
 
     def _derive_febo(self, requests: list[tuple[int, str, int]],
                      requester: str) -> list[FeboFunctionKey]:
+        """Checked derivation through the mask memo (class docstring)."""
+        q = self.params.q
+        for cmt, _, _ in requests:
+            # every client sends commitments in signed form; anything
+            # else encodes no subgroup element and must not reach the
+            # memo
+            if not 0 < cmt <= q:
+                raise CommitmentError(
+                    f"commitment {cmt} is outside (0, q] and encodes no "
+                    f"element of the signed subgroup")
+        masks: dict[int, int] = {}
         with self._lock:
             for _, op, _ in requests:
                 if op not in self.permitted_ops:
@@ -204,8 +259,28 @@ class TrustedAuthority:
                     )
                 if self.policy is not None:
                     self.policy.check_febo_request(op, requester)
-        keys = self.pool.derive_febo_keys(self.params, self._febo_pair[1],
-                                          requests)
+            for cmt, _, _ in requests:
+                mask = self._febo_masks.get(cmt)
+                if mask is not None and cmt not in masks:
+                    self._febo_masks.move_to_end(cmt)
+                    masks[cmt] = mask
+            self.mask_hits += len(masks)
+        missing = list(dict.fromkeys(
+            cmt for cmt, _, _ in requests if cmt not in masks))
+        if missing:
+            computed = self.pool.febo_masks(self.params, self._febo_pair[1],
+                                            missing)
+            masks.update(zip(missing, computed))
+            with self._lock:
+                self.mask_misses += len(missing)
+                for cmt, mask in zip(missing, computed):
+                    self._febo_masks[cmt] = mask
+                    self._febo_masks.move_to_end(cmt)
+                while len(self._febo_masks) > self.MAX_FEBO_MASKS:
+                    self._febo_masks.popitem(last=False)
+                    self.mask_evictions += 1
+        keys = [self.febo.key_from_mask(masks[cmt], cmt, op, y)
+                for cmt, op, y in requests]
         with self._lock:
             self.febo_keys_issued += len(keys)
         return keys

@@ -15,3 +15,7 @@ class FunctionKeyError(CryptoError):
 
 class UnsupportedOperationError(CryptoError):
     """Operation outside the permitted function set F."""
+
+
+class CommitmentError(FunctionKeyError):
+    """A key request names a commitment that encodes no subgroup element."""

@@ -73,7 +73,14 @@ class FeboOp(str, enum.Enum):
 
 
 class Febo:
-    """Stateless FEBO scheme over a fixed Schnorr group."""
+    """Stateless FEBO scheme over a fixed Schnorr group.
+
+    It keeps no ``cmt^s`` masks.  An in-process server decrypts with
+    the very object its authority derives keys with, so a memo here
+    would be shared with the server; the memo lives in
+    :class:`~repro.core.entities.TrustedAuthority` instead, which
+    composes keys with :meth:`key_from_mask`.
+    """
 
     def __init__(self, params: GroupParams, rng: random.Random | None = None,
                  solver_cache: SolverCache | None = None):
@@ -120,13 +127,28 @@ class Febo:
                    y: int) -> FeboFunctionKey:
         """Derive the per-ciphertext function key for ``x op y``.
 
-        ``sk`` is handed out in :func:`~repro.mathutils.group.canonical`
-        form, like the ciphertext elements.
+        One full-width ``cmt^s``, then :meth:`key_from_mask`: the
+        byte-exact reference for every key an authority composes from a
+        mask it derived earlier.  ``sk`` is handed out in
+        :func:`~repro.mathutils.group.canonical` form, like the
+        ciphertext elements.
+        """
+        op = FeboOp.coerce(op)
+        return self.key_from_mask(self.group.exp(cmt, msk.s), cmt, op, y)
+
+    def key_from_mask(self, cmt_s: int, cmt: int, op: FeboOp | str,
+                      y: int) -> FeboFunctionKey:
+        """The key for ``x op y`` from the commitment's mask ``cmt^s``.
+
+        The mask depends only on the master key and ``cmt``, so a
+        caller holding masks it derived before (the authority's memo)
+        composes each key with small-exponent work: one ``g^{-+y}``
+        and a product for ``+``/``-``, ``cmt_s^y`` for ``*``, and the
+        full-width ``cmt_s^{y^{-1}}`` for ``/``.
         """
         op = FeboOp.coerce(op)
         group = self.group
         y = int(y)
-        cmt_s = group.exp(cmt, msk.s)
         if op is FeboOp.ADD:
             sk = group.mul(cmt_s, group.gexp(-y))
         elif op is FeboOp.SUB:

@@ -195,13 +195,6 @@ class DlogSolver:
             )
         return solved[h]
 
-    def solve_nonneg(self, h: int) -> int:
-        """Like :meth:`solve` but requires the result to be non-negative."""
-        value = self.solve(h)
-        if value < 0:
-            raise DiscreteLogError(f"expected non-negative exponent, got {value}")
-        return value
-
     def solve_many(self, elements: Sequence[int]) -> list[int]:
         """Solve a whole batch of targets, sharing one outward walk.
 
@@ -218,26 +211,6 @@ class DlogSolver:
                 f"have no discrete log within [-{self.bound}, {self.bound}]"
             )
         return [solved[h] for h in elements]
-
-
-def discrete_log_linear(group: SchnorrGroup, h: int, bound: int) -> int:
-    """Exhaustive-scan fallback used to cross-check BSGS in tests.
-
-    Linear in ``bound``; only use for tiny windows.
-    """
-    if h == 1:
-        return 0
-    acc_pos = 1
-    acc_neg = 1
-    g_inv = group.inv(group.g)
-    for m in range(1, bound + 1):
-        acc_pos = group.mul(acc_pos, group.g)
-        if acc_pos == h:
-            return m
-        acc_neg = group.mul(acc_neg, g_inv)
-        if acc_neg == h:
-            return -m
-    raise DiscreteLogError(f"no discrete log within [-{bound}, {bound}]")
 
 
 #: Entry cap of the process-wide :data:`GLOBAL_SOLVER_CACHE`.  Each dense

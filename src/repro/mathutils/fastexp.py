@@ -845,9 +845,3 @@ class SharedBaseMultiExp:
             rows, self.modulus, order=self.order,
             fixed_exponents=fixed_exponents, rows_hint=self.rows_hint,
             window=self._forced_window))
-
-    def eval(self, exponents: Sequence[int],
-             fixed_exponent: int | None = None) -> int:
-        """Single-row convenience wrapper over :meth:`eval_many`."""
-        fixed = None if fixed_exponent is None else [fixed_exponent]
-        return self.eval_many([exponents], fixed_exponents=fixed)[0]

@@ -57,8 +57,3 @@ def int_to_signed(value: int, modulus: int) -> int:
     if value > modulus // 2:
         return value - modulus
     return value
-
-
-def signed_to_int(value: int, modulus: int) -> int:
-    """Inverse of :func:`int_to_signed`: map a signed value into Z_m."""
-    return value % modulus

@@ -37,12 +37,13 @@ OS on every call, and :func:`nonce_blocks` hands every worker a block
 of the (base, nonce) grid: a share of the bases for a FEIP key, a share
 of the nonces for a FEBO key.  The workers hold no randomness.
 
-And it serves the *authority*: under the ``febo-keys`` kind
-(:meth:`SecureComputePool.derive_febo_keys`) workers derive
-per-ciphertext FEBO keys, one full-width ``cmt^s`` each.  Its payload
-carries the FEBO master key, so only the authority's own pool -- the
-one ``serve-authority`` forks -- is ever configured with it; the
-caller keeps the permitted-op and policy checks.
+And it serves the *authority*: under the ``febo-masks`` kind
+(:meth:`SecureComputePool.febo_masks`) workers raise FEBO commitments
+to the master key, one full-width ``cmt^s`` each, and return the
+masks.  Its payload carries the FEBO master key, so only the
+authority's own pool -- the one ``serve-authority`` forks -- is ever
+configured with it.  The caller keeps the permitted-op and policy
+checks, its memo of masks, and composes each key from its mask.
 
 ``serve-authority``, ``serve-train`` and ``client-upload`` size their
 pools by one rule, :func:`service_workers`, each from its own measured
@@ -202,7 +203,7 @@ def _build_state(kind: str, payload: tuple, solver_cache: SolverCache,
         febo = febo or Febo(params)
         return dict(febo=febo, febo_mpk=mpk,
                     solver=solver_cache.get(febo.group, bound))
-    if kind == "febo-keys":
+    if kind == "febo-masks":
         params, msk = payload
         return dict(febo=febo or Febo(params), febo_msk=msk)
     if kind == "encrypt":
@@ -270,12 +271,11 @@ def _elementwise_cells(
                                       solver.bound, solver=solver)
 
 
-def _febo_key_chunk(config: tuple, chunk: tuple[tuple[int, str, int], ...]
-                    ) -> list[FeboFunctionKey]:
-    """Derive the FEBO key of each ``(cmt, op, y)`` request in a run."""
+def _febo_mask_chunk(config: tuple, chunk: tuple[int, ...]) -> list[int]:
+    """Raise each commitment of a run to the FEBO master key."""
     state = _install_config(config)
-    febo, msk = state["febo"], state["febo_msk"]
-    return [febo.key_derive(msk, cmt, op, y) for cmt, op, y in chunk]
+    group, s = state["febo"].group, state["febo_msk"].s
+    return [group.exp(cmt, s) for cmt in chunk]
 
 
 def _nonce_power_chunk(config: tuple,
@@ -562,20 +562,21 @@ class SecureComputePool:
                         dtype=object).reshape(shape)
 
     # -- authority-side key derivation -----------------------------------------
-    def derive_febo_keys(self, params: GroupParams, msk: FeboMasterKey,
-                         requests: Sequence[tuple[int, str, int]]
-                         ) -> list[FeboFunctionKey]:
-        """Derive one FEBO function key per ``(cmt, op, y)``, in order.
+    def febo_masks(self, params: GroupParams, msk: FeboMasterKey,
+                   commitments: Sequence[int]) -> list[int]:
+        """``cmt^s`` for every commitment, in order.
 
-        One run of requests per worker: every request costs one
-        full-width exponentiation, so equal runs balance.  The caller
-        has already vetted every op; derivation is deterministic, so
-        pooled and inline keys are identical.
+        One run of commitments per worker: every mask costs one
+        full-width exponentiation, so equal runs balance.  The masks
+        come back to the caller, the authority, which composes keys
+        from them (:meth:`~repro.fe.febo.Febo.key_from_mask`);
+        exponentiation is deterministic, so pooled and inline masks
+        are identical.
         """
-        config = self.configure("febo-keys", (params, msk))
-        chunks = chunk_tasks(requests, self.workers)
+        config = self.configure("febo-masks", (params, msk))
+        chunks = chunk_tasks(commitments, self.workers)
         return list(itertools.chain.from_iterable(
-            self._map(_febo_key_chunk, config, chunks)))
+            self._map(_febo_mask_chunk, config, chunks)))
 
     # -- client-side nonce production ------------------------------------------
     def precompute_nonces(self, params: GroupParams, mpk, count: int
@@ -614,8 +615,8 @@ class InlineExecutor(SecureComputePool):
     :meth:`configure` builds the state in place (no pickling) around
     the caller's ``feip``, ``febo`` and ``solver_cache``, and ``_map``
     runs the chunk functions here -- the loop a degraded pool falls
-    back to.  An authority without a pool of its own derives its FEBO
-    keys through one the same way.
+    back to.  An authority without a pool of its own raises its FEBO
+    masks through one the same way.
 
     It is not a worker pool: it forks nothing, so it keeps no fault
     counters and registers no metrics collector, and a trainer without

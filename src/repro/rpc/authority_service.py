@@ -22,9 +22,9 @@ several feature-key requests in flight); the wrapped authority locks
 its own bookkeeping, and ``max_inflight`` is the only bound.
 
 :func:`run_authority_service` (``serve-authority``) gives the authority
-a worker pool of its own for FEBO key derivation, one process per CPU
-it may use, so the master key never leaves the authority's process
-tree.  It stops the same way on SIGINT and SIGTERM: the service closes,
+a worker pool of its own for the FEBO masks ``cmt^s`` its memo lacks,
+one process per CPU it may use, so the master key never leaves the
+authority's process tree.  It stops the same way on SIGINT and SIGTERM: the service closes,
 then the pool.
 """
 
@@ -110,7 +110,7 @@ class AuthorityService(FramedService):
             error_type="UnsupportedMessage")
 
 
-#: smallest group ``serve-authority`` derives FEBO keys on workers for:
+#: smallest group ``serve-authority`` raises FEBO masks on workers for:
 #: the measured crossover of a 64-key request.  On a 2-core VM the
 #: pooled ``mlp-rpc`` key fetch lost at 64 and 80 bits, tied at 96 and
 #: won from 128 bits up (-7% at 128, -24% at 256); below that a key's
@@ -119,7 +119,7 @@ POOL_MIN_BITS = 128
 
 
 def authority_pool(authority: TrustedAuthority) -> SecureComputePool | None:
-    """The worker pool ``serve-authority`` derives FEBO keys on, if any.
+    """The worker pool ``serve-authority`` raises FEBO masks on, if any.
 
     :func:`~repro.matrix.parallel.service_workers` sizes it -- one
     worker per usable CPU, none below ``POOL_MIN_BITS`` or on a single

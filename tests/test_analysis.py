@@ -311,6 +311,42 @@ def test_hotpath_allows_mathutils_and_2arg_pow(tmp_path):
     assert report.active() == []
 
 
+# -- global-fallback ---------------------------------------------------------
+
+def test_global_fallback_flags_param_or_global(tmp_path):
+    report = lint(tmp_path, {
+        "src/repro/fe/bad.py": """\
+            from repro.mathutils import dlog
+            from repro.mathutils.dlog import GLOBAL_SOLVER_CACHE
+
+            class Scheme:
+                def __init__(self, solver_cache=None):
+                    self._cache = solver_cache or GLOBAL_SOLVER_CACHE
+
+            def pick(*, cache=None):
+                return cache or dlog.GLOBAL_SOLVER_CACHE
+            """,
+    }, ["global-fallback"])
+    assert [f.line for f in report.active()] == [6, 9]
+
+
+def test_global_fallback_allows_is_none_and_non_params(tmp_path):
+    report = lint(tmp_path, {
+        "src/repro/fe/ok.py": """\
+            from repro.mathutils.dlog import GLOBAL_SOLVER_CACHE
+
+            def pick(cache=None, workers=None):
+                chosen = GLOBAL_SOLVER_CACHE if cache is None else cache
+                local = make()
+                fallback = local or GLOBAL_SOLVER_CACHE
+                first = GLOBAL_SOLVER_CACHE or cache
+                count = workers or default_workers()
+                return chosen, fallback, first, count
+            """,
+    }, ["global-fallback"])
+    assert report.active() == []
+
+
 # -- protocol-complete -------------------------------------------------------
 
 _PROTOCOL_FIXTURE = {
@@ -503,7 +539,7 @@ def test_json_report_schema(tmp_path):
     payload = report.to_dict()
     assert payload["version"] == 1
     assert {r["id"] for r in payload["rules"]} >= {
-        "crypto-random", "determinism", "hotpath-pow",
+        "crypto-random", "determinism", "global-fallback", "hotpath-pow",
         "key-serialization", "lock-discipline", "metrics-naming",
         "nonce-reuse", "protocol-complete"}
     assert set(payload["summary"]) == {
@@ -556,7 +592,7 @@ def test_list_rules_prints_registry(capsys):
     code = cli_main(["lint", "--list-rules"])
     out = capsys.readouterr().out
     assert code == 0
-    for rid in ("crypto-random", "determinism", "hotpath-pow",
-                "key-serialization", "lock-discipline",
+    for rid in ("crypto-random", "determinism", "global-fallback",
+                "hotpath-pow", "key-serialization", "lock-discipline",
                 "metrics-naming", "nonce-reuse", "protocol-complete"):
         assert rid in out

@@ -198,14 +198,16 @@ class TestParallelMatchesSerial:
         requests = [(febo.group.gexp(r), op, y)
                     for r in (5, 11, 2**40 + 7)
                     for op, y in (("+", 7), ("-", -3), ("*", 5), ("/", 9))]
-        inline = InlineExecutor(Feip(params), febo).derive_febo_keys(
-            params, msk, requests)
+        commitments = [cmt for cmt, _, _ in requests]
+        inline = InlineExecutor(Feip(params), febo).febo_masks(
+            params, msk, commitments)
         with SecureComputePool(workers=2) as pool:
-            pooled = pool.derive_febo_keys(params, msk, requests)
+            pooled = pool.febo_masks(params, msk, commitments)
             assert pool.stats["dispatches"] == 1
         assert pooled == inline
-        assert inline == [febo.key_derive(msk, *request)
-                          for request in requests]
+        assert [febo.key_from_mask(mask, *request)
+                for mask, request in zip(pooled, requests)] == \
+            [febo.key_derive(msk, *request) for request in requests]
 
     def test_single_worker_works(self, params, rng, solver_cache):
         scheme = SecureMatrixScheme(params, rng=rng, solver_cache=solver_cache)
@@ -291,7 +293,7 @@ params = GroupParams.predefined(32)
 febo = Febo(params)
 _, msk = febo.setup()
 pool = SecureComputePool(workers=2, pin_workers=True)
-pool.derive_febo_keys(params, msk, [(febo.group.gexp(5), "+", 1)] * 4)
+pool.febo_masks(params, msk, [febo.group.gexp(5)] * 4)
 print("ready", flush=True)
 time.sleep(60)
 """
@@ -326,7 +328,7 @@ def test_workers_are_unpinned_by_default():
     params = GroupParams.predefined(32)
     _, msk = Febo(params).setup()
     with SecureComputePool(workers=2) as pool:
-        pool.derive_febo_keys(params, msk, [(params.g, "+", 1)] * 2)
+        pool.febo_masks(params, msk, [params.g] * 2)
         workers = list(pool._executor._processes)
         assert workers and all(
             os.sched_getaffinity(pid) == os.sched_getaffinity(0)

@@ -788,7 +788,12 @@ def test_authority_stops_cleanly_on_signal(sig, repro_env, live_processes):
 def test_authority_survives_a_killed_pool_worker(repro_env, live_processes):
     """A pool worker killed under ``serve-authority`` costs one executor
     rebuild: the service keeps answering, later stops on SIGTERM within
-    5 s, and leaves no worker behind -- old or rebuilt."""
+    5 s, and leaves no worker behind -- old or rebuilt.
+
+    The authority memoizes each commitment's mask, so a repeated
+    request would never reach the pool: every request here names fresh
+    commitments, and its keys must decrypt ciphertexts made under the
+    service's own FEBO public key."""
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("serve-authority builds no pool on one CPU")
     port = free_port()
@@ -804,14 +809,23 @@ def test_authority_survives_a_killed_pool_worker(repro_env, live_processes):
     try:
         wait_for_port("127.0.0.1", port, timeout=20)
         with RemoteAuthority("127.0.0.1", port) as remote:
-            requests = [(remote.params.g, op, 3) for op in "+-*/"]
-            keys = remote.derive_febo_keys_batch(requests)
+            bpk = remote.febo_public_key()
+
+            def decrypted_fresh_keys() -> list[int]:
+                """12 op 3 through keys for never-seen commitments."""
+                cts = [remote.febo.encrypt(bpk, 12) for _ in "+-*/"]
+                keys = remote.derive_febo_keys_batch(
+                    [(ct.cmt, op, 3) for ct, op in zip(cts, "+-*/")])
+                return [remote.febo.decrypt(bpk, key, ct, bound=100)
+                        for key, ct in zip(keys, cts)]
+
+            assert decrypted_fresh_keys() == [15, 9, 36, 4]
             first = workers()
             os.kill(min(first), signal.SIGKILL)
             # the executor stops the survivors; the next request rebuilds
             time.sleep(1)
             for _ in range(2):
-                assert remote.derive_febo_keys_batch(requests) == keys
+                assert decrypted_fresh_keys() == [15, 9, 36, 4]
             assert proc.poll() is None
             rebuilt = workers()
             assert rebuilt and not rebuilt & first
