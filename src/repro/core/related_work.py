@@ -66,8 +66,3 @@ def format_table_i() -> str:
     lines = [fmt(headers), fmt(tuple("-" * w for w in widths))]
     lines.extend(fmt(row) for row in rows)
     return "\n".join(lines)
-
-
-def cryptonn_claims() -> ApproachRow:
-    """The row the paper adds; asserted against in the tests."""
-    return TABLE_I[-1]

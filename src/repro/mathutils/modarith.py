@@ -45,15 +45,3 @@ def batch_inverse(values: list[int], m: int) -> list[int]:
     out[0] = inv
     return out
 
-
-def int_to_signed(value: int, modulus: int) -> int:
-    """Map a residue in ``[0, modulus)`` to the signed window.
-
-    Residues below ``modulus // 2`` are returned as-is; larger residues are
-    interpreted as negative (``value - modulus``).  This is the standard
-    balanced representation used by the fixed-point codec.
-    """
-    value %= modulus
-    if value > modulus // 2:
-        return value - modulus
-    return value

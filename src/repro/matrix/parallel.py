@@ -1,4 +1,4 @@
-"""Secure computation dispatch: one decryption loop, two executors.
+"""Secure computation dispatch: one decryption loop, run on lanes.
 
 The paper reports (Figures 3d, 4d, 5d) that parallelizing the decryption
 loop turns secure dot-products from ~90 minutes into ~8 seconds.  The
@@ -8,32 +8,38 @@ would serialize on the GIL).
 
 That loop is written once.  :meth:`SecureComputePool.secure_dot` and
 :meth:`SecureComputePool.secure_elementwise` cut a decryption grid into
-contiguous chunks (runs of FEIP columns, runs of FEBO cells), and
-``_map`` runs one chunk function per chunk on one of two executors:
+one task per *lane*, and ``_map`` runs one chunk function per task:
 
-* **worker processes** -- a :class:`SecureComputePool` forks them once
-  and reuses them for every dispatch of a training run, instead of
-  paying executor startup plus key pickling on every call.
+* **worker lanes** -- a :class:`SecureComputePool` holds one
+  single-process executor per worker, forks them all on first use and
+  reuses them for every dispatch of a training run, instead of paying
+  executor startup plus key pickling on every call.  Task ``i`` of a
+  dispatch goes to the lane its caller names, so a caller can send the
+  same work to the same process every time.  ``secure_dot`` does: a
+  FEIP column's home lane is ``ct_0 % workers`` (:func:`column_lanes`),
+  so a ciphertext that returns in a later batch is decrypted by the
+  worker whose column cache already holds its tables.
   :meth:`~SecureComputePool.configure` stamps the group parameters,
   public key, function keys and dlog bound with a sequence number and
-  ships them pickled with each chunk; workers install a stamp at most
+  ships them pickled with each task; workers install a stamp at most
   once, and each worker's dlog-solver cache survives reconfiguration,
   so iterating with fresh keys but a stable bound never rebuilds
   baby-step tables.
 * **the calling thread** -- an :class:`InlineExecutor`, which serial
-  runs use.  Its ``_map`` runs the same chunk functions in the caller,
-  the loop a degraded pool already falls back to, with the state built
-  unpickled around the caller's solver cache.
+  runs use.  It has one lane and routes nothing: its ``_map`` runs the
+  same chunk functions in the caller, the loop a degraded pool already
+  falls back to, with the state built unpickled around the caller's
+  solver cache.
 
 So serial and pooled runs decrypt through identical code and recover
-identical integers.
+identical integers; routing only picks which process decrypts a column.
 
 The same pool also serves the *client* side: under the ``encrypt``
 configuration kind idle workers raise public bases for nonce batches
 (:meth:`SecureComputePool.precompute_nonces`) that the caller's
 :class:`~repro.fe.engine.EncryptionEngine` banks and encrypts with.
 The caller draws each batch's nonces from a generator seeded from the
-OS on every call, and :func:`nonce_blocks` hands every worker a block
+OS on every call, and :func:`nonce_blocks` hands every lane a block
 of the (base, nonce) grid: a share of the bases for a FEIP key, a share
 of the nonces for a FEBO key.  The workers hold no randomness.
 
@@ -53,8 +59,10 @@ Every worker starts with the default stop signals, whatever handlers
 its parent had installed when it forked, and exits on its own once the
 process that forked it is gone (:func:`_init_worker`), so a SIGKILLed
 pool holder -- a supervised service being restarted -- leaves no
-orphans behind.  A pool built with ``pin_workers`` (the authority's)
-also pins each worker to one usable CPU, round robin.
+orphans behind.  A crashed worker costs only its own lane: the pool
+rebuilds that lane and resubmits its tasks, while the other lanes keep
+their processes and caches.  A pool built with ``pin_workers`` (the
+authority's) also pins lane ``i``'s worker to the ``i``-th usable CPU.
 
 All key/ciphertext containers are frozen dataclasses of ints, so the
 per-configuration pickling is cheap.
@@ -74,7 +82,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from collections.abc import Sequence
-from functools import partial
 
 import numpy as np
 
@@ -132,13 +139,6 @@ def service_workers(bits: int, min_bits: int) -> int | None:
     return cpus
 
 
-#: Chunks produced per worker by a ``secure_dot`` / ``secure_elementwise``
-#: dispatch: enough slack for load balancing across uneven chunks, few
-#: enough that the per-chunk state shipment (config blob + chunk pickle)
-#: stays marginal.
-CHUNKS_PER_WORKER = 2
-
-
 def chunk_tasks(tasks: Sequence, n_chunks: int) -> list[tuple]:
     """Split ``tasks`` into at most ``n_chunks`` contiguous chunks.
 
@@ -178,6 +178,37 @@ def nonce_blocks(n_bases: int, n_nonces: int, workers: int
     if n_bases >= 2 * workers:
         return [(bases, slice(0, n_nonces)) for bases in runs(n_bases)]
     return [(slice(0, n_bases), nonces) for nonces in runs(n_nonces)]
+
+
+def column_lanes(columns: Sequence[FeipCiphertext], lanes: int
+                 ) -> list[int]:
+    """The lane that decrypts each column of one ``secure_dot`` dispatch.
+
+    A column's home lane is ``ct_0 % lanes``.  ``ct_0`` is fixed per
+    ciphertext, so a column that comes back in a later batch -- every
+    training sample, every epoch -- goes back to the worker whose
+    column cache already holds its tables.  No lane takes more than
+    ``ceil(n / lanes)`` of the dispatch's ``n`` columns: a column whose
+    home is full spills to the least-loaded lane (the lowest on a tie).
+    So the lanes stay balanced, and the routing keeps no state between
+    dispatches.
+
+    Columns claim their lanes in ``ct_0`` order, not in batch order, so
+    when a home lane is over-subscribed the columns with the smallest
+    ``ct_0`` stay home.  Which columns spill then depends on the batch's
+    ciphertexts, not on its shuffle, and a column that spills tends to
+    spill to the same lane again.
+    """
+    cap = -(-len(columns) // lanes)
+    load = [0] * lanes
+    routes = [0] * len(columns)
+    for j in sorted(range(len(columns)), key=lambda j: columns[j].ct0):
+        lane = columns[j].ct0 % lanes
+        if load[lane] >= cap:
+            lane = load.index(min(load))
+        load[lane] += 1
+        routes[j] = lane
+    return routes
 
 
 # -- chunk functions ----------------------------------------------------------
@@ -244,10 +275,10 @@ def _install_config(config: tuple) -> dict:
 
 def _dot_columns(config: tuple, chunk: tuple[FeipCiphertext, ...]
                  ) -> list[list[int]]:
-    """Decrypt a run of columns against every row key.
+    """Decrypt a lane's columns against every row key.
 
-    One task per chunk means the config blob and the bound function
-    cross the process boundary once per chunk, and each column
+    One task per lane means the config blob and the bound function
+    cross the process boundary once per lane, and each column
     ciphertext crosses exactly once; inside, ``decrypt_rows`` walks the
     state's row plan, recoded once per configuration, against each
     column's tables.
@@ -289,12 +320,12 @@ def _nonce_power_chunk(config: tuple,
 #: seconds between a worker's checks that its parent is still alive
 PARENT_POLL_S = 0.2
 
-#: per-dispatch budget of executor rebuilds after worker crashes before
-#: the dispatch degrades to the calling thread
+#: per-dispatch budget of lane rebuilds after worker crashes before the
+#: dispatch degrades to the calling thread
 CRASH_RETRIES = 2
 
 
-def _init_worker(pin_counter) -> None:
+def _init_worker(cpu: int | None) -> None:
     """Worker initializer: default stop signals, optional CPU pin,
     exit when the parent is gone.
 
@@ -308,11 +339,10 @@ def _init_worker(pin_counter) -> None:
     to the whole process group -- is left to the parent, which stops
     the pool itself.
 
-    ``pin_counter`` (None: no pinning) counts the executor's workers;
-    worker ``i`` takes the ``i``-th usable CPU, round robin.  Left to
-    the kernel, workers woken together by one dispatch may queue on the
-    same CPU, so a burst of short chunks runs no faster than on one
-    worker.
+    ``cpu`` (None: no pinning) is the worker's lane: lane ``i`` takes
+    the ``i``-th usable CPU, round robin.  Left to the kernel, workers
+    woken together by one dispatch may queue on the same CPU, so a
+    burst of short tasks runs no faster than on one worker.
 
     A parent killed by SIGKILL never shuts its executor down, and its
     idle workers would wait on the call queue forever, reparented to
@@ -321,14 +351,11 @@ def _init_worker(pin_counter) -> None:
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    if pin_counter is not None and hasattr(os, "sched_setaffinity"):
-        with pin_counter.get_lock():
-            index = pin_counter.value
-            pin_counter.value += 1
+    if cpu is not None and hasattr(os, "sched_setaffinity"):
         cpus = sorted(os.sched_getaffinity(0))
         # a sandbox may forbid pinning; an unpinned worker still works
         with contextlib.suppress(OSError):
-            os.sched_setaffinity(0, {cpus[index % len(cpus)]})
+            os.sched_setaffinity(0, {cpus[cpu % len(cpus)]})
     parent_pid = os.getppid()
 
     def watch() -> None:
@@ -339,22 +366,23 @@ def _init_worker(pin_counter) -> None:
     threading.Thread(target=watch, name="parent-watch", daemon=True).start()
 
 
-def _run_in_caller(fn, config: tuple, tasks: Sequence) -> list:
-    """Run every task in the calling thread, in order."""
-    return [fn(config, task) for task in tasks]
-
-
 # -- the persistent pool ------------------------------------------------------
 
 class SecureComputePool:
     """Persistent worker pool for secure matrix computation.
 
-    One :class:`~concurrent.futures.ProcessPoolExecutor` is created on
-    first use and reused by every subsequent call; :meth:`close` (or
-    interpreter exit) tears it down.  State reaches the workers through
-    :meth:`configure`: the pool stamps the payload with a fresh sequence
-    number and ships it alongside the next dispatch (once per task
-    chunk); each worker installs it at most once per sequence number.
+    The pool runs ``workers`` *lanes*: one single-process
+    :class:`~concurrent.futures.ProcessPoolExecutor` each, all forked
+    on first use and reused by every subsequent call; :meth:`close` (or
+    interpreter exit) tears them down.  Every dispatch is one ``_map``
+    that names a lane for each of its tasks: ``secure_dot`` sends each
+    column to its home lane (:func:`column_lanes`), so a ciphertext
+    meets the same worker -- and that worker's column cache -- every
+    epoch, and the other dispatches give lane ``i`` the ``i``-th run
+    of their work.  State reaches the workers through
+    :meth:`configure`: the pool stamps the payload with a fresh
+    sequence number and ships it alongside the next dispatch (once per
+    task); each worker installs it at most once per sequence number.
     """
 
     _seq = itertools.count(1)
@@ -366,32 +394,42 @@ class SecureComputePool:
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers or default_workers()
-        #: pin each worker to its own CPU (see :func:`_init_worker`)
+        #: pin each lane's worker to its own CPU (see :func:`_init_worker`)
         self.pin_workers = pin_workers
-        self._executor: ProcessPoolExecutor | None = None
+        #: one single-process executor per lane, None until started
+        self._lanes: list[ProcessPoolExecutor | None] = \
+            [None] * self.workers
         # (kind, payload) -> stamped config -- training alternates dot,
         # elementwise and encrypt dispatches (and a client may juggle
         # several public keys), so a handful of configs stay warm;
         # mirrors the worker-side _WORKER_CONFIGS_MAX cap
         self._configs: dict[tuple, tuple] = {}
         self._lock = threading.RLock()
-        #: executors constructed over the pool's lifetime -- stays at 1
-        #: however many secure_* calls run (asserted by the perf smoke
-        #: test and the ablation bench).
+        #: lane executors constructed over the pool's lifetime -- one
+        #: per lane however many secure_* calls run (asserted by the
+        #: perf smoke test and the ablation bench), plus one per rebuild
         self.executors_created = 0
         self.dispatches = 0
-        #: executor rebuilds forced by worker crashes (BrokenProcessPool)
+        #: lane rebuilds forced by worker crashes (BrokenProcessPool)
         self.worker_restarts = 0
         #: dispatches that completed on the sequential in-process fallback
         self.degraded_dispatches = 0
         #: latched True by the first degraded dispatch
         self.degraded = False
+        #: ``secure_dot`` columns sent to their home lane / spilled to
+        #: another because their home lane was full
+        self.columns_home = 0
+        self.columns_spilled = 0
+        # start of every _map still in flight, by dispatch token
+        self._in_flight: dict[int, float] = {}
+        self._tokens = itertools.count()
         GLOBAL_REGISTRY.register_collector(
             f"pool.{id(self)}", self._obs_collect)
 
     @property
     def stats(self) -> dict[str, int | bool]:
-        """Fault counters for the ops surface (train-status, reports).
+        """Fault and routing counters for the ops surface (train-status,
+        reports).
 
         Copied under the pool lock so a scrape concurrent with a
         dispatch sees one consistent view (e.g. never a degraded
@@ -404,9 +442,20 @@ class SecureComputePool:
                 "worker_restarts": self.worker_restarts,
                 "degraded_dispatches": self.degraded_dispatches,
                 "degraded": self.degraded,
+                "columns_home": self.columns_home,
+                "columns_spilled": self.columns_spilled,
             }
 
-    def _obs_collect(self) -> dict[str, int]:
+    def oldest_dispatch_age(self) -> float:
+        """Seconds the oldest dispatch still in flight has run; 0 when
+        idle.  A dispatch whose lanes never answer shows here as an age
+        that keeps growing."""
+        with self._lock:
+            if not self._in_flight:
+                return 0.0
+            return time.monotonic() - min(self._in_flight.values())
+
+    def _obs_collect(self) -> dict[str, int | float]:
         """Registry collector; multiple pools sum into one family."""
         stats = self.stats
         return {
@@ -416,31 +465,69 @@ class SecureComputePool:
             "repro_pool_worker_restarts_total": stats["worker_restarts"],
             "repro_pool_degraded_dispatches_total":
                 stats["degraded_dispatches"],
+            "repro_pool_columns_home_total": stats["columns_home"],
+            "repro_pool_columns_spilled_total": stats["columns_spilled"],
             "repro_pool_degraded": int(stats["degraded"]),
             "repro_pool_workers": self.workers,
+            "repro_pool_oldest_dispatch_age_seconds":
+                self.oldest_dispatch_age(),
         }
 
     # -- lifecycle -----------------------------------------------------------
     @property
     def started(self) -> bool:
-        return self._executor is not None
+        return any(lane is not None for lane in self._lanes)
 
-    def _ensure_executor(self) -> ProcessPoolExecutor:
+    def worker_pids(self) -> list[int]:
+        """Pids of the lanes' worker processes, in lane order; empty
+        before first use and after :meth:`close`."""
         with self._lock:
-            if self._executor is None:
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.workers, initializer=_init_worker,
-                    initargs=(multiprocessing.Value("i", 0)
-                              if self.pin_workers else None,))
-                self.executors_created += 1
-            return self._executor
+            return [pid for lane in self._lanes if lane is not None
+                    for pid in lane._processes]
+
+    def _start_lanes(self) -> list[ProcessPoolExecutor]:
+        """Every lane's executor, starting the lanes that have none.
+
+        Each new lane forks its worker here, under the pool lock: two
+        lanes forking from concurrent dispatches could each leak a pipe
+        end into the other's worker, and a worker holding another
+        lane's process sentinel would hide that lane's next crash.
+        """
+        with self._lock:
+            for index, lane in enumerate(self._lanes):
+                if lane is None:
+                    lane = ProcessPoolExecutor(
+                        max_workers=1, initializer=_init_worker,
+                        initargs=(index if self.pin_workers else None,))
+                    # a first task forks the lane's worker now; its
+                    # result is not needed, and a worker that dies
+                    # fails the lane's next task, which _map handles
+                    lane.submit(os.getpid)
+                    self._lanes[index] = lane
+                    self.executors_created += 1
+            return list(self._lanes)
+
+    def _drop_lanes(self, broken: set[int],
+                    executors: list[ProcessPoolExecutor]) -> None:
+        """Shut down the lanes whose worker died; the next
+        :meth:`_start_lanes` rebuilds them."""
+        with self._lock:
+            for index in broken:
+                # drop only the executor that failed: a concurrent
+                # dispatch may already have rebuilt the lane, and
+                # shutting the replacement down would break its retry
+                if self._lanes[index] is executors[index]:
+                    executors[index].shutdown(wait=False)
+                    self._lanes[index] = None
+                    self.worker_restarts += 1
 
     def close(self) -> None:
         """Shut the workers down; the next call transparently restarts."""
         with self._lock:
-            if self._executor is not None:
-                self._executor.shutdown(wait=True)
-                self._executor = None
+            for index, lane in enumerate(self._lanes):
+                if lane is not None:
+                    lane.shutdown(wait=True)
+                    self._lanes[index] = None
             self._configs.clear()
 
     def __enter__(self) -> "SecureComputePool":
@@ -473,7 +560,7 @@ class SecureComputePool:
             return config
 
     def _pack(self, kind: str, payload: tuple) -> bytes:
-        """The stamped form of ``payload``: pickled once, shipped per chunk."""
+        """The stamped form of ``payload``: pickled once, shipped per task."""
         return pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
 
     def configure_dot(self, params: GroupParams, mpk: FeipPublicKey,
@@ -484,44 +571,87 @@ class SecureComputePool:
                               bound: int) -> tuple:
         return self.configure("elementwise", (params, mpk, bound))
 
-    def _map(self, fn, config: tuple, tasks: Sequence) -> list:
-        """Run ``fn(config, task)`` for every task on the workers, in order.
+    def _map(self, fn, config: tuple, tasks: Sequence,
+             lanes: Sequence[int] | None = None) -> list:
+        """Run ``fn(config, task)`` for every task, task ``i`` on lane
+        ``lanes[i]`` (by default lane ``i``); results in task order.
 
-        ``executor.map`` submits every task up front, so every caller
-        hands over pre-chunked tasks (column runs, cell runs, one nonce
-        batch per worker) and each task travels alone (``chunksize=1``).
-
-        A crashed worker breaks the whole executor; unlike the old
-        executor-per-call code that recovered for free, a persistent
-        pool must rebuild explicitly, so the dispatch is resubmitted on
-        a fresh executor up to :data:`CRASH_RETRIES` times.  A pool that
-        keeps breaking (a machine swapping its workers to death, a chaos
-        test) then *degrades* instead of raising: the dispatch runs in
-        this thread, the loop an :class:`InlineExecutor` always runs --
-        identical numerics, just slower -- and the degradation is
-        counted and latched in ``stats``.
+        Every task is submitted before any result is awaited, so the
+        lanes run in parallel.  A crashed worker breaks only its own
+        lane: the pool rebuilds the lanes that broke and resubmits just
+        their tasks, up to :data:`CRASH_RETRIES` times.  A lane that
+        keeps breaking (a machine swapping its workers to death, a
+        chaos test) then *degrades* the dispatch instead of raising:
+        the tasks still unanswered run in this thread, the loop an
+        :class:`InlineExecutor` always runs -- identical numerics, just
+        slower -- and the degradation is counted and latched in
+        ``stats``.
         """
+        tasks = list(tasks)
+        lanes = range(len(tasks)) if lanes is None else lanes
+        results: list = [None] * len(tasks)
+        pending = list(range(len(tasks)))
         with self._lock:
             self.dispatches += 1
-        for _ in range(CRASH_RETRIES + 1):
-            executor = self._ensure_executor()
-            try:
-                return list(executor.map(partial(fn, config), tasks,
-                                         chunksize=1))
-            except BrokenProcessPool:
-                with self._lock:
-                    # replace only the executor that failed: a
-                    # concurrent dispatch may already have rebuilt it,
-                    # and shutting the replacement down would break that
-                    # dispatch's retry
-                    if self._executor is executor:
-                        executor.shutdown(wait=False)
-                        self._executor = None
-                        self.worker_restarts += 1
+            token = next(self._tokens)
+            self._in_flight[token] = time.monotonic()
+        try:
+            for _ in range(CRASH_RETRIES + 1):
+                pending = self._run_on_lanes(fn, config, tasks, lanes,
+                                             pending, results)
+                if not pending:
+                    return results
+            with self._lock:
+                self.degraded_dispatches += 1
+                self.degraded = True
+            for i in pending:
+                results[i] = fn(config, tasks[i])
+            return results
+        finally:
+            with self._lock:
+                del self._in_flight[token]
+
+    def _run_on_lanes(self, fn, config: tuple, tasks: list,
+                      lanes: Sequence[int], pending: list[int],
+                      results: list) -> list[int]:
+        """Submit the ``pending`` tasks to their lanes and store their
+        results; returns the tasks whose lane broke, after dropping
+        those lanes so the next round rebuilds them."""
+        executors = self._start_lanes()
+        failed, futures = [], []
+        try:
+            for i in pending:
+                try:
+                    futures.append((i, executors[lanes[i]].submit(
+                        fn, config, tasks[i])))
+                except BrokenProcessPool:
+                    failed.append(i)
+            for i, future in futures:
+                try:
+                    results[i] = future.result()
+                except BrokenProcessPool:
+                    failed.append(i)
+        finally:
+            # a task that raised: drop the tasks queued behind it
+            for _, future in futures:
+                future.cancel()
+        self._drop_lanes({lanes[i] for i in failed}, executors)
+        return sorted(failed)
+
+    def _column_runs(self, columns: Sequence[FeipCiphertext]
+                     ) -> list[list[int]]:
+        """Indices of the columns each lane decrypts (see
+        :func:`column_lanes`), counting home and spilled columns."""
+        routes = column_lanes(columns, self.workers)
+        runs: list[list[int]] = [[] for _ in range(self.workers)]
+        for j, lane in enumerate(routes):
+            runs[lane].append(j)
+        home = sum(lane == column.ct0 % self.workers
+                   for lane, column in zip(routes, columns))
         with self._lock:
-            self.degraded_dispatches += 1
-            self.degraded = True
-        return _run_in_caller(fn, config, tasks)
+            self.columns_home += home
+            self.columns_spilled += len(columns) - home
+        return runs
 
     # -- secure computations ---------------------------------------------------
     def secure_dot(self, params: GroupParams, mpk: FeipPublicKey,
@@ -529,19 +659,23 @@ class SecureComputePool:
                    keys: Sequence[FeipFunctionKey], bound: int) -> np.ndarray:
         """Decrypt every column against every row key; shape (keys, cols).
 
-        Columns are pre-chunked so each task carries a run of columns:
-        the stamped config and each column ciphertext cross the process
-        boundary once per chunk, and inside a chunk
-        ``Feip.decrypt_rows`` amortizes the shared-base window tables,
-        the ``ct_0`` comb and the giant-step walk over all ``m`` rows.
+        Each lane gets one task holding its columns: the stamped config
+        and each column ciphertext cross the process boundary once, and
+        inside the task ``Feip.decrypt_rows`` amortizes the shared-base
+        window tables, the ``ct_0`` comb and the giant-step walk over
+        all ``m`` rows.
         """
         keys = list(keys)
         config = self.configure_dot(params, mpk, keys, bound)
+        runs = self._column_runs(columns)
+        lanes = [lane for lane, run in enumerate(runs) if run]
+        results = self._map(
+            _dot_columns, config,
+            [tuple(columns[j] for j in runs[lane]) for lane in lanes], lanes)
         z = np.empty((len(keys), len(columns)), dtype=object)
-        chunks = chunk_tasks(columns, self.workers * CHUNKS_PER_WORKER)
-        results = self._map(_dot_columns, config, chunks)
-        for j, values in enumerate(itertools.chain.from_iterable(results)):
-            z[:, j] = values
+        for lane, values in zip(lanes, results):
+            for j, column in zip(runs[lane], values):
+                z[:, j] = column
         return z
 
     def secure_elementwise(
@@ -551,12 +685,12 @@ class SecureComputePool:
     ) -> np.ndarray:
         """Decrypt row-major ``(key, ciphertext)`` cells into a ``shape`` grid.
 
-        Cells are pre-chunked like ``secure_dot``'s columns; inside a
-        chunk ``Febo.decrypt_many`` shares one deduplicated giant-step
-        walk across all of its cells.
+        Lane ``i`` takes the ``i``-th run of cells; inside a run
+        ``Febo.decrypt_many`` shares one deduplicated giant-step walk
+        across all of its cells.
         """
         config = self.configure_elementwise(params, mpk, bound)
-        chunks = chunk_tasks(cells, self.workers * CHUNKS_PER_WORKER)
+        chunks = chunk_tasks(cells, self.workers)
         results = self._map(_elementwise_cells, config, chunks)
         return np.array(list(itertools.chain.from_iterable(results)),
                         dtype=object).reshape(shape)
@@ -566,7 +700,7 @@ class SecureComputePool:
                    commitments: Sequence[int]) -> list[int]:
         """``cmt^s`` for every commitment, in order.
 
-        One run of commitments per worker: every mask costs one
+        One run of commitments per lane: every mask costs one
         full-width exponentiation, so equal runs balance.  The masks
         come back to the caller, the authority, which composes keys
         from them (:meth:`~repro.fe.febo.Febo.key_from_mask`);
@@ -589,7 +723,7 @@ class SecureComputePool:
         on every call, so they are distinct with overwhelming
         probability across workers and calls (the engine's nonce-hygiene
         test pins this); :func:`nonce_blocks` then cuts the (base,
-        nonce) grid into one block per worker, and the workers only
+        nonce) grid into one block per lane, and the workers only
         exponentiate.
         """
         config = self.configure("encrypt", (params,))
@@ -615,20 +749,21 @@ class InlineExecutor(SecureComputePool):
     :meth:`configure` builds the state in place (no pickling) around
     the caller's ``feip``, ``febo`` and ``solver_cache``, and ``_map``
     runs the chunk functions here -- the loop a degraded pool falls
-    back to.  An authority without a pool of its own raises its FEBO
-    masks through one the same way.
+    back to.  It has one lane and routes nothing: every column of a
+    ``secure_dot`` lands in its one task.  An authority without a pool
+    of its own raises its FEBO masks through one the same way.
 
     It is not a worker pool: it forks nothing, so it keeps no fault
-    counters and registers no metrics collector, and a trainer without
-    a pool keeps ``compute_pool`` None: only its secure layers build
-    one of these.
+    or routing counters and registers no metrics collector, and a
+    trainer without a pool keeps ``compute_pool`` None: only its secure
+    layers build one of these.
     """
 
-    #: sizes the chunking of ``secure_dot`` / ``secure_elementwise``
+    #: one lane: ``secure_dot`` / ``secure_elementwise`` make one task
     workers = 1
     dispatch_span = "decrypt-dlog"
     #: never started, so the inherited ``close`` and ``started`` hold
-    _executor = None
+    _lanes = ()
 
     def __init__(self, feip: Feip, febo: Febo,
                  solver_cache: SolverCache | None = None):
@@ -643,8 +778,13 @@ class InlineExecutor(SecureComputePool):
         return _build_state(kind, payload, self._solver_cache,
                             self._feip, self._febo)
 
-    def _map(self, fn, config: tuple, tasks: Sequence) -> list:
-        return _run_in_caller(fn, config, tasks)
+    def _map(self, fn, config: tuple, tasks: Sequence,
+             lanes: Sequence[int] | None = None) -> list:
+        return [fn(config, task) for task in tasks]
+
+    def _column_runs(self, columns: Sequence[FeipCiphertext]
+                     ) -> list[list[int]]:
+        return [range(len(columns))]
 
 
 # -- process-wide default pools ----------------------------------------------

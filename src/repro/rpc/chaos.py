@@ -125,10 +125,6 @@ class ChaosSchedule:
                 self._decisions.append(self._draw())
             return self._decisions[index]
 
-    def preview(self, count: int) -> list[str | None]:
-        """The first ``count`` decisions (for test assertions)."""
-        return [self.fault_for(i) for i in range(count)]
-
 
 class ChaosProxy:
     """Seeded fault-injecting TCP proxy for one upstream service.

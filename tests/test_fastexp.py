@@ -308,7 +308,7 @@ class TestAsIntMatrix:
 class TestPoolMatchesSequential:
     def test_pool_reuse_identical_results(self, params, rng, solver_cache):
         """One persistent pool, many calls: results must equal the
-        sequential scheme path and no executor may be respawned."""
+        sequential scheme path, and no lane may be respawned."""
         scheme = SecureMatrixScheme(params, rng=rng, solver_cache=solver_cache)
         msk_ip, msk_bo = scheme.setup(column_length=3)
         x = np.array([[rng.randrange(-9, 10) for _ in range(5)]
@@ -336,5 +336,5 @@ class TestPoolMatchesSequential:
                     pooled.secure_elementwise(enc, ew_keys, ew_bound),
                     serial_ew,
                 )
-            assert pool.executors_created == 1
+            assert pool.executors_created == pool.workers
             assert pool.dispatches == 4

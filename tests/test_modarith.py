@@ -5,10 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mathutils.modarith import (
-    int_to_signed,
-    mod_inverse,
-)
+from repro.mathutils.modarith import mod_inverse
 
 
 @settings(max_examples=100, deadline=None)
@@ -26,17 +23,3 @@ def test_mod_inverse_property(a, m):
 
 def test_mod_inverse_of_negative():
     assert (-3) * mod_inverse(-3, 7) % 7 == 1
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=-10**6, max_value=10**6))
-def test_signed_roundtrip(value):
-    modulus = 2 * 10**6 + 7
-    assert int_to_signed(value % modulus, modulus) == value
-
-
-def test_signed_window_edges():
-    m = 11
-    assert int_to_signed(5, m) == 5      # m//2 stays positive
-    assert int_to_signed(6, m) == -5
-    assert int_to_signed(10, m) == -1

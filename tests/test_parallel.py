@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from repro.core.config import CryptoNNConfig
 from repro.core.entities import Client, TrustedAuthority
 from repro.fe.febo import Febo
 from repro.fe.feip import Feip
+from repro.fe.keys import FeipCiphertext
 from repro.mathutils.dlog import GLOBAL_SOLVER_CACHE
 from repro.mathutils.fastexp import GLOBAL_CHAIN_CACHE, GLOBAL_COLUMN_CACHE
 from repro.mathutils.group import GroupParams
@@ -23,6 +25,7 @@ from repro.matrix.parallel import (
     InlineExecutor,
     SecureComputePool,
     chunk_tasks,
+    column_lanes,
     default_workers,
     get_compute_pool,
     nonce_blocks,
@@ -32,6 +35,7 @@ from repro.matrix.secure_matrix import (
     matrix_bound_dot,
     matrix_bound_elementwise,
 )
+from repro.obs.metrics import GLOBAL_REGISTRY
 
 
 def random_matrix(rng, rows, cols, lo=-15, hi=15):
@@ -101,24 +105,36 @@ class TestChunking:
                              [(0, 4), (1, 4), (3, 8), (5, 2), (17, 4)])
     def test_map_chunksize_always_positive(self, n_tasks, workers,
                                            monkeypatch):
-        """Callers pre-chunk, so _map must hand every task to
-        executor.map on its own (chunksize 1, never 0) for any task
-        and worker count.  A fake executor captures what _map actually
-        passes, without forking workers."""
+        """Every task runs once, on its lane: callers pre-chunk, so
+        _map must submit each task on its own, to the lane named for
+        it, for any task and worker count, and return the results in
+        task order.  Fake lanes record what _map submits, without
+        forking workers."""
         pool = SecureComputePool(workers=workers)
-        seen = {}
+        submitted = []
 
-        class FakeExecutor:
-            def map(self, fn, tasks, chunksize=None):
-                seen["chunksize"] = chunksize
-                return [fn(t) for t in tasks]
+        class FakeLane:
+            def __init__(self, index):
+                self.index = index
 
-        monkeypatch.setattr(pool, "_ensure_executor",
-                            lambda: FakeExecutor())
+            def submit(self, fn, config, task):
+                submitted.append((self.index, task))
+                future = Future()
+                future.set_result(fn(config, task))
+                return future
+
+        fake_lanes = [FakeLane(i) for i in range(workers)]
+        monkeypatch.setattr(pool, "_start_lanes", lambda: fake_lanes)
         tasks = list(range(n_tasks))
-        out = pool._map(_echo_task, ("config",), tasks)
+        lanes = [(workers - 1 - i) % workers for i in tasks]
+        out = pool._map(_echo_task, ("config",), tasks, lanes)
         assert out == tasks
-        assert seen["chunksize"] == 1
+        assert sorted(submitted) == sorted(zip(lanes, tasks))
+        # by default task i goes to lane i
+        submitted.clear()
+        assert pool._map(_echo_task, ("config",), tasks[:workers]) == \
+            tasks[:workers]
+        assert submitted == [(i, i) for i in tasks[:workers]]
 
     def test_pooled_dot_awkward_column_counts(self, params, rng,
                                               solver_cache):
@@ -136,6 +152,78 @@ class TestChunking:
                 out = pool.secure_dot(params, scheme.feip_mpk,
                                       enc.require_feip(), keys, bound)
                 np.testing.assert_array_equal(out, y @ x)
+
+
+def _columns(rng, n, home=None, workers=2):
+    """``n`` stand-in FEIP columns; with ``home``, every ``ct_0`` has
+    that home lane."""
+    columns = []
+    while len(columns) < n:
+        ct0 = rng.getrandbits(64)
+        if home is None or ct0 % workers == home:
+            columns.append(FeipCiphertext(ct0, ()))
+    return columns
+
+
+class TestColumnRouting:
+    """``secure_dot`` sends each column to its home lane ``ct_0 %
+    workers``, spilling only when that lane is full."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 16, 32, 33])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    @pytest.mark.parametrize("home", [None, 0], ids=["mixed", "one-home"])
+    def test_every_column_in_exactly_one_lane_within_the_cap(
+            self, n, workers, home):
+        columns = _columns(random.Random(n * workers), n, home, workers)
+        pool = SecureComputePool(workers=workers)  # never started
+        runs = pool._column_runs(columns)
+        assert len(runs) == workers
+        assert sorted(j for run in runs for j in run) == list(range(n))
+        assert max(map(len, runs)) <= -(-n // workers)
+        stats = pool.stats
+        assert stats["columns_home"] + stats["columns_spilled"] == n
+        assert stats["columns_home"] == sum(
+            j in runs[column.ct0 % workers]
+            for j, column in enumerate(columns))
+        assert not pool.started
+
+    def test_a_column_keeps_its_lane_across_shuffled_dispatches(self):
+        """Columns claim lanes in ``ct_0`` order: one whose home lane
+        still has room then goes home, so it meets the same lane in
+        every dispatch where it does."""
+        rng = random.Random(5)
+        columns = _columns(rng, 64)
+        workers, batch = 2, 32
+        lanes: list[dict] = []
+        for _ in range(2):
+            order = rng.sample(columns, batch)
+            routes = dict(zip(order, column_lanes(order, workers)))
+            load, homed = [0] * workers, {}
+            for column in sorted(order, key=lambda column: column.ct0):
+                lane = routes[column]
+                if load[column.ct0 % workers] < -(-batch // workers):
+                    assert lane == column.ct0 % workers
+                    homed[column] = lane
+                load[lane] += 1
+            lanes.append(homed)
+        both = lanes[0].keys() & lanes[1].keys()
+        assert len(both) >= batch // 4
+        assert all(lanes[0][column] == lanes[1][column] for column in both)
+
+    def test_the_columns_that_spill_do_not_depend_on_the_shuffle(self):
+        """All columns share one home lane: the half with the smallest
+        ``ct_0`` stays there, in any batch order."""
+        columns = _columns(random.Random(7), 10, home=1)
+        expected = column_lanes(columns, 2)
+        assert sorted(expected) == [0] * 5 + [1] * 5
+        smallest = sorted(columns, key=lambda column: column.ct0)[:5]
+        assert {column for column, lane in zip(columns, expected)
+                if lane == 1} == set(smallest)
+        rng = random.Random(8)
+        for _ in range(5):
+            order = rng.sample(columns, len(columns))
+            routes = dict(zip(order, column_lanes(order, 2)))
+            assert [routes[column] for column in columns] == expected
 
 
 class TestParallelMatchesSerial:
@@ -254,9 +342,9 @@ class TestPoolDegradation:
                                   enc.require_feip(), keys, bound)
             np.testing.assert_array_equal(out, expected)
             stats = pool.stats
-        # every executor (initial + CRASH_RETRIES rebuilds) broke and
-        # was replaced
-        assert stats["worker_restarts"] == CRASH_RETRIES + 1
+        # both lanes broke on every attempt (the first + CRASH_RETRIES
+        # rebuilds), and each broken lane was replaced
+        assert stats["worker_restarts"] == (CRASH_RETRIES + 1) * 2
         assert stats["degraded_dispatches"] == 1
         assert stats["degraded"] is True
         assert stats["dispatches"] == 1
@@ -280,6 +368,107 @@ class TestPoolDegradation:
         assert stats["degraded_dispatches"] == 2
         assert stats["degraded"] is True
         assert stats["dispatches"] == 2
+
+
+def _sleep_task(config, seconds):
+    time.sleep(seconds)
+    return seconds
+
+
+def _wait_dead(pid, timeout=5.0):
+    """Wait until ``pid`` has exited (gone, or a zombie)."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                if fh.read().rsplit(")", 1)[1].split()[0] in "ZX":
+                    return
+        except FileNotFoundError:
+            return
+        time.sleep(0.01)
+    raise AssertionError(f"process {pid} still runs after {timeout} s")
+
+
+@pytest.mark.timeout_guard(120)
+class TestLanes:
+    """One single-process executor per worker: columns meet the same
+    worker every epoch, and a crash costs one lane."""
+
+    def _feip_setup(self, bits, rows, n_columns):
+        feip = Feip(GroupParams.predefined(bits), rng=random.Random(bits))
+        mpk, msk = feip.setup(4)
+        rng = random.Random(rows)
+        keys = [feip.key_derive(msk, [rng.randint(-9, 9) for _ in range(4)])
+                for _ in range(rows)]
+        columns = [feip.encrypt(mpk, [rng.randint(0, 9) for _ in range(4)])
+                   for _ in range(n_columns)]
+        return feip, mpk, keys, columns, 4 * 9 * 9 + 1
+
+    def test_shuffled_epochs_match_inline(self):
+        """3 shuffled epochs of 2 batches, then one in-order pass (the
+        evaluation), on 16-row columns that keep their tables in each
+        worker's column cache: every grid equals the inline one."""
+        feip, mpk, keys, columns, bound = self._feip_setup(64, 16, 12)
+        params = feip.group.params
+        inline = InlineExecutor(feip, Febo(params))
+        order = np.random.default_rng(0)
+        batches = [[columns[j] for j in perm[i:i + 6]]
+                   for perm in (order.permutation(12) for _ in range(3))
+                   for i in (0, 6)] + [columns]
+        with SecureComputePool(workers=2) as pool:
+            for batch in batches:
+                assert np.array_equal(
+                    pool.secure_dot(params, mpk, batch, keys, bound),
+                    inline.secure_dot(params, mpk, batch, keys, bound))
+            stats = pool.stats
+            assert pool.executors_created == 2
+            assert len(pool.worker_pids()) == 2
+        assert stats["dispatches"] == len(batches)
+        assert stats["columns_home"] + stats["columns_spilled"] == \
+            sum(map(len, batches))
+        assert stats["worker_restarts"] == 0 and not stats["degraded"]
+
+    def test_a_killed_worker_rebuilds_its_lane_only(self):
+        feip, mpk, keys, columns, bound = self._feip_setup(32, 3, 8)
+        params = feip.group.params
+        expected = InlineExecutor(feip, Febo(params)).secure_dot(
+            params, mpk, columns, keys, bound)
+        with SecureComputePool(workers=2) as pool:
+            assert np.array_equal(
+                pool.secure_dot(params, mpk, columns, keys, bound), expected)
+            before = pool.worker_pids()
+            os.kill(before[0], signal.SIGKILL)
+            _wait_dead(before[0])
+            assert np.array_equal(
+                pool.secure_dot(params, mpk, columns, keys, bound), expected)
+            after = pool.worker_pids()
+            stats = pool.stats
+        assert stats["worker_restarts"] == 1
+        assert after[1] == before[1] and after[0] != before[0]
+        assert pool.executors_created == 3
+        assert stats["degraded_dispatches"] == 0
+
+    def test_oldest_dispatch_age_gauge(self):
+        """A scrape from another thread sees a dispatch in flight as a
+        positive age, and 0 once it returns."""
+        def age():
+            return GLOBAL_REGISTRY.snapshot()["gauges"][
+                "repro_pool_oldest_dispatch_age_seconds"]
+
+        with SecureComputePool(workers=2) as pool:
+            assert age() == 0
+            runner = threading.Thread(
+                target=pool._map, args=(_sleep_task, ("config",), [1, 1]))
+            runner.start()
+            deadline = time.monotonic() + 30
+            while age() < 0.2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            seen, running = age(), runner.is_alive()
+            runner.join(30)
+            assert not runner.is_alive()
+            assert seen >= 0.2 and running
+            assert age() == 0
+            assert pool.oldest_dispatch_age() == 0
 
 
 # a process that starts a pinned pool, reports it is ready, then idles
@@ -329,8 +518,8 @@ def test_workers_are_unpinned_by_default():
     _, msk = Febo(params).setup()
     with SecureComputePool(workers=2) as pool:
         pool.febo_masks(params, msk, [params.g] * 2)
-        workers = list(pool._executor._processes)
-        assert workers and all(
+        workers = pool.worker_pids()
+        assert len(workers) == 2 and all(
             os.sched_getaffinity(pid) == os.sched_getaffinity(0)
             for pid in workers)
 
@@ -380,8 +569,7 @@ def test_a_cache_lock_held_at_fork_time_does_not_wedge_a_worker(
     runner = threading.Thread(target=dispatch, daemon=True)
     runner.start()
     deadline = time.monotonic() + FORK_DISPATCH_DEADLINE_S
-    while time.monotonic() < deadline and not (
-            pool._executor is not None and pool._executor._processes):
+    while time.monotonic() < deadline and not pool.worker_pids():
         time.sleep(0.01)
     forked.set()
     holder.join()
@@ -391,8 +579,8 @@ def test_a_cache_lock_held_at_fork_time_does_not_wedge_a_worker(
         if wedged:
             # kill the wedged worker: the dispatch rebuilds the pool and
             # finishes, so close() below cannot hang
-            for process in list(pool._executor._processes.values()):
-                process.kill()
+            for pid in pool.worker_pids():
+                os.kill(pid, signal.SIGKILL)
             runner.join(60)
     finally:
         pool.close()

@@ -100,7 +100,7 @@ def test_pool_recovers_from_worker_crash(params, dot_fixture):
             lambda: pool.secure_dot(params, scheme.feip_mpk,
                                     enc.require_feip(), keys, bound)
         )
-        os.kill(next(iter(pool._executor._processes)), signal.SIGKILL)
+        os.kill(pool.worker_pids()[0], signal.SIGKILL)
         time.sleep(0.2)
         out = run_with_timeout(
             lambda: pool.secure_dot(params, scheme.feip_mpk,

@@ -4,13 +4,12 @@ from repro.core.related_work import (
     FULL,
     SUPPORTED,
     TABLE_I,
-    cryptonn_claims,
     format_table_i,
 )
 
 
 def test_cryptonn_row_claims():
-    row = cryptonn_claims()
+    row = TABLE_I[-1]  # the row the paper adds
     assert row.name.startswith("CryptoNN")
     assert row.training == SUPPORTED
     assert row.prediction == SUPPORTED

@@ -786,9 +786,11 @@ def test_authority_stops_cleanly_on_signal(sig, repro_env, live_processes):
 
 @pytest.mark.timeout_guard(60)
 def test_authority_survives_a_killed_pool_worker(repro_env, live_processes):
-    """A pool worker killed under ``serve-authority`` costs one executor
-    rebuild: the service keeps answering, later stops on SIGTERM within
-    5 s, and leaves no worker behind -- old or rebuilt.
+    """A pool worker killed under ``serve-authority`` costs one lane
+    rebuild: the service keeps answering, the killed worker's lane gets
+    a new one while the other workers survive, the service later stops
+    on SIGTERM within 5 s, and leaves no worker behind -- old or
+    rebuilt.
 
     The authority memoizes each commitment's mask, so a repeated
     request would never reach the pool: every request here names fresh
@@ -821,14 +823,18 @@ def test_authority_survives_a_killed_pool_worker(repro_env, live_processes):
 
             assert decrypted_fresh_keys() == [15, 9, 36, 4]
             first = workers()
-            os.kill(min(first), signal.SIGKILL)
-            # the executor stops the survivors; the next request rebuilds
+            # the first-forked worker: lane 0, which every request uses
+            killed = min(first)
+            os.kill(killed, signal.SIGKILL)
+            # the lane notices its dead worker; the next request rebuilds it
             time.sleep(1)
             for _ in range(2):
                 assert decrypted_fresh_keys() == [15, 9, 36, 4]
             assert proc.poll() is None
             rebuilt = workers()
-            assert rebuilt and not rebuilt & first
+            assert killed not in rebuilt
+            assert first - {killed} <= rebuilt
+            assert len(rebuilt) == len(first)
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=5) == 0
     finally:
@@ -917,8 +923,7 @@ class TestClientUploadPool:
                 pools.append(self)
 
             def close(self):
-                if self._executor is not None:
-                    forked.update(self._executor._processes)
+                forked.update(self.worker_pids())
                 super().close()
 
         monkeypatch.setattr(client_agent, "SecureComputePool", SpyPool)
@@ -946,6 +951,8 @@ class TestClientUploadPool:
         for pool in pools:
             # features, labels and FEBO: one dispatch per nonce batch
             assert pool.dispatches == 3 and not pool.started
+            # one lane per worker, all forked on first use, none rebuilt
+            assert pool.executors_created == pool.workers
         # every forked worker is gone once the upload returns
         assert len(forked) == (expected or 0)
         assert not forked & live_processes().keys()
