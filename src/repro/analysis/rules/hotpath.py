@@ -16,7 +16,7 @@ import ast
 
 from repro.analysis.core import Rule, SourceFile, register
 
-_EXP_CALLEES = {"exp", "gexp", "exp_cached", "multiexp", "eval_many"}
+_EXP_CALLEES = {"exp", "gexp", "exp_cached", "multiexp", "RowPlan"}
 
 
 def _is_q_mod(node: ast.AST) -> bool:

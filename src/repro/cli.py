@@ -175,6 +175,8 @@ def cmd_serve_train(args: argparse.Namespace) -> int:
 
     if (args.resume or args.checkpoint_every) and not args.checkpoint:
         raise SystemExit("--resume/--checkpoint-every require --checkpoint")
+    if args.workers is not None and args.workers < 1:
+        raise SystemExit("--workers must be >= 1")
     service = TrainingService(
         args.authority_host, args.authority_port,
         host=args.host, port=args.port,
@@ -384,6 +386,8 @@ def cmd_supervise(args: argparse.Namespace) -> int:
                          "(children must rebind the same address)")
     if args.max_restarts < 1:
         raise SystemExit("--max-restarts must be >= 1")
+    if args.workers is not None and args.workers < 1:
+        raise SystemExit("--workers must be >= 1")
     if not os.path.exists(args.authority_file):
         config = CryptoNNConfig(security_bits=args.bits, scale=args.scale)
         authority = TrustedAuthority(config, rng=random.Random(args.seed))

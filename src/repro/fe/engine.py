@@ -84,14 +84,12 @@ def nonce_powers(params: GroupParams, bases: Sequence[int],
     :func:`~repro.mathutils.fastexp.amortized_comb_window` for exactly
     ``len(rs)`` uses, freed with the batch.  Batches of fewer than
     :data:`~repro.mathutils.fastexp.CHAIN_MAX_ROWS` nonces walk each
-    base's cached squaring chain instead, and toy groups raise each base
-    with one ``pow`` per nonce inside the plan.  A pool worker runs this
-    on its share of a batch's bases or nonces.
+    base's cached squaring chain instead, at every group size.  A pool
+    worker runs this on its share of a batch's bases or nonces.
     """
-    plan = RowPlan([[] for _ in rs], params.p, order=params.q,
-                   fixed_exponents=rs)
-    return [SharedBaseMultiExp([], params.p, order=params.q, fixed_base=base)
-            .eval_plan(plan) for base in bases]
+    plan = RowPlan([[] for _ in rs], params.q, fixed_exponents=rs)
+    return [SharedBaseMultiExp([], params.p, fixed_base=base).eval_plan(plan)
+            for base in bases]
 
 
 def assemble_nonces(mpk, rs: Sequence[int], powers: Sequence[Sequence[int]]

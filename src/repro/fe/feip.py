@@ -160,7 +160,7 @@ class Feip:
         if len({len(skf.y) for skf in keys}) > 1:
             raise FunctionKeyError("function keys have different lengths")
         group = self.group
-        return RowPlan([skf.y for skf in keys], group.p, order=group.q,
+        return RowPlan([skf.y for skf in keys], group.q,
                        fixed_exponents=[-skf.sk for skf in keys],
                        source=tuple(skf.sk for skf in keys))
 
@@ -207,7 +207,7 @@ class Feip:
                 f"{plan.n_bases}"
             )
         group = self.group
-        context = SharedBaseMultiExp(ciphertext.ct, group.p, order=group.q,
+        context = SharedBaseMultiExp(ciphertext.ct, group.p,
                                      fixed_base=ciphertext.ct0,
                                      column_cache=GLOBAL_COLUMN_CACHE)
         elements = context.eval_plan(plan)

@@ -4,7 +4,7 @@ This package replaces the Charm/GMP layer used by the paper's prototype
 with pure-Python implementations:
 
 * :mod:`repro.mathutils.primes` -- probabilistic primality testing and
-  (safe-)prime generation.
+  safe-prime generation.
 * :mod:`repro.mathutils.modarith` -- modular arithmetic helpers.
 * :mod:`repro.mathutils.group` -- prime-order Schnorr groups where the
   DDH assumption is believed to hold, with precomputed parameters and
@@ -24,7 +24,7 @@ from repro.mathutils.encoding import FixedPointCodec
 from repro.mathutils.fastexp import FixedBaseExp, multiexp
 from repro.mathutils.group import GroupParams, SchnorrGroup
 from repro.mathutils.modarith import mod_inverse
-from repro.mathutils.primes import gen_prime, gen_safe_prime, is_probable_prime
+from repro.mathutils.primes import gen_safe_prime, is_probable_prime
 
 __all__ = [
     "DiscreteLogError",
@@ -34,7 +34,6 @@ __all__ = [
     "GroupParams",
     "SchnorrGroup",
     "multiexp",
-    "gen_prime",
     "gen_safe_prime",
     "is_probable_prime",
     "mod_inverse",

@@ -62,12 +62,6 @@ from repro.utils.forksafe import renew_lock_after_fork
 #: than the Python-level bookkeeping of a shared window walk).
 NAIVE_MULTIEXP_BITS = 16
 
-#: Below this modulus size C ``pow`` beats a Python-level comb, so
-#: :class:`SharedBaseMultiExp` raises its fixed base with one ``pow``
-#: per row instead of building the per-column comb (same policy as
-#: ``FIXED_BASE_MIN_BITS`` on :class:`SchnorrGroup`).
-SHARED_TABLE_MIN_BITS = 64
-
 #: Row count from which a fixed base's per-column signed comb (the
 #: ``ct_0`` table) amortizes its build; smaller batches walk the base's
 #: cached squaring chain (:class:`ChainCache`) by Yao's method instead,
@@ -121,8 +115,7 @@ class FixedBaseExp:
     oversized exponents exactly as with :meth:`SchnorrGroup.exp`.
     """
 
-    def __init__(self, base: int, modulus: int, order: int,
-                 window: int | None = None):
+    def __init__(self, base: int, modulus: int, order: int):
         if modulus <= 1:
             raise ValueError("modulus must be > 1")
         if order <= 0:
@@ -131,9 +124,7 @@ class FixedBaseExp:
         self.modulus = modulus
         self.order = order
         bits = order.bit_length()
-        self.window = _comb_window(bits) if window is None else window
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
+        self.window = _comb_window(bits)
         self._mask = (1 << self.window) - 1
         self.num_windows = (bits + self.window - 1) // self.window
         self._tables = self._build_tables()
@@ -167,8 +158,6 @@ class FixedBaseExp:
             e >>= window
             i += 1
         return result
-
-    __call__ = pow
 
     @property
     def table_entries(self) -> int:
@@ -613,29 +602,26 @@ class RowPlan:
     for its positive terms and a denominator for its negative ones --
     so the table needs positive powers only, and one batch inversion
     per column divides them out.  Weights are recoded into sliding odd
-    digits of ``window`` bits, walked top-down with one squaring per bit.
+    digits of ``window`` bits, walked top-down with one squaring per bit;
+    the window is sized for the weights' magnitude and the row count.
     A fixed exponent per row (FEIP's ``-sk``, or a nonce) takes one of
-    two modes on groups of :data:`SHARED_TABLE_MIN_BITS` or more.  A
-    batch of :data:`CHAIN_MAX_ROWS` rows or more recodes it into signed
-    digits of a comb over the fixed base; its positive digits join the
-    numerator, its negative ones the denominator, after the last
-    squaring.  A smaller batch recodes it into signed base-16 digits
-    grouped by magnitude (``chain_ops``), which the column walks against
-    the base's cached squaring chain by Yao's method.  Toy groups raise
-    the fixed base with one ``pow`` per row instead (``fixed_pows``).
+    two modes, picked by the row count alone.  A batch of
+    :data:`CHAIN_MAX_ROWS` rows or more recodes it into signed digits of
+    a comb over the fixed base; its positive digits join the numerator,
+    its negative ones the denominator, after the last squaring.  A
+    smaller batch recodes it into signed base-16 digits grouped by
+    magnitude (``chain_ops``), which the column walks against the
+    base's cached squaring chain by Yao's method.
 
-    ``source`` is an opaque tag of what the rows were recoded from
-    (FEIP: the keys' ``sk``), kept so a caller can check that a plan
-    belongs to the keys it is handed with.
+    Exponents are reduced to their balanced form mod ``order``, the
+    order of the bases' subgroup.  ``source`` is an opaque tag of what
+    the rows were recoded from (FEIP: the keys' ``sk``), kept so a
+    caller can check that a plan belongs to the keys it is handed with.
     """
 
-    def __init__(self, rows: Sequence[Sequence[int]], modulus: int,
-                 order: int | None = None,
+    def __init__(self, rows: Sequence[Sequence[int]], order: int,
                  fixed_exponents: Sequence[int] | None = None,
-                 rows_hint: int | None = None, window: int | None = None,
                  source: object = None):
-        if window is not None and window < 1:
-            raise ValueError("window must be >= 1")
         rows = [[_balanced(int(e), order) for e in row] for row in rows]
         self.n_rows = len(rows)
         self.n_bases = len(rows[0]) if rows else 0
@@ -646,15 +632,12 @@ class RowPlan:
         fixed = [_balanced(int(f), order) for f in fixed_exponents or ()]
         if self.has_fixed and len(fixed) != self.n_rows:
             raise ValueError("fixed_exponents must supply one exponent per row")
-        uses = rows_hint or self.n_rows
         max_bits = max((abs(e).bit_length() for row in rows for e in row),
                        default=0)
         #: odd-power window width; None when every weight is zero
-        self.window = (window or _shared_window(max_bits, self.n_bases, uses)
-                       ) if max_bits else None
+        self.window = _shared_window(max_bits, self.n_bases, self.n_rows) \
+            if max_bits else None
         fixed_bits = max((abs(f).bit_length() for f in fixed), default=0)
-        tables = fixed_bits and order is not None \
-            and modulus.bit_length() >= SHARED_TABLE_MIN_BITS
         #: signed-comb window and window count for the fixed base
         self.comb_window: int | None = None
         self.comb_windows = 0
@@ -662,17 +645,13 @@ class RowPlan:
         #: exponent over a chain of ``chain_len`` entries
         self.chain_ops: list[tuple[list, list]] | None = None
         self.chain_len = 0
-        #: per-row fixed exponents raised with plain ``pow`` instead
-        self.fixed_pows: list[int] | None = None
-        if tables and uses >= CHAIN_MAX_ROWS:
-            self.comb_window = amortized_comb_window(fixed_bits, uses)
+        if fixed_bits and self.n_rows >= CHAIN_MAX_ROWS:
+            self.comb_window = amortized_comb_window(fixed_bits, self.n_rows)
             self.comb_windows = (fixed_bits + self.comb_window) \
                 // self.comb_window
-        elif tables:
+        elif fixed_bits:
             self.chain_len = chain_length(order)
             self.chain_ops = [_chain_groups(f) for f in fixed]
-        elif fixed_bits:
-            self.fixed_pows = fixed
         self.ops = [self._row_ops(row, fixed[i] if self.comb_window else 0)
                     for i, row in enumerate(rows)]
 
@@ -741,30 +720,21 @@ class SharedBaseMultiExp:
     the whole base tuple; otherwise they live and die with the context.
     :meth:`eval_plan` walks every row against them and divides out all
     denominators with one :func:`~repro.mathutils.modarith.batch_inverse`.
-
-    :meth:`eval_many` recodes its rows on every call; callers that
-    evaluate one key set against many columns build the plan once and
-    call :meth:`eval_plan`.  Results are exact integers either way, but
-    exponents are reduced mod ``order`` as in :func:`multiexp`, so for
+    Results are exact integers, but a plan's exponents are reduced mod
+    its ``order`` as in :func:`multiexp`, so for
     :func:`~repro.mathutils.group.canonical` bases (ciphertext elements)
     they are exact only up to sign.
     """
 
     def __init__(self, bases: Sequence[int], modulus: int,
-                 order: int | None = None, fixed_base: int | None = None,
-                 rows_hint: int | None = None, window: int | None = None,
+                 fixed_base: int | None = None,
                  column_cache: ColumnCache | None = None):
         if modulus <= 1:
             raise ValueError("modulus must be > 1")
-        if window is not None and window < 1:
-            raise ValueError("window must be >= 1")
         self.bases = tuple(b % modulus for b in bases)
         self.modulus = modulus
-        self.order = order
-        self.rows_hint = rows_hint
         self.fixed_base = fixed_base % modulus if fixed_base is not None \
             else None
-        self._forced_window = window
         #: where comb-mode plans take their tables (None: built here)
         self.column_cache = column_cache
         #: window of the odd-power tables last built (None before)
@@ -820,28 +790,9 @@ class SharedBaseMultiExp:
             for i, (num_groups, den_groups) in enumerate(plan.chain_ops):
                 nums[i] = _yao(num_groups, chain, modulus, nums[i])
                 dens[i] = _yao(den_groups, chain, modulus, dens[i])
-        for i, f in enumerate(plan.fixed_pows or ()):
-            if f > 0:
-                nums[i] = nums[i] * pow(self.fixed_base, f, modulus) % modulus
-            elif f < 0:
-                dens[i] = dens[i] * pow(self.fixed_base, -f, modulus) % modulus
         divided = [i for i, d in enumerate(dens) if d != 1]
         if divided:
             inverses = batch_inverse([dens[i] for i in divided], modulus)
             for i, inverse in zip(divided, inverses):
                 nums[i] = nums[i] * inverse % modulus
         return nums
-
-    def eval_many(self, rows: Sequence[Sequence[int]],
-                  fixed_exponents: Sequence[int] | None = None) -> list[int]:
-        """Return ``[prod_j bases[j] ** rows[i][j] mod modulus]`` per row.
-
-        With ``fixed_exponents`` given (one scalar per row), each result
-        is additionally multiplied by ``fixed_base ** fixed_exponents[i]``
-        -- the ``ct_0^{-sk}`` half of FEIP decryption.  Exponents may be
-        signed or exceed ``order`` exactly as with :func:`multiexp`.
-        """
-        return self.eval_plan(RowPlan(
-            rows, self.modulus, order=self.order,
-            fixed_exponents=fixed_exponents, rows_hint=self.rows_hint,
-            window=self._forced_window))

@@ -62,11 +62,6 @@ PAPER_SECURITY_BITS = 256
 #: NOT secure; they only exercise the identical code path cheaply.
 TOY_SECURITY_BITS = 32
 
-#: Below this modulus size a plain C ``pow`` already costs less than the
-#: Python-level table walk, so fixed-base tables are not built for toy
-#: groups (the tables themselves remain testable via ``fixed_base``).
-FIXED_BASE_MIN_BITS = 64
-
 #: Memory budget for cached fixed-base tables per group instance,
 #: denominated in precomputed group elements (~50 MB of 256-bit ints at
 #: the default).  Encryption touches one table per public-key slot, so
@@ -160,7 +155,7 @@ class SchnorrGroup:
         """Return ``base ** exponent mod p`` with the exponent in Z_q."""
         return pow(base, exponent % self.q, self.p)
 
-    def fixed_base(self, base: int, window: int | None = None) -> FixedBaseExp:
+    def fixed_base(self, base: int) -> FixedBaseExp:
         """Cached fixed-base exponentiation table for ``base``.
 
         Tables are built once per ``(base, modulus)`` and reused for the
@@ -173,7 +168,7 @@ class SchnorrGroup:
         """
         table = self._fixed_bases.get(base)
         if table is None:
-            table = FixedBaseExp(base, self.p, self.q, window=window)
+            table = FixedBaseExp(base, self.p, self.q)
             self._fixed_bases[base] = table
             self._fixed_base_entries += table.table_entries
             # table builds are rare (once per reused base), so a locked
@@ -188,13 +183,10 @@ class SchnorrGroup:
     def exp_cached(self, base: int, exponent: int) -> int:
         """Like :meth:`exp` but through the fixed-base table cache.
 
-        Falls back to plain ``pow`` for toy groups (where table walks
-        lose to C exponentiation) and for new bases once the
-        :data:`FIXED_BASE_CACHE_ENTRIES` memory budget is spent.  Only
-        use for heavily reused bases.
+        Every group size walks the same comb; only new bases past the
+        :data:`FIXED_BASE_CACHE_ENTRIES` memory budget fall back to plain
+        ``pow``.  Only use for heavily reused bases.
         """
-        if self.params.bits < FIXED_BASE_MIN_BITS:
-            return pow(base, exponent % self.q, self.p)
         table = self._fixed_bases.get(base)
         if table is None:
             if self._fixed_base_entries >= FIXED_BASE_CACHE_ENTRIES:
@@ -213,7 +205,7 @@ class SchnorrGroup:
         """
         q = self.q
         e = exponent % q
-        if e <= q // 2 or self.params.bits < FIXED_BASE_MIN_BITS:
+        if e <= q // 2:
             return self.exp_cached(self.params.g, e)
         if self._g_inverse is None:
             self._g_inverse = mod_inverse(self.params.g, self.p)
@@ -249,10 +241,6 @@ class SchnorrGroup:
     def random_element(self) -> int:
         """Sample a uniform element of the subgroup."""
         return self.gexp(self.random_exponent())
-
-    def contains(self, element: int) -> bool:
-        """Return True if ``element`` lies in the order-``q`` subgroup."""
-        return 0 < element < self.p and pow(element, self.q, self.p) == 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SchnorrGroup(bits={self.params.bits})"

@@ -1,4 +1,4 @@
-"""Primality testing and prime generation.
+"""Primality testing and safe-prime generation.
 
 The CryptoNN prototype relied on GMP through the Charm toolkit; here the
 same functionality is provided in pure Python.  The Miller-Rabin test with
@@ -51,17 +51,6 @@ def is_probable_prime(n: int, rounds: int = DEFAULT_MILLER_RABIN_ROUNDS,
         else:
             return False
     return True
-
-
-def gen_prime(bits: int, rng: random.Random | None = None) -> int:
-    """Generate a random prime of exactly ``bits`` bits."""
-    if bits < 2:
-        raise ValueError("a prime needs at least 2 bits")
-    rng = rng or random
-    while True:
-        candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if is_probable_prime(candidate, rng=rng):
-            return candidate
 
 
 def gen_safe_prime(bits: int, rng: random.Random | None = None) -> tuple[int, int]:

@@ -23,7 +23,9 @@ import repro
 from repro.fe.febo import Febo
 from repro.fe.feip import Feip
 from repro.mathutils.dlog import SolverCache
+from repro.mathutils.fastexp import GLOBAL_CHAIN_CACHE, GLOBAL_COLUMN_CACHE
 from repro.mathutils.group import GroupParams, SchnorrGroup
+from repro.obs.metrics import GLOBAL_REGISTRY
 
 TEST_BITS = 32
 
@@ -89,6 +91,28 @@ def feip(params, rng, solver_cache) -> Feip:
 @pytest.fixture()
 def febo(params, rng, solver_cache) -> Febo:
     return Febo(params, rng=rng, solver_cache=solver_cache)
+
+
+def _kernel_build_counts() -> tuple[int, int]:
+    counters = GLOBAL_REGISTRY.snapshot()["counters"]
+    return (counters.get("repro_fastexp_comb_tables_total", 0),
+            counters.get("repro_fastexp_chain_cache_builds_total", 0)
+            + counters.get("repro_fastexp_column_cache_builds_total", 0))
+
+
+@pytest.fixture()
+def kernel_builds():
+    """Tables the exponentiation kernel built in this process since the
+    fixture was set up: calling its value returns ``(combs, caches)``,
+    the fixed-base combs of ``SchnorrGroup.fixed_base`` and the builds
+    of the chain and column caches, which start cold (an earlier test's
+    ciphertexts would otherwise hit).  A fixture that requests it counts
+    its own setup too."""
+    GLOBAL_CHAIN_CACHE.clear()
+    GLOBAL_COLUMN_CACHE.clear()
+    start = _kernel_build_counts()
+    return lambda: tuple(now - then for now, then
+                         in zip(_kernel_build_counts(), start))
 
 
 def _plain_convolve(image, kernel, stride, padding):

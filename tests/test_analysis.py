@@ -294,6 +294,21 @@ def test_hotpath_flags_bare_pow_and_q_reduction(tmp_path):
     assert len(report.active()) == 2
 
 
+def test_hotpath_flags_q_reduction_passed_to_row_plan(tmp_path):
+    """``RowPlan`` is the batched entry point that takes exponents: a
+    full-width ``% q`` handed to it is flagged, its order is not."""
+    report = lint(tmp_path, {
+        "src/repro/fe/bad.py": """\
+            from repro.mathutils.fastexp import RowPlan
+
+            def plan(group, weights, neg_sk, q):
+                return RowPlan(weights, group.q, fixed_exponents=neg_sk % q)
+            """,
+    }, ["hotpath-pow"])
+    finding, = report.active()
+    assert "RowPlan()" in finding.message
+
+
 def test_hotpath_allows_mathutils_and_2arg_pow(tmp_path):
     report = lint(tmp_path, {
         "src/repro/mathutils/fastexp.py": """\

@@ -3,9 +3,9 @@
 A :class:`~repro.fe.feip.Feip.decrypt_rows` column with fewer than
 ``CHAIN_MAX_ROWS`` keys raises ``ct_0`` on the chain ``ct_0^(16^k)``
 that :class:`~repro.mathutils.fastexp.ChainCache` keeps across calls;
-16 rows or more build the per-column comb.  Both modes only engage on
-groups of ``SHARED_TABLE_MIN_BITS`` or more, so these tests run at 64
-bits and above, where the toy-group ``pow`` path does not hide them.
+16 rows or more build the per-column comb.  The row count alone picks
+the mode, at every group size, so these tests run on the 32-bit toy
+group as well as at 64 bits and above.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from repro.mathutils.fastexp import (
     CHAIN_MAX_ROWS,
     GLOBAL_CHAIN_CACHE,
     ChainCache,
+    RowPlan,
     SharedBaseMultiExp,
     chain_length,
 )
@@ -38,7 +39,7 @@ BOUND = 1 << 17
 ETA = 9
 
 
-@pytest.fixture(scope="module", params=[64, 128])
+@pytest.fixture(scope="module", params=[32, 64, 128])
 def feip(request) -> Feip:
     return Feip(GroupParams.predefined(request.param),
                 rng=random.Random(request.param))
@@ -98,11 +99,11 @@ class TestChainCache:
         GLOBAL_CHAIN_CACHE.clear()
         before = GLOBAL_CHAIN_CACHE.stats()
         for params in (small, large, small, large):
-            context = SharedBaseMultiExp([], params.p, order=params.q,
-                                         fixed_base=base)
+            context = SharedBaseMultiExp([], params.p, fixed_base=base)
             rng = random.Random(params.bits)
             exps = [rng.randrange(params.q) for _ in range(3)]
-            got = context.eval_many([[] for _ in exps], fixed_exponents=exps)
+            got = context.eval_plan(RowPlan([[] for _ in exps], params.q,
+                                            fixed_exponents=exps))
             assert got == [pow(base, e, params.p) for e in exps]
         after = GLOBAL_CHAIN_CACHE.stats()
         assert after["entries"] == 2
@@ -180,7 +181,7 @@ class TestChainCache:
             ChainCache(max_bytes=-1)
 
 
-@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("bits", [32, 64, 256])
 @pytest.mark.parametrize("count", [1, 2, 3, CHAIN_MAX_ROWS - 1])
 def test_nonce_batch_under_the_comb_cutoff_raises_every_base(bits, count):
     params = GroupParams.predefined(bits)

@@ -236,12 +236,13 @@ def _assert_identical_run(service, ref_weights, ref_history, ref_accuracy):
 
 @pytest.mark.timeout_guard(420)
 class TestChaosTraining:
-    def test_training_through_weather_is_byte_exact(self):
+    def test_training_through_weather_is_byte_exact(self, kernel_builds):
         """Seeded chaos on the authority link (>=10% resets+stalls, plus
         truncation/corruption/latency): the run retries through every
         fault and lands on the clean run's exact weights and history."""
         shards = _make_shards()
         ref_weights, ref_history, ref_accuracy = _clean_reference(shards)
+        combs_before, caches_before = kernel_builds()
 
         authority = TrustedAuthority(CryptoNNConfig(),
                                      rng=random.Random(SEED))
@@ -277,6 +278,10 @@ class TestChaosTraining:
 
             _assert_identical_run(service, ref_weights, ref_history,
                                   ref_accuracy)
+            # at 32 bits serve-train has no pool and decrypts in this
+            # process, on the kernel a 256-bit run uses
+            combs, caches = kernel_builds()
+            assert combs > combs_before and caches > caches_before
 
             summary = proxy.fault_summary()
             endpoint_stats = service.authority.endpoint.stats.snapshot()

@@ -30,6 +30,26 @@ class TestParser:
             main(["client-upload", "--authority-port", "1",
                   "--server-port", "2", "--workers", "0"])
 
+    @pytest.mark.timeout_guard(30)
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_serve_train_rejects_nonpositive_workers(self, workers):
+        with pytest.raises(SystemExit, match="--workers"):
+            main(["serve-train", "--authority-port", "1",
+                  "--workers", workers])
+
+    @pytest.mark.timeout_guard(30)
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_supervise_rejects_nonpositive_workers(self, tmp_path, workers):
+        """Refused before the supervisor writes a key file or starts a
+        child, not when training starts."""
+        authority_file = tmp_path / "auth.json"
+        with pytest.raises(SystemExit, match="--workers"):
+            main(["supervise", "--authority-port", "1", "--port", "2",
+                  "--authority-file", str(authority_file),
+                  "--checkpoint", str(tmp_path / "ckpt.npz"),
+                  "--workers", workers])
+        assert not authority_file.exists()
+
     def test_client_upload_draws_no_nonces_from_seed(self, monkeypatch):
         """``--seed`` picks the synthetic shard only: the CLI hands
         ``upload_shard`` no seeded generator, so a known seed does not

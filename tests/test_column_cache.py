@@ -4,8 +4,8 @@ A :meth:`~repro.fe.feip.Feip.decrypt_rows` column of ``CHAIN_MAX_ROWS``
 keys or more walks the odd powers of ``ct_1..ct_eta`` and a comb over
 ``ct_0``; :class:`~repro.mathutils.fastexp.ColumnCache` keeps both per
 modulus and whole ciphertext, so a second decryption only walks its
-rows.  Comb mode engages on groups of ``SHARED_TABLE_MIN_BITS`` or
-more, so these tests run at 64 and 128 bits.
+rows.  Every group size takes the same path, so these tests run on the
+32-bit toy group as well as at 64 and 128 bits.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.mathutils.fastexp import (
     GLOBAL_CHAIN_CACHE,
     GLOBAL_COLUMN_CACHE,
     ColumnCache,
-    RowPlan,
     _comb_table,
     _odd_power_table,
 )
@@ -37,7 +36,7 @@ BOUND = 1 << 17
 ETA = 9
 
 
-@pytest.fixture(scope="module", params=[64, 128])
+@pytest.fixture(scope="module", params=[32, 64, 128])
 def feip(request) -> Feip:
     return Feip(GroupParams.predefined(request.param),
                 rng=random.Random(request.param))
@@ -63,14 +62,6 @@ def _setup(feip: Feip, m: int, seed: int, columns: int = 1):
 def _reference(feip, mpk, cts, keys):
     return [[feip.decrypt(mpk, ct, key, BOUND) for key in keys]
             for ct in cts]
-
-
-def _plan(feip: Feip, keys, **kwargs) -> RowPlan:
-    """``feip.row_plan(keys)`` with forced windows or a row hint."""
-    group = feip.group
-    return RowPlan([key.y for key in keys], group.p, order=group.q,
-                   fixed_exponents=[-key.sk for key in keys],
-                   source=tuple(key.sk for key in keys), **kwargs)
 
 
 @pytest.mark.parametrize("m", [CHAIN_MAX_ROWS, 32])
@@ -107,17 +98,27 @@ def test_ciphertexts_sharing_ct0_never_share_tables(feip):
 
 
 def test_a_plan_with_other_windows_stays_exact(feip):
-    mpk, keys, (ct,) = _setup(feip, 32, seed=9)
-    reference, = _reference(feip, mpk, [ct], keys)
-    default = feip.row_plan(keys)
-    other_odd = _plan(feip, keys, window=default.window + 1)
-    wider_comb = _plan(feip, keys, rows_hint=4 * len(keys))
-    assert other_odd.window != default.window
-    assert other_odd.comb_window == default.comb_window
-    assert wider_comb.comb_window != default.comb_window
+    """Smaller weights recode to a narrower odd-power window, four times
+    the rows to a wider comb; each key set meets the one ciphertext."""
+    rng = random.Random(9)
+    mpk, msk = feip.setup(ETA)
+    ct = feip.encrypt(mpk, [rng.randint(0, 100) for _ in range(ETA)])
+
+    def keys(m, magnitude):
+        return [feip.key_derive(msk, [rng.randint(-magnitude, magnitude)
+                                      for _ in range(ETA)])
+                for _ in range(m)]
+
+    default, other_odd, wider_comb = (
+        (k, feip.row_plan(k)) for k in (keys(32, 60), keys(32, 3),
+                                        keys(128, 60)))
+    assert other_odd[1].window != default[1].window
+    assert other_odd[1].comb_window == default[1].comb_window
+    assert wider_comb[1].comb_window != default[1].comb_window
     builds = GLOBAL_COLUMN_CACHE.stats()["builds"]
-    for plan in (default, other_odd, wider_comb, default, default):
-        assert feip.decrypt_rows(mpk, ct, keys, BOUND, plan=plan) \
+    for key_set, plan in (default, other_odd, wider_comb, default, default):
+        reference, = _reference(feip, mpk, [ct], key_set)
+        assert feip.decrypt_rows(mpk, ct, key_set, BOUND, plan=plan) \
             == reference
     stats = GLOBAL_COLUMN_CACHE.stats()
     # each window change rebuilds; only the last call reuses

@@ -22,15 +22,12 @@ from repro.matrix.secure_matrix import (
 from repro.mathutils.fastexp import (
     CHAIN_MAX_ROWS,
     FixedBaseExp,
+    RowPlan,
     SharedBaseMultiExp,
     amortized_comb_window,
     multiexp,
 )
-from repro.mathutils.group import (
-    FIXED_BASE_MIN_BITS,
-    GroupParams,
-    SchnorrGroup,
-)
+from repro.mathutils.group import GroupParams, SchnorrGroup
 from repro.mathutils.modarith import batch_inverse, mod_inverse
 
 
@@ -41,13 +38,21 @@ def reference_product(bases, exponents, p, q):
     return result
 
 
+def shared_eval(params, bases, rows, fixed_base=None, fixed_exponents=None):
+    """Evaluate ``rows`` the way FEIP decryption does: recode them once
+    into a :class:`RowPlan`, then walk it against the bases."""
+    plan = RowPlan(rows, params.q, fixed_exponents=fixed_exponents)
+    context = SharedBaseMultiExp(bases, params.p, fixed_base=fixed_base)
+    return context.eval_plan(plan)
+
+
 class TestFixedBaseExp:
-    @pytest.mark.parametrize("bits", [32, 64, 128])
-    @pytest.mark.parametrize("window", [None, 1, 3, 8])
-    def test_agrees_with_pow(self, bits, window):
+    @pytest.mark.parametrize("bits", [32, 64, 128, 256])
+    def test_agrees_with_pow(self, bits):
+        """Window widths 5, 5, 7 and 8, one per size."""
         params = GroupParams.predefined(bits)
         rng = random.Random(bits)
-        table = FixedBaseExp(params.g, params.p, params.q, window=window)
+        table = FixedBaseExp(params.g, params.p, params.q)
         exponents = [0, 1, 2, params.q - 1, params.q, params.q + 1,
                      -1, -params.q, 2 * params.q + 3]
         exponents += [rng.randrange(-3 * params.q, 3 * params.q)
@@ -83,23 +88,22 @@ class TestFixedBaseExp:
         # already-cached bases keep using their tables
         assert group.exp_cached(first, e) == pow(first, e, p.p)
 
-    def test_gexp_unchanged_by_routing(self, params, rng):
-        """gexp must give identical results above and below the table
-        threshold (toy groups take the plain-pow branch)."""
-        for bits in (32, FIXED_BASE_MIN_BITS):
-            p = GroupParams.predefined(bits)
-            group = SchnorrGroup(p)
-            for _ in range(20):
-                e = rng.randrange(-2 * p.q, 2 * p.q)
-                assert group.gexp(e) == pow(p.g, e % p.q, p.p)
+    @pytest.mark.parametrize("bits", [32, 64])
+    def test_gexp_walks_both_combs_at_every_size(self, bits, rng):
+        """A toy group takes the same path as a large one: both halves
+        of the balanced exponent walk a comb, ``g``'s or ``g^{-1}``'s."""
+        p = GroupParams.predefined(bits)
+        group = SchnorrGroup(p)
+        for e in [1, -1] + [rng.randrange(-2 * p.q, 2 * p.q)
+                            for _ in range(20)]:
+            assert group.gexp(e) == pow(p.g, e % p.q, p.p)
+        assert set(group._fixed_bases) == {p.g, pow(p.g, -1, p.p)}
 
     def test_rejects_bad_parameters(self, params):
         with pytest.raises(ValueError):
             FixedBaseExp(params.g, 1, params.q)
         with pytest.raises(ValueError):
             FixedBaseExp(params.g, params.p, 0)
-        with pytest.raises(ValueError):
-            FixedBaseExp(params.g, params.p, params.q, window=0)
 
 
 class TestMultiexp:
@@ -151,7 +155,8 @@ class TestMultiexp:
 
 
 class TestSharedBaseMultiExp:
-    """eval_many must equal per-row multiexp must equal naive pow."""
+    """A RowPlan walked by eval_plan must equal per-row multiexp must
+    equal naive pow, at every group size."""
 
     @pytest.mark.parametrize("bits", [32, 64, 128])
     @pytest.mark.parametrize("shape", [(1, 1), (3, 4), (12, 6), (2, 40)])
@@ -163,26 +168,25 @@ class TestSharedBaseMultiExp:
         bases = [group.random_element() for _ in range(eta)]
         rows = [[rng.randrange(-500, 501) for _ in range(eta)]
                 for _ in range(m)]
-        context = SharedBaseMultiExp(bases, params.p, order=params.q,
-                                     rows_hint=m)
-        results = context.eval_many(rows)
+        results = shared_eval(params, bases, rows)
         for row, got in zip(rows, results):
             assert got == multiexp(bases, row, params.p, order=params.q)
             assert got == reference_product(bases, row, params.p, params.q)
 
-    @pytest.mark.parametrize("window", [1, 2, 5])
-    def test_forced_window_exercises_tables_on_toy_group(self, params, group,
-                                                         window):
-        """Toy groups normally fall back to per-row multiexp; a forced
-        window must run the shared-table walk with identical results."""
-        rng = random.Random(window)
+    def test_windows_follow_weight_magnitude(self, params, group):
+        """Wider weights recode to wider odd-power windows; every window
+        walks to the same products."""
         bases = [group.random_element() for _ in range(5)]
-        rows = [[rng.randrange(-300, 301) for _ in range(5)]
-                for _ in range(6)]
-        forced = SharedBaseMultiExp(bases, params.p, order=params.q,
-                                    window=window)
-        auto = SharedBaseMultiExp(bases, params.p, order=params.q)
-        assert forced.eval_many(rows) == auto.eval_many(rows)
+        windows = set()
+        for magnitude in (1, 3, 300, 1 << 20):
+            rng = random.Random(magnitude)
+            rows = [[rng.randint(-magnitude, magnitude) for _ in range(5)]
+                    for _ in range(6)]
+            windows.add(RowPlan(rows, params.q).window)
+            for row, got in zip(rows, shared_eval(params, bases, rows)):
+                assert got == reference_product(bases, row, params.p,
+                                                params.q)
+        assert len(windows) == 4
 
     def test_full_width_and_oversized_exponents(self, params, group, rng):
         bases = [group.random_element() for _ in range(4)]
@@ -190,67 +194,68 @@ class TestSharedBaseMultiExp:
             [rng.randrange(-2 * params.q, 2 * params.q) for _ in range(4)]
             for _ in range(5)
         ]
-        context = SharedBaseMultiExp(bases, params.p, order=params.q)
-        for row, got in zip(rows, context.eval_many(rows)):
+        for row, got in zip(rows, shared_eval(params, bases, rows)):
             assert got == reference_product(bases, row, params.p, params.q)
 
     def test_zero_rows_and_zero_exponents(self, params, group):
         bases = [group.random_element() for _ in range(3)]
-        context = SharedBaseMultiExp(bases, params.p, order=params.q)
-        assert context.eval_many([]) == []
-        assert context.eval_many([[0, 0, 0]]) == [1]
-        assert context.eval_many([[0, 5, 0]]) == [pow(bases[1], 5, params.p)]
+        assert shared_eval(params, bases, []) == []
+        assert shared_eval(params, bases, [[0, 0, 0]]) == [1]
+        assert shared_eval(params, bases, [[0, 5, 0]]) \
+            == [pow(bases[1], 5, params.p)]
 
-    def test_fixed_base_combines_per_row(self, params, group, rng):
-        """ct0-style fixed base: full-width exponent folded per row."""
-        eta, m = 3, CHAIN_MAX_ROWS + 2
+    @pytest.mark.parametrize("m", [3, CHAIN_MAX_ROWS + 2])
+    def test_fixed_base_combines_per_row(self, params, group, rng, m):
+        """ct0-style fixed base: full-width exponent folded per row, on
+        the chain (few rows) and on the comb (many)."""
+        eta = 3
         bases = [group.random_element() for _ in range(eta)]
         fixed = group.random_element()
         rows = [[rng.randrange(-200, 201) for _ in range(eta)]
                 for _ in range(m)]
         fixed_exps = [rng.randrange(-params.q, params.q) for _ in range(m)]
-        context = SharedBaseMultiExp(bases, params.p, order=params.q,
-                                     fixed_base=fixed, rows_hint=m)
-        results = context.eval_many(rows, fixed_exponents=fixed_exps)
+        results = shared_eval(params, bases, rows, fixed_base=fixed,
+                              fixed_exponents=fixed_exps)
         for row, fe, got in zip(rows, fixed_exps, results):
             expected = reference_product(bases, row, params.p, params.q)
             expected = expected * pow(fixed, fe % params.q, params.p) \
                 % params.p
             assert got == expected
 
-    def test_fixed_base_comb_engages_above_threshold(self, rng):
-        """>= CHAIN_MAX_ROWS rows on a big group build the amortized
-        comb, fewer walk the chain; results must not depend on which
-        path ran."""
-        params = GroupParams.predefined(FIXED_BASE_MIN_BITS)
+    @pytest.mark.parametrize("bits", [32, 64])
+    def test_fixed_base_mode_follows_row_count(self, bits, rng):
+        """>= CHAIN_MAX_ROWS rows build the amortized comb, fewer walk
+        the chain, whatever the group size; results must not depend on
+        which mode ran."""
+        params = GroupParams.predefined(bits)
         group = SchnorrGroup(params, rng=rng)
         fixed = group.random_element()
-        few, many = 2, CHAIN_MAX_ROWS
-        for m in (few, many):
-            context = SharedBaseMultiExp([], params.p, order=params.q,
-                                         fixed_base=fixed, rows_hint=m)
+        for m in (2, CHAIN_MAX_ROWS):
             exps = [rng.randrange(params.q) for _ in range(m)]
-            got = context.eval_many([[] for _ in range(m)],
-                                    fixed_exponents=exps)
-            assert got == [pow(fixed, e, params.p) for e in exps]
-            engaged = context._fixed_table is not None
-            assert engaged == (m >= CHAIN_MAX_ROWS)
+            plan = RowPlan([[] for _ in range(m)], params.q,
+                           fixed_exponents=exps)
+            context = SharedBaseMultiExp([], params.p, fixed_base=fixed)
+            assert context.eval_plan(plan) \
+                == [pow(fixed, e, params.p) for e in exps]
+            comb = m >= CHAIN_MAX_ROWS
+            assert (plan.comb_window is not None) == comb
+            assert (plan.chain_ops is not None) == (not comb)
+            assert (context._fixed_table is not None) == comb
 
     def test_errors(self, params, group):
         bases = [group.random_element() for _ in range(2)]
-        context = SharedBaseMultiExp(bases, params.p, order=params.q)
+        context = SharedBaseMultiExp(bases, params.p)
         with pytest.raises(ValueError):
-            context.eval_many([[1, 2, 3]])  # row length mismatch
+            context.eval_plan(RowPlan([[1, 2, 3]], params.q))  # row length
+        with pytest.raises(ValueError):  # no fixed base
+            context.eval_plan(RowPlan([[1, 2]], params.q,
+                                      fixed_exponents=[3]))
+        with pytest.raises(ValueError):  # one fixed exponent per row
+            RowPlan([[1, 2], [3, 4]], params.q, fixed_exponents=[1])
         with pytest.raises(ValueError):
-            context.eval_many([[1, 2]], fixed_exponents=[3])  # no fixed base
-        ctx_fixed = SharedBaseMultiExp(bases, params.p, order=params.q,
-                                       fixed_base=group.random_element())
-        with pytest.raises(ValueError):
-            ctx_fixed.eval_many([[1, 2], [3, 4]], fixed_exponents=[1])
+            RowPlan([[1, 2], [3]], params.q)  # ragged rows
         with pytest.raises(ValueError):
             SharedBaseMultiExp(bases, 1)
-        with pytest.raises(ValueError):
-            SharedBaseMultiExp(bases, params.p, window=0)
 
 
 class TestAmortizedCombWindow:

@@ -3,7 +3,9 @@
 Parses every non-test ``.py`` file under ``src/``, ``benchmarks/`` and
 ``examples/`` and collects the ``repro`` modules they import.  A module
 no such file imports exists only for its tests: delete it, or wire it
-into the program.
+into the program.  The same holds one level down for the number theory
+and the FE schemes: every public function and method of
+``repro.mathutils`` and ``repro.fe`` must be named by such a file.
 
 A package's ``__init__`` re-exporting a module of its own does not
 count as an importer; a file outside the package that imports the
@@ -32,6 +34,20 @@ ALLOWED_UNIMPORTED = {
     # engine-backed games in tests/test_engine.py
     "repro.security.indcpa": "the runnable IND-CPA game of Theorem 1",
 }
+
+
+#: Public functions and methods of :data:`REFERENCED_PACKAGES` allowed
+#: to have no reference outside the tests, with why.
+ALLOWED_UNREFERENCED = {
+    "repro.mathutils.group.GroupParams.generate":
+        "reproduces the predefined groups' parameter search",
+    "repro.mathutils.group.GroupParams.validate":
+        "checks every predefined group in tests/test_group.py",
+}
+
+#: Packages whose public functions and methods must each be named by
+#: shipped code.
+REFERENCED_PACKAGES = ("repro.mathutils", "repro.fe")
 
 
 def _module_name(path: Path) -> str:
@@ -118,3 +134,51 @@ def test_every_repro_module_has_a_non_test_importer():
     now_imported = sorted(set(ALLOWED_UNIMPORTED) - unimported)
     assert not now_imported, (
         f"{now_imported} have importers now; drop them from the list")
+
+
+def _public_callables(path: Path) -> dict[str, str]:
+    """qualified name -> bare name of every public top-level function
+    and public method of a public top-level class in ``path``."""
+    module = _module_name(path)
+    out = {}
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            out.update((f"{module}.{node.name}.{item.name}", item.name)
+                       for item in node.body
+                       if isinstance(item, ast.FunctionDef)
+                       and not item.name.startswith("_"))
+        elif isinstance(node, ast.FunctionDef) \
+                and not node.name.startswith("_"):
+            out[f"{module}.{node.name}"] = node.name
+    return out
+
+
+def _referenced_names() -> set[str]:
+    """Every identifier and attribute name the shipped files use.
+
+    Only code counts: a name in a string, a docstring or an import list
+    does not, so a package re-exporting a function is no use of it."""
+    names = set()
+    for path in _shipped_files():
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_public_function_has_a_non_test_reference():
+    callables = {}
+    for package in REFERENCED_PACKAGES:
+        root = SRC.joinpath(*package.split("."))
+        for path in sorted(root.glob("*.py")):
+            callables.update(_public_callables(path))
+    referenced = _referenced_names()
+    unreferenced = {q for q, name in callables.items()
+                    if name not in referenced}
+    test_only = sorted(unreferenced - set(ALLOWED_UNREFERENCED))
+    assert not test_only, f"only tests call {test_only}"
+    now_referenced = sorted(set(ALLOWED_UNREFERENCED) - unreferenced)
+    assert not now_referenced, (
+        f"{now_referenced} have references now; drop them from the list")

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mathutils.primes import gen_prime, gen_safe_prime, is_probable_prime
+from repro.mathutils.primes import gen_safe_prime, is_probable_prime
 
 KNOWN_PRIMES = [2, 3, 5, 7, 11, 101, 104729, 2147483647, 67280421310721]
 KNOWN_COMPOSITES = [0, 1, 4, 9, 100, 104730, 2147483647 * 3,
@@ -26,19 +26,6 @@ def test_negative_numbers_are_not_prime():
     assert not is_probable_prime(-7)
 
 
-def test_gen_prime_bits_and_primality():
-    rng = random.Random(1)
-    for bits in (8, 16, 32, 64):
-        p = gen_prime(bits, rng=rng)
-        assert p.bit_length() == bits
-        assert is_probable_prime(p)
-
-
-def test_gen_prime_rejects_tiny_bits():
-    with pytest.raises(ValueError):
-        gen_prime(1)
-
-
 def test_gen_safe_prime_structure():
     rng = random.Random(2)
     p, q = gen_safe_prime(24, rng=rng)
@@ -53,8 +40,9 @@ def test_gen_safe_prime_rejects_tiny_bits():
         gen_safe_prime(3)
 
 
-def test_gen_prime_deterministic_with_seeded_rng():
-    assert gen_prime(24, rng=random.Random(7)) == gen_prime(24, rng=random.Random(7))
+def test_gen_safe_prime_deterministic_with_seeded_rng():
+    assert gen_safe_prime(24, rng=random.Random(7)) \
+        == gen_safe_prime(24, rng=random.Random(7))
 
 
 @settings(max_examples=30, deadline=None)

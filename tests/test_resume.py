@@ -46,7 +46,9 @@ class Interrupted(Exception):
 
 
 @pytest.fixture()
-def authority():
+def authority(kernel_builds):
+    # requests kernel_builds so that its count starts before the group
+    # builds its first comb
     return TrustedAuthority(CryptoNNConfig(), rng=random.Random(0))
 
 
@@ -101,7 +103,8 @@ class TestInProcessResume:
 
     @pytest.mark.parametrize("interrupt_batch", [4, 6])
     def test_resume_equals_uninterrupted(self, authority, enc_dataset,
-                                         tmp_path, interrupt_batch):
+                                         tmp_path, interrupt_batch,
+                                         kernel_builds):
         """Interrupt so the last checkpoint lands mid-epoch (batch 4) or
         exactly on an epoch boundary (batch 6, with 3 batches/epoch);
         either way the resumed run is byte-identical."""
@@ -118,6 +121,10 @@ class TestInProcessResume:
                               checkpoint_path=path, resume=True, **FIT_KW)
         assert weights_equal(resumed.model.get_weights(), ref_weights)
         assert_histories_identical(history, ref_history)
+        # the 32-bit group ran the kernel a 256-bit one runs: encryption
+        # walked combs, decryption chains
+        combs, caches = kernel_builds()
+        assert combs > 0 and caches > 0
 
     def test_resume_with_adam(self, authority, enc_dataset, tmp_path):
         """Adam's moments and bias-correction timestep checkpoint too."""
