@@ -1,4 +1,4 @@
-"""Networked runtime: asyncio RPC services for the CryptoNN entities.
+"""Networked runtime: TCP RPC services for the CryptoNN entities.
 
 The paper's pitch against SMC-based training is its communication
 profile -- per-iteration key request/response round trips instead of
@@ -6,15 +6,17 @@ multi-round interactive protocols (Section IV-B2).  This package gives
 the three entities a *real* transport so that profile carries actual
 bytes between actual processes:
 
-* :mod:`repro.rpc.framing` -- length-prefixed binary frames over
-  asyncio TCP streams;
+* :mod:`repro.rpc.framing` -- length-prefixed binary frames over TCP,
+  read from asyncio streams by the services and from blocking sockets
+  by the clients;
 * :mod:`repro.rpc.messages` -- typed request/response messages mapped
   1:1 onto the :mod:`repro.core.protocol` kinds, bodies packed by
   :mod:`repro.core.serialization` so traffic accounting is byte-exact;
-* :mod:`repro.rpc.authority_service` -- the authority key service;
+* :mod:`repro.rpc.authority_service` -- the authority key service
+  (an asyncio server, like the training server);
 * :mod:`repro.rpc.training_service` -- the training server, driving
   :class:`~repro.core.cryptonn.CryptoNNTrainer` over the wire;
-* :mod:`repro.rpc.client` -- sync endpoint facade and the
+* :mod:`repro.rpc.client` -- the blocking-socket endpoint and the
   :class:`RemoteAuthority` drop-in for trainers and clients;
 * :mod:`repro.rpc.client_agent` -- encrypt-and-upload for data owners
   (every upload is resumable, fingerprinted ``encrypted-data`` chunks);

@@ -6,9 +6,10 @@ schedule*: the fault decision for exchange ``k`` is a pure function of
 ``(seed, k)``, so every test scenario -- and every
 ``examples/rpc_loopback.py --chaos-seed`` run -- is reproducible.
 
-The proxy understands the length-prefixed framing just enough to
-delimit request/response exchanges (it never decodes bodies), which is
-what makes per-exchange fault decisions possible:
+The proxy reads whole frames with the framing layer's raw reader
+(:func:`~repro.rpc.framing.read_raw_frame`) to delimit
+request/response exchanges -- it never decodes them -- which is what
+makes per-exchange fault decisions possible:
 
 * ``reset-before`` -- connection reset before the request frame reaches
   the service (the service never sees it);
@@ -42,14 +43,11 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import random
-import struct
 import threading
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.rpc.framing import MAX_FRAME_BYTES, FrameError
-
-_LEN = struct.Struct(">I")
+from repro.rpc.framing import FrameError, header_span, read_raw_frame
 
 #: Fault kinds in schedule-draw order (the order matters: one uniform
 #: draw per exchange walks this list's cumulative rates).
@@ -134,19 +132,21 @@ class ChaosProxy:
     :class:`~repro.rpc.runtime.ServiceThread` can host it and tests and
     examples stand it up exactly like a real service.  ``stats`` counts
     connections, exchanges and injected faults by kind.
+
+    Frames are read whole with :func:`~repro.rpc.framing.read_raw_frame`
+    under the framing layer's default limit,
+    :data:`~repro.rpc.framing.MAX_FRAME_BYTES`.
     """
 
     def __init__(self, upstream_host: str, upstream_port: int, *,
                  host: str = "127.0.0.1", port: int = 0,
                  schedule: ChaosSchedule | None = None,
-                 seed: int = 0, config: ChaosConfig | None = None,
-                 max_frame_bytes: int = MAX_FRAME_BYTES):
+                 seed: int = 0, config: ChaosConfig | None = None):
         self.upstream = (upstream_host, upstream_port)
         self.host = host
         self.port = port
         self.schedule = schedule if schedule is not None else \
             ChaosSchedule(seed, config if config is not None else ChaosConfig())
-        self.max_frame_bytes = max_frame_bytes
         self.address: tuple[str, int] | None = None
         self.stats: Counter = Counter()
         self._server: asyncio.AbstractServer | None = None
@@ -179,25 +179,7 @@ class ChaosProxy:
             self._exchange_counter += 1
             return index
 
-    # -- raw framing ---------------------------------------------------------
-    async def _read_raw_frame(self, reader: asyncio.StreamReader
-                              ) -> bytes | None:
-        """One wire frame as raw bytes (length prefix included)."""
-        try:
-            prefix = await reader.readexactly(4)
-        except asyncio.IncompleteReadError as exc:
-            if not exc.partial:
-                return None
-            raise FrameError("connection closed mid frame-length") from exc
-        total = _LEN.unpack(prefix)[0]
-        if total < 4 or total > self.max_frame_bytes:
-            raise FrameError(f"frame length {total} outside proxy bounds")
-        try:
-            payload = await reader.readexactly(total)
-        except asyncio.IncompleteReadError as exc:
-            raise FrameError("connection closed mid frame") from exc
-        return prefix + payload
-
+    # -- fault shaping -------------------------------------------------------
     @staticmethod
     def _corrupt_header(frame: bytes) -> bytes:
         """Flip bytes inside the JSON header so decoding must fail.
@@ -206,9 +188,8 @@ class ChaosProxy:
         layer raises ``FrameError`` deterministically instead of
         silently delivering a corrupted payload.
         """
-        header_len = _LEN.unpack(frame[4:8])[0]
-        start = 8
-        end = min(start + max(1, header_len), len(frame))
+        start, end = header_span(frame)
+        end = min(max(end, start + 1), len(frame))
         return frame[:start] + b"\xff" * (end - start) + frame[end:]
 
     # -- per-connection pump -------------------------------------------------
@@ -243,7 +224,7 @@ class ChaosProxy:
                     upstream_reader, upstream_writer) -> None:
         config = self.schedule.config
         while True:
-            request = await self._read_raw_frame(client_reader)
+            request = await read_raw_frame(client_reader)
             if request is None:
                 return
             fault = self.schedule.fault_for(self._next_exchange())
@@ -264,7 +245,7 @@ class ChaosProxy:
                 return
             upstream_writer.write(request)
             await upstream_writer.drain()
-            response = await self._read_raw_frame(upstream_reader)
+            response = await read_raw_frame(upstream_reader)
             if response is None:
                 return
             if fault == "reset-after":

@@ -1,11 +1,11 @@
 """Client-side RPC: a sync endpoint facade and the remote-authority stub.
 
 The trainers, secure layers and :class:`~repro.core.entities.Client` are
-synchronous, so :class:`RpcEndpoint` runs its asyncio connection on a
-dedicated background event-loop thread and exposes a blocking
-``request()`` with timeouts and transparent reconnect-and-retry.  Key
-derivation is deterministic on the authority side, so resending a key
-request after a transport failure is idempotent.
+synchronous, and so is :class:`RpcEndpoint`: a blocking socket in the
+caller's thread, whose ``request()`` bounds each attempt by one deadline
+and reconnects and retries transparently.  Key derivation is
+deterministic on the authority side, so resending a key request after a
+transport failure is idempotent.
 
 :class:`RemoteAuthority` is a drop-in replacement for
 :class:`~repro.core.entities.TrustedAuthority` from the requester's
@@ -17,11 +17,12 @@ socket.  Master secrets never leave the authority's process tree.
 
 from __future__ import annotations
 
-import asyncio
 import collections
 import concurrent.futures
+import contextlib
 import queue
 import random
+import socket
 import threading
 import time
 from collections.abc import Sequence
@@ -35,7 +36,7 @@ from repro.rpc.framing import (
     MAX_FRAME_BYTES,
     FrameError,
     encode_frame,
-    read_frame,
+    recv_frame,
 )
 from repro.rpc.messages import (
     ErrorMessage,
@@ -100,10 +101,7 @@ class RpcEndpoint:
         self.max_frame_bytes = max_frame_bytes
         self._lock = threading.Lock()
         self._retry_rng = random.Random()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
+        self._sock: socket.socket | None = None
         self._seq = 0
         self._connects = 0
         self._closed = False
@@ -122,58 +120,14 @@ class RpcEndpoint:
         readings["repro_rpc_endpoints"] = 1
         return readings
 
-    # -- event-loop plumbing -------------------------------------------------
-    def _ensure_loop(self) -> asyncio.AbstractEventLoop:
-        if self._closed:
-            # never resurrect a loop thread after close(); a racing
-            # caller must fail, not leak a new thread
-            raise RpcError(
-                f"endpoint to {self.peer} at {self.host}:{self.port} "
-                f"is closed")
-        if self._loop is None or not self._thread or not self._thread.is_alive():
-            if self._loop is not None and not self._loop.is_running():
-                # a dead thread's loop: close it before replacing it
-                self._loop.close()
-            loop = asyncio.new_event_loop()
-            thread = threading.Thread(
-                target=loop.run_forever,
-                name=f"rpc-{self.name}->{self.peer}", daemon=True)
-            thread.start()
-            self._loop, self._thread = loop, thread
-        return self._loop
-
-    def _run(self, coro, timeout: float):
-        future = asyncio.run_coroutine_threadsafe(coro, self._ensure_loop())
-        deadline = time.monotonic() + timeout
-        while True:
-            # wait in short slices, watching for close(): if another
-            # thread tears the endpoint down (service shutdown) the
-            # loop may stop before our task even starts, so relying on
-            # task cancellation alone can strand this waiter for the
-            # full timeout
-            try:
-                return future.result(min(0.1, timeout))
-            except concurrent.futures.TimeoutError:
-                if self._closed:
-                    future.cancel()
-                    raise RpcError(
-                        f"endpoint to {self.peer} at "
-                        f"{self.host}:{self.port} was closed mid-request"
-                    ) from None
-                if time.monotonic() >= deadline:
-                    future.cancel()
-                    raise RpcTimeoutError(
-                        f"{self.peer} at {self.host}:{self.port} did not "
-                        f"answer within {timeout}s") from None
-            except concurrent.futures.CancelledError:
-                raise RpcError(
-                    f"endpoint to {self.peer} at {self.host}:{self.port} "
-                    f"was closed mid-request") from None
+    def _closed_error(self, when: str = "is closed") -> RpcError:
+        return RpcError(f"endpoint to {self.peer} at {self.host}:{self.port} "
+                        f"{when}")
 
     # -- connection management -----------------------------------------------
     @property
     def connected(self) -> bool:
-        return self._writer is not None
+        return self._sock is not None
 
     def _interruptible_sleep(self, seconds: float) -> None:
         """Backoff sleep that wakes promptly on a concurrent close()."""
@@ -188,10 +142,6 @@ class RpcEndpoint:
         """Connect under the retry policy's backoff, bounded by
         ``connect_timeout`` (the service may still be binding its socket
         when a client process starts -- or be restarting mid-run)."""
-        if self._closed:
-            raise RpcError(
-                f"endpoint to {self.peer} at {self.host}:{self.port} "
-                f"is closed")
         if self.connected:
             return
         connect_policy = RetryPolicy(
@@ -203,56 +153,57 @@ class RpcEndpoint:
         for _ in connect_policy.attempts(rng=self._retry_rng,
                                          sleep=self._interruptible_sleep):
             if self._closed:  # closed by another thread mid-retry
-                raise RpcError(
-                    f"endpoint to {self.peer} at {self.host}:{self.port} "
-                    f"is closed")
+                raise self._closed_error()
             try:
-                self._reader, self._writer = self._run(
-                    asyncio.open_connection(self.host, self.port),
-                    self.connect_timeout)
-                self._connects += 1
-                if self._connects > 1:
-                    self.stats.reconnects += 1
-                return
-            except (ConnectionError, OSError) as exc:
+                sock = socket.create_connection((self.host, self.port),
+                                                timeout=self.connect_timeout)
+            except TimeoutError:
+                raise  # the attempt's timeout, counted by request()
+            except OSError as exc:
                 last_exc = exc
+                continue
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._sock = sock
+            # close() reads _sock after setting _closed: either it shuts
+            # this socket down or this check sees the flag
+            if self._closed:
+                raise self._closed_error()
+            self._connects += 1
+            if self._connects > 1:
+                self.stats.reconnects += 1
+            return
         raise RpcError(
             f"cannot reach {self.peer} at "
             f"{self.host}:{self.port}: {last_exc}") from last_exc
 
     def _drop_connection(self) -> None:
-        writer, self._reader, self._writer = self._writer, None, None
-        if writer is not None and self._loop is not None:
-            def _close():
-                try:
-                    writer.close()
-                except Exception:
-                    pass
-            self._loop.call_soon_threadsafe(_close)
+        sock, self._sock = self._sock, None
+        if sock is not None:
+            sock.close()
+
+    def _drop_if_idle(self) -> None:
+        """Close the socket unless a request holds it; that request
+        drops it on its way out."""
+        if self._lock.acquire(blocking=False):
+            try:
+                self._drop_connection()
+            finally:
+                self._lock.release()
 
     def close(self) -> None:
         """Terminal: later requests raise instead of reconnecting.
 
-        In-flight requests (e.g. a training thread blocked on a key
-        request from another thread) are cancelled so their callers fail
-        fast rather than waiting out their full timeout.  The stopped
-        loop is closed with its selector; one whose thread outlives the
-        join is left to it.
+        Never waits on a request in flight (e.g. a training thread
+        blocked on a key request from another thread): shutting the
+        socket down wakes its ``recv``, so its caller fails fast with
+        "closed mid-request" rather than waiting out its timeout.
         """
         self._closed = True
-        self._drop_connection()
-        loop, thread = self._loop, self._thread
-        self._loop, self._thread = None, None
-        if loop is not None:
-            def _shutdown() -> None:
-                for task in asyncio.all_tasks(loop):
-                    task.cancel()
-                loop.call_soon(loop.stop)
-            loop.call_soon_threadsafe(_shutdown)
-        if thread is not None:
-            thread.join(timeout=5)
-        if loop is not None and not loop.is_running():
-            loop.close()
+        sock = self._sock
+        if sock is not None:
+            with contextlib.suppress(OSError):
+                sock.shutdown(socket.SHUT_RDWR)
+        self._drop_if_idle()
 
     def __enter__(self) -> "RpcEndpoint":
         return self
@@ -261,16 +212,13 @@ class RpcEndpoint:
         self.close()
 
     # -- request/response ----------------------------------------------------
-    async def _send_recv(self, frame_bytes: bytes):
-        # capture locally: a concurrent close() nulls the attributes,
-        # and that must surface as a (retried/translated) connection
-        # error, not an AttributeError
-        reader, writer = self._reader, self._writer
-        if reader is None or writer is None:
-            raise ConnectionError("connection dropped before send")
-        writer.write(frame_bytes)
-        await writer.drain()
-        frame = await read_frame(reader, self.max_frame_bytes)
+    def _exchange(self, frame_bytes: bytes, timeout: float):
+        """Send one frame, read the response, all within ``timeout``."""
+        # close() leaves the socket to the request holding the lock
+        deadline = time.monotonic() + timeout
+        self._sock.settimeout(timeout)
+        self._sock.sendall(frame_bytes)
+        frame = recv_frame(self._sock, deadline, self.max_frame_bytes)
         if frame is None:
             raise ConnectionError(f"{self.peer} closed the connection")
         return frame
@@ -286,70 +234,74 @@ class RpcEndpoint:
         backoff sleep wakes on it), so a concurrent ``close()`` fails
         the request fast instead of letting it reconnect and resend.
         """
-        with self._lock:
+        try:
+            with self._lock:
+                return self._request(msg, ctx)
+        finally:
+            if self._closed:  # a close() that found the lock held
+                self._drop_if_idle()
+
+    def _request(self, msg, ctx: WireContext | None):
+        if self._closed:
+            raise self._closed_error()
+        header, body = encode_message(msg, ctx)
+        self._seq += 1
+        header["seq"] = self._seq
+        # encode once, checking the size limit BEFORE any bytes move --
+        # an oversized frame fails fast with the real reason instead of
+        # burning retries on receiver-side drops
+        frame_bytes = encode_frame(header, body, self.max_frame_bytes)
+        last_exc: Exception | None = None
+        start = time.monotonic()
+        attempts_made = 0
+        for attempt in self.policy.attempts(
+                rng=self._retry_rng, sleep=self._interruptible_sleep):
             if self._closed:
-                raise RpcError(
-                    f"endpoint to {self.peer} at {self.host}:{self.port} "
-                    f"is closed")
-            header, body = encode_message(msg, ctx)
-            self._seq += 1
-            header["seq"] = self._seq
-            # encode once, checking the size limit BEFORE any bytes move
-            # -- an oversized frame fails fast with the real reason
-            # instead of burning retries on receiver-side drops
-            frame_bytes = encode_frame(header, body, self.max_frame_bytes)
-            last_exc: Exception | None = None
-            start = time.monotonic()
-            attempts_made = 0
-            for attempt in self.policy.attempts(
-                    rng=self._retry_rng, sleep=self._interruptible_sleep):
+                # a concurrent close() mid-retry must not let the loop
+                # reconnect and resend
+                raise self._closed_error("was closed mid-request")
+            attempts_made = attempt
+            self.stats.attempts += 1
+            if attempt > 1:
+                self.stats.retries += 1
+            timeout = self.policy.attempt_timeout_for(
+                start, default=self.timeout)
+            try:
+                if not self.connected:
+                    self.connect()
+                resp_header, resp_body = self._exchange(frame_bytes, timeout)
+            except (OSError, FrameError) as exc:
+                self._drop_connection()
                 if self._closed:
-                    # a concurrent close() mid-retry must not let the
-                    # loop reconnect and resend
-                    raise RpcError(
-                        f"endpoint to {self.peer} at "
-                        f"{self.host}:{self.port} was closed mid-request")
-                attempts_made = attempt
-                self.stats.attempts += 1
-                if attempt > 1:
-                    self.stats.retries += 1
-                timeout = self.policy.attempt_timeout_for(
-                    start, default=self.timeout)
-                try:
-                    if not self.connected:
-                        self.connect()
-                    resp_header, resp_body = self._run(
-                        self._send_recv(frame_bytes), timeout)
-                except RpcTimeoutError as exc:
-                    self._drop_connection()
+                    raise self._closed_error(
+                        "was closed mid-request") from None
+                if isinstance(exc, TimeoutError):
                     self.stats.timeouts += 1
-                    last_exc = exc
-                    continue
-                except (ConnectionError, OSError, FrameError) as exc:
-                    self._drop_connection()
+                    last_exc = RpcTimeoutError(
+                        f"{self.peer} at {self.host}:{self.port} did not "
+                        f"answer within {timeout}s")
+                else:
                     self.stats.drops += 1
                     last_exc = exc
-                    continue
-                self.traffic.record(self.name, self.peer, header["kind"],
-                                    len(body))
-                self.traffic.record(self.peer, self.name,
-                                    str(resp_header.get("kind")),
-                                    len(resp_body))
-                resp = decode_message(resp_header, resp_body, ctx)
-                if isinstance(resp, ErrorMessage):
-                    raise RpcRemoteError(resp.message, resp.error_type)
-                if resp_header.get("seq") != header["seq"]:
-                    self._drop_connection()
-                    raise RpcError(
-                        f"out-of-sequence response from {self.peer} "
-                        f"(sent {header['seq']}, "
-                        f"got {resp_header.get('seq')})")
-                return resp
-            self.stats.giveups += 1
-            raise RpcError(
-                f"request {header['kind']!r} to {self.peer} at "
-                f"{self.host}:{self.port} failed after "
-                f"{attempts_made} attempts: {last_exc}") from last_exc
+                continue
+            self.traffic.record(self.name, self.peer, header["kind"],
+                                len(body))
+            self.traffic.record(self.peer, self.name,
+                                str(resp_header.get("kind")), len(resp_body))
+            resp = decode_message(resp_header, resp_body, ctx)
+            if isinstance(resp, ErrorMessage):
+                raise RpcRemoteError(resp.message, resp.error_type)
+            if resp_header.get("seq") != header["seq"]:
+                self._drop_connection()
+                raise RpcError(
+                    f"out-of-sequence response from {self.peer} "
+                    f"(sent {header['seq']}, got {resp_header.get('seq')})")
+            return resp
+        self.stats.giveups += 1
+        raise RpcError(
+            f"request {header['kind']!r} to {self.peer} at "
+            f"{self.host}:{self.port} failed after "
+            f"{attempts_made} attempts: {last_exc}") from last_exc
 
 
 #: FEBO key requests a :class:`RemoteAuthority` keeps in flight at once
@@ -417,7 +369,7 @@ class RemoteAuthority:
             resp = self.endpoint.request(PublicParamsRequest(
                 etas=(), include_febo=True, requester=name))
         except BaseException:
-            # a failed handshake must not leak the endpoint's loop thread
+            # a failed handshake must not leak the endpoint's socket
             self.endpoint.close()
             raise
         self.params = resp.group

@@ -68,8 +68,7 @@ def plan_shard_chunks(dataset, params: GroupParams,
 
 
 def upload_planned_chunks(server: RpcEndpoint, *, name: str, meta: dict,
-                          fingerprint: str, chunks: list[bytes],
-                          start_probe: bool = True) -> dict:
+                          fingerprint: str, chunks: list[bytes]) -> dict:
     """Send a chunk plan, resuming past whatever the server already has.
 
     Opens with a ``shard-resume`` query so a reconnecting client never
@@ -80,19 +79,15 @@ def upload_planned_chunks(server: RpcEndpoint, *, name: str, meta: dict,
     the connection dies again mid-stream.
     """
     count = len(chunks)
-    next_index = 0
-    resumed_from = 0
-    if start_probe:
-        probe = server.request(
-            ShardResumeQuery(fingerprint=fingerprint, count=count,
-                             client_name=name))
-        if not isinstance(probe, Ack):
-            raise TypeError(f"expected an ack, got {probe.kind!r}")
-        if probe.info.get("accepted"):
-            return {"name": name, "count": count, "sent": 0,
-                    "resumed_from": count, "ack": probe.info}
-        next_index = int(probe.info.get("next_index", 0))
-        resumed_from = next_index
+    probe = server.request(
+        ShardResumeQuery(fingerprint=fingerprint, count=count,
+                         client_name=name))
+    if not isinstance(probe, Ack):
+        raise TypeError(f"expected an ack, got {probe.kind!r}")
+    if probe.info.get("accepted"):
+        return {"name": name, "count": count, "sent": 0,
+                "resumed_from": count, "ack": probe.info}
+    next_index = resumed_from = int(probe.info.get("next_index", 0))
     ack = None
     sent = 0
     while next_index < count:

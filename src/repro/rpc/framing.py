@@ -1,4 +1,4 @@
-"""Length-prefixed binary framing over asyncio streams.
+"""Length-prefixed binary framing over TCP.
 
 Every RPC frame is::
 
@@ -12,13 +12,19 @@ equals the wire-size formulas the traffic accounting uses.  The frame
 length excludes its own 4-byte prefix and is bounded by
 ``max_frame_bytes`` so a corrupt or hostile peer cannot make a service
 allocate unbounded memory.
+
+Only this module knows the frame layout.  Services and the chaos proxy
+read frames from asyncio streams, :class:`~repro.rpc.client.RpcEndpoint`
+from a blocking socket (:func:`recv_frame`); both check lengths alike.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import struct
+import time
 from typing import Any
 
 #: Default ceiling on one frame.  Encrypted-dataset uploads dominate; a
@@ -58,6 +64,23 @@ def encode_frame(header: dict[str, Any], body: bytes = b"",
     return _LEN.pack(total) + _LEN.pack(len(header_bytes)) + header_bytes + body
 
 
+def frame_length(prefix: bytes, max_frame_bytes: int) -> int:
+    """The payload length a 4-byte prefix announces, checked before any
+    payload byte is awaited (:class:`FrameError` if out of bounds)."""
+    total = _LEN.unpack(prefix)[0]
+    if total < 4:
+        raise FrameError(f"frame length {total} below header prefix size")
+    if total > max_frame_bytes:
+        raise FrameError(
+            f"frame of {total} bytes exceeds limit {max_frame_bytes}")
+    return total
+
+
+def header_span(frame: bytes) -> tuple[int, int]:
+    """Where a whole frame's header-length field puts its JSON header."""
+    return 8, 8 + _LEN.unpack(frame[4:8])[0]
+
+
 def decode_frame_payload(payload: bytes) -> tuple[dict[str, Any], bytes]:
     """Split a frame payload (everything after the length prefix)."""
     if len(payload) < 4:
@@ -87,28 +110,72 @@ async def write_frame(writer: asyncio.StreamWriter, header: dict[str, Any],
     await writer.drain()
 
 
-async def read_frame(reader: asyncio.StreamReader,
-                     max_frame_bytes: int = MAX_FRAME_BYTES
-                     ) -> tuple[dict[str, Any], bytes] | None:
-    """Read one frame; ``None`` on clean EOF at a frame boundary.
-
-    Raises:
-        FrameError: truncated mid-frame, oversized, or undecodable.
-    """
+async def _read_parts(reader: asyncio.StreamReader, max_frame_bytes: int
+                      ) -> tuple[bytes, bytes] | None:
+    """One frame's length prefix and payload, read and checked."""
     try:
         prefix = await reader.readexactly(4)
     except asyncio.IncompleteReadError as exc:
         if not exc.partial:
             return None
         raise FrameError("connection closed mid frame-length") from exc
-    total = _LEN.unpack(prefix)[0]
-    if total < 4:
-        raise FrameError(f"frame length {total} below header prefix size")
-    if total > max_frame_bytes:
-        raise FrameError(
-            f"frame of {total} bytes exceeds limit {max_frame_bytes}")
+    total = frame_length(prefix, max_frame_bytes)
     try:
         payload = await reader.readexactly(total)
     except asyncio.IncompleteReadError as exc:
         raise FrameError("connection closed mid frame") from exc
+    return prefix, payload
+
+
+async def read_raw_frame(reader: asyncio.StreamReader,
+                         max_frame_bytes: int = MAX_FRAME_BYTES
+                         ) -> bytes | None:
+    """One frame's raw bytes, length prefix included; ``None`` on clean
+    EOF at a frame boundary, :class:`FrameError` if truncated or
+    oversized."""
+    parts = await _read_parts(reader, max_frame_bytes)
+    return None if parts is None else parts[0] + parts[1]
+
+
+async def read_frame(reader: asyncio.StreamReader,
+                     max_frame_bytes: int = MAX_FRAME_BYTES
+                     ) -> tuple[dict[str, Any], bytes] | None:
+    """Read and decode one frame; ``None`` on clean EOF at a frame
+    boundary, :class:`FrameError` if truncated, oversized or undecodable."""
+    parts = await _read_parts(reader, max_frame_bytes)
+    return None if parts is None else decode_frame_payload(parts[1])
+
+
+def _recv_exactly(sock: socket.socket, size: int, deadline: float) -> bytes:
+    """``size`` bytes from ``sock`` by ``deadline``, fewer only at EOF."""
+    chunks: list[bytes] = []
+    got = 0
+    while got < size:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            raise TimeoutError("frame did not arrive by its deadline")
+        sock.settimeout(remaining)
+        chunk = sock.recv(size - got)
+        if not chunk:
+            break
+        chunks.append(chunk)
+        got += len(chunk)
+    return b"".join(chunks)  # one chunk: no copy
+
+
+def recv_frame(sock: socket.socket, deadline: float,
+               max_frame_bytes: int = MAX_FRAME_BYTES
+               ) -> tuple[dict[str, Any], bytes] | None:
+    """:func:`read_frame` from a blocking socket.  ``deadline`` (a
+    :func:`time.monotonic` instant) bounds the whole frame, not each
+    ``recv``: past it, even a peer trickling bytes raises TimeoutError."""
+    prefix = _recv_exactly(sock, 4, deadline)
+    if not prefix:
+        return None
+    if len(prefix) < 4:
+        raise FrameError("connection closed mid frame-length")
+    total = frame_length(prefix, max_frame_bytes)
+    payload = _recv_exactly(sock, total, deadline)
+    if len(payload) < total:
+        raise FrameError("connection closed mid frame")
     return decode_frame_payload(payload)

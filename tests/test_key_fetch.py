@@ -59,11 +59,11 @@ def _request_lists(params, lists: int, keys: int) -> list[list]:
              for j in range(keys)] for i in range(lists)]
 
 
-def _link_threads(before: set[threading.Thread]) -> list[str]:
-    """Fetch threads and endpoint loop threads started since ``before``
-    that are still alive."""
+def _fetch_threads(before: set[threading.Thread]) -> list[str]:
+    """Key-fetch threads started since ``before`` that are still alive
+    (an endpoint runs in its caller's thread and starts none)."""
     return [t.name for t in set(threading.enumerate()) - before
-            if t.name.startswith(("febo-fetch", "rpc-"))]
+            if t.name.startswith("febo-fetch")]
 
 
 class _Concurrency:
@@ -250,10 +250,12 @@ class TestRemoteKeySets:
                     authority.traffic.total_bytes(
                         kind=protocol.KIND_FEBO_KEY_BATCH_RESPONSE)
                 assert 1 < authority.concurrency.peak <= KEY_FETCHES_IN_FLIGHT
+                assert 1 < len(_fetch_threads(before)) <= \
+                    KEY_FETCHES_IN_FLIGHT
             connections = [label for label in thread.service.connection_traffic
                            if label.startswith("server#")]
             assert 1 < len(connections) <= KEY_FETCHES_IN_FLIGHT
-            assert _link_threads(before) == []
+            assert _fetch_threads(before) == []
         finally:
             thread.stop()
 
@@ -261,7 +263,7 @@ class TestRemoteKeySets:
         """The authority refuses ``*`` after five samples' keys, while
         the first batch's ten fetches are in flight: training ends in
         ``failed`` with the remote error type, and stopping the service
-        leaves no fetch or endpoint thread behind."""
+        leaves no fetch thread behind."""
         x, y = _shard()
         before = set(threading.enumerate())
         authority = TrustedAuthority(CryptoNNConfig(), rng=random.Random(0),
@@ -287,7 +289,7 @@ class TestRemoteKeySets:
         finally:
             train_thread.stop()
             auth_thread.stop()
-        assert _link_threads(before) == []
+        assert _fetch_threads(before) == []
 
 
 @pytest.mark.timeout_guard(90)

@@ -10,12 +10,16 @@ transport bug can never hang the suite.
 
 import asyncio
 import dataclasses
+import functools
 import gc
 import multiprocessing
 import os
 import random
 import signal
+import socket
 import subprocess
+import sys
+import threading
 import time
 import warnings
 
@@ -36,7 +40,9 @@ from repro.rpc import (
     RemoteAuthority,
     RetryPolicy,
     RpcEndpoint,
+    RpcError,
     RpcRemoteError,
+    RpcTimeoutError,
     ServiceThread,
     TrainingService,
     WireContext,
@@ -44,7 +50,6 @@ from repro.rpc import (
     free_port,
     plan_shard_chunks,
     run_training,
-    upload_planned_chunks,
     upload_shard,
     wait_for_port,
 )
@@ -68,8 +73,10 @@ from repro.rpc.supervisor import repro_argv
 # framing
 # ---------------------------------------------------------------------------
 
-def _read_frames(data: bytes, count: int = 1, **kwargs):
-    """Feed raw bytes through read_frame on a fresh event loop."""
+def _read_frames(data: bytes, count: int = 1, *, via: str, **kwargs):
+    """Feed raw bytes, then EOF, through one of the two frame readers:
+    ``read_frame`` on a fresh event loop (``via="stream"``) or the
+    blocking ``recv_frame`` over a socket pair (``via="socket"``)."""
 
     async def _read():
         reader = asyncio.StreamReader()
@@ -78,46 +85,61 @@ def _read_frames(data: bytes, count: int = 1, **kwargs):
         return [await framing.read_frame(reader, **kwargs)
                 for _ in range(count)]
 
-    frames = asyncio.run(_read())
+    if via == "stream":
+        frames = asyncio.run(_read())
+    else:
+        writer, reader = socket.socketpair()
+        with writer, reader:
+            writer.sendall(data)
+            writer.shutdown(socket.SHUT_WR)
+            deadline = time.monotonic() + 5
+            frames = [framing.recv_frame(reader, deadline, **kwargs)
+                      for _ in range(count)]
     return frames[0] if count == 1 else frames
 
 
+@pytest.fixture(params=["stream", "socket"])
+def read_frames(request):
+    """Every framing case runs through both readers."""
+    return functools.partial(_read_frames, via=request.param)
+
+
 class TestFraming:
-    def test_encode_decode_roundtrip(self):
+    def test_encode_decode_roundtrip(self, read_frames):
         header = {"kind": "ack", "seq": 3}
         body = b"\x01\x02\x03"
-        got_header, got_body = _read_frames(
+        got_header, got_body = read_frames(
             framing.encode_frame(header, body))
         assert got_header == header
         assert got_body == body
 
-    def test_empty_body(self):
-        _, body = _read_frames(framing.encode_frame({"kind": "x"}))
+    def test_empty_body(self, read_frames):
+        _, body = read_frames(framing.encode_frame({"kind": "x"}))
         assert body == b""
 
-    def test_clean_eof_returns_none(self):
-        assert _read_frames(b"") is None
+    def test_clean_eof_returns_none(self, read_frames):
+        assert read_frames(b"") is None
 
-    def test_truncated_frame_raises(self):
+    def test_truncated_frame_raises(self, read_frames):
         frame = framing.encode_frame({"kind": "x"}, b"abcdef")
         with pytest.raises(framing.FrameError):
-            _read_frames(frame[:-2])
+            read_frames(frame[:-2])
 
-    def test_oversized_frame_rejected(self):
+    def test_oversized_frame_rejected(self, read_frames):
         frame = framing.encode_frame({"kind": "x"}, b"y" * 100)
         with pytest.raises(framing.FrameError):
-            _read_frames(frame, max_frame_bytes=50)
+            read_frames(frame, max_frame_bytes=50)
 
-    def test_garbage_header_rejected(self):
+    def test_garbage_header_rejected(self, read_frames):
         good = framing.encode_frame({"kind": "x"})
         corrupted = good[:8] + b"\xff" * (len(good) - 8)
         with pytest.raises(framing.FrameError):
-            _read_frames(corrupted)
+            read_frames(corrupted)
 
-    def test_two_frames_back_to_back(self):
+    def test_two_frames_back_to_back(self, read_frames):
         data = framing.encode_frame({"kind": "a"}) + \
             framing.encode_frame({"kind": "b"}, b"zz")
-        first, second, third = _read_frames(data, count=3)
+        first, second, third = read_frames(data, count=3)
         assert first[0]["kind"] == "a"
         assert second == ({"kind": "b"}, b"zz")
         assert third is None
@@ -129,56 +151,69 @@ class TestFramingAdversarial:
     promptly -- never strand a reader.  The chaos proxy injects exactly
     these shapes, so this is the contract its faults rely on."""
 
-    def test_header_truncated_mid_read(self):
+    def test_header_truncated_mid_read(self, read_frames):
         # connection dies inside the JSON header region
         frame = framing.encode_frame({"kind": "status", "seq": 12})
         with pytest.raises(framing.FrameError):
-            _read_frames(frame[:12])
+            read_frames(frame[:12])
 
-    def test_length_prefix_truncated_mid_read(self):
+    def test_length_prefix_truncated_mid_read(self, read_frames):
         with pytest.raises(framing.FrameError):
-            _read_frames(b"\x00\x00")  # 2 of the 4 prefix bytes
+            read_frames(b"\x00\x00")  # 2 of the 4 prefix bytes
 
-    def test_oversized_length_prefix_rejected_before_payload(self):
+    def test_oversized_length_prefix_rejected_before_payload(
+            self, read_frames):
         # a hostile 2 GiB announcement must be rejected from the prefix
         # alone -- no allocation, no waiting for bytes that never come
         prefix = (2 ** 31).to_bytes(4, "big")
         with pytest.raises(framing.FrameError, match="exceeds limit"):
-            _read_frames(prefix)
+            read_frames(prefix)
 
-    def test_zero_length_frame_rejected(self):
+    def test_zero_length_frame_rejected(self, read_frames):
         with pytest.raises(framing.FrameError, match="below header"):
-            _read_frames(b"\x00\x00\x00\x00")
+            read_frames(b"\x00\x00\x00\x00")
 
-    def test_non_json_header_bytes_rejected(self):
+    def test_non_json_header_bytes_rejected(self, read_frames):
         # valid UTF-8, not JSON
         garbage = b"this is not json"
         payload = len(garbage).to_bytes(4, "big") + garbage
         frame = (4 + len(garbage)).to_bytes(4, "big") + payload
         with pytest.raises(framing.FrameError, match="undecodable"):
-            _read_frames(frame)
+            read_frames(frame)
 
-    def test_non_object_json_header_rejected(self):
+    def test_non_object_json_header_rejected(self, read_frames):
         header = b"[1,2,3]"
         payload = len(header).to_bytes(4, "big") + header
         frame = (4 + len(header)).to_bytes(4, "big") + payload
         with pytest.raises(framing.FrameError, match="JSON object"):
-            _read_frames(frame)
+            read_frames(frame)
 
-    def test_header_length_overrunning_frame_rejected(self):
+    def test_header_length_overrunning_frame_rejected(self, read_frames):
         # inner header length claims more bytes than the frame holds
         payload = (500).to_bytes(4, "big") + b'{"kind":"x"}'
         frame = len(payload).to_bytes(4, "big") + payload
         with pytest.raises(framing.FrameError, match="exceeds frame"):
-            _read_frames(frame)
+            read_frames(frame)
 
-    def test_invalid_utf8_header_rejected(self):
+    def test_invalid_utf8_header_rejected(self, read_frames):
         # the chaos proxy's corrupt fault: 0xff bytes where JSON was
         good = framing.encode_frame({"kind": "x", "seq": 1}, b"body")
         header_len = int.from_bytes(good[4:8], "big")
         corrupted = good[:8] + b"\xff" * header_len + good[8 + header_len:]
         with pytest.raises(framing.FrameError, match="undecodable"):
-            _read_frames(corrupted)
+            read_frames(corrupted)
+
+    def test_stalled_length_prefix_times_out_by_the_deadline(self):
+        # 2 of the 4 prefix bytes, then silence on an open connection:
+        # the blocking reader gives up at its deadline
+        writer, reader = socket.socketpair()
+        with writer, reader:
+            writer.sendall(b"\x00\x00")
+            start = time.monotonic()
+            with pytest.raises(TimeoutError):
+                framing.recv_frame(reader, start + 0.3)
+            elapsed = time.monotonic() - start
+        assert 0.29 <= elapsed < 2
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +478,10 @@ class TestAuthorityServiceLoopback:
             assert bkeys[0].cmt == bct.cmt  # re-attached client-side
             assert remote.febo.decrypt(bpk, bkeys[0], bct, bound=100) == 32
 
-    def test_closed_authority_leaves_no_event_loop(self, live_authority):
-        """Closing a RemoteAuthority closes the event loop of every
-        endpoint it opened (the handshake one and any key-fetch one),
-        so collecting them warns of no unclosed loop."""
+    def test_closed_authority_leaves_no_open_socket(self, live_authority):
+        """Closing a RemoteAuthority closes the socket of every endpoint
+        it opened (the handshake one and any key-fetch one), so
+        collecting them warns of no unclosed socket."""
         _, _, addr = live_authority
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
@@ -521,6 +556,139 @@ def _in_process_accuracy(shards):
         merged, authority, hidden=HIDDEN, epochs=EPOCHS,
         batch_size=BATCH_SIZE, learning_rate=LR, seed=SEED)
     return accuracy
+
+
+@pytest.mark.timeout_guard(30)
+class TestEndpointLifecycle:
+    """An endpoint is a blocking socket in its caller's thread: it
+    starts no thread, a close() from another thread fails a request in
+    flight at once, and one deadline bounds each attempt's exchange."""
+
+    def test_connect_request_close_start_no_thread(self, live_authority):
+        _, _, addr = live_authority
+        # warm the service up, so only the endpoint could add a thread
+        with RpcEndpoint(*addr, name="warm-up",
+                         peer=protocol.AUTHORITY) as endpoint:
+            endpoint.request(msgs.PublicParamsRequest())
+        threads = threading.active_count()
+        endpoint = RpcEndpoint(*addr, name="x", peer=protocol.AUTHORITY)
+        endpoint.request(msgs.PublicParamsRequest())
+        assert endpoint.connected
+        assert threading.active_count() == threads
+        endpoint.close()
+        assert threading.active_count() == threads
+
+    def test_close_from_another_thread_fails_request_in_flight(self):
+        outcome = []
+
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            endpoint = RpcEndpoint(*server.getsockname()[:2], name="x",
+                                   peer="silent", timeout=30)
+
+            def call():
+                try:
+                    endpoint.request(msgs.PublicParamsRequest())
+                except Exception as exc:
+                    outcome.append(exc)
+
+            caller = threading.Thread(target=call)
+            caller.start()
+            conn, _ = server.accept()
+            with conn:
+                conn.recv(4)  # the request is on the wire; never answer
+                start = time.monotonic()
+                endpoint.close()
+                caller.join(timeout=5)
+                elapsed = time.monotonic() - start
+        assert not caller.is_alive()
+        assert elapsed < 1
+        assert len(outcome) == 1
+        assert isinstance(outcome[0], RpcError)
+        assert "closed mid-request" in str(outcome[0])
+        stats = endpoint.stats.snapshot()
+        assert stats["drops"] == stats["timeouts"] == stats["retries"] == 0
+
+    def test_close_racing_requests_leaks_no_socket(self, live_authority):
+        """Endpoints closed at varying moments of their callers' request
+        loops, with thread switches forced often: every caller stops at
+        once on a closed-endpoint error, and no socket is left open."""
+        _, _, addr = live_authority
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                for round_ in range(20):
+                    endpoints = [RpcEndpoint(*addr, name=f"x{i}",
+                                             peer=protocol.AUTHORITY)
+                                 for i in range(4)]
+                    errors = []
+
+                    def hammer(endpoint):
+                        try:
+                            while True:
+                                endpoint.request(msgs.PublicParamsRequest())
+                        except RpcError as exc:
+                            errors.append(str(exc))
+
+                    callers = [threading.Thread(target=hammer, args=(e,))
+                               for e in endpoints]
+                    for caller in callers:
+                        caller.start()
+                    time.sleep(0.001 * round_)
+                    for endpoint in endpoints:
+                        endpoint.close()
+                    for caller in callers:
+                        caller.join(timeout=5)
+                    assert not any(caller.is_alive() for caller in callers)
+                    assert len(errors) == 4
+                    assert all("closed" in error for error in errors), errors
+                    assert all(e.stats.drops == e.stats.retries == 0
+                               for e in endpoints)
+                del endpoints, callers
+                gc.collect()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not [str(w.message) for w in caught
+                    if issubclass(w.category, ResourceWarning)]
+
+    def test_trickling_peer_times_out_by_the_attempt_deadline(self):
+        stop = threading.Event()
+
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            def drip():
+                conn, _ = server.accept()
+                with conn:
+                    conn.recv(1024)
+                    response = framing.encode_frame(
+                        {"kind": "ack", "seq": 1}, b"x" * 64)
+                    for byte in response:
+                        if stop.wait(0.2):
+                            return
+                        try:
+                            conn.sendall(bytes([byte]))
+                        except OSError:
+                            return
+
+            dripper = threading.Thread(target=drip)
+            dripper.start()
+            endpoint = RpcEndpoint(*server.getsockname()[:2], name="x",
+                                   peer="dripper", timeout=0.5,
+                                   policy=RetryPolicy(max_attempts=1))
+            start = time.monotonic()
+            try:
+                with pytest.raises(RpcError) as excinfo:
+                    endpoint.request(msgs.PublicParamsRequest())
+                elapsed = time.monotonic() - start
+            finally:
+                endpoint.close()
+                stop.set()
+                dripper.join(timeout=5)
+        assert isinstance(excinfo.value.__cause__, RpcTimeoutError)
+        assert elapsed < 2
+        stats = endpoint.stats.snapshot()
+        assert stats["timeouts"] == 1
+        assert stats["giveups"] == 1
 
 
 @pytest.mark.timeout_guard(300)
@@ -630,10 +798,13 @@ class TestEndToEndLoopback:
                                  max_frame_bytes=64) as endpoint:
                     with pytest.raises(framing.FrameError,
                                        match="exceeds limit"):
-                        upload_planned_chunks(
-                            endpoint, name="tiny", meta=meta,
-                            fingerprint=fingerprint, chunks=chunks,
-                            start_probe=False)
+                        endpoint.request(msgs.ShardChunk(
+                            fingerprint=fingerprint, index=0,
+                            count=len(chunks), chunk=chunks[0], meta=meta,
+                            client_name="tiny"))
+            # the frame failed before any byte of it left the client
+            assert sum(log.total_bytes(kind=protocol.KIND_ENCRYPTED_DATA)
+                       for log in service.connection_traffic.values()) == 0
         finally:
             train_thread.stop()
             auth_thread.stop()
@@ -642,7 +813,6 @@ class TestEndToEndLoopback:
         _, _, addr = live_authority
         endpoint = RpcEndpoint(*addr, name="x", peer=protocol.AUTHORITY)
         endpoint.close()
-        from repro.rpc import RpcError
         with pytest.raises(RpcError, match="closed"):
             endpoint.request(msgs.PublicParamsRequest())
 
