@@ -7,13 +7,11 @@ the three entities a *real* transport so that profile carries actual
 bytes between actual processes:
 
 * :mod:`repro.rpc.framing` -- length-prefixed binary frames over TCP,
-  read from asyncio streams by the services and from blocking sockets
-  by the clients;
+  on asyncio streams (services) and blocking sockets (clients);
 * :mod:`repro.rpc.messages` -- typed request/response messages mapped
   1:1 onto the :mod:`repro.core.protocol` kinds, bodies packed by
   :mod:`repro.core.serialization` so traffic accounting is byte-exact;
-* :mod:`repro.rpc.authority_service` -- the authority key service
-  (an asyncio server, like the training server);
+* :mod:`repro.rpc.authority_service` -- the authority key service;
 * :mod:`repro.rpc.training_service` -- the training server, driving
   :class:`~repro.core.cryptonn.CryptoNNTrainer` over the wire;
 * :mod:`repro.rpc.client` -- the blocking-socket endpoint and the

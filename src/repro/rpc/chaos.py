@@ -48,6 +48,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.rpc.framing import FrameError, header_span, read_raw_frame
+from repro.rpc.service import Listener, close_writer
 
 #: Fault kinds in schedule-draw order (the order matters: one uniform
 #: draw per exchange walks this list's cumulative rates).
@@ -124,54 +125,30 @@ class ChaosSchedule:
             return self._decisions[index]
 
 
-class ChaosProxy:
+class ChaosProxy(Listener):
     """Seeded fault-injecting TCP proxy for one upstream service.
 
-    Exposes the same ``async start() -> (host, port)`` / ``async
-    stop()`` lifecycle as the RPC services, so
+    Shares the RPC services' :class:`~repro.rpc.service.Listener`
+    lifecycle (``async start() -> (host, port)`` / ``async stop()``), so
     :class:`~repro.rpc.runtime.ServiceThread` can host it and tests and
     examples stand it up exactly like a real service.  ``stats`` counts
     connections, exchanges and injected faults by kind.
 
-    Frames are read whole with :func:`~repro.rpc.framing.read_raw_frame`
-    under the framing layer's default limit,
-    :data:`~repro.rpc.framing.MAX_FRAME_BYTES`.
+    Frames are read whole with :func:`~repro.rpc.framing.read_raw_frame`,
+    up to :data:`~repro.rpc.framing.MAX_FRAME_BYTES`.
     """
 
     def __init__(self, upstream_host: str, upstream_port: int, *,
                  host: str = "127.0.0.1", port: int = 0,
                  schedule: ChaosSchedule | None = None,
                  seed: int = 0, config: ChaosConfig | None = None):
+        super().__init__(host, port)
         self.upstream = (upstream_host, upstream_port)
-        self.host = host
-        self.port = port
         self.schedule = schedule if schedule is not None else \
             ChaosSchedule(seed, config if config is not None else ChaosConfig())
-        self.address: tuple[str, int] | None = None
         self.stats: Counter = Counter()
-        self._server: asyncio.AbstractServer | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
         self._exchange_counter = 0
         self._counter_lock = threading.Lock()
-
-    # -- lifecycle -----------------------------------------------------------
-    async def start(self) -> tuple[str, int]:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
-        sockname = self._server.sockets[0].getsockname()
-        self.address = (sockname[0], sockname[1])
-        return self.address
-
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        self._conn_tasks.clear()
 
     def _next_exchange(self) -> int:
         with self._counter_lock:
@@ -213,12 +190,8 @@ class ChaosProxy:
             if task is not None:
                 self._conn_tasks.discard(task)
             for writer in (client_writer, upstream_writer):
-                if writer is None:
-                    continue
-                with contextlib.suppress(Exception):
-                    writer.close()
-                with contextlib.suppress(BaseException):
-                    await writer.wait_closed()
+                if writer is not None:
+                    await close_writer(writer)
 
     async def _pump(self, client_reader, client_writer,
                     upstream_reader, upstream_writer) -> None:

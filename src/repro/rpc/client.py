@@ -20,8 +20,11 @@ from __future__ import annotations
 import collections
 import concurrent.futures
 import contextlib
+import errno
+import os
 import queue
 import random
+import select
 import socket
 import threading
 import time
@@ -104,7 +107,8 @@ class RpcEndpoint:
         self._sock: socket.socket | None = None
         self._seq = 0
         self._connects = 0
-        self._closed = False
+        #: set by close(); backoff sleeps wait on it, so they wake at once
+        self._closed = threading.Event()
         GLOBAL_REGISTRY.register_collector(
             f"rpc_endpoint.{id(self)}", self._obs_collect)
 
@@ -129,14 +133,35 @@ class RpcEndpoint:
     def connected(self) -> bool:
         return self._sock is not None
 
-    def _interruptible_sleep(self, seconds: float) -> None:
-        """Backoff sleep that wakes promptly on a concurrent close()."""
-        deadline = time.monotonic() + seconds
-        while not self._closed:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return
-            time.sleep(min(0.05, remaining))
+    def _dial(self) -> socket.socket:
+        """One TCP connect within ``connect_timeout``, awaited in 0.1 s
+        slices: until it completes, close() has no socket to shut down,
+        so the wait itself watches ``_closed``."""
+        deadline = time.monotonic() + self.connect_timeout
+        err = errno.EADDRNOTAVAIL
+        for family, kind, proto, _, addr in socket.getaddrinfo(
+                self.host, self.port, type=socket.SOCK_STREAM):
+            sock = socket.socket(family, kind, proto)
+            try:
+                sock.setblocking(False)
+                err = sock.connect_ex(addr)
+                poller = select.poll()
+                poller.register(sock, select.POLLOUT)
+                while err == errno.EINPROGRESS:
+                    if self._closed.is_set():
+                        raise self._closed_error("was closed mid-request")
+                    if time.monotonic() >= deadline:
+                        raise TimeoutError(f"connect to {self.peer} timed out")
+                    if poller.poll(100):
+                        err = sock.getsockopt(socket.SOL_SOCKET,
+                                              socket.SO_ERROR)
+            except BaseException:
+                sock.close()
+                raise
+            if not err:
+                return sock
+            sock.close()
+        raise OSError(err, os.strerror(err))
 
     def connect(self) -> None:
         """Connect under the retry policy's backoff, bounded by
@@ -151,12 +176,11 @@ class RpcEndpoint:
             deadline=self.connect_timeout)
         last_exc: Exception | None = None
         for _ in connect_policy.attempts(rng=self._retry_rng,
-                                         sleep=self._interruptible_sleep):
-            if self._closed:  # closed by another thread mid-retry
+                                         sleep=self._closed.wait):
+            if self._closed.is_set():  # closed by another thread mid-retry
                 raise self._closed_error()
             try:
-                sock = socket.create_connection((self.host, self.port),
-                                                timeout=self.connect_timeout)
+                sock = self._dial()
             except TimeoutError:
                 raise  # the attempt's timeout, counted by request()
             except OSError as exc:
@@ -166,7 +190,7 @@ class RpcEndpoint:
             self._sock = sock
             # close() reads _sock after setting _closed: either it shuts
             # this socket down or this check sees the flag
-            if self._closed:
+            if self._closed.is_set():
                 raise self._closed_error()
             self._connects += 1
             if self._connects > 1:
@@ -195,10 +219,11 @@ class RpcEndpoint:
 
         Never waits on a request in flight (e.g. a training thread
         blocked on a key request from another thread): shutting the
-        socket down wakes its ``recv``, so its caller fails fast with
+        socket down wakes its ``recv``, and a connect still in progress
+        sees the flag within 0.1 s, so its caller fails fast with
         "closed mid-request" rather than waiting out its timeout.
         """
-        self._closed = True
+        self._closed.set()
         sock = self._sock
         if sock is not None:
             with contextlib.suppress(OSError):
@@ -238,11 +263,11 @@ class RpcEndpoint:
             with self._lock:
                 return self._request(msg, ctx)
         finally:
-            if self._closed:  # a close() that found the lock held
+            if self._closed.is_set():  # a close() that found the lock held
                 self._drop_if_idle()
 
     def _request(self, msg, ctx: WireContext | None):
-        if self._closed:
+        if self._closed.is_set():
             raise self._closed_error()
         header, body = encode_message(msg, ctx)
         self._seq += 1
@@ -255,8 +280,8 @@ class RpcEndpoint:
         start = time.monotonic()
         attempts_made = 0
         for attempt in self.policy.attempts(
-                rng=self._retry_rng, sleep=self._interruptible_sleep):
-            if self._closed:
+                rng=self._retry_rng, sleep=self._closed.wait):
+            if self._closed.is_set():
                 # a concurrent close() mid-retry must not let the loop
                 # reconnect and resend
                 raise self._closed_error("was closed mid-request")
@@ -272,7 +297,7 @@ class RpcEndpoint:
                 resp_header, resp_body = self._exchange(frame_bytes, timeout)
             except (OSError, FrameError) as exc:
                 self._drop_connection()
-                if self._closed:
+                if self._closed.is_set():
                     raise self._closed_error(
                         "was closed mid-request") from None
                 if isinstance(exc, TimeoutError):

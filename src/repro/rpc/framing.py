@@ -127,13 +127,11 @@ async def _read_parts(reader: asyncio.StreamReader, max_frame_bytes: int
     return prefix, payload
 
 
-async def read_raw_frame(reader: asyncio.StreamReader,
-                         max_frame_bytes: int = MAX_FRAME_BYTES
-                         ) -> bytes | None:
+async def read_raw_frame(reader: asyncio.StreamReader) -> bytes | None:
     """One frame's raw bytes, length prefix included; ``None`` on clean
-    EOF at a frame boundary, :class:`FrameError` if truncated or
-    oversized."""
-    parts = await _read_parts(reader, max_frame_bytes)
+    EOF at a frame boundary, :class:`FrameError` if truncated or over
+    :data:`MAX_FRAME_BYTES`."""
+    parts = await _read_parts(reader, MAX_FRAME_BYTES)
     return None if parts is None else parts[0] + parts[1]
 
 

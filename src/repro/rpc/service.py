@@ -7,7 +7,8 @@ error framing, leaving subclasses one job: ``_dispatch`` a decoded
 message to the entity behind it.
 
 Connections are tracked so ``stop()`` tears them down deterministically
-(no handler tasks left pending when the hosting loop closes).  A broken
+(no handler tasks left pending when the hosting loop closes); that
+listening half, :class:`Listener`, also runs the chaos proxy.  A broken
 or malicious peer only ever costs its own connection: decode errors are
 answered with an ``error`` frame, transport errors drop the connection,
 and the listener keeps serving everyone else.
@@ -45,17 +46,54 @@ from repro.rpc.messages import (
 OBS_KINDS = frozenset({KIND_SERVICE_METRICS, KIND_SERVICE_HEALTH})
 
 
-@contextlib.asynccontextmanager
-async def _maybe_acquire(sem: asyncio.Semaphore | None):
-    """``async with`` over an optional semaphore."""
-    if sem is None:
-        yield
-        return
-    async with sem:
-        yield
+class Listener:
+    """An asyncio TCP listener that tracks its connection handlers.
+
+    ``stop()`` cancels them and awaits their exit, so no handler task
+    is left pending when the hosting loop closes.  Subclasses supply
+    ``_handle_connection``, which adds its task to ``_conn_tasks``.
+    """
+
+    def __init__(self, host: str, port: int):
+        self.host = host
+        self.port = port
+        self.address: tuple[str, int] | None = None
+        self._server: asyncio.AbstractServer | None = None
+        self._conn_tasks: set[asyncio.Task] = set()
+
+    async def start(self) -> tuple[str, int]:
+        """Bind the listening socket; returns the bound (host, port)."""
+        self._server = await asyncio.start_server(
+            self._handle_connection, self.host, self.port)
+        sockname = self._server.sockets[0].getsockname()
+        self.address = (sockname[0], sockname[1])
+        return self.address
+
+    async def stop(self) -> None:
+        # connections close before the listener is awaited: since
+        # Python 3.12.1 ``wait_closed`` waits for every open connection,
+        # so an idle connected client would hang the stop
+        if self._server is not None:
+            self._server.close()
+        for task in list(self._conn_tasks):
+            task.cancel()
+        if self._conn_tasks:
+            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        self._conn_tasks.clear()
+        if self._server is not None:
+            await self._server.wait_closed()
+            self._server = None
 
 
-class FramedService:
+async def close_writer(writer: asyncio.StreamWriter) -> None:
+    """Close a stream and wait for it, whatever state it is in."""
+    with contextlib.suppress(Exception):
+        writer.close()
+    with contextlib.suppress(BaseException):
+        await writer.wait_closed()
+
+
+class FramedService(Listener):
     """An asyncio TCP server answering framed request/response messages."""
 
     #: Canonical entity name used in traffic records (subclass sets it).
@@ -77,8 +115,7 @@ class FramedService:
                  max_requests_per_connection: int | None = None,
                  max_inflight: int | None = None,
                  max_connections: int | None = None):
-        self.host = host
-        self.port = port
+        super().__init__(host, port)
         self.max_frame_bytes = max_frame_bytes
         #: per-connection request quota: past it the connection gets one
         #: final ``QuotaExceeded`` error frame and is closed, so a
@@ -98,9 +135,6 @@ class FramedService:
         self.quota_rejections = 0
         self.connection_rejections = 0
         self.backpressure_waits = 0
-        self.address: tuple[str, int] | None = None
-        self._server: asyncio.AbstractServer | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
         self._inflight_sem: asyncio.Semaphore | None = None
         GLOBAL_REGISTRY.register_collector(
             f"service.{id(self)}", self._obs_collect)
@@ -162,33 +196,10 @@ class FramedService:
         raise NotImplementedError
 
     # -- lifecycle -----------------------------------------------------------
-    async def start(self) -> tuple[str, int]:
-        """Bind the listening socket; returns the bound (host, port)."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
-        sockname = self._server.sockets[0].getsockname()
-        self.address = (sockname[0], sockname[1])
-        return self.address
-
     async def serve_forever(self) -> None:
         if self._server is None:
             await self.start()
         await self._server.serve_forever()
-
-    async def stop(self) -> None:
-        # connections close before the listener is awaited: since
-        # Python 3.12.1 ``wait_closed`` waits for every open connection,
-        # so an idle connected client would hang the stop
-        if self._server is not None:
-            self._server.close()
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        self._conn_tasks.clear()
-        if self._server is not None:
-            await self._server.wait_closed()
-            self._server = None
 
     # -- connection handling -------------------------------------------------
     async def _handle_connection(self, reader: asyncio.StreamReader,
@@ -198,10 +209,7 @@ class FramedService:
             # flood defense: past the accept cap, close immediately --
             # existing connections (including health probes) keep working
             self.connection_rejections += 1
-            with contextlib.suppress(Exception):
-                writer.close()
-            with contextlib.suppress(BaseException):
-                await writer.wait_closed()
+            await close_writer(writer)
             return
         task = asyncio.current_task()
         if task is not None:
@@ -255,7 +263,8 @@ class FramedService:
                         sem = self._inflight_semaphore()
                         if sem is not None and sem.locked():
                             self.backpressure_waits += 1
-                        async with _maybe_acquire(sem):
+                        async with (sem if sem is not None
+                                    else contextlib.nullcontext()):
                             ctx = await self._wire_context_for(header)
                             # decode/encode off-loop: a paper-scale
                             # upload body unpacks hundreds of thousands
@@ -283,7 +292,4 @@ class FramedService:
         finally:
             if task is not None:
                 self._conn_tasks.discard(task)
-            with contextlib.suppress(Exception):
-                writer.close()
-            with contextlib.suppress(BaseException):
-                await writer.wait_closed()
+            await close_writer(writer)

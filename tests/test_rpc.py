@@ -15,6 +15,7 @@ import gc
 import multiprocessing
 import os
 import random
+import select
 import signal
 import socket
 import subprocess
@@ -564,19 +565,38 @@ class TestEndpointLifecycle:
     starts no thread, a close() from another thread fails a request in
     flight at once, and one deadline bounds each attempt's exchange."""
 
-    def test_connect_request_close_start_no_thread(self, live_authority):
-        _, _, addr = live_authority
-        # warm the service up, so only the endpoint could add a thread
-        with RpcEndpoint(*addr, name="warm-up",
-                         peer=protocol.AUTHORITY) as endpoint:
-            endpoint.request(msgs.PublicParamsRequest())
-        threads = threading.active_count()
-        endpoint = RpcEndpoint(*addr, name="x", peer=protocol.AUTHORITY)
-        endpoint.request(msgs.PublicParamsRequest())
-        assert endpoint.connected
-        assert threading.active_count() == threads
-        endpoint.close()
-        assert threading.active_count() == threads
+    def test_connect_request_close_start_no_thread(self):
+        # a responder thread that answers once and stays up until the
+        # end, so only the endpoint could change the thread count (a
+        # live service's executor may add a thread per request)
+        done = threading.Event()
+
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            def answer():
+                conn, _ = server.accept()
+                with conn, conn.makefile("rb") as stream:
+                    size = int.from_bytes(stream.read(4), "big")
+                    header, _ = framing.decode_frame_payload(
+                        stream.read(size))
+                    resp_header, body = msgs.encode_message(msgs.Ack())
+                    resp_header["seq"] = header["seq"]
+                    conn.sendall(framing.encode_frame(resp_header, body))
+                    done.wait(10)
+
+            responder = threading.Thread(target=answer)
+            responder.start()
+            try:
+                threads = threading.active_count()
+                endpoint = RpcEndpoint(*server.getsockname()[:2], name="x",
+                                       peer="responder", timeout=10)
+                assert isinstance(endpoint.request(msgs.Ack()), msgs.Ack)
+                assert endpoint.connected
+                assert threading.active_count() == threads
+                endpoint.close()
+                assert threading.active_count() == threads
+            finally:
+                done.set()
+                responder.join(timeout=5)
 
     def test_close_from_another_thread_fails_request_in_flight(self):
         outcome = []
@@ -600,6 +620,54 @@ class TestEndpointLifecycle:
                 endpoint.close()
                 caller.join(timeout=5)
                 elapsed = time.monotonic() - start
+        assert not caller.is_alive()
+        assert elapsed < 1
+        assert len(outcome) == 1
+        assert isinstance(outcome[0], RpcError)
+        assert "closed mid-request" in str(outcome[0])
+        stats = endpoint.stats.snapshot()
+        assert stats["drops"] == stats["timeouts"] == stats["retries"] == 0
+
+    def test_close_from_another_thread_fails_connect_in_flight(self):
+        """A connect that cannot complete -- the listener's accept queue
+        is full, so its SYNs are dropped -- fails at once on close(),
+        not after ``connect_timeout``."""
+        outcome = []
+        fillers = []
+        with socket.socket() as server:
+            server.bind(("127.0.0.1", 0))
+            server.listen(0)
+            addr = server.getsockname()[:2]
+            try:
+                for _ in range(16):  # fill the queue: a connect stalls
+                    filler = socket.socket()
+                    fillers.append(filler)
+                    filler.setblocking(False)
+                    filler.connect_ex(addr)
+                    if not select.select((), (filler,), (), 0.2)[1]:
+                        break
+                else:
+                    pytest.fail("the listener's accept queue never filled")
+                endpoint = RpcEndpoint(*addr, name="x", peer="full",
+                                       timeout=30, connect_timeout=30)
+
+                def call():
+                    try:
+                        endpoint.request(msgs.PublicParamsRequest())
+                    except Exception as exc:
+                        outcome.append(exc)
+
+                caller = threading.Thread(target=call, daemon=True)
+                caller.start()
+                time.sleep(0.3)  # the caller is inside its connect
+                assert caller.is_alive() and not endpoint.connected
+                start = time.monotonic()
+                endpoint.close()
+                caller.join(timeout=5)
+                elapsed = time.monotonic() - start
+            finally:
+                for filler in fillers:
+                    filler.close()
         assert not caller.is_alive()
         assert elapsed < 1
         assert len(outcome) == 1
