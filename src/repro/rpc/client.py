@@ -138,7 +138,6 @@ class RpcEndpoint:
         slices: until it completes, close() has no socket to shut down,
         so the wait itself watches ``_closed``."""
         deadline = time.monotonic() + self.connect_timeout
-        err = errno.EADDRNOTAVAIL
         for family, kind, proto, _, addr in socket.getaddrinfo(
                 self.host, self.port, type=socket.SOCK_STREAM):
             sock = socket.socket(family, kind, proto)
