@@ -3,7 +3,7 @@
 
 Demonstrates the paper's "Distributed data source" property (Section
 III-A) on actual sockets: the authority key service and the training
-server run as separate asyncio services, five clinic clients encrypt
+server run as separate threaded services, five clinic clients encrypt
 locally and upload their shards over TCP, and the training server
 drives the secure training loop while fetching function keys over the
 wire -- one batched key envelope per iteration step instead of the
@@ -75,8 +75,7 @@ def main() -> None:
               f"{result['upload_bytes']:,} bytes over the socket")
 
     # -- wait for the remote training run to finish ------------------------
-    train_thread.call(lambda: train_service.wait_done(timeout=600),
-                      timeout=620)
+    train_service.wait_done(timeout=600)
     if train_service.state != "done":
         raise RuntimeError(f"remote training failed: {train_service.error}")
     print(f"\nserver-side accuracy (in wire-label space): "

@@ -31,7 +31,6 @@ architecture requires.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import os
 import random
@@ -194,14 +193,14 @@ def cmd_serve_train(args: argparse.Namespace) -> int:
         model_out=args.model_out,
     )
 
-    async def serve() -> int:
+    def serve() -> int:
         try:
-            host, port = await service.start()
+            host, port = service.start()
             print(f"training server listening on {host}:{port} "
                   f"(authority at "
                   f"{args.authority_host}:{args.authority_port})",
                   flush=True)
-            await service.wait_done()
+            service.wait_done()
             if service.state == "failed":
                 print(f"training failed: {service.error}", flush=True)
             else:
@@ -215,12 +214,12 @@ def cmd_serve_train(args: argparse.Namespace) -> int:
                 # keep answering train-status (and, on success,
                 # predict-request) so drivers can observe the outcome
                 print("serving until interrupted", flush=True)
-                await asyncio.Event().wait()
+                threading.Event().wait()
             return 1 if service.state == "failed" else 0
         finally:
             # closes the authority endpoint too, so an interrupted
             # training thread fails fast instead of blocking exit
-            await service.stop()
+            service.stop()
 
     # SIGINT and SIGTERM both stop the service, then its worker pool
     code = run_until_stopped(serve, finish=shutdown_compute_pools)

@@ -331,13 +331,10 @@ def _init_worker(cpu: int | None) -> None:
 
     A worker forked after its parent took over SIGINT and SIGTERM
     (``serve-authority`` starts its pool on the first key request)
-    would inherit the parent's handlers -- and, under an asyncio
-    ``add_signal_handler``, the parent's wakeup fd: it would survive
-    the SIGTERM a broken executor sends its survivors, and its signals
-    could reach the parent's event loop as the parent's own.  So
-    SIGTERM kills a worker again, and SIGINT -- which a terminal sends
-    to the whole process group -- is left to the parent, which stops
-    the pool itself.
+    would inherit the parent's handlers: it would survive the SIGTERM
+    a broken executor sends its survivors.  So SIGTERM kills a worker
+    again, and SIGINT -- which a terminal sends to the whole process
+    group -- is left to the parent, which stops the pool itself.
 
     ``cpu`` (None: no pinning) is the worker's lane: lane ``i`` takes
     the ``i``-th usable CPU, round robin.  Left to the kernel, workers
@@ -348,7 +345,6 @@ def _init_worker(cpu: int | None) -> None:
     idle workers would wait on the call queue forever, reparented to
     init.  A daemon thread notices the reparenting instead.
     """
-    signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     if cpu is not None and hasattr(os, "sched_setaffinity"):

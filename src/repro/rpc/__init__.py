@@ -7,7 +7,7 @@ the three entities a *real* transport so that profile carries actual
 bytes between actual processes:
 
 * :mod:`repro.rpc.framing` -- length-prefixed binary frames over TCP,
-  on asyncio streams (services) and blocking sockets (clients);
+  read off blocking sockets by services and clients alike;
 * :mod:`repro.rpc.messages` -- typed request/response messages mapped
   1:1 onto the :mod:`repro.core.protocol` kinds, bodies packed by
   :mod:`repro.core.serialization` so traffic accounting is byte-exact;
@@ -18,6 +18,8 @@ bytes between actual processes:
   :class:`RemoteAuthority` drop-in for trainers and clients;
 * :mod:`repro.rpc.client_agent` -- encrypt-and-upload for data owners
   (every upload is resumable, fingerprinted ``encrypted-data`` chunks);
+* :mod:`repro.rpc.service` -- the threaded server every service and
+  the chaos proxy run on: an accept thread, one thread per connection;
 * :mod:`repro.rpc.runtime` -- service-hosting helpers for tests,
   examples and the CLI.
 

@@ -1,6 +1,6 @@
 """The authority key service: CryptoNN's trusted authority behind a socket.
 
-Wraps a :class:`~repro.core.entities.TrustedAuthority` in an asyncio TCP
+Wraps a :class:`~repro.core.entities.TrustedAuthority` in a threaded TCP
 server speaking the framed message protocol.  The service answers
 
 * ``public-params`` -- group parameters, config, and public keys;
@@ -17,9 +17,10 @@ rejected request comes back as an ``error`` frame carrying the original
 exception type.  Each connection gets its own
 :class:`~repro.core.protocol.TrafficLog` whose byte counts equal the
 :mod:`repro.core.serialization` wire sizes by construction.  Requests
-on different connections derive in parallel (a training server keeps
-several feature-key requests in flight); the wrapped authority locks
-its own bookkeeping, and ``max_inflight`` is the only bound.
+on different connections derive in parallel, each on its connection's
+thread (a training server keeps several feature-key requests in
+flight); the wrapped authority locks its own bookkeeping, and
+``max_inflight`` is the only bound.
 
 :func:`run_authority_service` (``serve-authority``) gives the authority
 a worker pool of its own for the FEBO masks ``cmt^s`` its memo lacks,
@@ -30,8 +31,8 @@ then the pool.
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
+import threading
 
 from repro.core import protocol
 from repro.core.entities import TrustedAuthority
@@ -48,11 +49,11 @@ from repro.rpc.messages import (
     WireContext,
 )
 from repro.rpc.runtime import run_until_stopped
-from repro.rpc.service import FramedService
+from repro.rpc.service import MAX_CONNECTIONS, FramedService
 
 
 class AuthorityService(FramedService):
-    """Asyncio TCP server answering key requests from clients and servers."""
+    """Threaded TCP server answering key requests from clients and servers."""
 
     entity_name = protocol.AUTHORITY
 
@@ -60,7 +61,7 @@ class AuthorityService(FramedService):
                  port: int = 0, *, max_frame_bytes: int = MAX_FRAME_BYTES,
                  max_requests_per_connection: int | None = None,
                  max_inflight: int | None = None,
-                 max_connections: int | None = None):
+                 max_connections: int = MAX_CONNECTIONS):
         super().__init__(
             host, port, max_frame_bytes=max_frame_bytes,
             max_requests_per_connection=max_requests_per_connection,
@@ -72,18 +73,11 @@ class AuthorityService(FramedService):
         if authority.traffic.max_records is None:
             authority.traffic.max_records = self.MAX_RECORDS_PER_LOG
 
-    async def _wire_context(self) -> WireContext:
+    def _wire_context(self) -> WireContext:
         return WireContext(self.authority.params,
                            self.authority.config.key_weight_bytes)
 
-    async def _dispatch(self, msg, sender: str):
-        # off-loop, so paper-scale derivations never stall the other
-        # connections; concurrent requests derive in parallel (the
-        # authority locks its own bookkeeping), bounded only by
-        # ``max_inflight``
-        return await asyncio.to_thread(self._dispatch_sync, msg, sender)
-
-    def _dispatch_sync(self, msg, sender: str):
+    def _dispatch(self, msg, sender: str):
         if isinstance(msg, PublicParamsRequest):
             feip_keys = {int(eta): self.authority.feip_public_key(int(eta))
                          for eta in msg.etas}
@@ -140,15 +134,15 @@ def run_authority_service(authority: TrustedAuthority, host: str = "127.0.0.1",
     """
     service = AuthorityService(authority, host, port)
 
-    async def serve() -> None:
+    def serve() -> None:
         try:
-            bound_host, bound_port = await service.start()
+            bound_host, bound_port = service.start()
             if announce is not None:
                 announce(f"authority key service listening on "
                          f"{bound_host}:{bound_port}")
-            await service.serve_forever()
+            threading.Event().wait()  # until a stop signal
         finally:
-            await service.stop()
+            service.stop()
 
     pool = authority_pool(authority)
     if pool is not None:

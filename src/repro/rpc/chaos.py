@@ -1,13 +1,13 @@
 """Deterministic fault injection over real sockets.
 
-:class:`ChaosProxy` is an asyncio TCP proxy that sits between any RPC
+:class:`ChaosProxy` is a threaded TCP proxy that sits between any RPC
 client and service and injects transport faults from a *seeded
 schedule*: the fault decision for exchange ``k`` is a pure function of
 ``(seed, k)``, so every test scenario -- and every
 ``examples/rpc_loopback.py --chaos-seed`` run -- is reproducible.
 
 The proxy reads whole frames with the framing layer's raw reader
-(:func:`~repro.rpc.framing.read_raw_frame`) to delimit
+(:func:`~repro.rpc.framing.recv_raw_frame`) to delimit
 request/response exchanges -- it never decodes them -- which is what
 makes per-exchange fault decisions possible:
 
@@ -40,15 +40,15 @@ the acceptance tests script -- is fully deterministic.
 
 from __future__ import annotations
 
-import asyncio
-import contextlib
 import random
+import socket
 import threading
+import time
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.rpc.framing import FrameError, header_span, read_raw_frame
-from repro.rpc.service import Listener, close_writer
+from repro.rpc.framing import header_span, nodelay, recv_raw_frame
+from repro.rpc.service import Listener
 
 #: Fault kinds in schedule-draw order (the order matters: one uniform
 #: draw per exchange walks this list's cumulative rates).
@@ -128,13 +128,15 @@ class ChaosSchedule:
 class ChaosProxy(Listener):
     """Seeded fault-injecting TCP proxy for one upstream service.
 
-    Shares the RPC services' :class:`~repro.rpc.service.Listener`
-    lifecycle (``async start() -> (host, port)`` / ``async stop()``), so
-    :class:`~repro.rpc.runtime.ServiceThread` can host it and tests and
-    examples stand it up exactly like a real service.  ``stats`` counts
-    connections, exchanges and injected faults by kind.
+    Runs on the RPC services' :class:`~repro.rpc.service.Listener` (an
+    accept thread, one thread per connection, ``start() -> (host,
+    port)`` / ``stop()``), so :class:`~repro.rpc.runtime.ServiceThread`
+    can host it and tests and examples stand it up exactly like a real
+    service.  Each connection relays raw frames between two blocking
+    sockets, the client's and its own to the upstream.  ``stats``
+    counts connections, exchanges and injected faults by kind.
 
-    Frames are read whole with :func:`~repro.rpc.framing.read_raw_frame`,
+    Frames are read whole with :func:`~repro.rpc.framing.recv_raw_frame`,
     up to :data:`~repro.rpc.framing.MAX_FRAME_BYTES`.
     """
 
@@ -147,14 +149,15 @@ class ChaosProxy(Listener):
         self.schedule = schedule if schedule is not None else \
             ChaosSchedule(seed, config if config is not None else ChaosConfig())
         self.stats: Counter = Counter()
-        self._exchange_counter = 0
-        self._counter_lock = threading.Lock()
 
-    def _next_exchange(self) -> int:
-        with self._counter_lock:
-            index = self._exchange_counter
-            self._exchange_counter += 1
-            return index
+    def _next_fault(self) -> str | None:
+        """Count one exchange; the schedule's fault for it, if any."""
+        with self._lock:
+            fault = self.schedule.fault_for(self.stats["exchanges"])
+            self.stats["exchanges"] += 1
+            if fault is not None:
+                self.stats[fault] += 1
+        return fault
 
     # -- fault shaping -------------------------------------------------------
     @staticmethod
@@ -170,86 +173,54 @@ class ChaosProxy(Listener):
         return frame[:start] + b"\xff" * (end - start) + frame[end:]
 
     # -- per-connection pump -------------------------------------------------
-    async def _handle_connection(self, client_reader: asyncio.StreamReader,
-                                 client_writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        self.stats["connections"] += 1
-        upstream_reader = upstream_writer = None
-        try:
-            upstream_reader, upstream_writer = await asyncio.open_connection(
-                *self.upstream)
-            await self._pump(client_reader, client_writer,
-                             upstream_reader, upstream_writer)
-        except (FrameError, ConnectionError, OSError):
-            pass  # either side broke; drop both, keep listening
-        except asyncio.CancelledError:
-            pass
-        finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            for writer in (client_writer, upstream_writer):
-                if writer is not None:
-                    await close_writer(writer)
-
-    async def _pump(self, client_reader, client_writer,
-                    upstream_reader, upstream_writer) -> None:
+    def _handle_connection(self, client: socket.socket, peer) -> None:
+        with self._lock:
+            self.stats["connections"] += 1
+        upstream = nodelay(socket.create_connection(self.upstream))
+        self._track(upstream)
         config = self.schedule.config
         while True:
-            request = await read_raw_frame(client_reader)
+            request = recv_raw_frame(client)
             if request is None:
                 return
-            fault = self.schedule.fault_for(self._next_exchange())
-            self.stats["exchanges"] += 1
-            if fault is not None:
-                self.stats[fault] += 1
-
+            fault = self._next_fault()
             if fault == "reset-before":
                 # the service never sees this request
                 return
             if fault == "stall":
                 # blackhole: hold the connection silently until the
                 # client gives up (its timeout) or the stall cap passes
-                with contextlib.suppress(asyncio.TimeoutError,
-                                         ConnectionError):
-                    await asyncio.wait_for(client_reader.read(1),
-                                           timeout=config.stall_s)
+                client.settimeout(config.stall_s)
+                client.recv(1)
                 return
-            upstream_writer.write(request)
-            await upstream_writer.drain()
-            response = await read_raw_frame(upstream_reader)
+            upstream.sendall(request)
+            response = recv_raw_frame(upstream)
             if response is None:
                 return
             if fault == "reset-after":
                 # the service answered; the client never hears it
                 return
             if fault == "truncate":
-                cut = max(5, len(response) // 2)
-                client_writer.write(response[:cut])
-                with contextlib.suppress(ConnectionError):
-                    await client_writer.drain()
+                client.sendall(response[:max(5, len(response) // 2)])
                 return
             if fault == "corrupt":
-                client_writer.write(self._corrupt_header(response))
-                with contextlib.suppress(ConnectionError):
-                    await client_writer.drain()
                 # the client will detect the bad frame and hang up
+                client.sendall(self._corrupt_header(response))
                 continue
             if fault == "delay":
-                await asyncio.sleep(config.delay_s)
-            client_writer.write(response)
-            await client_writer.drain()
+                time.sleep(config.delay_s)
+            client.sendall(response)
 
     def fault_summary(self) -> dict[str, int]:
         """Counters in the shared fault-report vocabulary plus per-kind
         injection counts (composes with RetryStats snapshots)."""
-        summary = {f"injected_{kind}": self.stats.get(kind, 0)
-                   for kind in FAULT_KINDS}
-        summary["exchanges"] = self.stats.get("exchanges", 0)
-        summary["connections"] = self.stats.get("connections", 0)
+        with self._lock:
+            stats = Counter(self.stats)
+        summary = {f"injected_{kind}": stats[kind] for kind in FAULT_KINDS}
+        summary["exchanges"] = stats["exchanges"]
+        summary["connections"] = stats["connections"]
         summary["drops"] = sum(
-            self.stats.get(kind, 0)
+            stats[kind]
             for kind in ("reset-before", "reset-after", "truncate", "corrupt"))
-        summary["timeouts"] = self.stats.get("stall", 0)
+        summary["timeouts"] = stats["stall"]
         return summary

@@ -39,6 +39,7 @@ from repro.rpc.framing import (
     MAX_FRAME_BYTES,
     FrameError,
     encode_frame,
+    nodelay,
     recv_frame,
 )
 from repro.rpc.messages import (
@@ -185,8 +186,7 @@ class RpcEndpoint:
             except OSError as exc:
                 last_exc = exc
                 continue
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._sock = sock
+            self._sock = nodelay(sock)
             # close() reads _sock after setting _closed: either it shuts
             # this socket down or this check sees the flag
             if self._closed.is_set():

@@ -13,14 +13,14 @@ length excludes its own 4-byte prefix and is bounded by
 ``max_frame_bytes`` so a corrupt or hostile peer cannot make a service
 allocate unbounded memory.
 
-Only this module knows the frame layout.  Services and the chaos proxy
-read frames from asyncio streams, :class:`~repro.rpc.client.RpcEndpoint`
-from a blocking socket (:func:`recv_frame`); both check lengths alike.
+Only this module knows the frame layout.  Every reader -- the services,
+the chaos proxy and :class:`~repro.rpc.client.RpcEndpoint` -- takes
+frames off a blocking socket through :func:`recv_raw_frame`, so all of
+them check lengths alike.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
 import struct
@@ -103,56 +103,25 @@ def decode_frame_payload(payload: bytes) -> tuple[dict[str, Any], bytes]:
     return header, payload[4 + header_len:]
 
 
-async def write_frame(writer: asyncio.StreamWriter, header: dict[str, Any],
-                      body: bytes = b"") -> None:
-    """Write one frame and drain the transport."""
-    writer.write(encode_frame(header, body))
-    await writer.drain()
+def nodelay(sock: socket.socket) -> socket.socket:
+    """``sock`` with Nagle off, so a frame's last segment never waits
+    for the ACK of the one before it."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
 
 
-async def _read_parts(reader: asyncio.StreamReader, max_frame_bytes: int
-                      ) -> tuple[bytes, bytes] | None:
-    """One frame's length prefix and payload, read and checked."""
-    try:
-        prefix = await reader.readexactly(4)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise FrameError("connection closed mid frame-length") from exc
-    total = frame_length(prefix, max_frame_bytes)
-    try:
-        payload = await reader.readexactly(total)
-    except asyncio.IncompleteReadError as exc:
-        raise FrameError("connection closed mid frame") from exc
-    return prefix, payload
-
-
-async def read_raw_frame(reader: asyncio.StreamReader) -> bytes | None:
-    """One frame's raw bytes, length prefix included; ``None`` on clean
-    EOF at a frame boundary, :class:`FrameError` if truncated or over
-    :data:`MAX_FRAME_BYTES`."""
-    parts = await _read_parts(reader, MAX_FRAME_BYTES)
-    return None if parts is None else parts[0] + parts[1]
-
-
-async def read_frame(reader: asyncio.StreamReader,
-                     max_frame_bytes: int = MAX_FRAME_BYTES
-                     ) -> tuple[dict[str, Any], bytes] | None:
-    """Read and decode one frame; ``None`` on clean EOF at a frame
-    boundary, :class:`FrameError` if truncated, oversized or undecodable."""
-    parts = await _read_parts(reader, max_frame_bytes)
-    return None if parts is None else decode_frame_payload(parts[1])
-
-
-def _recv_exactly(sock: socket.socket, size: int, deadline: float) -> bytes:
-    """``size`` bytes from ``sock`` by ``deadline``, fewer only at EOF."""
+def _recv_exactly(sock: socket.socket, size: int,
+                  deadline: float | None) -> bytes:
+    """``size`` bytes from ``sock`` by ``deadline`` (None: however long
+    it takes), fewer only at EOF."""
     chunks: list[bytes] = []
     got = 0
     while got < size:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            raise TimeoutError("frame did not arrive by its deadline")
-        sock.settimeout(remaining)
+        if deadline is not None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise TimeoutError("frame did not arrive by its deadline")
+            sock.settimeout(remaining)
         chunk = sock.recv(size - got)
         if not chunk:
             break
@@ -161,12 +130,17 @@ def _recv_exactly(sock: socket.socket, size: int, deadline: float) -> bytes:
     return b"".join(chunks)  # one chunk: no copy
 
 
-def recv_frame(sock: socket.socket, deadline: float,
-               max_frame_bytes: int = MAX_FRAME_BYTES
-               ) -> tuple[dict[str, Any], bytes] | None:
-    """:func:`read_frame` from a blocking socket.  ``deadline`` (a
-    :func:`time.monotonic` instant) bounds the whole frame, not each
-    ``recv``: past it, even a peer trickling bytes raises TimeoutError."""
+def recv_raw_frame(sock: socket.socket, deadline: float | None = None,
+                   max_frame_bytes: int = MAX_FRAME_BYTES) -> bytes | None:
+    """One frame's raw bytes, length prefix included, from a blocking
+    socket; ``None`` on clean EOF at a frame boundary,
+    :class:`FrameError` if truncated or over ``max_frame_bytes``.
+
+    ``deadline`` (a :func:`time.monotonic` instant) bounds the whole
+    frame, not each ``recv``: past it, even a peer trickling bytes
+    raises TimeoutError.  Without one the read waits as long as the
+    peer does, which is how a service waits for the next request.
+    """
     prefix = _recv_exactly(sock, 4, deadline)
     if not prefix:
         return None
@@ -176,4 +150,13 @@ def recv_frame(sock: socket.socket, deadline: float,
     payload = _recv_exactly(sock, total, deadline)
     if len(payload) < total:
         raise FrameError("connection closed mid frame")
-    return decode_frame_payload(payload)
+    return prefix + payload
+
+
+def recv_frame(sock: socket.socket, deadline: float | None = None,
+               max_frame_bytes: int = MAX_FRAME_BYTES
+               ) -> tuple[dict[str, Any], bytes] | None:
+    """:func:`recv_raw_frame`, decoded into ``(header, body)``;
+    :class:`FrameError` also if the header is undecodable."""
+    frame = recv_raw_frame(sock, deadline, max_frame_bytes)
+    return None if frame is None else decode_frame_payload(frame[4:])

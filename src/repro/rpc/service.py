@@ -1,4 +1,4 @@
-"""Shared asyncio server plumbing for the RPC services.
+"""Shared threaded server plumbing for the RPC services.
 
 Both the authority key service and the training server speak the same
 strict request/response protocol over framed TCP streams; this base
@@ -6,26 +6,29 @@ class owns the socket lifecycle, per-connection traffic accounting and
 error framing, leaving subclasses one job: ``_dispatch`` a decoded
 message to the entity behind it.
 
+The listening half, :class:`Listener`, also runs the chaos proxy: an
+accept thread and one thread per connection, all on blocking sockets.
 Connections are tracked so ``stop()`` tears them down deterministically
-(no handler tasks left pending when the hosting loop closes); that
-listening half, :class:`Listener`, also runs the chaos proxy.  A broken
-or malicious peer only ever costs its own connection: decode errors are
-answered with an ``error`` frame, transport errors drop the connection,
-and the listener keeps serving everyone else.
+(no connection thread outlives it).  A broken or malicious peer only
+ever costs its own connection: decode errors are answered with an
+``error`` frame, transport errors drop the connection, and the listener
+keeps serving everyone else.
 """
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
+import socket
+import threading
 
 from repro.core.protocol import TrafficLog
 from repro.obs.metrics import GLOBAL_REGISTRY
 from repro.rpc.framing import (
     MAX_FRAME_BYTES,
     FrameError,
-    read_frame,
-    write_frame,
+    encode_frame,
+    nodelay,
+    recv_frame,
 )
 from repro.rpc.messages import (
     KIND_SERVICE_HEALTH,
@@ -45,56 +48,128 @@ from repro.rpc.messages import (
 #: cannot be blocked by a busy dispatch path.
 OBS_KINDS = frozenset({KIND_SERVICE_METRICS, KIND_SERVICE_HEALTH})
 
+#: Default accept cap: a connection is a thread, so a flood must not
+#: be able to start threads without bound.
+MAX_CONNECTIONS = 128
+
+
+def _shutdown(sock: socket.socket) -> None:
+    """Wake every thread blocked on ``sock``.  A bare ``close()`` does
+    not: a thread blocked in ``accept()`` or ``recv()`` stays blocked."""
+    with contextlib.suppress(OSError):
+        sock.shutdown(socket.SHUT_RDWR)
+
 
 class Listener:
-    """An asyncio TCP listener that tracks its connection handlers.
+    """A TCP listener: an accept thread and one thread per connection.
 
-    ``stop()`` cancels them and awaits their exit, so no handler task
-    is left pending when the hosting loop closes.  Subclasses supply
-    ``_handle_connection``, which adds its task to ``_conn_tasks``.
+    Subclasses supply ``_handle_connection(conn, peer)``, which serves
+    one accepted socket until it returns; transport and framing errors
+    end only that connection.  Past ``max_connections`` live
+    connections, a new one is closed at once.  ``stop()`` shuts down
+    the listening socket and every connection socket, then joins their
+    threads.
     """
 
-    def __init__(self, host: str, port: int):
+    def __init__(self, host: str, port: int, *,
+                 max_connections: int = MAX_CONNECTIONS):
         self.host = host
         self.port = port
+        #: accept cap: connections past it are closed immediately, so a
+        #: connection flood cannot exhaust threads/file descriptors
+        self.max_connections = max_connections
         self.address: tuple[str, int] | None = None
-        self._server: asyncio.AbstractServer | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
+        self.connection_rejections = 0
+        self._sock: socket.socket | None = None
+        self._accept_thread: threading.Thread | None = None
+        #: guards the connection registry, the counters and ``_stopping``
+        self._lock = threading.Lock()
+        #: connection thread -> the sockets ``stop()`` must shut down
+        self._conns: dict[threading.Thread, list[socket.socket]] = {}
+        self._stopping = False
 
-    async def start(self) -> tuple[str, int]:
-        """Bind the listening socket; returns the bound (host, port)."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
-        sockname = self._server.sockets[0].getsockname()
-        self.address = (sockname[0], sockname[1])
+    def start(self) -> tuple[str, int]:
+        """Bind and start accepting; returns the bound (host, port)."""
+        self._sock = socket.create_server((self.host, self.port))
+        self.address = self._sock.getsockname()[:2]
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop, daemon=True,
+            name=f"{type(self).__name__}:{self.address[1]} accept")
+        self._accept_thread.start()
         return self.address
 
-    async def stop(self) -> None:
-        # connections close before the listener is awaited: since
-        # Python 3.12.1 ``wait_closed`` waits for every open connection,
-        # so an idle connected client would hang the stop
-        if self._server is not None:
-            self._server.close()
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        self._conn_tasks.clear()
-        if self._server is not None:
-            await self._server.wait_closed()
-            self._server = None
+    def stop(self, timeout: float = 10.0) -> None:
+        """Stop accepting, wake every connection, join their threads
+        (each within ``timeout`` seconds)."""
+        with self._lock:
+            self._stopping = True
+        if self._sock is not None:
+            _shutdown(self._sock)
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout)
+        with self._lock:
+            conns = list(self._conns.items())
+        for _, socks in conns:
+            for sock in socks:
+                _shutdown(sock)
+        for thread, _ in conns:
+            thread.join(timeout)
+        if self._sock is not None:
+            self._sock.close()
 
+    def _accept_loop(self) -> None:
+        while True:
+            try:
+                conn, peer = self._sock.accept()
+            except OSError:
+                return  # the listening socket was shut down
+            thread = threading.Thread(
+                target=self._serve, args=(conn, peer), daemon=True,
+                name=f"{type(self).__name__}:{self.address[1]} "
+                     f"conn {peer[1]}")
+            with self._lock:
+                admitted = not self._stopping \
+                    and len(self._conns) < self.max_connections
+                if admitted:
+                    # started under the lock, so ``stop()`` never sees
+                    # a registered thread it cannot join
+                    self._conns[thread] = [nodelay(conn)]
+                    thread.start()
+                else:
+                    # flood defense: past the accept cap, close at once
+                    # -- existing connections (health probes too) keep
+                    # working
+                    self.connection_rejections += 1
+            if not admitted:
+                conn.close()
 
-async def close_writer(writer: asyncio.StreamWriter) -> None:
-    """Close a stream and wait for it, whatever state it is in."""
-    with contextlib.suppress(Exception):
-        writer.close()
-    with contextlib.suppress(BaseException):
-        await writer.wait_closed()
+    def _serve(self, conn: socket.socket, peer) -> None:
+        try:
+            self._handle_connection(conn, peer)
+        except (FrameError, OSError):
+            pass  # broken peer or stopping: drop it, keep serving others
+        finally:
+            with self._lock:
+                socks = self._conns.pop(threading.current_thread(), [])
+            for sock in socks:
+                sock.close()
+
+    def _track(self, sock: socket.socket) -> None:
+        """Have ``stop()`` shut down another socket of this connection
+        (closed when the connection ends); refused once stopping."""
+        with self._lock:
+            if not self._stopping:
+                self._conns[threading.current_thread()].append(sock)
+                return
+        sock.close()
+        raise ConnectionAbortedError("listener is stopping")
+
+    def _handle_connection(self, conn: socket.socket, peer) -> None:
+        raise NotImplementedError
 
 
 class FramedService(Listener):
-    """An asyncio TCP server answering framed request/response messages."""
+    """A threaded TCP server answering framed request/response messages."""
 
     #: Canonical entity name used in traffic records (subclass sets it).
     entity_name = "service"
@@ -114,8 +189,8 @@ class FramedService(Listener):
                  max_frame_bytes: int = MAX_FRAME_BYTES,
                  max_requests_per_connection: int | None = None,
                  max_inflight: int | None = None,
-                 max_connections: int | None = None):
-        super().__init__(host, port)
+                 max_connections: int = MAX_CONNECTIONS):
+        super().__init__(host, port, max_connections=max_connections)
         self.max_frame_bytes = max_frame_bytes
         #: per-connection request quota: past it the connection gets one
         #: final ``QuotaExceeded`` error frame and is closed, so a
@@ -124,41 +199,38 @@ class FramedService(Listener):
         #: backpressure bound on concurrently *processing* requests
         #: (decode + dispatch + encode); observability probes bypass it
         #: so health stays answerable under load
-        self.max_inflight = max_inflight
-        #: accept cap: connections past it are closed immediately, so a
-        #: connection flood cannot exhaust tasks/file descriptors
-        self.max_connections = max_connections
+        self._inflight = (threading.BoundedSemaphore(max_inflight)
+                          if max_inflight is not None else None)
         #: per-connection traffic logs, keyed ``"<sender>#<peer-port>"``;
         #: body byte counts equal the serialization wire sizes.
         self.connection_traffic: dict[str, TrafficLog] = {}
         self.requests_served = 0
         self.quota_rejections = 0
-        self.connection_rejections = 0
         self.backpressure_waits = 0
-        self._inflight_sem: asyncio.Semaphore | None = None
         GLOBAL_REGISTRY.register_collector(
             f"service.{id(self)}", self._obs_collect)
 
     # -- observability -------------------------------------------------------
     def _obs_collect(self) -> dict[str, int]:
         """Registry collector: request/connection/traffic aggregates."""
-        total_bytes = 0
-        total_messages = 0
-        for log in list(self.connection_traffic.values()):
-            total_bytes += log.total_bytes()
-            total_messages += log.message_count()
-        return {
-            "repro_service_requests_total": self.requests_served,
-            "repro_service_connections_in_flight": len(self._conn_tasks),
-            "repro_service_traffic_bytes_total": total_bytes,
-            "repro_service_traffic_messages_total": total_messages,
-            "repro_service_connection_logs": len(self.connection_traffic),
-            "repro_service_quota_rejections_total": self.quota_rejections,
-            "repro_service_connection_rejections_total":
-                self.connection_rejections,
-            "repro_service_backpressure_waits_total":
-                self.backpressure_waits,
-        }
+        with self._lock:
+            logs = list(self.connection_traffic.values())
+            readings = {
+                "repro_service_requests_total": self.requests_served,
+                "repro_service_connections_in_flight": len(self._conns),
+                "repro_service_connection_logs": len(logs),
+                "repro_service_quota_rejections_total":
+                    self.quota_rejections,
+                "repro_service_connection_rejections_total":
+                    self.connection_rejections,
+                "repro_service_backpressure_waits_total":
+                    self.backpressure_waits,
+            }
+        readings["repro_service_traffic_bytes_total"] = sum(
+            log.total_bytes() for log in logs)
+        readings["repro_service_traffic_messages_total"] = sum(
+            log.message_count() for log in logs)
+        return readings
 
     def _health(self) -> HealthResponse:
         """Readiness hook; the base service is ready once it listens."""
@@ -173,123 +245,92 @@ class FramedService(Listener):
             return self._health()
         raise TypeError(f"not an observability message: {msg!r}")
 
-    def _inflight_semaphore(self) -> asyncio.Semaphore | None:
-        """Lazily create the backpressure semaphore on the serving loop."""
-        if self.max_inflight is None:
-            return None
-        if self._inflight_sem is None:
-            self._inflight_sem = asyncio.Semaphore(self.max_inflight)
-        return self._inflight_sem
-
     # -- subclass hooks ------------------------------------------------------
-    async def _wire_context(self) -> WireContext | None:
+    def _wire_context(self) -> WireContext | None:
         """Decode context for incoming bodies (group field widths)."""
         raise NotImplementedError
 
-    async def _wire_context_for(self, header) -> WireContext | None:
+    def _wire_context_for(self, header) -> WireContext | None:
         """Per-message context hook; lets a subclass answer context-free
         control messages without acquiring the full context first."""
-        return await self._wire_context()
+        return self._wire_context()
 
-    async def _dispatch(self, msg, sender: str):
+    def _dispatch(self, msg, sender: str):
         """Answer one decoded message; exceptions become error frames."""
         raise NotImplementedError
 
-    # -- lifecycle -----------------------------------------------------------
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        await self._server.serve_forever()
-
     # -- connection handling -------------------------------------------------
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        if self.max_connections is not None \
-                and len(self._conn_tasks) >= self.max_connections:
-            # flood defense: past the accept cap, close immediately --
-            # existing connections (including health probes) keep working
-            self.connection_rejections += 1
-            await close_writer(writer)
-            return
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        peername = writer.get_extra_info("peername") or ("?", 0)
+    def _connection_log(self, sender: str, peer) -> TrafficLog:
+        label = f"{sender}#{peer[1]}"
+        with self._lock:
+            if label not in self.connection_traffic and \
+                    len(self.connection_traffic) >= self.MAX_CONNECTION_LOGS:
+                label = "overflow"
+            return self.connection_traffic.setdefault(
+                label, TrafficLog(max_records=self.MAX_RECORDS_PER_LOG))
+
+    def _answer(self, header, body: bytes, sender: str):
+        """``(response, wire context)`` for one request frame."""
+        if header.get("kind") in OBS_KINDS:
+            # metrics/health are context-free and answered here, so
+            # probes work on every service without a handshake, without
+            # entering the (possibly busy) subclass dispatch path, and
+            # without queueing behind the backpressure bound
+            return self._dispatch_obs(decode_message(header, body, None)), None
+        sem = self._inflight
+        if sem is not None and not sem.acquire(blocking=False):
+            with self._lock:
+                self.backpressure_waits += 1
+            sem.acquire()
+        try:
+            ctx = self._wire_context_for(header)
+            return self._dispatch(decode_message(header, body, ctx),
+                                  sender), ctx
+        finally:
+            if sem is not None:
+                sem.release()
+
+    def _handle_connection(self, conn: socket.socket, peer) -> None:
         log: TrafficLog | None = None
         requests_on_connection = 0
-        try:
-            while True:
-                frame = await read_frame(reader, self.max_frame_bytes)
-                if frame is None:
-                    break
-                header, body = frame
-                requests_on_connection += 1
-                if self.max_requests_per_connection is not None \
-                        and requests_on_connection > \
-                        self.max_requests_per_connection:
-                    # one clear error frame, then hang up: the peer
-                    # learns why instead of seeing a silent reset
+        while True:
+            frame = recv_frame(conn, None, self.max_frame_bytes)
+            if frame is None:
+                return
+            header, body = frame
+            requests_on_connection += 1
+            if self.max_requests_per_connection is not None \
+                    and requests_on_connection > \
+                    self.max_requests_per_connection:
+                # one clear error frame, then hang up: the peer learns
+                # why instead of seeing a silent reset
+                with self._lock:
                     self.quota_rejections += 1
-                    err_header, err_body = encode_message(ErrorMessage(
-                        message=f"connection exceeded its "
-                                f"{self.max_requests_per_connection}"
-                                f"-request quota",
-                        error_type="QuotaExceeded"))
-                    err_header["seq"] = header.get("seq")
-                    await write_frame(writer, err_header, err_body)
-                    break
-                sender = str(header.get("from", f"{peername[0]}"))
-                if log is None:
-                    label = f"{sender}#{peername[1]}"
-                    if label not in self.connection_traffic and \
-                            len(self.connection_traffic) >= \
-                            self.MAX_CONNECTION_LOGS:
-                        label = "overflow"
-                    log = self.connection_traffic.setdefault(
-                        label, TrafficLog(max_records=self.MAX_RECORDS_PER_LOG))
-                log.record(sender, self.entity_name,
-                           str(header.get("kind")), len(body))
-                ctx = None
-                try:
-                    if header.get("kind") in OBS_KINDS:
-                        # metrics/health are context-free and answered
-                        # here, so probes work on every service without
-                        # a handshake, without entering the (possibly
-                        # busy) subclass dispatch path, and without
-                        # queueing behind the backpressure bound
-                        msg = decode_message(header, body, None)
-                        resp = self._dispatch_obs(msg)
-                    else:
-                        sem = self._inflight_semaphore()
-                        if sem is not None and sem.locked():
-                            self.backpressure_waits += 1
-                        async with (sem if sem is not None
-                                    else contextlib.nullcontext()):
-                            ctx = await self._wire_context_for(header)
-                            # decode/encode off-loop: a paper-scale
-                            # upload body unpacks hundreds of thousands
-                            # of integers, which must not stall every
-                            # other connection
-                            msg = await asyncio.to_thread(
-                                decode_message, header, body, ctx)
-                            resp = await self._dispatch(msg, sender)
-                except asyncio.CancelledError:
-                    raise
-                except Exception as exc:
-                    resp = ErrorMessage(message=str(exc),
-                                        error_type=type(exc).__name__)
-                resp_header, resp_body = await asyncio.to_thread(
-                    encode_message, resp, ctx)
-                resp_header["seq"] = header.get("seq")
-                log.record(self.entity_name, sender, resp_header["kind"],
-                           len(resp_body))
-                await write_frame(writer, resp_header, resp_body)
+                err_header, err_body = encode_message(ErrorMessage(
+                    message=f"connection exceeded its "
+                            f"{self.max_requests_per_connection}"
+                            f"-request quota",
+                    error_type="QuotaExceeded"))
+                err_header["seq"] = header.get("seq")
+                conn.sendall(encode_frame(err_header, err_body))
+                return
+            sender = str(header.get("from", f"{peer[0]}"))
+            if log is None:
+                log = self._connection_log(sender, peer)
+            log.record(sender, self.entity_name,
+                       str(header.get("kind")), len(body))
+            ctx = None
+            try:
+                resp, ctx = self._answer(header, body, sender)
+            except Exception as exc:
+                resp = ErrorMessage(message=str(exc),
+                                    error_type=type(exc).__name__)
+            resp_header, resp_body = encode_message(resp, ctx)
+            resp_header["seq"] = header.get("seq")
+            log.record(self.entity_name, sender, resp_header["kind"],
+                       len(resp_body))
+            # counted before the send, so a peer holding its answer
+            # always finds it counted
+            with self._lock:
                 self.requests_served += 1
-        except (FrameError, ConnectionError, asyncio.IncompleteReadError):
-            pass  # broken peer: drop the connection, keep serving others
-        except asyncio.CancelledError:
-            pass  # service stopping: close the connection and exit cleanly
-        finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            await close_writer(writer)
+            conn.sendall(encode_frame(resp_header, resp_body))

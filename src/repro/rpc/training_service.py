@@ -21,9 +21,12 @@ one worker per usable CPU from ``TRAIN_POOL_MIN_BITS`` up, unless
 at the first training dispatch; uploads are checked inline, where
 checking an element is a range test.
 
-The blocking training loop runs in a worker thread
-(``asyncio.to_thread``) so the server keeps answering ``train-status``
-and, after completion, ``predict-request`` messages.
+The blocking training loop runs on a daemon thread of its own, so the
+server's connection threads keep answering ``train-status`` and, after
+completion, ``predict-request`` messages.  One lock serializes the
+upload state machine (chunks, shards, the quorum deadline and the
+start of training), so concurrent uploads lose no shard and start
+training once.
 
 Durable jobs: started with a ``checkpoint_path``, the server persists
 the merged encrypted dataset once (a ``<path>.dataset`` sidecar in the
@@ -40,7 +43,6 @@ never leave the authority.
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
 import dataclasses
 import os
@@ -89,7 +91,7 @@ from repro.rpc.messages import (
     shard_fingerprint,
 )
 from repro.rpc.retry import SERVICE_POLICY, RetryPolicy
-from repro.rpc.service import FramedService
+from repro.rpc.service import MAX_CONNECTIONS, FramedService
 from repro.obs.metrics import GLOBAL_REGISTRY
 from repro.obs.tracing import GLOBAL_TRACER
 
@@ -200,7 +202,7 @@ def run_training(dataset: EncryptedTabularDataset, authority, *,
 
 
 class TrainingService(FramedService):
-    """Asyncio TCP server for the CryptoNN training side."""
+    """Threaded TCP server for the CryptoNN training side."""
 
     entity_name = protocol.SERVER
 
@@ -223,7 +225,7 @@ class TrainingService(FramedService):
                  model_out: str | None = None,
                  max_requests_per_connection: int | None = None,
                  max_inflight: int | None = None,
-                 max_connections: int | None = None):
+                 max_connections: int = MAX_CONNECTIONS):
         super().__init__(
             host, port, max_frame_bytes=max_frame_bytes,
             max_requests_per_connection=max_requests_per_connection,
@@ -307,25 +309,29 @@ class TrainingService(FramedService):
         #: landed without re-sending a single chunk
         self._accepted_fps: dict[str, str] = {}
         self._deadline_passed = False
-        self._deadline_handle: asyncio.TimerHandle | None = None
+        self._deadline_timer: threading.Timer | None = None
         self._resuming = False
         self._checkpoint_requested = threading.Event()
-        self._done = asyncio.Event()
-        self._train_task: asyncio.Task | None = None
+        self._done = threading.Event()
+        #: the upload state machine: chunks, shards, the quorum
+        #: deadline and the start of training
+        self._upload_lock = threading.Lock()
         self._predict_lock = threading.Lock()
-        self._handshake_lock = asyncio.Lock()
+        self._handshake_lock = threading.Lock()
         self._cached_ctx: WireContext | None = None
-        self._stopping = False
 
     # -- lifecycle -----------------------------------------------------------
-    async def start(self) -> tuple[str, int]:
-        address = await super().start()
-        if self.resume and self.state == "waiting" and self.has_durable_job():
-            # pick the interrupted job back up from disk: the dataset
-            # sidecar replaces the uploads, the trainer checkpoint (if
-            # one was written before the crash) replaces the progress
-            self._resuming = True
-            self._start_training()
+    def start(self) -> tuple[str, int]:
+        address = super().start()
+        with self._upload_lock:
+            if self.resume and self.state == "waiting" \
+                    and self.has_durable_job():
+                # pick the interrupted job back up from disk: the
+                # dataset sidecar replaces the uploads, the trainer
+                # checkpoint (if one was written before the crash)
+                # replaces the progress
+                self._resuming = True
+                self._start_training()
         return address
 
     def has_durable_job(self) -> bool:
@@ -334,31 +340,26 @@ class TrainingService(FramedService):
         return (self.dataset_path is not None
                 and os.path.exists(self.dataset_path))
 
-    async def wait_done(self, timeout: float | None = None) -> None:
-        """Block until training finished (or failed)."""
-        if timeout is None:
-            await self._done.wait()
-        else:
-            await asyncio.wait_for(self._done.wait(), timeout)
+    def wait_done(self, timeout: float | None = None) -> None:
+        """Block until training finished (or failed); TimeoutError if
+        ``timeout`` seconds pass first."""
+        if not self._done.wait(timeout):
+            raise TimeoutError(
+                f"training still {self.state!r} after {timeout}s")
 
-    async def stop(self) -> None:
-        # close the authority endpoint FIRST: asyncio.to_thread cannot
-        # interrupt a running _train_sync, but its next key request then
-        # fails fast on the closed endpoint and the thread exits instead
-        # of training (and re-connecting) for hours after "stop".  The
-        # attribute stays set so the training thread cannot race in a
-        # fresh connection via its None-fallback.
+    def stop(self, timeout: float = 10.0) -> None:
+        # close the authority endpoint FIRST: nothing can interrupt the
+        # training thread, but its next key request then fails fast on
+        # the closed endpoint and the thread exits instead of training
+        # (and re-connecting) for hours after "stop".  The attribute
+        # stays set so the training thread cannot race in a fresh
+        # connection via its None-fallback.
         self._stopping = True
-        if self._deadline_handle is not None:
-            self._deadline_handle.cancel()
-            self._deadline_handle = None
+        if self._deadline_timer is not None:
+            self._deadline_timer.cancel()
         if self.authority is not None:
             self.authority.close()
-        if self._train_task is not None and not self._train_task.done():
-            self._train_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._train_task
-        await super().stop()
+        super().stop(timeout)
 
     # -- wire context --------------------------------------------------------
     def _connect_authority(self) -> RemoteAuthority:
@@ -379,12 +380,6 @@ class TrainingService(FramedService):
                 raise RuntimeError("training server is stopping")
         return self.authority
 
-    def _handshake_ctx(self) -> WireContext:
-        """Blocking: first call performs the authority handshake."""
-        if self._cached_ctx is None:
-            self._cached_ctx = self._connect_authority().wire_ctx
-        return self._cached_ctx
-
     def _pool(self, params: GroupParams) -> SecureComputePool | None:
         """The compute pool for the authority's ``params`` group, if any:
         the process-wide pool for ``workers`` when set, else for
@@ -396,24 +391,23 @@ class TrainingService(FramedService):
             workers = service_workers(params.bits, TRAIN_POOL_MIN_BITS)
         return get_compute_pool(workers) if workers else None
 
-    async def _wire_context(self) -> WireContext:
+    def _wire_context(self) -> WireContext:
         if self._cached_ctx is None:
             # serialize concurrent first-connections: exactly one
-            # handshake (and one RemoteAuthority endpoint) ever runs,
-            # off-loop so the server stays responsive meanwhile
-            async with self._handshake_lock:
+            # handshake (and one RemoteAuthority endpoint) ever runs
+            with self._handshake_lock:
                 if self._cached_ctx is None:
-                    await asyncio.to_thread(self._handshake_ctx)
+                    self._cached_ctx = self._connect_authority().wire_ctx
         return self._cached_ctx
 
-    async def _wire_context_for(self, header) -> WireContext | None:
+    def _wire_context_for(self, header) -> WireContext | None:
         # control messages (status polls, train-start, predict) need no
         # group widths; answering them must not block on -- or fail
         # with -- an authority handshake
         if self._cached_ctx is None and \
                 header.get("kind") in _CTX_FREE_KINDS:
             return None
-        return await self._wire_context()
+        return self._wire_context()
 
     # -- uploads -------------------------------------------------------------
     def _settled_upload(self, msg) -> Ack | None:
@@ -478,15 +472,18 @@ class TrainingService(FramedService):
 
     def _arm_upload_deadline(self) -> None:
         """Start the straggler clock at the first accepted shard."""
-        if self.upload_deadline is None or self._deadline_handle is not None \
-                or self._deadline_passed:
+        if self.upload_deadline is None or self._deadline_timer is not None:
             return
-        self._deadline_handle = asyncio.get_running_loop().call_later(
+        self._deadline_timer = threading.Timer(
             self.upload_deadline, self._upload_deadline_expired)
+        self._deadline_timer.daemon = True
+        self._deadline_timer.start()
 
     def _upload_deadline_expired(self) -> None:
-        self._deadline_passed = True
-        self._maybe_start()
+        with self._upload_lock:
+            if not self._stopping:
+                self._deadline_passed = True
+                self._maybe_start()
 
     def _maybe_start(self) -> None:
         """Start training at full attendance, or at quorum once the
@@ -525,7 +522,7 @@ class TrainingService(FramedService):
                 f"{asm.count}); restart from chunk 0")
         return asm
 
-    async def _handle_chunk(self, msg: ShardChunk):
+    def _handle_chunk(self, msg: ShardChunk):
         settled = self._settled_upload(msg)
         if settled is not None:
             return settled
@@ -549,12 +546,9 @@ class TrainingService(FramedService):
             raise RuntimeError(
                 "assembled shard does not match its fingerprint; "
                 "restart the upload from chunk 0")
-        ctx = await self._wire_context()
+        ctx = self._wire_context()
         try:
-            # off-loop: a paper-scale shard unpacks (and range-checks)
-            # hundreds of thousands of elements
-            dataset = await asyncio.to_thread(
-                ser.unpack_encrypted_tabular, asm.meta, body, ctx.params)
+            dataset = ser.unpack_encrypted_tabular(asm.meta, body, ctx.params)
         except Exception:
             # hardened ingestion rejected the assembled payload; drop
             # the assembly so the client's restart starts clean
@@ -568,6 +562,16 @@ class TrainingService(FramedService):
                                  asm.meta.get("stats"), asm.fingerprint)
         ack.info.update({"next_index": asm.count, "complete": True})
         return ack
+
+    def _dispatch_upload(self, msg):
+        """Answer an upload-state message; runs under ``_upload_lock``."""
+        if isinstance(msg, ShardChunk):
+            return self._handle_chunk(msg)
+        if isinstance(msg, ShardResumeQuery):
+            return self._handle_resume(msg)
+        if self.state == "waiting" and self._shards:
+            self._start_training()
+        return Ack(info={"state": self.state})
 
     def _handle_resume(self, msg: ShardResumeQuery):
         settled = self._settled_upload(msg)
@@ -585,15 +589,10 @@ class TrainingService(FramedService):
                          "received": len(asm.chunks)})
 
     # -- dispatch ------------------------------------------------------------
-    async def _dispatch(self, msg, sender: str):
-        if isinstance(msg, ShardChunk):
-            return await self._handle_chunk(msg)
-        if isinstance(msg, ShardResumeQuery):
-            return self._handle_resume(msg)
-        if isinstance(msg, TrainStart):
-            if self.state == "waiting" and self._shards:
-                self._start_training()
-            return Ack(info={"state": self.state})
+    def _dispatch(self, msg, sender: str):
+        if isinstance(msg, (ShardChunk, ShardResumeQuery, TrainStart)):
+            with self._upload_lock:
+                return self._dispatch_upload(msg)
         if isinstance(msg, TrainStatusRequest):
             return self._status()
         if isinstance(msg, TrainCheckpointRequest):
@@ -610,8 +609,7 @@ class TrainingService(FramedService):
             if self.state != "done":
                 raise RuntimeError(
                     f"no trained model yet (state {self.state!r})")
-            scores = await asyncio.to_thread(self._predict, msg.indices)
-            return PredictResponse(scores=scores)
+            return PredictResponse(scores=self._predict(msg.indices))
         return ErrorMessage(
             message=f"training service cannot answer {msg.kind!r}",
             error_type="UnsupportedMessage")
@@ -718,12 +716,12 @@ class TrainingService(FramedService):
     # -- training ------------------------------------------------------------
     def _start_training(self) -> None:
         self.state = "training"
-        self._train_task = asyncio.get_running_loop().create_task(
-            self._train())
+        threading.Thread(target=self._train, name="training",
+                         daemon=True).start()
 
-    async def _train(self) -> None:
+    def _train(self) -> None:
         try:
-            await asyncio.to_thread(self._train_sync)
+            self._train_sync()
             self.state = "done"
         except Exception as exc:  # surfaced through train-status
             self.state = "failed"

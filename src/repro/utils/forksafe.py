@@ -4,7 +4,7 @@
 the forking thread: a lock another thread held then stays held forever
 in the child, and the child's first ``with lock:`` blocks for good.  A
 :class:`~repro.matrix.parallel.SecureComputePool` forks its workers from
-processes that run other threads (an event loop answering metrics
+processes that run other threads (connection threads answering metrics
 scrapes, key-fetch threads), and the workers decrypt through the same
 process-wide caches those threads lock, so each such cache registers
 here and every child starts with fresh locks.

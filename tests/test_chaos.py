@@ -273,8 +273,7 @@ class TestChaosTraining:
             for i, (x, y) in enumerate(shards):
                 upload_shard(auth_addr, train_addr, x, y, 2,
                              name=f"clinic-{i}", rng=random.Random(100 + i))
-            train_thread.call(lambda: service.wait_done(timeout=360),
-                              timeout=380)
+            service.wait_done(timeout=360)
 
             _assert_identical_run(service, ref_weights, ref_history,
                                   ref_accuracy)
@@ -393,8 +392,7 @@ class TestChaosTraining:
                 AuthorityService(restored, host=auth_host, port=auth_port))
             second_thread.start()
 
-            train_thread.call(lambda: service.wait_done(timeout=300),
-                              timeout=320)
+            service.wait_done(timeout=300)
             _assert_identical_run(service, ref_weights, ref_history,
                                   ref_accuracy)
             stats = service.authority.endpoint.stats

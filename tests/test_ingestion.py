@@ -3,9 +3,9 @@
 Adversarial side: garbage ciphertexts (non-subgroup elements,
 out-of-range values, implausible shapes) are rejected at the unpack
 boundary with the service still serving; connection floods and request
-storms hit the accept/quota/backpressure bounds instead of the event
-loop; a malicious *server* sending oversized frames is bounded on the
-client side of the framing too.
+storms hit the accept/quota/backpressure bounds instead of starting a
+thread per attempt; a malicious *server* sending oversized frames is
+bounded on the client side of the framing too.
 
 Resumable side: chunked uploads with per-chunk acks resume at the last
 acked chunk after a client dropout (no re-sent chunks), are idempotent
@@ -20,6 +20,7 @@ import dataclasses
 import random
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -220,8 +221,7 @@ class TestCiphertextValidation:
         # without chunk_bytes the whole shard travels as one chunk
         assert result["chunks"] == {"count": 1, "sent": 1,
                                     "resumed_from": 0}
-        train_thread.call(lambda: service.wait_done(timeout=120),
-                          timeout=150)
+        service.wait_done(timeout=120)
         assert service.state == "done", service.error
 
 
@@ -339,6 +339,56 @@ class TestConnectionHardening:
         finally:
             thread.stop()
 
+    def test_flood_never_runs_more_connection_threads_than_the_cap(self):
+        """20 raw connects at once against ``max_connections=2``: the
+        in-flight gauge and the live connection threads stay at 2 or
+        below throughout, and ``stop()`` leaves no connection thread."""
+        authority = TrustedAuthority(CryptoNNConfig(), rng=random.Random(0))
+        thread = ServiceThread(AuthorityService(authority,
+                                                max_connections=2))
+        host, port = thread.start()
+        service = thread.service
+        prefix = f"AuthorityService:{port} conn"
+
+        def live_threads() -> int:
+            return sum(t.name.startswith(prefix)
+                       for t in threading.enumerate())
+
+        def in_flight() -> int:
+            return service._obs_collect()[
+                "repro_service_connections_in_flight"]
+
+        peaks: list[tuple[int, int]] = []
+        flooding = threading.Event()
+        flooding.set()
+
+        def sample() -> None:
+            while flooding.is_set():
+                peaks.append((in_flight(), live_threads()))
+                time.sleep(0.001)
+
+        sampler = threading.Thread(target=sample)
+        sampler.start()
+        flood = []
+        try:
+            flood = [socket.create_connection((host, port), timeout=5)
+                     for _ in range(20)]
+            deadline = time.monotonic() + 10
+            while service.connection_rejections < 18:
+                assert time.monotonic() < deadline, "flood not refused"
+                time.sleep(0.01)
+            assert service.connection_rejections == 18
+            assert (in_flight(), live_threads()) == (2, 2)
+        finally:
+            flooding.clear()
+            sampler.join(timeout=10)
+            for sock in flood:
+                sock.close()
+            thread.stop()
+        assert not sampler.is_alive()
+        assert peaks and max(max(pair) for pair in peaks) <= 2
+        assert live_threads() == 0
+
     def test_request_quota_closes_greedy_connection(self):
         authority = TrustedAuthority(CryptoNNConfig(), rng=random.Random(0))
         thread = ServiceThread(
@@ -394,6 +444,7 @@ class TestConnectionHardening:
             for t in threads:
                 t.join(timeout=30)
             assert results == [True] * 12
+            assert service.requests_served == 13
             for e in endpoints:
                 e.close()
         finally:
@@ -472,6 +523,82 @@ class TestClientFramingBounds:
 
 
 # ---------------------------------------------------------------------------
+# concurrent uploads
+# ---------------------------------------------------------------------------
+
+@pytest.mark.timeout_guard(180)
+def test_concurrent_uploads_start_training_once_byte_exact():
+    """Four clients upload at once, each on its own thread and
+    connection: every shard lands, training starts exactly once, and
+    the run equals the in-process reference byte for byte.
+
+    Pauses after each accepted shard and before training starts, and
+    a short thread switch interval, widen the windows in which
+    unserialized uploads would lose a shard or both see a full quorum
+    and start training twice."""
+    shards = _make_shards(n_clients=4)
+    ref_weights, ref_history, ref_accuracy = _clean_reference(shards)
+    authority = TrustedAuthority(CryptoNNConfig(), rng=random.Random(SEED))
+    auth_thread = ServiceThread(AuthorityService(authority))
+    auth_addr = auth_thread.start()
+    service = TrainingService(
+        *auth_addr, expected_clients=4, hidden=HIDDEN, epochs=EPOCHS,
+        batch_size=BATCH_SIZE, learning_rate=LR, seed=SEED)
+    starts = []
+    arm_upload_deadline = service._arm_upload_deadline
+    start_training = service._start_training
+
+    def paused_arm() -> None:
+        time.sleep(0.2)
+        arm_upload_deadline()
+
+    def counted_start() -> None:
+        starts.append(threading.current_thread().name)
+        time.sleep(0.1)
+        start_training()
+
+    service._arm_upload_deadline = paused_arm
+    service._start_training = counted_start
+    train_thread = ServiceThread(service)
+    train_addr = train_thread.start()
+    barrier = threading.Barrier(4)
+    errors = []
+
+    def upload(i: int) -> None:
+        x, y = shards[i]
+        try:
+            barrier.wait(timeout=30)
+            upload_shard(auth_addr, train_addr, x, y, 2,
+                         name=f"clinic-{i}", rng=random.Random(100 + i),
+                         chunk_bytes=256)
+        except Exception as exc:  # reported below, in the test thread
+            errors.append(exc)
+
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        clients = [threading.Thread(target=upload, args=(i,))
+                   for i in range(4)]
+        for client in clients:
+            client.start()
+        for client in clients:
+            client.join(timeout=120)
+            assert not client.is_alive()
+        sys.setswitchinterval(switch_interval)
+        assert not errors, errors
+        service.wait_done(timeout=120)
+        assert len(starts) == 1
+        assert sorted(name for name, _ in service._shards) == [
+            f"clinic-{i}" for i in range(4)]
+        _assert_identical_run(service, ref_weights, ref_history,
+                              ref_accuracy)
+    finally:
+        sys.setswitchinterval(switch_interval)
+        train_thread.stop()
+        auth_thread.stop()
+
+
+# ---------------------------------------------------------------------------
 # resumable chunked uploads
 # ---------------------------------------------------------------------------
 
@@ -489,8 +616,7 @@ class TestChunkedUpload:
                               chunk_bytes=256)
         assert result["chunks"]["sent"] == result["chunks"]["count"] >= 2
         assert result["ack"]["complete"] is True
-        train_thread.call(lambda: service.wait_done(timeout=120),
-                          timeout=150)
+        service.wait_done(timeout=120)
         _assert_identical_run(service, ref_weights, ref_history,
                               ref_accuracy)
 
@@ -551,8 +677,7 @@ class TestChunkedUpload:
                 fingerprint=fingerprint, chunks=chunks)
         assert again["sent"] == 0
         assert again["ack"]["duplicate"] is True
-        train_thread.call(lambda: service.wait_done(timeout=120),
-                          timeout=150)
+        service.wait_done(timeout=120)
         assert service.state == "done", service.error
 
     def test_fingerprint_mismatch_rejects_assembly(self, stack):
@@ -637,8 +762,7 @@ class TestQuorumPolicy:
                              policy=RetryPolicy(max_attempts=1))
             assert "deadline" in str(err.value)
             assert "resubmit" in str(err.value)
-            train_thread.call(lambda: service.wait_done(timeout=180),
-                              timeout=200)
+            service.wait_done(timeout=180)
             _assert_identical_run(service, ref_weights, ref_history,
                                   ref_accuracy)
             counters = GLOBAL_REGISTRY.snapshot()["counters"]
@@ -694,8 +818,7 @@ class TestChunkedThroughChaos:
                 assert result["ack"]["complete"] is True
             assert proxy.fault_summary()["drops"] > 0, \
                 "chaos never actually fired"
-            train_thread.call(lambda: service.wait_done(timeout=240),
-                              timeout=260)
+            service.wait_done(timeout=240)
             _assert_identical_run(service, ref_weights, ref_history,
                                   ref_accuracy)
         finally:

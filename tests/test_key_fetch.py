@@ -277,8 +277,7 @@ class TestRemoteKeySets:
             train_addr = train_thread.start()
             upload_shard(auth_addr, train_addr, x, y, 2, name="clinic-0",
                          rng=random.Random(1))
-            train_thread.call(lambda: service.wait_done(timeout=40),
-                              timeout=45)
+            service.wait_done(timeout=40)
             assert service.state == "failed"
             assert "PolicyViolation" in service.error
             assert "feature-recovery budget exhausted" in service.error

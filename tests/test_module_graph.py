@@ -136,6 +136,19 @@ def test_every_repro_module_has_a_non_test_importer():
         f"{now_imported} have importers now; drop them from the list")
 
 
+def test_no_module_imports_asyncio():
+    """Services, the chaos proxy and clients all run on threads and
+    blocking sockets: one kind of server, one frame reader."""
+    importers = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        name = _module_name(path)
+        package = name if path.stem == "__init__" else name.rpartition(".")[0]
+        if any(base.partition(".")[0] == "asyncio"
+               for base, _ in _imports(path, package)):
+            importers.append(name)
+    assert not importers, f"{importers} import asyncio"
+
+
 def _public_callables(path: Path) -> dict[str, str]:
     """qualified name -> bare name of every public top-level function
     and public method of a public top-level class in ``path``."""

@@ -262,8 +262,7 @@ class TestTrainCheckpointMessage:
             # then written by the training thread) or it finished first
             assert (any(i["scheduled"] for i in infos)
                     or infos[-1]["state"] == "done")
-            train_thread.call(lambda: service.wait_done(timeout=90),
-                              timeout=100)
+            service.wait_done(timeout=90)
             assert service.state == "done", service.error
             assert os.path.exists(tmp_path / "job.npz")
             assert service.last_checkpoint["completed"] is True

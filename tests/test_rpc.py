@@ -1,14 +1,13 @@
 """The networked runtime: framing, messages, services, end-to-end.
 
 The loopback end-to-end tests run the authority key service and the
-training server as asyncio services on real 127.0.0.1 sockets (hosted
+training server as threaded services on real 127.0.0.1 sockets (hosted
 by :class:`~repro.rpc.runtime.ServiceThread`) with client agents
-uploading encrypted shards -- three entities, three event loops, real
-bytes.  Every socket test carries the ``timeout_guard`` marker so a
-transport bug can never hang the suite.
+uploading encrypted shards -- three entities, real bytes.  Every
+socket test carries the ``timeout_guard`` marker so a transport bug
+can never hang the suite.
 """
 
-import asyncio
 import dataclasses
 import functools
 import gc
@@ -75,33 +74,21 @@ from repro.rpc.supervisor import repro_argv
 # ---------------------------------------------------------------------------
 
 def _read_frames(data: bytes, count: int = 1, *, via: str, **kwargs):
-    """Feed raw bytes, then EOF, through one of the two frame readers:
-    ``read_frame`` on a fresh event loop (``via="stream"``) or the
-    blocking ``recv_frame`` over a socket pair (``via="socket"``)."""
-
-    async def _read():
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        reader.feed_eof()
-        return [await framing.read_frame(reader, **kwargs)
-                for _ in range(count)]
-
-    if via == "stream":
-        frames = asyncio.run(_read())
-    else:
-        writer, reader = socket.socketpair()
-        with writer, reader:
-            writer.sendall(data)
-            writer.shutdown(socket.SHUT_WR)
-            deadline = time.monotonic() + 5
-            frames = [framing.recv_frame(reader, deadline, **kwargs)
-                      for _ in range(count)]
+    """Feed raw bytes, then EOF, through the frame reader: the blocking
+    ``recv_frame`` over a socket pair (``via="socket"``)."""
+    writer, reader = socket.socketpair()
+    with writer, reader:
+        writer.sendall(data)
+        writer.shutdown(socket.SHUT_WR)
+        deadline = time.monotonic() + 5
+        frames = [framing.recv_frame(reader, deadline, **kwargs)
+                  for _ in range(count)]
     return frames[0] if count == 1 else frames
 
 
-@pytest.fixture(params=["stream", "socket"])
+@pytest.fixture(params=["socket"])
 def read_frames(request):
-    """Every framing case runs through both readers."""
+    """Every framing case runs through the frame reader."""
     return functools.partial(_read_frames, via=request.param)
 
 
@@ -784,8 +771,7 @@ class TestEndToEndLoopback:
                              rng=random.Random(100 + i))
                 for i, (x, y) in enumerate(shards)
             ]
-            train_thread.call(lambda: service.wait_done(timeout=240),
-                              timeout=250)
+            service.wait_done(timeout=240)
 
             assert service.state == "done", service.error
             assert service.accuracy == expected_accuracy
@@ -907,8 +893,7 @@ class TestEndToEndLoopback:
                              rng=random.Random(100 + i), workers=1)
                 for i, (x, y) in enumerate(shards)
             ]
-            train_thread.call(lambda: service.wait_done(timeout=240),
-                              timeout=250)
+            service.wait_done(timeout=240)
             assert service.state == "done", service.error
             assert service.accuracy == expected_accuracy
             formula = ser.encrypted_tabular_wire_size(
@@ -945,8 +930,7 @@ class TestEndToEndLoopback:
             x, y = shards[1]
             upload_shard(auth_addr, train_addr, x, y, 2, name="clinic-1",
                          rng=random.Random(3))
-            train_thread.call(lambda: service.wait_done(timeout=120),
-                              timeout=130)
+            service.wait_done(timeout=120)
             assert service.state == "done", service.error
             assert len(service.dataset) == 30  # 15 + 15, no duplicates
         finally:
@@ -973,8 +957,7 @@ class TestEndToEndLoopback:
                 status = endpoint.request(msgs.TrainStatusRequest())
                 assert status.state == "waiting"
                 endpoint.request(msgs.TrainStart())
-            train_thread.call(lambda: service.wait_done(timeout=120),
-                              timeout=130)
+            service.wait_done(timeout=120)
             assert service.state == "done", service.error
             assert 0.0 <= service.accuracy <= 1.0
         finally:
@@ -1125,8 +1108,7 @@ class TestServicePoolRule:
             (x, y), = _make_shards(n_clients=1, samples=10)
             upload_shard(auth_addr, train_addr, x, y, 2, name="clinic-0",
                          rng=random.Random(1))
-            train_thread.call(lambda: service.wait_done(timeout=100),
-                              timeout=110)
+            service.wait_done(timeout=100)
             assert service.state == "done", service.error
             assert service.trainer.compute_pool is get_compute_pool(2)
             assert service.trainer.compute_pool.dispatches > before
