@@ -74,21 +74,28 @@ from repro.rpc.supervisor import repro_argv
 # ---------------------------------------------------------------------------
 
 def _read_frames(data: bytes, count: int = 1, *, via: str, **kwargs):
-    """Feed raw bytes, then EOF, through the frame reader: the blocking
-    ``recv_frame`` over a socket pair (``via="socket"``)."""
+    """Feed raw bytes, then EOF, through the blocking ``recv_frame`` over
+    a socket pair: under a deadline, as a client reads a reply
+    (``via="socket"``), or with none, as a service waits for the next
+    request (``via="idle"``; the socket's own timeout only guards the
+    test against a hang)."""
     writer, reader = socket.socketpair()
     with writer, reader:
         writer.sendall(data)
         writer.shutdown(socket.SHUT_WR)
-        deadline = time.monotonic() + 5
+        if via == "socket":
+            deadline = time.monotonic() + 5
+        else:
+            deadline = None
+            reader.settimeout(5)
         frames = [framing.recv_frame(reader, deadline, **kwargs)
                   for _ in range(count)]
     return frames[0] if count == 1 else frames
 
 
-@pytest.fixture(params=["socket"])
+@pytest.fixture(params=["socket", "idle"])
 def read_frames(request):
-    """Every framing case runs through the frame reader."""
+    """Every framing case runs with and without a deadline."""
     return functools.partial(_read_frames, via=request.param)
 
 
