@@ -176,9 +176,14 @@ class ChaosProxy(Listener):
     def _handle_connection(self, client: socket.socket, peer) -> None:
         with self._lock:
             self.stats["connections"] += 1
-        upstream = nodelay(socket.create_connection(self.upstream))
-        self._track(upstream)
         config = self.schedule.config
+        # a bounded connect: ``stop()`` cannot wake a thread blocked in
+        # one; tracked at once, so any later error closes the socket
+        upstream = socket.create_connection(self.upstream,
+                                            timeout=config.stall_s)
+        self._track(upstream)
+        upstream.settimeout(None)
+        nodelay(upstream)
         while True:
             request = recv_raw_frame(client)
             if request is None:

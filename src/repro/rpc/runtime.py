@@ -120,7 +120,7 @@ class ServiceThread:
             self.address = self.service.start()
         return self.address
 
-    def stop(self, timeout: float = 10.0) -> None:
+    def stop(self) -> None:
         if self.address is not None:
-            self.service.stop(timeout)
+            self.service.stop()
             self.address = None

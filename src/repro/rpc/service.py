@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import socket
 import threading
+import time
 
 from repro.core.protocol import TrafficLog
 from repro.obs.metrics import GLOBAL_REGISTRY
@@ -51,6 +52,15 @@ OBS_KINDS = frozenset({KIND_SERVICE_METRICS, KIND_SERVICE_HEALTH})
 #: Default accept cap: a connection is a thread, so a flood must not
 #: be able to start threads without bound.
 MAX_CONNECTIONS = 128
+
+#: How long ``stop()`` waits, in all, for the accept thread and every
+#: connection thread to exit.
+STOP_TIMEOUT_S = 10.0
+
+#: Back-off after ``accept()`` fails while the listener is still
+#: running (out of file descriptors or buffers: EMFILE, ENOBUFS, ...);
+#: the pending connection waits in the backlog meanwhile.
+ACCEPT_RETRY_S = 0.1
 
 
 def _shutdown(sock: socket.socket) -> None:
@@ -98,22 +108,23 @@ class Listener:
         self._accept_thread.start()
         return self.address
 
-    def stop(self, timeout: float = 10.0) -> None:
+    def stop(self) -> None:
         """Stop accepting, wake every connection, join their threads
-        (each within ``timeout`` seconds)."""
+        (all within :data:`STOP_TIMEOUT_S`)."""
+        deadline = time.monotonic() + STOP_TIMEOUT_S
         with self._lock:
             self._stopping = True
         if self._sock is not None:
             _shutdown(self._sock)
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout)
+        threads = [self._accept_thread] if self._accept_thread else []
         with self._lock:
             conns = list(self._conns.items())
-        for _, socks in conns:
+        for thread, socks in conns:
             for sock in socks:
                 _shutdown(sock)
-        for thread, _ in conns:
-            thread.join(timeout)
+            threads.append(thread)
+        for thread in threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
         if self._sock is not None:
             self._sock.close()
 
@@ -122,7 +133,11 @@ class Listener:
             try:
                 conn, peer = self._sock.accept()
             except OSError:
-                return  # the listening socket was shut down
+                with self._lock:
+                    if self._stopping:
+                        return  # the listening socket was shut down
+                time.sleep(ACCEPT_RETRY_S)
+                continue
             thread = threading.Thread(
                 target=self._serve, args=(conn, peer), daemon=True,
                 name=f"{type(self).__name__}:{self.address[1]} "
@@ -133,9 +148,13 @@ class Listener:
                 if admitted:
                     # started under the lock, so ``stop()`` never sees
                     # a registered thread it cannot join
-                    self._conns[thread] = [nodelay(conn)]
-                    thread.start()
-                else:
+                    self._conns[thread] = [conn]
+                    try:
+                        thread.start()
+                    except RuntimeError:  # no thread can start now
+                        del self._conns[thread]
+                        admitted = False
+                if not admitted:
                     # flood defense: past the accept cap, close at once
                     # -- existing connections (health probes too) keep
                     # working
@@ -145,7 +164,7 @@ class Listener:
 
     def _serve(self, conn: socket.socket, peer) -> None:
         try:
-            self._handle_connection(conn, peer)
+            self._handle_connection(nodelay(conn), peer)
         except (FrameError, OSError):
             pass  # broken peer or stopping: drop it, keep serving others
         finally:

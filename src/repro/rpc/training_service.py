@@ -347,7 +347,7 @@ class TrainingService(FramedService):
             raise TimeoutError(
                 f"training still {self.state!r} after {timeout}s")
 
-    def stop(self, timeout: float = 10.0) -> None:
+    def stop(self) -> None:
         # close the authority endpoint FIRST: nothing can interrupt the
         # training thread, but its next key request then fails fast on
         # the closed endpoint and the thread exits instead of training
@@ -359,7 +359,7 @@ class TrainingService(FramedService):
             self._deadline_timer.cancel()
         if self.authority is not None:
             self.authority.close()
-        super().stop(timeout)
+        super().stop()
 
     # -- wire context --------------------------------------------------------
     def _connect_authority(self) -> RemoteAuthority:
@@ -454,7 +454,6 @@ class TrainingService(FramedService):
         self._shards = [(name, shard) for name, shard in self._shards
                         if name != client_name]
         self._shards.append((client_name, dataset))
-        self._uploads.pop(client_name, None)
         self._accepted_fps[client_name] = fingerprint
         if stats:
             # client-side encryption-engine counters ride along with
@@ -523,50 +522,69 @@ class TrainingService(FramedService):
         return asm
 
     def _handle_chunk(self, msg: ShardChunk):
-        settled = self._settled_upload(msg)
-        if settled is not None:
-            return settled
-        asm = self._chunk_assembly_for(msg)
-        if msg.index not in asm.chunks:
-            if asm.total_bytes + len(msg.chunk) > self.max_frame_bytes:
-                self._uploads.pop(msg.client_name, None)
-                raise RuntimeError(
-                    f"chunked upload exceeds {self.max_frame_bytes}-byte "
-                    f"assembly limit")
-            asm.chunks[msg.index] = msg.chunk
-            asm.total_bytes += len(msg.chunk)
-            GLOBAL_REGISTRY.counter("repro_upload_chunks_total").inc()
-        if not asm.complete:
-            return Ack(info={"received": len(asm.chunks),
-                             "next_index": asm.next_index(),
-                             "complete": False})
+        with self._upload_lock:
+            settled = self._settled_upload(msg)
+            if settled is not None:
+                return settled
+            asm = self._chunk_assembly_for(msg)
+            if msg.index not in asm.chunks:
+                if asm.total_bytes + len(msg.chunk) > self.max_frame_bytes:
+                    self._uploads.pop(msg.client_name, None)
+                    raise RuntimeError(
+                        f"chunked upload exceeds {self.max_frame_bytes}"
+                        f"-byte assembly limit")
+                asm.chunks[msg.index] = msg.chunk
+                asm.total_bytes += len(msg.chunk)
+                GLOBAL_REGISTRY.counter("repro_upload_chunks_total").inc()
+            if not asm.complete:
+                return Ack(info={"received": len(asm.chunks),
+                                 "next_index": asm.next_index(),
+                                 "complete": False})
+        # a complete assembly is never written again, so it is checked
+        # and unpacked outside the lock: other clients' chunks and
+        # resume queries do not wait behind a whole shard's validation
+        try:
+            dataset = self._unpack_assembly(asm)
+        except Exception:
+            # drop the assembly so the client's restart starts clean
+            with self._upload_lock:
+                self._drop_upload(msg.client_name, asm)
+            raise
+        with self._upload_lock:
+            # a resend of this final chunk may have landed the shard,
+            # or training may have started, while it was unpacked
+            settled = self._settled_upload(msg)
+            if settled is not None:
+                return settled
+            self._drop_upload(msg.client_name, asm)
+            ack = self._accept_shard(msg.client_name, dataset,
+                                     asm.meta.get("stats"), asm.fingerprint)
+        ack.info.update({"next_index": asm.count, "complete": True})
+        return ack
+
+    def _drop_upload(self, client_name: str, asm: _ShardAssembly) -> None:
+        """Forget ``asm`` unless a newer upload replaced it meanwhile."""
+        if self._uploads.get(client_name) is asm:
+            del self._uploads[client_name]
+
+    def _unpack_assembly(self, asm: _ShardAssembly) -> EncryptedTabularDataset:
+        """The verified, range-checked shard a complete assembly holds."""
         body = asm.assemble()
         if shard_fingerprint(asm.meta, body) != asm.fingerprint:
-            self._uploads.pop(msg.client_name, None)
             raise RuntimeError(
                 "assembled shard does not match its fingerprint; "
                 "restart the upload from chunk 0")
         ctx = self._wire_context()
-        try:
-            dataset = ser.unpack_encrypted_tabular(asm.meta, body, ctx.params)
-        except Exception:
-            # hardened ingestion rejected the assembled payload; drop
-            # the assembly so the client's restart starts clean
-            self._uploads.pop(msg.client_name, None)
-            raise
+        dataset = ser.unpack_encrypted_tabular(asm.meta, body, ctx.params)
         # the training tracer is off while uploads arrive, so this
         # counter is what shows the ingestion work on a metrics scrape
         GLOBAL_REGISTRY.counter("repro_upload_validated_elements_total").inc(
             len(body) // ser.element_size_bytes(ctx.params))
-        ack = self._accept_shard(msg.client_name, dataset,
-                                 asm.meta.get("stats"), asm.fingerprint)
-        ack.info.update({"next_index": asm.count, "complete": True})
-        return ack
+        return dataset
 
     def _dispatch_upload(self, msg):
-        """Answer an upload-state message; runs under ``_upload_lock``."""
-        if isinstance(msg, ShardChunk):
-            return self._handle_chunk(msg)
+        """Answer a resume query or ``train-start``; runs under
+        ``_upload_lock``."""
         if isinstance(msg, ShardResumeQuery):
             return self._handle_resume(msg)
         if self.state == "waiting" and self._shards:
@@ -590,7 +608,9 @@ class TrainingService(FramedService):
 
     # -- dispatch ------------------------------------------------------------
     def _dispatch(self, msg, sender: str):
-        if isinstance(msg, (ShardChunk, ShardResumeQuery, TrainStart)):
+        if isinstance(msg, ShardChunk):
+            return self._handle_chunk(msg)
+        if isinstance(msg, (ShardResumeQuery, TrainStart)):
             with self._upload_lock:
                 return self._dispatch_upload(msg)
         if isinstance(msg, TrainStatusRequest):

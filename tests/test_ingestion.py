@@ -17,6 +17,7 @@ results whenever the full quorum eventually arrives.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import random
 import socket
 import struct
@@ -389,6 +390,34 @@ class TestConnectionHardening:
         assert peaks and max(max(pair) for pair in peaks) <= 2
         assert live_threads() == 0
 
+    def test_accept_survives_running_out_of_descriptors(self, monkeypatch):
+        """An ``accept()`` that fails while the service runs (EMFILE:
+        out of file descriptors) is retried after a back-off, not taken
+        for the stop signal: the next client is still served."""
+        failed = []
+        accept = socket.socket.accept
+
+        def out_of_descriptors(sock):
+            if not failed:
+                failed.append(sock)
+                raise OSError(errno.EMFILE, "Too many open files")
+            return accept(sock)
+
+        monkeypatch.setattr(socket.socket, "accept", out_of_descriptors)
+        authority = TrustedAuthority(CryptoNNConfig(), rng=random.Random(0))
+        thread = ServiceThread(AuthorityService(authority))
+        host, port = thread.start()
+        try:
+            with RpcEndpoint(host, port, name="next", peer="authority",
+                             timeout=5,
+                             policy=RetryPolicy(max_attempts=1)) as endpoint:
+                assert endpoint.request(
+                    HealthRequest(requester="next")).ready
+            assert len(failed) == 1
+        finally:
+            thread.stop()
+        assert not thread.service._accept_thread.is_alive()
+
     def test_request_quota_closes_greedy_connection(self):
         authority = TrustedAuthority(CryptoNNConfig(), rng=random.Random(0))
         thread = ServiceThread(
@@ -699,6 +728,55 @@ class TestChunkedUpload:
                 server, name="clinic-0", meta=meta,
                 fingerprint=fingerprint, chunks=chunks)
         assert result["ack"]["complete"] is True
+
+    def test_unpacking_a_shard_holds_up_no_other_upload(self, stack):
+        """While one client's complete shard is checked and unpacked,
+        another client's resume query and chunk are answered at once."""
+        _, service, auth_addr, train_addr, _ = stack
+        remote, dataset = _encrypt_one(auth_addr, _make_shards()[0])
+        with remote:
+            meta, fingerprint, chunks = plan_shard_chunks(
+                dataset, remote.params, 256)
+        unpack = service._unpack_assembly
+        entered, release = threading.Event(), threading.Event()
+
+        def held_unpack(asm):
+            entered.set()
+            assert release.wait(timeout=30)
+            return unpack(asm)
+
+        service._unpack_assembly = held_unpack
+        results = []
+
+        def upload() -> None:
+            with RpcEndpoint(*train_addr, name="clinic-0",
+                             peer="server") as server:
+                results.append(upload_planned_chunks(
+                    server, name="clinic-0", meta=meta,
+                    fingerprint=fingerprint, chunks=chunks))
+
+        uploader = threading.Thread(target=upload)
+        uploader.start()
+        try:
+            assert entered.wait(timeout=30)
+            with RpcEndpoint(*train_addr, name="clinic-9", peer="server",
+                             timeout=5,
+                             policy=RetryPolicy(max_attempts=1)) as other:
+                probe = other.request(ShardResumeQuery(
+                    fingerprint="cd" * 32, count=2,
+                    client_name="clinic-9"))
+                assert probe.info["next_index"] == 0
+                ack = other.request(ShardChunk(
+                    fingerprint="cd" * 32, index=0, count=2,
+                    chunk=b"x" * 64, meta={}, client_name="clinic-9"))
+                assert ack.info == {"received": 1, "next_index": 1,
+                                    "complete": False}
+        finally:
+            release.set()
+            uploader.join(timeout=60)
+        assert not uploader.is_alive()
+        assert results and results[0]["ack"]["complete"] is True
+        assert [name for name, _ in service._shards] == ["clinic-0"]
 
     def test_mid_stream_chunk_without_assembly_is_rejected(self, stack):
         _, _, _, train_addr, _ = stack
