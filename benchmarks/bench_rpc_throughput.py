@@ -20,7 +20,7 @@ import time
 from benchmarks.conftest import FULL_SCALE, series_table, write_report
 from repro.core.config import CryptoNNConfig
 from repro.core.entities import TrustedAuthority
-from repro.rpc import AuthorityService, RemoteAuthority, ServiceThread
+from repro.rpc import AuthorityService, RemoteAuthority
 
 #: Weight rows per "iteration" (first-layer units of a mid-size model).
 ROWS_PER_ITER = 16
@@ -51,8 +51,8 @@ def _measure(remote: RemoteAuthority, batched: bool,
 
 def test_rpc_key_throughput(benchmark):
     authority = TrustedAuthority(CryptoNNConfig(), rng=random.Random(0))
-    thread = ServiceThread(AuthorityService(authority))
-    host, port = thread.start()
+    service = AuthorityService(authority)
+    host, port = service.start()
     try:
         remote = RemoteAuthority(host, port, name="server")
         try:
@@ -64,7 +64,7 @@ def test_rpc_key_throughput(benchmark):
         finally:
             remote.close()
     finally:
-        thread.stop()
+        service.stop()
 
     unbatched_rate = unbatched_keys / unbatched_s
     batched_rate = batched_keys / batched_s

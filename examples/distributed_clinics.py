@@ -32,7 +32,6 @@ from repro.data import (
 from repro.rpc import (
     AuthorityService,
     RpcEndpoint,
-    ServiceThread,
     TrainingService,
     upload_shard,
 )
@@ -42,16 +41,15 @@ from repro.rpc.messages import PredictRequest
 def main() -> None:
     # -- the authority: master keys never leave this service ---------------
     authority = TrustedAuthority(CryptoNNConfig(), rng=random.Random(7))
-    authority_thread = ServiceThread(AuthorityService(authority))
-    auth_host, auth_port = authority_thread.start()
+    authority_service = AuthorityService(authority)
+    auth_host, auth_port = authority_service.start()
     print(f"authority key service at {auth_host}:{auth_port}")
 
     # -- the training server: trains once all five clinics upload ----------
     train_service = TrainingService(
         auth_host, auth_port, expected_clients=5,
         hidden=10, epochs=4, batch_size=30, learning_rate=0.5, seed=0)
-    train_thread = ServiceThread(train_service)
-    srv_host, srv_port = train_thread.start()
+    srv_host, srv_port = train_service.start()
     print(f"training server at {srv_host}:{srv_port}\n")
 
     # five clinics of different sizes, non-IID shards
@@ -84,7 +82,7 @@ def main() -> None:
     # per-iteration key traffic, as actually framed on the wire
     server_logs = [
         log for label, log in
-        authority_thread.service.connection_traffic.items()
+        authority_service.connection_traffic.items()
         if label.startswith(protocol.SERVER)
     ]
     batch_up = sum(log.total_bytes(
@@ -110,8 +108,8 @@ def main() -> None:
     print("\nThe wire labels are meaningless without the clients' secret "
           "permutation -- the paper's mitigation for label inference.")
 
-    train_thread.stop()
-    authority_thread.stop()
+    train_service.stop()
+    authority_service.stop()
 
 
 if __name__ == "__main__":

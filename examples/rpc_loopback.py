@@ -40,7 +40,6 @@ from repro.rpc import (
     ChaosConfig,
     ChaosProxy,
     RpcEndpoint,
-    ServiceThread,
     free_port,
     run_training,
     wait_for_port,
@@ -176,15 +175,13 @@ def main(argv=None) -> None:
 
     # optionally interpose the chaos proxy on the authority link: the
     # training server dials the proxy, the proxy dials the authority
-    proxy_thread = None
     proxy = None
     server_auth_port = auth_port
     if args.chaos_rate > 0:
         proxy = ChaosProxy(
             "127.0.0.1", auth_port, seed=args.chaos_seed,
             config=ChaosConfig.uniform(args.chaos_rate, stall_s=2.0))
-        proxy_thread = ServiceThread(proxy)
-        _, server_auth_port = proxy_thread.start()
+        _, server_auth_port = proxy.start()
         print(f"chaos proxy on the authority link: rate "
               f"{args.chaos_rate:.0%}, seed {args.chaos_seed}")
 
@@ -238,8 +235,8 @@ def main(argv=None) -> None:
             proc.join(timeout=10)
         authority_proc.terminate()
         authority_proc.join(timeout=10)
-        if proxy_thread is not None:
-            proxy_thread.stop()
+        if proxy is not None:
+            proxy.stop()
 
     # -- identical run in one process: same seeds, same entry point ---------
     authority = TrustedAuthority(CryptoNNConfig(), rng=random.Random(SEED))

@@ -506,12 +506,10 @@ class Client:
 
 
 class Server:
-    """Bookkeeping facade for the training side.
+    """The training side's compute pool owner.
 
-    The trainers do the actual work; this object groups the model, the
-    authority handle and the operation counters for examples and benches.
-    It also holds the persistent compute pool for the run: the
-    process-wide pool for ``workers``
+    The trainers do the actual work; this object holds the persistent
+    compute pool for the run: the process-wide pool for ``workers``
     (:func:`~repro.matrix.parallel.get_compute_pool`), or None without
     it.  Trainers decrypt on it when handed ``pool=server.compute_pool``,
     and a :class:`Client` with the same ``workers`` encrypts on the same
@@ -523,12 +521,7 @@ class Server:
     def __init__(self, authority: TrustedAuthority,
                  workers: int | None = None):
         self.authority = authority
-        self.config = authority.config
-        self.trainer = None  # attached by the trainers
         self.compute_pool = get_compute_pool(workers) if workers else None
-
-    def attach(self, trainer) -> None:
-        self.trainer = trainer
 
     def close(self) -> None:
         """Shut down the compute pool (idempotent)."""
@@ -540,9 +533,3 @@ class Server:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    @property
-    def counters(self):
-        if self.trainer is None:
-            raise RuntimeError("no trainer attached")
-        return self.trainer.counters

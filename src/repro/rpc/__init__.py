@@ -20,8 +20,8 @@ bytes between actual processes:
   (every upload is resumable, fingerprinted ``encrypted-data`` chunks);
 * :mod:`repro.rpc.service` -- the threaded server every service and
   the chaos proxy run on: an accept thread, one thread per connection;
-* :mod:`repro.rpc.runtime` -- service-hosting helpers for tests,
-  examples and the CLI.
+* :mod:`repro.rpc.runtime` -- the ``serve-*`` commands' signal-safe
+  entry point and port helpers for drivers.
 
 The training server batches per-iteration key requests into one framed
 envelope (``CryptoNNConfig.batch_key_requests``), collapsing the
@@ -48,7 +48,6 @@ from repro.rpc.client import (
 from repro.rpc.client_agent import (
     fetch_status,
     plan_shard_chunks,
-    request_checkpoint,
     upload_planned_chunks,
     upload_shard,
 )
@@ -71,12 +70,7 @@ from repro.rpc.retry import (
     RetryStats,
     merge_stats,
 )
-from repro.rpc.runtime import (
-    ServiceThread,
-    free_port,
-    run_until_stopped,
-    wait_for_port,
-)
+from repro.rpc.runtime import free_port, run_until_stopped, wait_for_port
 from repro.rpc.supervisor import ChildSpec, Supervisor, repro_argv
 from repro.rpc.training_service import (
     TrainingService,
@@ -108,7 +102,6 @@ __all__ = [
     "RpcError",
     "RpcRemoteError",
     "RpcTimeoutError",
-    "ServiceThread",
     "ShardChunk",
     "ShardResumeQuery",
     "Supervisor",
@@ -119,7 +112,6 @@ __all__ = [
     "free_port",
     "plan_shard_chunks",
     "repro_argv",
-    "request_checkpoint",
     "run_authority_service",
     "run_training",
     "run_until_stopped",

@@ -19,14 +19,15 @@ exception type.  Each connection gets its own
 :mod:`repro.core.serialization` wire sizes by construction.  Requests
 on different connections derive in parallel, each on its connection's
 thread (a training server keeps several feature-key requests in
-flight); the wrapped authority locks its own bookkeeping, and
-``max_inflight`` is the only bound.
+flight); the wrapped authority locks its own bookkeeping, and the
+connection cap (:data:`~repro.rpc.service.MAX_CONNECTIONS`) is the only
+bound.
 
 :func:`run_authority_service` (``serve-authority``) gives the authority
 a worker pool of its own for the FEBO masks ``cmt^s`` its memo lacks,
 one process per CPU it may use, so the master key never leaves the
-authority's process tree.  It stops the same way on SIGINT and SIGTERM: the service closes,
-then the pool.
+authority's process tree.  It stops the same way on SIGINT and
+SIGTERM: the service closes, then the pool.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import threading
 from repro.core import protocol
 from repro.core.entities import TrustedAuthority
 from repro.matrix.parallel import SecureComputePool, service_workers
-from repro.rpc.framing import MAX_FRAME_BYTES
 from repro.rpc.messages import (
     ErrorMessage,
     FeboKeyRequest,
@@ -49,7 +49,7 @@ from repro.rpc.messages import (
     WireContext,
 )
 from repro.rpc.runtime import run_until_stopped
-from repro.rpc.service import MAX_CONNECTIONS, FramedService
+from repro.rpc.service import FramedService
 
 
 class AuthorityService(FramedService):
@@ -58,14 +58,8 @@ class AuthorityService(FramedService):
     entity_name = protocol.AUTHORITY
 
     def __init__(self, authority: TrustedAuthority, host: str = "127.0.0.1",
-                 port: int = 0, *, max_frame_bytes: int = MAX_FRAME_BYTES,
-                 max_requests_per_connection: int | None = None,
-                 max_inflight: int | None = None,
-                 max_connections: int = MAX_CONNECTIONS):
-        super().__init__(
-            host, port, max_frame_bytes=max_frame_bytes,
-            max_requests_per_connection=max_requests_per_connection,
-            max_inflight=max_inflight, max_connections=max_connections)
+                 port: int = 0):
+        super().__init__(host, port)
         self.authority = authority
         # a long-running service must also bound the *entity's* logical
         # accounting log, which grows two records per key exchange; the

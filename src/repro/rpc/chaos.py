@@ -130,24 +130,22 @@ class ChaosProxy(Listener):
 
     Runs on the RPC services' :class:`~repro.rpc.service.Listener` (an
     accept thread, one thread per connection, ``start() -> (host,
-    port)`` / ``stop()``), so :class:`~repro.rpc.runtime.ServiceThread`
-    can host it and tests and examples stand it up exactly like a real
-    service.  Each connection relays raw frames between two blocking
-    sockets, the client's and its own to the upstream.  ``stats``
-    counts connections, exchanges and injected faults by kind.
+    port)`` / ``stop()``), so tests and examples stand it up exactly
+    like a real service; it binds a free loopback port.  Each
+    connection relays raw frames between two blocking sockets, the
+    client's and its own to the upstream.  ``stats`` counts
+    connections, exchanges and injected faults by kind.
 
     Frames are read whole with :func:`~repro.rpc.framing.recv_raw_frame`,
     up to :data:`~repro.rpc.framing.MAX_FRAME_BYTES`.
     """
 
     def __init__(self, upstream_host: str, upstream_port: int, *,
-                 host: str = "127.0.0.1", port: int = 0,
-                 schedule: ChaosSchedule | None = None,
                  seed: int = 0, config: ChaosConfig | None = None):
-        super().__init__(host, port)
+        super().__init__("127.0.0.1", 0)
         self.upstream = (upstream_host, upstream_port)
-        self.schedule = schedule if schedule is not None else \
-            ChaosSchedule(seed, config if config is not None else ChaosConfig())
+        self.schedule = ChaosSchedule(
+            seed, config if config is not None else ChaosConfig())
         self.stats: Counter = Counter()
 
     def _next_fault(self) -> str | None:

@@ -29,7 +29,6 @@ from repro.rpc.messages import (
     Ack,
     ShardChunk,
     ShardResumeQuery,
-    TrainCheckpointRequest,
     TrainStatusRequest,
     shard_fingerprint,
 )
@@ -187,24 +186,6 @@ def upload_shard(authority_address: tuple[str, int],
                        ("count", "sent", "resumed_from")},
             "retry": retry_report,
         }
-
-
-def request_checkpoint(server_address: tuple[str, int], *,
-                       name: str = protocol.CLIENT,
-                       timeout: float = 30.0) -> dict:
-    """Ask a training server for an on-demand durable snapshot.
-
-    Returns the server's ack info: ``scheduled`` is True when a
-    training thread will write the checkpoint after its in-flight
-    batch; ``checkpoint`` reports the last snapshot the server wrote.
-    The server must have been started with a checkpoint path.
-    """
-    with RpcEndpoint(*server_address, name=name, peer=protocol.SERVER,
-                     timeout=timeout) as server:
-        ack = server.request(TrainCheckpointRequest(requester=name))
-        if not isinstance(ack, Ack):
-            raise TypeError(f"expected an ack, got {ack.kind!r}")
-        return ack.info
 
 
 def fetch_status(server_address: tuple[str, int], *,

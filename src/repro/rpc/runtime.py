@@ -1,15 +1,15 @@
-"""Helpers for hosting RPC services inside tests, examples and drivers.
+"""Helpers for running RPC services in tests, examples and drivers.
 
-:class:`ServiceThread` hosts one service (authority, training or chaos
-proxy) on its own threads, so synchronous code -- a pytest test, an
-example script -- can stand up a real socket service, talk to it, and
-tear it down deterministically.  Separate *processes* work exactly the
-same way (see ``examples/rpc_loopback.py``); the thread variant simply
-keeps single-process demos and the test suite self-contained.
+A service (authority, training or chaos proxy) hosts itself:
+``start()`` binds and returns ``(host, port)``, its accept and
+connection threads serve until ``stop()`` joins them, so a pytest test
+or an example script stands one up in-process with two calls.  Separate
+*processes* work exactly the same way (see ``examples/rpc_loopback.py``).
 
-:func:`run_until_stopped` is the other way round: the blocking entry
-point of the ``serve-*`` commands, which own their process and stop on
-SIGINT or SIGTERM.
+:func:`run_until_stopped` is the blocking entry point of the
+``serve-*`` commands, which own their process and stop on SIGINT or
+SIGTERM; :func:`free_port` and :func:`wait_for_port` help drivers start
+such processes.
 """
 
 from __future__ import annotations
@@ -99,28 +99,3 @@ def run_until_stopped(main: Callable[[], T], *,
         for sig, handler in previous.items():
             signal.signal(sig, handler)
 
-
-class ServiceThread:
-    """Host an RPC service inside a synchronous program.
-
-    The wrapped service -- :class:`~repro.rpc.authority_service.
-    AuthorityService`, :class:`~repro.rpc.training_service.
-    TrainingService` or :class:`~repro.rpc.chaos.ChaosProxy` -- accepts
-    on a thread of its own from ``start()`` on, until ``stop()``, which
-    joins its connection threads.
-    """
-
-    def __init__(self, service):
-        self.service = service
-        self.address: tuple[str, int] | None = None
-
-    def start(self) -> tuple[str, int]:
-        """Start the service; returns the bound (host, port)."""
-        if self.address is None:
-            self.address = self.service.start()
-        return self.address
-
-    def stop(self) -> None:
-        if self.address is not None:
-            self.service.stop()
-            self.address = None

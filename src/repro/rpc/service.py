@@ -8,11 +8,14 @@ message to the entity behind it.
 
 The listening half, :class:`Listener`, also runs the chaos proxy: an
 accept thread and one thread per connection, all on blocking sockets.
-Connections are tracked so ``stop()`` tears them down deterministically
-(no connection thread outlives it).  A broken or malicious peer only
-ever costs its own connection: decode errors are answered with an
-``error`` frame, transport errors drop the connection, and the listener
-keeps serving everyone else.
+A service hosts itself: ``start()`` binds and returns ``(host, port)``,
+and ``stop()`` tears every connection down deterministically (no
+connection thread outlives it).  Its two limits are module constants:
+:data:`MAX_CONNECTIONS` live connections, each running one request at a
+time, and :data:`~repro.rpc.framing.MAX_FRAME_BYTES` per frame.  A
+broken or malicious peer only ever costs its own connection: decode
+errors are answered with an ``error`` frame, transport errors drop the
+connection, and the listener keeps serving everyone else.
 """
 
 from __future__ import annotations
@@ -24,13 +27,7 @@ import time
 
 from repro.core.protocol import TrafficLog
 from repro.obs.metrics import GLOBAL_REGISTRY
-from repro.rpc.framing import (
-    MAX_FRAME_BYTES,
-    FrameError,
-    encode_frame,
-    nodelay,
-    recv_frame,
-)
+from repro.rpc.framing import FrameError, encode_frame, nodelay, recv_frame
 from repro.rpc.messages import (
     KIND_SERVICE_HEALTH,
     KIND_SERVICE_METRICS,
@@ -49,8 +46,10 @@ from repro.rpc.messages import (
 #: cannot be blocked by a busy dispatch path.
 OBS_KINDS = frozenset({KIND_SERVICE_METRICS, KIND_SERVICE_HEALTH})
 
-#: Default accept cap: a connection is a thread, so a flood must not
-#: be able to start threads without bound.
+#: Accept cap: a connection is a thread, so a flood must not be able
+#: to start threads without bound.  It also bounds how many requests a
+#: service dispatches at once, since each connection thread runs one
+#: request at a time.
 MAX_CONNECTIONS = 128
 
 #: How long ``stop()`` waits, in all, for the accept thread and every
@@ -75,19 +74,16 @@ class Listener:
 
     Subclasses supply ``_handle_connection(conn, peer)``, which serves
     one accepted socket until it returns; transport and framing errors
-    end only that connection.  Past ``max_connections`` live
+    end only that connection.  Past :data:`MAX_CONNECTIONS` live
     connections, a new one is closed at once.  ``stop()`` shuts down
     the listening socket and every connection socket, then joins their
-    threads.
+    threads.  A listener runs once: ``start()`` after ``stop()`` raises
+    (build a new one to serve again).
     """
 
-    def __init__(self, host: str, port: int, *,
-                 max_connections: int = MAX_CONNECTIONS):
+    def __init__(self, host: str, port: int):
         self.host = host
         self.port = port
-        #: accept cap: connections past it are closed immediately, so a
-        #: connection flood cannot exhaust threads/file descriptors
-        self.max_connections = max_connections
         self.address: tuple[str, int] | None = None
         self.connection_rejections = 0
         self._sock: socket.socket | None = None
@@ -99,7 +95,12 @@ class Listener:
         self._stopping = False
 
     def start(self) -> tuple[str, int]:
-        """Bind and start accepting; returns the bound (host, port)."""
+        """Bind and start accepting; returns the bound (host, port).
+
+        RuntimeError on a second call: a stopped listener stays stopped.
+        """
+        if self._sock is not None:
+            raise RuntimeError(f"{type(self).__name__} was started already")
         self._sock = socket.create_server((self.host, self.port))
         self.address = self._sock.getsockname()[:2]
         self._accept_thread = threading.Thread(
@@ -144,7 +145,7 @@ class Listener:
                      f"conn {peer[1]}")
             with self._lock:
                 admitted = not self._stopping \
-                    and len(self._conns) < self.max_connections
+                    and len(self._conns) < MAX_CONNECTIONS
                 if admitted:
                     # started under the lock, so ``stop()`` never sees
                     # a registered thread it cannot join
@@ -204,28 +205,12 @@ class FramedService(Listener):
     #: while ``total_bytes``/``message_count`` stay lifetime-exact.
     MAX_RECORDS_PER_LOG = 4096
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
-                 max_frame_bytes: int = MAX_FRAME_BYTES,
-                 max_requests_per_connection: int | None = None,
-                 max_inflight: int | None = None,
-                 max_connections: int = MAX_CONNECTIONS):
-        super().__init__(host, port, max_connections=max_connections)
-        self.max_frame_bytes = max_frame_bytes
-        #: per-connection request quota: past it the connection gets one
-        #: final ``QuotaExceeded`` error frame and is closed, so a
-        #: hostile peer cannot monopolize the service from one socket
-        self.max_requests_per_connection = max_requests_per_connection
-        #: backpressure bound on concurrently *processing* requests
-        #: (decode + dispatch + encode); observability probes bypass it
-        #: so health stays answerable under load
-        self._inflight = (threading.BoundedSemaphore(max_inflight)
-                          if max_inflight is not None else None)
+    def __init__(self, host: str = "127.0.0.1", port: int = 0):
+        super().__init__(host, port)
         #: per-connection traffic logs, keyed ``"<sender>#<peer-port>"``;
         #: body byte counts equal the serialization wire sizes.
         self.connection_traffic: dict[str, TrafficLog] = {}
         self.requests_served = 0
-        self.quota_rejections = 0
-        self.backpressure_waits = 0
         GLOBAL_REGISTRY.register_collector(
             f"service.{id(self)}", self._obs_collect)
 
@@ -238,12 +223,8 @@ class FramedService(Listener):
                 "repro_service_requests_total": self.requests_served,
                 "repro_service_connections_in_flight": len(self._conns),
                 "repro_service_connection_logs": len(logs),
-                "repro_service_quota_rejections_total":
-                    self.quota_rejections,
                 "repro_service_connection_rejections_total":
                     self.connection_rejections,
-                "repro_service_backpressure_waits_total":
-                    self.backpressure_waits,
             }
         readings["repro_service_traffic_bytes_total"] = sum(
             log.total_bytes() for log in logs)
@@ -292,47 +273,19 @@ class FramedService(Listener):
         """``(response, wire context)`` for one request frame."""
         if header.get("kind") in OBS_KINDS:
             # metrics/health are context-free and answered here, so
-            # probes work on every service without a handshake, without
-            # entering the (possibly busy) subclass dispatch path, and
-            # without queueing behind the backpressure bound
+            # probes work on every service without a handshake and
+            # without entering the (possibly busy) subclass dispatch path
             return self._dispatch_obs(decode_message(header, body, None)), None
-        sem = self._inflight
-        if sem is not None and not sem.acquire(blocking=False):
-            with self._lock:
-                self.backpressure_waits += 1
-            sem.acquire()
-        try:
-            ctx = self._wire_context_for(header)
-            return self._dispatch(decode_message(header, body, ctx),
-                                  sender), ctx
-        finally:
-            if sem is not None:
-                sem.release()
+        ctx = self._wire_context_for(header)
+        return self._dispatch(decode_message(header, body, ctx), sender), ctx
 
     def _handle_connection(self, conn: socket.socket, peer) -> None:
         log: TrafficLog | None = None
-        requests_on_connection = 0
         while True:
-            frame = recv_frame(conn, None, self.max_frame_bytes)
+            frame = recv_frame(conn)
             if frame is None:
                 return
             header, body = frame
-            requests_on_connection += 1
-            if self.max_requests_per_connection is not None \
-                    and requests_on_connection > \
-                    self.max_requests_per_connection:
-                # one clear error frame, then hang up: the peer learns
-                # why instead of seeing a silent reset
-                with self._lock:
-                    self.quota_rejections += 1
-                err_header, err_body = encode_message(ErrorMessage(
-                    message=f"connection exceeded its "
-                            f"{self.max_requests_per_connection}"
-                            f"-request quota",
-                    error_type="QuotaExceeded"))
-                err_header["seq"] = header.get("seq")
-                conn.sendall(encode_frame(err_header, err_body))
-                return
             sender = str(header.get("from", f"{peer[0]}"))
             if log is None:
                 log = self._connection_log(sender, peer)

@@ -43,6 +43,14 @@ from repro.rpc.messages import HealthRequest, HealthResponse
 from repro.rpc.retry import RetryPolicy
 from repro.obs.metrics import GLOBAL_REGISTRY
 
+#: Consecutive failed health probes before a child is declared wedged
+#: and restarted (liveness alone cannot catch a hung process that still
+#: holds its socket).
+UNHEALTHY_AFTER = 3
+
+#: Seconds one health probe may take to connect and to be answered.
+PROBE_TIMEOUT_S = 2.0
+
 #: Default crash-loop policy: five spawns per failure streak, capped
 #: exponential backoff between them.  ``jitter=False`` keeps restart
 #: spacing deterministic; pass a jittered policy for fleet use.
@@ -129,22 +137,13 @@ class Supervisor:
     def __init__(self, specs: list[ChildSpec], *,
                  restart_policy: RetryPolicy = DEFAULT_RESTART_POLICY,
                  stable_seconds: float = 5.0,
-                 unhealthy_after: int = 3,
-                 probe_timeout: float = 2.0,
                  poll_interval: float = 0.25,
                  sleep: Callable[[float], None] = time.sleep,
                  clock: Callable[[], float] = time.monotonic,
                  rng: random.Random | None = None,
                  announce: Callable[[str], None] | None = None):
-        if unhealthy_after < 1:
-            raise ValueError("unhealthy_after must be >= 1")
         self.restart_policy = restart_policy
         self.stable_seconds = stable_seconds
-        #: consecutive failed probes before the child is declared
-        #: wedged and restarted (liveness alone cannot catch a hung
-        #: process that still holds its socket)
-        self.unhealthy_after = unhealthy_after
-        self.probe_timeout = probe_timeout
         self.poll_interval = poll_interval
         self._sleep = sleep
         self._clock = clock
@@ -227,8 +226,8 @@ class Supervisor:
         if child.endpoint is None:
             child.endpoint = RpcEndpoint(
                 spec.host, spec.port, name="supervisor", peer=spec.name,
-                timeout=self.probe_timeout,
-                connect_timeout=self.probe_timeout,
+                timeout=PROBE_TIMEOUT_S,
+                connect_timeout=PROBE_TIMEOUT_S,
                 policy=RetryPolicy(max_attempts=1))
         try:
             resp = child.endpoint.request(HealthRequest(
@@ -240,7 +239,7 @@ class Supervisor:
             # honestly and must not be bounced for it.
             child.probe_failures += 1
             child.unhealthy_streak += 1
-            if child.unhealthy_streak >= self.unhealthy_after:
+            if child.unhealthy_streak >= UNHEALTHY_AFTER:
                 self._note(
                     f"{spec.name} failed {child.unhealthy_streak} health "
                     f"probes; restarting it")

@@ -90,8 +90,8 @@ from repro.rpc.messages import (
     WireContext,
     shard_fingerprint,
 )
-from repro.rpc.retry import SERVICE_POLICY, RetryPolicy
-from repro.rpc.service import MAX_CONNECTIONS, FramedService
+from repro.rpc.retry import SERVICE_POLICY
+from repro.rpc.service import FramedService
 from repro.obs.metrics import GLOBAL_REGISTRY
 from repro.obs.tracing import GLOBAL_TRACER
 
@@ -210,42 +210,28 @@ class TrainingService(FramedService):
                  host: str = "127.0.0.1", port: int = 0,
                  expected_clients: int = 1, hidden: int = 8, epochs: int = 1,
                  batch_size: int = 20, learning_rate: float = 0.5,
-                 seed: int = 0, loss: str = "cross_entropy",
+                 seed: int = 0,
                  checkpoint_path: str | None = None,
                  checkpoint_every: int | None = None,
                  resume: bool = False,
                  authority_timeout: float = 120.0,
-                 retry_policy: RetryPolicy | None = None,
-                 max_frame_bytes: int = MAX_FRAME_BYTES,
                  workers: int | None = None,
                  trace_file: str | None = None,
-                 chaos_proxy=None,
                  quorum: int | None = None,
                  upload_deadline: float | None = None,
-                 model_out: str | None = None,
-                 max_requests_per_connection: int | None = None,
-                 max_inflight: int | None = None,
-                 max_connections: int = MAX_CONNECTIONS):
-        super().__init__(
-            host, port, max_frame_bytes=max_frame_bytes,
-            max_requests_per_connection=max_requests_per_connection,
-            max_inflight=max_inflight, max_connections=max_connections)
+                 model_out: str | None = None):
+        super().__init__(host, port)
         self.authority_address = (authority_host, authority_port)
         #: per-request timeout on the authority link; lower it when a
         #: chaos proxy may stall exchanges so the stall converts into a
         #: retried timeout quickly
         self.authority_timeout = authority_timeout
-        #: retry/backoff policy for the authority link -- generous by
-        #: default so a killed-and-restarted authority is ridden out
-        self.retry_policy = (retry_policy if retry_policy is not None
-                             else SERVICE_POLICY)
         self.expected_clients = expected_clients
         self.hidden = hidden
         self.epochs = epochs
         self.batch_size = batch_size
         self.learning_rate = learning_rate
         self.seed = seed
-        self.loss = loss
         self.checkpoint_path = (str(npz_path(checkpoint_path))
                                 if checkpoint_path is not None else None)
         self.checkpoint_every = checkpoint_every
@@ -283,11 +269,6 @@ class TrainingService(FramedService):
         self.workers = workers
         #: JSONL span output for the per-iteration cost decomposition
         self.trace_file = trace_file
-        #: optional service-hosted :class:`~repro.rpc.chaos.ChaosProxy`
-        #: whose ``fault_summary()`` is merged into ``train-status``
-        #: fault reports (and the metrics scrape) alongside the
-        #: endpoint/pool counters
-        self.chaos_proxy = chaos_proxy
 
         self.state = "waiting"  # waiting -> training -> done | failed
         self.error: str | None = None
@@ -374,7 +355,7 @@ class TrainingService(FramedService):
                 raise RuntimeError("training server is stopping")
             self.authority = RemoteAuthority(
                 *self.authority_address, name=protocol.SERVER,
-                timeout=self.authority_timeout, policy=self.retry_policy)
+                timeout=self.authority_timeout, policy=SERVICE_POLICY)
             if self._stopping:
                 self.authority.close()
                 raise RuntimeError("training server is stopping")
@@ -528,10 +509,10 @@ class TrainingService(FramedService):
                 return settled
             asm = self._chunk_assembly_for(msg)
             if msg.index not in asm.chunks:
-                if asm.total_bytes + len(msg.chunk) > self.max_frame_bytes:
+                if asm.total_bytes + len(msg.chunk) > MAX_FRAME_BYTES:
                     self._uploads.pop(msg.client_name, None)
                     raise RuntimeError(
-                        f"chunked upload exceeds {self.max_frame_bytes}"
+                        f"chunked upload exceeds {MAX_FRAME_BYTES}"
                         f"-byte assembly limit")
                 asm.chunks[msg.index] = msg.chunk
                 asm.total_bytes += len(msg.chunk)
@@ -670,9 +651,7 @@ class TrainingService(FramedService):
         link's endpoint stats (the handshake connection, and the extra
         feature-key connections summed) plus the compute pool's
         degradation state, in the shared
-        :data:`~repro.rpc.retry.STAT_KEYS` vocabulary.  A service-hosted chaos proxy's fault summary is
-        merged in too, so ``train-status`` reports injected weather
-        next to the retries it caused."""
+        :data:`~repro.rpc.retry.STAT_KEYS` vocabulary."""
         report: dict = {"degraded": False}
         authority = self.authority
         if authority is not None:
@@ -683,8 +662,6 @@ class TrainingService(FramedService):
             pool_stats = trainer.compute_pool.stats
             report["pool"] = pool_stats
             report["degraded"] = bool(pool_stats["degraded"])
-        if self.chaos_proxy is not None:
-            report["chaos_proxy"] = self.chaos_proxy.fault_summary()
         return report
 
     # -- observability -------------------------------------------------------
@@ -781,7 +758,7 @@ class TrainingService(FramedService):
                 epochs=self.epochs,
                 batch_size=self.batch_size,
                 learning_rate=self.learning_rate,
-                seed=self.seed, loss=self.loss, config=config,
+                seed=self.seed, config=config,
                 pool=self._pool(authority.params),
                 checkpoint_path=self.checkpoint_path,
                 checkpoint_every=self.checkpoint_every,

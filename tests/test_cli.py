@@ -177,7 +177,7 @@ class TestMetricsWatch:
 
         from repro.core.config import CryptoNNConfig
         from repro.core.entities import TrustedAuthority
-        from repro.rpc import AuthorityService, ServiceThread, free_port
+        from repro.rpc import AuthorityService, free_port
 
         port = free_port()
         started = {}
@@ -186,9 +186,9 @@ class TestMetricsWatch:
             _time.sleep(1.0)
             authority = TrustedAuthority(CryptoNNConfig(),
                                          rng=random.Random(0))
-            thread = ServiceThread(AuthorityService(authority, port=port))
-            started["thread"] = thread
-            started["addr"] = thread.start()
+            service = AuthorityService(authority, port=port)
+            started["service"] = service
+            started["addr"] = service.start()
 
         helper = threading.Thread(target=bring_up_late, daemon=True)
         helper.start()
@@ -203,5 +203,5 @@ class TestMetricsWatch:
             assert "state=" in captured.out
         finally:
             helper.join(timeout=15)
-            if "thread" in started:
-                started["thread"].stop()
+            if "service" in started:
+                started["service"].stop()

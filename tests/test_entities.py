@@ -8,7 +8,7 @@ import pytest
 from repro.core import protocol
 from repro.core import serialization as ser
 from repro.core.config import CryptoNNConfig
-from repro.core.entities import Client, Server, TrustedAuthority
+from repro.core.entities import Client, TrustedAuthority
 from repro.core.policy import KeyReleasePolicy, PolicyViolation
 from repro.data.preprocess import LabelMapper
 from repro.fe.errors import UnsupportedOperationError
@@ -160,10 +160,3 @@ class TestClient:
         assert expected == 1616
         assert authority.traffic.total_bytes(
             kind=protocol.KIND_ENCRYPTED_DATA) == expected
-
-
-class TestServer:
-    def test_counters_require_trainer(self, authority):
-        server = Server(authority)
-        with pytest.raises(RuntimeError):
-            _ = server.counters

@@ -25,7 +25,6 @@ from repro.fe.errors import CommitmentError, UnsupportedOperationError
 from repro.matrix.parallel import SecureComputePool
 from repro.obs.metrics import GLOBAL_REGISTRY
 from repro.rpc import AuthorityService, RemoteAuthority, RpcRemoteError
-from repro.rpc import ServiceThread
 
 OPS = "+-*/"
 
@@ -244,8 +243,8 @@ class TestCommitmentRange:
     @pytest.mark.timeout_guard(60)
     def test_the_service_refuses_and_keeps_answering(self):
         authority = make_authority(64)
-        thread = ServiceThread(AuthorityService(authority))
-        addr = thread.start()
+        service = AuthorityService(authority)
+        addr = service.start()
         try:
             with RemoteAuthority(*addr, name="server") as remote:
                 bpk = remote.febo_public_key()
@@ -259,4 +258,4 @@ class TestCommitmentRange:
                 key, = remote.derive_febo_keys([(ct.cmt, "-", 2)])
                 assert remote.febo.decrypt(bpk, key, ct, bound=100) == 38
         finally:
-            thread.stop()
+            service.stop()

@@ -2,10 +2,10 @@
 
 Adversarial side: garbage ciphertexts (non-subgroup elements,
 out-of-range values, implausible shapes) are rejected at the unpack
-boundary with the service still serving; connection floods and request
-storms hit the accept/quota/backpressure bounds instead of starting a
-thread per attempt; a malicious *server* sending oversized frames is
-bounded on the client side of the framing too.
+boundary with the service still serving; connection floods hit the
+accept cap instead of starting a thread per attempt; a malicious
+*server* sending oversized frames is bounded on the client side of the
+framing too.
 
 Resumable side: chunked uploads with per-chunk acks resume at the last
 acked chunk after a client dropout (no re-sent chunks), are idempotent
@@ -45,7 +45,6 @@ from repro.rpc import (
     RpcEndpoint,
     RpcError,
     RpcRemoteError,
-    ServiceThread,
     ShardChunk,
     ShardResumeQuery,
     TrainingService,
@@ -54,8 +53,9 @@ from repro.rpc import (
     upload_planned_chunks,
     upload_shard,
 )
+from repro.rpc import service as service_mod
 from repro.rpc.framing import MAX_FRAME_BYTES, MAX_HEADER_BYTES
-from repro.rpc.messages import Ack, PublicParamsRequest, shard_fingerprint
+from repro.rpc.messages import Ack, shard_fingerprint
 
 HIDDEN, EPOCHS, BATCH_SIZE, LR, SEED = 6, 2, 10, 0.5, 0
 
@@ -108,16 +108,15 @@ def _assert_identical_run(service, ref_weights, ref_history, ref_accuracy):
 def stack():
     """Authority + training service (1 expected client) on live sockets."""
     authority = TrustedAuthority(CryptoNNConfig(), rng=random.Random(SEED))
-    auth_thread = ServiceThread(AuthorityService(authority))
-    auth_addr = auth_thread.start()
+    auth_service = AuthorityService(authority)
+    auth_addr = auth_service.start()
     service = TrainingService(
         *auth_addr, expected_clients=1, hidden=HIDDEN, epochs=EPOCHS,
         batch_size=BATCH_SIZE, learning_rate=LR, seed=SEED)
-    train_thread = ServiceThread(service)
-    train_addr = train_thread.start()
-    yield authority, service, auth_addr, train_addr, train_thread
-    train_thread.stop()
-    auth_thread.stop()
+    train_addr = service.start()
+    yield authority, service, auth_addr, train_addr
+    service.stop()
+    auth_service.stop()
 
 
 def _encrypt_one(auth_addr, shard, name="clinic-0", seed=100):
@@ -153,7 +152,7 @@ class TestCiphertextValidation:
         """p-1 is a quadratic non-residue mod a safe prime: a ciphertext
         carrying it must be rejected at unpack, before it can poison a
         training run (or leak via an invalid-element oracle)."""
-        authority, service, auth_addr, train_addr, _ = stack
+        authority, service, auth_addr, train_addr = stack
         remote, dataset = _encrypt_one(auth_addr, _make_shards()[0])
         with remote:
             bad = dataset.samples[0].features_ip
@@ -171,7 +170,7 @@ class TestCiphertextValidation:
         negation ``p - v`` of an honest element ``v`` that is not itself
         a residue is a genuine subgroup element, but it lies above q, so
         it is not a canonical encoding: rejected too."""
-        authority, service, auth_addr, train_addr, _ = stack
+        authority, service, auth_addr, train_addr = stack
         group = authority.params
         remote, dataset = _encrypt_one(auth_addr, _make_shards()[0])
         with remote:
@@ -188,7 +187,7 @@ class TestCiphertextValidation:
         assert not service._shards
 
     def test_out_of_range_element_is_rejected(self, stack):
-        authority, service, auth_addr, train_addr, _ = stack
+        authority, service, auth_addr, train_addr = stack
         remote, dataset = _encrypt_one(auth_addr, _make_shards()[0])
         with remote:
             label = dataset.labels[0]
@@ -203,7 +202,7 @@ class TestCiphertextValidation:
     def test_implausible_shape_is_rejected(self, stack):
         """A forged header claiming absurd dimensions must fail the
         sanity check, not drive a giant allocation loop."""
-        _, service, auth_addr, train_addr, _ = stack
+        _, service, auth_addr, train_addr = stack
         remote, dataset = _encrypt_one(auth_addr, _make_shards()[0])
         with remote:
             with pytest.raises(RpcRemoteError) as err:
@@ -214,7 +213,7 @@ class TestCiphertextValidation:
 
     def test_valid_upload_still_passes_validation(self, stack):
         """The hardened unpack path accepts every honest ciphertext."""
-        _, service, auth_addr, train_addr, train_thread = stack
+        _, service, auth_addr, train_addr = stack
         x, y = _make_shards()[0]
         result = upload_shard(auth_addr, train_addr, x, y, 2,
                               name="clinic-0", rng=random.Random(100))
@@ -284,7 +283,7 @@ class TestPooledValidation:
     def test_service_counts_the_elements_it_validated(self, stack):
         """Uploads arrive outside the training tracer's window, so a
         counter shows the ingestion work on a metrics scrape."""
-        authority, _, auth_addr, train_addr, _ = stack
+        authority, _, auth_addr, train_addr = stack
 
         def validated() -> int:
             return GLOBAL_REGISTRY.snapshot()["counters"].get(
@@ -300,17 +299,16 @@ class TestPooledValidation:
 
 
 # ---------------------------------------------------------------------------
-# hardened ingestion: floods, quotas, backpressure
+# hardened ingestion: connection floods
 # ---------------------------------------------------------------------------
 
 @pytest.mark.timeout_guard(60)
 class TestConnectionHardening:
-    def test_connection_flood_is_capped(self):
+    def test_connection_flood_is_capped(self, monkeypatch):
+        monkeypatch.setattr(service_mod, "MAX_CONNECTIONS", 2)
         authority = TrustedAuthority(CryptoNNConfig(), rng=random.Random(0))
-        thread = ServiceThread(AuthorityService(authority,
-                                                max_connections=2))
-        host, port = thread.start()
-        service = thread.service
+        service = AuthorityService(authority)
+        host, port = service.start()
         try:
             # two held connections fill the accept cap
             held = [RpcEndpoint(host, port, name=f"held-{i}", peer="authority")
@@ -338,17 +336,17 @@ class TestConnectionHardening:
                              peer="authority") as late:
                 assert late.request(HealthRequest(requester="late")).ready
         finally:
-            thread.stop()
+            service.stop()
 
-    def test_flood_never_runs_more_connection_threads_than_the_cap(self):
-        """20 raw connects at once against ``max_connections=2``: the
-        in-flight gauge and the live connection threads stay at 2 or
-        below throughout, and ``stop()`` leaves no connection thread."""
+    def test_flood_never_runs_more_connection_threads_than_the_cap(
+            self, monkeypatch):
+        """20 raw connects at once against a cap of 2: the in-flight
+        gauge and the live connection threads stay at 2 or below
+        throughout, and ``stop()`` leaves no connection thread."""
+        monkeypatch.setattr(service_mod, "MAX_CONNECTIONS", 2)
         authority = TrustedAuthority(CryptoNNConfig(), rng=random.Random(0))
-        thread = ServiceThread(AuthorityService(authority,
-                                                max_connections=2))
-        host, port = thread.start()
-        service = thread.service
+        service = AuthorityService(authority)
+        host, port = service.start()
         prefix = f"AuthorityService:{port} conn"
 
         def live_threads() -> int:
@@ -385,7 +383,7 @@ class TestConnectionHardening:
             sampler.join(timeout=10)
             for sock in flood:
                 sock.close()
-            thread.stop()
+            service.stop()
         assert not sampler.is_alive()
         assert peaks and max(max(pair) for pair in peaks) <= 2
         assert live_threads() == 0
@@ -405,8 +403,8 @@ class TestConnectionHardening:
 
         monkeypatch.setattr(socket.socket, "accept", out_of_descriptors)
         authority = TrustedAuthority(CryptoNNConfig(), rng=random.Random(0))
-        thread = ServiceThread(AuthorityService(authority))
-        host, port = thread.start()
+        service = AuthorityService(authority)
+        host, port = service.start()
         try:
             with RpcEndpoint(host, port, name="next", peer="authority",
                              timeout=5,
@@ -415,69 +413,8 @@ class TestConnectionHardening:
                     HealthRequest(requester="next")).ready
             assert len(failed) == 1
         finally:
-            thread.stop()
-        assert not thread.service._accept_thread.is_alive()
-
-    def test_request_quota_closes_greedy_connection(self):
-        authority = TrustedAuthority(CryptoNNConfig(), rng=random.Random(0))
-        thread = ServiceThread(
-            AuthorityService(authority, max_requests_per_connection=3))
-        host, port = thread.start()
-        service = thread.service
-        try:
-            with RpcEndpoint(host, port, name="greedy", peer="authority",
-                             policy=RetryPolicy(max_attempts=1)) as greedy:
-                for _ in range(3):
-                    greedy.request(HealthRequest(requester="greedy"))
-                with pytest.raises(RpcRemoteError) as err:
-                    greedy.request(HealthRequest(requester="greedy"))
-                assert err.value.error_type == "QuotaExceeded"
-            assert service.quota_rejections == 1
-            # a fresh connection gets a fresh quota
-            with RpcEndpoint(host, port, name="next",
-                             peer="authority") as endpoint:
-                assert endpoint.request(
-                    HealthRequest(requester="next")).ready
-        finally:
-            thread.stop()
-
-    def test_inflight_bound_serializes_load_but_loses_nothing(self):
-        """max_inflight=1 queues concurrent dispatches instead of
-        running them in parallel; every request still gets answered,
-        and health probes bypass the bound entirely."""
-        authority = TrustedAuthority(CryptoNNConfig(), rng=random.Random(0))
-        thread = ServiceThread(AuthorityService(authority, max_inflight=1))
-        host, port = thread.start()
-        service = thread.service
-        try:
-            endpoints = [RpcEndpoint(host, port, name=f"c{i}",
-                                     peer="authority") for i in range(4)]
-            results = []
-
-            def _hammer(endpoint):
-                for _ in range(3):
-                    resp = endpoint.request(PublicParamsRequest(
-                        etas=(2,), include_febo=False,
-                        requester=endpoint.name))
-                    results.append(resp.group == authority.params)
-
-            threads = [threading.Thread(target=_hammer, args=(e,))
-                       for e in endpoints]
-            for t in threads:
-                t.start()
-            # probes stay answerable while the dispatch path is bounded
-            with RpcEndpoint(host, port, name="probe",
-                             peer="authority") as probe:
-                assert probe.request(HealthRequest(
-                    requester="probe")).ready
-            for t in threads:
-                t.join(timeout=30)
-            assert results == [True] * 12
-            assert service.requests_served == 13
-            for e in endpoints:
-                e.close()
-        finally:
-            thread.stop()
+            service.stop()
+        assert not service._accept_thread.is_alive()
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +505,8 @@ def test_concurrent_uploads_start_training_once_byte_exact():
     shards = _make_shards(n_clients=4)
     ref_weights, ref_history, ref_accuracy = _clean_reference(shards)
     authority = TrustedAuthority(CryptoNNConfig(), rng=random.Random(SEED))
-    auth_thread = ServiceThread(AuthorityService(authority))
-    auth_addr = auth_thread.start()
+    auth_service = AuthorityService(authority)
+    auth_addr = auth_service.start()
     service = TrainingService(
         *auth_addr, expected_clients=4, hidden=HIDDEN, epochs=EPOCHS,
         batch_size=BATCH_SIZE, learning_rate=LR, seed=SEED)
@@ -588,8 +525,7 @@ def test_concurrent_uploads_start_training_once_byte_exact():
 
     service._arm_upload_deadline = paused_arm
     service._start_training = counted_start
-    train_thread = ServiceThread(service)
-    train_addr = train_thread.start()
+    train_addr = service.start()
     barrier = threading.Barrier(4)
     errors = []
 
@@ -623,8 +559,8 @@ def test_concurrent_uploads_start_training_once_byte_exact():
                               ref_accuracy)
     finally:
         sys.setswitchinterval(switch_interval)
-        train_thread.stop()
-        auth_thread.stop()
+        service.stop()
+        auth_service.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +574,7 @@ class TestChunkedUpload:
         default: same merged dataset, same final weights."""
         shards = _make_shards(n_clients=1)
         ref_weights, ref_history, ref_accuracy = _clean_reference(shards)
-        _, service, auth_addr, train_addr, train_thread = stack
+        _, service, auth_addr, train_addr = stack
         x, y = shards[0]
         result = upload_shard(auth_addr, train_addr, x, y, 2,
                               name="clinic-0", rng=random.Random(100),
@@ -652,7 +588,7 @@ class TestChunkedUpload:
     def test_dropout_resumes_at_last_acked_chunk(self, stack):
         """A client dying mid-upload and coming back resumes exactly
         past the chunks the server acked -- none are re-sent."""
-        _, service, auth_addr, train_addr, _ = stack
+        _, service, auth_addr, train_addr = stack
         remote, dataset = _encrypt_one(auth_addr, _make_shards()[0])
         with remote:
             meta, fingerprint, chunks = plan_shard_chunks(
@@ -687,7 +623,7 @@ class TestChunkedUpload:
 
     def test_duplicate_chunked_upload_is_acknowledged_not_retrained(
             self, stack):
-        _, service, auth_addr, train_addr, train_thread = stack
+        _, service, auth_addr, train_addr = stack
         remote, dataset = _encrypt_one(auth_addr, _make_shards()[0])
         with remote:
             meta, fingerprint, chunks = plan_shard_chunks(
@@ -710,7 +646,7 @@ class TestChunkedUpload:
         assert service.state == "done", service.error
 
     def test_fingerprint_mismatch_rejects_assembly(self, stack):
-        _, service, auth_addr, train_addr, _ = stack
+        _, service, auth_addr, train_addr = stack
         remote, dataset = _encrypt_one(auth_addr, _make_shards()[0])
         with remote:
             meta, fingerprint, chunks = plan_shard_chunks(
@@ -732,7 +668,7 @@ class TestChunkedUpload:
     def test_unpacking_a_shard_holds_up_no_other_upload(self, stack):
         """While one client's complete shard is checked and unpacked,
         another client's resume query and chunk are answered at once."""
-        _, service, auth_addr, train_addr, _ = stack
+        _, service, auth_addr, train_addr = stack
         remote, dataset = _encrypt_one(auth_addr, _make_shards()[0])
         with remote:
             meta, fingerprint, chunks = plan_shard_chunks(
@@ -779,7 +715,7 @@ class TestChunkedUpload:
         assert [name for name, _ in service._shards] == ["clinic-0"]
 
     def test_mid_stream_chunk_without_assembly_is_rejected(self, stack):
-        _, _, _, train_addr, _ = stack
+        _, _, _, train_addr = stack
         with RpcEndpoint(*train_addr, name="clinic-9", peer="server",
                          policy=RetryPolicy(max_attempts=1)) as server:
             with pytest.raises(RpcRemoteError) as err:
@@ -789,7 +725,7 @@ class TestChunkedUpload:
         assert "restart from chunk 0" in str(err.value)
 
     def test_resume_query_for_unknown_upload_starts_from_zero(self, stack):
-        _, _, _, train_addr, _ = stack
+        _, _, _, train_addr = stack
         with RpcEndpoint(*train_addr, name="clinic-9",
                          peer="server") as server:
             ack = server.request(ShardResumeQuery(
@@ -814,14 +750,13 @@ class TestQuorumPolicy:
             shards[:2])
         authority = TrustedAuthority(CryptoNNConfig(),
                                      rng=random.Random(SEED))
-        auth_thread = ServiceThread(AuthorityService(authority))
-        auth_addr = auth_thread.start()
+        auth_service = AuthorityService(authority)
+        auth_addr = auth_service.start()
         service = TrainingService(
             *auth_addr, expected_clients=3, quorum=2, upload_deadline=1.0,
             hidden=HIDDEN, epochs=EPOCHS, batch_size=BATCH_SIZE,
             learning_rate=LR, seed=SEED)
-        train_thread = ServiceThread(service)
-        train_addr = train_thread.start()
+        train_addr = service.start()
         try:
             for i in (0, 1):
                 x, y = shards[i]
@@ -846,8 +781,8 @@ class TestQuorumPolicy:
             counters = GLOBAL_REGISTRY.snapshot()["counters"]
             assert counters.get("repro_upload_stragglers_total", 0) >= 1
         finally:
-            train_thread.stop()
-            auth_thread.stop()
+            service.stop()
+            auth_service.stop()
 
     def test_quorum_requires_deadline(self):
         with pytest.raises(ValueError):
@@ -872,18 +807,16 @@ class TestChunkedThroughChaos:
         ref_weights, ref_history, ref_accuracy = _clean_reference(shards)
         authority = TrustedAuthority(CryptoNNConfig(),
                                      rng=random.Random(SEED))
-        auth_thread = ServiceThread(AuthorityService(authority))
-        auth_addr = auth_thread.start()
+        auth_service = AuthorityService(authority)
+        auth_addr = auth_service.start()
         service = TrainingService(
             *auth_addr, expected_clients=2, hidden=HIDDEN, epochs=EPOCHS,
             batch_size=BATCH_SIZE, learning_rate=LR, seed=SEED)
-        train_thread = ServiceThread(service)
-        train_addr = train_thread.start()
+        train_addr = service.start()
         proxy = ChaosProxy(*train_addr, seed=11,
                            config=ChaosConfig(reset_before=0.1,
                                               reset_after=0.1))
-        proxy_thread = ServiceThread(proxy)
-        proxy_addr = proxy_thread.start()
+        proxy_addr = proxy.start()
         try:
             results = []
             for i, (x, y) in enumerate(shards):
@@ -900,6 +833,6 @@ class TestChunkedThroughChaos:
             _assert_identical_run(service, ref_weights, ref_history,
                                   ref_accuracy)
         finally:
-            proxy_thread.stop()
-            train_thread.stop()
-            auth_thread.stop()
+            proxy.stop()
+            service.stop()
+            auth_service.stop()

@@ -33,7 +33,6 @@ from repro.rpc import (
     AuthorityService,
     RemoteAuthority,
     RpcEndpoint,
-    ServiceThread,
     TrainingService,
     free_port,
     upload_shard,
@@ -234,8 +233,8 @@ class TestRemoteKeySets:
                                       rng=random.Random(0), delay=0.05)
         reference = TrustedAuthority(CryptoNNConfig(), rng=random.Random(0))
         before = set(threading.enumerate())
-        thread = ServiceThread(AuthorityService(authority))
-        addr = thread.start()
+        service = AuthorityService(authority)
+        addr = service.start()
         try:
             with RemoteAuthority(*addr, name="server") as remote:
                 lists = _request_lists(remote.params, 12, 5)
@@ -252,12 +251,12 @@ class TestRemoteKeySets:
                 assert 1 < authority.concurrency.peak <= KEY_FETCHES_IN_FLIGHT
                 assert 1 < len(_fetch_threads(before)) <= \
                     KEY_FETCHES_IN_FLIGHT
-            connections = [label for label in thread.service.connection_traffic
+            connections = [label for label in service.connection_traffic
                            if label.startswith("server#")]
             assert 1 < len(connections) <= KEY_FETCHES_IN_FLIGHT
             assert _fetch_threads(before) == []
         finally:
-            thread.stop()
+            service.stop()
 
     def test_refused_star_mid_batch_fails_training(self):
         """The authority refuses ``*`` after five samples' keys, while
@@ -268,13 +267,12 @@ class TestRemoteKeySets:
         before = set(threading.enumerate())
         authority = TrustedAuthority(CryptoNNConfig(), rng=random.Random(0),
                                      policy=_RefuseStarAfter(grants=5 * 4))
-        auth_thread = ServiceThread(AuthorityService(authority))
-        auth_addr = auth_thread.start()
+        auth_service = AuthorityService(authority)
+        auth_addr = auth_service.start()
         service = TrainingService(*auth_addr, hidden=4, epochs=1,
                                   batch_size=10, seed=0)
-        train_thread = ServiceThread(service)
         try:
-            train_addr = train_thread.start()
+            train_addr = service.start()
             upload_shard(auth_addr, train_addr, x, y, 2, name="clinic-0",
                          rng=random.Random(1))
             service.wait_done(timeout=40)
@@ -286,8 +284,8 @@ class TestRemoteKeySets:
             assert faults["key_fetch_endpoints"]["attempts"] > 0
             assert faults["key_fetch_endpoints"]["giveups"] == 0
         finally:
-            train_thread.stop()
-            auth_thread.stop()
+            service.stop()
+            auth_service.stop()
         assert _fetch_threads(before) == []
 
 
@@ -301,8 +299,8 @@ def test_serve_train_stops_cleanly_with_fetches_in_flight(
     x, y = _shard()
     authority = _WatchedAuthority(CryptoNNConfig(), rng=random.Random(0),
                                   delay=8.0)
-    auth_thread = ServiceThread(AuthorityService(authority))
-    auth_host, auth_port = auth_thread.start()
+    auth_service = AuthorityService(authority)
+    auth_host, auth_port = auth_service.start()
     train_port = free_port()
     trainer = subprocess.Popen(
         repro_argv("serve-train", "--port", str(train_port),
@@ -330,5 +328,5 @@ def test_serve_train_stops_cleanly_with_fetches_in_flight(
             trainer.kill()
             trainer.wait()
         authority.release.set()
-        auth_thread.stop()
+        auth_service.stop()
     assert not workers & live_processes().keys()

@@ -3,9 +3,11 @@
 Parses every non-test ``.py`` file under ``src/``, ``benchmarks/`` and
 ``examples/`` and collects the ``repro`` modules they import.  A module
 no such file imports exists only for its tests: delete it, or wire it
-into the program.  The same holds one level down for the number theory
-and the FE schemes: every public function and method of
-``repro.mathutils`` and ``repro.fe`` must be named by such a file.
+into the program.  The same holds one level down for the number theory,
+the FE schemes and the RPC layer: every public function and method of
+``repro.mathutils``, ``repro.fe`` and ``repro.rpc`` must be named by
+such a file, and every keyword-only option of a public ``repro.rpc``
+constructor must be set by one.
 
 A package's ``__init__`` re-exporting a module of its own does not
 count as an importer; a file outside the package that imports the
@@ -47,7 +49,27 @@ ALLOWED_UNREFERENCED = {
 
 #: Packages whose public functions and methods must each be named by
 #: shipped code.
-REFERENCED_PACKAGES = ("repro.mathutils", "repro.fe")
+REFERENCED_PACKAGES = ("repro.mathutils", "repro.fe", "repro.rpc")
+
+#: Keyword-only constructor options of :data:`OPTION_PACKAGE` allowed
+#: to be set by tests alone, with why.
+ALLOWED_TEST_ONLY_OPTIONS = {
+    "repro.rpc.supervisor.Supervisor(sleep=)":
+        "tests substitute a fake sleep",
+    "repro.rpc.supervisor.Supervisor(clock=)":
+        "tests substitute a fake clock",
+    "repro.rpc.supervisor.Supervisor(rng=)":
+        "tests seed the restart jitter",
+    "repro.rpc.client.RemoteAuthority(rng=)":
+        "tests seed the nonces; upload_shard hands its rng through",
+    "repro.rpc.client.RemoteAuthority(connect_timeout=)":
+        "an RpcEndpoint option handed through; a test shortens it to "
+        "fail fast against a closed port",
+}
+
+#: Package whose public constructors' keyword-only options must each be
+#: set by shipped code.
+OPTION_PACKAGE = "repro.rpc"
 
 
 def _module_name(path: Path) -> str:
@@ -195,3 +217,58 @@ def test_every_public_function_has_a_non_test_reference():
     now_referenced = sorted(set(ALLOWED_UNREFERENCED) - unreferenced)
     assert not now_referenced, (
         f"{now_referenced} have references now; drop them from the list")
+
+
+def _constructor_options(package: str) -> dict[str, tuple[str, str]]:
+    """``"module.Class(option=)"`` -> ``(Class, option)`` for every
+    keyword-only parameter of a public top-level class's ``__init__``
+    in ``package``."""
+    out = {}
+    for path in sorted(SRC.joinpath(*package.split(".")).glob("*.py")):
+        module = _module_name(path)
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) \
+                        and item.name == "__init__":
+                    out.update(
+                        (f"{module}.{node.name}({arg.arg}=)",
+                         (node.name, arg.arg))
+                        for arg in item.args.kwonlyargs)
+    return out
+
+
+def _keywords_set() -> set[tuple[str, str]]:
+    """``(callee, keyword)`` for every keyword argument the shipped
+    files pass, where the callee is the called name or attribute.
+
+    A same-name pass-through (``policy=policy``) sets nothing: it only
+    hands on what its own caller chose."""
+    out = set()
+    for path in _shipped_files():
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            callee = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            out.update(
+                (callee, kw.arg) for kw in node.keywords
+                if kw.arg is not None and not (
+                    isinstance(kw.value, ast.Name)
+                    and kw.value.id == kw.arg))
+    return out
+
+
+def test_every_rpc_option_is_set_by_shipped_code():
+    """An option that only tests set is code no deployment runs: make
+    it a constant, or delete the behaviour behind it."""
+    options = _constructor_options(OPTION_PACKAGE)
+    set_by_shipped = _keywords_set()
+    unset = {q for q, pair in options.items() if pair not in set_by_shipped}
+    test_only = sorted(unset - set(ALLOWED_TEST_ONLY_OPTIONS))
+    assert not test_only, f"only tests set {test_only}"
+    now_set = sorted(set(ALLOWED_TEST_ONLY_OPTIONS) - unset)
+    assert not now_set, f"{now_set} are set by shipped code now; " \
+        f"drop them from the list"

@@ -27,7 +27,6 @@ from repro.rpc import (
     HealthRequest,
     MetricsRequest,
     RpcEndpoint,
-    ServiceThread,
     free_port,
 )
 from repro.rpc.authority_service import AuthorityService
@@ -244,8 +243,8 @@ class TestWireSurface:
         """Every framed service answers probes without any handshake."""
         authority = TrustedAuthority(CryptoNNConfig(),
                                      rng=random.Random(0))
-        thread = ServiceThread(AuthorityService(authority))
-        addr = thread.start()
+        service = AuthorityService(authority)
+        addr = service.start()
         try:
             with RpcEndpoint(*addr, name="probe",
                              peer="authority") as endpoint:
@@ -260,14 +259,13 @@ class TestWireSurface:
                 assert counters["repro_service_traffic_messages_total"] >= 1
                 json.dumps(resp.metrics)  # snapshot survives the wire
         finally:
-            thread.stop()
+            service.stop()
 
     def test_training_service_not_ready_while_waiting(self):
         """No handshake + no uploads + no durable job => not ready."""
         service = TrainingService("127.0.0.1", free_port(),
                                   expected_clients=1)
-        thread = ServiceThread(service)
-        addr = thread.start()
+        addr = service.start()
         try:
             with RpcEndpoint(*addr, name="probe",
                              peer="server") as endpoint:
@@ -277,4 +275,4 @@ class TestWireSurface:
                 assert not health.detail["keys_fetched"]
                 assert not health.detail["job_configured"]
         finally:
-            thread.stop()
+            service.stop()

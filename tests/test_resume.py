@@ -29,16 +29,16 @@ from repro.nn.model import Sequential
 from repro.nn.optimizers import SGD, Adam
 from repro.rpc import (
     AuthorityService,
+    RpcEndpoint,
     RpcRemoteError,
-    ServiceThread,
     TrainingService,
     fetch_status,
     free_port,
-    request_checkpoint,
     run_training,
     upload_shard,
     wait_for_port,
 )
+from repro.rpc.messages import TrainCheckpointRequest
 
 
 class Interrupted(Exception):
@@ -237,27 +237,29 @@ class TestInProcessResume:
 class TestTrainCheckpointMessage:
     def test_request_checkpoint_over_the_wire(self, tmp_path):
         authority = TrustedAuthority(CryptoNNConfig(), rng=random.Random(0))
-        auth_thread = ServiceThread(AuthorityService(authority))
-        auth_addr = auth_thread.start()
+        auth_service = AuthorityService(authority)
+        auth_addr = auth_service.start()
         service = TrainingService(
             *auth_addr, expected_clients=1, hidden=4, epochs=4,
             batch_size=5, seed=0,
             checkpoint_path=str(tmp_path / "job.npz"))
-        train_thread = ServiceThread(service)
-        train_addr = train_thread.start()
+        train_addr = service.start()
         try:
             x, y = _make_shard()
             upload_shard(auth_addr, train_addr, x, y, 2, name="clinic-0",
                          rng=random.Random(1))
             infos = []
             deadline = time.monotonic() + 90
-            while True:
-                info = request_checkpoint(train_addr, name="driver")
-                infos.append(info)
-                if info["state"] in ("done", "failed"):
-                    break
-                assert time.monotonic() < deadline
-                time.sleep(0.05)
+            with RpcEndpoint(*train_addr, name="driver",
+                             peer="server") as server:
+                while True:
+                    info = server.request(
+                        TrainCheckpointRequest(requester="driver")).info
+                    infos.append(info)
+                    if info["state"] in ("done", "failed"):
+                        break
+                    assert time.monotonic() < deadline
+                    time.sleep(0.05)
             # either we caught the run mid-flight (snapshot scheduled,
             # then written by the training thread) or it finished first
             assert (any(i["scheduled"] for i in infos)
@@ -267,19 +269,19 @@ class TestTrainCheckpointMessage:
             assert os.path.exists(tmp_path / "job.npz")
             assert service.last_checkpoint["completed"] is True
         finally:
-            train_thread.stop()
-            auth_thread.stop()
+            service.stop()
+            auth_service.stop()
 
     def test_unconfigured_server_refuses(self):
         service = TrainingService("127.0.0.1", free_port(),
                                   expected_clients=1)
-        thread = ServiceThread(service)
-        addr = thread.start()
+        addr = service.start()
         try:
-            with pytest.raises(RpcRemoteError, match="checkpoint path"):
-                request_checkpoint(addr)
+            with RpcEndpoint(*addr, name="client", peer="server") as server, \
+                    pytest.raises(RpcRemoteError, match="checkpoint path"):
+                server.request(TrainCheckpointRequest(requester="client"))
         finally:
-            thread.stop()
+            service.stop()
 
 
 # ---------------------------------------------------------------------------

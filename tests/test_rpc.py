@@ -1,11 +1,10 @@
 """The networked runtime: framing, messages, services, end-to-end.
 
 The loopback end-to-end tests run the authority key service and the
-training server as threaded services on real 127.0.0.1 sockets (hosted
-by :class:`~repro.rpc.runtime.ServiceThread`) with client agents
-uploading encrypted shards -- three entities, real bytes.  Every
-socket test carries the ``timeout_guard`` marker so a transport bug
-can never hang the suite.
+training server as threaded services on real 127.0.0.1 sockets (each
+started and stopped in-process) with client agents uploading encrypted
+shards -- three entities, real bytes.  Every socket test carries the
+``timeout_guard`` marker so a transport bug can never hang the suite.
 """
 
 import dataclasses
@@ -43,7 +42,6 @@ from repro.rpc import (
     RpcError,
     RpcRemoteError,
     RpcTimeoutError,
-    ServiceThread,
     TrainingService,
     WireContext,
     fetch_status,
@@ -442,14 +440,35 @@ class TestMessageCodec:
 @pytest.fixture()
 def live_authority():
     authority = TrustedAuthority(CryptoNNConfig(), rng=random.Random(0))
-    thread = ServiceThread(AuthorityService(authority))
-    host, port = thread.start()
-    yield authority, thread, (host, port)
-    thread.stop()
+    service = AuthorityService(authority)
+    host, port = service.start()
+    yield authority, service, (host, port)
+    service.stop()
 
 
 @pytest.mark.timeout_guard(60)
 class TestAuthorityServiceLoopback:
+    def test_a_service_starts_once(self):
+        """A second ``start()`` raises, before and after ``stop()``: a
+        stopped listener restarted on a fresh port would reset every
+        connection it accepted there."""
+        service = AuthorityService(
+            TrustedAuthority(CryptoNNConfig(), rng=random.Random(0)))
+        addr = service.start()
+        try:
+            with pytest.raises(RuntimeError, match="started already"):
+                service.start()
+            with RpcEndpoint(*addr, name="probe", peer="authority") as probe:
+                for _ in range(2):
+                    assert probe.request(
+                        msgs.HealthRequest(requester="probe")).ready
+        finally:
+            service.stop()
+        with pytest.raises(RuntimeError, match="started already"):
+            service.start()
+        assert service.address == addr
+        assert service.connection_rejections == 0
+
     def test_handshake_matches_local_authority(self, live_authority):
         authority, _, addr = live_authority
         with RemoteAuthority(*addr, name="server") as remote:
@@ -491,10 +510,9 @@ class TestAuthorityServiceLoopback:
         assert not unclosed
 
     def test_connection_traffic_matches_wire_sizes(self, live_authority):
-        authority, thread, addr = live_authority
+        authority, service, addr = live_authority
         with RemoteAuthority(*addr, name="server") as remote:
             remote.derive_feip_keys_batch([[1, 2], [3, 4], [5, 6]])
-        service = thread.service
         logs = [log for label, log in service.connection_traffic.items()
                 if label.startswith("server#")]
         wired = sum(log.total_bytes(
@@ -763,14 +781,13 @@ class TestEndToEndLoopback:
 
         authority = TrustedAuthority(CryptoNNConfig(),
                                      rng=random.Random(SEED))
-        auth_thread = ServiceThread(AuthorityService(authority))
-        auth_addr = auth_thread.start()
+        auth_service = AuthorityService(authority)
+        auth_addr = auth_service.start()
         service = TrainingService(
             *auth_addr, expected_clients=len(shards), hidden=HIDDEN,
             epochs=EPOCHS, batch_size=BATCH_SIZE, learning_rate=LR,
             seed=SEED)
-        train_thread = ServiceThread(service)
-        train_addr = train_thread.start()
+        train_addr = service.start()
         try:
             uploads = [
                 upload_shard(auth_addr, train_addr, x, y, 2,
@@ -799,7 +816,7 @@ class TestEndToEndLoopback:
             # authority's own logical accounting (packed bodies == formulas)
             server_logs = [
                 log for label, log in
-                auth_thread.service.connection_traffic.items()
+                auth_service.connection_traffic.items()
                 if label.startswith(protocol.SERVER)
             ]
             for kind in (protocol.KIND_FEIP_KEY_BATCH_REQUEST,
@@ -819,33 +836,31 @@ class TestEndToEndLoopback:
             assert len(resp.scores) == 3
             assert all(len(row) == 2 for row in resp.scores)
         finally:
-            train_thread.stop()
-            auth_thread.stop()
+            service.stop()
+            auth_service.stop()
 
     def test_status_answers_without_authority(self):
         """Control messages need no wire context: a status poll must not
         block on (or fail with) an authority handshake."""
         dead_authority = ("127.0.0.1", free_port())
         service = TrainingService(*dead_authority, expected_clients=1)
-        thread = ServiceThread(service)
-        addr = thread.start()
+        addr = service.start()
         try:
             start = time.monotonic()
             status = fetch_status(addr)
             assert status.state == "waiting"
             assert time.monotonic() - start < 5  # no 10s connect stall
         finally:
-            thread.stop()
+            service.stop()
 
     def test_oversized_frame_fails_fast_client_side(self):
         shards = _make_shards(n_clients=1)
         authority = TrustedAuthority(CryptoNNConfig(),
                                      rng=random.Random(SEED))
-        auth_thread = ServiceThread(AuthorityService(authority))
-        auth_addr = auth_thread.start()
+        auth_service = AuthorityService(authority)
+        auth_addr = auth_service.start()
         service = TrainingService(*auth_addr, expected_clients=1)
-        train_thread = ServiceThread(service)
-        train_addr = train_thread.start()
+        train_addr = service.start()
         try:
             x, y = shards[0]
             with RemoteAuthority(*auth_addr, name="tiny",
@@ -867,8 +882,8 @@ class TestEndToEndLoopback:
             assert sum(log.total_bytes(kind=protocol.KIND_ENCRYPTED_DATA)
                        for log in service.connection_traffic.values()) == 0
         finally:
-            train_thread.stop()
-            auth_thread.stop()
+            service.stop()
+            auth_service.stop()
 
     def test_closed_endpoint_refuses_requests(self, live_authority):
         _, _, addr = live_authority
@@ -885,14 +900,13 @@ class TestEndToEndLoopback:
         expected_accuracy = _in_process_accuracy(shards)
         authority = TrustedAuthority(CryptoNNConfig(),
                                      rng=random.Random(SEED))
-        auth_thread = ServiceThread(AuthorityService(authority))
-        auth_addr = auth_thread.start()
+        auth_service = AuthorityService(authority)
+        auth_addr = auth_service.start()
         service = TrainingService(
             *auth_addr, expected_clients=len(shards), hidden=HIDDEN,
             epochs=EPOCHS, batch_size=BATCH_SIZE, learning_rate=LR,
             seed=SEED)
-        train_thread = ServiceThread(service)
-        train_addr = train_thread.start()
+        train_addr = service.start()
         try:
             uploads = [
                 upload_shard(auth_addr, train_addr, x, y, 2,
@@ -908,8 +922,8 @@ class TestEndToEndLoopback:
             for upload in uploads:
                 assert upload["upload_bytes"] == formula
         finally:
-            train_thread.stop()
-            auth_thread.stop()
+            service.stop()
+            auth_service.stop()
             shutdown_compute_pools()
 
     def test_duplicate_upload_is_idempotent(self):
@@ -918,13 +932,12 @@ class TestEndToEndLoopback:
         shards = _make_shards(n_clients=2)
         authority = TrustedAuthority(CryptoNNConfig(),
                                      rng=random.Random(SEED))
-        auth_thread = ServiceThread(AuthorityService(authority))
-        auth_addr = auth_thread.start()
+        auth_service = AuthorityService(authority)
+        auth_addr = auth_service.start()
         service = TrainingService(
             *auth_addr, expected_clients=2, hidden=4, epochs=1,
             batch_size=10, learning_rate=LR, seed=SEED)
-        train_thread = ServiceThread(service)
-        train_addr = train_thread.start()
+        train_addr = service.start()
         try:
             x, y = shards[0]
             first = upload_shard(auth_addr, train_addr, x, y, 2,
@@ -941,20 +954,19 @@ class TestEndToEndLoopback:
             assert service.state == "done", service.error
             assert len(service.dataset) == 30  # 15 + 15, no duplicates
         finally:
-            train_thread.stop()
-            auth_thread.stop()
+            service.stop()
+            auth_service.stop()
 
     def test_train_start_forces_early_training(self):
         shards = _make_shards(n_clients=1)
         authority = TrustedAuthority(CryptoNNConfig(),
                                      rng=random.Random(SEED))
-        auth_thread = ServiceThread(AuthorityService(authority))
-        auth_addr = auth_thread.start()
+        auth_service = AuthorityService(authority)
+        auth_addr = auth_service.start()
         service = TrainingService(
             *auth_addr, expected_clients=5, hidden=4, epochs=1,
             batch_size=10, learning_rate=LR, seed=SEED)
-        train_thread = ServiceThread(service)
-        train_addr = train_thread.start()
+        train_addr = service.start()
         try:
             x, y = shards[0]
             upload_shard(auth_addr, train_addr, x, y, 2, name="clinic-0",
@@ -968,8 +980,8 @@ class TestEndToEndLoopback:
             assert service.state == "done", service.error
             assert 0.0 <= service.accuracy <= 1.0
         finally:
-            train_thread.stop()
-            auth_thread.stop()
+            service.stop()
+            auth_service.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -1103,13 +1115,12 @@ class TestServicePoolRule:
         dropped handoff would train inline without a trace."""
         authority = TrustedAuthority(CryptoNNConfig(security_bits=32),
                                      rng=random.Random(SEED))
-        auth_thread = ServiceThread(AuthorityService(authority))
-        auth_addr = auth_thread.start()
+        auth_service = AuthorityService(authority)
+        auth_addr = auth_service.start()
         service = TrainingService(
             *auth_addr, expected_clients=1, hidden=4, epochs=1,
             batch_size=10, learning_rate=LR, seed=SEED, workers=2)
-        train_thread = ServiceThread(service)
-        train_addr = train_thread.start()
+        train_addr = service.start()
         try:
             before = get_compute_pool(2).dispatches
             (x, y), = _make_shards(n_clients=1, samples=10)
@@ -1120,8 +1131,8 @@ class TestServicePoolRule:
             assert service.trainer.compute_pool is get_compute_pool(2)
             assert service.trainer.compute_pool.dispatches > before
         finally:
-            train_thread.stop()
-            auth_thread.stop()
+            service.stop()
+            auth_service.stop()
             shutdown_compute_pools()
 
 
@@ -1156,20 +1167,20 @@ class TestClientUploadPool:
         monkeypatch.setattr(client_agent, "SecureComputePool", SpyPool)
         authority = TrustedAuthority(CryptoNNConfig(security_bits=bits),
                                      rng=random.Random(SEED))
-        auth_thread = ServiceThread(AuthorityService(authority))
-        auth_addr = auth_thread.start()
+        auth_service = AuthorityService(authority)
+        auth_addr = auth_service.start()
         # a second client never comes, so the trainer never trains
-        train_thread = ServiceThread(TrainingService(
+        train_service = TrainingService(
             *auth_addr, expected_clients=2, hidden=4, epochs=1,
-            batch_size=10, learning_rate=LR, seed=SEED))
-        train_addr = train_thread.start()
+            batch_size=10, learning_rate=LR, seed=SEED)
+        train_addr = train_service.start()
         try:
             (x, y), = _make_shards(n_clients=1)
             result = upload_shard(auth_addr, train_addr, x, y, 2,
                                   name="clinic-0", workers=workers)
         finally:
-            train_thread.stop()
-            auth_thread.stop()
+            train_service.stop()
+            auth_service.stop()
         assert result["ack"]["received"] == 15
         assert result["upload_bytes"] == ser.encrypted_tabular_wire_size(
             15, 4, 2, authority.params)
