@@ -3,9 +3,10 @@
 Adversarial side: garbage ciphertexts (non-subgroup elements,
 out-of-range values, implausible shapes) are rejected at the unpack
 boundary with the service still serving; connection floods hit the
-accept cap instead of starting a thread per attempt; a malicious
-*server* sending oversized frames is bounded on the client side of the
-framing too.
+accept cap instead of starting a thread per attempt, while connections
+under it are answered without limit or loss; a malicious *server*
+sending oversized frames is bounded on the client side of the framing
+too.
 
 Resumable side: chunked uploads with per-chunk acks resume at the last
 acked chunk after a client dropout (no re-sent chunks), are idempotent
@@ -55,7 +56,7 @@ from repro.rpc import (
 )
 from repro.rpc import service as service_mod
 from repro.rpc.framing import MAX_FRAME_BYTES, MAX_HEADER_BYTES
-from repro.rpc.messages import Ack, shard_fingerprint
+from repro.rpc.messages import Ack, PublicParamsRequest, shard_fingerprint
 
 HIDDEN, EPOCHS, BATCH_SIZE, LR, SEED = 6, 2, 10, 0.5, 0
 
@@ -299,7 +300,7 @@ class TestPooledValidation:
 
 
 # ---------------------------------------------------------------------------
-# hardened ingestion: connection floods
+# hardened ingestion: connection floods and concurrent requests
 # ---------------------------------------------------------------------------
 
 @pytest.mark.timeout_guard(60)
@@ -415,6 +416,61 @@ class TestConnectionHardening:
         finally:
             service.stop()
         assert not service._accept_thread.is_alive()
+
+    def test_one_connection_serves_any_number_of_requests(self):
+        """No per-connection request quota: one connection keeps being
+        answered, and the service closes none of its connections."""
+        authority = TrustedAuthority(CryptoNNConfig(), rng=random.Random(0))
+        service = AuthorityService(authority)
+        host, port = service.start()
+        try:
+            with RpcEndpoint(host, port, name="busy", peer="authority",
+                             policy=RetryPolicy(max_attempts=1)) as busy:
+                for _ in range(20):
+                    assert busy.request(HealthRequest(requester="busy")).ready
+                assert busy.stats.reconnects == 0
+                assert busy.stats.drops == 0
+            assert service.requests_served == 20
+            assert service.connection_rejections == 0
+        finally:
+            service.stop()
+
+    def test_concurrent_connections_lose_no_request(self):
+        """Four connections send requests at once, each from its own
+        thread, while a health probe comes in: every request is answered
+        correctly and counted once."""
+        authority = TrustedAuthority(CryptoNNConfig(), rng=random.Random(0))
+        service = AuthorityService(authority)
+        host, port = service.start()
+        try:
+            endpoints = [RpcEndpoint(host, port, name=f"c{i}",
+                                     peer="authority") for i in range(4)]
+            results = []
+
+            def _hammer(endpoint):
+                for _ in range(3):
+                    resp = endpoint.request(PublicParamsRequest(
+                        etas=(2,), include_febo=False,
+                        requester=endpoint.name))
+                    results.append(resp.group == authority.params)
+
+            threads = [threading.Thread(target=_hammer, args=(e,))
+                       for e in endpoints]
+            for t in threads:
+                t.start()
+            with RpcEndpoint(host, port, name="probe",
+                             peer="authority") as probe:
+                assert probe.request(HealthRequest(
+                    requester="probe")).ready
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert results == [True] * 12
+            assert service.requests_served == 13
+            for e in endpoints:
+                e.close()
+        finally:
+            service.stop()
 
 
 # ---------------------------------------------------------------------------
