@@ -19,7 +19,7 @@ from repro.core import protocol
 from repro.core.config import CryptoNNConfig
 from repro.core.cryptonn import CryptoNNTrainer
 from repro.core.entities import Client, TrustedAuthority
-from repro.core.serialization import exponent_size_bytes
+from repro.core.serialization import KEY_WEIGHT_BYTES, exponent_size_bytes
 from repro.nn.layers import Dense, ReLU
 from repro.nn.model import Sequential
 from repro.nn.optimizers import SGD
@@ -46,7 +46,7 @@ def test_communication_matches_formula(benchmark):
     k, n, m = 8, 6, 30
     authority = benchmark.pedantic(run_one_iteration, args=(k, n, m),
                                    rounds=1, iterations=1)
-    w = authority.config.key_weight_bytes
+    w = KEY_WEIGHT_BYTES
     upload = authority.traffic.total_bytes(
         sender=protocol.SERVER, kind=protocol.KIND_FEIP_KEY_REQUEST)
     download = authority.traffic.total_bytes(
@@ -117,12 +117,8 @@ def test_communication_batched_vs_unbatched(benchmark):
                  series_table(["quantity", "per iteration"], rows))
 
     # paper formula payload is untouched; only envelope headers are added
-    assert plain_up == k * n * w_bytes(unbatched) + m * 2 * w_bytes(unbatched)
+    assert plain_up == k * n * KEY_WEIGHT_BYTES + m * 2 * KEY_WEIGHT_BYTES
     assert batch_up == plain_up + batch_msgs * BATCH_HEADER_BYTES
     # the request fan-out collapses from 1 + m messages to 2 envelopes
     assert plain_msgs == 1 + m
     assert batch_msgs == 2
-
-
-def w_bytes(authority) -> int:
-    return authority.config.key_weight_bytes

@@ -36,7 +36,9 @@ def merge_encrypted(parts):
 
 def main() -> None:
     # -- authority bootstraps the crypto system -----------------------------
-    config = CryptoNNConfig()  # toy group for the demo; .paper() for 256-bit
+    # toy group for the demo; CryptoNNConfig(security_bits=256) is the
+    # paper's setting
+    config = CryptoNNConfig()
     authority = TrustedAuthority(config, rng=random.Random(0))
 
     # -- three clinics encrypt their (non-IID) shards -----------------------

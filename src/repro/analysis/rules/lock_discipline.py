@@ -4,11 +4,13 @@ PR 7 fixed three consistent-snapshot races of the same shape: a class
 owns a ``threading.Lock``/``RLock`` and guards *most* writes to an
 attribute with it, but one code path writes the same attribute bare.
 Readers holding the lock then see torn state.  This rule flags, per
-class that owns a lock:
+class that owns a lock or inherits one:
 
 * any attribute path written both inside and outside a ``with
   self.<lock>:`` block (``__init__`` writes are exempt -- construction
-  happens-before sharing);
+  happens-before sharing), where a subclass's bare write counts
+  against the locked writes of its base classes in the scanned files
+  (the training service's ``_stopping`` beside its listener's);
 * plus, module-scope: a ``GLOBAL_*`` singleton of a lock-less class
   whose methods mutate ``self`` -- shared process-wide with no lock to
   take (the ``GLOBAL_SOLVER_CACHE`` shape).
@@ -58,6 +60,23 @@ def _self_writes(node: ast.AST):
                 yield path.split(".", 1)[1], node
 
 
+def _lineage(cls: ast.ClassDef,
+             classes: dict[str, tuple[SourceFile, ast.ClassDef]]
+             ) -> list[tuple[SourceFile, ast.ClassDef]]:
+    """``cls`` then every base class found among ``classes`` (by name,
+    transitively), each once."""
+    out = [classes[cls.name]]
+    seen = {cls.name}
+    for _, node in out:
+        for base in node.bases:
+            name = base.attr if isinstance(base, ast.Attribute) else \
+                getattr(base, "id", None)
+            if name in classes and name not in seen:
+                seen.add(name)
+                out.append(classes[name])
+    return out
+
+
 def _mutates_self(cls: ast.ClassDef) -> bool:
     for item in cls.body:
         if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -75,52 +94,61 @@ class LockDisciplineRule(Rule):
     id = "lock-discipline"
     severity = "error"
     description = ("attributes written both inside and outside "
-                   "`with self._lock:` in lock-owning classes; "
-                   "GLOBAL_* singletons of lock-less mutable classes")
-    paths = ()  # every scanned file
+                   "`with self._lock:` in lock-owning classes and their "
+                   "subclasses; GLOBAL_* singletons of lock-less "
+                   "mutable classes")
+    # a class and its base classes may live in different files
+    scope = "project"
 
-    def check_file(self, src: SourceFile, project) -> list:
+    def check_project(self, project) -> list:
+        files = project.files()
+        classes = {node.name: (src, node) for src in files
+                   for node in src.tree.body
+                   if isinstance(node, ast.ClassDef)}
         findings = []
-        lockless_mutable: set[str] = set()
-        for node in src.tree.body:
-            if isinstance(node, ast.ClassDef):
-                locks = _lock_attrs(node)
+        for src in files:
+            lockless_mutable: set[str] = set()
+            local = {node.name: (src, node) for node in src.tree.body
+                     if isinstance(node, ast.ClassDef)}
+            for _, node in local.values():
+                lineage = _lineage(node, {**classes, **local})
+                locks = set().union(*(_lock_attrs(c) for _, c in lineage))
                 if locks:
-                    findings.extend(self._check_class(src, node, locks))
+                    findings.extend(self._check_class(lineage, locks))
                 elif _mutates_self(node):
                     lockless_mutable.add(node.name)
-        findings.extend(
-            self._check_singletons(src, lockless_mutable))
+            findings.extend(
+                self._check_singletons(src, lockless_mutable))
         return findings
 
-    def _check_class(self, src: SourceFile, cls: ast.ClassDef,
+    def _check_class(self, lineage: list[tuple[SourceFile, ast.ClassDef]],
                      locks: set[str]) -> list:
-        # (path -> [(locked?, node)]) over every method except __init__
-        writes: dict[str, list[tuple[bool, ast.AST]]] = {}
-        for item in cls.body:
-            if not isinstance(item, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef)):
-                continue
-            if item.name == "__init__":
-                continue
-            for node in ast.walk(item):
-                for path, assign in _self_writes(node):
-                    locked = self._under_lock(src, assign, locks)
-                    writes.setdefault(path, []).append((locked, assign))
-        findings = []
-        for path, sites in writes.items():
-            if any(locked for locked, _ in sites) \
-                    and any(not locked for locked, _ in sites):
-                for locked, node in sites:
-                    if not locked:
-                        findings.append(self.finding(
-                            src.rel, node.lineno,
-                            f"{cls.name}.{path} is written here without "
-                            f"the lock but under it elsewhere",
-                            hint="move the write inside `with "
-                                 "self._lock:` (the PR 7 "
-                                 "consistent-snapshot treatment)"))
-        return findings
+        """Flag the first class's bare writes to an attribute that it or
+        one of its base classes writes under a lock (outside
+        ``__init__``)."""
+        src, cls = lineage[0]
+        guarded: set[str] = set()
+        bare: list[tuple[str, ast.AST]] = []
+        for owner_src, owner in lineage:
+            for item in owner.body:
+                if not isinstance(item, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)) \
+                        or item.name == "__init__":
+                    continue
+                for node in ast.walk(item):
+                    for path, assign in _self_writes(node):
+                        if self._under_lock(owner_src, assign, locks):
+                            guarded.add(path)
+                        elif owner is cls:
+                            bare.append((path, assign))
+        return [self.finding(
+                    src.rel, node.lineno,
+                    f"{cls.name}.{path} is written here without "
+                    f"the lock but under it elsewhere",
+                    hint="move the write inside `with "
+                         "self._lock:` so readers holding the lock "
+                         "see a consistent snapshot")
+                for path, node in bare if path in guarded]
 
     @staticmethod
     def _under_lock(src: SourceFile, node: ast.AST,

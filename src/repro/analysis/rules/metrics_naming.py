@@ -6,9 +6,10 @@ The observability layer's contract (PR 7): every exported series is
 the Prometheus form ``repro_phase_seconds{phase="..."}``.  Dashboards
 and the scrape tests key on these names, so a misnamed metric is a
 silent observability hole.  This rule checks every ``repro_*`` string
-literal in ``src/repro`` against the charset, and enforces the
-counter/gauge suffix contract at ``registry.counter/gauge/histogram``
-call sites (f-strings are checked by their literal prefix).
+literal in ``src/repro`` against the charset, and enforces the suffix
+contract at ``registry.counter/histogram`` call sites (f-strings are
+checked by their literal prefix).  Gauges are collector readings, so
+only the charset pass sees their names.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import re
 from repro.analysis.core import Rule, attr_path, register
 
 _NAME_RE = re.compile(r"^repro_[a-z0-9_]+(\{[^{}]*\}?)?$")
-_METHODS = {"counter", "gauge", "histogram"}
+_METHODS = {"counter", "histogram"}
 
 
 def _literal_name(arg) -> tuple[str, bool] | None:
@@ -107,7 +108,7 @@ class MetricsNamingRule(Rule):
                 f"counter {name!r} must end in _total",
                 hint="counters carry the _total suffix so the "
                      "snapshot routes them to the counters section")]
-        if method in ("gauge", "histogram") and base.endswith("_total"):
+        if method == "histogram" and base.endswith("_total"):
             return [self.finding(
                 src.rel, node.lineno,
                 f"{method} {name!r} must not end in _total "

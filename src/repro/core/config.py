@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.mathutils.encoding import PAPER_SCALE
-from repro.mathutils.group import PAPER_SECURITY_BITS, TOY_SECURITY_BITS
+from repro.mathutils.group import TOY_SECURITY_BITS
 
 
 def pow2_round_up(value: int) -> int:
@@ -24,6 +24,11 @@ def pow2_round_up(value: int) -> int:
 class CryptoNNConfig:
     """Knobs shared by the CryptoNN / CryptoCNN trainers.
 
+    The paper's setting is ``CryptoNNConfig(security_bits=256)`` (two
+    decimal places is already the default scale).  The weight width
+    ``|w|`` of its key-request formula is no setting:
+    :data:`repro.core.serialization.KEY_WEIGHT_BYTES`.
+
     Attributes:
         security_bits: Schnorr group size.  The paper's experiments use
             256; the default here is the toy size so tests and scaled
@@ -34,7 +39,6 @@ class CryptoNNConfig:
             (inputs normalized to [0, 1] satisfy 1.0).
         max_abs_weight: server clips first-layer weights to this magnitude
             so the dot-product dlog bound stays valid and small.
-        key_weight_bytes: |w| in the communication formula.
         batch_key_requests: coalesce every per-iteration key request
             (first-layer rows, per-sample loss keys, label subtractions)
             into one batched envelope per step, recorded under the
@@ -48,13 +52,7 @@ class CryptoNNConfig:
     scale: int = PAPER_SCALE
     max_abs_feature: float = 1.0
     max_abs_weight: float = 2.0
-    key_weight_bytes: int = 8
     batch_key_requests: bool = False
-
-    @classmethod
-    def paper(cls) -> "CryptoNNConfig":
-        """The paper's setting: 256-bit group, two-decimal fixed point."""
-        return cls(security_bits=PAPER_SECURITY_BITS, scale=PAPER_SCALE)
 
     def dot_bound(self, vector_length: int) -> int:
         """Dlog bound for first-layer dot products / convolutions."""

@@ -62,7 +62,11 @@ class TrustedAuthority:
 
     FEIP master keys are per vector length (a key pair supports one
     ``eta``); FEBO uses a single key pair.  The ``permitted_ops``
-    whitelist models the paper's "permitted function set F".
+    whitelist models the paper's "permitted function set F".  Every
+    exchange lands in the authority's own :class:`TrafficLog`
+    ``traffic``, sized by :mod:`repro.core.serialization`'s formulas
+    (weights at ``KEY_WEIGHT_BYTES`` each); clients sharing the
+    authority record their uploads there too.
 
     A FEBO key costs one full-width ``cmt^s`` -- the commitment's
     *mask* -- and a small-exponent step that folds in the operand
@@ -96,12 +100,11 @@ class TrustedAuthority:
 
     def __init__(self, config: CryptoNNConfig | None = None,
                  rng: random.Random | None = None,
-                 traffic: TrafficLog | None = None,
                  permitted_ops: frozenset[str] = frozenset("+-*/"),
                  policy=None):
         self.config = config or CryptoNNConfig()
         self.params = GroupParams.predefined(self.config.security_bits)
-        self.traffic = traffic if traffic is not None else TrafficLog()
+        self.traffic = TrafficLog()
         self.permitted_ops = permitted_ops
         #: optional :class:`repro.core.policy.KeyReleasePolicy`
         self.policy = policy
@@ -204,14 +207,13 @@ class TrustedAuthority:
             return []
         keys = self._derive_feip(rows, requester)
         eta = len(rows[0])
-        wb = self.config.key_weight_bytes
         self._record_exchange(
             requester,
             protocol.KIND_FEIP_KEY_REQUEST,
             len(rows) * serialization.feip_key_request_wire_size(
-                eta, self.params, wb),
+                eta, self.params),
             protocol.KIND_FEIP_KEY_RESPONSE,
-            sum(serialization.feip_key_wire_size(k, self.params, wb)
+            sum(serialization.feip_key_wire_size(k, self.params)
                 for k in keys),
         )
         return keys
@@ -226,15 +228,14 @@ class TrustedAuthority:
             return []
         keys = self._derive_feip(rows, requester)
         eta = len(rows[0])
-        wb = self.config.key_weight_bytes
         self._record_exchange(
             requester,
             protocol.KIND_FEIP_KEY_BATCH_REQUEST,
             serialization.feip_key_batch_request_wire_size(
-                len(rows), eta, self.params, wb),
+                len(rows), eta, self.params),
             protocol.KIND_FEIP_KEY_BATCH_RESPONSE,
             serialization.feip_key_batch_response_wire_size(
-                len(keys), eta, self.params, wb),
+                len(keys), eta, self.params),
         )
         return keys
 
@@ -296,14 +297,13 @@ class TrustedAuthority:
         if not requests:
             return []
         keys = self._derive_febo(requests, requester)
-        wb = self.config.key_weight_bytes
         self._record_exchange(
             requester,
             protocol.KIND_FEBO_KEY_REQUEST,
             len(requests) * serialization.febo_key_request_wire_size(
-                self.params, wb),
+                self.params),
             protocol.KIND_FEBO_KEY_RESPONSE,
-            len(keys) * serialization.febo_key_wire_size(self.params, wb),
+            len(keys) * serialization.febo_key_wire_size(self.params),
         )
         return keys
 
@@ -314,15 +314,14 @@ class TrustedAuthority:
         if not requests:
             return []
         keys = self._derive_febo(requests, requester)
-        wb = self.config.key_weight_bytes
         self._record_exchange(
             requester,
             protocol.KIND_FEBO_KEY_BATCH_REQUEST,
             serialization.febo_key_batch_request_wire_size(
-                len(requests), self.params, wb),
+                len(requests), self.params),
             protocol.KIND_FEBO_KEY_BATCH_RESPONSE,
             serialization.febo_key_batch_response_wire_size(
-                len(keys), self.params, wb),
+                len(keys), self.params),
         )
         return keys
 
@@ -352,11 +351,11 @@ class Client:
     public key").
 
     Encryption always runs through an
-    :class:`~repro.fe.engine.EncryptionEngine`: the one passed, or one
-    over the authority's ``Feip``/``Febo`` (sharing their ``g`` tables
-    and rng) on ``pool``, or else on the process-wide pool for
-    ``workers`` (:func:`~repro.matrix.parallel.get_compute_pool`), if
-    either is given.  Before each
+    :class:`~repro.fe.engine.EncryptionEngine` over the authority's
+    ``Feip``/``Febo`` (sharing their ``g`` tables and rng): on ``pool``,
+    or else on the process-wide pool for ``workers``
+    (:func:`~repro.matrix.parallel.get_compute_pool`), if either is
+    given, and inline otherwise.  Before each
     dataset loop the client banks the exact number of nonce tuples the
     loop will consume -- pool-parallel when the engine has workers, one
     batch per key otherwise -- and the per-sample loops then run
@@ -366,7 +365,7 @@ class Client:
     def __init__(self, authority: TrustedAuthority,
                  label_mapper: LabelMapper | None = None,
                  name: str = protocol.CLIENT,
-                 engine=None, workers: int | None = None,
+                 workers: int | None = None,
                  pool: SecureComputePool | None = None):
         self.authority = authority
         self.config = authority.config
@@ -375,7 +374,7 @@ class Client:
         self.name = name
         if pool is None and workers:
             pool = get_compute_pool(workers)
-        self.engine = engine or EncryptionEngine(
+        self.engine = EncryptionEngine(
             authority.params, pool=pool,
             feip=authority.feip, febo=authority.febo)
 

@@ -62,38 +62,35 @@ from repro.core.entities import TrustedAuthority
 from repro.nn.activations import log_softmax, softmax
 from repro.nn.conv import Conv2D
 from repro.matrix.parallel import InlineExecutor, SecureComputePool
-from repro.mathutils.dlog import GLOBAL_SOLVER_CACHE, SolverCache
+from repro.mathutils.dlog import GLOBAL_SOLVER_CACHE
 from repro.mathutils.encoding import FixedPointCodec
 from repro.obs.tracing import GLOBAL_TRACER
 
 
 class _SecureBase:
-    """Shared plumbing: codec, solver cache, counters, authority handle.
+    """Shared plumbing: codec, counters, authority handle.
 
     Every decryption grid is one dispatch on ``self._pool``: the
     persistent compute pool ``pool`` a training run shares, so repeated
     batches never respawn worker processes, else an
     :class:`InlineExecutor` that runs the same dispatch in the calling
-    thread against this layer's solver cache.
+    thread.  Dlog solvers come from the process-wide
+    ``GLOBAL_SOLVER_CACHE``.
     """
 
     def __init__(self, authority: TrustedAuthority, config: CryptoNNConfig,
                  counters: DecryptionCounters | None = None,
-                 solver_cache: SolverCache | None = None,
                  pool: SecureComputePool | None = None):
         self.authority = authority
         self.config = config
         self.codec = FixedPointCodec(config.scale)
         self.counters = counters or DecryptionCounters()
-        self._cache = GLOBAL_SOLVER_CACHE if solver_cache is None \
-            else solver_cache
         self._feip = authority.feip
         self._febo = authority.febo
-        self._pool = pool or InlineExecutor(self._feip, self._febo,
-                                            self._cache)
+        self._pool = pool or InlineExecutor(self._feip, self._febo)
 
     def _solver(self, bound: int):
-        return self._cache.get(self._feip.group, bound)
+        return GLOBAL_SOLVER_CACHE.get(self._feip.group, bound)
 
     def _feip_keys(self, rows, per_row: bool = False) -> list:
         """Fetch FEIP keys under a ``key-fetch`` span and count them.
@@ -154,9 +151,8 @@ class _SecureInput(_SecureBase):
     def __init__(self, layer, authority: TrustedAuthority,
                  config: CryptoNNConfig,
                  counters: DecryptionCounters | None = None,
-                 solver_cache: SolverCache | None = None,
                  pool: SecureComputePool | None = None):
-        super().__init__(authority, config, counters, solver_cache, pool)
+        super().__init__(authority, config, counters, pool)
         self.layer = layer
         self._feature_cache: dict[int, np.ndarray] = {}
         self._last_batch: Sequence | None = None
@@ -245,7 +241,7 @@ class _SecureInput(_SecureBase):
         keys = self._febo_keys(self._recovery_requests(ciphertexts),
                                self._fetched)
         bpk = self.authority.febo_public_key()
-        solver = self._cache.get(self._febo.group, bound)
+        solver = GLOBAL_SOLVER_CACHE.get(self._febo.group, bound)
         with GLOBAL_TRACER.span("decrypt-dlog", n=len(keys)):
             values = self._febo.decrypt_many(
                 bpk, list(zip(keys, ciphertexts)), bound, solver=solver)
@@ -342,9 +338,8 @@ class SecureSoftmaxCrossEntropy(_SecureBase):
 
     def __init__(self, authority: TrustedAuthority, config: CryptoNNConfig,
                  counters: DecryptionCounters | None = None,
-                 solver_cache: SolverCache | None = None,
                  pool: SecureComputePool | None = None):
-        super().__init__(authority, config, counters, solver_cache, pool)
+        super().__init__(authority, config, counters, pool)
         self._probs: np.ndarray | None = None
         # log p is clamped so its fixed-point encoding stays within the
         # loss dlog bound (p ~ 0 would otherwise explode the search window)
@@ -385,12 +380,6 @@ class SecureSoftmaxCrossEntropy(_SecureBase):
         y_minus_p = _decrypt_label_subtractions(self, probs, labels)
         return -y_minus_p / n
 
-    @property
-    def probabilities(self) -> np.ndarray:
-        if self._probs is None:
-            raise RuntimeError("no forward pass yet")
-        return self._probs
-
 
 class SecureMSE(_SecureBase):
     """Secure quadratic cost (paper Section III-D).
@@ -403,9 +392,8 @@ class SecureMSE(_SecureBase):
 
     def __init__(self, authority: TrustedAuthority, config: CryptoNNConfig,
                  counters: DecryptionCounters | None = None,
-                 solver_cache: SolverCache | None = None,
                  pool: SecureComputePool | None = None):
-        super().__init__(authority, config, counters, solver_cache, pool)
+        super().__init__(authority, config, counters, pool)
         self._residuals: np.ndarray | None = None
 
     def forward(self, predictions: np.ndarray,

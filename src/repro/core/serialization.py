@@ -21,10 +21,12 @@ sends the body in ``encrypted-data`` chunks and a dataset file stores
 it behind a JSON header; both read it back through the validating
 :func:`unpack_encrypted_tabular`.
 
-Batched key-request/response *envelopes* coalesce the per-iteration
-k x n x |w| key requests into one framed message: the 8-byte count/eta
-header of :func:`pack_batch_header` followed by the raw key codec's
-payload.  :mod:`repro.rpc.messages` composes the two.
+Every weight a key request or key carries is a signed
+:data:`KEY_WEIGHT_BYTES`-byte integer: the ``|w|`` of the paper's
+k x n x |w| formula.  Batched key-request/response *envelopes* coalesce
+the per-iteration key requests into one framed message: the 8-byte
+count/eta header of :func:`pack_batch_header` followed by the raw key
+codec's payload.  :mod:`repro.rpc.messages` composes the two.
 """
 
 from __future__ import annotations
@@ -54,6 +56,12 @@ from repro.mathutils.group import GroupParams, validate_subgroup_element
 #: item count plus a 4-byte vector-length / flags field.
 BATCH_HEADER_BYTES = 8
 
+#: |w| in the paper's k x n x |w| key-request formula: every weight a
+#: key request or key carries is a signed 8-byte integer (fixed-point
+#: weights are small integers, 8 bytes is generous).  Both peers use
+#: this one width, so they agree on it by construction.
+KEY_WEIGHT_BYTES = 8
+
 
 def element_size_bytes(params: GroupParams) -> int:
     """Bytes needed for one group element (member of Z_p)."""
@@ -72,20 +80,14 @@ def feip_ciphertext_wire_size(ct: FeipCiphertext, params: GroupParams) -> int:
     return (1 + ct.eta) * element_size_bytes(params)
 
 
-def feip_key_wire_size(key: FeipFunctionKey, params: GroupParams,
-                       weight_bytes: int = 8) -> int:
-    """One exponent (sk) plus the weight vector it binds.
-
-    ``weight_bytes`` is |w| in the paper's k x n x |w| formula -- the
-    fixed-point weights are small integers, 8 bytes is generous.
-    """
-    return exponent_size_bytes(params) + len(key.y) * weight_bytes
+def feip_key_wire_size(key: FeipFunctionKey, params: GroupParams) -> int:
+    """One exponent (sk) plus the weight vector it binds."""
+    return exponent_size_bytes(params) + len(key.y) * KEY_WEIGHT_BYTES
 
 
-def feip_key_request_wire_size(vector_length: int, params: GroupParams,
-                               weight_bytes: int = 8) -> int:
+def feip_key_request_wire_size(vector_length: int, params: GroupParams) -> int:
     """Server -> authority: one weight vector of length n (n x |w|)."""
-    return vector_length * weight_bytes
+    return vector_length * KEY_WEIGHT_BYTES
 
 
 def febo_ciphertext_wire_size(params: GroupParams) -> int:
@@ -93,43 +95,38 @@ def febo_ciphertext_wire_size(params: GroupParams) -> int:
     return 2 * element_size_bytes(params)
 
 
-def febo_key_wire_size(params: GroupParams, weight_bytes: int = 8) -> int:
+def febo_key_wire_size(params: GroupParams) -> int:
     """One group element (sk) plus op tag plus operand."""
-    return element_size_bytes(params) + 1 + weight_bytes
+    return element_size_bytes(params) + 1 + KEY_WEIGHT_BYTES
 
 
-def febo_key_request_wire_size(params: GroupParams,
-                               weight_bytes: int = 8) -> int:
+def febo_key_request_wire_size(params: GroupParams) -> int:
     """Server -> authority: commitment + op + operand."""
-    return element_size_bytes(params) + 1 + weight_bytes
+    return element_size_bytes(params) + 1 + KEY_WEIGHT_BYTES
 
 
 def feip_key_batch_request_wire_size(n_rows: int, vector_length: int,
-                                     params: GroupParams,
-                                     weight_bytes: int = 8) -> int:
+                                     params: GroupParams) -> int:
     """One framed envelope carrying ``n_rows`` weight rows."""
     return BATCH_HEADER_BYTES + n_rows * feip_key_request_wire_size(
-        vector_length, params, weight_bytes)
+        vector_length, params)
 
 
 def feip_key_batch_response_wire_size(n_keys: int, vector_length: int,
-                                      params: GroupParams,
-                                      weight_bytes: int = 8) -> int:
+                                      params: GroupParams) -> int:
     """One framed envelope carrying ``n_keys`` function keys."""
     return BATCH_HEADER_BYTES + n_keys * (
-        exponent_size_bytes(params) + vector_length * weight_bytes)
+        exponent_size_bytes(params) + vector_length * KEY_WEIGHT_BYTES)
 
 
-def febo_key_batch_request_wire_size(n_requests: int, params: GroupParams,
-                                     weight_bytes: int = 8) -> int:
+def febo_key_batch_request_wire_size(n_requests: int,
+                                     params: GroupParams) -> int:
     return BATCH_HEADER_BYTES + n_requests * febo_key_request_wire_size(
-        params, weight_bytes)
+        params)
 
 
-def febo_key_batch_response_wire_size(n_keys: int, params: GroupParams,
-                                      weight_bytes: int = 8) -> int:
-    return BATCH_HEADER_BYTES + n_keys * febo_key_wire_size(
-        params, weight_bytes)
+def febo_key_batch_response_wire_size(n_keys: int, params: GroupParams) -> int:
+    return BATCH_HEADER_BYTES + n_keys * febo_key_wire_size(params)
 
 
 def encrypted_sample_wire_size(n_features: int, params: GroupParams) -> int:
@@ -353,9 +350,9 @@ def unpack_encrypted_tabular(meta: dict[str, Any], body: bytes,
 
 # -- key requests / responses ----------------------------------------------------
 #
-# The four key codecs share one signature -- ``pack(items, params,
-# weight_bytes)`` and ``unpack(data, count, eta, params, weight_bytes)``
-# -- so :mod:`repro.rpc.messages` frames any of them the same way.
+# The four key codecs share one signature -- ``pack(items, params)``
+# and ``unpack(data, count, eta, params)`` -- so :mod:`repro.rpc.messages`
+# frames any of them the same way.
 
 def pack_batch_header(count: int, vector_length: int = 0) -> bytes:
     return pack_uint(count, 4) + pack_uint(vector_length, 4)
@@ -367,43 +364,42 @@ def unpack_batch_header(data: bytes) -> tuple[int, int]:
     return unpack_uint(data[:4]), unpack_uint(data[4:8])
 
 
-def pack_feip_key_rows(rows: Sequence[Sequence[int]], params: GroupParams,
-                       weight_bytes: int = 8) -> bytes:
+def pack_feip_key_rows(rows: Sequence[Sequence[int]],
+                       params: GroupParams) -> bytes:
     """Concatenated signed weight rows (``n_rows * eta * |w|`` bytes)."""
-    return b"".join(pack_sint(v, weight_bytes) for row in rows for v in row)
+    return b"".join(pack_sint(v, KEY_WEIGHT_BYTES) for row in rows for v in row)
 
 
 def unpack_feip_key_rows(data: bytes, count: int, eta: int,
-                         params: GroupParams,
-                         weight_bytes: int = 8) -> list[list[int]]:
-    values = [unpack_sint(c) for c in _chunks(data, weight_bytes)]
+                         params: GroupParams) -> list[list[int]]:
+    values = [unpack_sint(c) for c in _chunks(data, KEY_WEIGHT_BYTES)]
     if len(values) != count * eta:
         raise ValueError(
             f"expected {count}x{eta} weights, payload holds {len(values)}")
     return [values[i * eta:(i + 1) * eta] for i in range(count)]
 
 
-def pack_feip_keys(keys: Sequence[FeipFunctionKey], params: GroupParams,
-                   weight_bytes: int = 8) -> bytes:
+def pack_feip_keys(keys: Sequence[FeipFunctionKey],
+                   params: GroupParams) -> bytes:
     """Per key: the exponent ``sk`` plus the bound weight vector ``y``."""
     return b"".join(
         # repro: allow[key-serialization] -- derived function keys are
         # the key-response wire payload (paper Sec. III protocol)
         pack_exponent(key.sk, params)
-        + b"".join(pack_sint(v, weight_bytes) for v in key.y)
+        + b"".join(pack_sint(v, KEY_WEIGHT_BYTES) for v in key.y)
         for key in keys
     )
 
 
-def unpack_feip_keys(data: bytes, count: int, eta: int, params: GroupParams,
-                     weight_bytes: int = 8) -> list[FeipFunctionKey]:
-    stride = exponent_size_bytes(params) + eta * weight_bytes
+def unpack_feip_keys(data: bytes, count: int, eta: int,
+                     params: GroupParams) -> list[FeipFunctionKey]:
+    stride = exponent_size_bytes(params) + eta * KEY_WEIGHT_BYTES
     keys = []
     for chunk in _chunks(data, stride):
         sk = unpack_uint(chunk[:exponent_size_bytes(params)])
         y = tuple(unpack_sint(c)
                   for c in _chunks(chunk[exponent_size_bytes(params):],
-                                   weight_bytes))
+                                   KEY_WEIGHT_BYTES))
         keys.append(FeipFunctionKey(y=y, sk=sk))
     if len(keys) != count:
         raise ValueError(f"expected {count} FEIP keys, payload holds {len(keys)}")
@@ -418,18 +414,17 @@ def _pack_op(op: str) -> bytes:
 
 
 def pack_febo_requests(requests: Sequence[tuple[int, str, int]],
-                       params: GroupParams, weight_bytes: int = 8) -> bytes:
+                       params: GroupParams) -> bytes:
     """Per request: commitment element + 1-byte op tag + signed operand."""
     return b"".join(
-        pack_element(cmt, params) + _pack_op(op) + pack_sint(y, weight_bytes)
+        pack_element(cmt, params) + _pack_op(op) + pack_sint(y, KEY_WEIGHT_BYTES)
         for cmt, op, y in requests
     )
 
 
 def unpack_febo_requests(data: bytes, count: int, eta: int,
-                         params: GroupParams, weight_bytes: int = 8
-                         ) -> list[tuple[int, str, int]]:
-    stride = febo_key_request_wire_size(params, weight_bytes)
+                         params: GroupParams) -> list[tuple[int, str, int]]:
+    stride = febo_key_request_wire_size(params)
     elem = element_size_bytes(params)
     requests = []
     for chunk in _chunks(data, stride):
@@ -444,8 +439,8 @@ def unpack_febo_requests(data: bytes, count: int, eta: int,
     return requests
 
 
-def pack_febo_keys(keys: Sequence[FeboFunctionKey], params: GroupParams,
-                   weight_bytes: int = 8) -> bytes:
+def pack_febo_keys(keys: Sequence[FeboFunctionKey],
+                   params: GroupParams) -> bytes:
     """Per key: ``sk`` element + 1-byte op tag + signed operand.
 
     The per-ciphertext commitment is *not* shipped back -- the requester
@@ -456,14 +451,14 @@ def pack_febo_keys(keys: Sequence[FeboFunctionKey], params: GroupParams,
         # repro: allow[key-serialization] -- derived function keys are
         # the key-response wire payload (paper Sec. III protocol)
         pack_element(key.sk, params) + _pack_op(key.op)
-        + pack_sint(key.y, weight_bytes)
+        + pack_sint(key.y, KEY_WEIGHT_BYTES)
         for key in keys
     )
 
 
-def unpack_febo_keys(data: bytes, count: int, eta: int, params: GroupParams,
-                     weight_bytes: int = 8) -> list[FeboFunctionKey]:
-    stride = febo_key_wire_size(params, weight_bytes)
+def unpack_febo_keys(data: bytes, count: int, eta: int,
+                     params: GroupParams) -> list[FeboFunctionKey]:
+    stride = febo_key_wire_size(params)
     elem = element_size_bytes(params)
     keys = []
     for chunk in _chunks(data, stride):

@@ -411,9 +411,6 @@ class ChainCache(TableCache):
     take more than twice that); ``nbytes`` counts the packed bytes.
     """
 
-    def __init__(self, max_bytes: int = CHAIN_CACHE_BYTES) -> None:
-        super().__init__(max_bytes)
-
     def get(self, base: int, modulus: int, length: int) -> list[int]:
         """``[base^(16^k) mod modulus for k in range(length)]``."""
         width = (modulus.bit_length() + 7) // 8
@@ -484,9 +481,6 @@ class ColumnCache(TableCache):
     at windows 4 and 5).
     """
 
-    def __init__(self, max_bytes: int = COLUMN_CACHE_BYTES) -> None:
-        super().__init__(max_bytes)
-
     def tables(self, bases: tuple[int, ...], fixed_base: int, modulus: int,
                window: int | None, comb_window: int, comb_windows: int
                ) -> list[int]:
@@ -512,8 +506,8 @@ class ColumnCache(TableCache):
 
 #: The caches :class:`SharedBaseMultiExp` takes chains from by default
 #: and :meth:`~repro.fe.feip.Feip.decrypt_rows` takes column tables from.
-GLOBAL_CHAIN_CACHE = ChainCache()
-GLOBAL_COLUMN_CACHE = ColumnCache()
+GLOBAL_CHAIN_CACHE = ChainCache(CHAIN_CACHE_BYTES)
+GLOBAL_COLUMN_CACHE = ColumnCache(COLUMN_CACHE_BYTES)
 
 
 def _collect_global_table_caches() -> dict[str, int]:

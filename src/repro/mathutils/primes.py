@@ -17,16 +17,16 @@ _SMALL_PRIMES = (
     139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199,
 )
 
-DEFAULT_MILLER_RABIN_ROUNDS = 40
+#: Miller-Rabin witnesses :func:`is_probable_prime` tries.
+MILLER_RABIN_ROUNDS = 40
 
 
-def is_probable_prime(n: int, rounds: int = DEFAULT_MILLER_RABIN_ROUNDS,
-                      rng: random.Random | None = None) -> bool:
-    """Return True if ``n`` passes trial division and Miller-Rabin.
+def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
+    """Return True if ``n`` passes trial division and
+    :data:`MILLER_RABIN_ROUNDS` rounds of Miller-Rabin.
 
     Args:
         n: candidate integer.
-        rounds: number of Miller-Rabin witnesses to try.
         rng: optional random source (useful for reproducible tests).
     """
     if n < 2:
@@ -39,7 +39,7 @@ def is_probable_prime(n: int, rounds: int = DEFAULT_MILLER_RABIN_ROUNDS,
     while d % 2 == 0:
         d //= 2
         r += 1
-    for _ in range(rounds):
+    for _ in range(MILLER_RABIN_ROUNDS):
         a = rng.randrange(2, n - 1)
         x = pow(a, d, n)
         if x == 1 or x == n - 1:

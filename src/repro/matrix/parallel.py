@@ -487,13 +487,18 @@ class SecureComputePool:
         Each new lane forks its worker here, under the pool lock: two
         lanes forking from concurrent dispatches could each leak a pipe
         end into the other's worker, and a worker holding another
-        lane's process sentinel would hide that lane's next crash.
+        lane's process sentinel would hide that lane's next crash.  The
+        ``fork`` context is named, so a process-wide start method
+        (``forkserver`` is Python 3.14's Linux default) cannot turn a
+        lane's first dispatch into a server round trip and a re-import.
         """
         with self._lock:
             for index, lane in enumerate(self._lanes):
                 if lane is None:
                     lane = ProcessPoolExecutor(
-                        max_workers=1, initializer=_init_worker,
+                        max_workers=1,
+                        mp_context=multiprocessing.get_context("fork"),
+                        initializer=_init_worker,
                         initargs=(index if self.pin_workers else None,))
                     # a first task forks the lane's worker now; its
                     # result is not needed, and a worker that dies

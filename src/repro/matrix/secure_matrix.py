@@ -114,37 +114,26 @@ class SecureMatrixScheme:
     authority entity in :mod:`repro.core.entities`) and are passed
     explicitly to the key-derivation methods, mirroring the trust split.
 
-    The server-side computations make one dispatch on ``pool``: a
-    persistent :class:`~repro.matrix.parallel.SecureComputePool` when
-    the constructor gets one, else an
-    :class:`~repro.matrix.parallel.InlineExecutor` that runs the same
+    The server-side computations make one dispatch on an
+    :class:`~repro.matrix.parallel.InlineExecutor` that runs the
     chunked decryption in the calling thread with this scheme's
-    ``feip``/``febo`` and ``solver_cache``.
-    Symmetrically, an attached :class:`~repro.fe.engine.EncryptionEngine`
-    (:meth:`use_engine`) routes the client-side
-    :meth:`pre_process_encryption` through precomputed nonce material
-    and pool-parallel bulk encryption.
+    ``feip``/``febo`` and ``solver_cache``.  The client side encrypts
+    with the plain :meth:`Feip.encrypt <repro.fe.feip.Feip.encrypt>` /
+    :meth:`Febo.encrypt <repro.fe.febo.Febo.encrypt>`, one fresh nonce
+    per call: the path the Figure 3-5 benches time.  The trainers reach
+    the compute pool and the encryption engine through
+    :mod:`repro.core.entities` instead.
     """
 
     def __init__(self, params: GroupParams,
-                 feip_mpk: FeipPublicKey | None = None,
-                 febo_mpk: FeboPublicKey | None = None,
                  rng: random.Random | None = None,
-                 solver_cache: SolverCache | None = None,
-                 pool=None, engine=None):
+                 solver_cache: SolverCache | None = None):
         self.params = params
         self.feip = Feip(params, rng=rng, solver_cache=solver_cache)
         self.febo = Febo(params, rng=rng, solver_cache=solver_cache)
-        self.feip_mpk = feip_mpk
-        self.febo_mpk = febo_mpk
-        self.pool = pool or InlineExecutor(self.feip, self.febo,
-                                           solver_cache)
-        self.engine = engine
-
-    def use_engine(self, engine) -> "SecureMatrixScheme":
-        """Attach (or detach, with None) an offline/online encryption engine."""
-        self.engine = engine
-        return self
+        self.feip_mpk: FeipPublicKey | None = None
+        self.febo_mpk: FeboPublicKey | None = None
+        self.pool = InlineExecutor(self.feip, self.febo, solver_cache)
 
     # -- setup (authority) ---------------------------------------------------
     def setup(self, column_length: int) -> tuple[FeipMasterKey, FeboMasterKey]:
@@ -170,29 +159,13 @@ class SecureMatrixScheme:
                     f"FEIP key supports columns of length {self.feip_mpk.eta}, "
                     f"matrix has {rows} rows"
                 )
-            if self.engine is not None:
-                feip_columns = self.engine.encrypt_feip_columns(
-                    self.feip_mpk, [list(x[:, j]) for j in range(cols)])
-            else:
-                feip_columns = [
-                    self.feip.encrypt(self.feip_mpk, list(x[:, j]))
-                    for j in range(cols)
-                ]
+            feip_columns = [self.feip.encrypt(self.feip_mpk, list(x[:, j]))
+                            for j in range(cols)]
         if with_febo:
             if self.febo_mpk is None:
                 raise CiphertextError("no FEBO public key; run setup() first")
-            if self.engine is not None:
-                flat = self.engine.encrypt_febo_values(
-                    self.febo_mpk, [x[i, j] for i in range(rows)
-                                    for j in range(cols)])
-                febo_elements = [flat[i * cols:(i + 1) * cols]
-                                 for i in range(rows)]
-            else:
-                febo_elements = [
-                    [self.febo.encrypt(self.febo_mpk, x[i, j])
-                     for j in range(cols)]
-                    for i in range(rows)
-                ]
+            febo_elements = [[self.febo.encrypt(self.febo_mpk, x[i, j])
+                              for j in range(cols)] for i in range(rows)]
         return EncryptedMatrix((rows, cols), feip_columns, febo_elements)
 
     # -- authority side -----------------------------------------------------------

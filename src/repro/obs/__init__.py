@@ -8,9 +8,8 @@ ROADMAP.md ("Ops surface").
 """
 
 from repro.obs.metrics import (
+    BUCKETS,
     Counter,
-    DEFAULT_BUCKETS,
-    Gauge,
     GLOBAL_REGISTRY,
     Histogram,
     MetricsRegistry,
@@ -18,9 +17,8 @@ from repro.obs.metrics import (
 from repro.obs.tracing import GLOBAL_TRACER, SpanTracer
 
 __all__ = [
+    "BUCKETS",
     "Counter",
-    "DEFAULT_BUCKETS",
-    "Gauge",
     "GLOBAL_REGISTRY",
     "GLOBAL_TRACER",
     "Histogram",

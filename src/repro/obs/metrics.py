@@ -1,4 +1,4 @@
-"""Process-wide metrics registry: counters, gauges, histograms.
+"""Process-wide metrics registry: counters, histograms, collectors.
 
 Deliberately stdlib-only (``threading`` + ``weakref``) so the lowest
 layers of the codebase -- ``mathutils.group``, ``mathutils.dlog``,
@@ -13,7 +13,7 @@ Design constraints:
   register a *collector* -- a bound method the registry calls only at
   ``snapshot()`` time.  The only direct-write call sites are rare
   events (comb-table builds, span completions).
-* **Thread-safe and loss-free.**  Counter/gauge/histogram mutation is
+* **Thread-safe and loss-free.**  Counter/histogram mutation is
   a single locked update; collectors are held through
   :class:`weakref.WeakMethod` so dead instances silently drop out of
   the scrape instead of keeping objects alive or raising.
@@ -27,7 +27,8 @@ from multiple collectors that report the same metric name are
 **summed** -- two compute pools in one process aggregate into a single
 ``repro_pool_dispatches_total`` figure, which is the semantics every
 consumer here wants.  Names ending in ``_total`` land in the
-``counters`` section of the snapshot, everything else in ``gauges``.
+``counters`` section of the snapshot, everything else in ``gauges``:
+every gauge comes from a collector.
 """
 
 from __future__ import annotations
@@ -35,22 +36,22 @@ from __future__ import annotations
 import math
 import threading
 import weakref
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "GLOBAL_REGISTRY",
-    "DEFAULT_BUCKETS",
+    "BUCKETS",
 ]
 
-# Time-oriented boundaries (seconds) suiting the paper's cost profile:
-# sub-millisecond plain layers up through multi-second secure phases.
-# An implicit +Inf bucket is always appended, so memory per histogram
-# is bounded by len(buckets) + 1 regardless of observation count.
-DEFAULT_BUCKETS = (
+# Every histogram's boundaries (seconds), suiting the paper's cost
+# profile: sub-millisecond plain layers up through multi-second secure
+# phases.  An implicit +Inf bucket is always appended, so memory per
+# histogram is bounded by len(BUCKETS) + 1 regardless of observation
+# count.
+BUCKETS = (
     0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
     10.0, 30.0, 60.0,
 )
@@ -75,31 +76,8 @@ class Counter:
             return self._value
 
 
-class Gauge:
-    """A value that can go up and down (depths, occupancies, flags)."""
-
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value = 0
-
-    def set(self, value: int | float) -> None:
-        with self._lock:
-            self._value = value
-
-    def inc(self, amount: int | float = 1) -> None:
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> int | float:
-        with self._lock:
-            return self._value
-
-
 class Histogram:
-    """Fixed-boundary histogram with bounded memory.
+    """Histogram over :data:`BUCKETS` with bounded memory.
 
     Buckets are cumulative-style at snapshot time (Prometheus ``le``
     semantics); internally each observation increments exactly one
@@ -107,25 +85,20 @@ class Histogram:
     short boundary tuple.
     """
 
-    __slots__ = ("_boundaries", "_counts", "_count", "_sum", "_lock")
+    __slots__ = ("_counts", "_count", "_sum", "_lock")
 
-    def __init__(self, buckets: Iterable[float] = DEFAULT_BUCKETS) -> None:
-        bounds = tuple(sorted(float(b) for b in buckets))
-        if not bounds:
-            raise ValueError("histogram needs at least one bucket boundary")
-        self._boundaries = bounds
-        self._counts = [0] * (len(bounds) + 1)  # final slot is +Inf
+    def __init__(self) -> None:
+        self._counts = [0] * (len(BUCKETS) + 1)  # final slot is +Inf
         self._count = 0
         self._sum = 0.0
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
         value = float(value)
-        bounds = self._boundaries
-        lo, hi = 0, len(bounds)
+        lo, hi = 0, len(BUCKETS)
         while lo < hi:
             mid = (lo + hi) // 2
-            if value <= bounds[mid]:
+            if value <= BUCKETS[mid]:
                 hi = mid
             else:
                 lo = mid + 1
@@ -145,7 +118,7 @@ class Histogram:
             running += c
             cumulative.append(running)
         return {
-            "le": [*self._boundaries, "+Inf"],
+            "le": [*BUCKETS, "+Inf"],
             "counts": cumulative,
             "count": total,
             "sum": acc,
@@ -168,7 +141,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         self._collectors: dict[str, Any] = {}
 
@@ -181,19 +153,11 @@ class MetricsRegistry:
                 metric = self._counters[name] = Counter()
             return metric
 
-    def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            metric = self._gauges.get(name)
-            if metric is None:
-                metric = self._gauges[name] = Gauge()
-            return metric
-
-    def histogram(self, name: str,
-                  buckets: Iterable[float] = DEFAULT_BUCKETS) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         with self._lock:
             metric = self._histograms.get(name)
             if metric is None:
-                metric = self._histograms[name] = Histogram(buckets)
+                metric = self._histograms[name] = Histogram()
             return metric
 
     # -- collectors --------------------------------------------------------
@@ -222,7 +186,7 @@ class MetricsRegistry:
         """One consistent, JSON-safe view of every metric + collector."""
         with self._lock:
             counters = {n: c.value for n, c in self._counters.items()}
-            gauges = {n: g.value for n, g in self._gauges.items()}
+            gauges: dict[str, int | float] = {}
             hists = {n: h.snapshot() for n, h in self._histograms.items()}
             collectors = list(self._collectors.items())
         dead = []
@@ -271,14 +235,6 @@ class MetricsRegistry:
             lines.append(f"{base}_sum{suffix} {_fmt(hist['sum'])}")
             lines.append(f"{base}_count{suffix} {hist['count']}")
         return "\n".join(lines) + ("\n" if lines else "")
-
-    def reset(self) -> None:
-        """Drop every metric and collector (tests only)."""
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-            self._collectors.clear()
 
 
 def _fmt(value: int | float) -> str:

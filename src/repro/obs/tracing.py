@@ -31,6 +31,9 @@ from typing import Any, TextIO
 
 __all__ = ["SpanTracer", "GLOBAL_TRACER"]
 
+#: completed spans a tracer's ring buffer keeps
+SPAN_CAPACITY = 4096
+
 
 class _NullSpan:
     """Shared no-op context manager returned while tracing is off."""
@@ -73,11 +76,10 @@ class _Span:
 class SpanTracer:
     """Nestable spans with ``perf_counter`` timings in a ring buffer."""
 
-    def __init__(self, capacity: int = 4096) -> None:
+    def __init__(self) -> None:
         self.enabled = False
-        self._capacity = capacity
         self._records: collections.deque[dict[str, Any]] = \
-            collections.deque(maxlen=capacity)
+            collections.deque(maxlen=SPAN_CAPACITY)
         self._lock = threading.Lock()
         self._local = threading.local()
         self._file: TextIO | None = None

@@ -25,7 +25,11 @@ bytes between actual processes:
 
 The training server batches per-iteration key requests into one framed
 envelope (``CryptoNNConfig.batch_key_requests``), collapsing the
-k x n x |w| request fan-out into a single round trip.
+k x n x |w| request fan-out into a single round trip.  Both ends pack
+every weight in :data:`repro.core.serialization.KEY_WEIGHT_BYTES`
+(the paper's ``|w|``) bytes, so the handshake carries no width and a
+:class:`~repro.rpc.messages.WireContext` holds only the group
+parameters.
 
 Fault tolerance lives in three sibling modules: :mod:`repro.rpc.retry`
 (the runtime-wide :class:`RetryPolicy` / :class:`RetryStats`

@@ -68,8 +68,7 @@ class AuthorityService(FramedService):
             authority.traffic.max_records = self.MAX_RECORDS_PER_LOG
 
     def _wire_context(self) -> WireContext:
-        return WireContext(self.authority.params,
-                           self.authority.config.key_weight_bytes)
+        return WireContext(self.authority.params)
 
     def _dispatch(self, msg, sender: str):
         if isinstance(msg, PublicParamsRequest):

@@ -398,7 +398,7 @@ class RemoteAuthority:
             raise
         self.params = resp.group
         self.config = resp.make_config()
-        self._ctx = WireContext(self.params, self.config.key_weight_bytes)
+        self._ctx = WireContext(self.params)
         self.feip = Feip(self.params, rng=rng)
         self.febo = Febo(self.params, rng=rng)
         self._feip_mpks: dict[int, FeipPublicKey] = dict(resp.feip_keys)

@@ -69,7 +69,6 @@ class WireContext:
     """Decode context: group parameters fix every field width."""
 
     params: GroupParams
-    weight_bytes: int = 8
 
 
 _REGISTRY: dict[str, type] = {}
@@ -375,7 +374,7 @@ class _KeyMessage(_Message):
     def body(self, ctx: WireContext | None = None) -> bytes:
         ctx = _require_ctx(ctx)
         items = getattr(self, self.ITEMS)
-        payload = self.CODEC[0](items, ctx.params, ctx.weight_bytes)
+        payload = self.CODEC[0](items, ctx.params)
         if not self.batched:
             return payload
         return ser.pack_batch_header(len(items), self.eta or 0) + payload
@@ -390,8 +389,7 @@ class _KeyMessage(_Message):
         else:
             count = _coerce(header["kind"], "count", _uint, header["count"])
             eta = _coerce(header["kind"], "eta", _uint, header.get("eta", 0))
-        fields[cls.ITEMS] = cls.CODEC[1](body, count, eta, ctx.params,
-                                         ctx.weight_bytes)
+        fields[cls.ITEMS] = cls.CODEC[1](body, count, eta, ctx.params)
         return super().from_wire(header, body, ctx, batched=batched,
                                  **fields)
 

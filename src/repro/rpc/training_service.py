@@ -170,7 +170,6 @@ def build_mlp(n_features: int, hidden: int, num_classes: int,
 def run_training(dataset: EncryptedTabularDataset, authority, *,
                  hidden: int = 8, epochs: int = 1, batch_size: int = 20,
                  learning_rate: float = 0.5, seed: int = 0,
-                 loss: str = "cross_entropy",
                  config: CryptoNNConfig | None = None,
                  checkpoint_path=None, checkpoint_every: int | None = None,
                  resume: bool = False, checkpoint_trigger=None,
@@ -189,8 +188,7 @@ def run_training(dataset: EncryptedTabularDataset, authority, *,
     The trainer decrypts on ``pool``, or inline without one.
     """
     model = build_mlp(dataset.n_features, hidden, dataset.num_classes, seed)
-    trainer = CryptoNNTrainer(model, authority, config=config, loss=loss,
-                              pool=pool)
+    trainer = CryptoNNTrainer(model, authority, config=config, pool=pool)
     history = trainer.fit(
         dataset, SGD(learning_rate), epochs=epochs, batch_size=batch_size,
         rng=np.random.default_rng(seed),
@@ -335,7 +333,8 @@ class TrainingService(FramedService):
         # (and re-connecting) for hours after "stop".  The attribute
         # stays set so the training thread cannot race in a fresh
         # connection via its None-fallback.
-        self._stopping = True
+        with self._lock:
+            self._stopping = True
         if self._deadline_timer is not None:
             self._deadline_timer.cancel()
         if self.authority is not None:
@@ -346,9 +345,9 @@ class TrainingService(FramedService):
     def _connect_authority(self) -> RemoteAuthority:
         """Blocking: the authority link, handshaking on first use.
 
-        ``stop()`` sets ``_stopping`` before it closes
-        ``self.authority``, so under the GIL a link opened concurrently
-        is either closed by ``stop()`` or caught by the re-check here.
+        ``stop()`` sets ``_stopping`` (under the listener's lock) before
+        it closes ``self.authority``, so a link opened concurrently is
+        either closed by ``stop()`` or caught by the re-check here.
         """
         if self.authority is None:
             if self._stopping:

@@ -195,6 +195,36 @@ def test_lock_discipline_flags_mixed_lock_writes(tmp_path):
     assert "without the lock" in report.active()[0].message
 
 
+def test_lock_discipline_flags_a_subclass_bare_write(tmp_path):
+    """A base class guards ``_stopping`` with its lock; a subclass in
+    another file writes it bare."""
+    report = lint(tmp_path, {
+        "src/repro/rpc/base.py": """\
+            import threading
+
+            class Listener:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._stopping = False
+
+                def stop(self):
+                    with self._lock:
+                        self._stopping = True
+            """,
+        "src/repro/rpc/derived.py": """\
+            from repro.rpc.base import Listener
+
+            class Service(Listener):
+                def stop(self):
+                    self._stopping = True  # bare write: the race
+                    super().stop()
+            """,
+    }, ["lock-discipline"])
+    assert [(f.path, f.line) for f in report.active()] == [
+        ("src/repro/rpc/derived.py", 5)]
+    assert "Service._stopping" in report.active()[0].message
+
+
 def test_lock_discipline_flags_lockless_global_singleton(tmp_path):
     report = lint(tmp_path, {
         "src/repro/mathutils/bad.py": """\
@@ -454,7 +484,7 @@ def test_metrics_naming_flags_scheme_violations(tmp_path):
         "src/repro/obs/bad.py": """\
             def instrument(registry):
                 registry.counter("repro_requests")        # no _total
-                registry.gauge("repro_depth_total")       # gauge w/ _total
+                registry.histogram("repro_depth_total")   # histogram w/ _total
                 registry.counter("requests_total")        # no prefix
                 registry.histogram("repro_Bad-Name")      # charset
 
@@ -470,7 +500,6 @@ def test_metrics_naming_allows_scheme_and_labels(tmp_path):
         "src/repro/obs/ok.py": """\
             def instrument(registry, phase):
                 registry.counter("repro_rpc_retries_total").inc()
-                registry.gauge("repro_pool_workers").set(4)
                 registry.histogram(
                     f'repro_phase_seconds{{phase="{phase}"}}')
 

@@ -22,6 +22,7 @@ from repro.fe.febo import Febo
 from repro.fe.feip import Feip
 from repro.mathutils.fastexp import (
     CHAIN_MAX_ROWS,
+    COLUMN_CACHE_BYTES,
     GLOBAL_CHAIN_CACHE,
     GLOBAL_COLUMN_CACHE,
     ColumnCache,
@@ -172,7 +173,7 @@ class TestColumnCache:
                          self.PARAMS.p) for _ in range(4))
 
     def test_tables_match_a_fresh_build_and_are_reused(self):
-        cache = ColumnCache()
+        cache = ColumnCache(COLUMN_CACHE_BYTES)
         bases = self._bases(1)
         first = self._tables(cache, bases)
         assert first == self._expected(bases)
@@ -183,7 +184,7 @@ class TestColumnCache:
         assert cache.stats()["builds"] == 1
 
     def test_same_bases_under_two_moduli_never_share(self):
-        cache = ColumnCache()
+        cache = ColumnCache(COLUMN_CACHE_BYTES)
         bases = self._bases(2)
         large = GroupParams.predefined(128)
         self._tables(cache, bases)
@@ -193,7 +194,7 @@ class TestColumnCache:
         assert cache.stats()["entries"] == 2
 
     def test_lru_keeps_the_recently_used_column(self):
-        probe = ColumnCache()
+        probe = ColumnCache(COLUMN_CACHE_BYTES)
         self._tables(probe, self._bases(0))
         entry = probe.stats()["bytes"]
         cache = ColumnCache(max_bytes=2 * entry)
@@ -219,7 +220,7 @@ class TestColumnCache:
         columns = [self._bases(seed) for seed in range(6)]
         expected = {(i, w): self._expected(bases, window=w)
                     for i, bases in enumerate(columns) for w in (2, 3)}
-        cache = ColumnCache()
+        cache = ColumnCache(COLUMN_CACHE_BYTES)
         calls, errors = 150, []
 
         def work(seed):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.config import CryptoNNConfig, pow2_round_up
-from repro.mathutils.group import PAPER_SECURITY_BITS
 
 
 class TestPow2RoundUp:
@@ -16,11 +15,6 @@ class TestPow2RoundUp:
 
 
 class TestConfig:
-    def test_paper_preset(self):
-        config = CryptoNNConfig.paper()
-        assert config.security_bits == PAPER_SECURITY_BITS == 256
-        assert config.scale == 100
-
     def test_dot_bound_covers_worst_case(self):
         config = CryptoNNConfig()
         n = 50

@@ -316,13 +316,9 @@ class TestSharedBabySteps:
 def test_an_explicit_empty_solver_cache_is_used(params):
     """A fresh ``SolverCache`` is empty, hence falsy; every site that
     takes one must still use it, not the process-wide cache."""
-    from repro.core.config import CryptoNNConfig
-    from repro.core.entities import TrustedAuthority
-    from repro.core.secure_layers import SecureLinearInput
     from repro.fe.febo import Febo
     from repro.fe.feip import Feip
     from repro.matrix.parallel import InlineExecutor
-    from repro.nn.layers import Dense
 
     cache = SolverCache()
     assert not cache
@@ -332,10 +328,5 @@ def test_an_explicit_empty_solver_cache_is_used(params):
     assert febo._solver_cache is cache
     assert InlineExecutor(feip, febo, solver_cache=cache)._solver_cache \
         is cache
-    authority = TrustedAuthority(CryptoNNConfig(security_bits=32))
-    layer = SecureLinearInput(Dense(2, 2), authority, authority.config,
-                              solver_cache=cache)
-    assert layer._cache is cache
-    assert layer._pool._solver_cache is cache
     feip.solver_for(50)
     assert len(cache) == 1

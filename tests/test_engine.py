@@ -26,7 +26,11 @@ from repro.fe.febo import Febo
 from repro.fe.feip import Feip
 from repro.fe.keys import key_fingerprint
 from repro.matrix import parallel
-from repro.matrix.secure_matrix import SecureMatrixScheme, matrix_bound_dot
+from repro.matrix.secure_matrix import (
+    EncryptedMatrix,
+    SecureMatrixScheme,
+    matrix_bound_dot,
+)
 from repro.mathutils.group import GroupParams, SchnorrGroup
 from repro.security.indcpa import (
     EngineFeboAdapter,
@@ -359,27 +363,26 @@ class TestPartlyBankedBulk:
 
 
 class TestSchemeAndEntityIntegration:
-    def test_secure_matrix_scheme_with_engine(self, params, rng,
-                                              solver_cache):
+    def test_engine_columns_decrypt_through_the_scheme(self, params, rng,
+                                                       solver_cache):
         scheme = SecureMatrixScheme(params, rng=rng,
                                     solver_cache=solver_cache)
         msk_ip, _ = scheme.setup(column_length=2)
-        scheme.use_engine(EncryptionEngine(params, rng=random.Random(9)))
+        engine = EncryptionEngine(params, rng=random.Random(9))
         x = np.array([[1, 2, 3], [4, 5, 6]], dtype=object)
         y = np.array([[1, 1]], dtype=object)
-        enc = scheme.pre_process_encryption(x)
+        enc = EncryptedMatrix(x.shape, engine.encrypt_feip_columns(
+            scheme.feip_mpk, [list(x[:, j]) for j in range(3)]), None)
         keys = scheme.derive_dot_keys(msk_ip, y)
         out = scheme.secure_dot(enc, keys, matrix_bound_dot(6, 1, 2))
         np.testing.assert_array_equal(out, y @ x)
-        assert scheme.engine.misses > 0  # cold store still correct
+        assert engine.misses > 0  # cold store still correct
 
     def test_client_engine_policy(self, params):
-        """An explicit engine wins; otherwise one over the authority's
-        schemes, on the shared pool when ``workers`` is set."""
+        """An engine over the authority's schemes, on the shared pool
+        when ``workers`` is set."""
         authority = TrustedAuthority(CryptoNNConfig(security_bits=32),
                                      rng=random.Random(0))
-        explicit = EncryptionEngine(params)
-        assert Client(authority, engine=explicit).engine is explicit
         serial = Client(authority).engine
         assert serial.pool is None and serial.feip is authority.feip
         try:
@@ -390,22 +393,23 @@ class TestSchemeAndEntityIntegration:
             parallel.shutdown_compute_pools()
 
     def test_client_with_engine_dataset_trains_identically(self, params):
-        """Engine-encrypted datasets decrypt to the same integers."""
+        """Serial and pooled engines' datasets decrypt to the same
+        integers."""
         features = np.array([[0.5, -0.25], [0.125, 0.75]])
         labels = np.array([0, 1])
         authority = TrustedAuthority(CryptoNNConfig(security_bits=32),
                                      rng=random.Random(0))
-        plain_client = Client(authority)
-        engine_client = Client(
-            authority, engine=EncryptionEngine(params,
-                                               rng=random.Random(1)))
-        ds_plain = plain_client.encrypt_tabular(features, labels, 2)
-        ds_engine = engine_client.encrypt_tabular(features, labels, 2)
+        try:
+            ds_plain = Client(authority).encrypt_tabular(features, labels, 2)
+            ds_pooled = Client(authority, workers=1).encrypt_tabular(
+                features, labels, 2)
+        finally:
+            parallel.shutdown_compute_pools()
         # decrypt the first sample's feature vector both ways
         msk = authority._feip_pairs[2][1]
         mpk = authority.feip_public_key(2)
         key = authority.feip.key_derive(msk, [1, 1])
-        for ds in (ds_plain, ds_engine):
+        for ds in (ds_plain, ds_pooled):
             value = authority.feip.decrypt(
                 mpk, ds.samples[0].features_ip, key, bound=1000)
             assert value == 50 + (-25)  # scale-100 fixed point

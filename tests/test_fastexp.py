@@ -328,18 +328,18 @@ class TestPoolMatchesSequential:
         ew_bound = matrix_bound_elementwise("+", 9, 9)
         serial_dot = scheme.secure_dot(enc, dot_keys, dot_bound)
         serial_ew = scheme.secure_elementwise(enc, ew_keys, ew_bound)
+        cells = [(ew_keys[i][j], ct)
+                 for i, row in enumerate(enc.require_febo())
+                 for j, ct in enumerate(row)]
         with SecureComputePool(workers=2) as pool:
-            pooled = SecureMatrixScheme(
-                params, feip_mpk=scheme.feip_mpk, febo_mpk=scheme.febo_mpk,
-                rng=rng, solver_cache=solver_cache, pool=pool,
-            )
             for _ in range(2):  # reuse across repeated calls
                 np.testing.assert_array_equal(
-                    pooled.secure_dot(enc, dot_keys, dot_bound), serial_dot
-                )
+                    pool.secure_dot(params, scheme.feip_mpk,
+                                    enc.require_feip(), dot_keys, dot_bound),
+                    serial_dot)
                 np.testing.assert_array_equal(
-                    pooled.secure_elementwise(enc, ew_keys, ew_bound),
-                    serial_ew,
-                )
+                    pool.secure_elementwise(params, scheme.febo_mpk, cells,
+                                            enc.shape, ew_bound),
+                    serial_ew)
             assert pool.executors_created == pool.workers
             assert pool.dispatches == 4

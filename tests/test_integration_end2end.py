@@ -86,12 +86,13 @@ class TestFederatedClinics:
         trainer.fit(merged, SGD(0.1), epochs=1, batch_size=len(merged),
                     max_batches=1, rng=np.random.default_rng(1))
         from repro.core.serialization import (
+            KEY_WEIGHT_BYTES,
             exponent_size_bytes,
             feip_key_request_wire_size,
         )
         upload = authority.traffic.total_bytes(
             sender=protocol.SERVER, kind=protocol.KIND_FEIP_KEY_REQUEST)
-        w = authority.config.key_weight_bytes
+        w = KEY_WEIGHT_BYTES
         # first-layer request: k rows of n weights; the loss adds one
         # request of num_classes weights per sample
         expected_first_layer = k * n * w

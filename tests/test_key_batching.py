@@ -53,11 +53,11 @@ class TestAuthorityBatchMethods:
         assert authority.traffic.total_bytes(
             kind=protocol.KIND_FEIP_KEY_BATCH_REQUEST) == \
             ser.feip_key_batch_request_wire_size(
-                2, 3, authority.params, authority.config.key_weight_bytes)
+                2, 3, authority.params)
         assert authority.traffic.total_bytes(
             kind=protocol.KIND_FEIP_KEY_BATCH_RESPONSE) == \
             ser.feip_key_batch_response_wire_size(
-                2, 3, authority.params, authority.config.key_weight_bytes)
+                2, 3, authority.params)
 
     def test_batch_keys_identical_to_unbatched(self, authority):
         rows = [[7, -8, 9]]
@@ -75,7 +75,7 @@ class TestAuthorityBatchMethods:
         assert authority.traffic.total_bytes(
             kind=protocol.KIND_FEBO_KEY_BATCH_REQUEST) == \
             ser.febo_key_batch_request_wire_size(
-                2, authority.params, authority.config.key_weight_bytes)
+                2, authority.params)
 
     def test_empty_batches_are_silent(self, authority):
         assert authority.derive_feip_keys_batch([]) == []
@@ -110,7 +110,7 @@ class TestBatchedTraining:
         k, n, m = 5, 4, 12
         unbatched, _, _ = _one_iteration(False, k, n, m)
         batched, _, _ = _one_iteration(True, k, n, m)
-        w = unbatched.config.key_weight_bytes
+        w = ser.KEY_WEIGHT_BYTES
         plain_up = unbatched.traffic.total_bytes(
             kind=protocol.KIND_FEIP_KEY_REQUEST)
         batch_up = batched.traffic.total_bytes(

@@ -3,11 +3,15 @@
 Parses every non-test ``.py`` file under ``src/``, ``benchmarks/`` and
 ``examples/`` and collects the ``repro`` modules they import.  A module
 no such file imports exists only for its tests: delete it, or wire it
-into the program.  The same holds one level down for the number theory,
-the FE schemes and the RPC layer: every public function and method of
-``repro.mathutils``, ``repro.fe`` and ``repro.rpc`` must be named by
-such a file, and every keyword-only option of a public ``repro.rpc``
-constructor must be set by one.
+into the program.  The same holds one level down for the crypto core,
+the number theory, the FE schemes, the matrix layer, observability and
+the RPC layer: every public function and method of ``repro.core``,
+``repro.fe``, ``repro.mathutils``, ``repro.matrix``, ``repro.obs`` and
+``repro.rpc`` must be named by such a file.  Every keyword-only option
+of a public ``repro.rpc`` constructor, and every defaulted parameter of
+a public constructor, function or method in the other five packages,
+must be set by one.  A dataclass's fields are a record's state, not
+options, and are not checked.
 
 A package's ``__init__`` re-exporting a module of its own does not
 count as an importer; a file outside the package that imports the
@@ -45,15 +49,45 @@ ALLOWED_UNREFERENCED = {
         "reproduces the predefined groups' parameter search",
     "repro.mathutils.group.GroupParams.validate":
         "checks every predefined group in tests/test_group.py",
+    "repro.core.policy.KeyReleasePolicy.grants": "wired by ROADMAP item 5",
+    "repro.core.policy.KeyReleasePolicy.refusals":
+        "wired by ROADMAP item 5",
+    "repro.core.serialization.feip_ciphertext_wire_size":
+        "the Section IV-B2 formula the wire tests compare against",
+    "repro.matrix.parallel.SecureComputePool.worker_pids":
+        "ROADMAP item 14's tests find pool workers through it",
 }
 
 #: Packages whose public functions and methods must each be named by
 #: shipped code.
-REFERENCED_PACKAGES = ("repro.mathutils", "repro.fe", "repro.rpc")
+REFERENCED_PACKAGES = ("repro.core", "repro.fe", "repro.mathutils",
+                       "repro.matrix", "repro.obs", "repro.rpc")
 
-#: Keyword-only constructor options of :data:`OPTION_PACKAGE` allowed
-#: to be set by tests alone, with why.
+#: Options of :data:`OPTION_PACKAGE` and
+#: :data:`DEFAULTED_OPTION_PACKAGES` allowed to be set by tests alone,
+#: with why.
 ALLOWED_TEST_ONLY_OPTIONS = {
+    "repro.core.entities.TrustedAuthority(permitted_ops=)":
+        "wired by ROADMAP item 5",
+    "repro.core.entities.TrustedAuthority(policy=)":
+        "wired by ROADMAP item 5",
+    **{f"repro.core.entities.TrustedAuthority.{method}(requester=)":
+       "wired by ROADMAP item 5"
+       for method in ("derive_feip_keys", "derive_feip_keys_batch",
+                      "derive_febo_keys", "derive_febo_keys_batch",
+                      "derive_febo_key_sets")},
+    "repro.fe.feip.Feip(solver_cache=)":
+        "handed through: the Figure 3-5 benches set "
+        "SecureMatrixScheme(solver_cache=)",
+    "repro.fe.febo.Febo(solver_cache=)":
+        "handed through: the Figure 3-5 benches set "
+        "SecureMatrixScheme(solver_cache=)",
+    "repro.mathutils.primes.gen_safe_prime(rng=)":
+        "handed through from GroupParams.generate",
+    "repro.mathutils.primes.is_probable_prime(rng=)":
+        "handed through from GroupParams.generate",
+    "repro.mathutils.group.GroupParams.generate(rng=)":
+        "tests seed the parameter search",
     "repro.rpc.supervisor.Supervisor(sleep=)":
         "tests substitute a fake sleep",
     "repro.rpc.supervisor.Supervisor(clock=)":
@@ -70,6 +104,11 @@ ALLOWED_TEST_ONLY_OPTIONS = {
 #: Package whose public constructors' keyword-only options must each be
 #: set by shipped code.
 OPTION_PACKAGE = "repro.rpc"
+
+#: Packages where every defaulted parameter of a public constructor,
+#: function or method must be set by shipped code.
+DEFAULTED_OPTION_PACKAGES = ("repro.core", "repro.fe", "repro.matrix",
+                             "repro.mathutils", "repro.obs")
 
 
 def _module_name(path: Path) -> str:
@@ -171,6 +210,24 @@ def test_no_module_imports_asyncio():
     assert not importers, f"{importers} import asyncio"
 
 
+def test_every_process_pool_names_its_start_method():
+    """Pool workers fork, whatever start method the process set: every
+    ``ProcessPoolExecutor`` in ``src/repro`` passes ``mp_context=``."""
+    unnamed = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            callee = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if callee == "ProcessPoolExecutor" and not any(
+                    kw.arg == "mp_context" for kw in node.keywords):
+                unnamed.append(f"{_module_name(path)}:{node.lineno}")
+    assert not unnamed, f"{unnamed} build a ProcessPoolExecutor " \
+        f"without mp_context="
+
+
 def _public_callables(path: Path) -> dict[str, str]:
     """qualified name -> bare name of every public top-level function
     and public method of a public top-level class in ``path``."""
@@ -219,10 +276,30 @@ def test_every_public_function_has_a_non_test_reference():
         f"{now_referenced} have references now; drop them from the list")
 
 
-def _constructor_options(package: str) -> dict[str, tuple[str, str]]:
-    """``"module.Class(option=)"`` -> ``(Class, option)`` for every
-    keyword-only parameter of a public top-level class's ``__init__``
-    in ``package``."""
+def _signature(fn: ast.FunctionDef, method: bool
+               ) -> list[tuple[str, int | None, bool]]:
+    """``(name, positional index, has_default)`` for each parameter of
+    ``fn``, without a method's ``self``/``cls``."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    defaulted = len(positional) - len(args.defaults)
+    out = [(arg.arg, i, i >= defaulted) for i, arg in enumerate(positional)]
+    out += [(arg.arg, None, default is not None)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults)]
+    if method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                          for d in fn.decorator_list):
+        out = [(name, None if i is None else i - 1, dflt)
+               for name, i, dflt in out[1:]]
+    return out
+
+
+Option = tuple[str, str, "int | None"]
+
+
+def _constructor_options(package: str) -> dict[str, Option]:
+    """``"module.Class(option=)"`` -> ``(Class, option, index)`` for
+    every keyword-only parameter of a public top-level class's
+    ``__init__`` in ``package``."""
     out = {}
     for path in sorted(SRC.joinpath(*package.split(".")).glob("*.py")):
         module = _module_name(path)
@@ -234,39 +311,94 @@ def _constructor_options(package: str) -> dict[str, tuple[str, str]]:
                         and item.name == "__init__":
                     out.update(
                         (f"{module}.{node.name}({arg.arg}=)",
-                         (node.name, arg.arg))
+                         (node.name, arg.arg, None))
                         for arg in item.args.kwonlyargs)
     return out
 
 
-def _keywords_set() -> set[tuple[str, str]]:
-    """``(callee, keyword)`` for every keyword argument the shipped
-    files pass, where the callee is the called name or attribute.
+def _defaulted_options(package: str) -> dict[str, Option]:
+    """``"module.Name(option=)"`` -> ``(callee, option, index)`` for
+    every defaulted parameter of a public constructor, public top-level
+    function and public method of a public top-level class in
+    ``package``; ``index`` is where a positional argument sets it,
+    ``None`` for keyword-only."""
+    out = {}
 
-    A same-name pass-through (``policy=policy``) sets nothing: it only
-    hands on what its own caller chose."""
-    out = set()
-    for path in _shipped_files():
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if not isinstance(node, ast.Call):
+    def add(qualified, callee, signature):
+        out.update((f"{qualified}({name}=)", (callee, name, index))
+                   for name, index, has_default in signature if has_default)
+
+    for path in sorted(SRC.joinpath(*package.split(".")).glob("*.py")):
+        module = _module_name(path)
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(node, (ast.ClassDef, ast.FunctionDef)) \
+                    or node.name.startswith("_"):
                 continue
+            if isinstance(node, ast.FunctionDef):
+                add(f"{module}.{node.name}", node.name,
+                    _signature(node, method=False))
+                continue
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                if item.name == "__init__":
+                    add(f"{module}.{node.name}", node.name,
+                        _signature(item, method=True))
+                elif not item.name.startswith("_"):
+                    add(f"{module}.{node.name}.{item.name}", item.name,
+                        _signature(item, method=True))
+    return out
+
+
+def _arguments_set() -> set[tuple[str, str | int]]:
+    """``(callee, keyword)`` and ``(callee, index)`` for every argument
+    the shipped files pass, where the callee is the called name or
+    attribute and ``index`` a positional argument's place.
+
+    A same-name pass-through (``policy=policy``) of the enclosing
+    function's own parameter sets nothing: it only hands on what its
+    own caller chose.  The same name bound locally
+    (``pool = get_compute_pool(1)`` then ``pool=pool``) sets it, and so
+    does a nested function's parameter, which only the function around
+    it can set."""
+    out = set()
+
+    def visit(node: ast.AST, params: frozenset[str] | None) -> None:
+        if params is None and isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = frozenset(a.arg for a in (
+                args.posonlyargs + args.args + args.kwonlyargs
+                + [a for a in (args.vararg, args.kwarg) if a]))
+        elif isinstance(node, ast.Call):
             func = node.func
             callee = func.id if isinstance(func, ast.Name) else \
                 func.attr if isinstance(func, ast.Attribute) else None
+            out.update((callee, i) for i, arg in enumerate(node.args)
+                       if not isinstance(arg, ast.Starred))
             out.update(
                 (callee, kw.arg) for kw in node.keywords
                 if kw.arg is not None and not (
                     isinstance(kw.value, ast.Name)
-                    and kw.value.id == kw.arg))
+                    and kw.value.id == kw.arg and kw.arg in (params or ())))
+        for child in ast.iter_child_nodes(node):
+            visit(child, params)
+
+    for path in _shipped_files():
+        visit(ast.parse(path.read_text(), filename=str(path)), None)
     return out
 
 
-def test_every_rpc_option_is_set_by_shipped_code():
+def test_every_option_is_set_by_shipped_code():
     """An option that only tests set is code no deployment runs: make
     it a constant, or delete the behaviour behind it."""
     options = _constructor_options(OPTION_PACKAGE)
-    set_by_shipped = _keywords_set()
-    unset = {q for q, pair in options.items() if pair not in set_by_shipped}
+    for package in DEFAULTED_OPTION_PACKAGES:
+        options.update(_defaulted_options(package))
+    set_by_shipped = _arguments_set()
+    unset = {q for q, (callee, name, index) in options.items()
+             if (callee, name) not in set_by_shipped
+             and (index is None or (callee, index) not in set_by_shipped)}
     test_only = sorted(unset - set(ALLOWED_TEST_ONLY_OPTIONS))
     assert not test_only, f"only tests set {test_only}"
     now_set = sorted(set(ALLOWED_TEST_ONLY_OPTIONS) - unset)

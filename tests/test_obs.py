@@ -21,8 +21,8 @@ import pytest
 
 from repro.matrix import parallel
 from repro.matrix.secure_matrix import SecureMatrixScheme, matrix_bound_dot
-from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
-from repro.obs.tracing import SpanTracer
+from repro.obs.metrics import BUCKETS, MetricsRegistry
+from repro.obs.tracing import SPAN_CAPACITY, SpanTracer
 from repro.rpc import (
     HealthRequest,
     MetricsRequest,
@@ -56,18 +56,20 @@ class TestRegistry:
 
     def test_histogram_buckets_and_exactness(self):
         registry = MetricsRegistry()
-        hist = registry.histogram("repro_test_seconds", buckets=(0.1, 1.0))
-        for v in (0.05, 0.1, 0.5, 2.0):
+        hist = registry.histogram("repro_test_seconds")
+        for v in (0.0005, 0.001, 0.5, 100.0):
             hist.observe(v)
         snap = hist.snapshot()
-        assert snap["le"] == [0.1, 1.0, "+Inf"]
-        # cumulative (Prometheus le) semantics: <=0.1 -> 2, <=1.0 -> 3
-        assert snap["counts"] == [2, 3, 4]
+        assert snap["le"] == [*BUCKETS, "+Inf"]
+        # cumulative (Prometheus le) semantics: <=0.001 -> 2, <=0.5 -> 3
+        assert snap["counts"][0] == 2
+        assert snap["counts"][BUCKETS.index(0.5)] == 3
+        assert snap["counts"][-2:] == [3, 4]
         assert snap["count"] == 4
-        assert snap["sum"] == pytest.approx(2.65)
+        assert snap["sum"] == pytest.approx(100.5015)
 
     def test_histogram_exact_under_threads(self):
-        hist = MetricsRegistry().histogram("h", buckets=DEFAULT_BUCKETS)
+        hist = MetricsRegistry().histogram("h")
         n_threads, n_obs = 6, 1_000
 
         def work():
@@ -115,10 +117,10 @@ class TestRegistry:
     def test_render_prometheus_smoke(self):
         registry = MetricsRegistry()
         registry.counter("repro_test_hits_total").inc(2)
-        registry.gauge("repro_test_depth").set(7)
+        registry.register_collector("depth",
+                                    lambda: {"repro_test_depth": 7})
         registry.histogram(
-            'repro_phase_seconds{phase="secure-forward"}',
-            buckets=(1.0,)).observe(0.5)
+            'repro_phase_seconds{phase="secure-forward"}').observe(0.5)
         text = registry.render_prometheus()
         assert "# TYPE repro_test_hits_total counter" in text
         assert "repro_test_hits_total 2" in text
@@ -170,15 +172,15 @@ class TestTracer:
         assert totals["secure-forward"]["count"] == 3
 
     def test_ring_buffer_is_bounded(self):
-        tracer = SpanTracer(capacity=8)
+        tracer = SpanTracer()
         tracer.enable()
         try:
-            for _ in range(50):
+            for _ in range(SPAN_CAPACITY + 50):
                 with tracer.span("x"):
                     pass
         finally:
             tracer.disable()
-        assert len(tracer.spans()) == 8
+        assert len(tracer.spans()) == SPAN_CAPACITY
 
 
 class TestPoolCounters:

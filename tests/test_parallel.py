@@ -524,6 +524,33 @@ def test_workers_are_unpinned_by_default():
             for pid in workers)
 
 
+# a process that asks for forkserver children, then reports its pid and
+# the parent pid its pool's worker sees
+_FORKSERVER_HOLDER = """
+import multiprocessing
+import os
+multiprocessing.set_start_method("forkserver", force=True)
+from repro.matrix.parallel import SecureComputePool
+
+pool = SecureComputePool(1)
+try:
+    print(os.getpid(), pool._start_lanes()[0].submit(os.getppid).result())
+finally:
+    pool.close()
+"""
+
+
+@pytest.mark.timeout_guard(60)
+def test_lanes_fork_whatever_the_default_start_method(repro_env):
+    """A lane's worker is a child of the pool's holder even when the
+    process asks for another start method: lanes always fork."""
+    done = subprocess.run([sys.executable, "-c", _FORKSERVER_HOLDER],
+                          env=repro_env, capture_output=True, text=True,
+                          timeout=50, check=True)
+    holder, worker_parent = done.stdout.split()
+    assert worker_parent == holder
+
+
 #: seconds a dispatch forked under a held lock may take before the
 #: test calls its worker wedged
 FORK_DISPATCH_DEADLINE_S = 10

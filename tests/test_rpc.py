@@ -518,7 +518,7 @@ class TestAuthorityServiceLoopback:
         wired = sum(log.total_bytes(
             kind=protocol.KIND_FEIP_KEY_BATCH_REQUEST) for log in logs)
         assert wired == ser.feip_key_batch_request_wire_size(
-            3, 2, authority.params, authority.config.key_weight_bytes)
+            3, 2, authority.params)
         # the authority's own logical accounting agrees byte-for-byte
         assert wired == authority.traffic.total_bytes(
             kind=protocol.KIND_FEIP_KEY_BATCH_REQUEST)

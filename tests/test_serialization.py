@@ -108,11 +108,12 @@ class TestWireSizes:
     def test_feip_key_size_formula(self, params, feip_objects):
         """Matches the paper's k x |sk| download: sk plus bound vector."""
         _, key = feip_objects
-        size = ser.feip_key_wire_size(key, params, weight_bytes=8)
+        size = ser.feip_key_wire_size(key, params)
         assert size == ser.exponent_size_bytes(params) + 3 * 8
 
     def test_key_request_is_n_times_w(self, params):
-        assert ser.feip_key_request_wire_size(10, params, weight_bytes=8) == 80
+        assert ser.KEY_WEIGHT_BYTES == 8
+        assert ser.feip_key_request_wire_size(10, params) == 80
 
     def test_febo_sizes(self, params):
         assert ser.febo_ciphertext_wire_size(params) == 2 * ser.element_size_bytes(params)
