@@ -31,7 +31,6 @@ from repro.core.encdata import DecryptionCounters, shuffled_order
 from repro.core.entities import TrustedAuthority
 from repro.core.secure_layers import (
     SecureLinearInput,
-    SecureMSE,
     SecureSoftmaxCrossEntropy,
 )
 from repro.matrix.parallel import SecureComputePool
@@ -41,6 +40,9 @@ from repro.nn.layers import Dense
 from repro.nn.metrics import accuracy
 from repro.nn.model import Sequential, TrainingHistory
 from repro.nn.optimizers import Optimizer
+
+#: Samples per :meth:`_SecureTrainerBase.predict` call in ``evaluate``.
+EVALUATE_BATCH_SIZE = 64
 
 
 class _SecureTrainerBase:
@@ -63,24 +65,15 @@ class _SecureTrainerBase:
 
     def __init__(self, model: Sequential, authority: TrustedAuthority,
                  config: CryptoNNConfig | None = None,
-                 loss: str = "cross_entropy",
                  pool: SecureComputePool | None = None):
         self.model = model
         self.authority = authority
         self.config = config or authority.config
         self.counters = DecryptionCounters()
         self.compute_pool = pool
-        if loss == "cross_entropy":
-            self.secure_loss = SecureSoftmaxCrossEntropy(
-                authority, self.config, self.counters, pool=self.compute_pool
-            )
-        elif loss == "mse":
-            self.secure_loss = SecureMSE(authority, self.config,
-                                         self.counters,
-                                         pool=self.compute_pool)
-        else:
-            raise ValueError(f"unknown loss {loss!r}")
-        self.loss_name = loss
+        self.secure_loss = SecureSoftmaxCrossEntropy(
+            authority, self.config, self.counters, pool=self.compute_pool
+        )
         first = model.layers[0]
         if not isinstance(first, self.first_layer):
             raise TypeError(
@@ -193,7 +186,6 @@ class _SecureTrainerBase:
             "epochs": int(epochs),
             "shuffle": bool(shuffle),
             "max_batches": max_batches,
-            "loss": self.loss_name,
             "optimizer": type(optimizer).__name__,
         }
 
@@ -328,21 +320,16 @@ class _SecureTrainerBase:
     def predict(self, dataset, indices: np.ndarray | None = None) -> np.ndarray:
         """FE-based prediction (paper Section III-D "Prediction").
 
-        Secure feed-forward + plaintext tail; returns class scores
-        (softmax probabilities for cross-entropy models, raw outputs for
-        MSE models).  The server learns the scores -- the paper's stated
+        Secure feed-forward + plaintext tail; returns the softmax class
+        probabilities.  The server learns them -- the paper's stated
         difference from HE-based prediction.
         """
         if indices is None:
             indices = np.arange(len(dataset))
         z = self._secure_forward(dataset, indices, training=False)
-        out = self._plain_tail_forward(z, training=False)
-        if self.loss_name == "cross_entropy":
-            return softmax(out, axis=1)
-        return out
+        return softmax(self._plain_tail_forward(z, training=False), axis=1)
 
-    def evaluate(self, dataset, indices: np.ndarray | None = None,
-                 batch_size: int = 64) -> float:
+    def evaluate(self, dataset, indices: np.ndarray | None = None) -> float:
         """Accuracy against the harness-only labels."""
         if dataset.eval_labels is None:
             raise ValueError("dataset carries no evaluation labels")
@@ -352,8 +339,8 @@ class _SecureTrainerBase:
             raise ValueError(
                 "evaluate() needs at least one sample index")
         correct = 0
-        for start in range(0, len(indices), batch_size):
-            chunk = indices[start:start + batch_size]
+        for start in range(0, len(indices), EVALUATE_BATCH_SIZE):
+            chunk = indices[start:start + EVALUATE_BATCH_SIZE]
             scores = self.predict(dataset, chunk)
             correct += int(
                 (scores.argmax(axis=1) == dataset.eval_labels[chunk]).sum()

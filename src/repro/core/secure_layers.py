@@ -13,8 +13,7 @@ neural-network training (paper Fig. 1):
   last hidden layer and the encrypted label:
   :class:`SecureSoftmaxCrossEntropy` (loss as the inner product
   ``-<y, log p>`` plus gradient ``P - Y`` via element-wise subtraction,
-  Section III-E2) and :class:`SecureMSE` (the Section III-D quadratic
-  cost).
+  Section III-E2).
 
 Gradient of the first layer's weights
 -------------------------------------
@@ -307,9 +306,8 @@ def _decrypt_label_subtractions(layer: _SecureBase, values: np.ndarray,
                                 ) -> np.ndarray:
     """Decrypt ``Y - values`` element-wise against encrypted one-hot labels.
 
-    Shared by both secure losses (cross-entropy gradient ``P - Y`` and
-    the MSE residuals): one batched key request, then one dispatch
-    decrypts the whole (sample, class) grid.
+    The cross-entropy gradient's ``P - Y``: one batched key request,
+    then one dispatch decrypts the whole (sample, class) grid.
     """
     n, num_classes = values.shape
     bpk = layer.authority.febo_public_key()
@@ -379,33 +377,3 @@ class SecureSoftmaxCrossEntropy(_SecureBase):
         n = probs.shape[0]
         y_minus_p = _decrypt_label_subtractions(self, probs, labels)
         return -y_minus_p / n
-
-
-class SecureMSE(_SecureBase):
-    """Secure quadratic cost (paper Section III-D).
-
-    The server recovers the residuals ``Yhat - Y`` through FEBO
-    subtraction -- exactly the "compute Yhat - Y first" step of the
-    paper's walkthrough -- then forms both the loss and the gradient from
-    them in plaintext.
-    """
-
-    def __init__(self, authority: TrustedAuthority, config: CryptoNNConfig,
-                 counters: DecryptionCounters | None = None,
-                 pool: SecureComputePool | None = None):
-        super().__init__(authority, config, counters, pool)
-        self._residuals: np.ndarray | None = None
-
-    def forward(self, predictions: np.ndarray,
-                labels: Sequence[EncryptedLabel]) -> float:
-        if predictions.shape[0] != len(labels):
-            raise ValueError("batch size mismatch")
-        n = predictions.shape[0]
-        residuals = -_decrypt_label_subtractions(self, predictions, labels)
-        self._residuals = residuals  # yhat - y
-        return float(0.5 * np.sum(residuals ** 2) / n)
-
-    def backward(self, labels: Sequence[EncryptedLabel]) -> np.ndarray:
-        if self._residuals is None:
-            raise RuntimeError("backward called before forward")
-        return self._residuals / self._residuals.shape[0]

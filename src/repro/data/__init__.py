@@ -7,10 +7,9 @@ code path.  :mod:`repro.data.tabular` generates the "federated clinics"
 binary-classification data motivating the paper's introduction.
 """
 
-from repro.data.datasets import Dataset, train_test_split
+from repro.data.datasets import Dataset
 from repro.data.preprocess import (
     LabelMapper,
-    flatten_images,
     normalize_features,
     one_hot,
     shared_feature_scale,
@@ -21,12 +20,10 @@ from repro.data.tabular import load_clinics
 __all__ = [
     "Dataset",
     "LabelMapper",
-    "flatten_images",
     "load_clinics",
     "load_synth_digits",
     "normalize_features",
     "one_hot",
     "render_digit",
     "shared_feature_scale",
-    "train_test_split",
 ]

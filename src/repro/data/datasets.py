@@ -1,4 +1,4 @@
-"""Dataset container and split helpers."""
+"""Dataset container and its shard split."""
 
 from __future__ import annotations
 
@@ -42,15 +42,3 @@ class Dataset:
             raise ValueError("count must be >= 1")
         index_chunks = np.array_split(np.arange(len(self)), count)
         return [self.subset(chunk) for chunk in index_chunks]
-
-
-def train_test_split(dataset: Dataset, test_fraction: float = 0.2,
-                     rng: np.random.Generator | None = None
-                     ) -> tuple[Dataset, Dataset]:
-    """Shuffle and split into train/test datasets."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
-    rng = rng or np.random.default_rng()
-    order = rng.permutation(len(dataset))
-    n_test = max(1, int(len(dataset) * test_fraction))
-    return dataset.subset(order[n_test:]), dataset.subset(order[:n_test])

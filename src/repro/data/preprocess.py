@@ -2,8 +2,8 @@
 
 Two pieces:
 
-* the mechanical encoding (flattening images into vectors, one-hot
-  labels) that precedes encryption, and
+* the mechanical encoding (one-hot labels, shared feature scaling)
+  that precedes encryption, and
 * the **random label mapping** the paper requires before encrypting
   labels ("to prevent a direct inference attack ... the label should be
   mapped to a random number first", Sections III-A and IV-A):
@@ -27,11 +27,6 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     out = np.zeros((labels.shape[0], num_classes), dtype=np.float64)
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
-
-
-def flatten_images(images: np.ndarray) -> np.ndarray:
-    """(N, C, H, W) -> (N, C*H*W), the paper's image-to-vector pretreatment."""
-    return images.reshape(images.shape[0], -1)
 
 
 def shared_feature_scale(features: list[np.ndarray]) -> float:

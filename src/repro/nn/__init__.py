@@ -16,8 +16,8 @@ from repro.nn.activations import relu, sigmoid, softmax, tanh
 from repro.nn.conv import Conv2D
 from repro.nn.layers import Dense, Flatten, ReLU, Sigmoid, Tanh
 from repro.nn.lenet import build_lenet5, build_lenet_small
-from repro.nn.losses import MSELoss, SoftmaxCrossEntropyLoss
-from repro.nn.metrics import accuracy, confusion_matrix
+from repro.nn.losses import SoftmaxCrossEntropyLoss
+from repro.nn.metrics import accuracy
 from repro.nn.model import Sequential, TrainingHistory
 from repro.nn.optimizers import SGD, Adam
 from repro.nn.pooling import AvgPool2D, MaxPool2D
@@ -28,7 +28,6 @@ __all__ = [
     "Conv2D",
     "Dense",
     "Flatten",
-    "MSELoss",
     "MaxPool2D",
     "ReLU",
     "SGD",
@@ -40,7 +39,6 @@ __all__ = [
     "accuracy",
     "build_lenet5",
     "build_lenet_small",
-    "confusion_matrix",
     "relu",
     "sigmoid",
     "softmax",

@@ -1,15 +1,10 @@
 """Loss functions.
 
-Two losses cover the paper's two worked examples:
-
-* :class:`MSELoss` -- the quadratic cost ``E = 1/2 sum (yhat - y)^2`` of
-  the binary-classification walkthrough (Section III-D);
-* :class:`SoftmaxCrossEntropyLoss` -- softmax output + cross-entropy of
-  the CryptoCNN case (Section III-E2), with the classic combined gradient
-  ``p - y``.
-
-Both return *mean-per-sample* losses and gradients so learning rates are
-batch-size independent.
+:class:`SoftmaxCrossEntropyLoss` -- softmax output + cross-entropy of the
+CryptoCNN case (Section III-E2), with the classic combined gradient
+``p - y`` -- is the plaintext twin of the secure loss every CryptoNN
+model trains with.  It returns *mean-per-sample* losses and gradients so
+learning rates are batch-size independent.
 """
 
 from __future__ import annotations
@@ -27,28 +22,6 @@ class Loss:
 
     def backward(self) -> np.ndarray:
         raise NotImplementedError
-
-
-class MSELoss(Loss):
-    """``E = 1/(2N) * sum_i (yhat_i - y_i)^2``."""
-
-    def __init__(self) -> None:
-        self._diff: np.ndarray | None = None
-        self._n: int = 0
-
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        if predictions.shape != targets.shape:
-            raise ValueError(
-                f"shape mismatch: {predictions.shape} vs {targets.shape}"
-            )
-        self._n = predictions.shape[0]
-        self._diff = predictions - targets
-        return float(0.5 * np.sum(self._diff ** 2) / self._n)
-
-    def backward(self) -> np.ndarray:
-        if self._diff is None:
-            raise RuntimeError("backward called before forward")
-        return self._diff / self._n
 
 
 class SoftmaxCrossEntropyLoss(Loss):
@@ -76,10 +49,3 @@ class SoftmaxCrossEntropyLoss(Loss):
         if self._probs is None or self._targets is None:
             raise RuntimeError("backward called before forward")
         return (self._probs - self._targets) / self._probs.shape[0]
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        """Softmax probabilities cached by the last forward pass."""
-        if self._probs is None:
-            raise RuntimeError("no forward pass yet")
-        return self._probs

@@ -16,14 +16,3 @@ def accuracy(predictions: np.ndarray, targets: np.ndarray) -> float:
     if pred_idx.shape != true_idx.shape:
         raise ValueError(f"shape mismatch: {pred_idx.shape} vs {true_idx.shape}")
     return float(np.mean(pred_idx == true_idx))
-
-
-def confusion_matrix(predictions: np.ndarray, targets: np.ndarray,
-                     num_classes: int) -> np.ndarray:
-    """Rows = true class, columns = predicted class."""
-    pred_idx = predictions.argmax(axis=1) if predictions.ndim > 1 else predictions
-    true_idx = targets.argmax(axis=1) if targets.ndim > 1 else targets
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for t, p in zip(true_idx.astype(int), pred_idx.astype(int)):
-        matrix[t, p] += 1
-    return matrix

@@ -120,7 +120,7 @@ def authority_pool(authority: TrustedAuthority) -> SecureComputePool | None:
 
 
 def run_authority_service(authority: TrustedAuthority, host: str = "127.0.0.1",
-                          port: int = 0, *, announce=print) -> None:
+                          port: int = 0) -> None:
     """Blocking entry point: serve until SIGINT or SIGTERM (CLI helper).
 
     Must run in the main thread, which owns signal handling.
@@ -130,9 +130,8 @@ def run_authority_service(authority: TrustedAuthority, host: str = "127.0.0.1",
     def serve() -> None:
         try:
             bound_host, bound_port = service.start()
-            if announce is not None:
-                announce(f"authority key service listening on "
-                         f"{bound_host}:{bound_port}")
+            print(f"authority key service listening on "
+                  f"{bound_host}:{bound_port}", flush=True)
             threading.Event().wait()  # until a stop signal
         finally:
             service.stop()

@@ -40,6 +40,10 @@ from repro.rpc.retry import DEFAULT_POLICY, RetryPolicy, merge_stats
 #: below that about as much or less (ROADMAP, "Inline vs pooled").
 CLIENT_POOL_MIN_BITS = 96
 
+#: Per-request timeout (seconds) on both of :func:`upload_shard`'s
+#: connections; a chunk of a large shard may take a while to ack.
+UPLOAD_TIMEOUT_S = 120.0
+
 
 def plan_shard_chunks(dataset, params: GroupParams,
                       chunk_bytes: int | None = None,
@@ -112,7 +116,6 @@ def upload_shard(authority_address: tuple[str, int],
                  label_mapper: LabelMapper | None = None,
                  rng: random.Random | None = None,
                  workers: int | None = None,
-                 timeout: float = 120.0,
                  policy: RetryPolicy | None = None,
                  chunk_bytes: int | None = None) -> dict:
     """Encrypt one shard and deliver it to the training server.
@@ -148,7 +151,7 @@ def upload_shard(authority_address: tuple[str, int],
     if policy is None:
         policy = DEFAULT_POLICY
     with RemoteAuthority(*authority_address, name=name, rng=rng,
-                         timeout=timeout, policy=policy) as authority:
+                         timeout=UPLOAD_TIMEOUT_S, policy=policy) as authority:
         if workers is None:
             workers = service_workers(authority.params.bits,
                                       CLIENT_POOL_MIN_BITS)
@@ -163,7 +166,7 @@ def upload_shard(authority_address: tuple[str, int],
         meta, fingerprint, chunks = plan_shard_chunks(
             dataset, authority.params, chunk_bytes, stats=engine_stats)
         with RpcEndpoint(*server_address, name=name, peer=protocol.SERVER,
-                         timeout=timeout, policy=policy) as server:
+                         timeout=UPLOAD_TIMEOUT_S, policy=policy) as server:
             chunked = upload_planned_chunks(
                 server, name=name, meta=meta, fingerprint=fingerprint,
                 chunks=chunks)

@@ -14,7 +14,6 @@ such processes.
 
 from __future__ import annotations
 
-import random
 import signal
 import socket
 from collections.abc import Callable
@@ -27,36 +26,42 @@ T = TypeVar("T")
 #: the signals that stop a ``serve-*`` command
 STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM)
 
+#: How long :func:`wait_for_port` waits for a listener by default.
+PORT_WAIT_S = 30.0
 
-def free_port(host: str = "127.0.0.1") -> int:
-    """Ask the OS for an unused TCP port (bind-to-zero trick)."""
+
+def free_port() -> int:
+    """Ask the OS for an unused loopback TCP port (bind-to-zero trick)."""
     with socket.socket() as sock:
-        sock.bind((host, 0))
+        sock.bind(("127.0.0.1", 0))
         return sock.getsockname()[1]
 
 
-def wait_for_port(host: str, port: int, timeout: float = 10.0, *,
-                  policy: RetryPolicy | None = None,
-                  rng: random.Random | None = None) -> None:
+def wait_for_port(host: str, port: int, *,
+                  policy: RetryPolicy | None = None) -> None:
     """Block until something listens on ``host:port`` (or time out).
 
-    Probes under a :class:`~repro.rpc.retry.RetryPolicy` (jittered
-    exponential backoff, ``deadline=timeout``) instead of a fixed-period
-    poll: a service that binds instantly is seen after one cheap probe,
-    and a slow one is not hammered 20x/second.
+    Probes under a :class:`~repro.rpc.retry.RetryPolicy` (by default
+    jittered exponential backoff with a :data:`PORT_WAIT_S` deadline)
+    instead of a fixed-period poll: a service that binds instantly is
+    seen after one cheap probe, and a slow one is not hammered
+    20x/second.  The ``TimeoutError`` names the deadline the policy
+    waited, or its attempts when it has none.
     """
     if policy is None:
         policy = RetryPolicy(max_attempts=1_000_000, base_delay=0.02,
-                             max_delay=0.25, deadline=timeout)
+                             max_delay=0.25, deadline=PORT_WAIT_S)
     last_exc: Exception | None = None
-    for _ in policy.attempts(rng=rng):
+    for _ in policy.attempts():
         try:
             with socket.create_connection((host, port), timeout=0.5):
                 return
         except OSError as exc:
             last_exc = exc
+    waited = f"{policy.deadline}s" if policy.deadline is not None \
+        else f"{policy.max_attempts} attempts"
     raise TimeoutError(
-        f"nothing listening on {host}:{port} after {timeout}s"
+        f"nothing listening on {host}:{port} after {waited}"
     ) from last_exc
 
 
@@ -98,4 +103,3 @@ def run_until_stopped(main: Callable[[], T], *,
             finish()
         for sig, handler in previous.items():
             signal.signal(sig, handler)
-

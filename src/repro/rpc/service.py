@@ -205,7 +205,7 @@ class FramedService(Listener):
     #: while ``total_bytes``/``message_count`` stay lifetime-exact.
     MAX_RECORDS_PER_LOG = 4096
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0):
+    def __init__(self, host: str, port: int):
         super().__init__(host, port)
         #: per-connection traffic logs, keyed ``"<sender>#<peer-port>"``;
         #: body byte counts equal the serialization wire sizes.

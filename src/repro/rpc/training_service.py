@@ -178,14 +178,15 @@ def run_training(dataset: EncryptedTabularDataset, authority, *,
                  ) -> tuple[CryptoNNTrainer, TrainingHistory, float]:
     """One deterministic training run over an encrypted dataset.
 
-    The networked training server and the in-process path both call
-    this function, so "same seed => same accuracy" holds across
-    transports by construction: decryption recovers exact integers,
-    hence identical floating-point trajectories either way.  The
-    checkpoint arguments pass straight through to ``fit()`` -- with
-    ``resume=True`` the run continues bit-exactly from the checkpoint
-    at ``checkpoint_path`` (or starts fresh if none was written yet).
-    The trainer decrypts on ``pool``, or inline without one.
+    ``serve-train`` (:class:`TrainingService`) trains through this
+    function, and ``examples/rpc_loopback.py`` calls it on an
+    in-process dataset to check the networked run, so "same seed =>
+    same accuracy" holds across transports by construction: decryption
+    recovers exact integers, hence identical floating-point trajectories
+    either way.  The checkpoint arguments pass straight through to
+    ``fit()`` -- with ``resume=True`` the run continues bit-exactly from
+    the checkpoint at ``checkpoint_path`` (or starts fresh if none was
+    written yet).  The trainer decrypts on ``pool``, or inline without one.
     """
     model = build_mlp(dataset.n_features, hidden, dataset.num_classes, seed)
     trainer = CryptoNNTrainer(model, authority, config=config, pool=pool)

@@ -1,5 +1,5 @@
 """Cross-cutting utilities: timing."""
 
-from repro.utils.timer import Stopwatch, time_call
+from repro.utils.timer import Stopwatch
 
-__all__ = ["Stopwatch", "time_call"]
+__all__ = ["Stopwatch"]

@@ -1,9 +1,8 @@
-"""Small timing helpers used by the benchmark harness."""
+"""The stopwatch the benchmarks time their phases with."""
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable
 
 
 class Stopwatch:
@@ -33,19 +32,8 @@ class Stopwatch:
         self._started_at = None
         return self.elapsed
 
-    def reset(self) -> None:
-        self.elapsed = 0.0
-        self._started_at = None
-
     def __enter__(self) -> "Stopwatch":
         return self.start()
 
     def __exit__(self, *exc_info: object) -> None:
         self.stop()
-
-
-def time_call(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> tuple[float, Any]:
-    """Run ``fn`` once and return ``(seconds, result)``."""
-    start = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return time.perf_counter() - start, result

@@ -11,8 +11,8 @@ from repro.core.entities import Client, TrustedAuthority
 from repro.data.preprocess import one_hot
 from repro.data.tabular import load_clinics
 from repro.nn.conv import Conv2D
-from repro.nn.layers import Dense, ReLU, Sigmoid
-from repro.nn.losses import MSELoss, SoftmaxCrossEntropyLoss
+from repro.nn.layers import Dense, ReLU
+from repro.nn.losses import SoftmaxCrossEntropyLoss
 from repro.nn.model import Sequential
 from repro.nn.optimizers import SGD
 
@@ -44,10 +44,6 @@ class TestConstruction:
         with pytest.raises(TypeError):
             CryptoNNTrainer(model, authority)
 
-    def test_unknown_loss(self, authority, np_rng):
-        with pytest.raises(ValueError):
-            CryptoNNTrainer(make_model(np_rng), authority, loss="hinge")
-
 
 class TestTrainingMatchesPlaintextTwin:
     def test_cross_entropy_twin_identical_trajectory(self, authority,
@@ -72,20 +68,6 @@ class TestTrainingMatchesPlaintextTwin:
         assert trainer.evaluate(enc) == pytest.approx(
             twin.evaluate(x, one_hot(y, 2)), abs=0.1
         )
-
-    def test_mse_training_learns(self, authority, clinic_data, np_rng):
-        x, y = clinic_data
-        client = Client(authority)
-        enc = client.encrypt_tabular(x, y, num_classes=2)
-        model = Sequential([
-            Dense(4, 6, rng=np_rng), Sigmoid(),
-            Dense(6, 2, rng=np_rng), Sigmoid(),
-        ])
-        trainer = CryptoNNTrainer(model, authority, loss="mse")
-        # sigmoid + MSE needs momentum to escape its plateau quickly
-        trainer.fit(enc, SGD(2.0, momentum=0.9), epochs=6, batch_size=16,
-                    rng=np.random.default_rng(2))
-        assert trainer.evaluate(enc) > 0.7
 
 
 class TestMechanics:

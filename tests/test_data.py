@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.data.datasets import Dataset, train_test_split
-from repro.data.preprocess import LabelMapper, flatten_images, one_hot
+from repro.data.datasets import Dataset
+from repro.data.preprocess import LabelMapper, one_hot
 from repro.data.synth_digits import (
     GLYPH_HEIGHT,
     glyph_bitmap,
@@ -92,19 +92,6 @@ class TestDataset:
         assert sum(len(s) for s in shards) == 10
         assert sorted(np.concatenate([s.y for s in shards]).tolist()) == list(range(10))
 
-    def test_train_test_split_disjoint(self, np_rng):
-        ds = Dataset(x=np.arange(40).reshape(20, 2).astype(float),
-                     y=np.arange(20), num_classes=20)
-        train, test = train_test_split(ds, 0.25, np_rng)
-        assert len(train) == 15 and len(test) == 5
-        assert set(train.y) | set(test.y) == set(range(20))
-        assert set(train.y) & set(test.y) == set()
-
-    def test_split_fraction_validation(self, np_rng):
-        ds = Dataset(x=np.zeros((4, 1)), y=np.zeros(4), num_classes=1)
-        with pytest.raises(ValueError):
-            train_test_split(ds, 1.5, np_rng)
-
 
 class TestPreprocess:
     def test_one_hot(self):
@@ -114,11 +101,6 @@ class TestPreprocess:
     def test_one_hot_out_of_range(self):
         with pytest.raises(ValueError):
             one_hot(np.array([3]), 3)
-
-    def test_flatten_images(self, np_rng):
-        imgs = np_rng.normal(size=(4, 1, 3, 3))
-        flat = flatten_images(imgs)
-        assert flat.shape == (4, 9)
 
     def test_label_mapper_roundtrip(self, np_rng):
         mapper = LabelMapper(10, np_rng)

@@ -309,7 +309,7 @@ def test_serve_train_stops_cleanly_with_fetches_in_flight(
                    "--stay"),
         env=repro_env, stdout=subprocess.DEVNULL)
     try:
-        wait_for_port("127.0.0.1", train_port, timeout=20)
+        wait_for_port("127.0.0.1", train_port)
         upload_shard((auth_host, auth_port), ("127.0.0.1", train_port),
                      x, y, 2, name="clinic-0", rng=random.Random(1))
         assert authority.concurrency.overlapped.wait(timeout=30), \

@@ -3,15 +3,21 @@
 Parses every non-test ``.py`` file under ``src/``, ``benchmarks/`` and
 ``examples/`` and collects the ``repro`` modules they import.  A module
 no such file imports exists only for its tests: delete it, or wire it
-into the program.  The same holds one level down for the crypto core,
-the number theory, the FE schemes, the matrix layer, observability and
-the RPC layer: every public function and method of ``repro.core``,
-``repro.fe``, ``repro.mathutils``, ``repro.matrix``, ``repro.obs`` and
-``repro.rpc`` must be named by such a file.  Every keyword-only option
-of a public ``repro.rpc`` constructor, and every defaulted parameter of
-a public constructor, function or method in the other five packages,
-must be set by one.  A dataclass's fields are a record's state, not
-options, and are not checked.
+into the program.  The same holds one level down: every public
+function and method of ``repro.core``, ``repro.data``, ``repro.fe``,
+``repro.mathutils``, ``repro.matrix``, ``repro.nn``, ``repro.obs``,
+``repro.rpc``, ``repro.security`` and ``repro.utils`` must be named by
+such a file.  One option rule covers the crypto, RPC and model code:
+every defaulted parameter of a public constructor, function or method
+in ``repro.core``, ``repro.fe``, ``repro.mathutils``, ``repro.matrix``,
+``repro.obs`` and ``repro.rpc`` must be set by one.  A public class's
+members include the ``__init__`` and public methods it inherits from a
+private base; a parameter of one function is set by a call through any
+class that shares it, and a call through a name that shipped code binds
+to a class (``trainer_cls = CryptoNNTrainer``) is a call of that class.  A
+dataclass's fields are a record's state, not options, and are not
+checked; nor are the plaintext model library's hyperparameters in
+``repro.nn`` and ``repro.data``.
 
 A package's ``__init__`` re-exporting a module of its own does not
 count as an importer; a file outside the package that imports the
@@ -56,23 +62,33 @@ ALLOWED_UNREFERENCED = {
         "the Section IV-B2 formula the wire tests compare against",
     "repro.matrix.parallel.SecureComputePool.worker_pids":
         "ROADMAP item 14's tests find pool workers through it",
+    **{f"repro.nn.gradcheck.{checker}": "test helper shared by the nn tests"
+       for checker in ("check_layer_input_grad", "check_layer_param_grads",
+                       "check_loss_grad")},
+    "repro.nn.lenet.build_lenet5":
+        "the paper's LeNet-5, trained by tests/test_lenet5_secure.py "
+        "(ROADMAP item 2)",
+    "repro.security.indcpa.run_indcpa_game":
+        "the runnable IND-CPA game of Theorem 1",
 }
 
 #: Packages whose public functions and methods must each be named by
 #: shipped code.
-REFERENCED_PACKAGES = ("repro.core", "repro.fe", "repro.mathutils",
-                       "repro.matrix", "repro.obs", "repro.rpc")
+REFERENCED_PACKAGES = ("repro.core", "repro.data", "repro.fe",
+                       "repro.mathutils", "repro.matrix", "repro.nn",
+                       "repro.obs", "repro.rpc", "repro.security",
+                       "repro.utils")
 
-#: Options of :data:`OPTION_PACKAGE` and
-#: :data:`DEFAULTED_OPTION_PACKAGES` allowed to be set by tests alone,
-#: with why.
+#: Options of :data:`DEFAULTED_OPTION_PACKAGES` allowed to be set by
+#: tests alone, with why.
 ALLOWED_TEST_ONLY_OPTIONS = {
     "repro.core.entities.TrustedAuthority(permitted_ops=)":
         "wired by ROADMAP item 5",
     "repro.core.entities.TrustedAuthority(policy=)":
         "wired by ROADMAP item 5",
-    **{f"repro.core.entities.TrustedAuthority.{method}(requester=)":
-       "wired by ROADMAP item 5"
+    **{f"repro.{authority}.{method}(requester=)": "wired by ROADMAP item 5"
+       for authority in ("core.entities.TrustedAuthority",
+                         "rpc.client.RemoteAuthority")
        for method in ("derive_feip_keys", "derive_feip_keys_batch",
                       "derive_febo_keys", "derive_febo_keys_batch",
                       "derive_febo_key_sets")},
@@ -99,16 +115,21 @@ ALLOWED_TEST_ONLY_OPTIONS = {
     "repro.rpc.client.RemoteAuthority(connect_timeout=)":
         "an RpcEndpoint option handed through; a test shortens it to "
         "fail fast against a closed port",
+    "repro.rpc.retry.RetryPolicy.attempts(clock=)":
+        "tests substitute a fake clock",
+    "repro.rpc.retry.RetryPolicy.attempt_timeout_for(clock=)":
+        "tests substitute a fake clock",
+    **{f"repro.core.{module}.{trainer}.fit({option}=)":
+       "handed through by run_training, which serve-train sets"
+       for module, trainer in (("cryptonn", "CryptoNNTrainer"),
+                               ("cryptocnn", "CryptoCNNTrainer"))
+       for option in ("checkpoint_trigger", "on_checkpoint")},
 }
-
-#: Package whose public constructors' keyword-only options must each be
-#: set by shipped code.
-OPTION_PACKAGE = "repro.rpc"
 
 #: Packages where every defaulted parameter of a public constructor,
 #: function or method must be set by shipped code.
 DEFAULTED_OPTION_PACKAGES = ("repro.core", "repro.fe", "repro.matrix",
-                             "repro.mathutils", "repro.obs")
+                             "repro.mathutils", "repro.obs", "repro.rpc")
 
 
 def _module_name(path: Path) -> str:
@@ -228,20 +249,53 @@ def test_every_process_pool_names_its_start_method():
         f"without mp_context="
 
 
-def _public_callables(path: Path) -> dict[str, str]:
-    """qualified name -> bare name of every public top-level function
-    and public method of a public top-level class in ``path``."""
-    module = _module_name(path)
-    out = {}
-    for node in ast.parse(path.read_text(), filename=str(path)).body:
-        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-            out.update((f"{module}.{node.name}.{item.name}", item.name)
-                       for item in node.body
-                       if isinstance(item, ast.FunctionDef)
-                       and not item.name.startswith("_"))
-        elif isinstance(node, ast.FunctionDef) \
-                and not node.name.startswith("_"):
-            out[f"{module}.{node.name}"] = node.name
+def _callee(func: ast.expr) -> str | None:
+    """The name a call or a base class goes by: ``f``, ``obj.f`` -> ``f``."""
+    return func.id if isinstance(func, ast.Name) else \
+        func.attr if isinstance(func, ast.Attribute) else None
+
+
+def _definitions(package: str
+                 ) -> list[tuple[str, str, ast.FunctionDef, bool]]:
+    """``(qualified name, callee, function, is_method)`` for every public
+    top-level function in ``package``, and every ``__init__`` and public
+    method of a public top-level class there.
+
+    A class's members include those it inherits from a private base in
+    the same package: ``CryptoNNTrainer`` has ``_SecureTrainerBase``'s
+    ``__init__``, ``fit`` and ``evaluate``.  The callee is the name a
+    call uses: the class's for an ``__init__``, else the function's."""
+    trees = {_module_name(path): ast.parse(path.read_text(),
+                                           filename=str(path))
+             for path in sorted(SRC.joinpath(*package.split(".")).glob("*.py"))}
+    private = {node.name: node for tree in trees.values()
+               for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name.startswith("_")}
+
+    def members(cls: ast.ClassDef) -> dict[str, ast.FunctionDef]:
+        out = {}
+        for base in cls.bases:
+            if _callee(base) in private:
+                out.update(members(private[_callee(base)]))
+        out.update((item.name, item) for item in cls.body
+                   if isinstance(item, ast.FunctionDef))
+        return out
+
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) \
+                    and not node.name.startswith("_"):
+                out.append((f"{module}.{node.name}", node.name, node, False))
+            elif isinstance(node, ast.ClassDef) \
+                    and not node.name.startswith("_"):
+                for name, fn in members(node).items():
+                    if name == "__init__":
+                        out.append((f"{module}.{node.name}", node.name, fn,
+                                    True))
+                    elif not name.startswith("_"):
+                        out.append((f"{module}.{node.name}.{name}", name, fn,
+                                    True))
     return out
 
 
@@ -261,11 +315,10 @@ def _referenced_names() -> set[str]:
 
 
 def test_every_public_function_has_a_non_test_reference():
-    callables = {}
-    for package in REFERENCED_PACKAGES:
-        root = SRC.joinpath(*package.split("."))
-        for path in sorted(root.glob("*.py")):
-            callables.update(_public_callables(path))
+    callables = {qualified: callee
+                 for package in REFERENCED_PACKAGES
+                 for qualified, callee, fn, _ in _definitions(package)
+                 if fn.name != "__init__"}
     referenced = _referenced_names()
     unreferenced = {q for q, name in callables.items()
                     if name not in referenced}
@@ -293,67 +346,56 @@ def _signature(fn: ast.FunctionDef, method: bool
     return out
 
 
-Option = tuple[str, str, "int | None"]
-
-
-def _constructor_options(package: str) -> dict[str, Option]:
-    """``"module.Class(option=)"`` -> ``(Class, option, index)`` for
-    every keyword-only parameter of a public top-level class's
-    ``__init__`` in ``package``."""
-    out = {}
-    for path in sorted(SRC.joinpath(*package.split(".")).glob("*.py")):
-        module = _module_name(path)
-        for node in ast.parse(path.read_text(), filename=str(path)).body:
-            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
-                continue
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef) \
-                        and item.name == "__init__":
-                    out.update(
-                        (f"{module}.{node.name}({arg.arg}=)",
-                         (node.name, arg.arg, None))
-                        for arg in item.args.kwonlyargs)
-    return out
+Option = tuple[frozenset[str], str, "int | None"]
 
 
 def _defaulted_options(package: str) -> dict[str, Option]:
-    """``"module.Name(option=)"`` -> ``(callee, option, index)`` for
-    every defaulted parameter of a public constructor, public top-level
-    function and public method of a public top-level class in
-    ``package``; ``index`` is where a positional argument sets it,
-    ``None`` for keyword-only."""
-    out = {}
+    """``"module.Name(option=)"`` -> ``(callees, option, index)`` for
+    every defaulted parameter of :func:`_definitions`' functions in
+    ``package``.  ``callees`` are all the names that reach the function
+    (each public subclass sharing a base's ``__init__``), and ``index``
+    is where a positional argument sets the option, ``None`` for
+    keyword-only."""
+    definitions = _definitions(package)
+    callees: dict[ast.FunctionDef, set[str]] = {}
+    for _, callee, fn, _ in definitions:
+        callees.setdefault(fn, set()).add(callee)
+    return {f"{qualified}({name}=)": (frozenset(callees[fn]), name, index)
+            for qualified, _, fn, method in definitions
+            for name, index, has_default in _signature(fn, method)
+            if has_default}
 
-    def add(qualified, callee, signature):
-        out.update((f"{qualified}({name}=)", (callee, name, index))
-                   for name, index, has_default in signature if has_default)
 
-    for path in sorted(SRC.joinpath(*package.split(".")).glob("*.py")):
-        module = _module_name(path)
-        for node in ast.parse(path.read_text(), filename=str(path)).body:
-            if not isinstance(node, (ast.ClassDef, ast.FunctionDef)) \
-                    or node.name.startswith("_"):
-                continue
-            if isinstance(node, ast.FunctionDef):
-                add(f"{module}.{node.name}", node.name,
-                    _signature(node, method=False))
-                continue
-            for item in node.body:
-                if not isinstance(item, ast.FunctionDef):
-                    continue
-                if item.name == "__init__":
-                    add(f"{module}.{node.name}", node.name,
-                        _signature(item, method=True))
-                elif not item.name.startswith("_"):
-                    add(f"{module}.{node.name}.{item.name}", item.name,
-                        _signature(item, method=True))
-    return out
+def _class_aliases(trees: list[ast.Module]) -> dict[str, set[str]]:
+    """name -> the classes a shipped assignment binds to it.
+
+    ``trainer_cls = CryptoCNNTrainer if cnn else CryptoNNTrainer`` and a
+    class body's ``secure_input_class = SecureLinearInput`` make a call
+    of ``trainer_cls(...)`` or ``self.secure_input_class(...)`` a call of
+    the classes they name."""
+    classes = {node.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+
+    def named(value: ast.expr) -> set[str]:
+        if isinstance(value, ast.IfExp):
+            return named(value.body) | named(value.orelse)
+        return {value.id} & classes if isinstance(value, ast.Name) else set()
+
+    aliases: dict[str, set[str]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and named(node.value):
+                for target in node.targets:
+                    aliases.setdefault(_callee(target), set()).update(
+                        named(node.value))
+    return aliases
 
 
 def _arguments_set() -> set[tuple[str, str | int]]:
     """``(callee, keyword)`` and ``(callee, index)`` for every argument
     the shipped files pass, where the callee is the called name or
-    attribute and ``index`` a positional argument's place.
+    attribute, or a class :func:`_class_aliases` binds to it, and
+    ``index`` a positional argument's place.
 
     A same-name pass-through (``policy=policy``) of the enclosing
     function's own parameter sets nothing: it only hands on what its
@@ -361,6 +403,9 @@ def _arguments_set() -> set[tuple[str, str | int]]:
     (``pool = get_compute_pool(1)`` then ``pool=pool``) sets it, and so
     does a nested function's parameter, which only the function around
     it can set."""
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in _shipped_files()]
+    aliases = _class_aliases(trees)
     out = set()
 
     def visit(node: ast.AST, params: frozenset[str] | None) -> None:
@@ -371,34 +416,35 @@ def _arguments_set() -> set[tuple[str, str | int]]:
                 args.posonlyargs + args.args + args.kwonlyargs
                 + [a for a in (args.vararg, args.kwarg) if a]))
         elif isinstance(node, ast.Call):
-            func = node.func
-            callee = func.id if isinstance(func, ast.Name) else \
-                func.attr if isinstance(func, ast.Attribute) else None
-            out.update((callee, i) for i, arg in enumerate(node.args)
-                       if not isinstance(arg, ast.Starred))
-            out.update(
-                (callee, kw.arg) for kw in node.keywords
-                if kw.arg is not None and not (
-                    isinstance(kw.value, ast.Name)
-                    and kw.value.id == kw.arg and kw.arg in (params or ())))
+            name = _callee(node.func)
+            for callee in {name} | aliases.get(name, set()):
+                out.update((callee, i) for i, arg in enumerate(node.args)
+                           if not isinstance(arg, ast.Starred))
+                out.update(
+                    (callee, kw.arg) for kw in node.keywords
+                    if kw.arg is not None and not (
+                        isinstance(kw.value, ast.Name)
+                        and kw.value.id == kw.arg
+                        and kw.arg in (params or ())))
         for child in ast.iter_child_nodes(node):
             visit(child, params)
 
-    for path in _shipped_files():
-        visit(ast.parse(path.read_text(), filename=str(path)), None)
+    for tree in trees:
+        visit(tree, None)
     return out
 
 
 def test_every_option_is_set_by_shipped_code():
     """An option that only tests set is code no deployment runs: make
     it a constant, or delete the behaviour behind it."""
-    options = _constructor_options(OPTION_PACKAGE)
+    options = {}
     for package in DEFAULTED_OPTION_PACKAGES:
         options.update(_defaulted_options(package))
     set_by_shipped = _arguments_set()
-    unset = {q for q, (callee, name, index) in options.items()
-             if (callee, name) not in set_by_shipped
-             and (index is None or (callee, index) not in set_by_shipped)}
+    unset = {q for q, (callees, name, index) in options.items()
+             if not any((callee, name) in set_by_shipped
+                        or (callee, index) in set_by_shipped
+                        for callee in callees)}
     test_only = sorted(unset - set(ALLOWED_TEST_ONLY_OPTIONS))
     assert not test_only, f"only tests set {test_only}"
     now_set = sorted(set(ALLOWED_TEST_ONLY_OPTIONS) - unset)

@@ -5,32 +5,7 @@ import pytest
 
 from repro.nn.activations import softmax
 from repro.nn.gradcheck import check_loss_grad
-from repro.nn.losses import MSELoss, SoftmaxCrossEntropyLoss
-
-
-class TestMSE:
-    def test_perfect_prediction_zero_loss(self):
-        y = np.random.default_rng(0).normal(size=(4, 3))
-        assert MSELoss().forward(y.copy(), y) == 0.0
-
-    def test_known_value(self):
-        loss = MSELoss()
-        value = loss.forward(np.array([[1.0, 0.0]]), np.array([[0.0, 0.0]]))
-        assert value == pytest.approx(0.5)
-
-    def test_gradient_matches_numeric(self, np_rng):
-        loss = MSELoss()
-        err = check_loss_grad(loss, np_rng.normal(size=(5, 3)),
-                              np_rng.normal(size=(5, 3)))
-        assert err < 1e-7
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            MSELoss().forward(np.ones((2, 2)), np.ones((2, 3)))
-
-    def test_backward_before_forward(self):
-        with pytest.raises(RuntimeError):
-            MSELoss().backward()
+from repro.nn.losses import SoftmaxCrossEntropyLoss
 
 
 class TestSoftmaxCrossEntropy:
@@ -59,13 +34,3 @@ class TestSoftmaxCrossEntropy:
         logits = np_rng.normal(size=(4, 3))
         targets = np.eye(3)[np_rng.integers(0, 3, 4)]
         assert check_loss_grad(loss, logits, targets) < 1e-7
-
-    def test_probabilities_property(self, np_rng):
-        loss = SoftmaxCrossEntropyLoss()
-        logits = np_rng.normal(size=(3, 5))
-        loss.forward(logits, np.eye(5)[:3])
-        np.testing.assert_allclose(loss.probabilities.sum(axis=1), np.ones(3))
-
-    def test_probabilities_before_forward(self):
-        with pytest.raises(RuntimeError):
-            _ = SoftmaxCrossEntropyLoss().probabilities

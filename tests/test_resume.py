@@ -19,6 +19,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.checkpoint import TrainerCheckpoint
 from repro.core.config import CryptoNNConfig
 from repro.core.cryptonn import CryptoNNTrainer
 from repro.core.entities import Client, TrustedAuthority
@@ -135,6 +136,31 @@ class TestInProcessResume:
         resumed = CryptoNNTrainer(make_model(999), authority)
         history = resumed.fit(enc_dataset, Adam(9.9),
                               rng=np.random.default_rng(2),
+                              checkpoint_path=path, resume=True, **FIT_KW)
+        assert weights_equal(resumed.model.get_weights(), ref_weights)
+        assert_histories_identical(history, ref_history)
+
+    def test_checkpoint_naming_its_loss_still_resumes(self, authority,
+                                                      enc_dataset, tmp_path):
+        """Checkpoints written while the trainers still took ``loss=``
+        carry ``"loss": "cross_entropy"`` in their run metadata.  The
+        resume check compares only this run's keys, so such a checkpoint
+        resumes byte-exact."""
+        ref_weights, ref_history = self._reference(
+            authority, enc_dataset, SGD(0.5, momentum=0.9))
+        path = tmp_path / "trainer.npz"
+        self._interrupt_at(authority, enc_dataset, SGD(0.5, momentum=0.9),
+                           path, 4)
+        ckpt = TrainerCheckpoint.load(path)
+        assert "loss" not in ckpt.run_meta
+        dataclasses.replace(
+            ckpt, run_meta={**ckpt.run_meta, "loss": "cross_entropy"},
+        ).save(path)
+        assert TrainerCheckpoint.load(path).run_meta["loss"] == \
+            "cross_entropy"
+        resumed = CryptoNNTrainer(make_model(999), authority)
+        history = resumed.fit(enc_dataset, SGD(0.01),
+                              rng=np.random.default_rng(555),
                               checkpoint_path=path, resume=True, **FIT_KW)
         assert weights_equal(resumed.model.get_weights(), ref_weights)
         assert_histories_identical(history, ref_history)
@@ -345,9 +371,9 @@ class TestKilledAndRestartedService:
         second_proc = None
         try:
             authority_proc.start()
-            wait_for_port("127.0.0.1", auth_port, timeout=30)
+            wait_for_port("127.0.0.1", auth_port)
             first_proc.start()
-            wait_for_port("127.0.0.1", first_port, timeout=30)
+            wait_for_port("127.0.0.1", first_port)
             upload_shard(("127.0.0.1", auth_port),
                          ("127.0.0.1", first_port), x, y, 2,
                          name="clinic-0", rng=random.Random(100))
@@ -368,7 +394,7 @@ class TestKilledAndRestartedService:
                 target=_serve_train_proc,
                 args=(second_port, auth_port, checkpoint, True), daemon=True)
             second_proc.start()
-            wait_for_port("127.0.0.1", second_port, timeout=30)
+            wait_for_port("127.0.0.1", second_port)
 
             # a client retrying its upload (its ack died with the first
             # server) must get a duplicate-ack, not an error: the

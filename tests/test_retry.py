@@ -112,11 +112,14 @@ class TestWaitForPort:
             server.bind(("127.0.0.1", 0))
             server.listen(1)
             host, port = server.getsockname()
-            wait_for_port(host, port, timeout=5.0)
+            wait_for_port(host, port)
 
     def test_times_out_on_silent_port(self):
+        """The error names the deadline the caller's policy waited."""
+        policy = RetryPolicy(max_attempts=1_000_000, base_delay=0.02,
+                             max_delay=0.05, deadline=0.3)
         start = time.monotonic()
-        with pytest.raises(TimeoutError):
-            wait_for_port("127.0.0.1", free_port(), timeout=0.4)
+        with pytest.raises(TimeoutError, match=r"after 0\.3s"):
+            wait_for_port("127.0.0.1", free_port(), policy=policy)
         # honors the budget: no runaway polling, no premature raise
         assert 0.2 <= time.monotonic() - start < 5.0

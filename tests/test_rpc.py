@@ -1006,7 +1006,7 @@ def test_authority_stops_cleanly_on_signal(sig, repro_env, live_processes):
                        "--port", str(port)),
             env=repro_env, stdout=subprocess.DEVNULL)
         try:
-            wait_for_port("127.0.0.1", port, timeout=20)
+            wait_for_port("127.0.0.1", port)
             with RemoteAuthority("127.0.0.1", port) as remote:
                 requests = [(remote.params.g, op, 3) for op in "+-*/"]
                 keys = remote.derive_febo_keys_batch(requests)
@@ -1049,7 +1049,7 @@ def test_authority_survives_a_killed_pool_worker(repro_env, live_processes):
                 if ppid == proc.pid}
 
     try:
-        wait_for_port("127.0.0.1", port, timeout=20)
+        wait_for_port("127.0.0.1", port)
         with RemoteAuthority("127.0.0.1", port) as remote:
             bpk = remote.febo_public_key()
 
@@ -1222,7 +1222,7 @@ def test_serve_train_pool_trains_byte_exact_and_stops_cleanly(
         env=repro_env, stdout=subprocess.DEVNULL)
     try:
         for port in (auth_port, train_port):
-            wait_for_port("127.0.0.1", port, timeout=20)
+            wait_for_port("127.0.0.1", port)
         upload_shard(("127.0.0.1", auth_port), ("127.0.0.1", train_port),
                      x, y, 2, name="clinic-0", rng=random.Random(1))
         deadline = time.monotonic() + 60
@@ -1293,9 +1293,9 @@ class TestMultiProcess:
             daemon=True)
         try:
             authority_proc.start()
-            wait_for_port("127.0.0.1", auth_port, timeout=30)
+            wait_for_port("127.0.0.1", auth_port)
             train_proc.start()
-            wait_for_port("127.0.0.1", train_port, timeout=30)
+            wait_for_port("127.0.0.1", train_port)
 
             (x, y), = _make_shards(n_clients=1, samples=10)
             result = upload_shard(

@@ -15,13 +15,12 @@ from repro.core.entities import Client, TrustedAuthority
 from repro.core.secure_layers import (
     SecureConvInput,
     SecureLinearInput,
-    SecureMSE,
     SecureSoftmaxCrossEntropy,
 )
 from repro.nn.activations import softmax, log_softmax
 from repro.nn.conv import Conv2D
 from repro.nn.layers import Dense
-from repro.nn.losses import MSELoss, SoftmaxCrossEntropyLoss
+from repro.nn.losses import SoftmaxCrossEntropyLoss
 
 QUANT_TOL = 0.05  # generous envelope for scale=100 quantization
 
@@ -170,24 +169,3 @@ class TestSecureSoftmaxCrossEntropy:
         secure = SecureSoftmaxCrossEntropy(authority, authority.config)
         with pytest.raises(RuntimeError):
             secure.backward([])
-
-
-class TestSecureMSE:
-    def test_loss_and_gradient_match_plaintext(self, authority, client, np_rng):
-        labels = np.array([0, 1, 1])
-        enc = client.encrypt_tabular(np.zeros((3, 2)), labels, num_classes=2)
-        predictions = np_rng.uniform(0, 1, size=(3, 2))
-        secure = SecureMSE(authority, authority.config)
-        loss_secure = secure.forward(predictions, enc.labels)
-        grad_secure = secure.backward(enc.labels)
-        plain = MSELoss()
-        targets = np.eye(2)[labels]
-        loss_plain = plain.forward(quantize(predictions), targets)
-        assert loss_secure == pytest.approx(loss_plain, abs=QUANT_TOL)
-        np.testing.assert_allclose(
-            grad_secure, (quantize(predictions) - targets) / 3, atol=1e-9
-        )
-
-    def test_backward_before_forward(self, authority):
-        with pytest.raises(RuntimeError):
-            SecureMSE(authority, authority.config).backward([])

@@ -221,8 +221,8 @@ class TestSupervisedHealing:
         try:
             supervisor.start()
             loop.start()
-            wait_for_port("127.0.0.1", auth_port, timeout=30)
-            wait_for_port("127.0.0.1", train_port, timeout=30)
+            wait_for_port("127.0.0.1", auth_port)
+            wait_for_port("127.0.0.1", train_port)
 
             # resumable chunked uploads (different nonce rngs than the
             # reference: decryption is exact, so results match anyway)

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repro.utils.timer import Stopwatch, time_call
+from repro.utils.timer import Stopwatch
 
 
 class TestStopwatch:
@@ -25,16 +25,3 @@ class TestStopwatch:
     def test_stop_without_start_rejected(self):
         with pytest.raises(RuntimeError):
             Stopwatch().stop()
-
-    def test_reset(self):
-        sw = Stopwatch()
-        with sw:
-            pass
-        sw.reset()
-        assert sw.elapsed == 0.0
-
-    def test_time_call(self):
-        seconds, result = time_call(lambda a, b: a + b, 2, b=3)
-        assert result == 5
-        assert seconds >= 0.0
-
