@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import CryptoNNConfig
-from repro.core.cryptonn import CryptoNNTrainer
+from repro.core.cryptonn import EVALUATE_BATCH_SIZE, CryptoNNTrainer
 from repro.core.entities import Client, TrustedAuthority
 from repro.data.preprocess import one_hot
 from repro.data.tabular import load_clinics
@@ -137,6 +137,17 @@ class TestMechanics:
         probs = trainer.predict(enc, np.arange(5))
         assert probs.shape == (5, 2)
         np.testing.assert_allclose(probs.sum(axis=1), np.ones(5))
+
+    def test_evaluate_spanning_several_chunks_matches_predict(
+            self, authority, clinic_data, np_rng):
+        """evaluate() predicts in chunks of EVALUATE_BATCH_SIZE; over more
+        samples than one chunk holds it scores every sample once."""
+        x, y = clinic_data
+        assert len(y) > EVALUATE_BATCH_SIZE
+        enc = Client(authority).encrypt_tabular(x, y, num_classes=2)
+        trainer = CryptoNNTrainer(make_model(np_rng), authority)
+        whole = trainer.predict(enc).argmax(axis=1)
+        assert trainer.evaluate(enc) == pytest.approx(np.mean(whole == y))
 
     def test_on_batch_callback(self, authority, clinic_data, np_rng):
         x, y = clinic_data

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.data.datasets import Dataset
-from repro.data.preprocess import LabelMapper, one_hot
+from repro.data.preprocess import (
+    LabelMapper,
+    normalize_features,
+    one_hot,
+    shared_feature_scale,
+)
 from repro.data.synth_digits import (
     GLYPH_HEIGHT,
     glyph_bitmap,
@@ -92,6 +97,19 @@ class TestDataset:
         assert sum(len(s) for s in shards) == 10
         assert sorted(np.concatenate([s.y for s in shards]).tolist()) == list(range(10))
 
+    def test_shards_rejects_zero_count(self):
+        ds = Dataset(x=np.zeros((4, 1)), y=np.arange(4), num_classes=4)
+        with pytest.raises(ValueError):
+            ds.shards(0)
+
+    def test_take_keeps_the_first_samples(self):
+        ds = Dataset(x=np.arange(12).reshape(6, 2).astype(float),
+                     y=np.arange(6), num_classes=6)
+        head = ds.take(4)
+        assert head.y.tolist() == [0, 1, 2, 3]
+        np.testing.assert_array_equal(head.x, ds.x[:4])
+        assert head.num_classes == 6
+
 
 class TestPreprocess:
     def test_one_hot(self):
@@ -101,6 +119,22 @@ class TestPreprocess:
     def test_one_hot_out_of_range(self):
         with pytest.raises(ValueError):
             one_hot(np.array([3]), 3)
+
+    def test_one_hot_rejects_negative_label(self):
+        with pytest.raises(ValueError):
+            one_hot(np.array([0, -1]), 3)
+
+    def test_one_hot_rejects_2d_labels(self):
+        with pytest.raises(ValueError):
+            one_hot(np.zeros((2, 2)), 3)
+
+    def test_shared_scale_is_the_max_over_every_shard(self):
+        shards = [np.array([[0.5, -1.0]]), np.array([[-4.0], [2.0]])]
+        assert shared_feature_scale(shards) == pytest.approx(4.0)
+
+    def test_normalize_features_clips_into_unit_range(self):
+        out = normalize_features(np.array([[2.0, -8.0, 5.0]]), 4.0)
+        np.testing.assert_array_equal(out, [[0.5, -1.0, 1.0]])
 
     def test_label_mapper_roundtrip(self, np_rng):
         mapper = LabelMapper(10, np_rng)

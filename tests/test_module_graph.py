@@ -391,9 +391,10 @@ def _class_aliases(trees: list[ast.Module]) -> dict[str, set[str]]:
     return aliases
 
 
-def _arguments_set() -> set[tuple[str, str | int]]:
+def _arguments_set(trees: list[ast.Module] | None = None
+                   ) -> set[tuple[str, str | int]]:
     """``(callee, keyword)`` and ``(callee, index)`` for every argument
-    the shipped files pass, where the callee is the called name or
+    the shipped files (or ``trees``) pass, where the callee is the called name or
     attribute, or a class :func:`_class_aliases` binds to it, and
     ``index`` a positional argument's place.
 
@@ -403,8 +404,9 @@ def _arguments_set() -> set[tuple[str, str | int]]:
     (``pool = get_compute_pool(1)`` then ``pool=pool``) sets it, and so
     does a nested function's parameter, which only the function around
     it can set."""
-    trees = [ast.parse(path.read_text(), filename=str(path))
-             for path in _shipped_files()]
+    if trees is None:
+        trees = [ast.parse(path.read_text(), filename=str(path))
+                 for path in _shipped_files()]
     aliases = _class_aliases(trees)
     out = set()
 
@@ -450,3 +452,86 @@ def test_every_option_is_set_by_shipped_code():
     now_set = sorted(set(ALLOWED_TEST_ONLY_OPTIONS) - unset)
     assert not now_set, f"{now_set} are set by shipped code now; " \
         f"drop them from the list"
+
+
+# The guards' own rules, checked on small sources: a guard that reads
+# nothing passes on every tree.
+
+def _parse(source: str) -> ast.Module:
+    return ast.parse(source.strip() + "\n")
+
+
+def test_signature_drops_self_and_counts_positions_from_zero():
+    cls = _parse("""
+class A:
+    def f(self, x, y=1, *, z=2, w):
+        pass
+""").body[0]
+    assert _signature(cls.body[0], method=True) == [
+        ("x", 0, False), ("y", 1, True), ("z", None, True),
+        ("w", None, False)]
+
+
+def test_signature_of_a_staticmethod_keeps_its_first_parameter():
+    cls = _parse("""
+class A:
+    @staticmethod
+    def f(x, y=1):
+        pass
+""").body[0]
+    assert _signature(cls.body[0], method=True) == [
+        ("x", 0, False), ("y", 1, True)]
+
+
+def test_class_aliases_follow_both_branches_of_a_conditional():
+    tree = _parse("""
+class A: pass
+class B: pass
+cls = A if flag else B
+other = make()
+""")
+    assert _class_aliases([tree]) == {"cls": {"A", "B"}}
+
+
+def test_call_through_a_class_alias_sets_the_class_option():
+    tree = _parse("""
+class Layer: pass
+class Model:
+    layer_class = Layer
+    def build(self):
+        return self.layer_class(3, pool=None)
+""")
+    assert {("Layer", 0), ("Layer", "pool")} <= _arguments_set([tree])
+
+
+def test_pass_through_of_own_parameter_sets_nothing():
+    tree = _parse("""
+def outer(policy=None):
+    return inner(policy=policy, retries=3)
+""")
+    arguments = _arguments_set([tree])
+    assert ("inner", "retries") in arguments
+    assert ("inner", "policy") not in arguments
+
+
+def test_same_name_bound_locally_sets_the_option():
+    tree = _parse("""
+def outer():
+    pool = make_pool()
+    return inner(pool=pool)
+""")
+    assert ("inner", "pool") in _arguments_set([tree])
+
+
+def test_public_subclasses_share_an_inherited_init():
+    """Both secure trainers reach ``_SecureTrainerBase``'s ``__init__``,
+    ``fit`` and ``evaluate``: an option either trainer's caller sets is
+    set for both."""
+    names = {qualified for qualified, *_ in _definitions("repro.core")}
+    for trainer in ("cryptonn.CryptoNNTrainer", "cryptocnn.CryptoCNNTrainer"):
+        assert {f"repro.core.{trainer}.fit",
+                f"repro.core.{trainer}.evaluate"} <= names
+    callees, name, _ = _defaulted_options("repro.core")[
+        "repro.core.cryptonn.CryptoNNTrainer(pool=)"]
+    assert name == "pool"
+    assert callees == {"CryptoNNTrainer", "CryptoCNNTrainer"}

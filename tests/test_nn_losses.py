@@ -34,3 +34,28 @@ class TestSoftmaxCrossEntropy:
         logits = np_rng.normal(size=(4, 3))
         targets = np.eye(3)[np_rng.integers(0, 3, 4)]
         assert check_loss_grad(loss, logits, targets) < 1e-7
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            SoftmaxCrossEntropyLoss().forward(np.ones((2, 2)), np.eye(3)[:2])
+
+    def test_backward_before_forward(self):
+        with pytest.raises(RuntimeError):
+            SoftmaxCrossEntropyLoss().backward()
+
+    def test_shifting_a_row_of_logits_changes_nothing(self, np_rng):
+        logits = np_rng.normal(size=(3, 4))
+        targets = np.eye(4)[[0, 3, 1]]
+        plain, shifted = SoftmaxCrossEntropyLoss(), SoftmaxCrossEntropyLoss()
+        value = plain.forward(logits, targets)
+        offsets = np.array([[5.0], [-7.0], [100.0]])
+        assert shifted.forward(logits + offsets, targets) == \
+            pytest.approx(value)
+        np.testing.assert_allclose(shifted.backward(), plain.backward(),
+                                   atol=1e-12)
+
+    def test_huge_logits_stay_finite(self):
+        loss = SoftmaxCrossEntropyLoss()
+        value = loss.forward(np.array([[1e4, -1e4]]), np.array([[0.0, 1.0]]))
+        assert value == pytest.approx(2e4)
+        np.testing.assert_allclose(loss.backward(), [[1.0, -1.0]])

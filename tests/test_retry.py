@@ -123,3 +123,8 @@ class TestWaitForPort:
             wait_for_port("127.0.0.1", free_port(), policy=policy)
         # honors the budget: no runaway polling, no premature raise
         assert 0.2 <= time.monotonic() - start < 5.0
+
+    def test_error_names_attempts_when_policy_has_no_deadline(self):
+        policy = RetryPolicy(max_attempts=2, base_delay=0.01, max_delay=0.01)
+        with pytest.raises(TimeoutError, match="after 2 attempts"):
+            wait_for_port("127.0.0.1", free_port(), policy=policy)

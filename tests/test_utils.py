@@ -25,3 +25,21 @@ class TestStopwatch:
     def test_stop_without_start_rejected(self):
         with pytest.raises(RuntimeError):
             Stopwatch().stop()
+
+    def test_fresh_stopwatch_reads_zero(self):
+        assert Stopwatch().elapsed == 0.0
+
+    def test_stop_returns_the_running_total(self):
+        sw = Stopwatch().start()
+        first = sw.stop()
+        assert first == sw.elapsed
+        second = sw.start().stop()
+        assert second == sw.elapsed >= first
+
+    def test_exception_inside_block_still_stops(self):
+        sw = Stopwatch()
+        with pytest.raises(KeyError):
+            with sw:
+                raise KeyError("boom")
+        assert sw.elapsed > 0.0
+        sw.start().stop()  # not left running
